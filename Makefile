@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-faults bench-repair bench-rebalance bench-restart bench-dedup bench-frontdoor bench-autobalance bench-storm docs-check
+.PHONY: build test check bench bench-faults bench-repair bench-rebalance bench-restart bench-dedup bench-frontdoor bench-autobalance bench-storm docs-check loc
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ check:
 # README.md names an exported identifier that no longer exists.
 docs-check:
 	./scripts/docscheck.sh
+
+# Size of the program as ROADMAP counts it: non-test Go lines per package
+# and in total (bench/ excluded), plus the option surface (client.With*
+# options, core.Options fields, server and ctl flags).
+loc:
+	./scripts/loc.sh
 
 # End-to-end repair proof on its own: partial writes during an outage,
 # anti-entropy convergence after healing.

@@ -58,9 +58,7 @@ func main() {
 	threshold := flag.Int("breaker-threshold", 5, "consecutive transport failures that open a provider's circuit breaker (-1 = off)")
 	replicas := flag.Int("replicas", 1, "deployment replication factor R (must match every other client)")
 	deploySize := flag.Int("deploy-size", 0, "epoch-0 member count when -providers includes spares (0 = every address is a member)")
-	stripeChunk := flag.Int("stripe-chunk", 0, "stripe owner-group reads larger than this many bytes into parallel ranged chunks (0 = off)")
-	stripePar := flag.Int("stripe-parallel", 4, "max in-flight ranged chunks per striped read")
-	poolSize := flag.Int("pool", 2, "TCP connections per provider (striped reads fan ranged chunks across them)")
+	poolSize := flag.Int("pool", 2, "TCP connections per provider (concurrent calls spread across them)")
 	tenant := flag.String("tenant", "", "tenant ID stamped on reads, charged against the providers' per-tenant admission buckets (-throttle-* on evostore-server)")
 	segCache := flag.Int64("seg-cache", 0, "client segment-cache bound in bytes (0 = 64 MiB default, negative = caching off)")
 	flag.Parse()
@@ -86,9 +84,6 @@ func main() {
 	copts := []client.Option{client.WithReplicas(*replicas)}
 	if *deploySize > 0 {
 		copts = []client.Option{client.WithPlacement(placement.New(*deploySize, *replicas))}
-	}
-	if *stripeChunk > 0 {
-		copts = append(copts, client.WithStripedReads(*stripeChunk, *stripePar))
 	}
 	if *tenant != "" {
 		copts = append(copts, client.WithTenant(*tenant))
@@ -268,7 +263,7 @@ func run(ctx context.Context, cli *client.Client, conns []rpc.Conn, args []strin
 		return meta.Graph.WriteDOT(os.Stdout, fmt.Sprintf("model_%d", uint64(id)), nil)
 
 	case "metrics":
-		snaps, errs := cli.Metrics(ctx)
+		snaps, _, errs := cli.Metrics(ctx)
 		tbl := metrics.NewTable("Provider", "Counter", "Value")
 		for i, snap := range snaps {
 			if errs[i] != nil {
@@ -294,8 +289,7 @@ func run(ctx context.Context, cli *client.Client, conns []rpc.Conn, args []strin
 		// latency/error samples to score; the metrics broadcast touches
 		// each provider once per round.
 		for i := 0; i < 5; i++ {
-			_, errs := cli.Metrics(ctx)
-			_ = errs // per-provider failures are exactly what we want scored
+			cli.Metrics(ctx) // per-provider failures are exactly what we want scored
 		}
 		tbl := metrics.NewTable("Provider", "Addr", "Breaker", "Score", "p50", "p95", "ErrRate")
 		for i, c := range conns {
@@ -383,7 +377,7 @@ func run(ctx context.Context, cli *client.Client, conns []rpc.Conn, args []strin
 		return nil
 
 	case "heat":
-		heats, errs := cli.Heat(ctx)
+		_, heats, errs := cli.Metrics(ctx)
 		tbl := metrics.NewTable("Provider", "Model", "Read B/s", "Write B/s")
 		for pi, samples := range heats {
 			if errs[pi] != nil {

@@ -4,7 +4,7 @@
 // BENCH_bulk.json. The scenarios measure the two layers the zero-copy
 // path optimizes: raw TCP echo calls (flat and vectored payloads, 64 KiB
 // to 64 MiB) and the end-to-end client read path (Load over a TCP
-// provider, optionally striped).
+// provider).
 package bulkbench
 
 import (
@@ -36,9 +36,8 @@ func Scenarios() []Scenario {
 		{"TCPCallVec64K", benchTCPCall(64<<10, true)},
 		{"TCPCallVec1M", benchTCPCall(1<<20, true)},
 		{"TCPCallVec64M", benchTCPCall(64<<20, true)},
-		{"ReadPath1M", benchReadPath(16, 64<<10, 0)},
-		{"ReadPath64M", benchReadPath(16, 4<<20, 0)},
-		{"ReadPathStriped64M", benchReadPath(16, 4<<20, 8<<20)},
+		{"ReadPath1M", benchReadPath(16, 64<<10)},
+		{"ReadPath64M", benchReadPath(16, 4<<20)},
 	}
 }
 
@@ -121,8 +120,7 @@ func benchModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]
 // benchReadPath measures a full client Load (metadata + consolidated
 // segment read) of an nseg×segBytes model from one TCP provider, via an
 // rpc.Pool of 4 connections — the deployment shape of evostore-server.
-// stripeChunk > 0 enables range-striped reads with that chunk size.
-func benchReadPath(nseg, segBytes, stripeChunk int) func(b *testing.B) {
+func benchReadPath(nseg, segBytes int) func(b *testing.B) {
 	return func(b *testing.B) {
 		p := provider.New(0, kvstore.NewMemKV(8))
 		srv := rpc.NewServer()
@@ -134,11 +132,7 @@ func benchReadPath(nseg, segBytes, stripeChunk int) func(b *testing.B) {
 		defer lis.Close()
 		pool := rpc.NewPool(addr, 4, rpc.DialTCP)
 		defer pool.Close()
-		var opts []client.Option
-		if stripeChunk > 0 {
-			opts = append(opts, client.WithStripedReads(stripeChunk, 4))
-		}
-		cli := client.New([]rpc.Conn{pool}, opts...)
+		cli := client.New([]rpc.Conn{pool})
 
 		ctx := context.Background()
 		meta, segs := benchModel(1, nseg, segBytes)

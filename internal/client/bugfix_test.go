@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -208,41 +207,4 @@ func TestStoreRejectsOversizedSegment(t *testing.T) {
 	if got := provs[0].RefCount(2, 0); got != 1 {
 		t.Errorf("base vertex 0 refcount = %d after rejected store, want 1 (validation must precede pinning)", got)
 	}
-}
-
-// TestPrefetcherConcurrentGetInvalidate hammers Get/Invalidate/Prefetch
-// from many goroutines; run under -race this checks the cache's locking.
-func TestPrefetcherConcurrentGetInvalidate(t *testing.T) {
-	_, cli := newHookCluster(t, 2, nil)
-	ctx := context.Background()
-	ids := []ownermap.ModelID{1, 2, 3, 4}
-	for _, id := range ids {
-		f := flatten(t, 4+int(id))
-		if err := cli.Store(ctx, metaFor(f, id, uint64(id), 0.5), segsFor(f, model.Materialize(f, uint64(id)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pf := NewPrefetcher(cli, 2) // capacity below the working set forces evictions
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				id := ids[(w+i)%len(ids)]
-				switch i % 3 {
-				case 0:
-					if _, err := pf.Get(ctx, id); err != nil {
-						t.Errorf("Get(%d): %v", id, err)
-						return
-					}
-				case 1:
-					pf.Prefetch(ctx, id)
-				default:
-					pf.Invalidate(id)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -15,8 +15,11 @@
 // NAS worker.
 //
 // Contracts:
-//   - Thread safety: Client and Prefetcher are safe for concurrent use;
-//     Client itself is stateless beyond the connection slice.
+//   - Thread safety: Client is safe for concurrent use. Beyond the
+//     connection slice it holds the active placement view (an atomic
+//     pointer), the client-wide segment cache, the in-flight read table
+//     that coalesces identical reads, the hedge budget and the repair
+//     queue, each behind its own lock.
 //   - Idempotency: the client stamps every mutating request (StoreModel,
 //     IncRef, DecRef, Retire) with a process-unique ReqID, so connections
 //     wrapped with the resilient middleware may retry them safely — the
@@ -78,9 +81,6 @@ type Client struct {
 	place    atomic.Pointer[placement.State] // active placement view; never nil after New
 	reg      *metrics.Registry
 
-	stripeChunk uint64 // striped-read chunk size; 0 disables striping
-	stripePar   int    // max concurrent chunk fetches per owner group
-
 	partialWrites bool // accept outage-shaped partial mutations (see repair.go)
 	// rebalanceMu serializes placement transitions driven through this
 	// client: concurrent Rebalancer.Rebalance calls (controller cycle vs
@@ -97,15 +97,18 @@ type Client struct {
 	resolved      *segCache
 	segCacheMax   int64 // WithSegCacheBytes bound; 0 disables the cache
 
-	tenant     string                             // WithTenant: admission-control identity on segment reads
-	selfWaiter *frontdoor.Waiter                  // WithSelfThrottle: client-side pacing; nil disables
-	flights    frontdoor.Group[string, groupRead] // coalesces concurrent identical owner-group reads
+	tenant  string                             // WithTenant: admission-control identity on segment reads
+	flights frontdoor.Group[string, groupRead] // coalesces concurrent identical owner-group reads
 
 	hedge *hedger // WithHedgedReads: tail-latency hedging; nil disables
 
+	counters
+}
+
+// counters are the client.* counters in the client's registry.
+type counters struct {
 	failovers      *metrics.Counter // reads served by a non-preferred replica
 	breakerSkips   *metrics.Counter // replicas skipped on an open breaker
-	stripedReads   *metrics.Counter // owner-group reads served via range striping
 	partialAcc     *metrics.Counter // partial writes accepted for repair
 	repairDrops    *metrics.Counter // repair targets dropped on a full queue
 	epochAdopts    *metrics.Counter // newer placement views adopted from rejections or sync
@@ -115,13 +118,45 @@ type Client struct {
 	deltaRejects   *metrics.Counter // deltas that missed the ratio gate and shipped raw
 	resolvedReads  *metrics.Counter // enveloped segments resolved on the read path
 	coalesced      *metrics.Counter // reads served by joining another caller's in-flight fetch
-	throttled      *metrics.Counter // self-throttle waits plus provider throttle refusals
+	throttled      *metrics.Counter // reads a provider's admission control refused past resilient's paced retries
 	hedgedReads    *metrics.Counter // hedge legs launched against a slow primary
 	hedgeWon       *metrics.Counter // reads won by a hedge leg
 	hedgeCancelled *metrics.Counter // in-flight legs cancelled by a sibling's win
 	hedgeRefused   *metrics.Counter // hedge launches refused by the token budget
 	scoreDemotes   *metrics.Counter // reads routed around a low-scoring preferred replica
 	shedRetries    *metrics.Counter // read passes retried after losing a breaker-probe race
+}
+
+// registerCounters binds every counter field, the segment cache's two
+// included, to its name in the client's registry.
+func (c *Client) registerCounters() {
+	for _, e := range []struct {
+		name  string
+		field **metrics.Counter
+	}{
+		{"client.read_failover", &c.failovers},
+		{"client.replica_breaker_skip", &c.breakerSkips},
+		{"client.partial_write", &c.partialAcc},
+		{"client.repair_queue_drop", &c.repairDrops},
+		{"client.epoch_adopt", &c.epochAdopts},
+		{"client.migration_deferred", &c.deferred},
+		{"client.delta_write", &c.deltaWrites},
+		{"client.delta_rebase", &c.deltaRebases},
+		{"client.delta_reject", &c.deltaRejects},
+		{"client.delta_resolve", &c.resolvedReads},
+		{"client.coalesced_read", &c.coalesced},
+		{"client.throttled", &c.throttled},
+		{"client.hedged_read", &c.hedgedReads},
+		{"client.hedge_won", &c.hedgeWon},
+		{"client.hedge_cancelled", &c.hedgeCancelled},
+		{"client.hedge_refused", &c.hedgeRefused},
+		{"client.score_demote", &c.scoreDemotes},
+		{"client.shed_retry", &c.shedRetries},
+		{"client.segcache_hit", &c.resolved.hits},
+		{"client.segcache_miss", &c.resolved.misses},
+	} {
+		*e.field = c.reg.Counter(e.name)
+	}
 }
 
 // New wraps provider connections. The slice order defines provider IDs and
@@ -158,27 +193,7 @@ func New(conns []rpc.Conn, opts ...Option) *Client {
 		panic("client: " + err.Error())
 	}
 	c.place.Store(st)
-	c.failovers = c.reg.Counter("client.read_failover")
-	c.breakerSkips = c.reg.Counter("client.replica_breaker_skip")
-	c.stripedReads = c.reg.Counter("client.striped_read")
-	c.partialAcc = c.reg.Counter("client.partial_write")
-	c.repairDrops = c.reg.Counter("client.repair_queue_drop")
-	c.epochAdopts = c.reg.Counter("client.epoch_adopt")
-	c.deferred = c.reg.Counter("client.migration_deferred")
-	c.deltaWrites = c.reg.Counter("client.delta_write")
-	c.deltaRebases = c.reg.Counter("client.delta_rebase")
-	c.deltaRejects = c.reg.Counter("client.delta_reject")
-	c.resolvedReads = c.reg.Counter("client.delta_resolve")
-	c.coalesced = c.reg.Counter("client.coalesced_read")
-	c.throttled = c.reg.Counter("client.throttled")
-	c.hedgedReads = c.reg.Counter("client.hedged_read")
-	c.hedgeWon = c.reg.Counter("client.hedge_won")
-	c.hedgeCancelled = c.reg.Counter("client.hedge_cancelled")
-	c.hedgeRefused = c.reg.Counter("client.hedge_refused")
-	c.scoreDemotes = c.reg.Counter("client.score_demote")
-	c.shedRetries = c.reg.Counter("client.shed_retry")
-	c.resolved.hits = c.reg.Counter("client.segcache_hit")
-	c.resolved.misses = c.reg.Counter("client.segcache_miss")
+	c.registerCounters()
 	return c
 }
 
@@ -373,7 +388,7 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 		return nil, err
 	}
 	lease := &Lease{}
-	segs, _, err := c.readByOwnerInfo(ctx, meta.OwnerMap, nil, lease)
+	segs, _, err := c.readByOwner(ctx, meta.OwnerMap, nil, lease)
 	if err != nil {
 		lease.Release()
 		return nil, fmt.Errorf("client: load %d: %w", id, err)
@@ -383,34 +398,32 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 
 // LoadVertices reads only the given vertices of a model (the partial-read
 // primitive behind transfer learning): tensors are fetched from their
-// owners' providers in parallel. The result slice is indexed by vertex ID
-// with nil entries for vertices that were not requested.
-func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, error) {
+// owners' providers in parallel. Both result slices are indexed by vertex
+// ID, with zero entries for vertices that were not requested: the logical
+// segment bytes, and each segment's stored delta-chain depth (0 for raw),
+// which a derived store needs to keep chains bounded — a delta against a
+// depth-d base stores at depth d+1.
+func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, []uint8, error) {
 	want := make(map[graph.VertexID]bool, len(vertices))
 	for _, v := range vertices {
 		if int(v) >= meta.OwnerMap.Len() {
-			return nil, fmt.Errorf("client: load %d: vertex %d out of range", meta.Model, v)
+			return nil, nil, fmt.Errorf("client: load %d: vertex %d out of range", meta.Model, v)
 		}
 		want[v] = true
 	}
-	return c.readByOwner(ctx, meta.OwnerMap, want)
+	return c.readByOwner(ctx, meta.OwnerMap, want, nil)
 }
 
 // readByOwner groups vertices by owner and issues the per-provider bulk
-// reads concurrently. want==nil selects every vertex.
-func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool) ([][]byte, error) {
-	segs, _, err := c.readByOwnerInfo(ctx, om, want, nil)
-	return segs, err
-}
-
-// readByOwnerInfo additionally reports each vertex's stored delta-chain
-// depth (0 for raw). Returned segments are always *logical* bytes:
-// enveloped segments are resolved before returning (see dedup.go).
-// A non-nil lease opts the fetches into pooled receive frames and receives
-// one reference per frame backing the returned segments (see frontdoor.go);
-// with a nil lease every returned buffer is a plain allocation or a
-// deliberately unpooled frame, safe to hold forever.
-func (c *Client) readByOwnerInfo(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool, lease *Lease) ([][]byte, []uint8, error) {
+// reads concurrently; want==nil selects every vertex. It returns each
+// vertex's segment and stored delta-chain depth (0 for raw). Returned
+// segments are always *logical* bytes: enveloped segments are resolved
+// before returning (see dedup.go). A non-nil lease opts the fetches into
+// pooled receive frames and receives one reference per frame backing the
+// returned segments (see frontdoor.go); with a nil lease every returned
+// buffer is a plain allocation or a deliberately unpooled frame, safe to
+// hold forever.
+func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool, lease *Lease) ([][]byte, []uint8, error) {
 	segs := make([][]byte, om.Len())
 	depths := make([]uint8, om.Len())
 	refs := make([]segRef, om.Len())
@@ -711,39 +724,24 @@ func (c *Client) ListModels(ctx context.Context) ([]ownermap.ModelID, error) {
 	return all, nil
 }
 
-// Metrics fetches each provider's server-side metrics counters (retries,
-// breaker transitions, replica activity). The result is indexed by
-// provider; a provider running a pre-metrics binary yields a nil map and
-// an error in errs.
-func (c *Client) Metrics(ctx context.Context) (snaps []map[string]uint64, errs []error) {
+// Metrics fetches each provider's server-side metrics: its counters
+// (retries, breaker transitions, replica activity) and its per-model heat
+// samples, which ride the same response. All three results are indexed by
+// provider; an unreachable provider yields nil entries and an error in
+// errs.
+func (c *Client) Metrics(ctx context.Context) (snaps []map[string]uint64, heats [][]proto.ModelHeat, errs []error) {
 	results := rpc.Broadcast(ctx, c.conns, proto.RPCMetrics, rpc.Message{})
 	snaps = make([]map[string]uint64, len(results))
+	heats = make([][]proto.ModelHeat, len(results))
 	errs = make([]error, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			errs[i] = fmt.Errorf("client: metrics on provider %d: %w", i, r.Err)
 			continue
 		}
-		snaps[i], errs[i] = proto.DecodeCounters(r.Resp.Meta)
+		snaps[i], heats[i], errs[i] = proto.DecodeCountersHeat(r.Resp.Meta)
 	}
-	return snaps, errs
-}
-
-// Heat fetches every provider's per-model heat trailer from the Metrics
-// RPC. heats[i] is provider i's samples (nil for providers that predate
-// heat or are unreachable — the matching errs[i] says which).
-func (c *Client) Heat(ctx context.Context) (heats [][]proto.ModelHeat, errs []error) {
-	results := rpc.Broadcast(ctx, c.conns, proto.RPCMetrics, rpc.Message{})
-	heats = make([][]proto.ModelHeat, len(results))
-	errs = make([]error, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			errs[i] = fmt.Errorf("client: heat on provider %d: %w", i, r.Err)
-			continue
-		}
-		_, heats[i], errs[i] = proto.DecodeCountersHeat(r.Resp.Meta)
-	}
-	return heats, errs
+	return snaps, heats, errs
 }
 
 // Stats aggregates storage statistics across all providers. With

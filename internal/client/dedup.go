@@ -408,17 +408,3 @@ func (r *resolver) resolveBatch(ctx context.Context, stored [][]byte, refs []seg
 	}
 	return out, nil
 }
-
-// LoadVerticesInfo is LoadVertices plus each vertex's stored delta-chain
-// depth (0 for raw), which a derived store needs to keep chains bounded:
-// a delta against a depth-d base stores at depth d+1.
-func (c *Client) LoadVerticesInfo(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, []uint8, error) {
-	want := make(map[graph.VertexID]bool, len(vertices))
-	for _, v := range vertices {
-		if int(v) >= meta.OwnerMap.Len() {
-			return nil, nil, fmt.Errorf("client: load %d: vertex %d out of range", meta.Model, v)
-		}
-		want[v] = true
-	}
-	return c.readByOwnerInfo(ctx, meta.OwnerMap, want, nil)
-}

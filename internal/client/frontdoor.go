@@ -17,10 +17,6 @@ package client
 //     when the last reference drops. Callers that never Release merely
 //     leave frames to the garbage collector — an unreleased lease can
 //     waste a buffer, never corrupt one.
-//   - Self-throttling: WithSelfThrottle paces this client's reads against
-//     local token buckets before they reach the wire, so a cooperative
-//     tenant converges on its budget without bouncing off the provider's
-//     admission control.
 
 import (
 	"context"
@@ -52,16 +48,6 @@ func WithSegCacheBytes(n int64) Option {
 // Untagged clients share the anonymous tenant's budget.
 func WithTenant(t string) Option {
 	return func(c *Client) { c.tenant = t }
-}
-
-// WithSelfThrottle paces this client's segment reads against local token
-// buckets (ops and bytes per second) before they reach the wire. Unlike the
-// provider's admission control, which refuses with a retry-after, the
-// client-side waiter sleeps until its own budget admits the read — so a
-// cooperative tenant smooths its load instead of burning round trips on
-// refusals. Zero limits disable self-throttling.
-func WithSelfThrottle(l frontdoor.Limits) Option {
-	return func(c *Client) { c.selfWaiter = frontdoor.NewWaiter(l) }
 }
 
 // Lease tracks the pooled receive frames backing one logical read. Release
@@ -131,31 +117,17 @@ func flightKey(owner ownermap.ModelID, vs []graph.VertexID) string {
 	return string(b)
 }
 
-// readGroup fetches one owner group's segments through the front door:
-// self-throttle pacing, then flight coalescing, then the wire (see
-// readGroupWire for the full/striped dispatch). Each returner owns one
-// reference on the backing frame — transferred to lease, or deliberately
-// leaked when lease is nil, since a legacy caller may hold the parts
-// indefinitely and an unpooled frame is safe where a recycled-under-use
-// one is not. Raw (non-enveloped) segments are cached read-through.
+// readGroup fetches one owner group's segments: concurrent identical
+// reads share one flight, and the flight's leader issues the one
+// consolidated ReadSegments through readCall's replica pass. Each returner
+// owns one reference on the backing frame — transferred to lease, or
+// deliberately leaked when lease is nil, since such a caller may hold the
+// parts indefinitely and an unpooled frame is safe where a
+// recycled-under-use one is not. Raw (non-enveloped) segments are cached
+// read-through.
 func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID, lease *Lease) ([]proto.SegmentRef, [][]byte, error) {
-	if waits, err := c.selfWaiter.Wait(ctx); err != nil {
-		return nil, nil, err
-	} else if waits > 0 {
-		c.throttled.Add(uint64(waits))
-	}
-	framed := lease != nil
 	g, shared, err := c.flights.Do(flightKey(owner, vs), func() (groupRead, error) {
-		table, parts, frame, err := c.readGroupWire(ctx, owner, vs, framed)
-		if err != nil {
-			return groupRead{}, err
-		}
-		var total int
-		for _, p := range parts {
-			total += len(p)
-		}
-		c.selfWaiter.ChargeBytes(total)
-		return groupRead{table: table, parts: parts, frame: frame}, nil
+		return c.readGroupWire(ctx, owner, vs, lease != nil)
 	})
 	if err != nil {
 		// A provider refusal that made it past resilient's paced retries:
@@ -181,4 +153,46 @@ func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []gra
 		}
 	}
 	return g.table, g.parts, nil
+}
+
+// readGroupWire is the wire read behind readGroup. With framed set the
+// response bulk arrives as a pooled receive frame: the returned groupRead
+// owns one reference on it and every part aliases it.
+func (c *Client) readGroupWire(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID, framed bool) (groupRead, error) {
+	req := &proto.ReadSegmentsReq{Owner: owner, Vertices: vs, Tenant: c.tenant}
+	var sink *rpc.FrameSink
+	if framed {
+		ctx, sink = rpc.WithFrameSink(ctx)
+	}
+	resp, err := c.readCall(ctx, proto.RPCReadSegments, owner, rpc.Message{Meta: req.Encode()})
+	if err != nil {
+		dropFrame(sink)
+		return groupRead{}, err
+	}
+	table, err := proto.DecodeSegTable(resp.Meta)
+	if err != nil {
+		dropFrame(sink)
+		return groupRead{}, err
+	}
+	parts, err := proto.SplitBulkMsg(table, resp)
+	if err != nil {
+		dropFrame(sink)
+		return groupRead{}, err
+	}
+	g := groupRead{table: table, parts: parts}
+	if sink != nil {
+		g.frame = sink.Take()
+	}
+	return g, nil
+}
+
+// dropFrame releases whatever frame a failed call may have deposited
+// before the error (e.g. a response that arrived but failed validation).
+func dropFrame(sink *rpc.FrameSink) {
+	if sink == nil {
+		return
+	}
+	if f := sink.Take(); f != nil {
+		f.Release()
+	}
 }

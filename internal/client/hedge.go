@@ -2,13 +2,10 @@ package client
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/frontdoor"
-	"repro/internal/placement"
 	"repro/internal/rpc"
 )
 
@@ -126,108 +123,101 @@ func (h *hedger) delayFor(conn, next rpc.Conn) time.Duration {
 	return d
 }
 
-// readOnceHedged is readOnce's racing counterpart: one pass over the
-// replica order where the next replica is launched either immediately
-// (the in-flight leg failed transiently — plain failover, not budgeted)
-// or after the hedge delay (the in-flight legs are still pending and the
-// budget admits — a hedge). The first success wins and cancels the rest;
-// an authoritative failure from any leg settles the read just as in the
-// sequential path.
-func (c *Client) readOnceHedged(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// hedgeRace feeds readPass the legs of one hedged pass over a replica
+// order, in the order they answer. It decides only when the next replica
+// is launched: at once when the leg just handed out failed (plain failover,
+// free of charge), or when the hedge timer fires while legs are still
+// pending and the budget admits (a hedge). What a leg's answer means is
+// readPass's business.
+type hedgeRace struct {
+	c      *Client
+	ctx    context.Context // cancelled by stop, abandoning legs still in flight
+	cancel context.CancelFunc
+	name   string
+	req    rpc.Message
+	order  []int
 
-	type legResult struct {
-		idx, pi int
-		resp    rpc.Message
-		err     error
-	}
-	results := make(chan legResult, len(order))
-	hedged := make([]bool, len(order)) // launched as a hedge (vs primary/failover)
-	launched := 0
-	launch := func(asHedge bool) {
-		idx, pi := launched, order[launched]
-		launched++
-		hedged[idx] = asHedge
-		go func() {
-			resp, err := c.conns[pi].Call(hctx, name, req)
-			results <- legResult{idx: idx, pi: pi, resp: resp, err: err}
-		}()
-	}
-	launch(false)
-	inflight := 1
+	results            chan readLeg // buffered for every leg: an abandoned leg never blocks
+	timer              *time.Timer  // the hedge clock, restarted at every launch
+	launched, inflight int
+}
 
-	// nextAfterLaunched is the replica the next hedge would duplicate to.
-	nextAfterLaunched := func() rpc.Conn {
-		if launched < len(order) {
-			return c.conns[order[launched]]
+func (c *Client) startRace(ctx context.Context, name string, order []int, req rpc.Message) *hedgeRace {
+	r := &hedgeRace{c: c, name: name, req: req, order: order, results: make(chan readLeg, len(order))}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	return r
+}
+
+// launch starts the next replica's leg and restarts the hedge clock for it.
+func (r *hedgeRace) launch(asHedge bool) {
+	leg := readLeg{idx: r.launched, pi: r.order[r.launched], hedge: asHedge}
+	r.launched++
+	r.inflight++
+	conn := r.c.conns[leg.pi]
+	go func() {
+		leg.resp, leg.err = conn.Call(r.ctx, r.name, r.req)
+		r.results <- leg
+	}()
+	var next rpc.Conn // the replica the next hedge would duplicate to
+	if r.launched < len(r.order) {
+		next = r.c.conns[r.order[r.launched]]
+	}
+	r.arm(r.c.hedge.delayFor(conn, next))
+}
+
+func (r *hedgeRace) arm(d time.Duration) {
+	if r.timer == nil {
+		r.timer = time.NewTimer(d)
+		return
+	}
+	if !r.timer.Stop() {
+		select {
+		case <-r.timer.C:
+		default:
 		}
-		return nil
 	}
-	timer := time.NewTimer(c.hedge.delayFor(c.conns[order[0]], nextAfterLaunched()))
-	defer timer.Stop()
-	rearm := func(d time.Duration) {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-	}
+	r.timer.Reset(d)
+}
 
-	var failed []error
-	var staleTbl *placement.Table
-	for inflight > 0 {
+// next returns the next leg to answer; ok is false once every replica has
+// been launched and has answered. The first call launches the primary.
+// Every later call means readPass judged the previous leg a failover-able
+// failure, so its replacement launches immediately and is not charged
+// against the hedge budget.
+func (r *hedgeRace) next() (leg readLeg, ok bool) {
+	if r.launched < len(r.order) {
+		r.launch(false)
+	}
+	for r.inflight > 0 {
 		var fire <-chan time.Time
-		if launched < len(order) {
-			fire = timer.C
+		if r.launched < len(r.order) {
+			fire = r.timer.C
 		}
 		select {
-		case r := <-results:
-			inflight--
-			if r.err == nil {
-				if hedged[r.idx] {
-					c.hedgeWon.Inc()
-				} else if r.idx > 0 {
-					c.failovers.Inc()
-				}
-				if inflight > 0 {
-					c.hedgeCancelled.Add(uint64(inflight))
-				}
-				return readOutcome{resp: r.resp, staleTbl: staleTbl}
-			}
-			if t, ok := placement.TableFromError(r.err); ok {
-				staleTbl = t
-			} else if !placement.IsNotMigrated(r.err) && !rpc.IsTransient(r.err) {
-				if inflight > 0 {
-					c.hedgeCancelled.Add(uint64(inflight))
-				}
-				return readOutcome{err: fmt.Errorf("provider %d: %w", r.pi, r.err), final: true, staleTbl: staleTbl}
-			}
-			failed = append(failed, fmt.Errorf("replica on provider %d: %w", r.pi, r.err))
-			// Plain failover: replace the failed leg right away, free of
-			// charge, and restart the hedge clock for the new leg.
-			if launched < len(order) {
-				next := c.conns[order[launched]]
-				launch(false)
-				inflight++
-				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
-			}
+		case leg = <-r.results:
+			r.inflight--
+			return leg, true
 		case <-fire:
-			if c.hedge.admit() {
-				c.hedgedReads.Inc()
-				next := c.conns[order[launched]]
-				launch(true)
-				inflight++
-				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
+			if r.c.hedge.admit() {
+				r.c.hedgedReads.Inc()
+				r.launch(true)
 			} else {
 				// Budget exhausted: leave the in-flight legs to run, but
 				// check back — budget refills within the window.
-				c.hedgeRefused.Inc()
-				rearm(hedgeWindow / 4)
+				r.c.hedgeRefused.Inc()
+				r.arm(hedgeWindow / 4)
 			}
 		}
 	}
-	return readOutcome{err: errors.Join(failed...), staleTbl: staleTbl}
+	return readLeg{}, false
+}
+
+// stop ends the race: legs still in flight (a sibling won, or answered
+// authoritatively) are cancelled and counted.
+func (r *hedgeRace) stop() {
+	if r.inflight > 0 {
+		r.c.hedgeCancelled.Add(uint64(r.inflight))
+	}
+	r.cancel()
+	r.timer.Stop()
 }

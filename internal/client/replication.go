@@ -153,9 +153,8 @@ func (c *Client) readOrder(id ownermap.ModelID) []int {
 // readCall performs a read with replica failover: replicas are tried in
 // score-ranked, breaker-aware preference order; transient failures move
 // on to the next replica, remote errors and caller cancellation return
-// immediately. With hedged reads enabled (WithHedgedReads) the pass over
-// the order races a budgeted hedge against a slow primary instead of
-// strictly serializing (see hedge.go); semantics are otherwise identical.
+// immediately (see readPass; WithHedgedReads lets a pass race a budgeted
+// hedge against a slow primary instead of strictly serializing).
 // Two placement-shaped rejections bend those rules: a catching-up
 // replica's "not migrated" miss fails over (a previous-epoch owner has
 // the model), and a wrong-epoch rejection refreshes the client's table
@@ -165,12 +164,7 @@ func (c *Client) readCall(ctx context.Context, name string, id ownermap.ModelID,
 	for attempt := 0; ; attempt++ {
 		st := c.place.Load()
 		order := c.readOrder(id)
-		var o readOutcome
-		if c.hedge != nil && len(order) > 1 {
-			o = c.readOnceHedged(ctx, name, order, req)
-		} else {
-			o = c.readOnce(ctx, name, order, req)
-		}
+		o := c.readPass(ctx, name, order, req)
 		if o.err == nil {
 			if o.staleTbl != nil {
 				// A replica rejected us as stale even though another
@@ -231,27 +225,58 @@ type readOutcome struct {
 	staleTbl *placement.Table
 }
 
-// readOnce tries the replicas of order strictly one at a time.
-func (c *Client) readOnce(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
+// readLeg is one replica's answer within a pass.
+type readLeg struct {
+	idx, pi int  // position in the order, provider index
+	hedge   bool // launched by the hedge timer rather than as primary or failover
+	resp    rpc.Message
+	err     error
+}
+
+// readPass makes one pass over a replica order. Without hedging the legs
+// run one at a time on the calling goroutine; with it (WithHedgedReads,
+// more than one replica) they come from a hedgeRace, where a timer may put
+// a second leg in flight beside a slow one (hedge.go). Either way every
+// leg's outcome is judged here and only here: a success ends the pass, a
+// wrong-epoch rejection is remembered for readCall, a catching-up replica's
+// miss or a transient failure moves on to the next replica, and anything
+// else is an authoritative answer that ends the read.
+func (c *Client) readPass(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
+	var race *hedgeRace // nil: sequential
+	if c.hedge != nil && len(order) > 1 {
+		race = c.startRace(ctx, name, order, req)
+		defer race.stop()
+	}
 	var failed []error
 	var staleTbl *placement.Table
-	for i, pi := range order {
-		resp, err := c.conns[pi].Call(ctx, name, req)
-		if err == nil {
-			if i > 0 {
+	for i := 0; race != nil || i < len(order); i++ {
+		var leg readLeg
+		if race == nil {
+			leg = readLeg{idx: i, pi: order[i]}
+			leg.resp, leg.err = c.conns[leg.pi].Call(ctx, name, req)
+		} else {
+			var ok bool
+			if leg, ok = race.next(); !ok {
+				break
+			}
+		}
+		if leg.err == nil {
+			if leg.hedge {
+				c.hedgeWon.Inc()
+			} else if leg.idx > 0 {
 				c.failovers.Inc()
 			}
-			return readOutcome{resp: resp, staleTbl: staleTbl}
+			return readOutcome{resp: leg.resp, staleTbl: staleTbl}
 		}
-		if t, ok := placement.TableFromError(err); ok {
+		if t, ok := placement.TableFromError(leg.err); ok {
 			staleTbl = t
-		} else if !placement.IsNotMigrated(err) && !rpc.IsTransient(err) {
+		} else if !placement.IsNotMigrated(leg.err) && !rpc.IsTransient(leg.err) {
 			// Authoritative handler answer, or the caller gave up:
 			// replicas are write-synchronized, so no other replica
 			// would say better.
-			return readOutcome{err: fmt.Errorf("provider %d: %w", pi, err), final: true, staleTbl: staleTbl}
+			return readOutcome{err: fmt.Errorf("provider %d: %w", leg.pi, leg.err), final: true, staleTbl: staleTbl}
 		}
-		failed = append(failed, fmt.Errorf("replica on provider %d: %w", pi, err))
+		failed = append(failed, fmt.Errorf("replica on provider %d: %w", leg.pi, leg.err))
 	}
 	return readOutcome{err: errors.Join(failed...), staleTbl: staleTbl}
 }

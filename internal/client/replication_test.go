@@ -273,3 +273,42 @@ func TestReadRetriesAfterBreakerProbeRace(t *testing.T) {
 		t.Fatalf("client.shed_retry = %d, want %d (bounded)", n, shedRetries)
 	}
 }
+
+// healthyConn answers at once and reports perfect health, so a read never
+// leaves the preferred replica.
+type healthyConn struct{}
+
+func (healthyConn) Call(context.Context, string, rpc.Message) (rpc.Message, error) {
+	return rpc.Message{}, nil
+}
+func (healthyConn) Addr() string   { return "healthy" }
+func (healthyConn) Close() error   { return nil }
+func (healthyConn) Healthy() bool  { return true }
+func (healthyConn) Score() float64 { return 1 }
+
+// The replica pass is shared with hedged reads, but a client that never
+// asked for hedging must not pay for it: per read, readCall allocates no
+// more than the strictly sequential pass it replaced did — measured at
+// that commit with this test: 1 at R=1 (the replica order), 6 at R=3 (the
+// order, its health partition and its score ranking).
+func TestUnhedgedReadCallAllocs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		replicas int
+		max      float64
+	}{{1, 1}, {3, 6}} {
+		conns := make([]rpc.Conn, 4)
+		for i := range conns {
+			conns[i] = healthyConn{}
+		}
+		cli := New(conns, WithReplicas(tc.replicas), WithRegistry(metrics.NewRegistry()))
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := cli.readCall(ctx, "op", ownermap.ModelID(1), rpc.Message{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("R=%d: %.0f allocs per unhedged readCall, want at most %.0f", tc.replicas, got, tc.max)
+		}
+	}
+}

@@ -26,9 +26,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dedup"
-	"repro/internal/frontdoor"
 	"repro/internal/graph"
-	"repro/internal/heat"
 	"repro/internal/kvstore"
 	"repro/internal/model"
 	"repro/internal/ownermap"
@@ -55,10 +53,6 @@ type Repository struct {
 
 	rebOnce    sync.Once
 	rebalancer *client.Rebalancer
-
-	balOnce  sync.Once
-	balancer *heat.Controller
-	balStop  context.CancelFunc // cancels the AutoBalance loop; nil when not running
 
 	// embedded deployment resources (nil when attached to remote providers)
 	owned  []*provider.Provider
@@ -99,14 +93,6 @@ type Options struct {
 	// between them. Default 1 (the paper's single-homed placement);
 	// clamped to Providers.
 	Replicas int
-	// StripeChunkBytes enables range-striped owner-group reads: groups
-	// whose consolidated payload exceeds this size are fetched as
-	// concurrent byte-range chunks (client.WithStripedReads). 0 (default)
-	// disables striping. Mostly useful for TCP-attached deployments; the
-	// in-process fabric is already zero-copy.
-	StripeChunkBytes int
-	// StripeParallel caps in-flight chunks per owner group (default 4).
-	StripeParallel int
 	// PartialWrites relaxes the all-replicas write contract: a replicated
 	// mutation whose failed legs are all transient (outage-shaped) succeeds
 	// as long as one replica accepted it, and the model is queued for
@@ -119,10 +105,6 @@ type Options struct {
 	// chunk storage. Reads always resolve encoded segments, so flipping this
 	// on or off never breaks existing data.
 	Dedup bool
-	// DeltaMaxRatio is the largest (stored bytes / raw bytes) ratio worth
-	// delta-encoding; larger deltas ship raw. 0 selects
-	// client.DefaultDeltaMaxRatio. Only meaningful with Dedup.
-	DeltaMaxRatio float64
 	// DeltaMaxDepth bounds delta chains: a write whose base already sits at
 	// the bound rebases to raw. 0 selects client.DefaultDeltaMaxDepth.
 	// Only meaningful with Dedup.
@@ -135,40 +117,6 @@ type Options struct {
 	// front door's caching layer (see docs/ARCHITECTURE.md). 0 keeps the
 	// client default (64 MiB); negative disables caching.
 	SegCacheBytes int64
-	// Tenant stamps every read this handle issues, so the providers'
-	// per-tenant admission control charges the right budget. Empty shares
-	// the anonymous tenant's budget.
-	Tenant string
-	// ThrottleOpsPerSec / ThrottleBytesPerSec arm per-tenant token-bucket
-	// read admission on every embedded provider. 0 on an axis leaves that
-	// axis unlimited; both 0 leaves throttling off entirely.
-	ThrottleOpsPerSec   float64
-	ThrottleBytesPerSec float64
-	// ThrottleWindow is the admission buckets' burst window (capacity =
-	// rate x window). 0 selects the frontdoor default (60s).
-	ThrottleWindow time.Duration
-	// AutoBalance starts the heat-driven rebalancing controller
-	// (internal/heat) on Open: it periodically reads every provider's
-	// per-model heat, widens hot models' replica sets, packs cold ones,
-	// and drives the epoch bumps itself. The loop stops at Close. Leave
-	// false to run the controller manually via AutoBalancer.
-	AutoBalance bool
-	// AutoBalanceInterval is the controller cycle period (default 5s).
-	AutoBalanceInterval time.Duration
-	// HeatHotFactor / HeatColdFactor are the skew thresholds: a model
-	// widens above HotFactor x mean heat, packs below ColdFactor x mean.
-	// 0 selects the internal/heat defaults (4 and 0.25).
-	HeatHotFactor  float64
-	HeatColdFactor float64
-	// HeatWiden / HeatPack are the replica counts hot and cold models
-	// converge to. HeatWiden 0 means base R+1; HeatPack 0 disables
-	// packing.
-	HeatWiden int
-	HeatPack  int
-	// MigrationBudgetBytesPerSec paces rebalance payload movement (both
-	// controller-driven and Rebalancer-driven via AutoBalancer's
-	// rebalancer); 0 leaves migrations unpaced.
-	MigrationBudgetBytesPerSec float64
 	// HedgedReads arms tail-latency hedging on the client's replicated read
 	// path (client.WithHedgedReads): when the preferred replica is slow to
 	// answer, a second read launches against the next-best replica after an
@@ -226,7 +174,6 @@ func Open(opts Options) (*Repository, error) {
 		// writes (and tell stale clients the current table) until a
 		// rebalance adds them.
 		p.SetPlacement(opts.Providers, opts.Replicas)
-		p.SetThrottle(r.throttleLimits())
 		srv := rpc.NewServer()
 		p.Register(srv)
 		addr := fmt.Sprintf("provider-%d", i)
@@ -260,30 +207,19 @@ func Open(opts Options) (*Repository, error) {
 	// The explicit table keeps spares out of placement: the client knows
 	// total connections but the epoch-0 member list is [0..Providers-1].
 	copts := []client.Option{client.WithPlacement(placement.New(opts.Providers, opts.Replicas))}
-	if opts.StripeChunkBytes > 0 {
-		copts = append(copts, client.WithStripedReads(opts.StripeChunkBytes, opts.StripeParallel))
-	}
 	if opts.PartialWrites {
 		copts = append(copts, client.WithPartialWrites())
 	}
 	if opts.Dedup {
-		copts = append(copts, client.WithDedup(opts.DeltaMaxRatio, opts.DeltaMaxDepth))
+		copts = append(copts, client.WithDedup(client.DefaultDeltaMaxRatio, opts.DeltaMaxDepth))
 	}
 	if opts.SegCacheBytes != 0 {
 		copts = append(copts, client.WithSegCacheBytes(opts.SegCacheBytes))
-	}
-	if opts.Tenant != "" {
-		copts = append(copts, client.WithTenant(opts.Tenant))
 	}
 	if opts.HedgedReads {
 		copts = append(copts, client.WithHedgedReads(0, opts.HedgeBudget))
 	}
 	r.cli = client.New(conns, copts...)
-	if opts.AutoBalance {
-		ctx, cancel := context.WithCancel(context.Background())
-		r.balStop = cancel
-		go r.AutoBalancer().Run(ctx)
-	}
 	return r, nil
 }
 
@@ -310,17 +246,6 @@ func (r *Repository) SweepCold(minIdle time.Duration) (int, error) {
 // Options.Faults (index = provider ID; nil where no faults were
 // configured). Tests and benchmarks use them to flip partitions mid-run.
 func (r *Repository) FaultConns() []*rpc.FaultConn { return r.faults }
-
-// throttleLimits assembles the per-tenant admission limits from the Open
-// options (the zero value disarms throttling; provider.SetThrottle treats
-// it as "unlimited").
-func (r *Repository) throttleLimits() frontdoor.Limits {
-	return frontdoor.Limits{
-		OpsPerSec:   r.opts.ThrottleOpsPerSec,
-		BytesPerSec: r.opts.ThrottleBytesPerSec,
-		Window:      r.opts.ThrottleWindow,
-	}
-}
 
 // buildProvider wraps kv per the deployment options (dedup/cold-compress)
 // and constructs provider i, durable when Options.DurableCatalog.
@@ -384,7 +309,6 @@ func (r *Repository) RestartProvider(i int, kv kvstore.KV, st *placement.State) 
 		}
 	}
 	p.SetPlacement(r.opts.Providers, r.opts.Replicas)
-	p.SetThrottle(r.throttleLimits())
 	if st != nil {
 		if err := p.SetPlacementState(st); err != nil {
 			return fmt.Errorf("core: restart provider %d: %w", i, err)
@@ -414,42 +338,14 @@ func Attach(conns []rpc.Conn, opts ...client.Option) *Repository {
 	return &Repository{cli: client.New(conns, opts...), conns: conns}
 }
 
-// Close stops the auto-balance loop (if running) and releases client
-// connections (and nothing else: embedded providers hold no external
-// resources beyond their KV backends, which the caller owns if it
-// supplied them).
+// Close releases client connections (and nothing else: embedded providers
+// hold no external resources beyond their KV backends, which the caller
+// owns if it supplied them).
 func (r *Repository) Close() error {
-	if r.balStop != nil {
-		r.balStop()
-	}
 	for _, c := range r.conns {
 		c.Close()
 	}
 	return nil
-}
-
-// AutoBalancer returns the deployment's heat-driven rebalancing
-// controller, building it on first use from the heat-related Options.
-// Drive it manually with Step/Run, or set Options.AutoBalance to have
-// Open run it. The controller shares the deployment's client, so its
-// epoch bumps serialize with manual Rebalance calls.
-func (r *Repository) AutoBalancer() *heat.Controller {
-	r.balOnce.Do(func() {
-		r.balancer = heat.New(r.cli, heat.Config{
-			Interval:          r.opts.AutoBalanceInterval,
-			HotFactor:         r.opts.HeatHotFactor,
-			ColdFactor:        r.opts.HeatColdFactor,
-			WidenTo:           r.opts.HeatWiden,
-			PackTo:            r.opts.HeatPack,
-			BudgetBytesPerSec: r.opts.MigrationBudgetBytesPerSec,
-		}, nil)
-	})
-	return r.balancer
-}
-
-// Heat returns every provider's per-model heat samples (see client.Heat).
-func (r *Repository) Heat(ctx context.Context) ([][]proto.ModelHeat, []error) {
-	return r.cli.Heat(ctx)
 }
 
 // Client exposes the underlying deployment client, for callers that need
@@ -583,7 +479,7 @@ func (r *Repository) bestAncestor(ctx context.Context, f *model.Flat, exclude []
 // Only the prefix vertices' tensors move over the network; they are
 // fetched from their owners' providers in parallel.
 func (r *Repository) TransferPrefix(ctx context.Context, f *model.Flat, ws model.WeightSet, anc *Ancestor) error {
-	segs, depths, err := r.cli.LoadVerticesInfo(ctx, anc.Meta, anc.Prefix)
+	segs, depths, err := r.cli.LoadVertices(ctx, anc.Meta, anc.Prefix)
 	if err != nil {
 		return fmt.Errorf("core: transferring prefix from %d: %w", anc.Meta.Model, err)
 	}
@@ -720,7 +616,8 @@ func (r *Repository) GetMeta(ctx context.Context, id ModelID) (*proto.ModelMeta,
 // segments, fetched from their owners' providers in parallel (the raw
 // partial-read primitive; TransferPrefix is the higher-level form).
 func (r *Repository) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vs []graph.VertexID) ([][]byte, error) {
-	return r.cli.LoadVertices(ctx, meta, vs)
+	segs, _, err := r.cli.LoadVertices(ctx, meta, vs)
+	return segs, err
 }
 
 // --- retire / GC --------------------------------------------------------------

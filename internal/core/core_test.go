@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
@@ -810,5 +811,70 @@ func TestAttachOverTCP(t *testing.T) {
 	}
 	if _, got, err := repo.Load(ctx, childID); err != nil || !got.Equal(ws2) {
 		t.Fatalf("child lost after TCP retirement: %v", err)
+	}
+}
+
+// slowPutKV stretches every Put, and with it the time a provider spends
+// between publishing a model's catalog entry and finishing its payloads.
+type slowPutKV struct{ kvstore.KV }
+
+func (s slowPutKV) Put(key string, value []byte) error {
+	time.Sleep(200 * time.Microsecond)
+	return s.KV.Put(key, value)
+}
+
+// Two workers fine-tune one shared lineage, each always deriving from the
+// newest model — so each is regularly handed the model the other is still
+// storing. Every transfer must succeed: a provider does not answer an LCP
+// query with a model whose segments it cannot serve yet, and at R > 1 a
+// replica that is still writing them sends the reader to one that is done.
+func TestSharedLineageConcurrentDerive(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			repo, err := Open(Options{
+				Providers: 4,
+				Replicas:  replicas,
+				Backend:   func(int) kvstore.KV { return slowPutKV{kvstore.NewMemKV(16)} },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer repo.Close()
+			ctx := context.Background()
+			f := mlp(t, 6, 16, 8)
+			if _, err := repo.Store(ctx, f, model.Materialize(f, 0), 0.5); err != nil {
+				t.Fatal(err)
+			}
+
+			const workers, rounds = 2, 40
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					for i := 0; i < rounds; i++ {
+						anc, found, err := repo.BestAncestorRecent(ctx, f)
+						if err != nil || !found {
+							errs <- fmt.Errorf("w%d round %d: query: found=%v err=%v", w, i, found, err)
+							return
+						}
+						ws := model.Materialize(f, uint64(w*rounds+i+1))
+						if err := repo.TransferPrefix(ctx, f, ws, anc); err != nil {
+							errs <- fmt.Errorf("w%d round %d: %w", w, i, err)
+							return
+						}
+						ws.PerturbVertex(graph.VertexID(f.Graph.NumVertices()-1), uint64(i))
+						if _, err := repo.StoreDerived(ctx, f, ws, 0.5, anc, nil); err != nil {
+							errs <- fmt.Errorf("w%d round %d: store: %w", w, i, err)
+							return
+						}
+					}
+					errs <- nil
+				}(w)
+			}
+			for w := 0; w < workers; w++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }

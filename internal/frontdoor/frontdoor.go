@@ -17,9 +17,9 @@
 //     (RetryAfterFromError), so the resilience middleware can pace retries
 //     without tripping its circuit breaker: a throttled provider is
 //     healthy, just busy.
-//   - Client-side self-throttle (Waiter): the cooperative half of the same
-//     contract — a client that knows its budget sleeps locally instead of
-//     burning provider admission checks.
+//   - Local pacing (Waiter): the same buckets used cooperatively — a caller
+//     that knows its budget charges it and sleeps until it is out of debt.
+//     The repairer paces migration payload with one.
 //
 // The package depends only on the standard library so every layer (rpc,
 // resilient, client, provider) can import it without cycles.
@@ -331,11 +331,10 @@ func (t *Throttler) ChargeBytes(tenant string, n int) {
 	t.bucketsFor(tenant, now).bytes.Force(now, float64(n))
 }
 
-// --- client-side self-throttle -------------------------------------------------
+// --- local pacing ---------------------------------------------------------------
 
-// Waiter is the cooperative client-side half of throttling: it sleeps
-// locally until its own budget admits an operation instead of sending a
-// request the provider would refuse. Safe for concurrent use.
+// Waiter is the cooperative form of throttling: it sleeps locally until
+// its own budget admits an operation. Safe for concurrent use.
 type Waiter struct {
 	mu    sync.Mutex
 	ops   *Bucket
@@ -345,7 +344,7 @@ type Waiter struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewWaiter builds a self-throttle from l; nil when no dimension is
+// NewWaiter builds a waiter from l; nil when no dimension is
 // limited (a nil *Waiter admits everything immediately).
 func NewWaiter(l Limits) *Waiter {
 	if !l.enabled() {

@@ -253,7 +253,7 @@ func Plan(cfg Config, cur *placement.Table, heat map[ownermap.ModelID]float64) m
 // error: the view is re-synced and the next cycle re-plans.
 func (ctl *Controller) Step(ctx context.Context) error {
 	ctl.cycles.Inc()
-	heats, _ := ctl.c.Heat(ctx) // per-provider errors tolerated: plan on what answered
+	_, heats, _ := ctl.c.Metrics(ctx) // per-provider errors tolerated: plan on what answered
 	agg := Aggregate(heats)
 
 	cur := ctl.c.Placement().Cur

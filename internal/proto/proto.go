@@ -338,59 +338,27 @@ func DecodeModelMeta(b []byte) (*ModelMeta, error) {
 
 // --- ReadSegments -----------------------------------------------------------
 
-// Read modes of a ReadSegmentsReq. ReadFull is the classic consolidated
-// read; ReadTable and ReadRange are the two halves of a striped read: the
-// client first probes the segment table (lengths only, no bulk), then
-// fetches byte ranges of the consolidated payload in parallel over several
-// pooled connections.
-const (
-	// ReadFull returns the segment table plus the full consolidated bulk
-	// payload.
-	ReadFull = 0
-	// ReadTable returns only the segment table — no bulk bytes. Used as
-	// the cheap probe before a striped read.
-	ReadTable = 1
-	// ReadRange returns the raw bytes [RangeOff, RangeOff+RangeLen) of
-	// the consolidated payload (segments concatenated in request vertex
-	// order). The response carries no meta; the client already holds the
-	// table from its ReadTable probe.
-	ReadRange = 2
-)
-
 // ReadSegmentsReq asks the provider hosting owner's segments for the given
-// vertices. Mode/RangeOff/RangeLen ride an optional trailer: a ReadFull
-// request encodes exactly like the pre-striping format, so old and new
-// binaries interoperate for classic reads.
+// vertices; the response is the segment table plus one consolidated bulk
+// payload.
 type ReadSegmentsReq struct {
 	Owner    ownermap.ModelID
 	Vertices []graph.VertexID
-	// Mode selects ReadFull, ReadTable or ReadRange.
-	Mode uint8
-	// RangeOff/RangeLen bound a ReadRange request (ignored otherwise).
-	RangeOff uint64
-	RangeLen uint64
 	// Tenant attributes the read to an admission-control tenant: the
 	// provider's front door charges its per-tenant token buckets under
-	// this ID ("" shares the anonymous tenant's budget). Rides a second
-	// optional trailer after the mode fields, so tenant-less encoders stay
-	// wire-identical to older binaries.
+	// this ID ("" shares the anonymous tenant's budget). Encoded only when
+	// set, so the tenant-less request is exactly owner + vertices.
 	Tenant string
 }
 
-// Encode serializes the request. The mode trailer is appended only for
-// non-ReadFull modes or when a tenant rides behind it, keeping the plain
-// ReadFull encoding canonical.
+// Encode serializes the request: owner, vertex list, then the tenant as a
+// length-prefixed trailer when there is one.
 func (q *ReadSegmentsReq) Encode() []byte {
-	w := wire.NewWriter(36 + 4*len(q.Vertices) + len(q.Tenant))
+	w := wire.NewWriter(16 + 4*len(q.Vertices) + len(q.Tenant))
 	w.U64(uint64(q.Owner))
 	w.U32(uint32(len(q.Vertices)))
 	for _, v := range q.Vertices {
 		w.U32(uint32(v))
-	}
-	if q.Mode != ReadFull || q.Tenant != "" {
-		w.U8(q.Mode)
-		w.U64(q.RangeOff)
-		w.U64(q.RangeLen)
 	}
 	if q.Tenant != "" {
 		w.String(q.Tenant)
@@ -398,34 +366,29 @@ func (q *ReadSegmentsReq) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeReadSegmentsReq parses the request, tolerating the legacy
-// trailer-free encoding (Mode = ReadFull) and the tenant-less mode trailer
-// but rejecting a torn trailer of either kind.
+// DecodeReadSegmentsReq parses either encoding and nothing else: input that
+// ends inside a field, carries an empty tenant trailer (Encode omits it)
+// or has bytes past the tenant is wire.ErrTruncated.
 func DecodeReadSegmentsReq(b []byte) (*ReadSegmentsReq, error) {
 	r := wire.NewReader(b)
 	q := &ReadSegmentsReq{Owner: ownermap.ModelID(r.U64())}
 	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/4+1 {
+	if r.Err() != nil || n > r.Remaining()/4 {
 		return nil, wire.ErrTruncated
 	}
 	q.Vertices = make([]graph.VertexID, n)
 	for i := range q.Vertices {
 		q.Vertices[i] = graph.VertexID(r.U32())
 	}
-	if r.Err() == nil {
-		switch {
-		case r.Remaining() >= 17:
-			q.Mode = r.U8()
-			q.RangeOff = r.U64()
-			q.RangeLen = r.U64()
-			if r.Remaining() > 0 {
-				q.Tenant = r.Str()
-			}
-		case r.Remaining() != 0:
+	if r.Remaining() > 0 {
+		if q.Tenant = r.Str(); q.Tenant == "" {
 			return nil, wire.ErrTruncated
 		}
 	}
-	return q, r.Err()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
+	}
+	return q, nil
 }
 
 // EncodeSegTable encodes a read response meta (the table describing bulk).
@@ -735,21 +698,6 @@ func EncodeCounters(snap map[string]uint64) []byte {
 	return w.Bytes()
 }
 
-// DecodeCounters parses a metrics snapshot.
-func DecodeCounters(b []byte) (map[string]uint64, error) {
-	r := wire.NewReader(b)
-	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/12+1 {
-		return nil, wire.ErrTruncated
-	}
-	snap := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		name := string(r.Bytes32())
-		snap[name] = r.U64()
-	}
-	return snap, r.Err()
-}
-
 // ModelHeat reports one model's EWMA access rates as measured by a
 // provider: bytes per second served to readers and ingested by writers.
 type ModelHeat struct {
@@ -759,11 +707,7 @@ type ModelHeat struct {
 }
 
 // EncodeCountersHeat serializes a metrics snapshot followed by a per-model
-// heat trailer. The prefix is byte-identical to EncodeCounters, and
-// DecodeCounters ignores trailing bytes, so old clients read the counters
-// and never see the heat — the trailer rides the existing Metrics RPC per
-// the package's wire-evolution contract (appended fields are optional
-// trailers).
+// heat trailer: the Metrics RPC's response.
 func EncodeCountersHeat(snap map[string]uint64, heat []ModelHeat) []byte {
 	w := wire.NewWriter(len(heat)*24 + 4)
 	w.U32(uint32(len(heat)))
@@ -776,8 +720,7 @@ func EncodeCountersHeat(snap map[string]uint64, heat []ModelHeat) []byte {
 }
 
 // DecodeCountersHeat parses a metrics snapshot plus its optional heat
-// trailer. Payloads from providers that predate heat decode with a nil
-// heat slice rather than an error.
+// trailer; bare counters decode with a nil heat slice rather than an error.
 func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
 	r := wire.NewReader(b)
 	n := int(r.U32())

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ownermap"
 	"repro/internal/rpc"
+	"repro/internal/wire"
 )
 
 func sampleGraph(n int) *graph.Compact {
@@ -317,7 +318,7 @@ func TestCountersRoundtrip(t *testing.T) {
 		"breaker.open":         0,
 		"fault.request_drop":   1,
 	}
-	got, err := DecodeCounters(EncodeCounters(snap))
+	got, _, err := DecodeCountersHeat(EncodeCounters(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestCountersRoundtrip(t *testing.T) {
 		}
 	}
 
-	if m, err := DecodeCounters(EncodeCounters(nil)); err != nil || len(m) != 0 {
+	if m, _, err := DecodeCountersHeat(EncodeCounters(nil)); err != nil || len(m) != 0 {
 		t.Errorf("empty snapshot roundtrip: %v %v", m, err)
 	}
 }
@@ -338,82 +339,97 @@ func TestCountersRoundtrip(t *testing.T) {
 func TestCountersDecodeTruncated(t *testing.T) {
 	b := EncodeCounters(map[string]uint64{"some.counter": 42})
 	for cut := 1; cut < len(b); cut++ {
-		if _, err := DecodeCounters(b[:cut]); err == nil {
+		if _, _, err := DecodeCountersHeat(b[:cut]); err == nil {
 			t.Errorf("decoding %d/%d bytes succeeded", cut, len(b))
 		}
 	}
 	// A count field claiming more entries than the payload can hold must be
 	// rejected up front, not trusted as an allocation size.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := DecodeCounters(huge); err == nil {
+	if _, _, err := DecodeCountersHeat(huge); err == nil {
 		t.Error("absurd counter count accepted")
 	}
 }
 
-func TestReadSegmentsReqModeTrailer(t *testing.T) {
-	// ReadFull encodes exactly like the legacy trailer-free format.
-	full := &ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}}
-	b := full.Encode()
-	if len(b) != 8+4+4*2 {
-		t.Fatalf("ReadFull encoding is %d bytes, want the canonical %d", len(b), 8+4+4*2)
-	}
-	got, err := DecodeReadSegmentsReq(b)
-	if err != nil || got.Mode != ReadFull || got.Owner != 7 {
-		t.Fatalf("decode ReadFull: %+v %v", got, err)
-	}
+// readSegmentsGolden pins the two encodings of a ReadSegmentsReq byte for
+// byte: owner u64, vertex count u32, vertices u32 each (all little
+// endian), then — only when a tenant is set — its length u32 and bytes.
+var readSegmentsGolden = []struct {
+	name string
+	req  ReadSegmentsReq
+	wire []byte
+}{
+	{"plain", ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}}, []byte{
+		7, 0, 0, 0, 0, 0, 0, 0,
+		2, 0, 0, 0,
+		1, 0, 0, 0, 2, 0, 0, 0,
+	}},
+	{"tenant", ReadSegmentsReq{Owner: 0x0102, Vertices: []graph.VertexID{9}, Tenant: "team-a"}, []byte{
+		2, 1, 0, 0, 0, 0, 0, 0,
+		1, 0, 0, 0,
+		9, 0, 0, 0,
+		6, 0, 0, 0, 't', 'e', 'a', 'm', '-', 'a',
+	}},
+}
 
-	// Non-full modes round-trip through the trailer.
-	rng := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadRange, RangeOff: 100, RangeLen: 4096}
-	got, err = DecodeReadSegmentsReq(rng.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mode != ReadRange || got.RangeOff != 100 || got.RangeLen != 4096 {
-		t.Fatalf("range trailer round trip: %+v", got)
-	}
-	tbl := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadTable}
-	got, err = DecodeReadSegmentsReq(tbl.Encode())
-	if err != nil || got.Mode != ReadTable {
-		t.Fatalf("table-mode round trip: %+v %v", got, err)
-	}
-
-	// A torn trailer (present but short) must be rejected, not ignored.
-	torn := append(full.Encode(), 1, 2, 3)
-	if _, err := DecodeReadSegmentsReq(torn); err == nil {
-		t.Error("torn trailer accepted")
+func TestReadSegmentsReqGolden(t *testing.T) {
+	for _, g := range readSegmentsGolden {
+		if got := g.req.Encode(); !bytes.Equal(got, g.wire) {
+			t.Errorf("%s: encoded % x, want % x", g.name, got, g.wire)
+		}
+		got, err := DecodeReadSegmentsReq(g.wire)
+		if err != nil || !reflect.DeepEqual(*got, g.req) {
+			t.Errorf("%s: decoded %+v, %v; want %+v", g.name, got, err, g.req)
+		}
+		// Bytes past the last field are not a format this decoder knows.
+		if _, err := DecodeReadSegmentsReq(append(append([]byte(nil), g.wire...), 0)); err != wire.ErrTruncated {
+			t.Errorf("%s: trailing byte: err = %v, want ErrTruncated", g.name, err)
+		}
 	}
 }
 
-func TestReadSegmentsReqTenantTrailer(t *testing.T) {
-	// A tenant on a ReadFull request forces the mode trailer so the tenant
-	// field has a fixed offset, and round-trips intact.
-	req := &ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}, Tenant: "team-a"}
-	got, err := DecodeReadSegmentsReq(req.Encode())
-	if err != nil {
-		t.Fatal(err)
+// FuzzDecodeReadSegmentsReq feeds the decoder what a socket can: the golden
+// encodings, every way of tearing them, and whatever the fuzzer mutates
+// from there. The decoder must never panic, must fail only with
+// wire.ErrTruncated, and must accept only canonical input — what it
+// decodes re-encodes to the same bytes, so nothing it accepted was
+// silently dropped or defaulted.
+func FuzzDecodeReadSegmentsReq(f *testing.F) {
+	for _, g := range readSegmentsGolden {
+		for cut := 0; cut <= len(g.wire); cut++ {
+			f.Add(g.wire[:cut])
+		}
 	}
-	if got.Tenant != "team-a" || got.Mode != ReadFull {
-		t.Fatalf("tenant round trip: %+v", got)
-	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // absurd vertex count
+	f.Fuzz(func(t *testing.T, b []byte) {
+		q, err := DecodeReadSegmentsReq(b)
+		if err != nil {
+			if err != wire.ErrTruncated {
+				t.Fatalf("decode error %v, want wire.ErrTruncated", err)
+			}
+			return
+		}
+		if re := q.Encode(); !bytes.Equal(re, b) {
+			t.Fatalf("accepted % x but re-encodes to % x", b, re)
+		}
+	})
+}
 
-	// Tenant composes with a non-full mode trailer.
-	rng := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadRange, RangeOff: 8, RangeLen: 16, Tenant: "t"}
-	got, err = DecodeReadSegmentsReq(rng.Encode())
-	if err != nil || got.Tenant != "t" || got.Mode != ReadRange || got.RangeLen != 16 {
-		t.Fatalf("tenant+range round trip: %+v %v", got, err)
-	}
-
-	// No tenant: encoding is byte-identical to the pre-tenant format.
-	plain := &ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}}
-	if len(plain.Encode()) != 8+4+4*2 {
-		t.Fatal("tenant-less encoding grew")
-	}
-
-	// A torn tenant trailer is an error, not an empty tenant.
-	torn := req.Encode()
-	torn = torn[:len(torn)-2]
-	if _, err := DecodeReadSegmentsReq(torn); err == nil {
-		t.Error("torn tenant trailer accepted")
+// A strict prefix of a valid request is either rejected or is itself the
+// shorter valid request (the tenant trailer cut off whole).
+func TestReadSegmentsReqTorn(t *testing.T) {
+	for _, g := range readSegmentsGolden {
+		plainLen := 12 + 4*len(g.req.Vertices)
+		for cut := 0; cut < len(g.wire); cut++ {
+			_, err := DecodeReadSegmentsReq(g.wire[:cut])
+			if cut == plainLen {
+				if err != nil {
+					t.Errorf("%s: tenant-less prefix rejected: %v", g.name, err)
+				}
+			} else if err != wire.ErrTruncated {
+				t.Errorf("%s: cut at %d: err = %v, want ErrTruncated", g.name, cut, err)
+			}
+		}
 	}
 }
 
@@ -463,10 +479,9 @@ func TestSplitBulkMsg(t *testing.T) {
 	}
 }
 
-// TestCountersHeatTrailer pins the heat trailer's compatibility contract:
-// the prefix is exactly EncodeCounters (old decoders keep working and skip
-// the trailer), heat-free payloads decode with nil heat, and the trailer
-// round-trips through the new codec.
+// TestCountersHeatTrailer pins the heat trailer's contract: the prefix is
+// exactly EncodeCounters, heat-free payloads decode with nil heat, and the
+// trailer round-trips.
 func TestCountersHeatTrailer(t *testing.T) {
 	snap := map[string]uint64{"store.segments": 9, "rpc.retry": 2}
 	heat := []ModelHeat{
@@ -478,14 +493,6 @@ func TestCountersHeatTrailer(t *testing.T) {
 	prefix := EncodeCounters(snap)
 	if !bytes.HasPrefix(b, prefix) {
 		t.Fatal("heat payload does not start with the plain counters encoding")
-	}
-	// Old decoder ignores the trailer.
-	oldSnap, err := DecodeCounters(b)
-	if err != nil {
-		t.Fatalf("legacy DecodeCounters on heat payload: %v", err)
-	}
-	if oldSnap["store.segments"] != 9 {
-		t.Errorf("legacy decode snapshot = %v", oldSnap)
 	}
 
 	gotSnap, gotHeat, err := DecodeCountersHeat(b)
@@ -499,7 +506,7 @@ func TestCountersHeatTrailer(t *testing.T) {
 		t.Errorf("heat = %+v, want %+v", gotHeat, heat)
 	}
 
-	// A provider that predates heat sends bare counters: nil heat, no error.
+	// Bare counters: nil heat, no error.
 	s2, h2, err := DecodeCountersHeat(prefix)
 	if err != nil || h2 != nil || s2["rpc.retry"] != 2 {
 		t.Errorf("heat-free decode = %v %v %v", s2, h2, err)

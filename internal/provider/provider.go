@@ -88,6 +88,13 @@ type modelMeta struct {
 	quality  float64
 	seq      uint64
 	segments map[graph.VertexID]uint32 // self-owned stored segments and sizes
+
+	// storing is set while StoreModel is still writing this entry's segment
+	// payloads: the catalog entry is published first (so a crash leaves a
+	// record repair can backfill), which makes the model nameable before it
+	// is readable. LCPQuery does not hand such a model out, and a segment
+	// miss on it sends the reader to a sibling replica that has finished.
+	storing atomic.Bool
 }
 
 // Provider is one EvoStore storage provider.
@@ -395,6 +402,8 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		seq:      q.Seq,
 		segments: make(map[graph.VertexID]uint32, len(q.Segments)),
 	}
+	meta.storing.Store(true)
+	defer meta.storing.Store(false)
 	p.models[q.Model] = meta
 	stored := make([]graph.VertexID, 0, len(q.Segments))
 	for _, s := range q.Segments {
@@ -514,78 +523,33 @@ func readFlightKey(q *proto.ReadSegmentsReq) string {
 	return string(c.Encode())
 }
 
-// readSegmentsResp executes one segment read and shapes the response for
-// the request's mode. Runs at most once per coalesced flight.
+// readSegmentsResp executes one segment read: the table in meta, one
+// zero-copy bulk slice per segment. Runs at most once per coalesced flight.
 func (p *Provider) readSegmentsResp(q *proto.ReadSegmentsReq) (rpc.Message, error) {
 	table, segs, err := p.ReadSegments(q.Owner, q.Vertices)
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	switch q.Mode {
-	case proto.ReadFull:
-		if total := segsTotal(table); total > rpc.MaxFrame {
-			// Typed server-side mirror of the client's segment guard: never
-			// hand the transport a payload whose length field would not fit
-			// the frame (the caller should stripe instead).
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte response %w",
-				p.id, q.Owner, total, rpc.ErrFrameTooLarge)
-		}
-		return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs}, nil
-	case proto.ReadTable:
-		return rpc.Message{Meta: proto.EncodeSegTable(table)}, nil
-	case proto.ReadRange:
-		if q.RangeLen > rpc.MaxFrame {
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte range %w",
-				p.id, q.Owner, q.RangeLen, rpc.ErrFrameTooLarge)
-		}
-		views, err := sliceRange(table, segs, q.RangeOff, q.RangeLen)
-		if err != nil {
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %w", p.id, q.Owner, err)
-		}
-		return rpc.Message{BulkVec: views}, nil
-	default:
-		return rpc.Message{}, fmt.Errorf("provider %d: read %d: unknown read mode %d", p.id, q.Owner, q.Mode)
-	}
-}
-
-// segsTotal sums a segment table's lengths.
-func segsTotal(table []proto.SegmentRef) uint64 {
-	var n uint64
+	var total uint64
 	for _, s := range table {
-		n += uint64(s.Length)
+		total += uint64(s.Length)
 	}
-	return n
+	if total > rpc.MaxFrame {
+		// Typed server-side mirror of the client's segment guard: never
+		// hand the transport a payload whose length field would not fit
+		// the frame (the caller should ask for fewer vertices per read).
+		return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte response %w",
+			p.id, q.Owner, total, rpc.ErrFrameTooLarge)
+	}
+	return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs}, nil
 }
 
-// sliceRange cuts the byte range [off, off+length) out of the consolidated
-// payload that segs represent (concatenated in table order), returning
-// zero-copy views into the per-segment buffers.
-func sliceRange(table []proto.SegmentRef, segs [][]byte, off, length uint64) ([][]byte, error) {
-	total := segsTotal(table)
-	if off+length < off || off+length > total {
-		return nil, fmt.Errorf("range [%d,%d) outside %d-byte payload", off, off+length, total)
-	}
-	var views [][]byte
-	var pos uint64
-	for i, s := range table {
-		segStart, segEnd := pos, pos+uint64(s.Length)
-		pos = segEnd
-		if segEnd <= off {
-			continue
-		}
-		if segStart >= off+length {
-			break
-		}
-		lo, hi := uint64(0), uint64(s.Length)
-		if segStart < off {
-			lo = off - segStart
-		}
-		if segEnd > off+length {
-			hi = off + length - segStart
-		}
-		views = append(views, segs[i][lo:hi])
-	}
-	return views, nil
+// isStoring reports whether id's StoreModel is still writing payloads.
+func (p *Provider) isStoring(id ownermap.ModelID) bool {
+	p.mu.RLock()
+	m := p.models[id]
+	p.mu.RUnlock()
+	return m != nil && m.storing.Load()
 }
 
 // ReadSegments resolves the requested vertices' segments (all owned by
@@ -615,7 +579,21 @@ func (p *Provider) ReadSegments(owner ownermap.ModelID, vertices []graph.VertexI
 			if err := p.missErr(owner); err != nil {
 				return nil, nil, err
 			}
-			return nil, nil, fmt.Errorf("provider %d: segment %d/%d not found", p.id, owner, v)
+			if p.isStoring(owner) {
+				// Published but not yet filled here; a reader can only have
+				// learned of the model from a replica that finished, so send
+				// it there instead of answering an authoritative not-found.
+				return nil, nil, fmt.Errorf("provider %d: segment %d/%d: store in progress: %w",
+					p.id, owner, v, placement.ErrNotMigrated)
+			}
+			// Not storing now, but a store may have been when the Get missed
+			// and finished since: its payload is readable by now.
+			if seg, ok, err = p.kv.Get(k.String()); err != nil {
+				return nil, nil, fmt.Errorf("provider %d: reading %s: %w", p.id, k, err)
+			}
+			if !ok {
+				return nil, nil, fmt.Errorf("provider %d: segment %d/%d not found", p.id, owner, v)
+			}
 		}
 		table = append(table, proto.SegmentRef{Vertex: v, Length: uint32(len(seg))})
 		segs = append(segs, seg)
@@ -872,7 +850,7 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	p.mu.RLock()
 	cands := make([]cand, 0, len(p.models))
 	for id, m := range p.models {
-		if !excluded[id] {
+		if !excluded[id] && !m.storing.Load() {
 			cands = append(cands, cand{id, m.graph, m.quality, m.seq})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/ownermap"
+	"repro/internal/placement"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 )
@@ -303,94 +304,84 @@ func TestDecRefAtomicOnPartialBatch(t *testing.T) {
 	}
 }
 
-func TestReadModes(t *testing.T) {
+// The read handler answers with the segment table in meta and the segments
+// as a vectored bulk payload, one zero-copy slice each.
+func TestReadSegmentsHandler(t *testing.T) {
 	p := New(0, kvstore.NewMemKV(4))
 	g := chainGraph(1, 2, 3)
 	req, segs := storeReq(7, 1, 0.5, g)
 	if err := p.StoreModel(req, segs); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	vs := []graph.VertexID{0, 1, 2}
 	var flat []byte
 	for _, s := range segs {
 		flat = append(flat, s...)
 	}
-
-	// ReadFull: table + vectored bulk covering every segment.
-	q := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs}
-	resp, err := p.handleReadSegments(ctx, rpc.Message{Meta: q.Encode()})
+	q := &proto.ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{0, 1, 2}}
+	resp, err := p.handleReadSegments(context.Background(), rpc.Message{Meta: q.Encode()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resp.BulkFlat(), flat) {
-		t.Error("ReadFull bulk mismatch")
+		t.Error("bulk mismatch")
 	}
 	if len(resp.BulkVec) != len(segs) {
-		t.Errorf("ReadFull returned %d bulk slices, want one per segment", len(resp.BulkVec))
+		t.Errorf("%d bulk slices, want one per segment", len(resp.BulkVec))
 	}
-
-	// ReadTable: same table, zero bulk bytes.
-	q.Mode = proto.ReadTable
-	probe, err := p.handleReadSegments(ctx, rpc.Message{Meta: q.Encode()})
-	if err != nil {
-		t.Fatal(err)
+	table, err := proto.DecodeSegTable(resp.Meta)
+	if err != nil || len(table) != len(segs) {
+		t.Fatalf("table %v, %v", table, err)
 	}
-	if probe.BulkLen() != 0 {
-		t.Errorf("ReadTable carried %d bulk bytes", probe.BulkLen())
-	}
-	if !bytes.Equal(probe.Meta, resp.Meta) {
-		t.Error("ReadTable table differs from ReadFull table")
-	}
-
-	// ReadRange: every sub-range of the consolidated payload matches the
-	// flat concatenation, including ranges straddling segment boundaries.
-	total := uint64(len(flat))
-	for _, r := range [][2]uint64{{0, total}, {0, 1}, {total - 1, 1}, {2, 7}, {5, total - 5}} {
-		q2 := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: proto.ReadRange, RangeOff: r[0], RangeLen: r[1]}
-		resp, err := p.handleReadSegments(ctx, rpc.Message{Meta: q2.Encode()})
-		if err != nil {
-			t.Fatalf("range [%d,+%d): %v", r[0], r[1], err)
+	for i, ref := range table {
+		if int(ref.Vertex) != i || int(ref.Length) != len(segs[i]) {
+			t.Errorf("table[%d] = %+v, want vertex %d length %d", i, ref, i, len(segs[i]))
 		}
-		if !bytes.Equal(resp.BulkFlat(), flat[r[0]:r[0]+r[1]]) {
-			t.Errorf("range [%d,+%d) mismatch", r[0], r[1])
-		}
-	}
-
-	// Out-of-bounds range and unknown mode are rejected.
-	bad := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: proto.ReadRange, RangeOff: total, RangeLen: 1}
-	if _, err := p.handleReadSegments(ctx, rpc.Message{Meta: bad.Encode()}); err == nil {
-		t.Error("out-of-bounds range accepted")
-	}
-	unk := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: 99}
-	if _, err := p.handleReadSegments(ctx, rpc.Message{Meta: unk.Encode()}); err == nil {
-		t.Error("unknown mode accepted")
 	}
 }
 
-func TestSliceRange(t *testing.T) {
-	table := []proto.SegmentRef{{Vertex: 0, Length: 4}, {Vertex: 1, Length: 0}, {Vertex: 2, Length: 3}}
-	segs := [][]byte{{1, 2, 3, 4}, nil, {5, 6, 7}}
-	for off := uint64(0); off <= 7; off++ {
-		for l := uint64(0); off+l <= 7; l++ {
-			views, err := sliceRange(table, segs, off, l)
-			if err != nil {
-				t.Fatalf("[%d,+%d): %v", off, l, err)
-			}
-			var got []byte
-			for _, v := range views {
-				got = append(got, v...)
-			}
-			want := []byte{1, 2, 3, 4, 5, 6, 7}[off : off+l]
-			if !bytes.Equal(got, want) {
-				t.Fatalf("[%d,+%d) = %v, want %v", off, l, got, want)
-			}
-		}
+// gatedPutKV parks every Put until the gate is closed, announcing the
+// first one.
+type gatedPutKV struct {
+	kvstore.KV
+	entered chan struct{}
+	once    sync.Once
+	gate    chan struct{}
+}
+
+func (g *gatedPutKV) Put(key string, value []byte) error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return g.KV.Put(key, value)
+}
+
+// A store publishes its catalog entry before its payloads. While they are
+// still being written the model is not offered as an LCP ancestor, and a
+// read of its segments gets the catching-up answer that sends the reader
+// to a sibling replica — never an authoritative not-found.
+func TestStoreInProgressHiddenFromLCP(t *testing.T) {
+	kv := &gatedPutKV{KV: kvstore.NewMemKV(4), entered: make(chan struct{}), gate: make(chan struct{})}
+	p := New(0, kv)
+	g := chainGraph(1, 2, 3)
+	req, segs := storeReq(7, 1, 0.5, g)
+	stored := make(chan error, 1)
+	go func() { stored <- p.StoreModel(req, segs) }()
+	<-kv.entered
+
+	if res := p.LCPQuery(&proto.LCPQueryReq{Graph: g}); res.Found {
+		t.Errorf("LCP query offered model %d while its payloads were still being written", res.Model)
 	}
-	if _, err := sliceRange(table, segs, 7, 1); err == nil {
-		t.Error("overrun accepted")
+	if _, _, err := p.ReadSegments(7, []graph.VertexID{0}); !placement.IsNotMigrated(err) {
+		t.Errorf("read during store: err = %v, want a not-migrated miss", err)
 	}
-	if _, err := sliceRange(table, segs, ^uint64(0), 2); err == nil {
-		t.Error("offset overflow accepted")
+
+	close(kv.gate)
+	if err := <-stored; err != nil {
+		t.Fatal(err)
+	}
+	if res := p.LCPQuery(&proto.LCPQueryReq{Graph: g}); !res.Found || res.Model != 7 {
+		t.Errorf("LCP query after the store finished: %+v", res)
+	}
+	if _, got, err := p.ReadSegments(7, []graph.VertexID{0}); err != nil || !bytes.Equal(got[0], segs[0]) {
+		t.Errorf("read after the store finished: %q, %v", got, err)
 	}
 }

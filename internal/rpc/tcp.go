@@ -353,8 +353,7 @@ func (c *tcpConn) Close() error {
 
 // Pool multiplexes concurrent calls over up to size physical connections to
 // one address, created lazily. It lets a client keep several bulk
-// operations to the same provider in flight — the transport-level
-// parallelism the client's striped reads fan out over.
+// operations to the same provider in flight.
 type Pool struct {
 	addr string
 	dial func(addr string) (Conn, error)
