@@ -1,5 +1,6 @@
 // Command evostore-bench regenerates the tables behind every figure of the
-// paper's evaluation section, plus the ablation studies from DESIGN.md.
+// paper's evaluation section, plus the ablation studies from DESIGN.md,
+// and runs the failure scenarios that assert the storage invariants.
 //
 // Usage:
 //
@@ -7,14 +8,15 @@
 //	evostore-bench fig5 [-catalog N] [-queries N] [-workers 1,8,...]
 //	evostore-bench fig6|fig7|fig8|fig9|fig10 [-budget N] [-workers N]
 //	evostore-bench ablations
-//	evostore-bench faults [-providers N] [-replicas R] [-drop P] [-fault-provider I] [-partition]
-//	evostore-bench faults -autobalance [-reads N] [-budget BPS] [-out BENCH_autobalance.json]
-//	evostore-bench frontdoor [-smoke] [-out BENCH_frontdoor.json]
-//	evostore-bench storm [-smoke] [-hedge-budget N] [-out BENCH_storm.json]
 //	evostore-bench all
+//	evostore-bench faults|repair|rebalance|restart|autobalance|storm|frontdoor|dedup [-smoke] [-seed N] [-replicas R]
+//	evostore-bench check [-smoke=false] [-seed N] [-replicas R]
 //
-// Scaled-down defaults finish in seconds; pass the paper's parameters
-// (e.g. -catalog 60000 -queries 10000, -budget 1000) for full-scale runs.
+// Scaled-down figure defaults finish in seconds; pass the paper's
+// parameters (e.g. -catalog 60000 -queries 10000, -budget 1000) for
+// full-scale runs. A scenario breaks a deployment in one particular way and
+// fails unless its contract and the shared invariant check hold (see
+// harness.go); `check` runs them all, at -smoke size unless told otherwise.
 package main
 
 import (
@@ -58,16 +60,13 @@ func main() {
 		err = runZeroCost(args)
 	case "strategies":
 		err = runStrategies(args)
-	case "faults":
-		err = runFaults(args)
-	case "dedup":
-		err = runDedup(args)
-	case "bulk":
-		err = runBulk(args)
-	case "frontdoor":
-		err = runFrontdoor(args)
-	case "storm":
-		err = runStorm(args)
+	case "check":
+		cfg := scenarioFlags(cmd, args, true)
+		for _, sc := range scenarios {
+			if err = execute(sc, cfg); err != nil {
+				break
+			}
+		}
 	case "all":
 		for _, sub := range []func([]string) error{
 			runFig4, runFig5, runFig6, runFig7, runFig8, runFig9, runFig10,
@@ -78,8 +77,12 @@ func main() {
 			}
 		}
 	default:
-		usage()
-		os.Exit(2)
+		sc, ok := findScenario(cmd)
+		if !ok {
+			usage()
+			os.Exit(2)
+		}
+		err = execute(sc, scenarioFlags(cmd, args, false))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evostore-bench:", err)
@@ -87,8 +90,25 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: evostore-bench {fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablations|zerocost|strategies|faults|bulk|frontdoor|storm|dedup|all} [flags]")
+func findScenario(name string) (scenario, bool) {
+	for _, sc := range scenarios {
+		if sc.name == name {
+			return sc, true
+		}
+	}
+	return scenario{}, false
+}
+
+func usage() { fmt.Fprint(os.Stderr, usageText()) }
+
+func usageText() string {
+	var b strings.Builder
+	b.WriteString("usage: evostore-bench {fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablations|zerocost|strategies|all} [flags]\n")
+	b.WriteString("       evostore-bench {check|<scenario>} [-smoke] [-seed N] [-replicas R]\nscenarios:\n")
+	for _, sc := range scenarios {
+		fmt.Fprintf(&b, "  %-12s %s\n", sc.name, sc.breaks)
+	}
+	return b.String()
 }
 
 func parseInts(s string) []int {

@@ -1,15 +1,13 @@
-// Package bulkbench defines the bulk-data-path benchmark scenarios shared
-// by `go test -bench` (bulkbench_test.go) and `evostore-bench bulk`, which
-// runs them via testing.Benchmark and tracks the results in
-// BENCH_bulk.json. The scenarios measure the two layers the zero-copy
-// path optimizes: raw TCP echo calls (flat and vectored payloads, 64 KiB
-// to 64 MiB) and the end-to-end client read path (Load over a TCP
-// provider).
+// Package bulkbench defines the bulk-data-path benchmark scenarios that
+// `go test -bench Bulk ./internal/bulkbench` runs (bulkbench_test.go). The
+// scenarios measure the two layers the zero-copy path optimizes: raw TCP
+// echo calls (flat and vectored payloads, 64 KiB to 64 MiB) and the
+// end-to-end client read path (Load over a TCP provider, with the segment
+// cache warm and with it off).
 package bulkbench
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/client"
@@ -38,6 +36,9 @@ func Scenarios() []Scenario {
 		{"TCPCallVec64M", benchTCPCall(64<<20, true)},
 		{"ReadPath1M", benchReadPath(16, 64<<10)},
 		{"ReadPath64M", benchReadPath(16, 4<<20)},
+		// Cache off: every Load crosses the wire into pooled receive
+		// frames, which Release recycles for the next iteration.
+		{"ReadPathNoCache1M", benchReadPath(16, 64<<10, client.WithSegCacheBytes(0))},
 	}
 }
 
@@ -91,27 +92,27 @@ func benchTCPCall(size int, vectored bool) func(b *testing.B) {
 	}
 }
 
-// benchModel builds a chain-graph model of nseg self-owned segments of
-// segBytes deterministic bytes each.
-func benchModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]byte) {
+// ChainModel builds a chain-graph model of nseg self-owned segments of
+// segBytes deterministic bytes each (`evostore-bench frontdoor` stores the
+// same shape).
+func ChainModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]byte) {
 	gb := graph.NewBuilder(nseg)
 	for i := 0; i < nseg; i++ {
-		gb.AddVertex(graph.Vertex{ConfigSig: uint64(i + 1), ParamBytes: int64(segBytes)})
+		gb.AddVertex(graph.Vertex{ConfigSig: uint64(id)<<16 | uint64(i+1), ParamBytes: int64(segBytes)})
 		if i > 0 {
 			gb.AddEdge(graph.VertexID(i-1), graph.VertexID(i))
 		}
 	}
-	g := gb.Build()
 	meta := &proto.ModelMeta{
-		Model: id, Seq: 1, Quality: 0.5,
-		Graph:    g,
-		OwnerMap: ownermap.New(id, 1, nseg),
+		Model: id, Seq: uint64(id), Quality: 0.5,
+		Graph:    gb.Build(),
+		OwnerMap: ownermap.New(id, uint64(id), nseg),
 	}
 	segs := make([][]byte, nseg)
 	for i := range segs {
 		segs[i] = make([]byte, segBytes)
 		for j := range segs[i] {
-			segs[i][j] = byte(i + j)
+			segs[i][j] = byte(int(id) + i + j)
 		}
 	}
 	return meta, segs
@@ -119,8 +120,9 @@ func benchModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]
 
 // benchReadPath measures a full client Load (metadata + consolidated
 // segment read) of an nseg×segBytes model from one TCP provider, via an
-// rpc.Pool of 4 connections — the deployment shape of evostore-server.
-func benchReadPath(nseg, segBytes int) func(b *testing.B) {
+// rpc.Pool of 4 connections — the deployment shape of evostore-server —
+// under a lease it releases, as a front-door reader does.
+func benchReadPath(nseg, segBytes int, opts ...client.Option) func(b *testing.B) {
 	return func(b *testing.B) {
 		p := provider.New(0, kvstore.NewMemKV(8))
 		srv := rpc.NewServer()
@@ -132,10 +134,10 @@ func benchReadPath(nseg, segBytes int) func(b *testing.B) {
 		defer lis.Close()
 		pool := rpc.NewPool(addr, 4, rpc.DialTCP)
 		defer pool.Close()
-		cli := client.New([]rpc.Conn{pool})
+		cli := client.New([]rpc.Conn{pool}, opts...)
 
 		ctx := context.Background()
-		meta, segs := benchModel(1, nseg, segBytes)
+		meta, segs := ChainModel(1, nseg, segBytes)
 		if err := cli.Store(ctx, meta, segs); err != nil {
 			b.Fatal(err)
 		}
@@ -150,18 +152,7 @@ func benchReadPath(nseg, segBytes int) func(b *testing.B) {
 			if len(data.Segments) != nseg {
 				b.Fatal("short load")
 			}
+			data.Release()
 		}
-	}
-}
-
-// Sanity guards the scenario list against duplicate names (the JSON merge
-// keys on them).
-func init() {
-	seen := map[string]bool{}
-	for _, s := range Scenarios() {
-		if seen[s.Name] {
-			panic(fmt.Sprintf("bulkbench: duplicate scenario %q", s.Name))
-		}
-		seen[s.Name] = true
 	}
 }

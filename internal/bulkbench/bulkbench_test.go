@@ -6,9 +6,8 @@ import "testing"
 //
 //	go test -bench=Bulk -benchmem ./internal/bulkbench
 //
-// `make check` runs it with -benchtime=1x as a smoke test; `evostore-bench
-// bulk` runs the same bodies via testing.Benchmark to refresh
-// BENCH_bulk.json.
+// `make check` runs it with -benchtime=1x as a smoke test; `make bench`
+// runs it at the default benchtime.
 func BenchmarkBulk(b *testing.B) {
 	for _, s := range Scenarios() {
 		b.Run(s.Name, s.Run)

@@ -720,8 +720,11 @@ func (r *Repository) ListModels(ctx context.Context) ([]ModelID, error) {
 }
 
 // Stats aggregates storage statistics across providers. SegmentBytes is
-// the deduplicated tensor payload actually stored — the quantity Figure 10
-// compares against full-copy baselines.
+// each provider's KV size (kv.SizeBytes): the deduplicated tensor payload
+// actually stored — the quantity Figure 10 compares against full-copy
+// baselines — plus, with Options.DurableCatalog, the catalog's own cat/
+// records. Those include tombstones and journals, so a durable deployment
+// retired down to 0 models, segments and live refs still reports a few KB.
 func (r *Repository) Stats(ctx context.Context) (*proto.ProviderStats, error) {
 	return r.cli.Stats(ctx)
 }

@@ -58,8 +58,9 @@ func (g *Compact) Encode() []byte { return g.AppendEncode(nil) }
 // backing arrays, and because AppendEncode emits edges in sorted (src, dst)
 // order the lists come out sorted without any per-list sort. Graph decoding
 // sits on the metadata read path of every Load, so its allocation count
-// matters (see BENCH_bulk.json). Encodings with unsorted or duplicate edges
-// (not produced by AppendEncode, but legal) are normalized after the fill.
+// matters (see the allocs/op of `go test -bench Bulk ./internal/bulkbench`).
+// Encodings with unsorted or duplicate edges (not produced by AppendEncode,
+// but legal) are normalized after the fill.
 func Decode(b []byte) (*Compact, int, error) {
 	if len(b) < 8 {
 		return nil, 0, io.ErrUnexpectedEOF

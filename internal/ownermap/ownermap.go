@@ -114,7 +114,8 @@ func (m *Map) Owners() []OwnerGroup {
 	// The distinct-owner count is the lineage depth — small in practice —
 	// so a linear scan beats a map, and carving every Vertices list out of
 	// one shared backing array keeps this metadata-read-path helper at a
-	// constant handful of allocations (see BENCH_bulk.json).
+	// constant handful of allocations (see the allocs/op of
+	// `go test -bench Bulk ./internal/bulkbench`).
 	out := make([]OwnerGroup, 0, 4)
 	find := func(owner ModelID) int {
 		for i := range out {
