@@ -1,10 +1,14 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +16,17 @@ import (
 // degrades safely: corruption is detected (never silently served) and
 // torn WAL tails are truncated without losing earlier records.
 
+// TestSSTableCorruptionDetected: a flipped payload byte is caught through
+// the LSM, and damaged lengths, counts and offsets are refused at open,
+// cheaply. (The parent commit panicked on several of the latter — index out
+// of range, divide by zero, negative make — asked the allocator for
+// gigabytes on others, or opened the table and silently dropped keys.)
 func TestSSTableCorruptionDetected(t *testing.T) {
+	t.Run("flipped value byte", flippedValueByteDetected)
+	damagedLengthsRefused(t)
+}
+
+func flippedValueByteDetected(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := OpenLSM(dir, LSMOptions{})
 	if err != nil {
@@ -72,6 +86,104 @@ func TestSSTableCorruptionDetected(t *testing.T) {
 	}
 	if !sawError {
 		t.Error("corruption neither detected at open nor at read")
+	}
+}
+
+// smallTable writes a table of 50 small records and one tombstone and
+// returns its path and bytes.
+func smallTable(t testing.TB) (string, []byte) {
+	t.Helper()
+	var entries []ssEntry
+	for i := 0; i < 50; i++ {
+		entries = append(entries, ssEntry{key: fmt.Sprintf("k%03d", i), value: []byte(fmt.Sprintf("value-%03d", i))})
+	}
+	entries[7] = ssEntry{key: "k007", tombstone: true}
+	path := filepath.Join(t.TempDir(), "000000.sst")
+	tbl, err := writeSSTable(path, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+func damagedLengthsRefused(t *testing.T) {
+	path, valid := smallTable(t)
+	le := binary.LittleEndian
+	size := len(valid)
+	bloomOff, indexOff := int(le.Uint64(valid[size-20:])), int(le.Uint64(valid[size-12:]))
+	firstIdxOff := indexOff + 4 + 4 + int(le.Uint32(valid[indexOff+4:]))
+	cases := []struct {
+		name   string
+		damage func(b []byte) []byte
+		inData bool // the error must name the file and a data-region offset
+	}{
+		{"key length bit flip", func(b []byte) []byte { b[8+3] |= 0x80; return b }, true},
+		{"value length bit flip", func(b []byte) []byte { b[12+3] |= 0x40; return b }, true},
+		{"stray bytes where an entry header should start", func(b []byte) []byte {
+			b = append(b[:bloomOff:bloomOff], append(make([]byte, 5), b[bloomOff:]...)...)
+			le.PutUint64(b[len(b)-20:], uint64(bloomOff+5))
+			le.PutUint64(b[len(b)-12:], uint64(indexOff+5))
+			return b
+		}, true},
+		{"entry count", func(b []byte) []byte { le.PutUint32(b[4:], 51); return b }, false},
+		{"bloom bit count 0", func(b []byte) []byte { le.PutUint32(b[bloomOff:], 0); return b }, false},
+		{"bloom bit count 2^32-1", func(b []byte) []byte { le.PutUint32(b[bloomOff:], 0xffffffff); return b }, false},
+		{"index count 2^32-1", func(b []byte) []byte { le.PutUint32(b[indexOff:], 0xffffffff); return b }, false},
+		{"index entry offset past the data", func(b []byte) []byte { le.PutUint64(b[firstIdxOff:], 1<<40); return b }, false},
+		{"bloom offset past the file", func(b []byte) []byte { le.PutUint64(b[size-20:], uint64(size)); return b }, false},
+		{"bloom offset 2^64-2", func(b []byte) []byte { le.PutUint64(b[size-20:], 1<<64-2); return b }, false},
+		{"index offset before bloom offset", func(b []byte) []byte { le.PutUint64(b[size-12:], 0); return b }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := c.damage(append([]byte(nil), valid...))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tbl, err := openSSTable(path)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				tbl.close()
+				t.Fatal("damaged table opened")
+			}
+			if c.inData && !(strings.Contains(err.Error(), path) && strings.Contains(err.Error(), "offset")) {
+				t.Errorf("error does not name the file and offset: %v", err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10+8*uint64(len(raw)) {
+				t.Errorf("refusing a %d-byte table allocated %d bytes", len(raw), d)
+			}
+		})
+	}
+}
+
+// TestSSTableGetVerifiesWhatItServes damages a value after the table was
+// opened (so the open-time pass cannot have caught it): the point read of
+// that key must fail, and neighbours whose bytes are intact still read.
+func TestSSTableGetVerifiesWhatItServes(t *testing.T) {
+	path, raw := smallTable(t)
+	tbl, err := openSSTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.close()
+	raw[bytes.Index(raw, []byte("value-020"))+7] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, _, err := tbl.get("k020"); err == nil {
+		t.Fatalf("damaged value served: found=%v %q", found, v)
+	}
+	for _, k := range []string{"k019", "k021"} {
+		if v, found, _, err := tbl.get(k); err != nil || !found || string(v) != "value-0"+k[2:] {
+			t.Fatalf("get(%s) beside the damage: %q found=%v err=%v", k, v, found, err)
+		}
 	}
 }
 

@@ -432,3 +432,59 @@ func BenchmarkLSMGetFromTables(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLSMGetChunk64K reads dedup-sized chunks back from the tables:
+// the Get a cold restore issues ~64 times per 4 MiB model.
+func BenchmarkLSMGetChunk64K(b *testing.B) {
+	kv, err := OpenLSM(b.TempDir(), LSMOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer kv.Close()
+	r := rand.New(rand.NewSource(1))
+	chunk := make([]byte, 64<<10)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("cas/%016x", uint64(i)*0x9e3779b97f4a7c15)
+		r.Read(chunk)
+		kv.Put(keys[i], chunk)
+	}
+	kv.Flush()
+	b.SetBytes(int64(len(chunk)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[r.Intn(len(keys))]
+		if v, ok, err := kv.Get(key); !ok || err != nil || len(v) != len(chunk) {
+			b.Fatalf("miss %s: %v", key, err)
+		}
+	}
+}
+
+// BenchmarkLSMFlushCompact is the write-side maintenance path: three
+// flushes of 64 KiB chunks and small records, then one full compaction.
+func BenchmarkLSMFlushCompact(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	chunk := make([]byte, 64<<10)
+	r.Read(chunk)
+	b.SetBytes(3 * 48 * int64(len(chunk)))
+	for i := 0; i < b.N; i++ {
+		kv, err := OpenLSM(b.TempDir(), LSMOptions{FlushBytes: 1 << 30, CompactAfter: 100})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			for j := 0; j < 48; j++ {
+				kv.Put(fmt.Sprintf("cas/%016x", uint64(round*48+j)*0x9e3779b97f4a7c15), chunk)
+				kv.Put(fmt.Sprintf("cat/m/%06d", round*48+j), chunk[:100])
+			}
+			if err := kv.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := kv.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		kv.Close()
+	}
+}

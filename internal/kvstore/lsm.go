@@ -310,13 +310,17 @@ func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) err
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
 	merged := make(map[string]memEntry)
-	// Oldest table first; newer entries overwrite.
+	// Oldest table first; newer entries overwrite. Keys under a prefix are
+	// contiguous, so each table is entered at the prefix through its index
+	// and left at the first key past it.
 	for _, t := range kv.tables {
-		err := t.iterate(func(e ssEntry) bool {
+		from, _ := t.seek(prefix)
+		err := t.iterate(from, func(e ssEntry) bool {
 			if strings.HasPrefix(e.key, prefix) {
 				merged[e.key] = memEntry{val: e.value, tomb: e.tombstone}
+				return true
 			}
-			return true
+			return e.key < prefix
 		})
 		if err != nil {
 			return err
@@ -446,15 +450,12 @@ func (kv *LSMKV) compactLocked() error {
 		return nil
 	}
 	merged := make(map[string][]byte)
-	tomb := make(map[string]bool)
 	for _, t := range kv.tables { // oldest first, newer wins
-		err := t.iterate(func(e ssEntry) bool {
+		err := t.iterate(8, func(e ssEntry) bool {
 			if e.tombstone {
 				delete(merged, e.key)
-				tomb[e.key] = true
 			} else {
-				merged[e.key] = append([]byte(nil), e.value...)
-				delete(tomb, e.key)
+				merged[e.key] = e.value // iterate's buffer is per entry
 			}
 			return true
 		})

@@ -3,9 +3,9 @@ package kvstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -22,12 +22,18 @@ import (
 //	index:   u32 index count | repeated (u32 keyLen | key | u64 offset)
 //	footer:  u64 bloom offset | u64 index offset | u32 magic
 //
-// The sparse index holds every indexInterval-th key; lookups seek to the
-// greatest indexed key ≤ target and scan forward.
+// Index rule (the writer's choice; a reader accepts any subset of the
+// entries, in file order): the first entry, every entry of ssBlock encoded
+// bytes or more, and every entry starting ssBlock or more past the last
+// indexed one.
+//
+// CRC contract: get verifies the one entry it returns and reads neither
+// the value nor the CRC of an entry it walks past; iterate verifies every
+// entry it yields.
 const (
 	ssMagic       = 0x4c534d31 // "LSM1"
 	tombstoneMark = 0xffffffff
-	indexInterval = 16
+	ssBlock       = 4 << 10
 	bloomBitsPer  = 10
 )
 
@@ -66,7 +72,7 @@ func writeSSTable(path string, entries []ssEntry) (*sstable, error) {
 	nbits := uint32(len(entries)*bloomBitsPer + 64)
 	bloom := make([]uint64, (nbits+63)/64)
 	var index []ssIndexEntry
-	var off uint64
+	var off, lastIndexed uint64
 	var liveBytes int64
 
 	writeU32 := func(v uint32) {
@@ -79,8 +85,12 @@ func writeSSTable(path string, entries []ssEntry) (*sstable, error) {
 	writeU32(ssMagic)
 	writeU32(uint32(len(entries)))
 	for i, e := range entries {
-		if i%indexInterval == 0 {
+		if e.tombstone {
+			e.value = nil
+		}
+		if size := 8 + len(e.key) + len(e.value) + 4; i == 0 || size >= ssBlock || off-lastIndexed >= ssBlock {
 			index = append(index, ssIndexEntry{key: e.key, offset: off})
+			lastIndexed = off
 		}
 		bloomSet(bloom, nbits, e.key)
 		writeU32(uint32(len(e.key)))
@@ -91,16 +101,9 @@ func writeSSTable(path string, entries []ssEntry) (*sstable, error) {
 			liveBytes += int64(len(e.value))
 		}
 		w.WriteString(e.key)
-		off += uint64(len(e.key))
-		if !e.tombstone {
-			w.Write(e.value)
-			off += uint64(len(e.value))
-		}
-		crc := crc32.ChecksumIEEE([]byte(e.key))
-		if !e.tombstone {
-			crc = crc32.Update(crc, crc32.IEEETable, e.value)
-		}
-		writeU32(crc)
+		w.Write(e.value)
+		off += uint64(len(e.key) + len(e.value))
+		writeU32(crc32.Update(crcString(e.key), crc32.IEEETable, e.value))
 	}
 	dataEnd := off
 
@@ -149,91 +152,95 @@ func writeSSTable(path string, entries []ssEntry) (*sstable, error) {
 }
 
 // openSSTable memoizes the bloom filter and sparse index from an existing
-// table file.
-func openSSTable(path string) (*sstable, error) {
+// table file. Every length and offset read from the file is bounded by the
+// bytes left in its region before anything is sized by it.
+func openSSTable(path string) (_ *sstable, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if st.Size() < 28 {
-		f.Close()
+	size := uint64(st.Size())
+	if size < 8+4+4+20 {
 		return nil, fmt.Errorf("kvstore: sstable %s too small", path)
 	}
+	var hdr [8]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return nil, err
+	}
+	if binary.LittleEndian.Uint32(hdr[:]) != ssMagic {
+		return nil, fmt.Errorf("kvstore: sstable %s bad header magic", path)
+	}
 	var footer [20]byte
-	if _, err := f.ReadAt(footer[:], st.Size()-20); err != nil {
-		f.Close()
+	if _, err := f.ReadAt(footer[:], int64(size-20)); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(footer[16:]) != ssMagic {
-		f.Close()
 		return nil, fmt.Errorf("kvstore: sstable %s bad footer magic", path)
 	}
 	bloomOff := binary.LittleEndian.Uint64(footer[0:])
 	indexOff := binary.LittleEndian.Uint64(footer[8:])
+	if bloomOff < 8 || bloomOff > indexOff || indexOff-bloomOff < 4 || indexOff > size-20-4 {
+		return nil, fmt.Errorf("kvstore: sstable %s footer offsets (bloom %d, index %d) outside its %d bytes", path, bloomOff, indexOff, size)
+	}
 
-	meta := make([]byte, st.Size()-20-int64(bloomOff))
+	meta := make([]byte, size-20-bloomOff)
 	if _, err := f.ReadAt(meta, int64(bloomOff)); err != nil {
-		f.Close()
 		return nil, err
 	}
+	bloomMeta, idxMeta := meta[4:indexOff-bloomOff], meta[indexOff-bloomOff:]
 	nbits := binary.LittleEndian.Uint32(meta)
-	words := int((nbits + 63) / 64)
-	if len(meta) < 4+8*words {
-		f.Close()
+	words := (uint64(nbits) + 63) / 64
+	if nbits == 0 || words > uint64(len(bloomMeta)/8) {
 		return nil, fmt.Errorf("kvstore: sstable %s truncated bloom", path)
 	}
 	bloom := make([]uint64, words)
 	for i := range bloom {
-		bloom[i] = binary.LittleEndian.Uint64(meta[4+8*i:])
-	}
-	idxMeta := meta[indexOff-bloomOff:]
-	if len(idxMeta) < 4 {
-		f.Close()
-		return nil, fmt.Errorf("kvstore: sstable %s truncated index", path)
+		bloom[i] = binary.LittleEndian.Uint64(bloomMeta[8*i:])
 	}
 	nIdx := int(binary.LittleEndian.Uint32(idxMeta))
 	idxMeta = idxMeta[4:]
+	if nIdx > len(idxMeta)/12 {
+		return nil, fmt.Errorf("kvstore: sstable %s truncated index", path)
+	}
 	index := make([]ssIndexEntry, 0, nIdx)
-	for i := 0; i < nIdx; i++ {
+	for prev := uint64(0); len(index) < nIdx; {
 		if len(idxMeta) < 4 {
-			f.Close()
 			return nil, fmt.Errorf("kvstore: sstable %s truncated index entry", path)
 		}
-		kl := int(binary.LittleEndian.Uint32(idxMeta))
-		if len(idxMeta) < 4+kl+8 {
-			f.Close()
+		kl := uint64(binary.LittleEndian.Uint32(idxMeta))
+		if uint64(len(idxMeta)) < 4+kl+8 {
 			return nil, fmt.Errorf("kvstore: sstable %s truncated index key", path)
 		}
-		key := string(idxMeta[4 : 4+kl])
 		offv := binary.LittleEndian.Uint64(idxMeta[4+kl:])
-		index = append(index, ssIndexEntry{key: key, offset: offv})
-		idxMeta = idxMeta[4+kl+8:]
+		if offv < 8 || offv <= prev || offv >= bloomOff {
+			return nil, fmt.Errorf("kvstore: sstable %s index offset %d out of order or outside the data region", path, offv)
+		}
+		index = append(index, ssIndexEntry{key: string(idxMeta[4 : 4+kl]), offset: offv})
+		idxMeta, prev = idxMeta[4+kl+8:], offv
 	}
 
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[:]) != ssMagic {
-		f.Close()
-		return nil, fmt.Errorf("kvstore: sstable %s bad header magic", path)
-	}
 	t := &sstable{
 		path: path, f: f,
 		count: int(binary.LittleEndian.Uint32(hdr[4:])),
 		bloom: bloom, nbits: nbits, index: index, dataEnd: bloomOff,
 	}
-	// Recover min/max/live-bytes with one sequential pass.
-	err = t.iterate(func(e ssEntry) bool {
-		if t.minKey == "" {
+	// Recover min/max/live-bytes with one sequential pass, which also
+	// CRC-checks the whole data region.
+	n := 0
+	err = t.iterate(8, func(e ssEntry) bool {
+		if n == 0 {
 			t.minKey = e.key
 		}
+		n++
 		t.maxKey = e.key
 		if !e.tombstone {
 			t.bytes += int64(len(e.value))
@@ -241,101 +248,179 @@ func openSSTable(path string) (*sstable, error) {
 		return true
 	})
 	if err != nil {
-		f.Close()
 		return nil, err
+	}
+	if n != t.count {
+		return nil, fmt.Errorf("kvstore: sstable %s holds %d entries, its header says %d", path, n, t.count)
 	}
 	return t, nil
 }
 
 func (t *sstable) close() error { return t.f.Close() }
 
-// get returns (value, found, tombstone).
-func (t *sstable) get(key string) ([]byte, bool, bool, error) {
-	if t.count == 0 || key < t.minKey || key > t.maxKey {
-		return nil, false, false, nil
-	}
-	if !bloomMayContain(t.bloom, t.nbits, key) {
-		return nil, false, false, nil
-	}
-	// Seek to greatest indexed key ≤ key.
-	i := sort.Search(len(t.index), func(i int) bool { return t.index[i].key > key })
-	if i == 0 {
-		return nil, false, false, nil
-	}
-	off := int64(t.index[i-1].offset)
-	r := bufio.NewReaderSize(io.NewSectionReader(t.f, off, int64(t.dataEnd)-off), 64<<10)
-	for {
-		e, err := readEntry(r)
-		if err == io.EOF {
-			return nil, false, false, nil
-		}
-		if err != nil {
-			return nil, false, false, err
-		}
-		if e.key == key {
-			return e.value, true, e.tombstone, nil
-		}
-		if e.key > key {
-			return nil, false, false, nil
-		}
-	}
+// errAt names the file and the data-region offset an error was met at.
+func (t *sstable) errAt(off uint64, err error) error {
+	return fmt.Errorf("kvstore: sstable %s offset %d: %w", t.path, off, err)
 }
 
-// iterate streams all entries in key order.
-func (t *sstable) iterate(fn func(ssEntry) bool) error {
-	r := bufio.NewReaderSize(io.NewSectionReader(t.f, 8, int64(t.dataEnd)-8), 1<<20)
-	for {
-		e, err := readEntry(r)
-		if err == io.EOF {
-			return nil
+func (t *sstable) readAt(b []byte, off uint64) error {
+	if _, err := t.f.ReadAt(b, int64(off)); err != nil {
+		return t.errAt(off, err)
+	}
+	return nil
+}
+
+var (
+	errShortHeader = errors.New("corrupt: short entry header")
+	errOverrun     = errors.New("corrupt: entry runs past the end of its region")
+)
+
+// entryHeader decodes an entry's 8-byte header; size is the whole encoded
+// entry, header and CRC included.
+func entryHeader(b []byte) (kl, vl, size uint64, tomb bool) {
+	kl, vl = uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[4:]))
+	if tomb = vl == tombstoneMark; tomb {
+		vl = 0
+	}
+	return kl, vl, 8 + kl + vl + 4, tomb
+}
+
+// seek returns the span [off, end) of the data region that holds key if the
+// table does: from the greatest indexed key ≤ key to the next indexed one.
+func (t *sstable) seek(key string) (off, end uint64) {
+	i := sort.Search(len(t.index), func(i int) bool { return t.index[i].key > key })
+	off, end = 8, t.dataEnd
+	if i > 0 {
+		off = t.index[i-1].offset
+	}
+	if i < len(t.index) {
+		end = t.index[i].offset
+	}
+	return off, end
+}
+
+// get returns (value, found, tombstone). It preads one ssBlock window at
+// the indexed offset and walks the entry headers in it (reading again only
+// where the span outruns the window), comparing same-length keys in place;
+// on the match it reads exactly the value and its CRC.
+func (t *sstable) get(key string) ([]byte, bool, bool, error) {
+	if t.count == 0 || key < t.minKey || key > t.maxKey || !bloomMayContain(t.bloom, t.nbits, key) {
+		return nil, false, false, nil
+	}
+	pos, end := t.seek(key)
+	var win [ssBlock]byte
+	var have []byte // file bytes [at, at+len(have))
+	var at uint64
+	// Each step wants a header and, to compare in place, a key of the
+	// sought length; a key longer than the window is read on its own.
+	need := min(uint64(8+len(key)), ssBlock)
+	for pos < end {
+		if winEnd := at + uint64(len(have)); pos+need > winEnd && winEnd < t.dataEnd {
+			have, at = win[:min(ssBlock, t.dataEnd-pos)], pos
+			if err := t.readAt(have, pos); err != nil {
+				return nil, false, false, err
+			}
 		}
-		if err != nil {
-			return err
+		b := have[pos-at:]
+		if len(b) < 8 {
+			return nil, false, false, t.errAt(pos, errShortHeader)
 		}
+		kl, vl, size, tomb := entryHeader(b)
+		if size > end-pos {
+			return nil, false, false, t.errAt(pos, errOverrun)
+		}
+		if kl != uint64(len(key)) {
+			pos += size
+			continue
+		}
+		kb := b[8:]
+		if uint64(len(kb)) >= kl {
+			kb = kb[:kl]
+		} else {
+			kb = make([]byte, kl)
+			if err := t.readAt(kb, pos+8); err != nil {
+				return nil, false, false, err
+			}
+		}
+		if string(kb) != key {
+			pos += size
+			continue
+		}
+		// Exactly vl bytes: room for the CRC too would push a 64 KiB chunk
+		// into the next allocator size class. The CRC goes into the window,
+		// which is free once the key has matched.
+		val, sum := make([]byte, vl), win[:4]
+		if uint64(len(b)) >= size {
+			copy(val, b[8+kl:])
+			sum = b[8+kl+vl:]
+		} else if err := t.readAt(val, pos+8+kl); err != nil {
+			return nil, false, false, err
+		} else if err := t.readAt(sum, pos+8+kl+vl); err != nil {
+			return nil, false, false, err
+		}
+		if crc32.Update(crcString(key), crc32.IEEETable, val) != binary.LittleEndian.Uint32(sum) {
+			return nil, false, false, t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", key))
+		}
+		return val, true, tomb, nil
+	}
+	return nil, false, false, nil
+}
+
+// iterate streams the entries from offset from (8, or an off that seek
+// returned) to the end of the data region in key order, CRC-checking each.
+func (t *sstable) iterate(from uint64, fn func(ssEntry) bool) error {
+	span := t.dataEnd - from
+	r := bufio.NewReaderSize(io.NewSectionReader(t.f, int64(from), int64(span)), int(min(span, 1<<20)))
+	var hdr [8]byte
+	for pos := from; pos < t.dataEnd; {
+		left := t.dataEnd - pos
+		if left < uint64(len(hdr)) {
+			return t.errAt(pos, errShortHeader)
+		}
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return t.errAt(pos, err)
+		}
+		kl, vl, size, tomb := entryHeader(hdr[:])
+		if size > left {
+			return t.errAt(pos, errOverrun)
+		}
+		buf := make([]byte, kl+vl+4)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return t.errAt(pos, err)
+		}
+		e := ssEntry{key: string(buf[:kl]), value: buf[kl : kl+vl], tombstone: tomb}
+		if crc32.ChecksumIEEE(buf[:kl+vl]) != binary.LittleEndian.Uint32(buf[kl+vl:]) {
+			return t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", e.key))
+		}
+		pos += size
 		if !fn(e) {
 			return nil
 		}
 	}
+	return nil
 }
 
-func readEntry(r io.Reader) (ssEntry, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return ssEntry{}, err
+// crcString is crc32.ChecksumIEEE([]byte(s)) without the conversion, which
+// allocates because crc32 dispatches through a function variable.
+func crcString(s string) uint32 {
+	crc := ^uint32(0)
+	for i := 0; i < len(s); i++ {
+		crc = crc32.IEEETable[byte(crc)^s[i]] ^ crc>>8
 	}
-	kl := binary.LittleEndian.Uint32(hdr[0:])
-	vl := binary.LittleEndian.Uint32(hdr[4:])
-	tomb := vl == tombstoneMark
-	if tomb {
-		vl = 0
-	}
-	buf := make([]byte, int(kl)+int(vl)+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return ssEntry{}, fmt.Errorf("kvstore: truncated sstable entry: %w", err)
-	}
-	key := string(buf[:kl])
-	val := buf[kl : kl+vl]
-	crc := crc32.ChecksumIEEE(buf[:kl])
-	if !tomb {
-		crc = crc32.Update(crc, crc32.IEEETable, val)
-	}
-	if crc != binary.LittleEndian.Uint32(buf[kl+vl:]) {
-		return ssEntry{}, fmt.Errorf("kvstore: sstable entry %q corrupt (crc mismatch)", key)
-	}
-	return ssEntry{key: key, value: val, tombstone: tomb}, nil
+	return ^crc
 }
 
 // --- bloom filter ----------------------------------------------------------
 
+// bloomHashes is FNV-1a 64 of key and of key followed by the byte 0x9d,
+// inlined so that a probe allocates nothing; bit-identical to hash/fnv.
 func bloomHashes(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 := h.Sum64()
-	h.Write([]byte{0x9d})
-	return h1, h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime64
+	}
+	return h, (h ^ 0x9d) * prime64
 }
 
 func bloomSet(bits []uint64, nbits uint32, key string) {
