@@ -12,9 +12,10 @@ test:
 # analysis; the test suite under the race detector, which includes every
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
-# bulk data path and LSM point-read benchmarks so they can't rot; 10 s of
-# fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
-# otherwise spend shrinking the seed table, which looks like a hang); the
+# bulk data path, LSM point-read and LSM sustained-write benchmarks so they
+# can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
+# the time Go would otherwise spend shrinking the seed table, which looks
+# like a hang); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
 # contracts (hedged storm p99 vs healthy, controller-phase p99 vs
 # baseline); and the docs-vs-code check.
@@ -22,7 +23,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
-	$(GO) test -run '^$$' -bench 'LSMGet' -benchtime 1x ./internal/kvstore
+	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) run ./cmd/evostore-bench check
 	./scripts/docscheck.sh

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -187,6 +188,16 @@ func TestSSTableGetVerifiesWhatItServes(t *testing.T) {
 	}
 }
 
+// onlyWAL returns the one log a store that never sealed leaves in dir.
+func onlyWAL(t *testing.T, dir string) string {
+	t.Helper()
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if len(logs) != 1 {
+		t.Fatalf("logs in %s = %v, want one", dir, logs)
+	}
+	return logs[0]
+}
+
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30}) // WAL-only
@@ -201,7 +212,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 
 	// Tear the tail: chop the last few bytes (mid-record crash).
-	walPath := filepath.Join(dir, "wal.log")
+	walPath := onlyWAL(t, dir)
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +247,7 @@ func TestWALTrailingGarbageIgnored(t *testing.T) {
 	kv.Put("good", []byte("payload"))
 	kv.Close()
 
-	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(onlyWAL(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +444,254 @@ func TestCrashMidCompactionNoResurrection(t *testing.T) {
 	}
 }
 
+// await blocks until cond, evaluated under the store's lock, holds or the
+// store has failed; the background goroutine broadcasts every change.
+func await(kv *LSMKV, cond func() bool) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	for !cond() && kv.failed == nil {
+		kv.wake.Wait()
+	}
+}
+
+// refStore applies writes to a store and to the map the store must equal.
+type refStore struct {
+	t   *testing.T
+	kv  *LSMKV
+	ref map[string]string
+}
+
+func (r *refStore) put(key, val string) {
+	r.t.Helper()
+	if err := r.kv.Put(key, []byte(val)); err != nil {
+		r.t.Fatal(err)
+	}
+	r.ref[key] = val
+}
+
+func (r *refStore) del(key string) {
+	r.t.Helper()
+	if err := r.kv.Delete(key); err != nil {
+		r.t.Fatal(err)
+	}
+	delete(r.ref, key)
+}
+
+func (r *refStore) flush() {
+	r.t.Helper()
+	if err := r.kv.Flush(); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// assertState requires kv's visible state to be ref, byte for byte: a scan
+// yields exactly ref, and every key of ref — and every key in gone — reads
+// the same through Get.
+func assertState(t *testing.T, kv *LSMKV, ref map[string]string, gone ...string) {
+	t.Helper()
+	got := make(map[string]string)
+	if err := kv.Scan("", func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("scan = %v, want %v", got, ref)
+	}
+	for k, want := range ref {
+		if v, ok, err := kv.Get(k); err != nil || !ok || string(v) != want {
+			t.Errorf("Get(%s) = %q ok=%v err=%v, want %q", k, v, ok, err, want)
+		}
+	}
+	for _, k := range gone {
+		if v, ok, err := kv.Get(k); err != nil || ok {
+			t.Errorf("Get(%s) = %q ok=%v err=%v, want not found", k, v, ok, err)
+		}
+	}
+}
+
+func globCount(dir, pattern string) int {
+	names, _ := filepath.Glob(filepath.Join(dir, pattern))
+	return len(names)
+}
+
+// sealedWithParkedFlush opens a store, parks its background goroutine at
+// crashAfterSeal, and writes until a memtable is sealed — its log's records
+// still in the log's buffer — and a few more writes, among them a delete and
+// an overwrite of sealed keys, sit in the fresh log. release lets the hook
+// return err.
+func sealedWithParkedFlush(t *testing.T, dir string) (r *refStore, release func(err error)) {
+	t.Helper()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error)
+	crashAfterSeal = func() error { return <-parked }
+	t.Cleanup(func() { crashAfterSeal = nil })
+	r = &refStore{t: t, kv: kv, ref: make(map[string]string)}
+	sealed := func() bool {
+		kv.mu.RLock()
+		defer kv.mu.RUnlock()
+		return kv.sealed != nil
+	}
+	for i := 0; !sealed(); i++ {
+		r.put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d-%0100d", i, i))
+	}
+	r.put("after-seal", "x")
+	r.put("k01", "overwritten")
+	r.del("k00")
+	return r, func(err error) { parked <- err }
+}
+
+// (a) The crash lands after the seal and before the table: two logs on
+// disk, no table, and a reopen yields every acknowledged write.
+func TestCrashAfterSealRecovers(t *testing.T) {
+	dir := t.TempDir()
+	r, release := sealedWithParkedFlush(t, dir)
+	if err := r.kv.Sync(); err != nil {
+		t.Fatalf("Sync across a seal: %v", err)
+	}
+	release(crashErr)
+	await(r.kv, func() bool { return false })
+	assertSticky(t, r.kv)
+	r.kv.Close()
+	if logs, tables := globCount(dir, "*.wal"), globCount(dir, "*.sst"); logs != 2 || tables != 0 {
+		t.Fatalf("after a crash past the seal: %d logs and %d tables on disk, want 2 and 0", logs, tables)
+	}
+	kv2, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer kv2.Close()
+	assertState(t, kv2, r.ref, "k00")
+}
+
+// (d) Sync reaches writes that a seal moved out of the log taking writes:
+// with the sealed memtable's table not written yet, a copy of the directory
+// taken right after Sync — no Close, nothing flushed since — holds them all.
+func TestSyncCoversSealedLog(t *testing.T) {
+	dir, snap := t.TempDir(), t.TempDir()
+	r, release := sealedWithParkedFlush(t, dir)
+	if err := r.kv.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(snap, filepath.Base(name)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release(nil)
+	if err := r.kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv2, err := OpenLSM(snap, LSMOptions{})
+	if err != nil {
+		t.Fatalf("opening the snapshot: %v", err)
+	}
+	defer kv2.Close()
+	assertState(t, kv2, r.ref, "k00")
+}
+
+// tieredStore builds the shape a partial merge meets: one large old table,
+// then three small ones that shadow and delete some of its keys. With
+// CompactAfter 3 the third small flush starts a merge of the small run only.
+func tieredStore(t *testing.T, dir string) *refStore {
+	t.Helper()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30, CompactAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &refStore{t: t, kv: kv, ref: make(map[string]string)}
+	for i := 0; i < 40; i++ {
+		r.put(fmt.Sprintf("old%02d", i), fmt.Sprintf("base-%0200d", i))
+	}
+	r.put("victim", "doomed")
+	r.flush()
+	r.put("old01", "tier1")
+	r.put("x", "stale")
+	r.flush()
+	r.del("victim")
+	r.del("old02")
+	r.put("x", "fresh")
+	r.flush()
+	r.put("old03", "tier3")
+	return r
+}
+
+// (b) The crash lands mid partial merge, with some inputs already unlinked:
+// the marker names exactly the run, so a reopen drops the rest of it, keeps
+// the old table the merge never touched, and shows no stale version.
+func TestCrashMidPartialMergeInputsUnlinked(t *testing.T) {
+	dir := t.TempDir()
+	r := tieredStore(t, dir)
+	crashMidCompaction = func() error { return crashErr }
+	defer func() { crashMidCompaction = nil }()
+	if err := r.kv.Flush(); err != nil && !errors.Is(err, ErrStoreFailed) {
+		t.Fatal(err)
+	}
+	await(r.kv, func() bool { return false })
+	assertSticky(t, r.kv)
+	r.kv.Close()
+	crashMidCompaction = nil
+	// Tables 0..3 and the merged 4 are on disk. The process got as far as
+	// unlinking table 2, the only input that held x's newest version and
+	// victim's tombstone.
+	if n := globCount(dir, "*.sst"); n != 5 {
+		t.Fatalf("%d tables on disk at the crash, want 5", n)
+	}
+	if err := os.Remove(filepath.Join(dir, "000002.sst")); err != nil {
+		t.Fatal(err)
+	}
+	kv2, err := OpenLSM(dir, LSMOptions{CompactAfter: 3})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer kv2.Close()
+	assertState(t, kv2, r.ref, "victim", "old02")
+	if kv2.TableCount() != 2 || globCount(dir, "*.sst") != 2 || globCount(dir, "*.compact") != 0 {
+		t.Errorf("after recovery: %d tables open, %d on disk, %d markers; want 2, 2, 0",
+			kv2.TableCount(), globCount(dir, "*.sst"), globCount(dir, "*.compact"))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "000000.sst")); err != nil {
+		t.Errorf("the table outside the run is gone: %v", err)
+	}
+}
+
+// (c) A tombstone in the merged run shadows a value in the older table the
+// merge leaves alone: it must survive the merge, and a reopen, or the
+// deleted key comes back.
+func TestTombstoneSurvivesPartialMerge(t *testing.T) {
+	dir := t.TempDir()
+	r := tieredStore(t, dir)
+	r.flush()
+	await(r.kv, func() bool { return len(r.kv.tables) == 2 })
+	if _, found, tomb, err := r.kv.tables[1].get("victim"); err != nil || !found || !tomb {
+		t.Errorf("merged run: victim found=%v tombstone=%v err=%v, want its tombstone kept", found, tomb, err)
+	}
+	assertState(t, r.kv, r.ref, "victim", "old02")
+	if err := r.kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv2, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv2.Close()
+	assertState(t, kv2, r.ref, "victim", "old02")
+	// Only a merge that reaches the oldest table may drop it.
+	if err := kv2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, _, _ := kv2.tables[0].get("victim"); found || kv2.TableCount() != 1 {
+		t.Errorf("full merge: victim found=%v in %d tables, want it dropped from one table", found, kv2.TableCount())
+	}
+	assertState(t, kv2, r.ref, "victim", "old02")
+}
+
 // TestDeleteHeavyFlush pins the memLen accounting fix: tombstones carry
 // key + overhead cost, so a delete-only workload must still cross
 // FlushBytes and flush (before the fix, Delete never checked the
@@ -450,8 +709,14 @@ func TestDeleteHeavyFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if handOffs(kv) == 0 {
+		t.Errorf("no memtable sealed after 200 deletes with a 4 KiB threshold: delete path never flushes")
+	}
+	if err := kv.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if got := kv.TableCount(); got == 0 {
-		t.Errorf("TableCount = 0 after 200 deletes with a 4 KiB threshold: delete path never flushes")
+		t.Errorf("TableCount = 0 after 200 deletes and a Flush")
 	}
 }
 

@@ -6,35 +6,43 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
 
 // ErrStoreFailed marks an LSMKV that hit an unrecoverable error at a
-// durability boundary (the WAL could not be rotated after a flush, or a
-// crash-injection hook fired). Accepting further writes would risk
-// acknowledging data into a dead file descriptor, so every subsequent
-// operation fails with this error; the on-disk state is intact and a
-// reopen recovers it.
+// durability boundary (a memtable could not be written as a table, a merge
+// could not be committed, or a crash-injection hook fired). Accepting
+// further writes would risk acknowledging data the store can no longer
+// flush, so every subsequent mutation fails with this error; the on-disk
+// state is intact and a reopen recovers it.
 var ErrStoreFailed = errors.New("kvstore: store failed; reopen the directory to recover")
 
 // Crash-injection hooks for the recovery test matrix. When non-nil, the
-// hook runs at its durability boundary; a non-nil return simulates the
-// process dying right there: the operation aborts, the store is marked
-// failed (as a crashed process would be unusable), and the test reopens
-// the directory to assert convergence. Always nil in production.
+// hook runs at its durability boundary on the background goroutine; a
+// non-nil return simulates the process dying right there: the step aborts,
+// the store is marked failed (as a crashed process would be unusable), and
+// the test reopens the directory to assert convergence. Always nil in
+// production.
 var (
-	// crashAfterTableSync fires in flushLocked after the new SSTable and
-	// its directory entry are durable but before the WAL is removed.
+	// crashAfterSeal fires in flushSealed before anything of the sealed
+	// memtable's table is written: two WALs are on disk, no table.
+	crashAfterSeal func() error
+	// crashAfterTableSync fires in flushSealed after the new SSTable and
+	// its directory entry are durable but before the sealed WAL is removed.
 	crashAfterTableSync func() error
-	// crashAfterWALRemove fires in flushLocked after wal.log has been
-	// removed (and the removal fsynced) but before a fresh WAL exists.
+	// crashAfterWALRemove fires in flushSealed after the sealed WAL has
+	// been removed and the removal fsynced.
 	crashAfterWALRemove func() error
-	// crashMidCompaction fires in compactLocked after the merged table
-	// and its commit marker are durable but before the superseded tables
-	// are removed.
+	// crashMidCompaction fires in merge after the merged table and its
+	// commit marker are durable but before the table list is swapped and
+	// the superseded tables are removed.
 	crashMidCompaction func() error
 )
+
+// errClosing ends a merge that Close interrupted.
+var errClosing = errors.New("kvstore: store closing")
 
 // syncDir fsyncs a directory so that entry creations/removals inside it
 // are durable. Rename/remove durability requires this on POSIX; without
@@ -53,22 +61,45 @@ func syncDir(dir string) error {
 
 // LSMKV is a persistent log-structured merge store: the analogue of the
 // paper's RocksDB provider backend. Writes go to a WAL and an in-memory
-// memtable; when the memtable exceeds FlushBytes it is written as an
-// immutable SSTable. When more than CompactAfter tables accumulate they
-// are merged into one (full compaction), dropping shadowed entries and
-// tombstones.
+// memtable. A memtable that exceeds FlushBytes is sealed together with its
+// WAL and a fresh pair takes the writes; one background goroutine per store
+// writes the sealed memtable as an immutable SSTable and, when more than
+// CompactAfter tables accumulate, merges a run of the newest ones
+// (size-tiered; see pickRun). No lock a reader or writer needs is held
+// across that disk work: mu covers only map and slice updates.
 type LSMKV struct {
 	dir  string
 	opts LSMOptions
 
 	mu     sync.RWMutex
-	mem    map[string]memEntry
-	memLen int64
-	log    *wal
-	tables []*sstable // newest last
-	nextID int
+	wake   *sync.Cond // on mu's write side: sealed, tables, failed, closed or a Compact request changed
+	mem    *memtable  // takes the writes
+	sealed *memtable  // full, being written as a table; nil when there is none
+	tables []*sstable // oldest first
 	closed bool
 	failed error // non-nil after an unrecoverable durability error
+	// Compact asks for a full merge by raising fullWanted; a merge that
+	// included the oldest table raises fullDone to the value it started at.
+	fullWanted, fullDone int
+
+	done chan struct{} // closed when the background goroutine has exited
+	// nextID names the next table file. Only the background goroutine uses
+	// it: ids are handed out in the order tables come to be, a merge's when
+	// it starts, so that file-id order is age order when a reopen sorts them.
+	nextID  int
+	nextWAL int // names the next WAL file; guarded by mu
+}
+
+// memtable is one generation of writes: the map, its accounted size and the
+// log that makes it durable until it is a table.
+type memtable struct {
+	m    map[string]memEntry
+	size int64
+	log  *wal
+	old  []string // logs an earlier process left, replayed into m
+	// flushed is set, under the store's mu, once the table is durable and
+	// the logs are gone: what Flush waits for.
+	flushed bool
 }
 
 // memEntry is one memtable slot: either a value or a tombstone. Keeping an
@@ -85,12 +116,8 @@ type LSMOptions struct {
 	// FlushBytes is the memtable payload size that triggers an SSTable
 	// flush. Default 4 MiB.
 	FlushBytes int64
-	// CompactAfter is the SSTable count that triggers a full compaction.
-	// Default 6.
+	// CompactAfter is the SSTable count that triggers a merge. Default 6.
 	CompactAfter int
-	// SyncEveryPut forces an fsync per Put; default false (sync on flush
-	// and close), matching typical RocksDB deployment.
-	SyncEveryPut bool
 }
 
 func (o *LSMOptions) setDefaults() {
@@ -102,45 +129,68 @@ func (o *LSMOptions) setDefaults() {
 	}
 }
 
-// OpenLSM opens (or creates) a store rooted at dir, replaying any WAL left
-// by a previous process.
+func (kv *LSMKV) tablePath(id int) string { return filepath.Join(kv.dir, fmt.Sprintf("%06d.sst", id)) }
+
+// fileID reads the number a table, marker or WAL file name starts with.
+func fileID(path string) (int, error) {
+	base := filepath.Base(path)
+	return strconv.Atoi(base[:strings.IndexByte(base, '.')])
+}
+
+// OpenLSM opens (or creates) a store rooted at dir, finishing any merge and
+// replaying any WAL a previous process left.
 func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 	opts.setDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kv := &LSMKV{dir: dir, opts: opts, mem: make(map[string]memEntry)}
+	kv := &LSMKV{dir: dir, opts: opts, done: make(chan struct{})}
+	kv.wake = sync.NewCond(&kv.mu)
 
-	// Crash-mid-compaction recovery: a `<id>.sst.compact` marker means the
-	// table with that id supersedes every older table (compaction dropped
-	// their tombstones, so replaying the old tables would resurrect deleted
-	// keys). Finish the interrupted removal, then drop the marker.
-	cutoff := -1
-	markers, err := filepath.Glob(filepath.Join(dir, "*.sst.compact"))
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range markers {
-		var id int
-		if _, err := fmt.Sscanf(filepath.Base(m), "%06d.sst.compact", &id); err != nil {
-			continue
+	// A *.tmp file is a table or marker that never got its name.
+	tmps, _ := filepath.Glob(filepath.Join(dir, "*.sst*.tmp"))
+	for _, name := range tmps {
+		if err := os.Remove(name); err != nil {
+			return nil, err
 		}
-		if _, err := os.Stat(strings.TrimSuffix(m, ".compact")); err == nil && id > cutoff {
-			cutoff = id
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.sst"))
+	sort.Strings(names) // IDs are zero-padded so lexical = numeric order
+
+	// Crash-mid-merge recovery: a `<id>.sst.compact` marker lists the ids
+	// the table with that id supersedes (an empty one, written by the format
+	// before partial merges: every older table). A full merge dropped their
+	// tombstones, so reading a leftover input beside it could resurrect
+	// deleted keys. Finish the interrupted removal, then drop the marker.
+	markers, _ := filepath.Glob(filepath.Join(dir, "*.sst.compact"))
+	superseded := make(map[string]bool)
+	for _, m := range markers {
+		out, err := fileID(m)
+		if err != nil {
+			continue
 		}
 		// Marker without its table cannot occur (the marker is written
 		// after the table is durable); treat it as stale either way.
+		if _, err := os.Stat(kv.tablePath(out)); err != nil {
+			continue
+		}
+		raw, err := os.ReadFile(m)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range strings.Fields(string(raw)) {
+			if id, err := strconv.Atoi(f); err == nil {
+				superseded[kv.tablePath(id)] = true
+			}
+		}
+		for _, name := range names {
+			if id, err := fileID(name); len(raw) == 0 && err == nil && id < out {
+				superseded[name] = true
+			}
+		}
 	}
-
-	names, err := filepath.Glob(filepath.Join(dir, "*.sst"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names) // IDs are zero-padded so lexical = numeric order
 	for _, name := range names {
-		var id int
-		fmt.Sscanf(filepath.Base(name), "%06d.sst", &id)
-		if id < cutoff {
+		if superseded[name] {
 			if err := os.Remove(name); err != nil {
 				return nil, fmt.Errorf("kvstore: removing superseded %s: %w", name, err)
 			}
@@ -151,7 +201,7 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 			return nil, fmt.Errorf("kvstore: opening %s: %w", name, err)
 		}
 		kv.tables = append(kv.tables, t)
-		if id >= kv.nextID {
+		if id, err := fileID(name); err == nil && id >= kv.nextID {
 			kv.nextID = id + 1
 		}
 	}
@@ -160,53 +210,78 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 			return nil, err
 		}
 	}
-	if cutoff >= 0 || len(markers) > 0 {
+	if len(markers) > 0 || len(tmps) > 0 {
 		if err := syncDir(dir); err != nil {
 			return nil, err
 		}
 	}
 
-	walPath := filepath.Join(dir, "wal.log")
-	err = replayWAL(walPath, func(op byte, key string, value []byte) {
-		switch op {
-		case walOpPut:
-			kv.memApply(key, value, false)
-		case walOpDelete:
-			kv.memApply(key, nil, true)
+	// Logs, oldest first: wal.log (the one log of the format before the
+	// hand-off), then the numbered ones — at most a sealed one and the one
+	// that was taking writes. They stay on disk, owned by the memtable they
+	// are replayed into, until that memtable is a table.
+	kv.mem = &memtable{m: make(map[string]memEntry)}
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+	sort.Strings(logs)
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); err == nil {
+		logs = append([]string{filepath.Join(dir, "wal.log")}, logs...)
+	}
+	for _, name := range logs {
+		if id, err := fileID(name); err == nil && id >= kv.nextWAL {
+			kv.nextWAL = id + 1
 		}
-	})
-	if err != nil {
+		records := 0
+		err := replayWAL(name, func(op byte, key string, value []byte) {
+			kv.mem.apply(key, value, op == walOpDelete)
+			records++
+		})
+		if err != nil {
+			return nil, err
+		}
+		if records > 0 {
+			kv.mem.old = append(kv.mem.old, name)
+		} else if err := os.Remove(name); err != nil { // or restarts without writes pile up empty logs
+			return nil, err
+		}
+	}
+	var err error
+	if kv.mem.log, err = kv.createWAL(); err != nil {
 		return nil, err
 	}
-	kv.log, err = createWAL(walPath)
-	if err != nil {
-		return nil, err
-	}
+	go kv.background()
 	return kv, nil
+}
+
+// createWAL opens the next numbered log. Caller holds mu (or is OpenLSM).
+func (kv *LSMKV) createWAL() (*wal, error) {
+	l, err := createWAL(filepath.Join(kv.dir, fmt.Sprintf("%06d.wal", kv.nextWAL)))
+	if err == nil {
+		kv.nextWAL++
+	}
+	return l, err
 }
 
 // memEntryCost is the accounted per-entry overhead beyond the value
 // payload (map slot, tombstone flag, WAL header). Charging it — and the
 // key bytes — for every entry means delete-heavy workloads (mass Retire)
-// grow memLen too and reach the flush threshold, instead of accumulating
-// tombstones unboundedly.
+// grow the memtable too and reach the flush threshold, instead of
+// accumulating tombstones unboundedly.
 const memEntryCost = 32
 
-// memApply installs an entry into the memtable, tracking its accounted
-// size (key + overhead + value; tombstones carry no value). Caller holds
-// mu (or is single-threaded during open).
-func (kv *LSMKV) memApply(key string, value []byte, tomb bool) {
-	if old, ok := kv.mem[key]; ok {
-		kv.memLen -= int64(len(key)) + memEntryCost + int64(len(old.val))
+// apply installs an entry, tracking its accounted size (key + overhead +
+// value; tombstones carry no value).
+func (mt *memtable) apply(key string, value []byte, tomb bool) {
+	if old, ok := mt.m[key]; ok {
+		mt.size -= int64(len(key)) + memEntryCost + int64(len(old.val))
 	}
 	if tomb {
-		kv.mem[key] = memEntry{tomb: true}
-		kv.memLen += int64(len(key)) + memEntryCost
+		mt.m[key] = memEntry{tomb: true}
+		mt.size += int64(len(key)) + memEntryCost
 		return
 	}
 	cp := append([]byte(nil), value...)
-	kv.mem[key] = memEntry{val: cp}
-	kv.memLen += int64(len(key)) + memEntryCost + int64(len(cp))
+	mt.m[key] = memEntry{val: cp}
+	mt.size += int64(len(key)) + memEntryCost + int64(len(cp))
 }
 
 // usableLocked gates mutations on store health. Caller holds mu.
@@ -214,80 +289,89 @@ func (kv *LSMKV) usableLocked() error {
 	if kv.failed != nil {
 		return fmt.Errorf("%w (cause: %v)", ErrStoreFailed, kv.failed)
 	}
-	if kv.closed || kv.log == nil {
+	if kv.closed {
 		return fmt.Errorf("%w (store closed)", ErrStoreFailed)
 	}
 	return nil
 }
 
-// failLocked marks the store permanently failed. Caller holds mu.
-func (kv *LSMKV) failLocked(cause error) error {
-	kv.failed = cause
-	return fmt.Errorf("%w: %v", ErrStoreFailed, cause)
-}
-
 // Put implements KV.
-func (kv *LSMKV) Put(key string, value []byte) error {
+func (kv *LSMKV) Put(key string, value []byte) error { return kv.write(walOpPut, key, value) }
+
+// Delete implements KV.
+func (kv *LSMKV) Delete(key string) error { return kv.write(walOpDelete, key, nil) }
+
+func (kv *LSMKV) write(op byte, key string, value []byte) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	if err := kv.usableLocked(); err != nil {
 		return err
 	}
-	if err := kv.log.append(walOpPut, key, value); err != nil {
+	if err := kv.mem.log.append(op, key, value); err != nil {
 		return err
 	}
-	if kv.opts.SyncEveryPut {
-		if err := kv.log.sync(); err != nil {
+	kv.mem.apply(key, value, op == walOpDelete)
+	return kv.sealLocked(kv.opts.FlushBytes)
+}
+
+// sealLocked hands the memtable, once it accounts for atLeast bytes, and its
+// log to the background goroutine and starts a fresh pair; it costs one file
+// creation. The one wait left on the write path is here: a writer that fills
+// the memtable while the sealed one before it is still being written as a
+// table waits for that table, which bounds memory at two memtables. Caller
+// holds mu.
+func (kv *LSMKV) sealLocked(atLeast int64) error {
+	for kv.mem.size >= atLeast {
+		if err := kv.usableLocked(); err != nil {
+			return err
+		}
+		if kv.sealed == nil {
+			log, err := kv.createWAL()
+			if err != nil {
+				return err
+			}
+			kv.sealed, kv.mem = kv.mem, &memtable{m: make(map[string]memEntry), log: log}
+			kv.wake.Broadcast()
+			return nil
+		}
+		kv.wake.Wait()
+	}
+	return nil
+}
+
+// Sync makes every write acknowledged before the call durable without
+// forcing a memtable flush, and without mu: it fsyncs the sealed memtable's
+// log, if its table is not durable yet, and then the log taking writes;
+// concurrent callers share fsyncs (see wal.sync). The durable provider
+// catalog calls this after catalog mutations so acknowledged state survives
+// kill −9; because each log is sequential, the sync also hardens all
+// earlier unsynced appends (segment payloads included).
+func (kv *LSMKV) Sync() error {
+	kv.mu.RLock()
+	err, mem, sealed := kv.usableLocked(), kv.mem, kv.sealed
+	kv.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	if sealed != nil {
+		if err := sealed.log.sync(); err != nil {
 			return err
 		}
 	}
-	kv.memApply(key, value, false)
-	if kv.memLen >= kv.opts.FlushBytes {
-		return kv.flushLocked()
-	}
-	return nil
+	return mem.log.sync()
 }
 
-// Delete implements KV.
-func (kv *LSMKV) Delete(key string) error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if err := kv.usableLocked(); err != nil {
-		return err
-	}
-	if err := kv.log.append(walOpDelete, key, nil); err != nil {
-		return err
-	}
-	kv.memApply(key, nil, true)
-	if kv.memLen >= kv.opts.FlushBytes {
-		return kv.flushLocked()
-	}
-	return nil
-}
-
-// Sync makes every acknowledged write durable (WAL flush + fsync) without
-// forcing a memtable flush. The durable provider catalog calls this after
-// catalog mutations so acknowledged state survives kill −9; because the
-// WAL is sequential, the sync also hardens all earlier unsynced appends
-// (segment payloads included).
-func (kv *LSMKV) Sync() error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if err := kv.usableLocked(); err != nil {
-		return err
-	}
-	return kv.log.sync()
-}
-
-// Get implements KV: memtable first, then SSTables newest-first.
+// Get implements KV: the memtable, the sealed one, then SSTables
+// newest-first.
 func (kv *LSMKV) Get(key string) ([]byte, bool, error) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	if e, ok := kv.mem[key]; ok {
-		if e.tomb {
-			return nil, false, nil
-		}
-		return e.val, true, nil
+	e, ok := kv.mem.m[key]
+	if !ok && kv.sealed != nil {
+		e, ok = kv.sealed.m[key]
+	}
+	if ok {
+		return e.val, !e.tomb, nil
 	}
 	for i := len(kv.tables) - 1; i >= 0; i-- {
 		v, found, tomb, err := kv.tables[i].get(key)
@@ -304,7 +388,7 @@ func (kv *LSMKV) Get(key string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Scan implements KV: a merge over memtable and all tables with
+// Scan implements KV: a merge over all tables and both memtables with
 // newest-wins shadowing.
 func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	kv.mu.RLock()
@@ -326,9 +410,14 @@ func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) err
 			return err
 		}
 	}
-	for k, e := range kv.mem {
-		if strings.HasPrefix(k, prefix) {
-			merged[k] = e
+	for _, mt := range []*memtable{kv.sealed, kv.mem} {
+		if mt == nil {
+			continue
+		}
+		for k, e := range mt.m {
+			if strings.HasPrefix(k, prefix) {
+				merged[k] = e
+			}
 		}
 	}
 	keys := make([]string, 0, len(merged))
@@ -360,190 +449,340 @@ func (kv *LSMKV) SizeBytes() int64 {
 	return n
 }
 
-// Flush forces the memtable to disk as an SSTable.
+// Flush forces the memtable to disk as an SSTable and returns when the
+// table is durable and the log that covered it is gone.
 func (kv *LSMKV) Flush() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	return kv.flushLocked()
+	if err := kv.sealLocked(1); err != nil {
+		return err
+	}
+	for mine := kv.sealed; mine != nil && !mine.flushed; kv.wake.Wait() {
+		if err := kv.usableLocked(); err != nil {
+			return err
+		}
+	}
+	return kv.usableLocked()
 }
 
-func (kv *LSMKV) flushLocked() error {
-	if err := kv.usableLocked(); err != nil {
-		return err
+// Compact merges all SSTables into one, dropping shadowed versions and
+// tombstones, and returns when the merged table has replaced them.
+func (kv *LSMKV) Compact() error {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	kv.fullWanted++
+	kv.wake.Broadcast()
+	for want := kv.fullWanted; kv.fullDone < want; kv.wake.Wait() {
+		if err := kv.usableLocked(); err != nil {
+			return err
+		}
 	}
-	if len(kv.mem) == 0 {
-		return nil
-	}
-	entries := make([]ssEntry, 0, len(kv.mem))
-	for k, e := range kv.mem {
-		entries = append(entries, ssEntry{key: k, value: e.val, tombstone: e.tomb})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	return kv.usableLocked()
+}
 
-	path := filepath.Join(kv.dir, fmt.Sprintf("%06d.sst", kv.nextID))
-	kv.nextID++
-	t, err := writeSSTable(path, entries)
+// background is the store's one maintenance goroutine: it turns the sealed
+// memtable into a table and keeps the table count bounded, until Close or
+// the first failure, which it records for the next mutation to report.
+func (kv *LSMKV) background() {
+	defer close(kv.done)
+	for {
+		kv.mu.Lock()
+		for kv.failed == nil && !kv.closed && kv.sealed == nil &&
+			kv.fullDone == kv.fullWanted && len(kv.tables) <= kv.opts.CompactAfter {
+			kv.wake.Wait()
+		}
+		if kv.failed != nil || kv.closed {
+			kv.mu.Unlock()
+			return
+		}
+		sealed, want, lo := kv.sealed, kv.fullWanted, 0
+		var run []*sstable
+		// A sealed memtable goes first, unless the tables are over their
+		// bound: then a merge does, and lets the memtable out as it starts
+		// (see merge) — or writers that fill memtables back to back would
+		// keep merges from ever running.
+		if sealed == nil || len(kv.tables) > kv.opts.CompactAfter {
+			sealed = nil
+			if want == kv.fullDone {
+				lo = pickRun(kv.tables)
+			}
+			if run = append(run, kv.tables[lo:]...); len(run) < 2 {
+				kv.fullDone = want // Compact of one table is a no-op
+				kv.wake.Broadcast()
+				kv.mu.Unlock()
+				continue
+			}
+		}
+		kv.mu.Unlock()
+
+		var err error
+		if sealed != nil {
+			err = kv.flushSealed(sealed)
+		} else {
+			err = kv.merge(lo, run, want)
+		}
+		if err != nil && err != errClosing {
+			kv.mu.Lock()
+			kv.failed = err
+			kv.wake.Broadcast()
+			kv.mu.Unlock()
+		}
+	}
+}
+
+// flushSealed writes the sealed memtable as a table, publishes it, and
+// removes the logs that covered it. Runs on the background goroutine.
+func (kv *LSMKV) flushSealed(mt *memtable) error {
+	if hook := crashAfterSeal; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
+	keys := make([]string, 0, len(mt.m))
+	for k := range mt.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w, err := newSSWriter(kv.tablePath(kv.nextID))
 	if err != nil {
-		// Memtable and WAL are untouched: nothing is lost, the flush can
-		// simply be retried. Clear any partial table file.
-		os.Remove(path)
 		return err
 	}
-	// The table's directory entry must be durable before the WAL (which
-	// still covers its contents) goes away.
+	kv.nextID++
+	for _, k := range keys {
+		e := mt.m[k]
+		w.add(ssEntry{key: k, value: e.val, tombstone: e.tomb})
+	}
+	t, err := w.finish()
+	if err != nil {
+		return err
+	}
+	// The table's directory entry must be durable before the logs (which
+	// still cover its contents) go away.
 	if err := syncDir(kv.dir); err != nil {
-		t.close()
-		os.Remove(path)
 		return err
 	}
 	if hook := crashAfterTableSync; hook != nil {
 		if err := hook(); err != nil {
-			return kv.failLocked(err)
-		}
-	}
-	kv.tables = append(kv.tables, t)
-	kv.mem = make(map[string]memEntry)
-	kv.memLen = 0
-
-	// Rotate the WAL: its contents are now durable in the SSTable. From
-	// here on a failure leaves no usable log handle, so instead of letting
-	// later Puts write into a dead descriptor the store is marked failed
-	// (writes error with ErrStoreFailed; on-disk state stays recoverable).
-	log := kv.log
-	kv.log = nil
-	if err := log.close(); err != nil {
-		return kv.failLocked(fmt.Errorf("closing wal: %w", err))
-	}
-	walPath := filepath.Join(kv.dir, "wal.log")
-	if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
-		return kv.failLocked(fmt.Errorf("removing wal: %w", err))
-	}
-	if err := syncDir(kv.dir); err != nil {
-		return kv.failLocked(fmt.Errorf("syncing dir after wal removal: %w", err))
-	}
-	if hook := crashAfterWALRemove; hook != nil {
-		if err := hook(); err != nil {
-			return kv.failLocked(err)
-		}
-	}
-	nl, err := createWAL(walPath)
-	if err != nil {
-		return kv.failLocked(fmt.Errorf("recreating wal: %w", err))
-	}
-	kv.log = nl
-	if len(kv.tables) > kv.opts.CompactAfter {
-		return kv.compactLocked()
-	}
-	return nil
-}
-
-// Compact merges all SSTables into one, dropping shadowed versions and
-// tombstones.
-func (kv *LSMKV) Compact() error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.compactLocked()
-}
-
-func (kv *LSMKV) compactLocked() error {
-	if len(kv.tables) <= 1 {
-		return nil
-	}
-	merged := make(map[string][]byte)
-	for _, t := range kv.tables { // oldest first, newer wins
-		err := t.iterate(8, func(e ssEntry) bool {
-			if e.tombstone {
-				delete(merged, e.key)
-			} else {
-				merged[e.key] = e.value // iterate's buffer is per entry
-			}
-			return true
-		})
-		if err != nil {
+			t.close()
 			return err
 		}
 	}
-	entries := make([]ssEntry, 0, len(merged))
-	for k, v := range merged {
-		entries = append(entries, ssEntry{key: k, value: v})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	kv.mu.Lock()
+	kv.tables = append(kv.tables, t)
+	kv.sealed = nil
+	kv.wake.Broadcast()
+	kv.mu.Unlock()
 
-	path := filepath.Join(kv.dir, fmt.Sprintf("%06d.sst", kv.nextID))
-	kv.nextID++
-	nt, err := writeSSTable(path, entries)
-	if err != nil {
-		os.Remove(path)
-		return err
+	// Writers are on their way again; the logs go after the fact. A Sync
+	// that picked this log up before the swap finds it closed, which counts
+	// as synced: the table is durable.
+	if err := mt.log.close(); err != nil {
+		return fmt.Errorf("closing wal: %w", err)
 	}
-	if err := syncDir(kv.dir); err != nil {
-		nt.close()
-		os.Remove(path)
-		return err
-	}
-	// Commit marker: compaction dropped tombstones, so a crash after some
-	// old tables are gone but others remain would resurrect deleted keys
-	// on replay. The durable `<id>.sst.compact` marker tells OpenLSM that
-	// this table supersedes every older one; it is removed only after all
-	// superseded tables are.
-	marker := path + ".compact"
-	if err := writeFileSync(marker); err != nil {
-		nt.close()
-		os.Remove(path)
-		return err
-	}
-	if err := syncDir(kv.dir); err != nil {
-		return kv.failLocked(err)
-	}
-	if hook := crashMidCompaction; hook != nil {
-		if err := hook(); err != nil {
-			return kv.failLocked(err)
+	for _, name := range append(mt.old, mt.log.path) {
+		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("removing wal: %w", err)
 		}
 	}
-	old := kv.tables
-	kv.tables = []*sstable{nt}
-	for _, t := range old {
-		t.close()
-		os.Remove(t.path)
-	}
-	os.Remove(marker)
 	if err := syncDir(kv.dir); err != nil {
-		return kv.failLocked(err)
+		return fmt.Errorf("syncing dir after wal removal: %w", err)
 	}
+	if hook := crashAfterWALRemove; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
+	kv.mu.Lock()
+	mt.flushed = true
+	kv.wake.Broadcast()
+	kv.mu.Unlock()
 	return nil
 }
 
-// writeFileSync durably creates an empty file (the compaction marker).
-func writeFileSync(path string) error {
-	f, err := os.Create(path)
+// pickRun chooses the tables to merge, as the index its run tables[lo:]
+// starts at: size-tiered over the newest tables. Walking from the newest, a
+// table joins while it is no larger than everything newer than it put
+// together, so tables are merged with their like, and the oldest (and
+// largest) is rewritten only once as much again has piled up behind it. At
+// least two tables are merged, so that the table count falls.
+func pickRun(tables []*sstable) int {
+	lo := len(tables) - 1
+	for sum := tables[lo].dataEnd; lo > 0 && (len(tables)-lo < 2 || tables[lo-1].dataEnd <= sum); lo-- {
+		sum += tables[lo-1].dataEnd
+	}
+	return lo
+}
+
+// merge replaces run, which is tables[lo:] as the merge starts, with one
+// table: a k-way merge of the inputs' cursors, newest version of a key wins,
+// streamed into the output. Tombstones are dropped only when the run starts
+// at the oldest table; before any other, they still shadow what lies in the
+// tables the merge leaves alone. Every FlushBytes of output it lets a sealed
+// memtable out first — a writer waits for at most that much of a merge, and
+// a merge advances at least as fast as tables pile up behind it — and gives
+// way to Close. Tables flushed meanwhile land behind the run. Runs on the
+// background goroutine.
+func (kv *LSMKV) merge(lo int, run []*sstable, want int) error {
+	path := kv.tablePath(kv.nextID)
+	w, err := newSSWriter(path)
 	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	kv.nextID++
+	type input struct {
+		c  *ssCursor
+		e  ssEntry
+		ok bool
+	}
+	ins := make([]input, len(run))
+	for i, t := range run {
+		ins[i].c = t.cursor(8, true)
+		if ins[i].e, ins[i].ok, err = ins[i].c.next(); err != nil {
+			w.abort()
+			return err
+		}
+	}
+	for yieldAt := uint64(0); ; {
+		best := -1
+		for i := range ins { // oldest first, so that on equal keys the newest wins
+			if ins[i].ok && (best < 0 || ins[i].e.key <= ins[best].e.key) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		e := ins[best].e
+		if !e.tombstone || lo > 0 {
+			w.add(e)
+		}
+		for i := range ins {
+			if ins[i].ok && ins[i].e.key == e.key {
+				if ins[i].e, ins[i].ok, err = ins[i].c.next(); err != nil {
+					w.abort()
+					return err
+				}
+			}
+		}
+		if w.off < yieldAt {
+			continue
+		}
+		yieldAt = w.off + uint64(kv.opts.FlushBytes)
+		kv.mu.RLock()
+		sealed, closed := kv.sealed, kv.closed
+		kv.mu.RUnlock()
+		if closed {
+			err = errClosing
+		} else if sealed != nil {
+			err = kv.flushSealed(sealed)
+		}
+		if err != nil {
+			w.abort()
+			return err
+		}
+	}
+	t, err := w.finish()
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	if err := syncDir(kv.dir); err != nil {
+		return err
+	}
+	// Commit marker: once an input is gone, the others must not be read
+	// again — a full merge dropped tombstones, so a crash after some inputs
+	// are removed but others remain would resurrect deleted keys on replay.
+	// The durable `<id>.sst.compact` marker tells OpenLSM which tables this
+	// one supersedes; it is removed only after all of them are.
+	var ids strings.Builder
+	for _, in := range run {
+		id, _ := fileID(in.path)
+		fmt.Fprintln(&ids, id)
+	}
+	marker := path + ".compact"
+	if err := writeFileAtomic(marker, []byte(ids.String())); err != nil {
+		return err
+	}
+	if hook := crashMidCompaction; hook != nil {
+		if err := hook(); err != nil {
+			t.close()
+			return err
+		}
+	}
+	kv.mu.Lock()
+	kv.tables = append(append(kv.tables[:lo:lo], t), kv.tables[lo+len(run):]...)
+	if lo == 0 {
+		kv.fullDone = want
+	}
+	for _, in := range run {
+		in.close() // no reader is inside a table while mu is held exclusively
+	}
+	kv.wake.Broadcast()
+	kv.mu.Unlock()
+
+	for _, in := range run {
+		os.Remove(in.path)
+	}
+	if err := syncDir(kv.dir); err != nil {
+		return err
+	}
+	os.Remove(marker)
+	return syncDir(kv.dir)
 }
 
-// Close flushes and releases all resources. Closing twice is a no-op, and
+// writeFileAtomic durably creates or replaces path with data: temp file +
+// fsync + rename + dir fsync, so a crash leaves the old file or the new one,
+// never a torn one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// Close waits for the background goroutine, makes the logs durable and
+// releases all resources. A sealed memtable that is not a table yet stays
+// in its log for the next open to replay. Closing twice is a no-op, and
 // closing a failed store still releases its table handles.
 func (kv *LSMKV) Close() error {
 	kv.mu.Lock()
-	defer kv.mu.Unlock()
 	if kv.closed {
+		kv.mu.Unlock()
 		return nil
 	}
 	kv.closed = true
+	kv.wake.Broadcast()
+	kv.mu.Unlock()
+	<-kv.done
+
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	var first error
-	if kv.log != nil {
-		if err := kv.log.sync(); err != nil {
+	for _, mt := range []*memtable{kv.sealed, kv.mem} {
+		if mt == nil {
+			continue
+		}
+		if err := mt.log.sync(); err != nil && first == nil {
 			first = err
 		}
-		if err := kv.log.close(); err != nil && first == nil {
+		if err := mt.log.close(); err != nil && first == nil {
 			first = err
 		}
-		kv.log = nil
 	}
 	for _, t := range kv.tables {
 		if err := t.close(); err != nil && first == nil {

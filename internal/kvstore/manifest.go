@@ -116,9 +116,8 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return m, nil
 }
 
-// SaveManifest atomically writes m as dir's manifest (temp file + fsync +
-// rename + dir fsync, so a crash leaves either the old or the new
-// manifest, never a torn one). The stored format version is always
+// SaveManifest atomically writes m as dir's manifest (writeFileAtomic: a
+// crash leaves either the old or the new manifest, never a torn one). The stored format version is always
 // ManifestFormatVersion.
 func SaveManifest(dir string, m *Manifest) error {
 	w := wire.NewWriter(64 + len(m.Placement))
@@ -137,31 +136,5 @@ func SaveManifest(dir string, m *Manifest) error {
 	cw.U32(crc32.ChecksumIEEE(body))
 	copy(crcb[:], cw.Bytes())
 
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(body); err == nil {
-		_, err = f.Write(crcb[:])
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return writeFileAtomic(filepath.Join(dir, ManifestName), append(body, crcb[:]...))
 }

@@ -63,90 +63,139 @@ type ssEntry struct {
 
 // writeSSTable writes sorted entries to path and opens the result.
 func writeSSTable(path string, entries []ssEntry) (*sstable, error) {
-	f, err := os.Create(path)
+	w, err := newSSWriter(path)
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-
-	nbits := uint32(len(entries)*bloomBitsPer + 64)
-	bloom := make([]uint64, (nbits+63)/64)
-	var index []ssIndexEntry
-	var off, lastIndexed uint64
-	var liveBytes int64
-
-	writeU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		w.Write(b[:])
-		off += 4
+	for _, e := range entries {
+		w.add(e)
 	}
+	return w.finish()
+}
 
-	writeU32(ssMagic)
-	writeU32(uint32(len(entries)))
-	for i, e := range entries {
-		if e.tombstone {
-			e.value = nil
-		}
-		if size := 8 + len(e.key) + len(e.value) + 4; i == 0 || size >= ssBlock || off-lastIndexed >= ssBlock {
-			index = append(index, ssIndexEntry{key: e.key, offset: off})
-			lastIndexed = off
-		}
-		bloomSet(bloom, nbits, e.key)
-		writeU32(uint32(len(e.key)))
-		if e.tombstone {
-			writeU32(tombstoneMark)
-		} else {
-			writeU32(uint32(len(e.value)))
-			liveBytes += int64(len(e.value))
-		}
-		w.WriteString(e.key)
-		w.Write(e.value)
-		off += uint64(len(e.key) + len(e.value))
-		writeU32(crc32.Update(crcString(e.key), crc32.IEEETable, e.value))
-	}
-	dataEnd := off
+// ssWriter streams entries, added in key order, into a table file. What is
+// only known at the end is kept aside until then: the header, which holds the
+// entry count, is written last, and the bloom filter is built from the keys'
+// hashes (8 bytes each) once the count has sized it. The file grows under path+".tmp"
+// and takes its name only when complete and fsynced, so a directory never
+// shows a torn table under a table's name.
+type ssWriter struct {
+	t           *sstable // path, count, index, minKey, maxKey, bytes accumulate here
+	w           *bufio.Writer
+	off         uint64
+	lastIndexed uint64
+	hashes      []uint64 // first bloom hash of every key; the second follows from it
+}
 
-	bloomOff := off
-	writeU32(nbits)
-	for _, word := range bloom {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], word)
-		w.Write(b[:])
-		off += 8
+func newSSWriter(path string) (*ssWriter, error) {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return nil, err
 	}
-	indexOff := off
-	writeU32(uint32(len(index)))
-	for _, ie := range index {
-		writeU32(uint32(len(ie.key)))
-		w.WriteString(ie.key)
-		off += uint64(len(ie.key))
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], ie.offset)
-		w.Write(b[:])
-		off += 8
-	}
-	var footer [20]byte
-	binary.LittleEndian.PutUint64(footer[0:], bloomOff)
-	binary.LittleEndian.PutUint64(footer[8:], indexOff)
-	binary.LittleEndian.PutUint32(footer[16:], ssMagic)
-	w.Write(footer[:])
-	if err := w.Flush(); err != nil {
+	// The header waits for finish, which knows the entry count.
+	if _, err := f.Seek(8, io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	return &ssWriter{t: &sstable{path: path, f: f}, w: bufio.NewWriterSize(f, 1<<20), off: 8}, nil
+}
+
+func (w *ssWriter) u32(v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	w.w.Write(b[:])
+	w.off += 4
+}
+
+func (w *ssWriter) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	w.w.Write(b[:])
+	w.off += 8
+}
+
+// add appends one entry; e.value is not retained. A write error sticks to
+// the buffered writer and is reported by finish.
+func (w *ssWriter) add(e ssEntry) {
+	t := w.t
+	if e.tombstone {
+		e.value = nil
+	}
+	if size := 8 + len(e.key) + len(e.value) + 4; t.count == 0 || size >= ssBlock || w.off-w.lastIndexed >= ssBlock {
+		t.index = append(t.index, ssIndexEntry{key: e.key, offset: w.off})
+		w.lastIndexed = w.off
+	}
+	if t.count == 0 {
+		t.minKey = e.key
+	}
+	t.maxKey = e.key
+	t.count++
+	h1, _ := bloomHashes(e.key)
+	w.hashes = append(w.hashes, h1)
+	w.u32(uint32(len(e.key)))
+	if e.tombstone {
+		w.u32(tombstoneMark)
+	} else {
+		w.u32(uint32(len(e.value)))
+		t.bytes += int64(len(e.value))
+	}
+	w.w.WriteString(e.key)
+	w.w.Write(e.value)
+	w.off += uint64(len(e.key) + len(e.value))
+	w.u32(crc32.Update(crcString(e.key), crc32.IEEETable, e.value))
+}
+
+// abort drops a table that will not be finished.
+func (w *ssWriter) abort() {
+	w.t.f.Close()
+	os.Remove(w.t.path + ".tmp")
+}
+
+// finish writes the bloom filter, index and footer, makes the file durable
+// under its name (the caller fsyncs the directory) and returns it open.
+func (w *ssWriter) finish() (_ *sstable, err error) {
+	defer func() {
+		if err != nil {
+			w.abort()
+		}
+	}()
+	t := w.t
+	t.dataEnd = w.off
+	t.nbits = uint32(t.count*bloomBitsPer + 64)
+	t.bloom = make([]uint64, (t.nbits+63)/64)
+	for _, h1 := range w.hashes {
+		bloomSetHashes(t.bloom, t.nbits, h1, bloomSecond(h1))
+	}
+	bloomOff := w.off
+	w.u32(t.nbits)
+	for _, word := range t.bloom {
+		w.u64(word)
+	}
+	indexOff := w.off
+	w.u32(uint32(len(t.index)))
+	for _, ie := range t.index {
+		w.u32(uint32(len(ie.key)))
+		w.w.WriteString(ie.key)
+		w.off += uint64(len(ie.key))
+		w.u64(ie.offset)
+	}
+	w.u64(bloomOff)
+	w.u64(indexOff)
+	w.u32(ssMagic)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:], ssMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(t.count))
+	if _, err := t.f.WriteAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
-	t := &sstable{
-		path: path, f: f, count: len(entries),
-		bloom: bloom, nbits: nbits, index: index, dataEnd: dataEnd,
-		bytes: liveBytes,
+	if err := w.w.Flush(); err != nil {
+		return nil, err
 	}
-	if len(entries) > 0 {
-		t.minKey = entries[0].key
-		t.maxKey = entries[len(entries)-1].key
+	if err := t.f.Sync(); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(t.path+".tmp", t.path); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -366,38 +415,69 @@ func (t *sstable) get(key string) ([]byte, bool, bool, error) {
 	return nil, false, false, nil
 }
 
-// iterate streams the entries from offset from (8, or an off that seek
-// returned) to the end of the data region in key order, CRC-checking each.
-func (t *sstable) iterate(from uint64, fn func(ssEntry) bool) error {
+// ssCursor walks the data region from an offset in key order, CRC-checking
+// every entry it returns. With reuse set, an entry's value lives in one
+// buffer that the next call overwrites.
+type ssCursor struct {
+	t     *sstable
+	r     *bufio.Reader
+	pos   uint64
+	buf   []byte
+	reuse bool
+}
+
+// cursor starts at offset from: 8, or an off that seek returned.
+func (t *sstable) cursor(from uint64, reuse bool) *ssCursor {
 	span := t.dataEnd - from
 	r := bufio.NewReaderSize(io.NewSectionReader(t.f, int64(from), int64(span)), int(min(span, 1<<20)))
+	return &ssCursor{t: t, r: r, pos: from, reuse: reuse}
+}
+
+// next returns the next entry, or ok false at the end of the data region.
+func (c *ssCursor) next() (e ssEntry, ok bool, err error) {
+	t, pos := c.t, c.pos
+	if pos >= t.dataEnd {
+		return e, false, nil
+	}
 	var hdr [8]byte
-	for pos := from; pos < t.dataEnd; {
-		left := t.dataEnd - pos
-		if left < uint64(len(hdr)) {
-			return t.errAt(pos, errShortHeader)
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return t.errAt(pos, err)
-		}
-		kl, vl, size, tomb := entryHeader(hdr[:])
-		if size > left {
-			return t.errAt(pos, errOverrun)
-		}
-		buf := make([]byte, kl+vl+4)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return t.errAt(pos, err)
-		}
-		e := ssEntry{key: string(buf[:kl]), value: buf[kl : kl+vl], tombstone: tomb}
-		if crc32.ChecksumIEEE(buf[:kl+vl]) != binary.LittleEndian.Uint32(buf[kl+vl:]) {
-			return t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", e.key))
-		}
-		pos += size
-		if !fn(e) {
-			return nil
+	left := t.dataEnd - pos
+	if left < uint64(len(hdr)) {
+		return e, false, t.errAt(pos, errShortHeader)
+	}
+	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+		return e, false, t.errAt(pos, err)
+	}
+	kl, vl, size, tomb := entryHeader(hdr[:])
+	if size > left {
+		return e, false, t.errAt(pos, errOverrun)
+	}
+	buf := c.buf
+	if n := int(kl + vl + 4); !c.reuse || cap(buf) < n {
+		buf = make([]byte, n)
+		c.buf = buf
+	} else {
+		buf = buf[:n]
+	}
+	if _, err := io.ReadFull(c.r, buf); err != nil {
+		return e, false, t.errAt(pos, err)
+	}
+	e = ssEntry{key: string(buf[:kl]), value: buf[kl : kl+vl], tombstone: tomb}
+	if crc32.ChecksumIEEE(buf[:kl+vl]) != binary.LittleEndian.Uint32(buf[kl+vl:]) {
+		return e, false, t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", e.key))
+	}
+	c.pos += size
+	return e, true, nil
+}
+
+// iterate streams the entries from offset from to the end of the data region
+// to fn, which may keep what it is given, until fn returns false.
+func (t *sstable) iterate(from uint64, fn func(ssEntry) bool) error {
+	for c := t.cursor(from, false); ; {
+		e, ok, err := c.next()
+		if err != nil || !ok || !fn(e) {
+			return err
 		}
 	}
-	return nil
 }
 
 // crcString is crc32.ChecksumIEEE([]byte(s)) without the conversion, which
@@ -415,16 +495,24 @@ func crcString(s string) uint32 {
 // bloomHashes is FNV-1a 64 of key and of key followed by the byte 0x9d,
 // inlined so that a probe allocates nothing; bit-identical to hash/fnv.
 func bloomHashes(key string) (uint64, uint64) {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime64
+		h = (h ^ uint64(key[i])) * fnvPrime64
 	}
-	return h, (h ^ 0x9d) * prime64
+	return h, bloomSecond(h)
 }
+
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// bloomSecond extends the first hash by the byte 0x9d.
+func bloomSecond(h1 uint64) uint64 { return (h1 ^ 0x9d) * fnvPrime64 }
 
 func bloomSet(bits []uint64, nbits uint32, key string) {
 	h1, h2 := bloomHashes(key)
+	bloomSetHashes(bits, nbits, h1, h2)
+}
+
+func bloomSetHashes(bits []uint64, nbits uint32, h1, h2 uint64) {
 	for k := uint64(0); k < 7; k++ {
 		bit := (h1 + k*h2) % uint64(nbits)
 		bits[bit/64] |= 1 << (bit % 64)

@@ -7,18 +7,33 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"sync"
 )
 
-// wal is the write-ahead log that makes memtable contents durable between
-// SSTable flushes.
+// wal is the write-ahead log that makes one memtable's contents durable
+// until that memtable is an SSTable.
 //
 // Record layout: u8 op (1=put, 2=delete) | u32 keyLen | u32 valLen |
 // key | value | u32 crc. Torn tails (partial final record or bad crc at
 // the end) are tolerated during replay, matching standard LSM recovery.
+//
+// The log has its own mutex, so that making it durable never needs the
+// store's lock: sync flushes the buffer under mu and fsyncs outside it, and
+// callers that arrive while an fsync is in flight wait for it and share the
+// next one (synced is the watermark they wait on).
 type wal struct {
-	f   *os.File
-	w   *bufio.Writer
-	len int64
+	path string
+	f    *os.File
+
+	mu      sync.Mutex
+	wake    *sync.Cond // on mu: an fsync finished, or the log was closed
+	w       *bufio.Writer
+	len     int64 // bytes appended
+	synced  int64 // bytes known durable
+	syncing bool  // an fsync is running outside mu
+	fresh   bool  // the file's directory entry is not known durable yet
+	err     error // sticky: after a failed flush or fsync nothing more is promised
 }
 
 const (
@@ -26,17 +41,17 @@ const (
 	walOpDelete = 2
 )
 
+// createWAL creates the log file at path, which must not exist: a log left
+// by an earlier process is replayed and removed, never appended to, so
+// nothing is ever written behind a torn tail.
 func createWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 256<<10), len: st.Size()}, nil
+	l := &wal{path: path, f: f, w: bufio.NewWriterSize(f, 256<<10), fresh: true}
+	l.wake = sync.NewCond(&l.mu)
+	return l, nil
 }
 
 func (l *wal) append(op byte, key string, value []byte) error {
@@ -47,6 +62,14 @@ func (l *wal) append(op byte, key string, value []byte) error {
 	crc := crc32.ChecksumIEEE(hdr[:])
 	crc = crc32.Update(crc, crc32.IEEETable, []byte(key))
 	crc = crc32.Update(crc, crc32.IEEETable, value)
+	var crcb [4]byte
+	binary.LittleEndian.PutUint32(crcb[:], crc)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -56,8 +79,6 @@ func (l *wal) append(op byte, key string, value []byte) error {
 	if _, err := l.w.Write(value); err != nil {
 		return err
 	}
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc)
 	if _, err := l.w.Write(crcb[:]); err != nil {
 		return err
 	}
@@ -65,19 +86,55 @@ func (l *wal) append(op byte, key string, value []byte) error {
 	return nil
 }
 
+// sync returns once every record appended before the call is durable. One
+// caller at a time is the leader: it flushes the buffer, then fsyncs with mu
+// released (appends and other syncers keep going), and advances synced to
+// what its flush covered. The first sync of a file also fsyncs the
+// directory, so the file's name is durable before anything in it is
+// promised. After close everything counts as synced: the log is closed
+// only once an SSTable holds its records durably.
 func (l *wal) sync() error {
-	if err := l.w.Flush(); err != nil {
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for target := l.len; l.synced < target && l.err == nil; {
+		if l.syncing {
+			l.wake.Wait()
+			continue
+		}
+		if l.err = l.w.Flush(); l.err != nil {
+			break
+		}
+		upto, fresh := l.len, l.fresh
+		l.syncing = true
+		l.mu.Unlock()
+		err := l.f.Sync()
+		if err == nil && fresh {
+			err = syncDir(filepath.Dir(l.path))
+		}
+		l.mu.Lock()
+		l.syncing = false
+		if l.err = err; err == nil {
+			l.synced, l.fresh = upto, false
+		}
+		l.wake.Broadcast()
 	}
-	return l.f.Sync()
+	return l.err
 }
 
+// close flushes the buffer and closes the file, after any fsync in flight.
 func (l *wal) close() error {
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncing {
+		l.wake.Wait()
 	}
-	return l.f.Close()
+	err := l.w.Flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	l.synced = l.len
+	l.wake.Broadcast()
+	return err
 }
 
 // replayWAL streams records from path. A clean EOF or a torn tail ends

@@ -3,6 +3,7 @@ package provider
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
@@ -301,5 +302,62 @@ func TestDurableCatalogJournalWindowPersists(t *testing.T) {
 	p.mu.RUnlock()
 	if deltas != want {
 		t.Errorf("persisted journal deltas = %d, want %d (in-memory window)", deltas, want)
+	}
+}
+
+// parkedSyncKV is a durable backend whose Sync announces itself on entered
+// and then waits for release.
+type parkedSyncKV struct {
+	kvstore.KV
+	entered, release chan struct{}
+}
+
+func (k *parkedSyncKV) Sync() error {
+	k.entered <- struct{}{}
+	<-k.release
+	return nil
+}
+
+// TestIncRefSyncsOutsideProviderLock: an IncRef waiting for the disk must not
+// hold the provider-wide lock. With the fsync under the lock (the parent
+// commit), the GetMeta below blocks until the Sync is released.
+func TestIncRefSyncsOutsideProviderLock(t *testing.T) {
+	kv := &parkedSyncKV{KV: kvstore.NewMemKV(4), entered: make(chan struct{}), release: make(chan struct{})}
+	p, err := NewDurable(0, kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, segs := storeReq(1, 1, 0.5, chainGraph(1, 2, 3))
+	stored := make(chan error, 1)
+	go func() { stored <- p.StoreModel(req, segs) }()
+	<-kv.entered
+	kv.release <- struct{}{}
+	if err := <-stored; err != nil {
+		t.Fatal(err)
+	}
+
+	incDone := make(chan error, 1)
+	go func() { incDone <- p.IncRef(1, []graph.VertexID{0, 1}) }()
+	<-kv.entered // the IncRef is parked in Sync
+
+	metaDone := make(chan error, 1)
+	go func() {
+		_, err := p.GetMeta(1)
+		metaDone <- err
+	}()
+	select {
+	case err := <-metaDone:
+		if err != nil {
+			t.Errorf("GetMeta beside a parked IncRef: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("GetMeta waited for an IncRef's Sync: the fsync runs under the provider lock")
+	}
+	kv.release <- struct{}{}
+	if err := <-incDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RefCount(1, 0); got != 2 {
+		t.Errorf("RefCount(1, 0) = %d, want 2", got)
 	}
 }

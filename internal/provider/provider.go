@@ -632,15 +632,16 @@ func (p *Provider) incRef(owner ownermap.ModelID, vertices []graph.VertexID, req
 		return fmt.Errorf("inc_ref: %w", err)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.seenLocked(owner, reqID) {
 		// Already applied by a repair replay of this request's delta.
+		p.mu.Unlock()
 		p.reg.Counter("provider.journal_dup").Inc()
 		return nil
 	}
 	// Validate first so the operation is all-or-nothing.
 	for _, v := range vertices {
 		if p.refs[owner][v] == 0 {
+			p.mu.Unlock()
 			if err := p.missErr(owner); err != nil {
 				// A replica catching up on this owner's migration: the delta
 				// is journaled on the previous epoch's owners and replayed
@@ -654,12 +655,17 @@ func (p *Provider) incRef(owner ownermap.ModelID, vertices []graph.VertexID, req
 		p.refAddLocked(owner, v, 1)
 	}
 	p.recordDeltaLocked(owner, reqID, false, vertices)
-	if err := p.catPersistRefsLocked(owner); err != nil {
+	err := p.catPersistRefsLocked(owner)
+	if err == nil {
+		err = p.catPersistJournalLocked(owner)
+	}
+	p.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("provider %d: inc_ref %d: catalog: %w", p.id, owner, err)
 	}
-	if err := p.catPersistJournalLocked(owner); err != nil {
-		return fmt.Errorf("provider %d: inc_ref %d: catalog: %w", p.id, owner, err)
-	}
+	// The fsync runs outside the provider-wide lock, as in StoreModel,
+	// decRef and Retire: readers and other writers of this provider do not
+	// wait for the disk.
 	return p.catSync()
 }
 
