@@ -15,7 +15,10 @@ test:
 # bulk data path, LSM point-read and LSM sustained-write benchmarks so they
 # can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
 # the time Go would otherwise spend shrinking the seed table, which looks
-# like a hang); the
+# like a hang) and 5 s each of the TCP frame readers and the strict
+# control decoders; a guard that no non-test code under internal/ or cmd/
+# hands an error's text to a strings. function (failures are matched by
+# type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
 # contracts (hedged storm p99 vs healthy, controller-phase p99 vs
 # baseline); and the docs-vs-code check.
@@ -25,6 +28,10 @@ check:
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
+	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.[A-Za-z]+\(.*\.Error\(\)' internal cmd || \
+		{ echo 'error text passed to strings.*: match errors with errors.Is or an rpc status' >&2; exit 1; }
 	$(GO) run ./cmd/evostore-bench check
 	./scripts/docscheck.sh
 
@@ -49,7 +56,7 @@ docs-check:
 
 # Size of the program as ROADMAP counts it: non-test Go lines per package
 # and in total (bench/ excluded), plus the option surface (client.With*
-# options, core.Options fields, server, ctl and evostore-bench scenario
-# flags, make targets).
+# options, core.Options and resilient.Options fields, server, ctl and
+# evostore-bench scenario flags, make targets).
 loc:
 	./scripts/loc.sh

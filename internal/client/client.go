@@ -241,11 +241,11 @@ func ownerGroups(om *ownermap.Map) []ownermap.OwnerGroup { return om.Owners() }
 // ignored and may be nil.
 //
 // The call first pins all inherited segments by incrementing their
-// reference counts on the owners' providers (in parallel), then sends one
-// consolidated write to the model's home provider. Pinning first means a
-// concurrent retirement of the ancestor can never free tensors this model
-// now depends on; if pinning fails the store is aborted and already-taken
-// pins are rolled back.
+// reference counts on the owners' providers, one owner group after
+// another, then sends one consolidated write to the model's home
+// provider. Pinning first means a concurrent retirement of the ancestor
+// can never free tensors this model now depends on; if pinning fails the
+// store is aborted and already-taken pins are rolled back.
 func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]byte) error {
 	return c.store(ctx, meta, segments, nil)
 }

@@ -5,9 +5,9 @@ package client
 // keeps it current three ways: the rebalancer drives transitions directly
 // (SetPlacementState), providers answer evostore.placement with their view
 // (SyncPlacement), and a provider rejecting a request with ErrWrongEpoch
-// embeds its current table in the error text, which the read/write paths
-// parse and adopt before retrying (refreshPlacement) — so a stale client
-// self-updates off its first rejection instead of failing.
+// sends the read/write paths into a re-sync before they retry
+// (refreshPlacement) — so a stale client self-updates off its first
+// rejection instead of failing.
 
 import (
 	"context"
@@ -123,24 +123,12 @@ func (c *Client) SyncPlacement(ctx context.Context) (*placement.State, error) {
 	return c.place.Load(), nil
 }
 
-// refreshPlacement is the wrong-epoch recovery path: prefer a full sync —
-// which recovers the dual view mid-migration, something the single table
-// embedded in a rejection cannot carry — and fall back to that embedded
-// table when the sync fails or learns nothing. Reports whether the active
-// view changed.
-func (c *Client) refreshPlacement(ctx context.Context, t *placement.Table) bool {
+// refreshPlacement is the wrong-epoch recovery path: a full sync, which
+// reaches at least the provider that just rejected the request and also
+// recovers the dual view mid-migration. Reports whether the active view
+// changed.
+func (c *Client) refreshPlacement(ctx context.Context) bool {
 	before := c.place.Load()
-	if _, err := c.SyncPlacement(ctx); err == nil && c.place.Load() != before {
-		return true
-	}
-	return c.adoptTable(t)
-}
-
-// adoptTable adopts the single-epoch table carried by a provider's
-// wrong-epoch rejection, subject to the installState monotonicity rule.
-func (c *Client) adoptTable(t *placement.Table) bool {
-	if t == nil {
-		return false
-	}
-	return c.installState(&placement.State{Cur: t})
+	_, _ = c.SyncPlacement(ctx) // a failed sync changes nothing: the rejection stands
+	return c.place.Load() != before
 }

@@ -79,6 +79,11 @@ func (s *RebalanceStats) String() string {
 		s.Epoch, s.Models, s.Migrated, s.Evicted, s.Elapsed.Round(time.Millisecond))
 }
 
+// ErrLostRace is what Rebalance refuses with when another migration moved
+// the epoch first: one is already in progress, or next is no longer the
+// successor of the live table. The caller re-syncs and re-plans.
+var ErrLostRace = errors.New("lost the epoch race")
+
 // Rebalance migrates the deployment to next. next must be the successor
 // epoch of the client's current table (build it with Table.WithMember,
 // WithoutMember or Next); re-running a migration that previously failed
@@ -99,9 +104,9 @@ func (b *Rebalancer) Rebalance(ctx context.Context, next *placement.Table) (*Reb
 	case cur.Migrating() && next.Equal(cur.Cur):
 		old = cur.Prev // resuming a failed migration to the same target
 	case cur.Migrating():
-		return nil, fmt.Errorf("client: rebalance: migration to %v already in progress", cur.Cur)
+		return nil, fmt.Errorf("client: rebalance: %w: migration to %v already in progress", ErrLostRace, cur.Cur)
 	case next.Epoch != old.Epoch+1:
-		return nil, fmt.Errorf("client: rebalance: target %v is not the successor of %v", next, old)
+		return nil, fmt.Errorf("client: rebalance: %w: target %v is not the successor of %v", ErrLostRace, next, old)
 	}
 	dual := &placement.State{Cur: next, Prev: old}
 	if err := b.c.checkState(dual); err != nil {

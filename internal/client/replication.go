@@ -166,19 +166,19 @@ func (c *Client) readCall(ctx context.Context, name string, id ownermap.ModelID,
 		order := c.readOrder(id)
 		o := c.readPass(ctx, name, order, req)
 		if o.err == nil {
-			if o.staleTbl != nil {
+			if o.stale {
 				// A replica rejected us as stale even though another
-				// answered: adopt the newer table now so the next call
-				// resolves right the first time.
-				c.refreshPlacement(ctx, o.staleTbl)
+				// answered: re-sync now so the next call resolves right
+				// the first time.
+				c.refreshPlacement(ctx)
 			}
 			return o.resp, nil
 		}
 		if o.final {
 			return rpc.Message{}, o.err
 		}
-		if o.staleTbl != nil && attempt < placementRetries {
-			if c.refreshPlacement(ctx, o.staleTbl) || c.place.Load() != st {
+		if o.stale && attempt < placementRetries {
+			if c.refreshPlacement(ctx) || c.place.Load() != st {
 				continue
 			}
 		}
@@ -220,9 +220,9 @@ type readOutcome struct {
 	// final marks an authoritative failure (remote answer or caller
 	// cancellation): readCall must not re-resolve placement and retry.
 	final bool
-	// staleTbl carries the newest table from any wrong-epoch rejection
-	// seen during the pass, even a successful one.
-	staleTbl *placement.Table
+	// stale records a wrong-epoch rejection seen during the pass, even a
+	// successful one.
+	stale bool
 }
 
 // readLeg is one replica's answer within a pass.
@@ -248,7 +248,7 @@ func (c *Client) readPass(ctx context.Context, name string, order []int, req rpc
 		defer race.stop()
 	}
 	var failed []error
-	var staleTbl *placement.Table
+	stale := false
 	for i := 0; race != nil || i < len(order); i++ {
 		var leg readLeg
 		if race == nil {
@@ -266,19 +266,19 @@ func (c *Client) readPass(ctx context.Context, name string, order []int, req rpc
 			} else if leg.idx > 0 {
 				c.failovers.Inc()
 			}
-			return readOutcome{resp: leg.resp, staleTbl: staleTbl}
+			return readOutcome{resp: leg.resp, stale: stale}
 		}
-		if t, ok := placement.TableFromError(leg.err); ok {
-			staleTbl = t
-		} else if !placement.IsNotMigrated(leg.err) && !rpc.IsTransient(leg.err) {
+		if errors.Is(leg.err, placement.ErrWrongEpoch) {
+			stale = true
+		} else if !errors.Is(leg.err, placement.ErrNotMigrated) && !rpc.IsTransient(leg.err) {
 			// Authoritative handler answer, or the caller gave up:
 			// replicas are write-synchronized, so no other replica
 			// would say better.
-			return readOutcome{err: fmt.Errorf("provider %d: %w", leg.pi, leg.err), final: true, staleTbl: staleTbl}
+			return readOutcome{err: fmt.Errorf("provider %d: %w", leg.pi, leg.err), final: true, stale: stale}
 		}
 		failed = append(failed, fmt.Errorf("replica on provider %d: %w", leg.pi, leg.err))
 	}
-	return readOutcome{err: errors.Join(failed...), staleTbl: staleTbl}
+	return readOutcome{err: errors.Join(failed...), stale: stale}
 }
 
 // PartialMutateError reports a replicated mutation that some replicas
@@ -334,11 +334,10 @@ func (c *Client) mutateCall(ctx context.Context, name string, id ownermap.ModelI
 		if err == nil {
 			return resp, nil
 		}
-		tbl, ok := placement.TableFromError(err)
-		if !ok || attempt >= placementRetries {
+		if !errors.Is(err, placement.ErrWrongEpoch) || attempt >= placementRetries {
 			return resp, err
 		}
-		if !c.refreshPlacement(ctx, tbl) && c.place.Load() == st {
+		if !c.refreshPlacement(ctx) && c.place.Load() == st {
 			// Nothing newer to learn: the rejection stands.
 			return resp, err
 		}
@@ -381,7 +380,7 @@ func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelI
 	for i, err := range errs {
 		if err != nil {
 			leg := fmt.Errorf("replica on provider %d: %w", set[i], err)
-			if placement.IsNotMigrated(err) {
+			if errors.Is(err, placement.ErrNotMigrated) {
 				leg = rpc.MarkTransient(leg)
 			} else {
 				deferredOnly = false

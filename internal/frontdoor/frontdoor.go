@@ -12,25 +12,26 @@
 //     bytes/s admission buckets following kopia's blob/throttling shape —
 //     capacity is rate × a sliding window (default 60s) and a fresh bucket
 //     starts at a fractional fill so a cold tenant cannot burst a full
-//     window's budget at once. Rejections carry a retry-after hint in a
-//     ThrottledError that survives the RPC layer's text-only remote errors
-//     (RetryAfterFromError), so the resilience middleware can pace retries
-//     without tripping its circuit breaker: a throttled provider is
-//     healthy, just busy.
+//     window's budget at once. Rejections are a ThrottledError whose
+//     retry-after hint crosses the wire as the argument of
+//     rpc.StatusThrottled (RetryAfterFromError reads it on either side),
+//     so the resilience middleware can pace retries without tripping its
+//     circuit breaker: a throttled provider is healthy, just busy.
 //   - Local pacing (Waiter): the same buckets used cooperatively — a caller
 //     that knows its budget charges it and sleeps until it is out of debt.
 //     The repairer paces migration payload with one.
 //
-// The package depends only on the standard library so every layer (rpc,
-// resilient, client, provider) can import it without cycles.
+// Beyond the standard library the package imports only rpc, for the
+// status its refusals cross the wire with, so every layer above rpc
+// (resilient, client, provider) can import it without cycles.
 package frontdoor
 
 import (
 	"context"
-	"errors"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // Window is the default token-bucket accounting window: bucket capacity is
@@ -415,17 +416,11 @@ func (w *Waiter) ChargeBytes(n int) {
 	w.mu.Unlock()
 }
 
-// --- typed throttle error over a text-only wire --------------------------------
+// --- typed throttle refusal ----------------------------------------------------
 
 // ErrThrottled is the sentinel every ThrottledError matches with
 // errors.Is, for callers that only care about the class.
-var ErrThrottled = errors.New("frontdoor: throttled")
-
-// throttledMarker prefixes the retry-after hint in a ThrottledError's
-// text. Like placement's wrong-epoch marker, the marker (not the type) is
-// what crosses the RPC layer's text-only remote errors, and
-// RetryAfterFromError parses it back.
-const throttledMarker = "throttled, retry after "
+var ErrThrottled = rpc.NewCoded(rpc.StatusThrottled, "frontdoor: throttled")
 
 // ThrottledError is an admission refusal carrying how long the caller
 // should back off. The resilience middleware treats it as a pacing signal:
@@ -433,55 +428,23 @@ const throttledMarker = "throttled, retry after "
 // provider's circuit breaker (the provider answered; it is healthy).
 type ThrottledError struct{ RetryAfter time.Duration }
 
-// Error renders "frontdoor: throttled, retry after 250ms" — parseable by
-// RetryAfterFromError even after crossing the wire as plain text.
 func (e *ThrottledError) Error() string {
-	return "frontdoor: " + throttledMarker + e.RetryAfter.String()
+	return "frontdoor: throttled, retry after " + e.RetryAfter.String()
 }
 
 // Is matches ErrThrottled.
 func (e *ThrottledError) Is(target error) bool { return target == ErrThrottled }
 
-// RetryAfterFromError extracts the retry-after hint from a throttle
-// refusal, whether err is the local typed value or its text-only remote
-// form. (false, 0) for anything else, including nil.
-func RetryAfterFromError(err error) (time.Duration, bool) {
-	if err == nil {
-		return 0, false
-	}
-	var te *ThrottledError
-	if errors.As(err, &te) {
-		return te.RetryAfter, true
-	}
-	text := err.Error()
-	i := strings.Index(text, throttledMarker)
-	if i < 0 {
-		return 0, false
-	}
-	rest := text[i+len(throttledMarker):]
-	// The duration runs until the first byte time.ParseDuration rejects;
-	// remote errors may append context after it.
-	end := len(rest)
-	for j := 0; j < len(rest); j++ {
-		c := rest[j]
-		if (c < '0' || c > '9') && c != '.' && !isUnitByte(c) {
-			end = j
-			break
-		}
-	}
-	d, perr := time.ParseDuration(rest[:end])
-	if perr != nil || d < 0 {
-		return 0, false
-	}
-	return d, true
+// WireStatus sends the refusal as rpc.StatusThrottled with the retry-after
+// as its argument.
+func (e *ThrottledError) WireStatus() (rpc.Status, uint64) {
+	return rpc.StatusThrottled, uint64(e.RetryAfter)
 }
 
-// isUnitByte reports bytes that can appear in a time.Duration unit
-// (ns, us, µs, ms, s, m, h — µ is multi-byte UTF-8).
-func isUnitByte(c byte) bool {
-	switch c {
-	case 'n', 'u', 's', 'm', 'h':
-		return true
-	}
-	return c >= 0x80 // UTF-8 continuation/lead bytes of µ
+// RetryAfterFromError extracts the retry-after hint from a throttle
+// refusal, local or remote — both carry it in their rpc status. (0, false)
+// for anything else, including nil.
+func RetryAfterFromError(err error) (time.Duration, bool) {
+	st, arg := rpc.StatusOf(err)
+	return time.Duration(arg), st == rpc.StatusThrottled
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 func TestBucketSustainedRate(t *testing.T) {
@@ -103,26 +105,52 @@ func TestThrottlerBytesDebt(t *testing.T) {
 	}
 }
 
+// TestRetryAfterSurvivesTextWire sends a wrapped throttle refusal over a
+// real TCP wire: the caller must read back the exact retry-after (it rides
+// the rpc status, not the message text), and non-throttle errors, local or
+// remote, must carry none.
 func TestRetryAfterSurvivesTextWire(t *testing.T) {
 	orig := &ThrottledError{RetryAfter: 1250 * time.Millisecond}
-	// Simulate the RPC layer: wrap with context, flatten to text, re-wrap.
-	remote := fmt.Errorf("provider 3: read 17: %s (replica on provider 3)", orig.Error())
-	flat := errors.New(remote.Error())
-	ra, ok := RetryAfterFromError(flat)
+	srv := rpc.NewServer()
+	srv.Register("read", func(context.Context, rpc.Message) (rpc.Message, error) {
+		return rpc.Message{}, fmt.Errorf("provider 3: read 17: %w (replica on provider 3)", orig)
+	})
+	srv.Register("plain", func(context.Context, rpc.Message) (rpc.Message, error) {
+		return rpc.Message{}, errors.New("plain failure")
+	})
+	lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	conn, err := rpc.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	_, remote := conn.Call(context.Background(), "read", rpc.Message{})
+	ra, ok := RetryAfterFromError(remote)
 	if !ok {
-		t.Fatalf("retry-after lost across text wire: %q", flat)
+		t.Fatalf("retry-after lost across the wire: %v", remote)
 	}
 	if ra != orig.RetryAfter {
 		t.Fatalf("retry-after %v, want %v", ra, orig.RetryAfter)
+	}
+	if !errors.Is(remote, ErrThrottled) {
+		t.Fatalf("remote refusal %v does not match ErrThrottled", remote)
 	}
 	// Typed path too.
 	ra, ok = RetryAfterFromError(fmt.Errorf("wrapped: %w", orig))
 	if !ok || ra != orig.RetryAfter {
 		t.Fatalf("typed retry-after %v ok=%v", ra, ok)
 	}
-	// Non-throttle errors parse as nothing.
-	if _, ok := RetryAfterFromError(errors.New("plain failure")); ok {
-		t.Fatal("false positive on unrelated error")
+	// Non-throttle errors carry nothing.
+	_, plain := conn.Call(context.Background(), "plain", rpc.Message{})
+	for _, e := range []error{errors.New("plain failure"), plain} {
+		if _, ok := RetryAfterFromError(e); ok {
+			t.Fatalf("false positive on unrelated error %v", e)
+		}
 	}
 }
 

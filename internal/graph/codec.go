@@ -69,6 +69,9 @@ func Decode(b []byte) (*Compact, int, error) {
 		return nil, 0, fmt.Errorf("graph: bad magic %#x", binary.LittleEndian.Uint32(b))
 	}
 	n := int(binary.LittleEndian.Uint32(b[4:]))
+	if n > (len(b)-8)/18 { // every vertex takes at least 18 bytes
+		return nil, 0, io.ErrUnexpectedEOF
+	}
 	off := 8
 	g := &Compact{
 		Vertices: make([]Vertex, n),
@@ -115,8 +118,8 @@ func Decode(b []byte) (*Compact, int, error) {
 	inBack := make([]VertexID, edges)
 	o, in := 0, 0
 	for v := 0; v < n; v++ {
-		g.Out[v] = outBack[o:o:o+int(outDeg[v])]
-		g.In[v] = inBack[in:in:in+int(inDeg[v])]
+		g.Out[v] = outBack[o : o : o+int(outDeg[v])]
+		g.In[v] = inBack[in : in : in+int(inDeg[v])]
 		o += int(outDeg[v])
 		in += int(inDeg[v])
 	}

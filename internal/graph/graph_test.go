@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -273,6 +275,12 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("Decode accepted truncation at %d", cut)
 		}
+	}
+	// A vertex count the payload cannot hold is rejected before it sizes
+	// an allocation.
+	binary.LittleEndian.PutUint32(enc[4:], 0xffffffff)
+	if _, _, err := Decode(enc); err != io.ErrUnexpectedEOF {
+		t.Fatalf("absurd vertex count: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -2,11 +2,12 @@ package heat_test
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/heat"
 	"repro/internal/metrics"
@@ -163,7 +164,7 @@ func TestControllerRacesManualRebalance(t *testing.T) {
 		defer wg.Done()
 		if _, err := repo.Rebalance(ctx, []int{0, 1, 2, 3}); err == nil {
 			manualWins.Add(1)
-		} else if !isRaceLoss(err) {
+		} else if !errors.Is(err, client.ErrLostRace) {
 			controllerE.Store(err)
 		}
 	}()
@@ -210,14 +211,4 @@ func TestControllerRacesManualRebalance(t *testing.T) {
 			t.Errorf("load %d after races: %v", id, err)
 		}
 	}
-}
-
-// isRaceLoss mirrors the controller's lost-race classification for the
-// manual path: a concurrent migration or a stale successor target.
-func isRaceLoss(err error) bool {
-	if err == nil {
-		return false
-	}
-	return strings.Contains(err.Error(), "already in progress") ||
-		strings.Contains(err.Error(), "is not the successor")
 }

@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -265,7 +264,7 @@ func (ctl *Controller) Step(ctx context.Context) error {
 	next := cur.NextOverrides(desired)
 	_, err := ctl.reb.Rebalance(ctx, next)
 	if err != nil {
-		if isLostRace(err) {
+		if errors.Is(err, client.ErrLostRace) {
 			ctl.lostRaces.Inc()
 			if _, serr := ctl.c.SyncPlacement(ctx); serr != nil {
 				return serr
@@ -302,14 +301,6 @@ func (ctl *Controller) Run(ctx context.Context) {
 			}
 		}
 	}
-}
-
-// isLostRace classifies Rebalance failures that mean "someone else moved
-// the epoch first": a migration already in progress, or the target no
-// longer being the successor of the live table.
-func isLostRace(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "already in progress") || strings.Contains(s, "is not the successor")
 }
 
 // equalOverrides compares two override maps.

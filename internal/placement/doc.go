@@ -29,8 +29,8 @@
 //     equal-epoch single state supersedes the dual state, and a newer
 //     epoch always wins — installs commute, so broadcasts and retries
 //     need no ordering.
-//   - Wire: Encode/DecodeState ride rpc.Message.Meta; the typed
-//     WrongEpochError embeds its table into the error *text* so it
-//     survives the RPC layer's text-only remote errors (see
-//     TableFromError).
+//   - Wire: Encode/DecodeState ride rpc.Message.Meta. ErrWrongEpoch and
+//     ErrNotMigrated cross as rpc status codes and match with errors.Is on
+//     either side of the wire; a rejection carries no table, so a stale
+//     client re-syncs (client.SyncPlacement).
 package placement

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/ownermap"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -281,11 +282,9 @@ func (t *Table) Equal(o *Table) bool {
 	return true
 }
 
-// String renders the table in the canonical "table{epoch=E r=R
-// members=a,b,c}" form that TableFromError parses back out of error text.
-// Per-model overrides append an " ov=id:r,id:r" section (sorted by model
-// ID); tables without overrides render exactly as they always have, and
-// both forms survive the text-only wire round trip.
+// String renders the table as "table{epoch=E r=R members=a,b,c}" for logs
+// and operators. Per-model overrides append an " ov=id:r,id:r" section
+// (sorted by model ID).
 func (t *Table) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "table{epoch=%d r=%d members=", t.Epoch, t.Replicas)
@@ -502,125 +501,16 @@ func DecodeState(b []byte) (*State, error) {
 	return s, nil
 }
 
-// --- typed errors over a text-only wire ---------------------------------------
+// --- typed rejections -----------------------------------------------------------
 
-// ErrWrongEpoch is the sentinel a WrongEpochError wraps, for local
-// errors.Is matching.
-var ErrWrongEpoch = errors.New("placement: wrong epoch")
-
-// wrongEpochMarker prefixes the embedded table in a WrongEpochError's
-// text. The RPC layer flattens remote errors to text, so the marker (not
-// the type) is what crosses the wire; TableFromError parses it back.
-const wrongEpochMarker = "wrong epoch (current "
-
-// WrongEpochError rejects a request placed under an epoch this provider no
-// longer (or does not yet) serve, carrying the provider's current table so
-// a stale client can adopt it and retry without an extra round trip.
-type WrongEpochError struct{ Table *Table }
-
-// Error renders "placement: wrong epoch (current table{...})" — parseable
-// by TableFromError even after crossing the wire as plain text.
-func (e *WrongEpochError) Error() string {
-	return "placement: " + wrongEpochMarker + e.Table.String() + ")"
-}
-
-// Is matches ErrWrongEpoch.
-func (e *WrongEpochError) Is(target error) bool { return target == ErrWrongEpoch }
-
-// TableFromError extracts the placement table embedded in a wrong-epoch
-// rejection, whether the error is the local typed value or its text-only
-// remote form.
-func TableFromError(err error) (*Table, bool) {
-	if err == nil {
-		return nil, false
-	}
-	var we *WrongEpochError
-	if errors.As(err, &we) {
-		return we.Table, true
-	}
-	text := err.Error()
-	i := strings.Index(text, wrongEpochMarker)
-	if i < 0 {
-		return nil, false
-	}
-	return parseTable(text[i+len(wrongEpochMarker):])
-}
-
-// parseTable parses the leading "table{epoch=E r=R members=a,b,c}" of s.
-func parseTable(s string) (*Table, bool) {
-	const prefix = "table{epoch="
-	if !strings.HasPrefix(s, prefix) {
-		return nil, false
-	}
-	s = s[len(prefix):]
-	end := strings.IndexByte(s, '}')
-	if end < 0 {
-		return nil, false
-	}
-	s = s[:end]
-	epochStr, rest, ok := strings.Cut(s, " r=")
-	if !ok {
-		return nil, false
-	}
-	rStr, memberStr, ok := strings.Cut(rest, " members=")
-	if !ok {
-		return nil, false
-	}
-	epoch, err1 := strconv.ParseUint(epochStr, 10, 64)
-	r, err2 := strconv.Atoi(rStr)
-	if err1 != nil || err2 != nil {
-		return nil, false
-	}
-	memberStr, ovStr, hasOv := strings.Cut(memberStr, " ov=")
-	var members []int
-	for _, part := range strings.Split(memberStr, ",") {
-		m, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, false
-		}
-		members = append(members, m)
-	}
-	t, err := Make(epoch, members, r)
-	if err != nil {
-		return nil, false
-	}
-	if hasOv {
-		ov := make(map[ownermap.ModelID]int)
-		for _, part := range strings.Split(ovStr, ",") {
-			idStr, cntStr, ok := strings.Cut(part, ":")
-			if !ok {
-				return nil, false
-			}
-			id, err1 := strconv.ParseUint(idStr, 10, 64)
-			cnt, err2 := strconv.Atoi(cntStr)
-			if err1 != nil || err2 != nil {
-				return nil, false
-			}
-			ov[ownermap.ModelID(id)] = cnt
-		}
-		t.Overrides = normalizeOverrides(ov, len(t.Members), t.R())
-	}
-	return t, true
-}
-
-// notMigratedText is the marker a catching-up replica's misses carry; like
-// the wrong-epoch marker it must survive text-only remote errors.
-const notMigratedText = "placement: not migrated here yet"
+// ErrWrongEpoch rejects a request placed under an epoch this provider no
+// longer (or does not yet) serve. It crosses the wire as
+// rpc.StatusWrongEpoch and names only the condition: the rejected client
+// learns the current view from SyncPlacement.
+var ErrWrongEpoch = rpc.NewCoded(rpc.StatusWrongEpoch, "placement: wrong epoch")
 
 // ErrNotMigrated marks a read or refcount miss on a replica that joined
 // the model's set in the current epoch but has not been backfilled yet;
 // callers should fall back to (or let repair replay from) the previous
-// epoch's owners.
-var ErrNotMigrated = errors.New(notMigratedText)
-
-// IsNotMigrated reports whether err is a catching-up replica's miss, local
-// or text-only remote.
-func IsNotMigrated(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrNotMigrated) {
-		return true
-	}
-	return strings.Contains(err.Error(), notMigratedText)
-}
+// epoch's owners. It crosses the wire as rpc.StatusNotMigrated.
+var ErrNotMigrated = rpc.NewCoded(rpc.StatusNotMigrated, "placement: not migrated here yet")

@@ -1,12 +1,14 @@
 package placement
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/ownermap"
+	"repro/internal/rpc"
 )
 
 // TestEpochZeroMatchesLegacyModulo is the golden compatibility proof: the
@@ -212,37 +214,48 @@ func TestStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestWrongEpochErrorSurvivesText proves the self-update path works across
-// the RPC layer's text-only remote errors: the embedded table must parse
-// back out of an arbitrarily wrapped error string.
+// a real wire: a provider's wrong-epoch and not-migrated refusals, wrapped
+// in context, reach the client as the same conditions (they cross as rpc
+// status codes, not as message text), and an unrelated failure matches
+// neither.
 func TestWrongEpochErrorSurvivesText(t *testing.T) {
-	tbl, err := Make(3, []int{0, 2, 5}, 2)
+	srv := rpc.NewServer()
+	fail := map[string]error{
+		"epoch": fmt.Errorf("provider 1: store 42: %w", ErrWrongEpoch),
+		"nm":    fmt.Errorf("provider 2: owner 7: %w", ErrNotMigrated),
+		"other": errors.New("some other failure"),
+	}
+	for name, err := range fail {
+		srv.Register(name, func(context.Context, rpc.Message) (rpc.Message, error) { return rpc.Message{}, err })
+	}
+	lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed := fmt.Errorf("provider 1: store 42: %w", &WrongEpochError{Table: tbl})
-	if !errors.Is(typed, ErrWrongEpoch) {
-		t.Fatal("typed error does not match ErrWrongEpoch")
+	defer lis.Close()
+	conn, err := rpc.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Simulate the wire: only the text survives.
-	textOnly := errors.New("rpc: remote: " + typed.Error())
-	for _, e := range []error{typed, textOnly} {
-		got, ok := TableFromError(e)
-		if !ok {
-			t.Fatalf("TableFromError(%v) found nothing", e)
-		}
-		if !got.Equal(tbl) {
-			t.Fatalf("TableFromError(%v) = %v, want %v", e, got, tbl)
-		}
-	}
-	if _, ok := TableFromError(errors.New("some other failure")); ok {
-		t.Error("TableFromError matched an unrelated error")
+	defer conn.Close()
+	call := func(name string) error {
+		_, err := conn.Call(context.Background(), name, rpc.Message{})
+		return err
 	}
 
-	nm := fmt.Errorf("provider 2: owner 7: %w", ErrNotMigrated)
-	if !IsNotMigrated(nm) || !IsNotMigrated(errors.New("rpc: remote: "+nm.Error())) {
-		t.Error("IsNotMigrated missed a catching-up miss")
+	for _, e := range []error{fail["epoch"], call("epoch")} {
+		if !errors.Is(e, ErrWrongEpoch) || errors.Is(e, ErrNotMigrated) {
+			t.Errorf("%v: errors.Is wrong-epoch %v not-migrated %v, want true false",
+				e, errors.Is(e, ErrWrongEpoch), errors.Is(e, ErrNotMigrated))
+		}
 	}
-	if IsNotMigrated(errors.New("not found")) {
-		t.Error("IsNotMigrated matched an unrelated error")
+	for _, e := range []error{fail["nm"], call("nm")} {
+		if !errors.Is(e, ErrNotMigrated) || errors.Is(e, ErrWrongEpoch) {
+			t.Errorf("%v: errors.Is not-migrated %v wrong-epoch %v, want true false",
+				e, errors.Is(e, ErrNotMigrated), errors.Is(e, ErrWrongEpoch))
+		}
+	}
+	if e := call("other"); e == nil || errors.Is(e, ErrWrongEpoch) || errors.Is(e, ErrNotMigrated) {
+		t.Errorf("unrelated remote error %v matched a placement condition", e)
 	}
 }

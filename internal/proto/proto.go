@@ -15,9 +15,14 @@
 //     are idempotent (see Idempotent). StoreModel, IncRef, DecRef and
 //     Retire mutate provider state; each carries a ReqID the provider
 //     uses to deduplicate retries, which is what makes them Retryable.
-//   - Wire evolution: fields appended to a message after its first release
-//     (ReqID, PreferRecent) are optional trailers — decoders tolerate
-//     their absence, so old and new binaries interoperate.
+//   - Wire evolution: there is none to negotiate. Every deployment runs
+//     one binary, so a field is added by changing encoder and decoder
+//     together, and no control decoder accepts an older, shorter form of
+//     its message: StoreModel, IncRef/DecRef, Retire and LCPQuery requests
+//     and the Metrics and DecRef responses read exactly what their encoder
+//     writes and reject any other length with wire.ErrTruncated
+//     (FuzzDecodeControl). Only persisted formats — SegEnvelope, recipes,
+//     the placement manifest — keep readers for older data.
 package proto
 
 import (
@@ -110,17 +115,17 @@ func appendSegTable(w *wire.Writer, segs []SegmentRef) {
 	}
 }
 
-func readSegTable(r *wire.Reader) []SegmentRef {
+func readSegTable(r *wire.Reader) ([]SegmentRef, error) {
 	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/8+1 {
-		return nil
+	if r.Err() != nil || n > r.Remaining()/8 {
+		return nil, wire.ErrTruncated
 	}
 	segs := make([]SegmentRef, n)
 	for i := range segs {
 		segs[i].Vertex = graph.VertexID(r.U32())
 		segs[i].Length = r.U32()
 	}
-	return segs
+	return segs, nil
 }
 
 // SplitBulk slices a bulk payload into per-segment views according to the
@@ -253,26 +258,23 @@ func DecodeStoreModelReq(b []byte) (*StoreModelReq, error) {
 	}
 	gb := r.Bytes32()
 	ob := r.Bytes32()
-	q.Segments = readSegTable(r)
-	// The ReqID trailer was appended to the format later; tolerate
-	// encoders that omit it entirely, but reject a torn trailer.
-	if r.Err() == nil {
-		switch {
-		case r.Remaining() >= 8:
-			q.ReqID = r.U64()
-		case r.Remaining() != 0:
-			return nil, wire.ErrTruncated
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	var gn, on int
 	var err error
-	if q.Graph, _, err = graph.Decode(gb); err != nil {
+	if q.Segments, err = readSegTable(r); err != nil {
 		return nil, err
 	}
-	if q.OwnerMap, _, err = ownermap.Decode(ob); err != nil {
+	q.ReqID = r.U64()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
+	}
+	if q.Graph, gn, err = graph.Decode(gb); err != nil {
 		return nil, err
+	}
+	if q.OwnerMap, on, err = ownermap.Decode(ob); err != nil {
+		return nil, err
+	}
+	if gn != len(gb) || on != len(ob) {
+		return nil, wire.ErrTruncated
 	}
 	return q, nil
 }
@@ -400,9 +402,7 @@ func EncodeSegTable(segs []SegmentRef) []byte {
 
 // DecodeSegTable parses a read response meta.
 func DecodeSegTable(b []byte) ([]SegmentRef, error) {
-	r := wire.NewReader(b)
-	segs := readSegTable(r)
-	return segs, r.Err()
+	return readSegTable(wire.NewReader(b))
 }
 
 // --- IncRef / DecRef ----------------------------------------------------------
@@ -440,17 +440,11 @@ func DecodeRefReq(b []byte) (*RefReq, error) {
 	for i := range q.Vertices {
 		q.Vertices[i] = graph.VertexID(r.U32())
 	}
-	// The ReqID trailer was appended to the format later; tolerate
-	// encoders that omit it entirely, but reject a torn trailer.
-	if r.Err() == nil {
-		switch {
-		case r.Remaining() >= 8:
-			q.ReqID = r.U64()
-		case r.Remaining() != 0:
-			return nil, wire.ErrTruncated
-		}
+	q.ReqID = r.U64()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
 	}
-	return q, r.Err()
+	return q, nil
 }
 
 // --- Retire -------------------------------------------------------------------
@@ -464,8 +458,7 @@ type RetireReq struct {
 	ReqID uint64
 }
 
-// Encode serializes the request. The leading 8 bytes match the legacy
-// single-ID format, so old providers still understand new clients.
+// Encode serializes the request.
 func (q *RetireReq) Encode() []byte {
 	w := wire.NewWriter(16)
 	w.U64(uint64(q.Model))
@@ -473,20 +466,14 @@ func (q *RetireReq) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeRetireReq parses the request, tolerating the legacy 8-byte
-// single-ID encoding (ReqID = 0).
+// DecodeRetireReq parses the request.
 func DecodeRetireReq(b []byte) (*RetireReq, error) {
 	r := wire.NewReader(b)
-	q := &RetireReq{Model: ownermap.ModelID(r.U64())}
-	if r.Err() == nil {
-		switch {
-		case r.Remaining() >= 8:
-			q.ReqID = r.U64()
-		case r.Remaining() != 0:
-			return nil, wire.ErrTruncated
-		}
+	q := &RetireReq{Model: ownermap.ModelID(r.U64()), ReqID: r.U64()}
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
 	}
-	return q, r.Err()
+	return q, nil
 }
 
 // EncodeU64 / DecodeU64 carry small scalar responses (freed counts, ...).
@@ -549,17 +536,18 @@ func DecodeLCPQueryReq(b []byte) (*LCPQueryReq, error) {
 			q.Exclude[i] = ownermap.ModelID(r.U64())
 		}
 	}
-	// The PreferRecent byte was appended to the format later; tolerate
-	// encoders that omit it.
-	if r.Remaining() > 0 {
-		q.PreferRecent = r.U8() == 1
+	prefer := r.U8()
+	if r.Err() != nil || r.Remaining() != 0 || prefer > 1 {
+		return nil, wire.ErrTruncated
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	q.PreferRecent = prefer == 1
+	var gn int
 	var err error
-	if q.Graph, _, err = graph.Decode(gb); err != nil {
+	if q.Graph, gn, err = graph.Decode(gb); err != nil {
 		return nil, err
+	}
+	if gn != len(gb) {
+		return nil, wire.ErrTruncated
 	}
 	return q, nil
 }
@@ -681,23 +669,6 @@ func DecodeModelList(b []byte) ([]ownermap.ModelID, error) {
 	return ids, r.Err()
 }
 
-// EncodeCounters serializes a metrics snapshot (counter name → value) for
-// the Metrics RPC, sorted by name so equal snapshots encode identically.
-func EncodeCounters(snap map[string]uint64) []byte {
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w := wire.NewWriter(4 + 16*len(names))
-	w.U32(uint32(len(names)))
-	for _, name := range names {
-		w.Bytes32([]byte(name))
-		w.U64(snap[name])
-	}
-	return w.Bytes()
-}
-
 // ModelHeat reports one model's EWMA access rates as measured by a
 // provider: bytes per second served to readers and ingested by writers.
 type ModelHeat struct {
@@ -706,21 +677,32 @@ type ModelHeat struct {
 	WriteBps float64
 }
 
-// EncodeCountersHeat serializes a metrics snapshot followed by a per-model
-// heat trailer: the Metrics RPC's response.
+// EncodeCountersHeat serializes the Metrics RPC's response: a metrics
+// snapshot (counter name → value, sorted by name so equal snapshots encode
+// identically), then the per-model heat list.
 func EncodeCountersHeat(snap map[string]uint64, heat []ModelHeat) []byte {
-	w := wire.NewWriter(len(heat)*24 + 4)
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	w := wire.NewWriter(8 + 16*len(names) + 24*len(heat))
+	w.U32(uint32(len(names)))
+	for _, name := range names {
+		w.String(name)
+		w.U64(snap[name])
+	}
 	w.U32(uint32(len(heat)))
 	for _, h := range heat {
 		w.U64(uint64(h.Model))
 		w.F64(h.ReadBps)
 		w.F64(h.WriteBps)
 	}
-	return append(EncodeCounters(snap), w.Bytes()...)
+	return w.Bytes()
 }
 
-// DecodeCountersHeat parses a metrics snapshot plus its optional heat
-// trailer; bare counters decode with a nil heat slice rather than an error.
+// DecodeCountersHeat parses EncodeCountersHeat's output: counters in
+// strictly ascending name order, then the heat list.
 func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
 	r := wire.NewReader(b)
 	n := int(r.U32())
@@ -728,15 +710,13 @@ func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
 		return nil, nil, wire.ErrTruncated
 	}
 	snap := make(map[string]uint64, n)
+	prev := ""
 	for i := 0; i < n; i++ {
-		name := string(r.Bytes32())
-		snap[name] = r.U64()
-	}
-	if r.Err() != nil {
-		return nil, nil, r.Err()
-	}
-	if r.Remaining() == 0 {
-		return snap, nil, nil
+		name := r.Str()
+		if r.Err() == nil && i > 0 && name <= prev {
+			return nil, nil, fmt.Errorf("proto: counter %q out of order", name)
+		}
+		snap[name], prev = r.U64(), name
 	}
 	hn := int(r.U32())
 	if r.Err() != nil || hn > r.Remaining()/24+1 {
@@ -750,7 +730,10 @@ func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
 			WriteBps: r.F64(),
 		}
 	}
-	return snap, heat, r.Err()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, nil, wire.ErrTruncated
+	}
+	return snap, heat, nil
 }
 
 // ProviderStats summarizes one provider's storage state.

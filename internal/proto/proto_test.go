@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -50,20 +51,15 @@ func TestStoreModelReqTruncated(t *testing.T) {
 	g := sampleGraph(3)
 	req := &StoreModelReq{Model: 1, Graph: g, OwnerMap: ownermap.New(1, 1, 3)}
 	enc := req.Encode()
-	// The only prefix that decodes is the legacy format without the 8-byte
-	// ReqID trailer; every other truncation must error.
-	legacy := len(enc) - 8
+	// Every prefix is torn — including the old form without the 8-byte
+	// ReqID trailer — and so is a trailing byte.
 	for cut := 0; cut < len(enc); cut++ {
-		back, err := DecodeStoreModelReq(enc[:cut])
-		if cut == legacy {
-			if err != nil || back.ReqID != 0 {
-				t.Fatalf("legacy encoding rejected: %+v, %v", back, err)
-			}
-			continue
+		if _, err := DecodeStoreModelReq(enc[:cut]); !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("truncation at %d/%d: %v, want wire.ErrTruncated", cut, len(enc), err)
 		}
-		if err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+	}
+	if _, err := DecodeStoreModelReq(append(enc, 0)); !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("trailing byte: %v, want wire.ErrTruncated", err)
 	}
 }
 
@@ -118,10 +114,19 @@ func TestLCPQueryReqRoundtrip(t *testing.T) {
 		t.Errorf("back = %+v", back)
 	}
 	// No excludes.
-	q2 := &LCPQueryReq{Graph: sampleGraph(2)}
-	back2, err := DecodeLCPQueryReq(q2.Encode())
-	if err != nil || len(back2.Exclude) != 0 {
+	q2 := &LCPQueryReq{Graph: sampleGraph(2), PreferRecent: true}
+	enc := q2.Encode()
+	back2, err := DecodeLCPQueryReq(enc)
+	if err != nil || len(back2.Exclude) != 0 || !back2.PreferRecent {
 		t.Errorf("empty exclude roundtrip: %v %+v", err, back2)
+	}
+	// The old form without the PreferRecent byte, a byte that is not a
+	// bool, and a trailing byte are all rejected.
+	bad := [][]byte{enc[:len(enc)-1], append(enc[:len(enc)-1:len(enc)-1], 2), append(enc, 0)}
+	for i, b := range bad {
+		if _, err := DecodeLCPQueryReq(b); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("malformed query %d: %v, want wire.ErrTruncated", i, err)
+		}
 	}
 }
 
@@ -246,19 +251,13 @@ func TestRefReqRoundtrip(t *testing.T) {
 	if got.Owner != q.Owner || !vertsEqual(got.Vertices, q.Vertices) || got.ReqID != q.ReqID {
 		t.Errorf("roundtrip = %+v, want %+v", got, q)
 	}
-	// Legacy encoders omit the ReqID trailer entirely; decode must tolerate
-	// that with ReqID 0, but reject a torn trailer.
-	legacy := q.Encode()
-	legacy = legacy[:len(legacy)-8]
-	got, err = DecodeRefReq(legacy)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.ReqID != 0 || !vertsEqual(got.Vertices, q.Vertices) {
-		t.Errorf("legacy roundtrip = %+v", got)
-	}
-	if _, err := DecodeRefReq(q.Encode()[:len(q.Encode())-3]); err == nil {
-		t.Error("torn ReqID trailer accepted")
+	// The old form without the ReqID, a torn ReqID and a trailing byte are
+	// all rejected.
+	enc := q.Encode()
+	for _, b := range [][]byte{enc[:len(enc)-8], enc[:len(enc)-3], append(enc, 0)} {
+		if _, err := DecodeRefReq(b); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("DecodeRefReq(%d of %d bytes) = %v, want wire.ErrTruncated", len(b), len(enc), err)
+		}
 	}
 }
 
@@ -271,16 +270,12 @@ func TestRetireReqRoundtrip(t *testing.T) {
 	if got.Model != 5 || got.ReqID != 99 {
 		t.Errorf("roundtrip = %+v", got)
 	}
-	// The legacy format is a bare 8-byte model ID.
-	got, err = DecodeRetireReq(EncodeModelID(5))
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.Model != 5 || got.ReqID != 0 {
-		t.Errorf("legacy roundtrip = %+v", got)
-	}
-	if _, err := DecodeRetireReq(q.Encode()[:12]); err == nil {
-		t.Error("torn ReqID trailer accepted")
+	// The old form (a bare 8-byte model ID), a torn ReqID and a trailing
+	// byte are all rejected.
+	for _, b := range [][]byte{EncodeModelID(5), q.Encode()[:12], append(q.Encode(), 0)} {
+		if _, err := DecodeRetireReq(b); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("DecodeRetireReq(%d bytes) = %v, want wire.ErrTruncated", len(b), err)
+		}
 	}
 }
 
@@ -318,7 +313,7 @@ func TestCountersRoundtrip(t *testing.T) {
 		"breaker.open":         0,
 		"fault.request_drop":   1,
 	}
-	got, _, err := DecodeCountersHeat(EncodeCounters(snap))
+	got, _, err := DecodeCountersHeat(EncodeCountersHeat(snap, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,13 +326,13 @@ func TestCountersRoundtrip(t *testing.T) {
 		}
 	}
 
-	if m, _, err := DecodeCountersHeat(EncodeCounters(nil)); err != nil || len(m) != 0 {
+	if m, _, err := DecodeCountersHeat(EncodeCountersHeat(nil, nil)); err != nil || len(m) != 0 {
 		t.Errorf("empty snapshot roundtrip: %v %v", m, err)
 	}
 }
 
 func TestCountersDecodeTruncated(t *testing.T) {
-	b := EncodeCounters(map[string]uint64{"some.counter": 42})
+	b := EncodeCountersHeat(map[string]uint64{"some.counter": 42}, nil)
 	for cut := 1; cut < len(b); cut++ {
 		if _, _, err := DecodeCountersHeat(b[:cut]); err == nil {
 			t.Errorf("decoding %d/%d bytes succeeded", cut, len(b))
@@ -479,9 +474,9 @@ func TestSplitBulkMsg(t *testing.T) {
 	}
 }
 
-// TestCountersHeatTrailer pins the heat trailer's contract: the prefix is
-// exactly EncodeCounters, heat-free payloads decode with nil heat, and the
-// trailer round-trips.
+// TestCountersHeatTrailer pins the heat list's contract: it round-trips,
+// it is mandatory (the old bare-counters form is rejected), and so is the
+// encoder's name order.
 func TestCountersHeatTrailer(t *testing.T) {
 	snap := map[string]uint64{"store.segments": 9, "rpc.retry": 2}
 	heat := []ModelHeat{
@@ -489,12 +484,6 @@ func TestCountersHeatTrailer(t *testing.T) {
 		{Model: 17, ReadBps: 0, WriteBps: 4096},
 	}
 	b := EncodeCountersHeat(snap, heat)
-
-	prefix := EncodeCounters(snap)
-	if !bytes.HasPrefix(b, prefix) {
-		t.Fatal("heat payload does not start with the plain counters encoding")
-	}
-
 	gotSnap, gotHeat, err := DecodeCountersHeat(b)
 	if err != nil {
 		t.Fatal(err)
@@ -506,21 +495,29 @@ func TestCountersHeatTrailer(t *testing.T) {
 		t.Errorf("heat = %+v, want %+v", gotHeat, heat)
 	}
 
-	// Bare counters: nil heat, no error.
-	s2, h2, err := DecodeCountersHeat(prefix)
-	if err != nil || h2 != nil || s2["rpc.retry"] != 2 {
-		t.Errorf("heat-free decode = %v %v %v", s2, h2, err)
+	empty := EncodeCountersHeat(snap, nil)
+	if _, h, err := DecodeCountersHeat(empty); err != nil || len(h) != 0 {
+		t.Errorf("empty heat list decode = %v %v", h, err)
 	}
-
-	// Empty heat still encodes an explicit zero-count trailer.
-	if _, h3, err := DecodeCountersHeat(EncodeCountersHeat(snap, nil)); err != nil || len(h3) != 0 {
-		t.Errorf("empty heat trailer decode = %v %v", h3, err)
+	bare := empty[:len(empty)-4]
+	if _, _, err := DecodeCountersHeat(bare); !errors.Is(err, wire.ErrTruncated) {
+		t.Errorf("bare counters = %v, want wire.ErrTruncated", err)
 	}
-
-	// Truncated trailers are rejected, not misread.
-	for cut := len(prefix) + 1; cut < len(b); cut++ {
-		if _, _, err := DecodeCountersHeat(b[:cut]); err == nil {
-			t.Errorf("decoding %d/%d bytes succeeded", cut, len(b))
+	for cut := len(bare) + 1; cut < len(b); cut++ {
+		if _, _, err := DecodeCountersHeat(b[:cut]); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("decoding %d/%d bytes = %v, want wire.ErrTruncated", cut, len(b), err)
 		}
+	}
+
+	// Swap the two names: same bytes, encoder order broken.
+	w := wire.NewWriter(64)
+	w.U32(2)
+	for _, name := range []string{"store.segments", "rpc.retry"} {
+		w.String(name)
+		w.U64(snap[name])
+	}
+	w.U32(0)
+	if _, _, err := DecodeCountersHeat(w.Bytes()); err == nil {
+		t.Error("counters out of name order accepted")
 	}
 }

@@ -375,7 +375,9 @@ func DecodeRepairPullResp(b []byte) (*RepairPullResp, error) {
 	if p.Journal, err = readDeltas(r); err != nil {
 		return nil, err
 	}
-	p.Segments = readSegTable(r)
+	if p.Segments, err = readSegTable(r); err != nil {
+		return nil, err
+	}
 	return p, r.Err()
 }
 
@@ -454,7 +456,9 @@ func DecodeRepairApplyReq(b []byte) (*RepairApplyReq, error) {
 	if q.SetCounts, err = readCounts(r); err != nil {
 		return nil, err
 	}
-	q.Segments = readSegTable(r)
+	if q.Segments, err = readSegTable(r); err != nil {
+		return nil, err
+	}
 	return q, r.Err()
 }
 

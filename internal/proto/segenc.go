@@ -163,38 +163,27 @@ type SegBase struct {
 	Vertex graph.VertexID
 }
 
-// EncodeFreedResp encodes a DecRef response: the freed-segment count in
-// the legacy leading 8 bytes (so old clients' DecodeU64 keeps working),
-// followed by an optional trailer listing the delta bases of the freed
-// segments — the references the caller must now decrement on the bases'
-// own providers, or a retired ancestor's chain would strand them. The
-// trailer is omitted when empty, keeping the legacy encoding canonical.
+// EncodeFreedResp encodes a DecRef response: the freed-segment count,
+// then the delta bases of the freed segments — the references the caller
+// must now decrement on the bases' own providers, or a retired ancestor's
+// chain would strand them.
 func EncodeFreedResp(freed uint64, bases []SegBase) []byte {
 	w := wire.NewWriter(12 + 12*len(bases))
 	w.U64(freed)
-	if len(bases) > 0 {
-		w.U32(uint32(len(bases)))
-		for _, b := range bases {
-			w.U64(uint64(b.Owner))
-			w.U32(uint32(b.Vertex))
-		}
+	w.U32(uint32(len(bases)))
+	for _, b := range bases {
+		w.U64(uint64(b.Owner))
+		w.U32(uint32(b.Vertex))
 	}
 	return w.Bytes()
 }
 
-// DecodeFreedResp parses a DecRef response, tolerating the legacy 8-byte
-// count-only encoding but rejecting a torn trailer.
+// DecodeFreedResp parses EncodeFreedResp's output.
 func DecodeFreedResp(b []byte) (uint64, []SegBase, error) {
 	r := wire.NewReader(b)
 	freed := r.U64()
-	if r.Err() != nil {
-		return 0, nil, r.Err()
-	}
-	if r.Remaining() == 0 {
-		return freed, nil, nil
-	}
 	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/12+1 {
+	if r.Err() != nil || n > r.Remaining()/12 {
 		return 0, nil, wire.ErrTruncated
 	}
 	bases := make([]SegBase, n)
@@ -202,8 +191,8 @@ func DecodeFreedResp(b []byte) (uint64, []SegBase, error) {
 		bases[i].Owner = ownermap.ModelID(r.U64())
 		bases[i].Vertex = graph.VertexID(r.U32())
 	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
+	if r.Err() != nil || r.Remaining() != 0 {
+		return 0, nil, wire.ErrTruncated
 	}
 	return freed, bases, nil
 }

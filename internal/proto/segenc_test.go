@@ -2,7 +2,10 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestSegEnvelopeRoundTrip(t *testing.T) {
@@ -86,23 +89,16 @@ func TestFreedRespRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFreedRespLegacyCompat(t *testing.T) {
-	// No bases: the encoding is the legacy 8-byte count, so pre-dedup
-	// clients' DecodeU64 keeps working against new providers...
+func TestFreedRespRejectsShortForms(t *testing.T) {
+	// No bases still encodes the count: the old bare 8-byte form is torn.
 	b := EncodeFreedResp(5, nil)
-	if len(b) != 8 {
-		t.Fatalf("empty-bases encoding is %d bytes, want the legacy 8", len(b))
+	if freed, bases, err := DecodeFreedResp(b); err != nil || freed != 5 || len(bases) != 0 {
+		t.Fatalf("empty bases: freed=%d bases=%v err=%v", freed, bases, err)
 	}
-	if v, err := DecodeU64(b); err != nil || v != 5 {
-		t.Fatalf("DecodeU64(freed resp) = %d, %v", v, err)
-	}
-	// ...and new clients decode legacy 8-byte responses.
-	if freed, bases, err := DecodeFreedResp(EncodeU64(7)); err != nil || freed != 7 || bases != nil {
-		t.Fatalf("legacy decode: freed=%d bases=%v err=%v", freed, bases, err)
-	}
-	// A torn trailer is an error, not a silently-shorter base list.
 	full := EncodeFreedResp(1, []SegBase{{Owner: 1, Vertex: 2}})
-	if _, _, err := DecodeFreedResp(full[:len(full)-3]); err == nil {
-		t.Fatal("torn freed-resp trailer decoded without error")
+	for _, bad := range [][]byte{EncodeU64(7), full[:len(full)-3], append(full, 0)} {
+		if _, _, err := DecodeFreedResp(bad); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("DecodeFreedResp(%d bytes) = %v, want wire.ErrTruncated", len(bad), err)
+		}
 	}
 }

@@ -19,7 +19,7 @@ func callDecRef(t *testing.T, p *Provider, req *proto.RefReq) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	freed, err := proto.DecodeU64(resp.Meta)
+	freed, _, err := proto.DecodeFreedResp(resp.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}

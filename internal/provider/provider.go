@@ -246,8 +246,8 @@ func (p *Provider) SetDedupTTL(ttl time.Duration) { p.dedup.setTTL(ttl) }
 // acceptsWrite reports whether the placement guard admits a write keyed by
 // id (a model being stored/retired, or the owner of refcounted segments).
 // During a migration both active epochs admit writes; outside one only the
-// current table does. Rejections carry the current table so a stale client
-// can self-update and retry (placement.TableFromError).
+// current table does. A rejection is placement.ErrWrongEpoch: the stale
+// client re-syncs its view and retries.
 func (p *Provider) acceptsWrite(id ownermap.ModelID) error {
 	st := p.place.Load()
 	if st == nil || st.Contains(p.id, id) {
@@ -255,7 +255,7 @@ func (p *Provider) acceptsWrite(id ownermap.ModelID) error {
 	}
 	p.reg.Counter("provider.placement_reject").Inc()
 	return fmt.Errorf("provider %d: not a replica of model %d in any active epoch: %w",
-		p.id, id, &placement.WrongEpochError{Table: st.Cur})
+		p.id, id, placement.ErrWrongEpoch)
 }
 
 // missErr classifies a state miss for a model this provider was asked
@@ -271,7 +271,7 @@ func (p *Provider) missErr(id ownermap.ModelID) error {
 		return nil
 	}
 	if !st.Contains(p.id, id) {
-		return fmt.Errorf("provider %d: model %d: %w", p.id, id, &placement.WrongEpochError{Table: st.Cur})
+		return fmt.Errorf("provider %d: model %d: %w", p.id, id, placement.ErrWrongEpoch)
 	}
 	if st.CatchingUp(p.id, id) {
 		return fmt.Errorf("provider %d: model %d: %w", p.id, id, placement.ErrNotMigrated)

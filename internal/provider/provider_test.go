@@ -3,6 +3,7 @@ package provider
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -370,7 +371,7 @@ func TestStoreInProgressHiddenFromLCP(t *testing.T) {
 	if res := p.LCPQuery(&proto.LCPQueryReq{Graph: g}); res.Found {
 		t.Errorf("LCP query offered model %d while its payloads were still being written", res.Model)
 	}
-	if _, _, err := p.ReadSegments(7, []graph.VertexID{0}); !placement.IsNotMigrated(err) {
+	if _, _, err := p.ReadSegments(7, []graph.VertexID{0}); !errors.Is(err, placement.ErrNotMigrated) {
 		t.Errorf("read during store: err = %v, want a not-migrated miss", err)
 	}
 

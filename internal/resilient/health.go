@@ -219,31 +219,3 @@ var (
 	_ ScoreReporter   = (*Conn)(nil)
 	_ LatencyReporter = (*Conn)(nil)
 )
-
-// attemptDeadline picks the per-attempt deadline for a call whose caller
-// context carries none: the observed AdaptiveQuantile latency times
-// AdaptiveMult, clamped to [AdaptiveFloor, DefaultTimeout]. Until samples
-// exist it falls back to DefaultTimeout — adaptive deadlines tighten an
-// existing bound, they never loosen it.
-func (c *Conn) attemptDeadline() time.Duration {
-	d := c.opts.DefaultTimeout
-	if d < 0 {
-		d = 0
-	}
-	if !c.opts.AdaptiveDeadline {
-		return d
-	}
-	p := c.health.percentile(c.opts.AdaptiveQuantile)
-	if p <= 0 {
-		return d
-	}
-	ad := time.Duration(float64(p) * c.opts.AdaptiveMult)
-	if ad < c.opts.AdaptiveFloor {
-		ad = c.opts.AdaptiveFloor
-	}
-	if d > 0 && ad > d {
-		return d
-	}
-	c.adaptive.Inc()
-	return ad
-}

@@ -207,47 +207,6 @@ func TestLatencyPercentileOrdering(t *testing.T) {
 	}
 }
 
-func TestAdaptiveDeadlineTightensFromObservedTail(t *testing.T) {
-	clk := newFakeClock()
-	o := opts(clk)
-	o.DefaultTimeout = 10 * time.Second
-	o.AdaptiveDeadline = true
-	o.AdaptiveQuantile = 0.99
-	o.AdaptiveMult = 4
-	o.AdaptiveFloor = time.Millisecond
-	c := Wrap(&advanceConn{clk: clk, d: 2 * time.Millisecond}, o)
-
-	// No samples yet: full default timeout.
-	if d := c.attemptDeadline(); d != 10*time.Second {
-		t.Fatalf("cold attemptDeadline = %v, want DefaultTimeout", d)
-	}
-	ctx := context.Background()
-	for i := 0; i < 16; i++ {
-		if _, err := c.Call(ctx, "op", rpc.Message{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every observed call took 2ms, so the deadline contracts to p99*4.
-	if d := c.attemptDeadline(); d != 8*time.Millisecond {
-		t.Fatalf("warm attemptDeadline = %v, want 8ms (2ms p99 x 4)", d)
-	}
-	if n := c.opts.Registry.Counter("rpc.adaptive_deadline").Load(); n == 0 {
-		t.Fatal("rpc.adaptive_deadline counter never incremented")
-	}
-
-	// The floor holds against microsecond-scale observations.
-	o.AdaptiveFloor = 50 * time.Millisecond
-	c2 := Wrap(&advanceConn{clk: clk, d: 10 * time.Microsecond}, o)
-	for i := 0; i < 16; i++ {
-		if _, err := c2.Call(ctx, "op", rpc.Message{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := c2.attemptDeadline(); d != 50*time.Millisecond {
-		t.Fatalf("floored attemptDeadline = %v, want 50ms", d)
-	}
-}
-
 // Satellite (-race): concurrent SetStateListener swaps during breaker
 // transitions must be safe — notifyState snapshots the listener under its
 // own lock while transitions fire from many goroutines.

@@ -101,23 +101,6 @@ type Options struct {
 	// Clock and Seed inject time and jitter randomness for tests.
 	Clock Clock
 	Seed  int64
-	// AdaptiveDeadline derives the per-attempt deadline from this
-	// connection's observed latency distribution instead of the static
-	// DefaultTimeout: quantile AdaptiveQuantile times AdaptiveMult,
-	// clamped to [AdaptiveFloor, DefaultTimeout]. A gray-slow provider
-	// then times out at a few multiples of its own recent tail instead
-	// of parking callers on a 10s fabric-wide constant. Off by default.
-	AdaptiveDeadline bool
-	// AdaptiveQuantile is the observed quantile the deadline is derived
-	// from. Default 0.99.
-	AdaptiveQuantile float64
-	// AdaptiveMult scales the observed quantile into a deadline.
-	// Default 4.
-	AdaptiveMult float64
-	// AdaptiveFloor is the minimum adaptive deadline, so microsecond
-	// in-proc latencies can't produce unserviceable deadlines.
-	// Default 25ms.
-	AdaptiveFloor time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -148,15 +131,6 @@ func (o Options) withDefaults() Options {
 	if o.Clock == nil {
 		o.Clock = realClock{}
 	}
-	if o.AdaptiveQuantile <= 0 || o.AdaptiveQuantile > 1 {
-		o.AdaptiveQuantile = 0.99
-	}
-	if o.AdaptiveMult <= 0 {
-		o.AdaptiveMult = 4
-	}
-	if o.AdaptiveFloor <= 0 {
-		o.AdaptiveFloor = 25 * time.Millisecond
-	}
 	return o
 }
 
@@ -178,7 +152,7 @@ type Conn struct {
 
 	retries, shed            *metrics.Counter
 	opened, halfOpen, closed *metrics.Counter
-	throttled, adaptive      *metrics.Counter
+	throttled                *metrics.Counter
 }
 
 // SetStateListener installs fn to be called — synchronously, off the
@@ -217,7 +191,6 @@ func Wrap(conn rpc.Conn, o Options) *Conn {
 		halfOpen:  reg.Counter("rpc.breaker_half_open"),
 		closed:    reg.Counter("rpc.breaker_close"),
 		throttled: reg.Counter("rpc.throttle_backoff"),
-		adaptive:  reg.Counter("rpc.adaptive_deadline"),
 	}
 }
 
@@ -358,15 +331,15 @@ func clampRetryAfter(d time.Duration) time.Duration {
 	return d
 }
 
-// attempt runs one try under the per-attempt deadline (static default or
-// adaptive, see attemptDeadline) and feeds its outcome into the
+// attempt runs one try under the per-attempt deadline (DefaultTimeout when
+// the caller's context has none) and feeds its outcome into the
 // connection's health observations: every attempt updates the error EWMA,
 // completed round trips (success or authoritative answer) update the
 // latency window. Caller-cancelled attempts record nothing — they carry
 // no information about the provider.
 func (c *Conn) attempt(ctx context.Context, name string, req rpc.Message) (rpc.Message, error) {
 	if _, has := ctx.Deadline(); !has {
-		if d := c.attemptDeadline(); d > 0 {
+		if d := c.opts.DefaultTimeout; d > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()

@@ -3,6 +3,7 @@ package resilient
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -92,14 +93,30 @@ func TestThrottleRetryAfterClamped(t *testing.T) {
 }
 
 // TestThrottleSurvivesRemoteFlattening: the hint must survive the TCP
-// transport's error flattening (error → string → remote error), which is how
-// it actually arrives from a real provider.
+// transport, where a provider's wrapped refusal arrives as a remote error
+// whose status carries the retry-after.
 func TestThrottleSurvivesRemoteFlattening(t *testing.T) {
+	srv := rpc.NewServer()
+	srv.Register("read", func(context.Context, rpc.Message) (rpc.Message, error) {
+		return rpc.Message{}, fmt.Errorf("provider 0: read 7: %w", throttled(40*time.Millisecond))
+	})
+	lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	conn, err := rpc.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, remote := conn.Call(context.Background(), "read", rpc.Message{})
+	if !rpc.IsRemote(remote) {
+		t.Fatalf("test setup: %v is not a remote error", remote)
+	}
+
 	clk := newFakeClock()
-	o := opts(clk)
-	flat := errors.New("rpc: remote: provider 0: read 7: " + throttled(40*time.Millisecond).Error())
-	sc := &scriptConn{errs: []error{flat}}
-	c := Wrap(sc, o)
+	c := Wrap(&scriptConn{errs: []error{remote}}, opts(clk))
 	if _, err := c.Call(context.Background(), "evostore.read_segments", rpc.Message{}); err != nil {
 		t.Fatal(err)
 	}

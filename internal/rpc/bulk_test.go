@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -227,8 +226,8 @@ func TestTCPOversizedResponseIsRemoteError(t *testing.T) {
 	if err == nil || !IsRemote(err) {
 		t.Fatalf("oversized response = %v, want remote error", err)
 	}
-	if !strings.Contains(err.Error(), "frame exceeds size limit") {
-		t.Errorf("error does not name the size limit: %v", err)
+	if !IsFrameTooLarge(err) || IsTransient(err) {
+		t.Errorf("oversized response %v: want StatusFrameTooLarge, permanent", err)
 	}
 	// The server converted the oversize to an error frame instead of a torn
 	// frame: the same connection must still serve requests.

@@ -33,15 +33,101 @@ var (
 	// ErrFrameTooLarge is returned when a payload's length field would
 	// exceed MaxFrame, checked on the send side before any byte is
 	// written: the frame is never emitted, so the connection stays
-	// usable. Servers report an oversized *response* to the client as a
-	// remote error carrying this error's text. It classifies as
-	// permanent: retrying the same payload would fail identically.
-	ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
+	// usable. Servers report an oversized *response* as a remote error
+	// with StatusFrameTooLarge, which matches this sentinel too. It
+	// classifies as permanent: retrying the same payload would fail
+	// identically.
+	ErrFrameTooLarge = NewCoded(StatusFrameTooLarge, "rpc: frame exceeds size limit")
 )
 
-// IsFrameTooLarge reports whether err is a sender-side oversized-frame
-// rejection (the frame never touched the wire, so the connection remains
-// usable).
+// Status is the code an error frame carries: which failure a remote
+// handler returned, so the caller can act on it without reading its text.
+// Only StatusThrottled has an argument (the retry-after in nanoseconds).
+type Status uint8
+
+const (
+	StatusOK            Status = iota // never an error
+	StatusError                       // a handler failure no other code names
+	StatusWrongEpoch                  // placement.ErrWrongEpoch
+	StatusNotMigrated                 // placement.ErrNotMigrated
+	StatusThrottled                   // frontdoor.ErrThrottled, with a retry-after
+	StatusFrameTooLarge               // ErrFrameTooLarge
+	numStatus
+)
+
+// Coded is the one interface an error implements to cross the wire under
+// its own Status instead of StatusError. The transports find it with
+// errors.As, so a handler may wrap a Coded error in any context; a
+// relayed remote error is Coded too, so its status travels on unchanged.
+type Coded interface {
+	error
+	WireStatus() (Status, uint64)
+}
+
+// NewCoded returns a sentinel error that crosses the wire as s. A remote
+// error carrying s matches it with errors.Is, exactly as a local error
+// wrapping it does.
+func NewCoded(s Status, text string) error { return &codedError{status: s, text: text} }
+
+type codedError struct {
+	status Status
+	text   string
+}
+
+func (e *codedError) Error() string                { return e.text }
+func (e *codedError) WireStatus() (Status, uint64) { return e.status, 0 }
+
+// StatusOf returns the status and argument err crosses the wire with: the
+// first Coded error in its chain, else StatusError (StatusOK for nil).
+func StatusOf(err error) (Status, uint64) {
+	if err == nil {
+		return StatusOK, 0
+	}
+	var c Coded
+	if errors.As(err, &c) {
+		return c.WireStatus()
+	}
+	return StatusError, 0
+}
+
+// remoteError is a handler failure as the caller sees it, on every
+// transport: the handler's text, its status and the status argument.
+type remoteError struct {
+	msg    string
+	status Status
+	arg    uint64
+}
+
+// remoteFrom is the remote error a caller receives for handler error err.
+func remoteFrom(err error) *remoteError {
+	st, arg := StatusOf(err)
+	return &remoteError{msg: err.Error(), status: st, arg: arg}
+}
+
+func (e *remoteError) Error() string                { return "rpc: remote: " + e.msg }
+func (e *remoteError) WireStatus() (Status, uint64) { return e.status, e.arg }
+
+// Is matches the sentinel of e's status, so errors.Is answers a remote
+// failure the way it answers the handler's local error.
+func (e *remoteError) Is(target error) bool {
+	c, ok := target.(Coded)
+	if !ok {
+		return false
+	}
+	st, _ := c.WireStatus()
+	return st == e.status
+}
+
+// IsRemote reports whether err originated in a remote handler (as opposed
+// to a transport failure).
+func IsRemote(err error) bool {
+	var re *remoteError
+	return errors.As(err, &re)
+}
+
+// IsFrameTooLarge reports whether err is an oversized-frame rejection —
+// this side's send check or a server's StatusFrameTooLarge answer. Neither
+// tears a frame, so the connection remains usable.
 func IsFrameTooLarge(err error) bool { return errors.Is(err, ErrFrameTooLarge) }
 
 // transientErr marks an error as explicitly transient.

@@ -95,7 +95,7 @@ func TestFaultPartitionSwitch(t *testing.T) {
 }
 
 func TestErrorClassification(t *testing.T) {
-	remote := &remoteError{msg: "handler said no"}
+	remote := &remoteError{msg: "handler said no", status: StatusError}
 	cases := []struct {
 		err  error
 		want bool

@@ -92,9 +92,10 @@ func (c *inprocConn) Call(ctx context.Context, name string, req Message) (Messag
 	}
 	resp, err := srv.dispatch(ctx, name, req)
 	if err != nil {
-		// Handler failures cross the (virtual) wire as remote errors, so
-		// callers see the same error class on every transport.
-		return resp, &remoteError{msg: err.Error()}
+		// Handler failures cross the (virtual) wire as the remote error
+		// TCP would deliver — same status, same text — so callers see the
+		// same answers on every transport.
+		return resp, remoteFrom(err)
 	}
 	return resp, nil
 }

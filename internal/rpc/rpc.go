@@ -24,9 +24,12 @@
 //     executed on the server; callers must only retry operations that are
 //     idempotent or carry a proto request ID for provider-side dedup.
 //     The resilient package builds that policy on top of this one.
-//   - Errors: handler failures cross the wire as remote errors (IsRemote);
-//     everything else is a transport failure. IsTransient classifies both
-//     for retry decisions.
+//   - Errors: handler failures cross the wire as remote errors (IsRemote)
+//     carrying one Status code, the same over TCP, the in-process fabric
+//     and a handler relaying another conn's error; a caller matches the
+//     code's sentinel with errors.Is and never reads the text. Everything
+//     else is a transport failure. IsTransient classifies both for retry
+//     decisions (errors.go).
 //   - Buffer ownership (the aliasing contract the zero-copy path relies
 //     on): request buffers handed to a Handler are owned by the transport;
 //     a handler may alias them in its *response* (echo-style), but must
@@ -197,18 +200,6 @@ type Conn interface {
 // ErrClosed is returned by calls on a closed connection or transport.
 var ErrClosed = errors.New("rpc: closed")
 
-// remoteError wraps an error string returned by a remote handler.
-type remoteError struct{ msg string }
-
-func (e *remoteError) Error() string { return "rpc: remote: " + e.msg }
-
-// IsRemote reports whether err originated in a remote handler (as opposed
-// to a transport failure).
-func IsRemote(err error) bool {
-	var re *remoteError
-	return errors.As(err, &re)
-}
-
 // Broadcast invokes the named handler on every connection concurrently and
 // returns the responses in connection order. Each slot carries either a
 // response or an error; Broadcast itself only fails on ctx cancellation.
@@ -232,19 +223,4 @@ func Broadcast(ctx context.Context, conns []Conn, name string, req Message) []Re
 type Result struct {
 	Resp Message
 	Err  error
-}
-
-// Reduce folds broadcast results with fn, skipping errored slots. It
-// returns the folded value and the number of successful slots.
-func Reduce[T any](results []Result, zero T, fn func(acc T, r Message) T) (T, int) {
-	acc := zero
-	ok := 0
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		acc = fn(acc, r.Resp)
-		ok++
-	}
-	return acc, ok
 }

@@ -246,7 +246,7 @@ func TestTCPDeadline(t *testing.T) {
 	}
 }
 
-func TestBroadcastAndReduce(t *testing.T) {
+func TestBroadcast(t *testing.T) {
 	net := NewInprocNet()
 	for i := 0; i < 4; i++ {
 		srv := NewServer()
@@ -268,9 +268,10 @@ func TestBroadcastAndReduce(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	sum, ok := Reduce(results, 0, func(acc int, m Message) int { return acc + int(m.Meta[0]) })
-	if ok != 4 || sum != 10 {
-		t.Errorf("Reduce = %d over %d, want 10 over 4", sum, ok)
+	for i, r := range results {
+		if r.Err != nil || len(r.Resp.Meta) != 1 || r.Resp.Meta[0] != byte(i+1) {
+			t.Errorf("slot %d = %v %v, want value %d in connection order", i, r.Resp.Meta, r.Err, i+1)
+		}
 	}
 }
 
@@ -289,9 +290,8 @@ func TestBroadcastPartialFailure(t *testing.T) {
 	cg, _ := net.Dial("good")
 	cb, _ := net.Dial("bad")
 	results := Broadcast(context.Background(), []Conn{cg, cb}, "q", Message{})
-	sum, ok := Reduce(results, 0, func(acc int, m Message) int { return acc + int(m.Meta[0]) })
-	if ok != 1 || sum != 1 {
-		t.Errorf("Reduce over partial failure = %d/%d", sum, ok)
+	if results[0].Err != nil || len(results[0].Resp.Meta) != 1 {
+		t.Errorf("healthy slot = %v %v", results[0].Resp.Meta, results[0].Err)
 	}
 	if results[1].Err == nil {
 		t.Error("failed slot carries no error")

@@ -14,9 +14,14 @@ import (
 // TCP wire format, little-endian:
 //
 //	request:  u16 nameLen | name | u32 metaLen | meta | u64 bulkLen | bulk
-//	response: u8 status (0=ok, 1=error) |
-//	          ok:    u32 metaLen | meta | u64 bulkLen | bulk
-//	          error: u32 msgLen | msg
+//	response: u8 status | u32 n | n bytes | trailer
+//	          StatusOK:        meta, then u64 bulkLen | bulk
+//	          StatusThrottled: the message, then u64 retry-after (ns)
+//	          other statuses:  the message, no trailer
+//
+// The status is the handler error's code (errors.go), so a typed failure
+// crosses as its code, never as text to parse; a status this binary does
+// not know drops the connection like any other torn frame.
 //
 // The bulk payload is always framed as one total length followed by the
 // bytes in order; a vectored payload (Message.BulkVec) is gathered into
@@ -33,6 +38,11 @@ import (
 // format. Senders reject oversized frames with ErrFrameTooLarge before
 // writing a byte; receivers drop the connection when a peer announces one.
 const MaxFrame = 1 << 31
+
+// recvLimit is the largest length field the frame readers accept:
+// MaxFrame, lowered by FuzzReadFrame so a mutated length cannot make a
+// reader allocate gigabytes.
+var recvLimit uint64 = MaxFrame
 
 // vecFlushThreshold is the bulk size above which a vectored payload is
 // written with writev directly to the socket instead of being copied
@@ -92,13 +102,12 @@ func serveConn(conn net.Conn, srv *Server) {
 // readRequest reads one request frame. Meta and bulk buffers are drawn
 // from the receive pool; serveConn recycles them once the response has
 // been written.
-func readRequest(r *bufio.Reader) (string, Message, error) {
+func readRequest(r io.Reader) (string, Message, error) {
 	var nl [2]byte
 	if _, err := io.ReadFull(r, nl[:]); err != nil {
 		return "", Message{}, err
 	}
-	nameLen := int(binary.LittleEndian.Uint16(nl[:]))
-	name := make([]byte, nameLen)
+	name := make([]byte, binary.LittleEndian.Uint16(nl[:]))
 	if _, err := io.ReadFull(r, name); err != nil {
 		return "", Message{}, err
 	}
@@ -112,6 +121,19 @@ func readRequest(r *bufio.Reader) (string, Message, error) {
 		return "", Message{}, err
 	}
 	return string(name), Message{Meta: meta, Bulk: bulk}, nil
+}
+
+// writeRequest frames one request; the caller flushes w.
+func writeRequest(w *bufio.Writer, conn net.Conn, vec *net.Buffers, name string, req Message) error {
+	var nl [2]byte
+	binary.LittleEndian.PutUint16(nl[:], uint16(len(name)))
+	w.Write(nl[:])
+	w.WriteString(name)
+	var l4 [4]byte
+	binary.LittleEndian.PutUint32(l4[:], uint32(len(req.Meta)))
+	w.Write(l4[:])
+	w.Write(req.Meta)
+	return writeBulk(w, conn, vec, &req)
 }
 
 // writeBulk frames the bulk payload of m: the u64 total length, then the
@@ -145,34 +167,72 @@ func writeBulk(w *bufio.Writer, conn net.Conn, vec *net.Buffers, m *Message) err
 	return err
 }
 
-// writeResponse frames one response. An oversized meta or bulk payload is
-// reported to the client as a remote error carrying the ErrFrameTooLarge
-// text instead of a torn frame, so the connection stays usable.
+// writeResponse frames one response: resp, or the error frame for herr.
+// An oversized meta or bulk payload is reported to the client with
+// StatusFrameTooLarge instead of a torn frame, so the connection stays
+// usable.
 func writeResponse(w *bufio.Writer, conn net.Conn, vec *net.Buffers, resp Message, herr error) error {
-	if herr == nil {
-		if len(resp.Meta) > MaxFrame || resp.BulkLen() > MaxFrame {
-			herr = fmt.Errorf("%w: response meta %d bulk %d bytes", ErrFrameTooLarge, len(resp.Meta), resp.BulkLen())
-		}
+	if herr == nil && (len(resp.Meta) > MaxFrame || resp.BulkLen() > MaxFrame) {
+		herr = fmt.Errorf("%w: response meta %d bulk %d bytes", ErrFrameTooLarge, len(resp.Meta), resp.BulkLen())
 	}
 	if herr != nil {
-		msg := herr.Error()
-		if err := w.WriteByte(1); err != nil {
-			return err
-		}
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(msg)))
-		w.Write(l[:])
-		_, err := w.WriteString(msg)
-		return err
+		return writeError(w, remoteFrom(herr))
 	}
-	if err := w.WriteByte(0); err != nil {
-		return err
-	}
-	var l4 [4]byte
-	binary.LittleEndian.PutUint32(l4[:], uint32(len(resp.Meta)))
-	w.Write(l4[:])
+	var hdr [5]byte // StatusOK | u32 metaLen
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(resp.Meta)))
+	w.Write(hdr[:])
 	w.Write(resp.Meta)
 	return writeBulk(w, conn, vec, &resp)
+}
+
+// writeError frames one error response: status, message, and the
+// retry-after trailer of StatusThrottled.
+func writeError(w *bufio.Writer, e *remoteError) error {
+	var b [13]byte
+	b[0] = byte(e.status)
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(e.msg)))
+	w.Write(b[:5])
+	_, err := w.WriteString(e.msg)
+	if e.status == StatusThrottled {
+		binary.LittleEndian.PutUint64(b[5:], e.arg)
+		_, err = w.Write(b[5:])
+	}
+	return err
+}
+
+// readResponse reads one response frame: the message of a StatusOK frame,
+// or the *remoteError an error frame carries. Any other error means the
+// stream is unusable. With pooled set, the bulk payload lands in a buffer
+// from the receive pool.
+func readResponse(r io.Reader, pooled bool) (Message, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Message{}, err
+	}
+	status := Status(hdr[0])
+	if status >= numStatus {
+		return Message{}, fmt.Errorf("rpc: bad status byte %d", status)
+	}
+	body, err := readBody(r, uint64(binary.LittleEndian.Uint32(hdr[1:])), false)
+	if err != nil {
+		return Message{}, err
+	}
+	if status == StatusOK {
+		bulk, err := readSized64(r, pooled)
+		if err != nil {
+			return Message{}, err
+		}
+		return Message{Meta: body, Bulk: bulk}, nil
+	}
+	re := &remoteError{msg: string(body), status: status}
+	if status == StatusThrottled {
+		var a [8]byte
+		if _, err := io.ReadFull(r, a[:]); err != nil {
+			return Message{}, err
+		}
+		re.arg = binary.LittleEndian.Uint64(a[:])
+	}
+	return Message{}, re
 }
 
 // readSized32 / readSized64 read one length-prefixed field. With pooled
@@ -185,14 +245,7 @@ func readSized32(r io.Reader, pooled bool) ([]byte, error) {
 	if _, err := io.ReadFull(r, l[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(l[:])
-	if n > MaxFrame {
-		// Untyped on purpose: peers guard their own sends, so an announced
-		// oversize means stream corruption — a transport failure, not a
-		// payload-too-large verdict the caller could act on.
-		return nil, fmt.Errorf("rpc: announced frame of %d bytes exceeds limit", n)
-	}
-	return readBody(r, int(n), pooled)
+	return readBody(r, uint64(binary.LittleEndian.Uint32(l[:])), pooled)
 }
 
 func readSized64(r io.Reader, pooled bool) ([]byte, error) {
@@ -200,20 +253,22 @@ func readSized64(r io.Reader, pooled bool) ([]byte, error) {
 	if _, err := io.ReadFull(r, l[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(l[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("rpc: announced frame of %d bytes exceeds limit", n)
-	}
-	return readBody(r, int(n), pooled)
+	return readBody(r, binary.LittleEndian.Uint64(l[:]), pooled)
 }
 
-func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
+func readBody(r io.Reader, n uint64, pooled bool) ([]byte, error) {
+	if n > recvLimit {
+		// Untyped on purpose: peers guard their own sends, so an announced
+		// oversize means stream corruption — a transport failure, not a
+		// payload-too-large verdict the caller could act on.
+		return nil, fmt.Errorf("rpc: announced frame of %d bytes exceeds limit", n)
+	}
 	if n == 0 {
 		return nil, nil
 	}
 	var buf []byte
 	if pooled {
-		buf = getBuf(n)
+		buf = getBuf(int(n))
 	} else {
 		buf = make([]byte, n)
 	}
@@ -280,15 +335,7 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		c.dead = true
 		return Message{}, fmt.Errorf("rpc: setting deadline on %s: %w", c.addr, err)
 	}
-	var nl [2]byte
-	binary.LittleEndian.PutUint16(nl[:], uint16(len(name)))
-	c.w.Write(nl[:])
-	c.w.WriteString(name)
-	var l4 [4]byte
-	binary.LittleEndian.PutUint32(l4[:], uint32(len(req.Meta)))
-	c.w.Write(l4[:])
-	c.w.Write(req.Meta)
-	if err := writeBulk(c.w, c.conn, &c.vec, &req); err != nil {
+	if err := writeRequest(c.w, c.conn, &c.vec, name, req); err != nil {
 		c.dead = true
 		return Message{}, err
 	}
@@ -296,44 +343,22 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		c.dead = true
 		return Message{}, err
 	}
-
-	status, err := c.r.ReadByte()
+	// With a frame sink on the context the caller has opted into leased
+	// receive frames: the bulk payload lands in a pooled buffer whose
+	// recycle point is the lease's final release, instead of a one-shot
+	// allocation the GC has to chew through.
+	sink := frameSinkFrom(ctx)
+	resp, err := readResponse(c.r, sink != nil)
 	if err != nil {
-		c.dead = true
+		if _, remote := err.(*remoteError); !remote {
+			c.dead = true
+		}
 		return Message{}, err
 	}
-	switch status {
-	case 0:
-		meta, err := readSized32(c.r, false)
-		if err != nil {
-			c.dead = true
-			return Message{}, err
-		}
-		// With a frame sink on the context the caller has opted into
-		// leased receive frames: the bulk payload lands in a pooled
-		// buffer whose recycle point is the lease's final release,
-		// instead of a one-shot allocation the GC has to chew through.
-		sink := frameSinkFrom(ctx)
-		bulk, err := readSized64(c.r, sink != nil)
-		if err != nil {
-			c.dead = true
-			return Message{}, err
-		}
-		if sink != nil && len(bulk) > 0 {
-			sink.set(NewFrame(bulk))
-		}
-		return Message{Meta: meta, Bulk: bulk}, nil
-	case 1:
-		msg, err := readSized32(c.r, false)
-		if err != nil {
-			c.dead = true
-			return Message{}, err
-		}
-		return Message{}, &remoteError{msg: string(msg)}
-	default:
-		c.dead = true
-		return Message{}, fmt.Errorf("rpc: bad status byte %d", status)
+	if sink != nil && len(resp.Bulk) > 0 {
+		sink.set(NewFrame(resp.Bulk))
 	}
+	return resp, nil
 }
 
 // noDeadline clears a previously set deadline.

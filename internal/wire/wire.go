@@ -9,9 +9,9 @@
 // Contracts: Writer and Reader are single-use, not safe for concurrent
 // use, and allocation-light by design. Every decode failure surfaces as
 // ErrTruncated; a Reader sticks at its first error so callers may check
-// Err once at the end. Formats evolve by appending optional trailers
-// (see proto): decoders tolerate a completely absent trailer but must
-// reject a torn one, so corruption is never silently read as defaults.
+// Err once at the end. Both ends run one binary, so a control decoder
+// checks Err and Remaining() == 0 last and rejects any other length as
+// ErrTruncated instead of reading an absent field as a default (see proto).
 package wire
 
 import (

@@ -3,10 +3,11 @@
 # it: non-test Go lines (plain `wc -l`, comments and blanks included, so
 # reformatting or comment stripping shows up as what it is) per package and
 # in total, excluding the benchmark under bench/, followed by the option
-# surface — client.With* functional options, core.Options fields, the flags
-# of the two operator binaries, the flags of evostore-bench's scenario
-# subcommands (every non-test file but main.go, which holds the figure
-# subcommands), and the Makefile's phony targets. Run it on the parent
+# surface — client.With* functional options, core.Options and
+# resilient.Options fields, the flags of the two operator binaries, the
+# flags of evostore-bench's scenario subcommands (every non-test file but
+# main.go, which holds the figure subcommands), and the Makefile's phony
+# targets. Run it on the parent
 # commit and on the change to get a before/after a reviewer can reproduce.
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,7 +30,10 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_bu
 count() { grep -c "$@" || true; }
 echo
 printf '%7d  client.With* options\n' "$(cat internal/client/*.go | count '^func With[A-Z]')"
-printf '%7d  core.Options fields\n' "$(awk '/^type Options struct {/ {on = 1; next} on && /^}/ {exit} on && /^\t[A-Z]/' internal/core/core.go | count .)"
+optfields='/^type Options struct {/ {on = 1; next} on && /^}/ {exit} on && /^\t[A-Z]/'
+for f in internal/core/core.go internal/resilient/resilient.go; do
+    printf '%7d  %s.Options fields\n' "$(awk "$optfields" "$f" | count .)" "$(basename "$(dirname "$f")")"
+done
 flagdef='\.(String|Int|Int64|Uint|Uint64|Bool|Duration|Float64)\("'
 for bin in evostore-server evostore-ctl; do
     printf '%7d  %s flags\n' "$(count -E "$flagdef" "cmd/$bin/main.go")" "$bin"
