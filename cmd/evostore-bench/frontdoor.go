@@ -106,15 +106,10 @@ func (c *fdCluster) store(first, last, nseg, segBytes int) error {
 	return nil
 }
 
-// loadRelease is one front-door read: Load under a lease, then Release so
-// the pooled receive frames recycle.
-func loadRelease(cli *client.Client, id int) error {
-	d, err := cli.Load(context.Background(), ownermap.ModelID(id))
-	if err != nil {
-		return err
-	}
-	d.Release()
-	return nil
+// loadModel is one front-door read: a whole-model Load.
+func loadModel(cli *client.Client, id int) error {
+	_, err := cli.Load(context.Background(), ownermap.ModelID(id))
+	return err
 }
 
 func runFrontdoor(cfg config) error {
@@ -149,7 +144,7 @@ func zipfPhase(cfg config) error {
 	workers := clients * goroutines
 	start := time.Now()
 	rs := pool(cfg.seed, workers, models, true, untilCount(loads/workers), func(w, rank int) error {
-		return loadRelease(clis[w%clients], rank+1)
+		return loadModel(clis[w%clients], rank+1)
 	})
 	elapsed := time.Since(start)
 	if rs.fails != 0 {
@@ -211,7 +206,7 @@ func throttlePhase(cfg config) error {
 				time.Sleep(quietPace)
 			}
 			return time.Now().After(deadline)
-		}, func(int, int) error { return loadRelease(quiet, quietModel) })
+		}, func(int, int) error { return loadModel(quiet, quietModel) })
 	}
 	alone := quietRun()
 
@@ -224,7 +219,7 @@ func throttlePhase(cfg config) error {
 	go func() {
 		defer wg.Done()
 		noisyRun = pool(cfg.seed, 1, noisyModels, false, untilTime(dur), func(_, rank int) error {
-			err := loadRelease(noisy, rank+1)
+			err := loadModel(noisy, rank+1)
 			if _, ok := frontdoor.RetryAfterFromError(err); ok {
 				throttled.Add(1)
 				return nil

@@ -739,7 +739,9 @@ func stormRun(cfg config, episode time.Duration, hedged bool) (*stormPhases, err
 //     plus one 1s refill window, plus the fresh bucket's bootstrap token;
 //   - (timing) the hedged storm p99 stays within 2x the hedged healthy
 //     baseline plus an episode-scaled slack, though one provider is 20x
-//     slow through most of the storm.
+//     slow through most of the storm;
+//   - (timing) hedging pays for itself: the hedged storm p99 is below half
+//     the unhedged one.
 func runStorm(cfg config) error {
 	episode := time.Duration(cfg.size(400, 100)) * time.Millisecond
 	unhedged, err := stormRun(cfg, episode, false)
@@ -768,6 +770,10 @@ func runStorm(cfg config) error {
 	if limit := hedged.healthy.p(0.99)*2 + slack; cfg.timing && hedged.storm.p(0.99) > limit {
 		return fmt.Errorf("hedged storm p99 %.2fms exceeds %.2fms (healthy %.2fms x2 + %.1fms)",
 			hedged.storm.p(0.99), limit, hedged.healthy.p(0.99), slack)
+	}
+	if cfg.timing && hedged.storm.p(0.99) >= unhedged.storm.p(0.99)/2 {
+		return fmt.Errorf("hedged storm p99 %.2fms is not below half the unhedged %.2fms",
+			hedged.storm.p(0.99), unhedged.storm.p(0.99))
 	}
 	cfg.logf("contract holds: 0 failed reads in all phases, %d hedges within budget (unhedged storm p99 %.2fms, hedged %.2fms)\n",
 		hedged.hedges, unhedged.storm.p(0.99), hedged.storm.p(0.99))

@@ -120,8 +120,7 @@ func ChainModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]
 
 // benchReadPath measures a full client Load (metadata + consolidated
 // segment read) of an nseg×segBytes model from one TCP provider, via an
-// rpc.Pool of 4 connections — the deployment shape of evostore-server —
-// under a lease it releases, as a front-door reader does.
+// rpc.Pool of 4 connections — the deployment shape of evostore-server.
 func benchReadPath(nseg, segBytes int, opts ...client.Option) func(b *testing.B) {
 	return func(b *testing.B) {
 		p := provider.New(0, kvstore.NewMemKV(8))
@@ -152,7 +151,6 @@ func benchReadPath(nseg, segBytes int, opts ...client.Option) func(b *testing.B)
 			if len(data.Segments) != nseg {
 				b.Fatal("short load")
 			}
-			data.Release()
 		}
 	}
 }

@@ -172,14 +172,6 @@ func New(conns []rpc.Conn, opts ...Option) *Client {
 		o(c)
 	}
 	c.resolved = newSegCache(c.segCacheMax)
-	// Every waiter that joins a flight takes its own reference on the
-	// shared receive frame, granted before the waiter can observe the
-	// result — see frontdoor.Group.OnShare.
-	c.flights.OnShare = func(g groupRead) {
-		if g.frame != nil {
-			g.frame.Retain()
-		}
-	}
 	tbl := c.explicit
 	if tbl == nil {
 		r := c.replicas
@@ -197,9 +189,6 @@ func New(conns []rpc.Conn, opts ...Option) *Client {
 	return c
 }
 
-// NumProviders returns the deployment size.
-func (c *Client) NumProviders() int { return len(c.conns) }
-
 // HomeProvider returns the model's preferred provider under the active
 // placement table (on the epoch-0 table: the modulo hash home).
 func (c *Client) HomeProvider(id ownermap.ModelID) int {
@@ -207,27 +196,12 @@ func (c *Client) HomeProvider(id ownermap.ModelID) int {
 }
 
 // ModelData is a fully resolved model: metadata plus one consolidated
-// tensor segment per vertex (empty for parameter-free leaves).
-//
-// Segments fetched over the TCP transport may be views into pooled receive
-// frames held by the embedded lease. Call Release once the segments are no
-// longer needed (after decoding the tensors, or copying what must outlive
-// the model) to return the buffers to the receive pool; touching Segments
-// after Release is a use-after-free. Never calling Release is safe — the
-// buffers just stay out of the pool until the GC collects them.
+// tensor segment per vertex (empty for parameter-free leaves). Segments
+// are views the client's segment cache and concurrent loads may share:
+// treat them as read-only.
 type ModelData struct {
 	Meta     *proto.ModelMeta
 	Segments [][]byte
-
-	lease *Lease
-}
-
-// Release returns the pooled receive buffers backing Segments (if any).
-// Idempotent; safe on a nil or lease-less ModelData.
-func (d *ModelData) Release() {
-	if d != nil {
-		d.lease.Release()
-	}
 }
 
 // ownerGroups partitions a model's vertices by owning model, ascending.
@@ -387,13 +361,11 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 	if err != nil {
 		return nil, err
 	}
-	lease := &Lease{}
-	segs, _, err := c.readByOwner(ctx, meta.OwnerMap, nil, lease)
+	segs, _, err := c.readByOwner(ctx, meta.OwnerMap, nil)
 	if err != nil {
-		lease.Release()
 		return nil, fmt.Errorf("client: load %d: %w", id, err)
 	}
-	return &ModelData{Meta: meta, Segments: segs, lease: lease}, nil
+	return &ModelData{Meta: meta, Segments: segs}, nil
 }
 
 // LoadVertices reads only the given vertices of a model (the partial-read
@@ -411,19 +383,15 @@ func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertic
 		}
 		want[v] = true
 	}
-	return c.readByOwner(ctx, meta.OwnerMap, want, nil)
+	return c.readByOwner(ctx, meta.OwnerMap, want)
 }
 
 // readByOwner groups vertices by owner and issues the per-provider bulk
 // reads concurrently; want==nil selects every vertex. It returns each
 // vertex's segment and stored delta-chain depth (0 for raw). Returned
 // segments are always *logical* bytes: enveloped segments are resolved
-// before returning (see dedup.go). A non-nil lease opts the fetches into
-// pooled receive frames and receives one reference per frame backing the
-// returned segments (see frontdoor.go); with a nil lease every returned
-// buffer is a plain allocation or a deliberately unpooled frame, safe to
-// hold forever.
-func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool, lease *Lease) ([][]byte, []uint8, error) {
+// before returning (see dedup.go).
+func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool) ([][]byte, []uint8, error) {
 	segs := make([][]byte, om.Len())
 	depths := make([]uint8, om.Len())
 	refs := make([]segRef, om.Len())
@@ -442,7 +410,7 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 			// A segment resolved by an earlier load is still current —
 			// stored segments are immutable and model IDs never reused —
 			// so a cache hit skips the provider round trip entirely.
-			if ent, ok := c.resolved.get(refs[v], lease); ok {
+			if ent, ok := c.resolved.get(refs[v]); ok {
 				segs[v] = ent.b
 				depths[v] = ent.depth
 				cached[v] = true
@@ -456,7 +424,7 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 		wg.Add(1)
 		go func(gi int, owner ownermap.ModelID, vs []graph.VertexID) {
 			defer wg.Done()
-			table, parts, err := c.readGroup(ctx, owner, vs, lease)
+			table, parts, err := c.readGroup(ctx, owner, vs)
 			if err != nil {
 				errs[gi] = err
 				return
@@ -489,7 +457,7 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 			depths[v] = storedDepth(b)
 		}
 	}
-	resolved, err := c.resolveStored(ctx, segs, refs, cached, lease)
+	resolved, err := c.resolveStored(ctx, segs, refs, cached)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/proto"
-	"repro/internal/rpc"
 )
 
 // maxResolveDepth bounds read-path delta-chain recursion. It is a
@@ -137,13 +136,10 @@ type segRef struct {
 
 // cachedSeg is one resolved stored segment: its logical bytes plus the
 // stored form's delta-chain depth (0 for raw), which derived stores need
-// to bound their own chains. frame, when non-nil, is the pooled receive
-// frame b aliases; the cache holds its own reference on it, dropped at
-// eviction.
+// to bound their own chains.
 type cachedSeg struct {
 	b     []byte
 	depth uint8
-	frame *rpc.Frame
 }
 
 // segCache is the client-wide read-through segment cache: logical bytes of
@@ -156,11 +152,12 @@ type cachedSeg struct {
 // sweeps touch entries oldest-first, so FIFO approximates LRU here
 // without per-hit bookkeeping.
 //
-// Note one deliberate accounting simplification: an entry backed by a
-// frame pins the frame's whole buffer, which may be larger than the entry
-// (sibling segments of one group read share a frame). Sizing still counts
-// len(b) — the duplicate-pinning window is bounded by the eviction of the
-// sibling entries, which arrived together and leave together under FIFO.
+// Note one deliberate accounting simplification: an entry straight off
+// the wire is a view into its group read's response buffer, so it pins
+// that whole buffer, which is larger than the entry when sibling segments
+// came in the same read. Sizing still counts len(b) — the over-pinning
+// window is bounded by the eviction of the sibling entries, which arrived
+// together and leave together under FIFO.
 type segCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -182,18 +179,11 @@ func newSegCache(max int64) *segCache {
 	return &segCache{max: max, entries: make(map[segRef]cachedSeg)}
 }
 
-// get returns ref's entry, taking one reference on its backing frame for
-// the caller — transferred to lease, or deliberately leaked when lease is
-// nil (the caller may hold the bytes forever; a pinned-out-of-pool frame
-// is safe where a recycled-under-use one is not). The retain happens under
-// the cache lock, so it cannot race a concurrent eviction's release.
-func (sc *segCache) get(ref segRef, lease *Lease) (cachedSeg, bool) {
+// get returns ref's entry. The bytes are shared with every other reader
+// and stay valid after eviction.
+func (sc *segCache) get(ref segRef) (cachedSeg, bool) {
 	sc.mu.Lock()
 	e, ok := sc.entries[ref]
-	if ok && e.frame != nil {
-		e.frame.Retain()
-		lease.add(e.frame)
-	}
 	sc.mu.Unlock()
 	switch {
 	case ok && sc.hits != nil:
@@ -207,9 +197,7 @@ func (sc *segCache) get(ref segRef, lease *Lease) (cachedSeg, bool) {
 // put inserts ref unless present. An entry that cannot fit even an empty
 // cache is rejected outright — the old behaviour evicted the whole working
 // set and then inserted the oversized entry anyway, leaving size > max.
-// frame, when non-nil, backs b; the cache retains its own reference,
-// released when the entry is evicted.
-func (sc *segCache) put(ref segRef, b []byte, depth uint8, frame *rpc.Frame) {
+func (sc *segCache) put(ref segRef, b []byte, depth uint8) {
 	n := int64(len(b))
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -222,17 +210,10 @@ func (sc *segCache) put(ref segRef, b []byte, depth uint8, frame *rpc.Frame) {
 	for sc.size+n > sc.max && len(sc.order) > 0 {
 		old := sc.order[0]
 		sc.order = sc.order[1:]
-		oe := sc.entries[old]
-		sc.size -= int64(len(oe.b))
-		if oe.frame != nil {
-			oe.frame.Release()
-		}
+		sc.size -= int64(len(sc.entries[old].b))
 		delete(sc.entries, old)
 	}
-	if frame != nil {
-		frame.Retain()
-	}
-	sc.entries[ref] = cachedSeg{b: b, depth: depth, frame: frame}
+	sc.entries[ref] = cachedSeg{b: b, depth: depth}
 	sc.order = append(sc.order, ref)
 	sc.size += n
 }
@@ -252,11 +233,6 @@ func storedDepth(b []byte) uint8 {
 type resolver struct {
 	c     *Client
 	cache map[segRef][]byte
-	// lease receives references on the pooled frames backing any base
-	// bytes this resolution touches (cache hits and base fetches alike),
-	// so a cache eviction mid-decode cannot recycle a buffer under the
-	// XOR loop. nil opts out of pooling.
-	lease *Lease
 }
 
 // resolveStored maps stored segment bytes (nil entries preserved) to
@@ -266,7 +242,7 @@ type resolver struct {
 // (owner, vertex) identity so decoded results land in the client-wide
 // cache; skip marks entries that are already logical bytes (served from
 // that cache) and must not be parsed. Both may be nil.
-func (c *Client) resolveStored(ctx context.Context, stored [][]byte, refs []segRef, skip []bool, lease *Lease) ([][]byte, error) {
+func (c *Client) resolveStored(ctx context.Context, stored [][]byte, refs []segRef, skip []bool) ([][]byte, error) {
 	anyEnv := false
 	for i, b := range stored {
 		if (skip == nil || !skip[i]) && proto.IsSegEnvelope(b) {
@@ -277,7 +253,7 @@ func (c *Client) resolveStored(ctx context.Context, stored [][]byte, refs []segR
 	if !anyEnv { // the common all-raw case: no allocation, no copies
 		return stored, nil
 	}
-	r := &resolver{c: c, cache: make(map[segRef][]byte), lease: lease}
+	r := &resolver{c: c, cache: make(map[segRef][]byte)}
 	return r.resolveBatch(ctx, stored, refs, skip, 0)
 }
 
@@ -315,7 +291,7 @@ func (r *resolver) resolveBatch(ctx context.Context, stored [][]byte, refs []seg
 		if _, ok := r.cache[ref]; ok {
 			continue
 		}
-		if ent, ok := r.c.resolved.get(ref, r.lease); ok {
+		if ent, ok := r.c.resolved.get(ref); ok {
 			r.cache[ref] = ent.b
 			continue
 		}
@@ -323,7 +299,7 @@ func (r *resolver) resolveBatch(ctx context.Context, stored [][]byte, refs []seg
 		needed[e.BaseOwner] = append(needed[e.BaseOwner], e.BaseVertex)
 	}
 	for owner, vs := range needed {
-		table, parts, err := r.c.readGroup(ctx, owner, vs, r.lease)
+		table, parts, err := r.c.readGroup(ctx, owner, vs)
 		if err != nil {
 			return nil, fmt.Errorf("client: fetching delta bases from owner %d: %w", owner, err)
 		}
@@ -338,10 +314,9 @@ func (r *resolver) resolveBatch(ctx context.Context, stored [][]byte, refs []seg
 			// model chases the same bases), so keep the resolved bytes in the
 			// client-wide cache. Callers already treat returned segments as
 			// immutable views, so sharing the buffer is safe. Raw bases were
-			// already cached (with their frame) by readGroup's read-through
-			// fill; this put covers decoded envelopes, whose logical bytes
-			// are fresh allocations — hence no frame.
-			r.c.resolved.put(sr, logical[i], storedDepth(parts[i]), nil)
+			// already cached by readGroup's read-through fill; this put
+			// covers decoded envelopes.
+			r.c.resolved.put(sr, logical[i], storedDepth(parts[i]))
 		}
 	}
 	// Decode every envelope; with all bases cached the decodes are
@@ -395,7 +370,7 @@ func (r *resolver) resolveBatch(ctx context.Context, stored [][]byte, refs []seg
 				// Decoded segments are as reusable as their bases: the next
 				// load of this model (or a deeper child) finds the logical
 				// bytes without refetching or redecoding.
-				r.c.resolved.put(refs[i], payload, e.Depth, nil)
+				r.c.resolved.put(refs[i], payload, e.Depth)
 			}
 			r.c.resolvedReads.Inc()
 		}(i, e)

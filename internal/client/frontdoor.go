@@ -11,18 +11,11 @@ package client
 //     lands in the client-wide resolved-segment cache, so repeat loads of
 //     hot lineage prefixes skip the provider entirely. Safe because stored
 //     segments are immutable and model IDs are never reused.
-//   - Frame leases: reads issued on behalf of a Lease receive their bulk
-//     payload in pooled receive frames (rpc.Frame). The lease and the
-//     cache each hold counted references; the buffer returns to the pool
-//     when the last reference drops. Callers that never Release merely
-//     leave frames to the garbage collector — an unreleased lease can
-//     waste a buffer, never corrupt one.
 
 import (
 	"context"
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"repro/internal/frontdoor"
 	"repro/internal/graph"
@@ -50,48 +43,10 @@ func WithTenant(t string) Option {
 	return func(c *Client) { c.tenant = t }
 }
 
-// Lease tracks the pooled receive frames backing one logical read. Release
-// returns every frame reference the lease holds; after that the segments
-// obtained under the lease must not be touched. A Lease that is never
-// released keeps its buffers from the pool but stays memory-safe (the GC
-// reclaims them with the frames). The zero value is ready to use; a nil
-// *Lease is a valid "don't pool" signal accepted everywhere.
-type Lease struct {
-	mu     sync.Mutex
-	frames []*rpc.Frame
-}
-
-// add transfers one reference on f to the lease. nil lease or nil frame is
-// a no-op — for a nil lease the caller deliberately leaks the reference,
-// keeping the frame alive (and unpooled) for as long as the GC sees it.
-func (l *Lease) add(f *rpc.Frame) {
-	if l == nil || f == nil {
-		return
-	}
-	l.mu.Lock()
-	l.frames = append(l.frames, f)
-	l.mu.Unlock()
-}
-
-// Release drops every frame reference the lease holds. Idempotent.
-func (l *Lease) Release() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	frames := l.frames
-	l.frames = nil
-	l.mu.Unlock()
-	for _, f := range frames {
-		f.Release()
-	}
-}
-
 // groupRead is one owner-group fetch shared across a coalesced flight.
 type groupRead struct {
 	table []proto.SegmentRef
 	parts [][]byte
-	frame *rpc.Frame // backing frame of parts (nil: plain allocations)
 }
 
 // flightKey canonicalizes an owner-group read for coalescing: owner plus
@@ -119,15 +74,13 @@ func flightKey(owner ownermap.ModelID, vs []graph.VertexID) string {
 
 // readGroup fetches one owner group's segments: concurrent identical
 // reads share one flight, and the flight's leader issues the one
-// consolidated ReadSegments through readCall's replica pass. Each returner
-// owns one reference on the backing frame — transferred to lease, or
-// deliberately leaked when lease is nil, since such a caller may hold the
-// parts indefinitely and an unpooled frame is safe where a
-// recycled-under-use one is not. Raw (non-enveloped) segments are cached
+// consolidated ReadSegments through readCall's replica pass. The parts are
+// views into one plain response buffer that every returner and the cache
+// share; nobody mutates it. Raw (non-enveloped) segments are cached
 // read-through.
-func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID, lease *Lease) ([]proto.SegmentRef, [][]byte, error) {
+func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID) ([]proto.SegmentRef, [][]byte, error) {
 	g, shared, err := c.flights.Do(flightKey(owner, vs), func() (groupRead, error) {
-		return c.readGroupWire(ctx, owner, vs, lease != nil)
+		return c.readGroupWire(ctx, owner, vs)
 	})
 	if err != nil {
 		// A provider refusal that made it past resilient's paced retries:
@@ -139,60 +92,34 @@ func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []gra
 	}
 	if shared {
 		c.coalesced.Inc()
-	}
-	lease.add(g.frame)
-	if !shared {
+	} else {
 		// Read-through cache fill, leader only (waiters would only re-take
 		// the same locks to find every entry present). Enveloped segments
 		// are skipped: the cache holds logical bytes, and the resolver
 		// caches their decoded form itself.
 		for i, ref := range g.table {
 			if !proto.IsSegEnvelope(g.parts[i]) {
-				c.resolved.put(segRef{owner, ref.Vertex}, g.parts[i], 0, g.frame)
+				c.resolved.put(segRef{owner, ref.Vertex}, g.parts[i], 0)
 			}
 		}
 	}
 	return g.table, g.parts, nil
 }
 
-// readGroupWire is the wire read behind readGroup. With framed set the
-// response bulk arrives as a pooled receive frame: the returned groupRead
-// owns one reference on it and every part aliases it.
-func (c *Client) readGroupWire(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID, framed bool) (groupRead, error) {
+// readGroupWire is the wire read behind readGroup.
+func (c *Client) readGroupWire(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID) (groupRead, error) {
 	req := &proto.ReadSegmentsReq{Owner: owner, Vertices: vs, Tenant: c.tenant}
-	var sink *rpc.FrameSink
-	if framed {
-		ctx, sink = rpc.WithFrameSink(ctx)
-	}
 	resp, err := c.readCall(ctx, proto.RPCReadSegments, owner, rpc.Message{Meta: req.Encode()})
 	if err != nil {
-		dropFrame(sink)
 		return groupRead{}, err
 	}
 	table, err := proto.DecodeSegTable(resp.Meta)
 	if err != nil {
-		dropFrame(sink)
 		return groupRead{}, err
 	}
 	parts, err := proto.SplitBulkMsg(table, resp)
 	if err != nil {
-		dropFrame(sink)
 		return groupRead{}, err
 	}
-	g := groupRead{table: table, parts: parts}
-	if sink != nil {
-		g.frame = sink.Take()
-	}
-	return g, nil
-}
-
-// dropFrame releases whatever frame a failed call may have deposited
-// before the error (e.g. a response that arrived but failed validation).
-func dropFrame(sink *rpc.FrameSink) {
-	if sink == nil {
-		return
-	}
-	if f := sink.Take(); f != nil {
-		f.Release()
-	}
+	return groupRead{table: table, parts: parts}, nil
 }

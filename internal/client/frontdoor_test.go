@@ -62,17 +62,17 @@ func newGatedCluster(t testing.TB, opts ...Option) (*Client, *gateConn) {
 // rejected without touching residents.
 func TestSegCacheRejectsOversize(t *testing.T) {
 	sc := newSegCache(10)
-	sc.put(segRef{1, 0}, make([]byte, 4), 0, nil)
-	sc.put(segRef{1, 1}, make([]byte, 4), 0, nil)
+	sc.put(segRef{1, 0}, make([]byte, 4), 0)
+	sc.put(segRef{1, 1}, make([]byte, 4), 0)
 
-	sc.put(segRef{2, 0}, make([]byte, 11), 0, nil)
-	if _, ok := sc.get(segRef{2, 0}, nil); ok {
+	sc.put(segRef{2, 0}, make([]byte, 11), 0)
+	if _, ok := sc.get(segRef{2, 0}); ok {
 		t.Fatal("oversized entry was inserted")
 	}
-	if _, ok := sc.get(segRef{1, 0}, nil); !ok {
+	if _, ok := sc.get(segRef{1, 0}); !ok {
 		t.Fatal("oversized put evicted resident entries")
 	}
-	if _, ok := sc.get(segRef{1, 1}, nil); !ok {
+	if _, ok := sc.get(segRef{1, 1}); !ok {
 		t.Fatal("oversized put evicted resident entries")
 	}
 	if sc.size != 8 {
@@ -80,8 +80,8 @@ func TestSegCacheRejectsOversize(t *testing.T) {
 	}
 
 	// Exactly max still fits, evicting residents FIFO as needed.
-	sc.put(segRef{3, 0}, make([]byte, 10), 0, nil)
-	if _, ok := sc.get(segRef{3, 0}, nil); !ok {
+	sc.put(segRef{3, 0}, make([]byte, 10), 0)
+	if _, ok := sc.get(segRef{3, 0}); !ok {
 		t.Fatal("max-sized entry rejected")
 	}
 	if sc.size > sc.max {
@@ -90,36 +90,9 @@ func TestSegCacheRejectsOversize(t *testing.T) {
 
 	// max <= 0 disables the cache outright.
 	off := newSegCache(0)
-	off.put(segRef{1, 0}, []byte{1}, 0, nil)
-	if _, ok := off.get(segRef{1, 0}, nil); ok {
+	off.put(segRef{1, 0}, []byte{1}, 0)
+	if _, ok := off.get(segRef{1, 0}); ok {
 		t.Fatal("disabled cache admitted an entry")
-	}
-}
-
-// The cache holds its own reference on a frame-backed entry, hands one to
-// each reader's lease, and drops its own at eviction.
-func TestSegCacheFrameAccounting(t *testing.T) {
-	f := rpc.NewFrame(make([]byte, 4))
-	sc := newSegCache(4)
-	sc.put(segRef{1, 0}, make([]byte, 4), 0, f)
-	if n := f.Refs(); n != 2 {
-		t.Fatalf("refs after cached put = %d, want 2 (caller + cache)", n)
-	}
-	var l Lease
-	if _, ok := sc.get(segRef{1, 0}, &l); !ok {
-		t.Fatal("entry missing")
-	}
-	if n := f.Refs(); n != 3 {
-		t.Fatalf("refs after leased get = %d, want 3", n)
-	}
-	sc.put(segRef{2, 0}, make([]byte, 4), 0, nil) // evicts {1,0}
-	if n := f.Refs(); n != 2 {
-		t.Fatalf("refs after eviction = %d, want 2 (cache ref dropped)", n)
-	}
-	l.Release()
-	f.Release()
-	if n := f.Refs(); n != 0 {
-		t.Fatalf("refs after release = %d, want 0", n)
 	}
 }
 
@@ -155,7 +128,6 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			defer d.Release()
 			for v := 0; v < nv; v++ {
 				ts, err := tensor.DecodeSet(d.Segments[v])
 				if err != nil {
@@ -194,48 +166,51 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 	}
 }
 
-// Over TCP every full read lands in pooled frames: the load's lease holds
-// exactly one reference per frame, and Release returns every one.
-func TestLoadLeaseReturnsFramesOverTCP(t *testing.T) {
+// Over TCP a Load's segments are views into one plain allocation of
+// exactly the response's bulk size: nothing rounds it up to a pool size
+// class, and nothing recycles it under the caller. The provider answers in
+// vertex order, so each non-empty segment's capacity is the bytes from its
+// start to the end of the response, and the last one's is its own length.
+func TestLoadOverTCPOwnsExactSizeBuffer(t *testing.T) {
 	cli := newTCPCluster(t, 1, WithSegCacheBytes(0), WithRegistry(metrics.NewRegistry()))
 	ctx := context.Background()
 	f := flatten(t, 4)
 	ws := model.Materialize(f, 1)
-	if err := cli.Store(ctx, metaFor(f, 3, 1, 0.5), segsFor(f, ws)); err != nil {
+	segs := segsFor(f, ws)
+	total := 0
+	for _, s := range segs {
+		total += len(s)
+	}
+	if total&(total-1) == 0 {
+		t.Fatalf("bulk size %d is a power of two; the test needs one that is not", total)
+	}
+	if err := cli.Store(ctx, metaFor(f, 3, 1, 0.5), segs); err != nil {
 		t.Fatal(err)
 	}
 	d, err := cli.Load(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The views must be valid while the lease is held.
-	for v := 0; v < f.Graph.NumVertices(); v++ {
-		ts, err := tensor.DecodeSet(d.Segments[v])
+	rest := total
+	for v, s := range d.Segments {
+		if len(s) > 0 && cap(s) != rest {
+			t.Errorf("vertex %d: len %d cap %d, want cap %d (to the end of a %d-byte response)",
+				v, len(s), cap(s), rest, total)
+		}
+		rest -= len(s)
+		ts, err := tensor.DecodeSet(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, tt := range ts {
 			if !tt.Equal(ws[v][j]) {
-				t.Fatalf("vertex %d tensor %d corrupted under lease", v, j)
+				t.Fatalf("vertex %d tensor %d corrupted", v, j)
 			}
 		}
 	}
-	if len(d.lease.frames) == 0 {
-		t.Fatal("TCP load took no pooled frames")
+	if rest != 0 {
+		t.Fatalf("segments cover %d of %d response bytes", total-rest, total)
 	}
-	frames := append([]*rpc.Frame(nil), d.lease.frames...)
-	for i, fr := range frames {
-		if n := fr.Refs(); n != 1 {
-			t.Errorf("frame %d refs = %d before release, want 1 (cache disabled)", i, n)
-		}
-	}
-	d.Release()
-	for i, fr := range frames {
-		if n := fr.Refs(); n != 0 {
-			t.Errorf("frame %d refs = %d after release, want 0", i, n)
-		}
-	}
-	d.Release() // idempotent
 }
 
 // Repeat loads are served from the client-wide segment cache: no wire
@@ -252,12 +227,11 @@ func TestSegCacheServesRepeatLoads(t *testing.T) {
 	nv := f.Graph.NumVertices()
 
 	// The first load runs the way a warm-ahead does: in the background,
-	// its lease released as soon as it returns. The cache holds its own
-	// references, so that costs the next load nothing.
+	// its result dropped as soon as it returns. The cache keeps the
+	// segments, so that costs the next load nothing.
 	warmed := make(chan error, 1)
 	go func() {
-		d, err := cli.Load(ctx, 9)
-		d.Release()
+		_, err := cli.Load(ctx, 9)
 		warmed <- err
 	}()
 	if err := <-warmed; err != nil {
@@ -289,5 +263,4 @@ func TestSegCacheServesRepeatLoads(t *testing.T) {
 			}
 		}
 	}
-	d2.Release()
 }

@@ -14,21 +14,22 @@ import (
 // over, a read that has not answered within a hedge delay launches a
 // second copy against the next-best replica and takes whichever answers
 // first. The hedge delay is derived from the primary's own observed p95
-// (resilient.LatencyReporter) and shortened when its health score is low,
+// (resilient.Conn.LatencyPercentile) and shortened when its health score is low,
 // so a struggling primary is hedged sooner; a token budget caps the extra
 // request volume so hedging can never melt a fleet that is slow because
 // it is overloaded. Replica failover semantics are unchanged — a
 // transiently failed leg launches the next replica immediately and is not
 // charged against the hedge budget.
 
-// scoreReporter mirrors resilient.ScoreReporter without importing the
-// package: any conn exposing Score() participates in score-ranked replica
-// ordering and score-scaled hedge delays.
+// scoreReporter is the shape of resilient.Conn.Score, asserted without
+// importing the package: any conn exposing Score() participates in
+// score-ranked replica ordering and score-scaled hedge delays; conns
+// without it count as score 1 (fully healthy).
 type scoreReporter interface {
 	Score() float64
 }
 
-// latencyReporter mirrors resilient.LatencyReporter.
+// latencyReporter is the shape of resilient.Conn.LatencyPercentile.
 type latencyReporter interface {
 	LatencyPercentile(p float64) time.Duration
 }

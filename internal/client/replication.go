@@ -73,9 +73,9 @@ func WithRegistry(reg *metrics.Registry) Option {
 	return func(c *Client) { c.reg = reg }
 }
 
-// healthReporter mirrors resilient.HealthReporter without importing the
-// package: any conn exposing Healthy() participates in breaker-aware
-// replica ordering; conns without it are assumed healthy.
+// healthReporter is the shape of resilient.Conn.Healthy, asserted without
+// importing the package: any conn exposing Healthy() participates in
+// breaker-aware replica ordering; conns without it are assumed healthy.
 type healthReporter interface {
 	Healthy() bool
 }
@@ -93,7 +93,7 @@ func (c *Client) ReplicaSet(id ownermap.ModelID) []int {
 // readOrder is the placement read order (current epoch's set first, then
 // previous-epoch owners mid-migration) reordered so replicas behind an
 // open breaker sort last, and — when the connections report continuous
-// health scores (resilient.ScoreReporter) — the healthy class ranked by
+// health scores (resilient.Conn.Score) — the healthy class ranked by
 // score, best first. Scores are snapshotted once before sorting, so a
 // breaker flapping mid-rank cannot feed the sort an inconsistent
 // comparator. The sort is stable and equal-scoring replicas keep

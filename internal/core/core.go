@@ -353,9 +353,6 @@ func (r *Repository) Close() error {
 // rebalancing controllers).
 func (r *Repository) Client() *client.Client { return r.cli }
 
-// NumProviders returns the deployment size.
-func (r *Repository) NumProviders() int { return r.cli.NumProviders() }
-
 // Replicas returns the deployment's replication factor.
 func (r *Repository) Replicas() int { return r.cli.Replicas() }
 
@@ -600,7 +597,7 @@ func (r *Repository) Load(ctx context.Context, id ModelID) (*proto.ModelMeta, mo
 			return nil, nil, fmt.Errorf("core: load %d: vertex %d: %w", id, v, err)
 		}
 		for i, t := range ts {
-			ts[i] = t.Clone() // detach from the transport buffer
+			ts[i] = t.Clone() // detach from the client's segment cache, which shares these bytes
 		}
 		ws[v] = ts
 	}
@@ -650,12 +647,6 @@ func (r *Repository) RepairAll(ctx context.Context) (client.RepairStats, error) 
 // without repairing anything.
 func (r *Repository) RepairCheck(ctx context.Context) ([]ModelID, error) {
 	return r.Repairer().Check(ctx)
-}
-
-// DrainRepairTargets returns and clears the models queued by accepted
-// partial writes (see Options.PartialWrites).
-func (r *Repository) DrainRepairTargets() []client.RepairTarget {
-	return r.cli.DrainRepairTargets()
 }
 
 // --- elastic placement ---------------------------------------------------------

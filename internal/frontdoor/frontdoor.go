@@ -4,10 +4,10 @@
 // from melting a provider:
 //
 //   - Singleflight coalescing (Group): concurrent identical reads collapse
-//     into one execution whose result every waiter shares. The client uses
-//     it to issue one provider round trip per hot owner-group; the provider
-//     uses it to execute one KV read for duplicate requests arriving from
-//     distinct clients.
+//     into one execution whose result every waiter shares, read-only. The
+//     client uses it to issue one provider round trip per hot owner-group;
+//     the provider uses it to execute one KV read for duplicate requests
+//     arriving from distinct clients.
 //   - Token-bucket throttling (Bucket, Throttler): per-tenant ops/s and
 //     bytes/s admission buckets following kopia's blob/throttling shape —
 //     capacity is rate × a sliding window (default 60s) and a fresh bucket

@@ -157,8 +157,6 @@ func TestRetryAfterSurvivesTextWire(t *testing.T) {
 func TestGroupCoalesces(t *testing.T) {
 	var g Group[string, int]
 	var execs atomic.Int32
-	var shares atomic.Int32
-	g.OnShare = func(int) { shares.Add(1) }
 
 	const K = 32
 	gate := make(chan struct{})
@@ -195,9 +193,9 @@ func TestGroupCoalesces(t *testing.T) {
 			t.Fatalf("result[%d] = %d", i, v)
 		}
 	}
-	// Every waiter got an OnShare call; the leader did not.
-	if shares.Load() != sharedCount.Load() {
-		t.Fatalf("OnShare ran %d times for %d waiters", shares.Load(), sharedCount.Load())
+	// Every caller but the leader joined as a waiter.
+	if n := sharedCount.Load(); n != K-1 {
+		t.Fatalf("%d callers shared the flight, want %d", n, K-1)
 	}
 	// A later call must execute fresh (no caching).
 	_, shared, _ := g.Do("k", func() (int, error) { execs.Add(1); return 7, nil })

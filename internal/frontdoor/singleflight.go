@@ -5,23 +5,15 @@ import "sync"
 // Group collapses concurrent duplicate work: while one call for a key is
 // in flight, further Do calls for the same key wait for it and share its
 // result instead of executing fn again. Unlike golang.org/x/sync's
-// singleflight it carries a typed result and an OnShare hook, which the
-// client uses for lease accounting on pooled receive frames: the leader's
-// result owns one frame reference, and OnShare retains one more for every
-// waiter before any waiter can observe the value, so each Do returner owns
-// exactly one reference regardless of who executed the fetch.
+// singleflight it carries a typed result and reports how many callers are
+// attached to a flight (Pending). Every caller of one flight gets the same
+// V, so a V holding references shares them: treat it as read-only.
 //
 // Results are never cached past the flight: the moment the leader
 // finishes, the key is forgotten, so an error is shared only by callers
 // that were already waiting (they would have hit the same failure) and
 // never poisons later calls.
 type Group[K comparable, V any] struct {
-	// OnShare, when set, runs once per waiter (not for the leader) under
-	// the group lock, before the waiters are released. Use it to take
-	// per-consumer references on shared resources inside V. Not called for
-	// failed flights.
-	OnShare func(V)
-
 	mu sync.Mutex
 	m  map[K]*flight[V]
 }
@@ -73,12 +65,7 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err err
 
 	g.mu.Lock()
 	delete(g.m, key) // no new waiters can join past this point
-	if g.OnShare != nil && f.err == nil {
-		for i := 0; i < f.waiters; i++ {
-			g.OnShare(f.val)
-		}
-	}
 	g.mu.Unlock()
-	f.wg.Done() // release waiters only after their shares are taken
+	f.wg.Done()
 	return f.val, false, f.err
 }

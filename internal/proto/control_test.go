@@ -76,6 +76,20 @@ var controlCodecs = []struct {
 		}
 		return EncodeFreedResp(freed, bases), nil
 	}},
+	{"Hello", EncodeHello(&Hello{Provider: 2, Format: 1, Epoch: 7, Models: 40}), func(b []byte) ([]byte, error) {
+		h, err := DecodeHello(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeHello(h), nil
+	}},
+	{"HelloResp", (&HelloResp{Hello: Hello{Provider: 1, Format: 1, Epoch: 3}, Placement: []byte{1, 2, 3}}).Encode(), func(b []byte) ([]byte, error) {
+		p, err := DecodeHelloResp(b)
+		if err != nil {
+			return nil, err
+		}
+		return p.Encode(), nil
+	}},
 }
 
 // FuzzDecodeControl feeds every strict control decoder its encoding, every

@@ -52,8 +52,8 @@ func EncodeHello(h *Hello) []byte {
 func DecodeHello(b []byte) (*Hello, error) {
 	r := wire.NewReader(b)
 	h := readHello(r)
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
 	}
 	return &h, nil
 }
@@ -78,8 +78,8 @@ func DecodeHelloResp(b []byte) (*HelloResp, error) {
 	r := wire.NewReader(b)
 	p := &HelloResp{Hello: readHello(r)}
 	p.Placement = append([]byte(nil), r.Bytes32()...)
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Err() != nil || r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
 	}
 	return p, nil
 }

@@ -1,12 +1,17 @@
 package provider
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/ownermap"
+	"repro/internal/placement"
+	"repro/internal/proto"
+	"repro/internal/rpc"
 )
 
 // TestPlacementGuard arms the replica-placement guard on one provider of a
@@ -66,5 +71,59 @@ func TestPlacementGuard(t *testing.T) {
 	req, segs = storeReq(2, 1, 0.5, g)
 	if err := p2.StoreModel(req, segs); err != nil {
 		t.Errorf("unguarded provider rejected a write: %v", err)
+	}
+}
+
+// TestHelloAnswersPlacementAndModelCount drives the restart-rejoin
+// handshake through a registered server: the answer names the responder,
+// its manifest format and its installed placement epoch, counts its
+// cataloged models, and carries the installed state itself. A hello with
+// a trailing byte is refused.
+func TestHelloAnswersPlacementAndModelCount(t *testing.T) {
+	p := New(2, kvstore.NewMemKV(4))
+	g := chainGraph(1, 2)
+	for _, id := range []ownermap.ModelID{4, 9} {
+		req, segs := storeReq(id, 1, 0.5, g)
+		if err := p.StoreModel(req, segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := placement.Make(5, []int{0, 1, 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &placement.State{Cur: tbl}
+	if err := p.SetPlacementState(st); err != nil {
+		t.Fatal(err)
+	}
+	net := rpc.NewInprocNet()
+	srv := rpc.NewServer()
+	p.Register(srv)
+	if err := net.Listen("p", srv); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	hello := proto.EncodeHello(&proto.Hello{Provider: 0, Format: kvstore.ManifestFormatVersion, Epoch: 1})
+	resp, err := conn.Call(ctx, proto.RPCHello, rpc.Message{Meta: hello})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := proto.DecodeHelloResp(resp.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := proto.Hello{Provider: 2, Format: kvstore.ManifestFormatVersion, Epoch: 5, Models: 2}
+	if hr.Hello != want {
+		t.Errorf("hello answer %+v, want %+v", hr.Hello, want)
+	}
+	if !bytes.Equal(hr.Placement, placement.EncodeState(st)) {
+		t.Error("hello answer does not carry the installed placement state")
+	}
+	if _, err := conn.Call(ctx, proto.RPCHello, rpc.Message{Meta: append(hello, 0)}); err == nil {
+		t.Error("hello with a trailing byte was answered")
 	}
 }

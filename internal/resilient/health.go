@@ -200,22 +200,3 @@ func (c *Conn) LatencyPercentile(p float64) time.Duration {
 // ErrorRate returns the connection's EWMA attempt-failure rate in [0,1],
 // time-decayed to the present.
 func (c *Conn) ErrorRate() float64 { return c.health.errorRate(c.opts.Clock.Now()) }
-
-// ScoreReporter is implemented by connections that can report a
-// continuous health score in [0,1]. The client's replica ranking and
-// hedging type-assert against it; connections without the method are
-// treated as score 1 (fully healthy).
-type ScoreReporter interface {
-	Score() float64
-}
-
-// LatencyReporter is implemented by connections that can report observed
-// latency quantiles; hedged reads use it to pick an adaptive hedge delay.
-type LatencyReporter interface {
-	LatencyPercentile(p float64) time.Duration
-}
-
-var (
-	_ ScoreReporter   = (*Conn)(nil)
-	_ LatencyReporter = (*Conn)(nil)
-)

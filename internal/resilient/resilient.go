@@ -378,14 +378,4 @@ func (c *Conn) BreakerState() string { return c.breaker.stateName() }
 // a partitioned provider instead of waiting out its open breaker.
 func (c *Conn) Healthy() bool { return c.breaker.healthy(c.opts.Clock.Now()) }
 
-// HealthReporter is implemented by connections that can report whether a
-// call placed now would be admitted rather than shed. The client's replica
-// selection type-asserts against it; connections without the method are
-// assumed healthy.
-type HealthReporter interface {
-	Healthy() bool
-}
-
-var _ HealthReporter = (*Conn)(nil)
-
 var _ rpc.Conn = (*Conn)(nil)

@@ -15,13 +15,9 @@ import (
 // ownership contract (see the package comment) forbids anyone from still
 // aliasing the request.
 //
-// Client-side response buffers are pooled only on request: by default Call
-// hands the caller a fresh allocation it may retain indefinitely
-// (tensor.Decode and proto.SplitBulk alias their inputs — the transport
-// never sees a safe recycle point). A caller that attaches a frame sink
-// (WithFrameSink, see frame.go) receives the bulk payload as a refcounted
-// Frame lease on a pooled buffer instead and defines the recycle point
-// itself by releasing the last reference.
+// Client-side response buffers are never pooled: Call hands the caller an
+// exact-size allocation it may retain indefinitely (tensor.Decode and
+// proto.SplitBulk alias their inputs, so there is no recycle point).
 
 const (
 	// bufPoolMinClass and bufPoolMaxClass bound the pooled size classes:

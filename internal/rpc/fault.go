@@ -102,13 +102,6 @@ func (f *FaultConn) SetPartitioned(on bool) {
 	f.mu.Unlock()
 }
 
-// Partitioned reports the partition switch state.
-func (f *FaultConn) Partitioned() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.partitioned
-}
-
 // SetSlow installs (or, with nil, clears) the gray-failure profile. The
 // change applies to subsequent calls; in-flight delays are unaffected.
 func (f *FaultConn) SetSlow(p *SlowProfile) {

@@ -67,7 +67,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 		src = bytes.NewReader(data)
-		m, err := readResponse(src, false)
+		m, err := readResponse(src)
 		var remote *remoteError
 		if err != nil && !errors.As(err, &remote) {
 			return

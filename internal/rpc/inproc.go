@@ -52,18 +52,6 @@ func (n *InprocNet) Dial(addr string) (Conn, error) {
 	return &inprocConn{net: n, addr: addr}, nil
 }
 
-// Addrs returns all bound addresses (sorted by map iteration — callers
-// needing a stable order should sort).
-func (n *InprocNet) Addrs() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.servers))
-	for a := range n.servers {
-		out = append(out, a)
-	}
-	return out
-}
-
 type inprocConn struct {
 	net    *InprocNet
 	addr   string

@@ -37,13 +37,10 @@
 //     the TCP transport recycles request frames into a buffer pool at that
 //     point. Response buffers passed back by a handler must stay immutable
 //     until the transport has written them. On the client side, response
-//     buffers returned by Call are owned by the caller and by default are
-//     never pooled or recycled; a caller that attaches a frame sink
-//     (WithFrameSink) instead receives the bulk payload as a refcounted
-//     lease on a pooled receive buffer (Frame) and controls the recycle
-//     point itself. Request buffers passed to Call must stay immutable
-//     until Call returns but are never retained afterwards by the TCP
-//     transport.
+//     buffers returned by Call are plain allocations owned by the caller,
+//     never pooled or recycled. Request buffers passed to Call must stay
+//     immutable until Call returns but are never retained afterwards by
+//     the TCP transport.
 //     The in-process transport passes references end to end, so both sides
 //     see each other's live buffers — the same rules keep that safe.
 package rpc

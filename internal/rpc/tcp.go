@@ -202,9 +202,8 @@ func writeError(w *bufio.Writer, e *remoteError) error {
 
 // readResponse reads one response frame: the message of a StatusOK frame,
 // or the *remoteError an error frame carries. Any other error means the
-// stream is unusable. With pooled set, the bulk payload lands in a buffer
-// from the receive pool.
-func readResponse(r io.Reader, pooled bool) (Message, error) {
+// stream is unusable.
+func readResponse(r io.Reader) (Message, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
@@ -218,7 +217,7 @@ func readResponse(r io.Reader, pooled bool) (Message, error) {
 		return Message{}, err
 	}
 	if status == StatusOK {
-		bulk, err := readSized64(r, pooled)
+		bulk, err := readSized64(r, false)
 		if err != nil {
 			return Message{}, err
 		}
@@ -343,20 +342,12 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		c.dead = true
 		return Message{}, err
 	}
-	// With a frame sink on the context the caller has opted into leased
-	// receive frames: the bulk payload lands in a pooled buffer whose
-	// recycle point is the lease's final release, instead of a one-shot
-	// allocation the GC has to chew through.
-	sink := frameSinkFrom(ctx)
-	resp, err := readResponse(c.r, sink != nil)
+	resp, err := readResponse(c.r)
 	if err != nil {
 		if _, remote := err.(*remoteError); !remote {
 			c.dead = true
 		}
 		return Message{}, err
-	}
-	if sink != nil && len(resp.Bulk) > 0 {
-		sink.set(NewFrame(resp.Bulk))
 	}
 	return resp, nil
 }

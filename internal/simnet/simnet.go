@@ -52,9 +52,6 @@ type Flow struct {
 	onDone    func(now float64)
 }
 
-// Remaining returns the bytes left to transfer (for inspection).
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // timer is a scheduled callback.
 type timer struct {
 	at  float64
@@ -340,6 +337,3 @@ func (n *Net) RunUntil(deadline float64) float64 {
 	}
 	return n.now
 }
-
-// ActiveFlows returns the number of in-flight flows (for tests).
-func (n *Net) ActiveFlows() int { return len(n.flows) }
