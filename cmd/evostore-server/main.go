@@ -8,7 +8,7 @@
 //
 //	evostore-server -listen :7070 -id 0 [-data /path/to/dir] [-request-timeout 30s]
 //	                [-deploy-size N -replicas R] [-metrics-interval 1m] [-dedup-ttl 2m]
-//	                [-dedup] [-cold-sweep-interval 1h] [-repair-interval 30s -repair-peers a,b]
+//	                [-dedup] [-repair-interval 30s -repair-peers a,b]
 //	                [-throttle-ops N -throttle-bytes N -throttle-window 60s]
 //	                [-autobalance -autobalance-interval 5s -heat-hot 4 -heat-cold 0.25
 //	                 -heat-widen 0 -heat-pack 0 -migration-budget N]
@@ -25,11 +25,9 @@
 // anti-entropy repairer converge only the writes it missed while down.
 //
 // -dedup wraps the backend with content-addressed chunk storage: identical
-// 64 KiB chunks across segments are stored once (see internal/dedup).
-// -cold-sweep-interval additionally DEFLATE-compresses entries idle for at
-// least that long, in place; reads inflate transparently. Both are local
-// storage concerns — the wire format and replica digests are unchanged, so
-// a deployment may mix dedup and plain providers.
+// 64 KiB chunks across segments are stored once (see internal/dedup). It is
+// a local storage concern — the wire format and replica digests are
+// unchanged, so a deployment may mix dedup and plain providers.
 //
 // -throttle-ops / -throttle-bytes arm per-tenant read admission control
 // (the front door, see internal/frontdoor): each tenant gets token buckets
@@ -125,8 +123,6 @@ func main() {
 		"on shutdown, migrate this provider's models to the remaining members before exiting (needs -repair-peers and -deploy-size)")
 	dedupStore := flag.Bool("dedup", false,
 		"wrap the backend with content-addressed chunk storage: identical segment chunks are stored once (internal/dedup)")
-	coldSweep := flag.Duration("cold-sweep-interval", 0,
-		"DEFLATE-compress segments and chunks idle for at least this long, sweeping at the same interval (0 = off; implies -dedup's wrapper)")
 	throttleOps := flag.Float64("throttle-ops", 0,
 		"per-tenant read admission limit in ops/sec (0 = unlimited on this axis; throttling is off when both -throttle-* rates are 0)")
 	throttleBytes := flag.Float64("throttle-bytes", 0,
@@ -224,16 +220,15 @@ func main() {
 		}
 	}
 
-	var cas *dedup.KV
-	if *dedupStore || *coldSweep > 0 {
-		cas = dedup.Wrap(kv, dedup.Options{ColdCompress: *coldSweep > 0})
+	if *dedupStore {
+		cas := dedup.Wrap(kv, dedup.Options{})
 		kv = cas
 		if *data != "" {
 			if err := cas.Recover(); err != nil {
 				log.Fatalf("recovering chunk refcounts: %v", err)
 			}
 		}
-		log.Printf("provider %d: content-addressed chunk storage on (cold sweep: %s)", *id, coldSweep)
+		log.Printf("provider %d: content-addressed chunk storage on", *id)
 	}
 
 	var p *provider.Provider
@@ -319,25 +314,6 @@ func main() {
 	if *metricsEvery > 0 {
 		go logMetrics(*id, *metricsEvery, stopMetrics)
 	}
-	if cas != nil && *coldSweep > 0 {
-		go func() {
-			t := time.NewTicker(*coldSweep)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopMetrics:
-					return
-				case <-t.C:
-					if n, err := cas.SweepCold(*coldSweep); err != nil {
-						log.Printf("provider %d: cold sweep: %v", *id, err)
-					} else if n > 0 {
-						log.Printf("provider %d: cold sweep compressed %d entries", *id, n)
-					}
-				}
-			}
-		}()
-	}
-
 	// Optional in-server deployment loops: anti-entropy repair and the
 	// heat-driven placement controller both run over a client dialed on the
 	// full peer list. One provider (usually provider 0) should run them;

@@ -92,10 +92,8 @@ type Client struct {
 	repairQ     []RepairTarget
 	repairSeen  map[ownermap.ModelID]bool
 
-	deltaRatio    float64 // WithDedup: max envelope/raw ratio worth storing; 0 disables delta writes
-	deltaMaxDepth int     // WithDedup: delta-chain bound; writes at the bound rebase to raw
-	resolved      *segCache
-	segCacheMax   int64 // WithSegCacheBytes bound; 0 disables the cache
+	cache       *segCache
+	segCacheMax int64 // WithSegCacheBytes bound; 0 disables the cache
 
 	tenant  string                             // WithTenant: admission-control identity on segment reads
 	flights frontdoor.Group[string, groupRead] // coalesces concurrent identical owner-group reads
@@ -113,10 +111,6 @@ type counters struct {
 	repairDrops    *metrics.Counter // repair targets dropped on a full queue
 	epochAdopts    *metrics.Counter // newer placement views adopted from rejections or sync
 	deferred       *metrics.Counter // mutations accepted with catching-up replicas left to repair
-	deltaWrites    *metrics.Counter // segments shipped delta-encoded
-	deltaRebases   *metrics.Counter // segments rebased to raw at the chain-depth bound
-	deltaRejects   *metrics.Counter // deltas that missed the ratio gate and shipped raw
-	resolvedReads  *metrics.Counter // enveloped segments resolved on the read path
 	coalesced      *metrics.Counter // reads served by joining another caller's in-flight fetch
 	throttled      *metrics.Counter // reads a provider's admission control refused past resilient's paced retries
 	hedgedReads    *metrics.Counter // hedge legs launched against a slow primary
@@ -140,10 +134,6 @@ func (c *Client) registerCounters() {
 		{"client.repair_queue_drop", &c.repairDrops},
 		{"client.epoch_adopt", &c.epochAdopts},
 		{"client.migration_deferred", &c.deferred},
-		{"client.delta_write", &c.deltaWrites},
-		{"client.delta_rebase", &c.deltaRebases},
-		{"client.delta_reject", &c.deltaRejects},
-		{"client.delta_resolve", &c.resolvedReads},
 		{"client.coalesced_read", &c.coalesced},
 		{"client.throttled", &c.throttled},
 		{"client.hedged_read", &c.hedgedReads},
@@ -152,8 +142,8 @@ func (c *Client) registerCounters() {
 		{"client.hedge_refused", &c.hedgeRefused},
 		{"client.score_demote", &c.scoreDemotes},
 		{"client.shed_retry", &c.shedRetries},
-		{"client.segcache_hit", &c.resolved.hits},
-		{"client.segcache_miss", &c.resolved.misses},
+		{"client.segcache_hit", &c.cache.hits},
+		{"client.segcache_miss", &c.cache.misses},
 	} {
 		*e.field = c.reg.Counter(e.name)
 	}
@@ -171,7 +161,7 @@ func New(conns []rpc.Conn, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	c.resolved = newSegCache(c.segCacheMax)
+	c.cache = newSegCache(c.segCacheMax)
 	tbl := c.explicit
 	if tbl == nil {
 		r := c.replicas
@@ -221,14 +211,6 @@ func ownerGroups(om *ownermap.Map) []ownermap.OwnerGroup { return om.Owners() }
 // can never free tensors this model now depends on; if pinning fails the
 // store is aborted and already-taken pins are rolled back.
 func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]byte) error {
-	return c.store(ctx, meta, segments, nil)
-}
-
-// store is Store plus extra pin groups: delta-encoded segments reference
-// base segments on other owners' providers, and those references are
-// pinned exactly like inherited tensors — before the write, rolled back
-// with it (see StoreWithPlans).
-func (c *Client) store(ctx context.Context, meta *proto.ModelMeta, segments [][]byte, extraPins []ownermap.OwnerGroup) error {
 	n := meta.Graph.NumVertices()
 	if meta.OwnerMap.Len() != n || len(segments) != n {
 		return fmt.Errorf("client: store %d: graph %d vertices, owner map %d, segments %d",
@@ -278,15 +260,6 @@ func (c *Client) store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 		if err := c.refCall(ctx, proto.RPCIncRef, g.Owner, g.Vertices); err != nil {
 			rollback()
 			return fmt.Errorf("client: store %d: pinning inherited tensors of %d: %w", meta.Model, g.Owner, err)
-		}
-		pinned = append(pinned, g)
-	}
-	// Delta bases pin the same way; a failed pin aborts the store before
-	// anything ships, so no delta can ever reference an unpinned base.
-	for _, g := range extraPins {
-		if err := c.refCall(ctx, proto.RPCIncRef, g.Owner, g.Vertices); err != nil {
-			rollback()
-			return fmt.Errorf("client: store %d: pinning delta bases of %d: %w", meta.Model, g.Owner, err)
 		}
 		pinned = append(pinned, g)
 	}
@@ -361,7 +334,7 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 	if err != nil {
 		return nil, err
 	}
-	segs, _, err := c.readByOwner(ctx, meta.OwnerMap, nil)
+	segs, err := c.readByOwner(ctx, meta.OwnerMap, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: load %d: %w", id, err)
 	}
@@ -370,16 +343,13 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 
 // LoadVertices reads only the given vertices of a model (the partial-read
 // primitive behind transfer learning): tensors are fetched from their
-// owners' providers in parallel. Both result slices are indexed by vertex
-// ID, with zero entries for vertices that were not requested: the logical
-// segment bytes, and each segment's stored delta-chain depth (0 for raw),
-// which a derived store needs to keep chains bounded — a delta against a
-// depth-d base stores at depth d+1.
-func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, []uint8, error) {
+// owners' providers in parallel. The result is indexed by vertex ID, with
+// nil entries for vertices that were not requested.
+func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, error) {
 	want := make(map[graph.VertexID]bool, len(vertices))
 	for _, v := range vertices {
 		if int(v) >= meta.OwnerMap.Len() {
-			return nil, nil, fmt.Errorf("client: load %d: vertex %d out of range", meta.Model, v)
+			return nil, fmt.Errorf("client: load %d: vertex %d out of range", meta.Model, v)
 		}
 		want[v] = true
 	}
@@ -388,14 +358,9 @@ func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertic
 
 // readByOwner groups vertices by owner and issues the per-provider bulk
 // reads concurrently; want==nil selects every vertex. It returns each
-// vertex's segment and stored delta-chain depth (0 for raw). Returned
-// segments are always *logical* bytes: enveloped segments are resolved
-// before returning (see dedup.go).
-func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool) ([][]byte, []uint8, error) {
+// vertex's segment, indexed by vertex ID.
+func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool) ([][]byte, error) {
 	segs := make([][]byte, om.Len())
-	depths := make([]uint8, om.Len())
-	refs := make([]segRef, om.Len())
-	cached := make([]bool, om.Len())
 	groups := ownerGroups(om)
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
@@ -406,14 +371,11 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 			if want != nil && !want[v] {
 				continue
 			}
-			refs[v] = segRef{g.Owner, v}
-			// A segment resolved by an earlier load is still current —
+			// A segment fetched by an earlier load is still current —
 			// stored segments are immutable and model IDs never reused —
 			// so a cache hit skips the provider round trip entirely.
-			if ent, ok := c.resolved.get(refs[v]); ok {
-				segs[v] = ent.b
-				depths[v] = ent.depth
-				cached[v] = true
+			if b, ok := c.cache.get(segRef{g.Owner, v}); ok {
+				segs[v] = b
 				continue
 			}
 			vs = append(vs, v)
@@ -446,22 +408,9 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 		}
 	}
 	if len(failed) > 0 {
-		return nil, nil, errors.Join(failed...)
+		return nil, errors.Join(failed...)
 	}
-	// Record each fetched vertex's stored chain depth, then resolve
-	// envelopes to logical bytes. Depth comes from the stored form — it
-	// is what a derived store needs to bound its own chain. Cache-served
-	// vertices already carry logical bytes and their recorded depth.
-	for v, b := range segs {
-		if !cached[v] {
-			depths[v] = storedDepth(b)
-		}
-	}
-	resolved, err := c.resolveStored(ctx, segs, refs, cached)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resolved, depths, nil
+	return segs, nil
 }
 
 // --- collective LCP query ----------------------------------------------------------
@@ -579,56 +528,32 @@ func (c *Client) Retire(ctx context.Context, id ownermap.ModelID) (uint64, error
 		return 0, fmt.Errorf("client: retire %d: decoding owner map: %w", id, err)
 	}
 
-	// Each DecRef round may free delta-encoded segments whose envelopes
-	// referenced base segments on other owners; the providers report those
-	// bases in the response trailer and the next round decrements them.
-	// Rounds are bounded by the delta-chain depth: every freed base is one
-	// hop closer to a raw segment, so the cascade always terminates (the
-	// maxResolveDepth cap is a corruption guard, not a working limit).
+	groups := ownerGroups(om)
+	freed := make([]uint64, len(groups))
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for gi, g := range groups {
+		wg.Add(1)
+		go func(gi int, owner ownermap.ModelID, vs []graph.VertexID) {
+			defer wg.Done()
+			req := &proto.RefReq{Owner: owner, Vertices: vs, ReqID: nextReqID()}
+			resp, err := c.mutateCall(ctx, proto.RPCDecRef, owner, rpc.Message{Meta: req.Encode()})
+			if err != nil && !c.acceptPartial(proto.RPCDecRef, owner, err) {
+				errs[gi] = err
+				return
+			}
+			freed[gi], errs[gi] = proto.DecodeU64(resp.Meta)
+		}(gi, g.Owner, g.Vertices)
+	}
+	wg.Wait()
 	var total uint64
 	var leaked []RetireLeak
-	groups := ownerGroups(om)
-	for round := 0; len(groups) > 0; round++ {
-		if round > maxResolveDepth {
-			for _, g := range groups {
-				leaked = append(leaked, RetireLeak{Owner: g.Owner, Vertices: g.Vertices,
-					Err: fmt.Errorf("delta-base cascade exceeded %d rounds", maxResolveDepth)})
-			}
-			break
+	for gi, g := range groups {
+		if errs[gi] != nil {
+			leaked = append(leaked, RetireLeak{Owner: g.Owner, Vertices: g.Vertices, Err: errs[gi]})
+			continue
 		}
-		freed := make([]uint64, len(groups))
-		bases := make([][]proto.SegBase, len(groups))
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for gi, g := range groups {
-			wg.Add(1)
-			go func(gi int, owner ownermap.ModelID, vs []graph.VertexID) {
-				defer wg.Done()
-				req := &proto.RefReq{Owner: owner, Vertices: vs, ReqID: nextReqID()}
-				resp, err := c.mutateCall(ctx, proto.RPCDecRef, owner, rpc.Message{Meta: req.Encode()})
-				if err != nil && !c.acceptPartial(proto.RPCDecRef, owner, err) {
-					errs[gi] = err
-					return
-				}
-				freed[gi], bases[gi], errs[gi] = proto.DecodeFreedResp(resp.Meta)
-			}(gi, g.Owner, g.Vertices)
-		}
-		wg.Wait()
-		next := make(map[ownermap.ModelID][]graph.VertexID)
-		for gi, g := range groups {
-			if errs[gi] != nil {
-				leaked = append(leaked, RetireLeak{Owner: g.Owner, Vertices: g.Vertices, Err: errs[gi]})
-				continue
-			}
-			total += freed[gi]
-			for _, b := range bases[gi] {
-				next[b.Owner] = append(next[b.Owner], b.Vertex)
-			}
-		}
-		groups = groups[:0]
-		for owner, vs := range next {
-			groups = append(groups, ownermap.OwnerGroup{Owner: owner, Vertices: vs})
-		}
+		total += freed[gi]
 	}
 	if len(leaked) > 0 {
 		return total, &PartialRetireError{Model: id, Leaked: leaked}

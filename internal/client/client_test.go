@@ -141,7 +141,7 @@ func TestQueryLCPAndPartialReadOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := cli.LoadVertices(ctx, meta, res.Prefix)
+	segs, err := cli.LoadVertices(ctx, meta, res.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLoadVerticesOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli.LoadVertices(ctx, meta, []graph.VertexID{99}); err == nil {
+	if _, err := cli.LoadVertices(ctx, meta, []graph.VertexID{99}); err == nil {
 		t.Error("out-of-range vertex accepted")
 	}
 }

@@ -7,24 +7,26 @@ package client
 //     into one provider round trip (readGroup → flights). The provider
 //     runs its own collapser for duplicates across distinct clients; this
 //     one stops duplicates before they reach the wire at all.
-//   - Read-through segment cache: every raw segment a group read returns
-//     lands in the client-wide resolved-segment cache, so repeat loads of
-//     hot lineage prefixes skip the provider entirely. Safe because stored
+//   - Read-through segment cache: every segment a group read returns
+//     lands in the client-wide segment cache, so repeat loads of hot
+//     lineage prefixes skip the provider entirely. Safe because stored
 //     segments are immutable and model IDs are never reused.
 
 import (
 	"context"
 	"encoding/binary"
 	"sort"
+	"sync"
 
 	"repro/internal/frontdoor"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 )
 
-// WithSegCacheBytes bounds the client-wide resolved-segment cache (default
+// WithSegCacheBytes bounds the client-wide segment cache (default
 // 64 MiB). Zero disables caching entirely; entries larger than the bound
 // are never admitted.
 func WithSegCacheBytes(n int64) Option {
@@ -72,12 +74,90 @@ func flightKey(owner ownermap.ModelID, vs []graph.VertexID) string {
 	return string(b)
 }
 
+// segRef names one stored segment cluster-wide.
+type segRef struct {
+	owner  ownermap.ModelID
+	vertex graph.VertexID
+}
+
+// segCache is the client-wide read-through segment cache: the bytes of
+// every fetched segment, shared across loads. Safe because stored
+// segments are immutable: an (owner, vertex) pair is written once and
+// model IDs are never reused, so an entry can go stale only by pointing at
+// a freed segment — wasted memory, never wrong bytes. Bounded by total
+// payload size with FIFO eviction; lineage sweeps touch entries
+// oldest-first, so FIFO approximates LRU here without per-hit bookkeeping.
+//
+// One deliberate accounting simplification: an entry is a view into its
+// group read's response buffer, so it pins that whole buffer, which is
+// larger than the entry when sibling segments came in the same read.
+// Sizing still counts len(b) — the over-pinning window is bounded by the
+// eviction of the sibling entries, which arrived together and leave
+// together under FIFO.
+type segCache struct {
+	mu      sync.Mutex
+	max     int64
+	size    int64
+	entries map[segRef][]byte
+	order   []segRef
+
+	// hits/misses are the client.segcache_* counters; nil (bare tests)
+	// disables counting.
+	hits, misses *metrics.Counter
+}
+
+// defaultSegCacheBytes bounds the segment cache. Sized to hold the working
+// set of a lineage sweep (a few hundred tensor segments) without mattering
+// next to the tensors a loading process holds anyway.
+const defaultSegCacheBytes = 64 << 20
+
+func newSegCache(max int64) *segCache {
+	return &segCache{max: max, entries: make(map[segRef][]byte)}
+}
+
+// get returns ref's bytes. They are shared with every other reader and
+// stay valid after eviction.
+func (sc *segCache) get(ref segRef) ([]byte, bool) {
+	sc.mu.Lock()
+	b, ok := sc.entries[ref]
+	sc.mu.Unlock()
+	switch {
+	case ok && sc.hits != nil:
+		sc.hits.Inc()
+	case !ok && sc.misses != nil:
+		sc.misses.Inc()
+	}
+	return b, ok
+}
+
+// put inserts ref unless present. An entry that cannot fit even an empty
+// cache is rejected outright.
+func (sc *segCache) put(ref segRef, b []byte) {
+	n := int64(len(b))
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if n > sc.max || sc.max <= 0 {
+		return
+	}
+	if _, ok := sc.entries[ref]; ok {
+		return
+	}
+	for sc.size+n > sc.max && len(sc.order) > 0 {
+		old := sc.order[0]
+		sc.order = sc.order[1:]
+		sc.size -= int64(len(sc.entries[old]))
+		delete(sc.entries, old)
+	}
+	sc.entries[ref] = b
+	sc.order = append(sc.order, ref)
+	sc.size += n
+}
+
 // readGroup fetches one owner group's segments: concurrent identical
 // reads share one flight, and the flight's leader issues the one
 // consolidated ReadSegments through readCall's replica pass. The parts are
 // views into one plain response buffer that every returner and the cache
-// share; nobody mutates it. Raw (non-enveloped) segments are cached
-// read-through.
+// share; nobody mutates it. Every part is cached read-through.
 func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID) ([]proto.SegmentRef, [][]byte, error) {
 	g, shared, err := c.flights.Do(flightKey(owner, vs), func() (groupRead, error) {
 		return c.readGroupWire(ctx, owner, vs)
@@ -94,13 +174,9 @@ func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []gra
 		c.coalesced.Inc()
 	} else {
 		// Read-through cache fill, leader only (waiters would only re-take
-		// the same locks to find every entry present). Enveloped segments
-		// are skipped: the cache holds logical bytes, and the resolver
-		// caches their decoded form itself.
+		// the same locks to find every entry present).
 		for i, ref := range g.table {
-			if !proto.IsSegEnvelope(g.parts[i]) {
-				c.resolved.put(segRef{owner, ref.Vertex}, g.parts[i], 0)
-			}
+			c.cache.put(segRef{owner, ref.Vertex}, g.parts[i])
 		}
 	}
 	return g.table, g.parts, nil

@@ -62,10 +62,10 @@ func newGatedCluster(t testing.TB, opts ...Option) (*Client, *gateConn) {
 // rejected without touching residents.
 func TestSegCacheRejectsOversize(t *testing.T) {
 	sc := newSegCache(10)
-	sc.put(segRef{1, 0}, make([]byte, 4), 0)
-	sc.put(segRef{1, 1}, make([]byte, 4), 0)
+	sc.put(segRef{1, 0}, make([]byte, 4))
+	sc.put(segRef{1, 1}, make([]byte, 4))
 
-	sc.put(segRef{2, 0}, make([]byte, 11), 0)
+	sc.put(segRef{2, 0}, make([]byte, 11))
 	if _, ok := sc.get(segRef{2, 0}); ok {
 		t.Fatal("oversized entry was inserted")
 	}
@@ -80,7 +80,7 @@ func TestSegCacheRejectsOversize(t *testing.T) {
 	}
 
 	// Exactly max still fits, evicting residents FIFO as needed.
-	sc.put(segRef{3, 0}, make([]byte, 10), 0)
+	sc.put(segRef{3, 0}, make([]byte, 10))
 	if _, ok := sc.get(segRef{3, 0}); !ok {
 		t.Fatal("max-sized entry rejected")
 	}
@@ -90,7 +90,7 @@ func TestSegCacheRejectsOversize(t *testing.T) {
 
 	// max <= 0 disables the cache outright.
 	off := newSegCache(0)
-	off.put(segRef{1, 0}, []byte{1}, 0)
+	off.put(segRef{1, 0}, []byte{1})
 	if _, ok := off.get(segRef{1, 0}); ok {
 		t.Fatal("disabled cache admitted an entry")
 	}
@@ -238,7 +238,7 @@ func TestSegCacheServesRepeatLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	wireAfterFirst := gc.reads.Load()
-	if m := cli.resolved.misses.Load(); m != uint64(nv) {
+	if m := cli.cache.misses.Load(); m != uint64(nv) {
 		t.Errorf("segcache_miss after cold load = %d, want %d", m, nv)
 	}
 
@@ -249,7 +249,7 @@ func TestSegCacheServesRepeatLoads(t *testing.T) {
 	if n := gc.reads.Load(); n != wireAfterFirst {
 		t.Errorf("repeat load made %d extra wire reads, want 0", n-wireAfterFirst)
 	}
-	if h := cli.resolved.hits.Load(); h != uint64(nv) {
+	if h := cli.cache.hits.Load(); h != uint64(nv) {
 		t.Errorf("segcache_hit after warm load = %d, want %d", h, nv)
 	}
 	for v := 0; v < nv; v++ {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/dedup"
@@ -60,9 +59,6 @@ type Repository struct {
 	conns  []rpc.Conn
 	faults []*rpc.FaultConn
 	opts   Options // normalized Open options, kept for RestartProvider
-
-	dedupOn bool        // Options.Dedup: build delta plans in StoreDerived
-	cas     []*dedup.KV // per-provider CAS wrappers (nil entries where unwrapped)
 }
 
 // Options configures an embedded (in-process) deployment.
@@ -99,20 +95,12 @@ type Options struct {
 	// anti-entropy repair (client.Repairer) instead of the write being
 	// undone. Only meaningful with Replicas > 1 and a running repairer.
 	PartialWrites bool
-	// Dedup enables the content-level capacity layer (internal/dedup): the
-	// client delta-encodes modified tensors against their LCP ancestor's
-	// segments, and every provider backend is wrapped with content-addressed
-	// chunk storage. Reads always resolve encoded segments, so flipping this
-	// on or off never breaks existing data.
+	// Dedup wraps every provider backend with content-addressed chunk
+	// storage (internal/dedup): identical 64 KiB chunks across stored
+	// segments are kept once. Invisible above the provider's KV store, so
+	// clients, replicas and repair see the same segments either way; it is
+	// what evostore-server -dedup does.
 	Dedup bool
-	// DeltaMaxDepth bounds delta chains: a write whose base already sits at
-	// the bound rebases to raw. 0 selects client.DefaultDeltaMaxDepth.
-	// Only meaningful with Dedup.
-	DeltaMaxDepth int
-	// ColdCompress arms transparent cold-segment compression in the
-	// providers' dedup wrappers: SweepCold DEFLATE-compresses segments and
-	// chunks idle past a threshold. Implies wrapping backends like Dedup.
-	ColdCompress bool
 	// SegCacheBytes bounds the client's read-through segment cache, the
 	// front door's caching layer (see docs/ARCHITECTURE.md). 0 keeps the
 	// client default (64 MiB); negative disables caching.
@@ -159,16 +147,13 @@ func Open(opts Options) (*Repository, error) {
 		opts.SpareProviders = 0
 	}
 	net := rpc.NewInprocNet()
-	r := &Repository{net: net, dedupOn: opts.Dedup, opts: opts}
+	r := &Repository{net: net, opts: opts}
 	total := opts.Providers + opts.SpareProviders
 	conns := make([]rpc.Conn, total)
 	for i := 0; i < total; i++ {
-		p, cas, err := r.buildProvider(i, opts.Backend(i))
+		p, _, err := r.buildProvider(i, opts.Backend(i))
 		if err != nil {
 			return nil, err
-		}
-		if cas != nil {
-			r.cas = append(r.cas, cas)
 		}
 		// Spares get the same epoch-0 table: not being members, they reject
 		// writes (and tell stale clients the current table) until a
@@ -210,9 +195,6 @@ func Open(opts Options) (*Repository, error) {
 	if opts.PartialWrites {
 		copts = append(copts, client.WithPartialWrites())
 	}
-	if opts.Dedup {
-		copts = append(copts, client.WithDedup(client.DefaultDeltaMaxRatio, opts.DeltaMaxDepth))
-	}
 	if opts.SegCacheBytes != 0 {
 		copts = append(copts, client.WithSegCacheBytes(opts.SegCacheBytes))
 	}
@@ -223,36 +205,18 @@ func Open(opts Options) (*Repository, error) {
 	return r, nil
 }
 
-// SweepCold runs one cold-compression sweep over every wrapped provider
-// backend, compressing entries idle for at least minIdle. It returns the
-// number of entries compressed; a no-op (0, nil) without
-// Options.ColdCompress.
-func (r *Repository) SweepCold(minIdle time.Duration) (int, error) {
-	total := 0
-	for _, cas := range r.cas {
-		if cas == nil {
-			continue
-		}
-		n, err := cas.SweepCold(minIdle)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // FaultConns exposes the per-provider fault wrappers installed via
 // Options.Faults (index = provider ID; nil where no faults were
 // configured). Tests and benchmarks use them to flip partitions mid-run.
 func (r *Repository) FaultConns() []*rpc.FaultConn { return r.faults }
 
-// buildProvider wraps kv per the deployment options (dedup/cold-compress)
-// and constructs provider i, durable when Options.DurableCatalog.
+// buildProvider wraps kv with chunk storage when Options.Dedup and
+// constructs provider i, durable when Options.DurableCatalog. It returns
+// the wrapper (nil without Dedup) so a restart can recover its refcounts.
 func (r *Repository) buildProvider(i int, kv kvstore.KV) (*provider.Provider, *dedup.KV, error) {
 	var cas *dedup.KV
-	if r.opts.Dedup || r.opts.ColdCompress {
-		cas = dedup.Wrap(kv, dedup.Options{ColdCompress: r.opts.ColdCompress})
+	if r.opts.Dedup {
+		cas = dedup.Wrap(kv, dedup.Options{})
 		kv = cas
 	}
 	if r.opts.DurableCatalog {
@@ -280,9 +244,6 @@ func (r *Repository) KillProvider(i int) error {
 	}
 	r.net.Unlisten(fmt.Sprintf("provider-%d", i))
 	r.owned[i] = nil
-	if r.cas != nil {
-		r.cas[i] = nil
-	}
 	return nil
 }
 
@@ -320,12 +281,6 @@ func (r *Repository) RestartProvider(i int, kv kvstore.KV, st *placement.State) 
 		return fmt.Errorf("core: restart provider %d: %w", i, err)
 	}
 	r.owned[i] = p
-	if cas != nil {
-		if r.cas == nil {
-			r.cas = make([]*dedup.KV, len(r.owned))
-		}
-		r.cas[i] = cas
-	}
 	return nil
 }
 
@@ -413,13 +368,6 @@ type Ancestor struct {
 	// TransferPrefix time, enabling automatic modified-tensor detection in
 	// StoreDerived.
 	prefixFPs map[graph.VertexID]uint64
-
-	// prefixSegs / prefixDepths keep the transferred segments' logical
-	// bytes and stored delta-chain depths (dedup deployments only): a
-	// modified prefix vertex can then be stored as a delta against the
-	// segment it was fine-tuned from, without refetching it.
-	prefixSegs   map[graph.VertexID][]byte
-	prefixDepths map[graph.VertexID]uint8
 }
 
 // PrefixBytes returns the parameter payload of the shared prefix.
@@ -476,24 +424,16 @@ func (r *Repository) bestAncestor(ctx context.Context, f *model.Flat, exclude []
 // Only the prefix vertices' tensors move over the network; they are
 // fetched from their owners' providers in parallel.
 func (r *Repository) TransferPrefix(ctx context.Context, f *model.Flat, ws model.WeightSet, anc *Ancestor) error {
-	segs, depths, err := r.cli.LoadVertices(ctx, anc.Meta, anc.Prefix)
+	segs, err := r.cli.LoadVertices(ctx, anc.Meta, anc.Prefix)
 	if err != nil {
 		return fmt.Errorf("core: transferring prefix from %d: %w", anc.Meta.Model, err)
 	}
 	anc.prefixFPs = make(map[graph.VertexID]uint64, len(anc.Prefix))
-	if r.dedupOn {
-		anc.prefixSegs = make(map[graph.VertexID][]byte, len(anc.Prefix))
-		anc.prefixDepths = make(map[graph.VertexID]uint8, len(anc.Prefix))
-	}
 	for _, v := range anc.Prefix {
 		if err := ws.DecodeVertexInto(f, v, segs[v]); err != nil {
 			return fmt.Errorf("core: installing transferred vertex %d: %w", v, err)
 		}
 		anc.prefixFPs[v] = vertexFP(ws, v)
-		if r.dedupOn {
-			anc.prefixSegs[v] = segs[v]
-			anc.prefixDepths[v] = depths[v]
-		}
 	}
 	return nil
 }
@@ -550,31 +490,13 @@ func (r *Repository) StoreDerived(ctx context.Context, f *model.Flat, ws model.W
 		OwnerMap: om,
 	}
 	// Only self-owned segments are shipped; inherited slots may stay nil.
-	// On a dedup deployment, a modified prefix vertex gets a delta plan:
-	// TransferPrefix kept the ancestor segment it was fine-tuned from, so
-	// the client can ship an XOR delta against that base instead of the
-	// full tensors (the base is named by the *ancestor's* owner of the
-	// vertex — the model that physically stores it).
 	segs := make([][]byte, f.Graph.NumVertices())
-	var plans map[graph.VertexID]client.SegmentPlan
 	for v := range segs {
-		if om.Entries[v].Owner != id {
-			continue
-		}
-		segs[v] = tensor.EncodeSet(ws[graph.VertexID(v)])
-		if base, ok := anc.prefixSegs[graph.VertexID(v)]; ok && r.dedupOn {
-			if plans == nil {
-				plans = make(map[graph.VertexID]client.SegmentPlan)
-			}
-			plans[graph.VertexID(v)] = client.SegmentPlan{
-				BaseOwner:  anc.Meta.OwnerMap.Entries[v].Owner,
-				BaseVertex: graph.VertexID(v),
-				Base:       base,
-				BaseDepth:  anc.prefixDepths[graph.VertexID(v)],
-			}
+		if om.Entries[v].Owner == id {
+			segs[v] = tensor.EncodeSet(ws[graph.VertexID(v)])
 		}
 	}
-	if err := r.cli.StoreWithPlans(ctx, meta, segs, plans); err != nil {
+	if err := r.cli.Store(ctx, meta, segs); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -613,8 +535,7 @@ func (r *Repository) GetMeta(ctx context.Context, id ModelID) (*proto.ModelMeta,
 // segments, fetched from their owners' providers in parallel (the raw
 // partial-read primitive; TransferPrefix is the higher-level form).
 func (r *Repository) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vs []graph.VertexID) ([][]byte, error) {
-	segs, _, err := r.cli.LoadVertices(ctx, meta, vs)
-	return segs, err
+	return r.cli.LoadVertices(ctx, meta, vs)
 }
 
 // --- retire / GC --------------------------------------------------------------

@@ -1,18 +1,13 @@
 // Package dedup implements the content-level capacity layer of EvoStore:
-// the codecs and storage wrapper that shrink what a provider physically
-// stores below what owner maps already dedup structurally.
+// a storage wrapper that shrinks what a provider physically stores below
+// what owner maps already dedup structurally.
 //
 // Owner maps share *unmodified* tensors between derived models by
-// reference; this package attacks the remaining copies — tensors a
-// fine-tune touched only slightly, segments that repeat across models on
-// one provider, and segments nobody has read in a while:
+// reference, and a derived model stores each tensor it modified whole.
+// This package shares what is left byte-for-byte identical below that
+// granularity — whole chunks of a stored segment that a fine-tune did
+// not touch, and chunks that repeat across segments on one provider:
 //
-//   - Delta encoding (EncodeDelta/DecodeDelta): a fine-tuned segment is
-//     stored as an XOR + zero-run/varint delta against the logical bytes
-//     of its LCP ancestor's segment. Sparse updates (a LoRA-style touch
-//     of a fraction of the values) collapse to a small fraction of the
-//     raw size; writers gate on a configurable ratio and bound chain
-//     depth by rebasing to raw at K hops (see internal/client).
 //   - Chunk addressing (ChunkDigests): fixed-size chunks keyed by
 //     FNV-1a-64 content digest — the same digest machinery the repair
 //     subsystem hashes state with (internal/proto HashBytes).
@@ -20,18 +15,18 @@
 //     each distinct chunk once under cas/<digest> with chunk-granularity
 //     refcounts, and a value as a recipe of digests. Deleting one key
 //     only frees the chunks no surviving recipe references.
-//   - Cold compression (Compress/Decompress, KV.SweepCold): values not
-//     read recently are DEFLATE-compressed in place and inflated
-//     transparently on the next read.
+//
+// Sharing is per whole chunk: an update that touches one byte in every
+// chunk of a tensor (a scattered sparse update) shares nothing, while one
+// confined to a contiguous run shares every chunk it leaves alone.
 //
 // Contracts:
-//   - Codecs are pure functions, safe for concurrent use; DecodeDelta
-//     validates framing and never reads outside its inputs.
+//   - The wrapper is invisible above the kvstore.KV interface: Get
+//     returns the logical bytes that were Put, and the recipe format
+//     never leaves this package. Providers, replicas, repair and clients
+//     see plain segments.
 //   - The KV wrapper is safe for concurrent use and preserves the
-//     kvstore.KV contract (Put copies, Get views are immutable), but its
-//     chunk refcounts are in-memory: like provider catalogs, they do not
-//     survive a process restart.
-//   - EncodeDelta(base, target) is always decodable by
-//     DecodeDelta(base, delta), for any pair of byte strings, including
-//     empty and length-mismatched ones.
+//     kvstore.KV contract (Put copies, Get views are immutable). Its chunk
+//     refcounts are in-memory and rebuilt from the recipes by Recover
+//     after reopening a persistent inner store.
 package dedup

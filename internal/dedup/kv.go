@@ -1,24 +1,23 @@
 package dedup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kvstore"
 )
 
-// Stored-representation markers. Like the proto segment envelope, both
-// open with 0xF5 so they cannot begin a plausible raw tensor segment;
-// the fifth byte distinguishes recipe ('r') from compressed blob ('z').
-var (
-	recipeMagic = []byte{0xf5, 'C', 'a', 'S', 'r', 0x01}
-	flateMagic  = []byte{0xf5, 'C', 'a', 'S', 'z', 0x01}
-)
+// recipeMagic opens every recipe. Its first byte, 0xF5, cannot begin a
+// plausible tensor segment: a segment opens with a little-endian u16 name
+// length, so a collision needs a tensor name of 245+256k bytes, which the
+// tensor codec rejects. The recipe is this package's private format: no
+// caller ever sees one.
+var recipeMagic = []byte{0xf5, 'C', 'a', 'S', 'r', 0x01}
 
 // casPrefix namespaces chunk entries inside the wrapped store. Logical
 // keys must not start with it (provider segment keys are "seg/...").
@@ -29,30 +28,23 @@ type Options struct {
 	// ChunkSize is the content-addressing granularity (default
 	// DefaultChunkSize). Values shorter than one chunk are stored inline.
 	ChunkSize int
-	// ColdCompress enables SweepCold: values and chunks not read for the
-	// sweep's idle threshold are DEFLATE-compressed in place.
-	ColdCompress bool
 }
 
 // KV content-addresses the values of an underlying kvstore.KV: each
 // distinct chunk is stored once under cas/<digest> with an in-memory
-// refcount, a value is stored as a recipe of chunk digests, and cold
-// entries can be compressed in place (SweepCold). Readers see logical
-// bytes; SizeBytes reports what is physically stored — the dedup win.
+// refcount, and a value is stored as a recipe of chunk digests. Readers
+// see logical bytes; SizeBytes reports what is physically stored — the
+// dedup win.
 type KV struct {
 	kv   kvstore.KV
 	kvB  kvstore.ByteKeyGetter
 	o    Options
-	mu   sync.Mutex     // serializes mutations (chunk refcounts, sweeps)
+	mu   sync.Mutex     // serializes mutations (chunk refcounts)
 	refs map[uint64]int // live references per chunk digest
 	// chunks counts live cas/ entries so Len can report logical keys.
 	chunks int
-	// access records the last read/write per physical key (unix nanos);
-	// SweepCold compresses entries idle past its threshold.
-	access sync.Map
 
-	dedupHits  atomic.Uint64 // chunks answered by an existing copy
-	compressed atomic.Uint64 // entries compressed by sweeps
+	dedupHits atomic.Uint64 // chunks answered by an existing copy
 }
 
 // Wrap layers content addressing over kv. The wrapper owns kv's key
@@ -67,9 +59,8 @@ func Wrap(kv kvstore.KV, o Options) *KV {
 
 // CASStats reports the wrapper's content-addressing effectiveness.
 type CASStats struct {
-	Chunks     int    // live distinct chunks
-	DedupHits  uint64 // chunk stores answered by an existing copy
-	Compressed uint64 // entries compressed by cold sweeps
+	Chunks    int    // live distinct chunks
+	DedupHits uint64 // chunk stores answered by an existing copy
 }
 
 // Stats snapshots the wrapper counters.
@@ -77,7 +68,7 @@ func (d *KV) Stats() CASStats {
 	d.mu.Lock()
 	chunks := d.chunks
 	d.mu.Unlock()
-	return CASStats{Chunks: chunks, DedupHits: d.dedupHits.Load(), Compressed: d.compressed.Load()}
+	return CASStats{Chunks: chunks, DedupHits: d.dedupHits.Load()}
 }
 
 func chunkKey(digest uint64) string {
@@ -90,20 +81,6 @@ func chunkKey(digest uint64) string {
 	return string(b[:])
 }
 
-func hasMagic(b, magic []byte) bool {
-	if len(b) < len(magic) {
-		return false
-	}
-	for i, c := range magic {
-		if b[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-func (d *KV) touch(key string) { d.access.Store(key, time.Now().UnixNano()) }
-
 // Put implements kvstore.KV: values of at least one chunk are stored as
 // cas recipes; shorter ones pass through inline.
 func (d *KV) Put(key string, value []byte) error {
@@ -115,7 +92,6 @@ func (d *KV) Put(key string, value []byte) error {
 	if err := d.releaseLocked(key); err != nil {
 		return err
 	}
-	d.touch(key)
 	if len(value) < d.o.ChunkSize {
 		return d.kv.Put(key, value)
 	}
@@ -159,7 +135,7 @@ func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
 				undo()
 				return nil, err
 			}
-			if !bytesEqual(stored, chunk) {
+			if !bytes.Equal(stored, chunk) {
 				undo()
 				return nil, nil // true collision: fall back to inline
 			}
@@ -172,7 +148,6 @@ func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
 			}
 			d.refs[g] = 1
 			d.chunks++
-			d.touch(chunkKey(g))
 		}
 		taken = append(taken, g)
 		recipe = binary.LittleEndian.AppendUint64(recipe, g)
@@ -181,43 +156,16 @@ func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
 	return recipe, nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// chunkBytes reads one chunk's logical bytes (inflating a cold chunk).
+// chunkBytes reads one chunk.
 func (d *KV) chunkBytes(digest uint64) ([]byte, error) {
-	k := chunkKey(digest)
-	v, ok, err := d.kv.Get(k)
+	v, ok, err := d.kv.Get(chunkKey(digest))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("dedup: chunk %016x missing (refcount says live)", digest)
 	}
-	d.touch(k)
-	return d.inflate(v)
-}
-
-// inflate returns a stored entry's logical bytes, transparently
-// decompressing a cold-compressed blob.
-func (d *KV) inflate(v []byte) ([]byte, error) {
-	if !hasMagic(v, flateMagic) {
-		return v, nil
-	}
-	if len(v) < len(flateMagic)+8 {
-		return nil, fmt.Errorf("dedup: torn compressed entry (%d bytes)", len(v))
-	}
-	rawLen := binary.LittleEndian.Uint64(v[len(flateMagic):])
-	return Decompress(v[len(flateMagic)+8:], int(rawLen))
+	return v, nil
 }
 
 // unrefChunkLocked drops one reference, deleting the chunk at zero.
@@ -229,9 +177,7 @@ func (d *KV) unrefChunkLocked(digest uint64) error {
 	}
 	delete(d.refs, digest)
 	d.chunks--
-	k := chunkKey(digest)
-	d.access.Delete(k)
-	return d.kv.Delete(k)
+	return d.kv.Delete(chunkKey(digest))
 }
 
 // releaseLocked undoes the chunk references held by key's current entry,
@@ -241,7 +187,7 @@ func (d *KV) releaseLocked(key string) error {
 	if err != nil || !ok {
 		return err
 	}
-	if !hasMagic(v, recipeMagic) {
+	if !bytes.HasPrefix(v, recipeMagic) {
 		return nil
 	}
 	_, digests, _, err := parseRecipe(v)
@@ -277,12 +223,11 @@ func parseRecipe(v []byte) (uint64, []uint64, []uint32, error) {
 	return rawLen, digests, lens, nil
 }
 
-// Get implements kvstore.KV, reassembling recipes and inflating cold
-// entries. Pass-through values are zero-copy views of the inner store;
-// reassembled and inflated values are fresh buffers.
+// Get implements kvstore.KV, reassembling recipes. Pass-through values are
+// zero-copy views of the inner store; reassembled values are fresh
+// buffers.
 func (d *KV) Get(key string) ([]byte, bool, error) {
-	v, ok, err := d.kv.Get(key)
-	return d.resolve(key, v, ok, err)
+	return d.resolve(d.kv.Get(key))
 }
 
 // GetB implements kvstore.ByteKeyGetter when the inner store does.
@@ -290,25 +235,15 @@ func (d *KV) GetB(key []byte) ([]byte, bool, error) {
 	if d.kvB == nil {
 		return d.Get(string(key))
 	}
-	v, ok, err := d.kvB.GetB(key)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	// Only materialize the key string off the fast path (recipes, cold
-	// entries, access tracking are not the hot read shape).
-	return d.resolve(string(key), v, ok, err)
+	return d.resolve(d.kvB.GetB(key))
 }
 
-func (d *KV) resolve(key string, v []byte, ok bool, err error) ([]byte, bool, error) {
-	if err != nil || !ok {
-		return nil, ok, err
+// resolve turns a stored entry into its logical bytes.
+func (d *KV) resolve(v []byte, ok bool, err error) ([]byte, bool, error) {
+	if err != nil || !ok || !bytes.HasPrefix(v, recipeMagic) {
+		return v, ok, err
 	}
-	d.touch(key)
-	if hasMagic(v, recipeMagic) {
-		out, err := d.reassemble(v)
-		return out, err == nil, err
-	}
-	out, err := d.inflate(v)
+	out, err := d.reassemble(v)
 	return out, err == nil, err
 }
 
@@ -342,19 +277,18 @@ func (d *KV) Delete(key string) error {
 	if err := d.releaseLocked(key); err != nil {
 		return err
 	}
-	d.access.Delete(key)
 	return d.kv.Delete(key)
 }
 
 // Scan implements kvstore.KV over logical keys and values: chunk entries
-// are hidden, recipes are reassembled, cold entries inflated.
+// are hidden and recipes are reassembled.
 func (d *KV) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	var ferr error
 	err := d.kv.Scan(prefix, func(key string, value []byte) bool {
 		if strings.HasPrefix(key, casPrefix) {
 			return true
 		}
-		logical, _, err := d.resolve(key, value, true, nil)
+		logical, _, err := d.resolve(value, true, nil)
 		if err != nil {
 			ferr = err
 			return false
@@ -376,8 +310,8 @@ func (d *KV) Len() int {
 }
 
 // SizeBytes implements kvstore.KV and reports *physical* bytes — after
-// chunk sharing and cold compression. This is deliberate: it is the
-// quantity operators and the dedup benchmark care about.
+// chunk sharing. This is deliberate: it is the quantity operators and the
+// dedup benchmark care about.
 func (d *KV) SizeBytes() int64 { return d.kv.SizeBytes() }
 
 // Close implements kvstore.KV.
@@ -413,7 +347,7 @@ func (d *KV) Recover() error {
 			}
 			return true
 		}
-		if hasMagic(value, recipeMagic) {
+		if bytes.HasPrefix(value, recipeMagic) {
 			if _, digests, _, err := parseRecipe(value); err == nil {
 				for _, g := range digests {
 					refs[g]++
@@ -437,60 +371,6 @@ func (d *KV) Recover() error {
 		}
 	}
 	return nil
-}
-
-// SweepCold compresses every entry (pass-through values and chunks, not
-// recipes) whose last access is at least minIdle ago. It returns the
-// number of entries compressed. A no-op unless Options.ColdCompress.
-func (d *KV) SweepCold(minIdle time.Duration) (int, error) {
-	if !d.o.ColdCompress {
-		return 0, nil
-	}
-	cutoff := time.Now().Add(-minIdle).UnixNano()
-	// Snapshot candidate keys first; compress under the mutation lock so
-	// a concurrent Put cannot be clobbered by a stale compressed copy.
-	var keys []string
-	if err := d.kv.Scan("", func(key string, value []byte) bool {
-		if !hasMagic(value, recipeMagic) && !hasMagic(value, flateMagic) && len(value) >= 64 {
-			keys = append(keys, key)
-		}
-		return true
-	}); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, key := range keys {
-		d.mu.Lock()
-		if at, ok := d.access.Load(key); ok && at.(int64) > cutoff {
-			d.mu.Unlock()
-			continue
-		}
-		v, ok, err := d.kv.Get(key)
-		if err != nil || !ok || hasMagic(v, recipeMagic) || hasMagic(v, flateMagic) {
-			d.mu.Unlock()
-			if err != nil {
-				return n, err
-			}
-			continue
-		}
-		z, shrank := Compress(v)
-		if !shrank {
-			d.mu.Unlock()
-			continue
-		}
-		blob := make([]byte, 0, len(flateMagic)+8+len(z))
-		blob = append(blob, flateMagic...)
-		blob = binary.LittleEndian.AppendUint64(blob, uint64(len(v)))
-		blob = append(blob, z...)
-		if err := d.kv.Put(key, blob); err != nil {
-			d.mu.Unlock()
-			return n, err
-		}
-		n++
-		d.compressed.Add(1)
-		d.mu.Unlock()
-	}
-	return n, nil
 }
 
 var (

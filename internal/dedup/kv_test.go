@@ -3,7 +3,6 @@ package dedup
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/kvstore"
 )
@@ -139,69 +138,5 @@ func TestKVScanHidesChunks(t *testing.T) {
 	// Scan yields logical bytes, not the recipe.
 	if !bytes.Equal(seen["seg/big"], big) {
 		t.Fatalf("scan resolved %d bytes, want %d", len(seen["seg/big"]), len(big))
-	}
-}
-
-func TestKVColdSweepRoundTrip(t *testing.T) {
-	d, inner := wrapped(t, Options{ChunkSize: 1 << 20, ColdCompress: true})
-	// A compressible pass-through value (below the chunk size, above the
-	// 64-byte sweep floor).
-	v := bytes.Repeat([]byte("model weights "), 64)
-	mustPut(t, d, "seg/1", v)
-	time.Sleep(2 * time.Millisecond) // let the access stamp age past the cutoff
-	n, err := d.SweepCold(time.Millisecond)
-	if err != nil || n != 1 {
-		t.Fatalf("sweep = %d, %v, want 1 entry compressed", n, err)
-	}
-	raw, _, err := inner.Get("seg/1")
-	if err != nil || len(raw) >= len(v) {
-		t.Fatalf("inner entry is %d bytes after sweep, want compressed < %d (%v)", len(raw), len(v), err)
-	}
-	// Reads transparently inflate.
-	if got := mustGet(t, d, "seg/1"); !bytes.Equal(got, v) {
-		t.Fatalf("read back %d bytes after sweep, want %d", len(got), len(v))
-	}
-	if st := d.Stats(); st.Compressed != 1 {
-		t.Fatalf("compressed = %d, want 1", st.Compressed)
-	}
-	// A second sweep is a no-op: already compressed.
-	if n, err := d.SweepCold(time.Millisecond); err != nil || n != 0 {
-		t.Fatalf("re-sweep = %d, %v", n, err)
-	}
-}
-
-func TestKVColdSweepCompressesChunks(t *testing.T) {
-	d, _ := wrapped(t, Options{ChunkSize: 64, ColdCompress: true})
-	// 4 distinct chunks of 64 compressible bytes each.
-	var v []byte
-	for c := byte('a'); c < 'e'; c++ {
-		v = append(v, bytes.Repeat([]byte{c}, 64)...)
-	}
-	mustPut(t, d, "seg/1", v)
-	time.Sleep(2 * time.Millisecond)
-	n, err := d.SweepCold(time.Millisecond)
-	if err != nil || n == 0 {
-		t.Fatalf("sweep = %d, %v, want chunks compressed", n, err)
-	}
-	// Reassembly inflates each cold chunk.
-	if got := mustGet(t, d, "seg/1"); !bytes.Equal(got, v) {
-		t.Fatalf("read back %d bytes, want %d", len(got), len(v))
-	}
-	// Storing the same value again must still share: the chunk comparison
-	// reads logical chunk bytes, not the compressed blob.
-	mustPut(t, d, "seg/2", v)
-	if st := d.Stats(); st.Chunks != 4 {
-		t.Fatalf("chunks = %d after re-store over cold chunks, want 4", st.Chunks)
-	}
-	if got := mustGet(t, d, "seg/2"); !bytes.Equal(got, v) {
-		t.Fatalf("read back %d bytes, want %d", len(got), len(v))
-	}
-}
-
-func TestKVSweepDisabledWithoutOption(t *testing.T) {
-	d, _ := wrapped(t, Options{ChunkSize: 1 << 20})
-	mustPut(t, d, "seg/1", bytes.Repeat([]byte("model weights "), 64))
-	if n, err := d.SweepCold(0); err != nil || n != 0 {
-		t.Fatalf("sweep without ColdCompress = %d, %v, want no-op", n, err)
 	}
 }

@@ -69,12 +69,68 @@ var controlCodecs = []struct {
 		}
 		return EncodeCountersHeat(snap, heat), nil
 	}},
-	{"FreedResp", EncodeFreedResp(2, []SegBase{{Owner: 1, Vertex: 3}}), func(b []byte) ([]byte, error) {
-		freed, bases, err := DecodeFreedResp(b)
+	{"FreedCount", EncodeU64(2), func(b []byte) ([]byte, error) {
+		freed, err := DecodeU64(b)
 		if err != nil {
 			return nil, err
 		}
-		return EncodeFreedResp(freed, bases), nil
+		return EncodeU64(freed), nil
+	}},
+	{"Digests", EncodeDigests([]ModelDigest{sampleDigest(4), {Model: 5, Retired: true, Seq: 2}}), func(b []byte) ([]byte, error) {
+		ds, err := DecodeDigests(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeDigests(ds), nil
+	}},
+	{"RefDelta", EncodeRefDelta(&RefDelta{ReqID: 11, Neg: true, Vertices: []graph.VertexID{1, 4}}), func(b []byte) ([]byte, error) {
+		d, err := DecodeRefDelta(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRefDelta(&d), nil
+	}},
+	{"RefCounts", EncodeRefCounts([]RefCount{{Vertex: 0, Count: 2}, {Vertex: 3, Count: 1}}), func(b []byte) ([]byte, error) {
+		cs, err := DecodeRefCounts(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRefCounts(cs), nil
+	}},
+	{"RepairPullReq", (&RepairPullReq{Model: 7, WithPayloads: true, Vertices: []graph.VertexID{2}}).Encode(), func(b []byte) ([]byte, error) {
+		q, err := DecodeRepairPullReq(b)
+		if err != nil {
+			return nil, err
+		}
+		return q.Encode(), nil
+	}},
+	{"RepairPullResp", (&RepairPullResp{
+		Digest: sampleDigest(7), Meta: []byte("meta"), Counts: []RefCount{{Vertex: 1, Count: 1}},
+		Journal: []RefDelta{{ReqID: 3, Vertices: []graph.VertexID{1}}}, Segments: []SegmentRef{{Vertex: 1, Length: 9}},
+	}).Encode(), func(b []byte) ([]byte, error) {
+		p, err := DecodeRepairPullResp(b)
+		if err != nil {
+			return nil, err
+		}
+		return p.Encode(), nil
+	}},
+	{"RepairApplyReq", (&RepairApplyReq{
+		Model: 7, Tombstone: true, TombstoneSeq: 4, ReplaceJournal: true, JournalAppended: 6, Meta: []byte("m"),
+		Deltas: []RefDelta{{ReqID: 2, Neg: true, Vertices: []graph.VertexID{0}}}, SetCounts: []RefCount{{Vertex: 0, Count: 3}},
+		Segments: []SegmentRef{{Vertex: 0, Length: 5}},
+	}).Encode(), func(b []byte) ([]byte, error) {
+		q, err := DecodeRepairApplyReq(b)
+		if err != nil {
+			return nil, err
+		}
+		return q.Encode(), nil
+	}},
+	{"RepairApplyResp", (&RepairApplyResp{Digest: sampleDigest(8), NeedPayload: []graph.VertexID{1, 2}}).Encode(), func(b []byte) ([]byte, error) {
+		p, err := DecodeRepairApplyResp(b)
+		if err != nil {
+			return nil, err
+		}
+		return p.Encode(), nil
 	}},
 	{"Hello", EncodeHello(&Hello{Provider: 2, Format: 1, Epoch: 7, Models: 40}), func(b []byte) ([]byte, error) {
 		h, err := DecodeHello(b)
@@ -90,6 +146,12 @@ var controlCodecs = []struct {
 		}
 		return p.Encode(), nil
 	}},
+}
+
+// sampleDigest is a digest with every flag and word set.
+func sampleDigest(m ownermap.ModelID) ModelDigest {
+	return ModelDigest{Model: m, Present: true, Retired: true, Trimmed: true,
+		Seq: 1, MetaHash: 2, RefHash: 3, SegHash: 4, LiveRefs: 5, Journal: 6}
 }
 
 // FuzzDecodeControl feeds every strict control decoder its encoding, every

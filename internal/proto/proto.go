@@ -18,11 +18,14 @@
 //   - Wire evolution: there is none to negotiate. Every deployment runs
 //     one binary, so a field is added by changing encoder and decoder
 //     together, and no control decoder accepts an older, shorter form of
-//     its message: StoreModel, IncRef/DecRef, Retire and LCPQuery requests
-//     and the Metrics and DecRef responses read exactly what their encoder
-//     writes and reject any other length with wire.ErrTruncated
-//     (FuzzDecodeControl). Only persisted formats — SegEnvelope, recipes,
-//     the placement manifest — keep readers for older data.
+//     its message: StoreModel, IncRef/DecRef, Retire and LCPQuery requests,
+//     the repair messages, and the Metrics and DecRef responses read
+//     exactly what their encoder writes and reject any other length with
+//     wire.ErrTruncated (FuzzDecodeControl). Only persisted formats — the
+//     dedup recipes, the placement manifest — keep readers for older data.
+//   - Segments: a stored segment is its logical bytes. Nothing on the wire
+//     or in the provider encodes or interprets them; byte-level sharing
+//     is internal/dedup's business, below the provider's KV interface.
 package proto
 
 import (
@@ -476,18 +479,20 @@ func DecodeRetireReq(b []byte) (*RetireReq, error) {
 	return q, nil
 }
 
-// EncodeU64 / DecodeU64 carry small scalar responses (freed counts, ...).
+// EncodeU64 / DecodeU64 carry small scalar responses: the DecRef freed
+// count, the Evict dropped count, the IncRef and StoreModel acks.
 func EncodeU64(v uint64) []byte {
 	w := wire.NewWriter(8)
 	w.U64(v)
 	return w.Bytes()
 }
 
-// DecodeU64 parses a scalar response.
+// DecodeU64 parses a scalar response: exactly eight bytes.
 func DecodeU64(b []byte) (uint64, error) {
-	r := wire.NewReader(b)
-	v := r.U64()
-	return v, r.Err()
+	if len(b) != 8 {
+		return 0, wire.ErrTruncated
+	}
+	return wire.NewReader(b).U64(), nil
 }
 
 // --- LCP query ----------------------------------------------------------------

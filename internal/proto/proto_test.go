@@ -203,6 +203,25 @@ func TestEncodeDecodeU64AndModelID(t *testing.T) {
 	}
 }
 
+// The DecRef response is the freed-segment count alone.
+func TestFreedRespRoundTrip(t *testing.T) {
+	if freed, err := DecodeU64(EncodeU64(3)); err != nil || freed != 3 {
+		t.Fatalf("round trip: freed=%d err=%v", freed, err)
+	}
+}
+
+// A freed count is exactly eight bytes: torn counts, trailing bytes and the
+// older 12-byte form (count plus an empty delta-base list) are all torn.
+func TestFreedRespRejectsShortForms(t *testing.T) {
+	full := EncodeU64(5)
+	older := append(EncodeU64(5), 0, 0, 0, 0)
+	for _, bad := range [][]byte{nil, full[:7], append(full, 0), older} {
+		if _, err := DecodeU64(bad); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("DecodeU64(%d bytes) = %v, want wire.ErrTruncated", len(bad), err)
+		}
+	}
+}
+
 // Property: segment tables of arbitrary shape roundtrip.
 func TestQuickSegTable(t *testing.T) {
 	f := func(vs []uint16, ls []uint16) bool {

@@ -130,10 +130,15 @@ func (d *ModelDigest) appendTo(w *wire.Writer) {
 	w.U64(d.Journal)
 }
 
-func readDigest(r *wire.Reader) ModelDigest {
+// readDigest reads one digest; flag bits outside Present/Retired/Trimmed
+// are rejected, since they would not re-encode.
+func readDigest(r *wire.Reader) (ModelDigest, error) {
 	var d ModelDigest
 	d.Model = ownermap.ModelID(r.U64())
 	flags := r.U8()
+	if flags&^7 != 0 {
+		return d, wire.ErrTruncated
+	}
 	d.Present = flags&1 != 0
 	d.Retired = flags&2 != 0
 	d.Trimmed = flags&4 != 0
@@ -143,7 +148,26 @@ func readDigest(r *wire.Reader) ModelDigest {
 	d.SegHash = r.U64()
 	d.LiveRefs = r.U64()
 	d.Journal = r.U64()
-	return d
+	return d, r.Err()
+}
+
+// end checks that a strict decoder consumed its input exactly.
+func end(r *wire.Reader) error {
+	if r.Err() != nil || r.Remaining() != 0 {
+		return wire.ErrTruncated
+	}
+	return nil
+}
+
+// readBool reads a one-byte flag that must be 0 or 1.
+func readBool(r *wire.Reader) (bool, error) {
+	switch r.U8() {
+	case 0:
+		return false, r.Err()
+	case 1:
+		return true, nil
+	}
+	return false, wire.ErrTruncated
 }
 
 // EncodeDigests serializes a Digest RPC response. The request is an
@@ -167,9 +191,12 @@ func DecodeDigests(b []byte) ([]ModelDigest, error) {
 	}
 	ds := make([]ModelDigest, n)
 	for i := range ds {
-		ds[i] = readDigest(r)
+		var err error
+		if ds[i], err = readDigest(r); err != nil {
+			return nil, err
+		}
 	}
-	return ds, r.Err()
+	return ds, end(r)
 }
 
 // RefDelta is one refcount mutation as recorded in a provider's journal:
@@ -197,8 +224,11 @@ func appendDelta(w *wire.Writer, d *RefDelta) {
 
 func readDelta(r *wire.Reader) (RefDelta, error) {
 	var d RefDelta
+	var err error
 	d.ReqID = r.U64()
-	d.Neg = r.U8() != 0
+	if d.Neg, err = readBool(r); err != nil {
+		return d, err
+	}
 	n := int(r.U32())
 	if r.Err() != nil || n > r.Remaining()/4+1 {
 		return d, wire.ErrTruncated
@@ -242,7 +272,12 @@ func EncodeRefDelta(d *RefDelta) []byte {
 
 // DecodeRefDelta parses an EncodeRefDelta record.
 func DecodeRefDelta(b []byte) (RefDelta, error) {
-	return readDelta(wire.NewReader(b))
+	r := wire.NewReader(b)
+	d, err := readDelta(r)
+	if err != nil {
+		return d, err
+	}
+	return d, end(r)
 }
 
 // EncodeRefCounts serializes a refcount table as a standalone record (the
@@ -255,7 +290,12 @@ func EncodeRefCounts(cs []RefCount) []byte {
 
 // DecodeRefCounts parses an EncodeRefCounts record.
 func DecodeRefCounts(b []byte) ([]RefCount, error) {
-	return readCounts(wire.NewReader(b))
+	r := wire.NewReader(b)
+	cs, err := readCounts(r)
+	if err != nil {
+		return nil, err
+	}
+	return cs, end(r)
 }
 
 // RefCount is one vertex's absolute refcount, used by the trimmed-journal
@@ -318,9 +358,10 @@ func (q *RepairPullReq) Encode() []byte {
 // DecodeRepairPullReq parses a RepairPullReq.
 func DecodeRepairPullReq(b []byte) (*RepairPullReq, error) {
 	r := wire.NewReader(b)
-	q := &RepairPullReq{
-		Model:        ownermap.ModelID(r.U64()),
-		WithPayloads: r.U8() != 0,
+	q := &RepairPullReq{Model: ownermap.ModelID(r.U64())}
+	var err error
+	if q.WithPayloads, err = readBool(r); err != nil {
+		return nil, err
 	}
 	n := int(r.U32())
 	if r.Err() != nil || n > r.Remaining()/4+1 {
@@ -332,7 +373,7 @@ func DecodeRepairPullReq(b []byte) (*RepairPullReq, error) {
 			q.Vertices[i] = graph.VertexID(r.U32())
 		}
 	}
-	return q, r.Err()
+	return q, end(r)
 }
 
 // RepairPullResp is one model's repair state. Segment payloads, when
@@ -364,11 +405,14 @@ func (p *RepairPullResp) Encode() []byte {
 // DecodeRepairPullResp parses a RepairPullResp.
 func DecodeRepairPullResp(b []byte) (*RepairPullResp, error) {
 	r := wire.NewReader(b)
-	p := &RepairPullResp{Digest: readDigest(r)}
+	p := &RepairPullResp{}
+	var err error
+	if p.Digest, err = readDigest(r); err != nil {
+		return nil, err
+	}
 	if meta := r.Bytes32(); len(meta) > 0 {
 		p.Meta = meta
 	}
-	var err error
 	if p.Counts, err = readCounts(r); err != nil {
 		return nil, err
 	}
@@ -378,7 +422,7 @@ func DecodeRepairPullResp(b []byte) (*RepairPullResp, error) {
 	if p.Segments, err = readSegTable(r); err != nil {
 		return nil, err
 	}
-	return p, r.Err()
+	return p, end(r)
 }
 
 // --- RepairApply -------------------------------------------------------------
@@ -442,6 +486,9 @@ func DecodeRepairApplyReq(b []byte) (*RepairApplyReq, error) {
 	r := wire.NewReader(b)
 	q := &RepairApplyReq{Model: ownermap.ModelID(r.U64())}
 	flags := r.U8()
+	if flags&^3 != 0 {
+		return nil, wire.ErrTruncated
+	}
 	q.Tombstone = flags&1 != 0
 	q.ReplaceJournal = flags&2 != 0
 	q.TombstoneSeq = r.U64()
@@ -459,7 +506,7 @@ func DecodeRepairApplyReq(b []byte) (*RepairApplyReq, error) {
 	if q.Segments, err = readSegTable(r); err != nil {
 		return nil, err
 	}
-	return q, r.Err()
+	return q, end(r)
 }
 
 // RepairApplyResp reports the provider's post-apply state.
@@ -488,7 +535,11 @@ func (p *RepairApplyResp) Encode() []byte {
 // DecodeRepairApplyResp parses a RepairApplyResp.
 func DecodeRepairApplyResp(b []byte) (*RepairApplyResp, error) {
 	r := wire.NewReader(b)
-	p := &RepairApplyResp{Digest: readDigest(r)}
+	p := &RepairApplyResp{}
+	var err error
+	if p.Digest, err = readDigest(r); err != nil {
+		return nil, err
+	}
 	n := int(r.U32())
 	if r.Err() != nil || n > r.Remaining()/4+1 {
 		return nil, wire.ErrTruncated
@@ -499,5 +550,5 @@ func DecodeRepairApplyResp(b []byte) (*RepairApplyResp, error) {
 			p.NeedPayload[i] = graph.VertexID(r.U32())
 		}
 	}
-	return p, r.Err()
+	return p, end(r)
 }

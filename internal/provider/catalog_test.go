@@ -43,7 +43,7 @@ func catalogWorkload(t *testing.T, p *Provider) []ownermap.ModelID {
 	if err := p.incRef(1, []graph.VertexID{0, 1}, 201); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.decRef(2, []graph.VertexID{2}, 202); err != nil {
+	if _, err := p.decRef(2, []graph.VertexID{2}, 202); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Retire(3); err != nil {
@@ -198,7 +198,7 @@ func TestDurableCatalogReopenUnderLoad(t *testing.T) {
 						t.Errorf("incRef %d: %v", id, err)
 					}
 				case 1:
-					if _, _, err := p.decRef(id, []graph.VertexID{1}, uint64(30_000+int(id))); err != nil {
+					if _, err := p.decRef(id, []graph.VertexID{1}, uint64(30_000+int(id))); err != nil {
 						t.Errorf("decRef %d: %v", id, err)
 					}
 				case 2:

@@ -678,11 +678,11 @@ func (p *Provider) handleDecRef(_ context.Context, req rpc.Message) (rpc.Message
 		p.dedupHit()
 		return rpc.Message{Meta: meta}, nil
 	}
-	freed, bases, err := p.decRef(q.Owner, q.Vertices, q.ReqID)
+	freed, err := p.decRef(q.Owner, q.Vertices, q.ReqID)
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	resp := proto.EncodeFreedResp(freed, bases)
+	resp := proto.EncodeU64(freed)
 	p.dedup.put(q.ReqID, resp)
 	return rpc.Message{Meta: resp}, nil
 }
@@ -691,18 +691,12 @@ func (p *Provider) handleDecRef(_ context.Context, req rpc.Message) (rpc.Message
 // deleting segments whose counter reaches zero. It returns the number of
 // segments freed. The whole batch is O(k) in the number of leaf layers.
 func (p *Provider) DecRef(owner ownermap.ModelID, vertices []graph.VertexID) (uint64, error) {
-	freed, _, err := p.decRef(owner, vertices, 0)
-	return freed, err
+	return p.decRef(owner, vertices, 0)
 }
 
-// decRef returns the freed-segment count plus the delta bases of any
-// freed delta-encoded segments: those segments held a logical reference
-// on their base (pinned at store time by the writing client), and the
-// caller must now cascade a DecRef to each base's own providers or a
-// retired ancestor chain would strand the counts.
-func (p *Provider) decRef(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64) (uint64, []proto.SegBase, error) {
+func (p *Provider) decRef(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64) (uint64, error) {
 	if err := p.acceptsWrite(owner); err != nil {
-		return 0, nil, fmt.Errorf("dec_ref: %w", err)
+		return 0, fmt.Errorf("dec_ref: %w", err)
 	}
 	var toDelete []segKey
 	p.mu.Lock()
@@ -711,16 +705,16 @@ func (p *Provider) decRef(owner ownermap.ModelID, vertices []graph.VertexID, req
 		// but only feeds best-effort accounting at the caller.
 		p.mu.Unlock()
 		p.reg.Counter("provider.journal_dup").Inc()
-		return 0, nil, nil
+		return 0, nil
 	}
 	// Validate first so the batch is all-or-nothing, like IncRef.
 	for _, v := range vertices {
 		if _, ok := p.refs[owner][v]; !ok {
 			p.mu.Unlock()
 			if err := p.missErr(owner); err != nil {
-				return 0, nil, fmt.Errorf("dec_ref %d/%d: %w", owner, v, err)
+				return 0, fmt.Errorf("dec_ref %d/%d: %w", owner, v, err)
 			}
-			return 0, nil, fmt.Errorf("provider %d: dec_ref on missing segment %d/%d", p.id, owner, v)
+			return 0, fmt.Errorf("provider %d: dec_ref on missing segment %d/%d", p.id, owner, v)
 		}
 	}
 	for _, v := range vertices {
@@ -745,26 +739,18 @@ func (p *Provider) decRef(owner ownermap.ModelID, vertices []graph.VertexID, req
 	}
 	p.mu.Unlock()
 	if catErr != nil {
-		return 0, nil, fmt.Errorf("provider %d: dec_ref %d: catalog: %w", p.id, owner, catErr)
+		return 0, fmt.Errorf("provider %d: dec_ref %d: catalog: %w", p.id, owner, catErr)
 	}
 
-	// Before a freed segment disappears, harvest its delta base (if any)
-	// so the caller can release the base's pinned reference.
-	var bases []proto.SegBase
 	for _, k := range toDelete {
-		if seg, ok, err := p.kvGet(k); err == nil && ok {
-			if e, enc, err := proto.ParseSegEnvelope(seg); err == nil && enc && e.Flags&proto.SegDelta != 0 {
-				bases = append(bases, proto.SegBase{Owner: e.BaseOwner, Vertex: e.BaseVertex})
-			}
-		}
 		if err := p.kv.Delete(k.String()); err != nil {
-			return 0, bases, fmt.Errorf("provider %d: deleting %s: %w", p.id, k, err)
+			return 0, fmt.Errorf("provider %d: deleting %s: %w", p.id, k, err)
 		}
 	}
 	if err := p.catSync(); err != nil {
-		return 0, bases, err
+		return 0, err
 	}
-	return uint64(len(toDelete)), bases, nil
+	return uint64(len(toDelete)), nil
 }
 
 // --- retire ------------------------------------------------------------------------

@@ -156,6 +156,49 @@ func TestRefCountLifecycle(t *testing.T) {
 	}
 }
 
+// getCountingKV counts the reads that reach a store. It hides any
+// byte-key fast path, so every provider read goes through Get.
+type getCountingKV struct {
+	kvstore.KV
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (c *getCountingKV) Get(key string) ([]byte, bool, error) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.KV.Get(key)
+}
+
+// Freeing a segment deletes it without reading it back: a stored segment
+// is plain bytes, so there is nothing in it for DecRef to look at.
+func TestDecRefFreesWithoutReadingSegments(t *testing.T) {
+	kv := &getCountingKV{KV: kvstore.NewMemKV(4), gets: make(map[string]int)}
+	p := New(0, kv)
+	req, segs := storeReq(7, 1, 0.5, chainGraph(1, 2, 3))
+	req.ReqID = 100
+	if err := p.StoreModel(req, segs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Retire(7); err != nil {
+		t.Fatal(err)
+	}
+	freed, err := callDecRef(t, p, &proto.RefReq{Owner: 7, Vertices: []graph.VertexID{0, 1, 2}, ReqID: 101})
+	if err != nil || freed != 3 {
+		t.Fatalf("DecRef: freed=%d err=%v", freed, err)
+	}
+	for v := graph.VertexID(0); v < 3; v++ {
+		k := segKey{7, v}.String()
+		if n := kv.gets[k]; n != 0 {
+			t.Errorf("DecRef read freed segment %s %d time(s)", k, n)
+		}
+		if _, ok, _ := kv.KV.Get(k); ok {
+			t.Errorf("freed segment %s still stored", k)
+		}
+	}
+}
+
 func TestDecRefMissingFails(t *testing.T) {
 	p := New(0, kvstore.NewMemKV(4))
 	if _, err := p.DecRef(1, []graph.VertexID{0}); err == nil {

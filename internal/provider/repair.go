@@ -210,11 +210,7 @@ func (p *Provider) digestLocked(id ownermap.ModelID) proto.ModelDigest {
 		d.LiveRefs += n
 		length := proto.SegMissing
 		if seg, ok, err := p.kvGet(segKey{id, v}); err == nil && ok {
-			// Fold the *logical* segment length, not the stored one: two
-			// replicas holding different encodings (raw here, delta there)
-			// of the same logical bytes must digest identically, or repair
-			// and `evostore-ctl digest` report false divergence forever.
-			length = proto.SegLogicalLen(seg)
+			length = uint64(len(seg))
 		}
 		segHash = proto.HashWords(segHash, uint64(v), length)
 	}

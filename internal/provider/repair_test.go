@@ -65,7 +65,7 @@ func TestRepairApplyMergesMissedDeltas(t *testing.T) {
 	if err := a.incRef(7, []graph.VertexID{0, 1}, 101); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.decRef(7, []graph.VertexID{1}, 102); err != nil {
+	if _, err := a.decRef(7, []graph.VertexID{1}, 102); err != nil {
 		t.Fatal(err)
 	}
 	pull, _, err := a.RepairPull(&proto.RepairPullReq{Model: 7})
@@ -181,7 +181,7 @@ func TestRepairTombstone(t *testing.T) {
 	if _, err := a.Retire(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.decRef(7, []graph.VertexID{0, 1, 2}, 101); err != nil {
+	if _, err := a.decRef(7, []graph.VertexID{0, 1, 2}, 101); err != nil {
 		t.Fatal(err)
 	}
 	da := a.Digest(7)
