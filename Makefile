@@ -12,8 +12,8 @@ test:
 # analysis; the test suite under the race detector, which includes every
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
-# bulk data path, LSM point-read and LSM sustained-write benchmarks so they
-# can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
+# bulk data path, LSM point-read, LSM sustained-write, provider-local LCP
+# query and LCP scanner benchmarks so they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
 # the time Go would otherwise spend shrinking the seed table, which looks
 # like a hang) and 5 s each of the TCP frame readers and the strict
 # control decoders; a guard that no non-test code under internal/ or cmd/
@@ -27,6 +27,8 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained)' -benchtime 1x ./internal/kvstore
+	$(GO) test -run '^$$' -bench '^BenchmarkLocalLCPQueryCatalog1000$$' -benchtime 1x ./internal/provider
+	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto

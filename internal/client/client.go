@@ -26,11 +26,13 @@
 //     provider answers a retried, already-executed request from its dedup
 //     table. Plain reads carry no ReqID; they are idempotent as-is.
 //   - Fault tolerance: collective queries (QueryLCP) tolerate degraded
-//     providers. With replication (WithReplicas), point reads fail over
-//     through the replica set — skipping providers behind an open breaker —
-//     and mutations fan out to every replica and require all of them, so
-//     replicas stay bit-identical. Failures are annotated with the provider
-//     index for the resilience layer or caller to act on.
+//     providers: when a leg fails, the providers that answered are asked
+//     once more to scan all they hold. With replication (WithReplicas),
+//     point reads fail over through the replica set — skipping providers
+//     behind an open breaker — and mutations fan out to every replica and
+//     require all of them, so replicas stay bit-identical. Failures are
+//     annotated with the provider index for the resilience layer or caller
+//     to act on.
 package client
 
 import (
@@ -425,35 +427,46 @@ func (c *Client) QueryLCP(ctx context.Context, g *graph.Compact, exclude []owner
 }
 
 // QueryLCPReq is QueryLCP with a fully specified request (exclusions,
-// recency preference).
+// recency preference). The client names its complete placement table
+// (placement.State.Complete) so that each provider scans only the models
+// it is home for. A failed leg leaves its home share unscanned, so the
+// providers that answered are asked once more, naming no table: each scans
+// all it holds, and a model is missed only if none of its replicas
+// answered that round. Duplicate answers are harmless: the reduce is
+// proto.LCPBeats, a total order. The query fails when no provider answers
+// the last round it ran.
 func (c *Client) QueryLCPReq(ctx context.Context, req *proto.LCPQueryReq) (*proto.LCPResult, bool, error) {
-	msg := rpc.Message{Meta: req.Encode()}
-	results := rpc.Broadcast(ctx, c.conns, proto.RPCLCPQuery, msg)
+	q := *req
+	q.Table = proto.TableName(c.place.Load().Complete().Epoch)
 
 	best := &proto.LCPResult{}
-	var firstErr error
-	okCount := 0
-	for _, r := range results {
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = r.Err
+	round := func(conns []rpc.Conn) (answered []rpc.Conn, firstErr error) {
+		for i, r := range rpc.Broadcast(ctx, conns, proto.RPCLCPQuery, rpc.Message{Meta: q.Encode()}) {
+			var res *proto.LCPResult
+			err := r.Err
+			if err == nil {
+				res, err = proto.DecodeLCPResult(r.Resp.Meta)
 			}
-			continue
-		}
-		res, err := proto.DecodeLCPResult(r.Resp.Meta)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
-			continue
+			answered = append(answered, conns[i])
+			if res.Better(best, req.PreferRecent) {
+				best = res
+			}
 		}
-		okCount++
-		if res.Better(best, req.PreferRecent) {
-			best = res
-		}
+		return answered, firstErr
 	}
-	if okCount == 0 && firstErr != nil {
-		return nil, false, fmt.Errorf("client: lcp query: %w", firstErr)
+	answered, err := round(c.conns)
+	if err != nil && len(answered) > 0 {
+		q.Table = 0
+		answered, _ = round(answered)
+	}
+	if err != nil && len(answered) == 0 {
+		return nil, false, fmt.Errorf("client: lcp query: %w", err)
 	}
 	return best, best.Found(), nil
 }

@@ -31,8 +31,7 @@ type LCPScanner struct {
 	g        *Compact
 	visits   []uint32
 	inPrefix []bool
-	frontier []VertexID
-	prefix   []VertexID
+	frontier []VertexID // the matched vertices, in the order the walk found them
 }
 
 // NewLCPScanner prepares a scanner for query graph g.
@@ -43,14 +42,20 @@ func NewLCPScanner(g *Compact) *LCPScanner {
 		visits:   make([]uint32, n),
 		inPrefix: make([]bool, n),
 		frontier: make([]VertexID, 0, n),
-		prefix:   make([]VertexID, 0, n),
 	}
 }
 
-// Against computes the LCP of the scanner's query graph with ancestor a.
-// The returned slice is valid until the next call; callers that retain it
-// must copy.
+// Against computes the LCP of the scanner's query graph with ancestor a
+// and returns the matched vertex IDs in ascending order. The returned slice
+// is valid until the next call; callers that retain it must copy.
 func (s *LCPScanner) Against(a *Compact) []VertexID {
+	s.SizeAgainst(a)
+	sortIDs(s.frontier)
+	return s.frontier
+}
+
+// SizeAgainst computes only the LCP size, avoiding Against's final sort.
+func (s *LCPScanner) SizeAgainst(a *Compact) int {
 	g := s.g
 	n := g.NumVertices()
 	an := a.NumVertices()
@@ -59,7 +64,6 @@ func (s *LCPScanner) Against(a *Compact) []VertexID {
 		s.inPrefix[i] = false
 	}
 	s.frontier = s.frontier[:0]
-	s.prefix = s.prefix[:0]
 
 	// Seed the frontier with matching roots. A root of G matches iff the
 	// same ID is a root of A with identical leaf-layer configuration.
@@ -73,7 +77,6 @@ func (s *LCPScanner) Against(a *Compact) []VertexID {
 
 	for head := 0; head < len(s.frontier); head++ {
 		u := s.frontier[head]
-		s.prefix = append(s.prefix, u)
 		for _, v := range g.Out[u] {
 			if int(v) >= an {
 				continue // v does not exist in the ancestor
@@ -83,51 +86,6 @@ func (s *LCPScanner) Against(a *Compact) []VertexID {
 			}
 			if !a.HasEdge(u, v) {
 				continue // edge exists only in the query graph
-			}
-			s.visits[v]++
-			need := uint32(len(g.In[v]))
-			if an := uint32(len(a.In[v])); an > need {
-				need = an
-			}
-			if s.visits[v] == need && !s.inPrefix[v] {
-				s.inPrefix[v] = true
-				s.frontier = append(s.frontier, v)
-			}
-		}
-	}
-
-	sortIDs(s.prefix)
-	return s.prefix
-}
-
-// SizeAgainst computes only the LCP size, avoiding the final sort.
-func (s *LCPScanner) SizeAgainst(a *Compact) int {
-	g := s.g
-	n := g.NumVertices()
-	an := a.NumVertices()
-	for i := 0; i < n; i++ {
-		s.visits[i] = 0
-		s.inPrefix[i] = false
-	}
-	s.frontier = s.frontier[:0]
-	for _, r := range g.Roots {
-		if int(r) < an && len(a.In[r]) == 0 &&
-			g.Vertices[r].ConfigSig == a.Vertices[r].ConfigSig {
-			s.frontier = append(s.frontier, r)
-			s.inPrefix[r] = true
-		}
-	}
-	for head := 0; head < len(s.frontier); head++ {
-		u := s.frontier[head]
-		for _, v := range g.Out[u] {
-			if int(v) >= an {
-				continue
-			}
-			if g.Vertices[v].ConfigSig != a.Vertices[v].ConfigSig {
-				continue
-			}
-			if !a.HasEdge(u, v) {
-				continue
 			}
 			s.visits[v]++
 			need := uint32(len(g.In[v]))

@@ -135,14 +135,30 @@ func (t *Table) NextOverrides(ov map[ownermap.ModelID]int) *Table {
 }
 
 // dense reports whether Members is exactly [0..n-1] — the legacy layout
-// whose placement must stay bit-identical to the static modulo hash.
+// whose placement must stay bit-identical to the static modulo hash. As
+// Members is sorted, unique and non-negative, its last entry decides.
 func (t *Table) dense() bool {
-	for i, m := range t.Members {
-		if m != i {
-			return false
+	n := len(t.Members)
+	return n > 0 && t.Members[n-1] == n-1
+}
+
+// Home returns the first member of id's replica set — ReplicaSet(id)[0] —
+// without building the set. Overrides never move it: every replica count
+// is at least one, so the top-ranked member always stays.
+func (t *Table) Home(id ownermap.ModelID) int {
+	n := len(t.Members)
+	if t.dense() {
+		return int(uint64(id) % uint64(n))
+	}
+	home, best := -1, uint64(0)
+	for _, m := range t.Members {
+		// Members ascend, so a tie keeps the lower member, as ReplicaSet's
+		// ranking does.
+		if s := rendezvousScore(uint64(id), uint64(m)); home < 0 || s > best {
+			home, best = m, s
 		}
 	}
-	return true
+	return home
 }
 
 // ReplicaSet returns the providers holding id under this table, preferred
@@ -324,6 +340,16 @@ type State struct {
 
 // Migrating reports whether two epochs are active.
 func (s *State) Migrating() bool { return s != nil && s.Prev != nil }
+
+// Complete returns the table whose replica sets already hold every model:
+// Prev while migrating, as its owners keep everything until the migration
+// has committed on every member and evicts, and Cur otherwise.
+func (s *State) Complete() *Table {
+	if s.Prev != nil {
+		return s.Prev
+	}
+	return s.Cur
+}
 
 // ReplicaSet is the current epoch's replica set (where data will live once
 // any in-flight migration completes).

@@ -259,3 +259,57 @@ func TestWrongEpochErrorSurvivesText(t *testing.T) {
 		t.Errorf("unrelated remote error %v matched a placement condition", e)
 	}
 }
+
+// TestHomeIsFirstReplica pins Table.Home to ReplicaSet(id)[0] on dense
+// tables, on sparse ones reached by WithMember/WithoutMember, and under
+// per-model overrides that widen or pack a set — and checks that Home
+// allocates nothing, as the LCP scan calls it once per catalog entry.
+func TestHomeIsFirstReplica(t *testing.T) {
+	grown, err := New(4, 3).WithMember(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, err := New(5, 2).WithoutMember(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regrown, err := shrunk.WithMember(0) // dense members again, at epoch 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov := map[ownermap.ModelID]int{}
+	for id := ownermap.ModelID(0); id < 64; id++ {
+		ov[id] = 1 + int(id)%5
+	}
+	tables := map[string]*Table{
+		"dense 1x1":            New(1, 1),
+		"dense 4x3":            New(4, 3),
+		"dense 7x2":            New(7, 2),
+		"sparse +6":            grown,
+		"sparse -0":            shrunk,
+		"regrown":              regrown,
+		"dense overrides":      New(5, 2).WithOverrides(ov),
+		"sparse overrides":     grown.WithOverrides(ov),
+		"carried overrides":    mustNext(t, New(4, 2).WithOverrides(ov), 9),
+		"overrides next epoch": New(4, 3).NextOverrides(ov),
+	}
+	for name, tbl := range tables {
+		for id := ownermap.ModelID(0); id < 2048; id++ {
+			if got, want := tbl.Home(id), tbl.ReplicaSet(id)[0]; got != want {
+				t.Fatalf("%s %v: Home(%d) = %d, ReplicaSet()[0] = %d", name, tbl, id, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { tbl.Home(12345) }); n != 0 {
+			t.Errorf("%s: Home allocates %.0f times per call", name, n)
+		}
+	}
+}
+
+func mustNext(t *testing.T, tbl *Table, add int) *Table {
+	t.Helper()
+	next, err := tbl.WithMember(add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}

@@ -52,16 +52,8 @@ var controlCodecs = []struct {
 		}
 		return q.Encode(), nil
 	}},
-	{"LCPQueryReq", (&LCPQueryReq{Graph: sampleGraph(2), Exclude: []ownermap.ModelID{3}, PreferRecent: true}).Encode(), func(b []byte) ([]byte, error) {
-		q, err := DecodeLCPQueryReq(b)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(q.Graph.Encode(), graphAt(b, 0)) {
-			return nil, errNormalized
-		}
-		return q.Encode(), nil
-	}},
+	{"LCPQueryReq", (&LCPQueryReq{Graph: sampleGraph(2), Exclude: []ownermap.ModelID{3}, PreferRecent: true}).Encode(), lcpQueryRoundtrip},
+	{"LCPQueryReqTable", (&LCPQueryReq{Graph: sampleGraph(2), Table: TableName(3)}).Encode(), lcpQueryRoundtrip},
 	{"ModelMeta", (&ModelMeta{Model: 5, Seq: 7, Quality: 0.5, Graph: sampleGraph(3), OwnerMap: ownermap.New(5, 7, 3)}).Encode(), func(b []byte) ([]byte, error) {
 		m, err := DecodeModelMeta(b)
 		if err != nil {
@@ -204,6 +196,17 @@ var controlCodecs = []struct {
 		}
 		return p.Encode(), nil
 	}},
+}
+
+func lcpQueryRoundtrip(b []byte) ([]byte, error) {
+	q, err := DecodeLCPQueryReq(b)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(q.Graph.Encode(), graphAt(b, 0)) {
+		return nil, errNormalized
+	}
+	return q.Encode(), nil
 }
 
 // sampleDigest is a digest with every flag and word set.

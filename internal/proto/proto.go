@@ -526,7 +526,19 @@ type LCPQueryReq struct {
 	// the paper sketches in §6, where the age of a model matters when
 	// choosing a transfer source.
 	PreferRecent bool
+	// Table names the placement table whose homes split the scan, as
+	// TableName(epoch); zero names none. A provider whose complete table
+	// (Prev while migrating, Cur otherwise) is the named one answers only
+	// for the models it is home for under it, so the collective scans each
+	// model once. Any other provider, and every provider of a request that
+	// names no table, scans all it holds.
+	Table uint64
 }
+
+// TableName is the LCPQueryReq.Table value naming the placement table of
+// the given epoch. Epochs start at 0, so the name is shifted by one to keep
+// the zero request naming none.
+func TableName(epoch uint64) uint64 { return epoch + 1 }
 
 // Encode serializes the query.
 func (q *LCPQueryReq) Encode() []byte {
@@ -541,10 +553,12 @@ func (q *LCPQueryReq) Encode() []byte {
 	} else {
 		w.U8(0)
 	}
+	w.U64(q.Table)
 	return w.Bytes()
 }
 
-// DecodeLCPQueryReq parses the query.
+// DecodeLCPQueryReq parses the query. It is strict: the recency byte is a
+// bool, the table name is present, and no bytes trail it.
 func DecodeLCPQueryReq(b []byte) (*LCPQueryReq, error) {
 	r := wire.NewReader(b)
 	gb := r.Bytes32()
@@ -560,6 +574,7 @@ func DecodeLCPQueryReq(b []byte) (*LCPQueryReq, error) {
 		}
 	}
 	prefer := r.U8()
+	q.Table = r.U64()
 	if r.Err() != nil || r.Remaining() != 0 || prefer > 1 {
 		return nil, wire.ErrTruncated
 	}

@@ -113,16 +113,18 @@ func TestLCPQueryReqRoundtrip(t *testing.T) {
 	if !back.Graph.Equal(q.Graph) || len(back.Exclude) != 2 || back.Exclude[1] != 4 {
 		t.Errorf("back = %+v", back)
 	}
-	// No excludes.
-	q2 := &LCPQueryReq{Graph: sampleGraph(2), PreferRecent: true}
+	// No excludes, a named table.
+	q2 := &LCPQueryReq{Graph: sampleGraph(2), PreferRecent: true, Table: TableName(9)}
 	enc := q2.Encode()
 	back2, err := DecodeLCPQueryReq(enc)
-	if err != nil || len(back2.Exclude) != 0 || !back2.PreferRecent {
+	if err != nil || len(back2.Exclude) != 0 || !back2.PreferRecent || back2.Table != 10 {
 		t.Errorf("empty exclude roundtrip: %v %+v", err, back2)
 	}
-	// The old form without the PreferRecent byte, a byte that is not a
-	// bool, and a trailing byte are all rejected.
-	bad := [][]byte{enc[:len(enc)-1], append(enc[:len(enc)-1:len(enc)-1], 2), append(enc, 0)}
+	// The old form that ends at the recency byte, a cut table name, a
+	// recency byte that is not a bool, and a trailing byte are all rejected.
+	notBool := append([]byte(nil), enc...)
+	notBool[len(enc)-9] = 2
+	bad := [][]byte{enc[:len(enc)-8], enc[:len(enc)-1], notBool, append(enc, 0)}
 	for i, b := range bad {
 		if _, err := DecodeLCPQueryReq(b); !errors.Is(err, wire.ErrTruncated) {
 			t.Errorf("malformed query %d: %v, want wire.ErrTruncated", i, err)

@@ -814,11 +814,11 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 	return rpc.Message{Meta: res.Encode()}, nil
 }
 
-// LCPQuery scans the provider's local catalog for the best transfer
-// ancestor of the query graph under proto.LCPBeats: longest common prefix,
-// ties broken by quality or recency (paper §2, §6). This is the
-// provider-side "map" step of the collective query; the result carries the
-// winner's catalog entry so the client needs no second round.
+// LCPQuery scans the provider's share of the catalog (see homeTable) for
+// the best transfer ancestor of the query graph under proto.LCPBeats:
+// longest common prefix, ties broken by quality or recency (paper §2, §6).
+// This is the provider-side "map" step of the collective query; the result
+// carries the winner's catalog entry so the client needs no second round.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	var excluded map[ownermap.ModelID]bool
 	if len(q.Exclude) > 0 {
@@ -827,18 +827,24 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 			excluded[id] = true
 		}
 	}
+	homes := p.homeTable(q)
 
-	// Snapshot the catalog so the scan runs without blocking writers. It
+	// Snapshot the share so the scan runs without blocking writers. It
 	// stays in map order: proto.LCPBeats is a total order, so the winner
 	// does not depend on the order of the scan.
 	p.mu.RLock()
-	cands := make([]*proto.ModelMeta, 0, len(p.models))
+	n := len(p.models)
+	if homes != nil && homes.R() > 1 {
+		n /= homes.R() // the provider is home for about one in R of its models
+	}
+	cands := make([]*proto.ModelMeta, 0, n)
 	for id, m := range p.models {
-		if !excluded[id] && !m.storing.Load() {
+		if !excluded[id] && !m.storing.Load() && (homes == nil || homes.Home(id) == p.id) {
 			cands = append(cands, m.entry)
 		}
 	}
 	p.mu.RUnlock()
+	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(cands)))
 
 	scanner := graph.NewLCPScanner(q.Graph)
 	var best *proto.ModelMeta
@@ -854,6 +860,22 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	}
 	// The scanner is this call's own, so its prefix slice can be handed out.
 	return &proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
+}
+
+// homeTable is the table whose homes split q's scan, or nil when this
+// provider scans all it holds. It filters only when q names its complete
+// table (placement.State.Complete). Any other name (a stale or a newer
+// client, or none) and an unguarded provider scan everything: answering
+// twice is harmless, as the client's reduce is a total order.
+func (p *Provider) homeTable(q *proto.LCPQueryReq) *placement.Table {
+	st := p.place.Load()
+	if q.Table == 0 || st == nil || st.Cur == nil {
+		return nil
+	}
+	if t := st.Complete(); proto.TableName(t.Epoch) == q.Table {
+		return t
+	}
+	return nil
 }
 
 // --- listing & stats ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/placement"
 	"repro/internal/proto"
@@ -274,6 +275,60 @@ func TestLCPQueryTieGoesToLowestID(t *testing.T) {
 	for _, recent := range []bool{false, true} {
 		if res := p.LCPQuery(&proto.LCPQueryReq{Graph: g, PreferRecent: recent}); !res.Found() || res.Meta.Model != 30 {
 			t.Errorf("PreferRecent=%v: result %+v, want model 30", recent, res)
+		}
+	}
+}
+
+// A query naming the provider's complete placement table scans only the
+// models the provider is home for; any other request scans everything it
+// holds.
+func TestLCPQueryScansItsShare(t *testing.T) {
+	p := New(0, kvstore.NewMemKV(4))
+	reg := metrics.NewRegistry()
+	p.SetMetricsRegistry(reg)
+	g := chainGraph(1, 2, 3)
+	for id := ownermap.ModelID(1); id <= 12; id++ { // every model, home or not
+		req, segs := storeReq(id, 1, 0.5, g)
+		if err := p.StoreModel(req, segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := placement.New(4, 3) // home = id mod 4, replicas on the next two
+	next, err := old.WithoutMember(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := func(epoch uint64) *proto.LCPQueryReq {
+		return &proto.LCPQueryReq{Graph: g, Table: proto.TableName(epoch)}
+	}
+	for _, c := range []struct {
+		name    string
+		st      *placement.State // nil: unguarded
+		q       *proto.LCPQueryReq
+		scanned uint64
+		winner  ownermap.ModelID // lowest ID scanned
+	}{
+		{"no table named", &placement.State{Cur: old}, &proto.LCPQueryReq{Graph: g}, 12, 1},
+		{"unguarded", nil, named(0), 12, 1},
+		{"home", &placement.State{Cur: old}, named(0), 3, 4},
+		{"other epoch", &placement.State{Cur: old}, named(1), 12, 1},
+		{"migrating, Prev named", &placement.State{Cur: next, Prev: old}, named(0), 3, 4},
+		{"migrating, Cur named", &placement.State{Cur: next, Prev: old}, named(1), 12, 1},
+	} {
+		if c.st == nil {
+			p.SetPlacement(0, 0)
+		} else {
+			p.place.Store(c.st)
+		}
+		before := reg.Counter("provider.lcp_scanned").Load()
+		res := p.LCPQuery(c.q)
+		scanned := reg.Counter("provider.lcp_scanned").Load() - before
+		var winner ownermap.ModelID
+		if res.Found() {
+			winner = res.Meta.Model
+		}
+		if scanned != c.scanned || winner != c.winner {
+			t.Errorf("%s: scanned %d models, winner %d; want %d, %d", c.name, scanned, winner, c.scanned, c.winner)
 		}
 	}
 }
