@@ -13,10 +13,11 @@ test:
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
 # bulk data path, LSM point-read, LSM sustained-write, provider-local LCP
-# query and LCP scanner benchmarks so they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
+# query, LCP scanner, chunk-store put and tensor fingerprint benchmarks so
+# they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
 # the time Go would otherwise spend shrinking the seed table, which looks
-# like a hang) and 5 s each of the TCP frame readers and the strict
-# control decoders; a guard that no non-test code under internal/ or cmd/
+# like a hang) and 5 s each of the TCP frame readers, the strict
+# control decoders and the chunk-recipe decoder; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
@@ -29,9 +30,12 @@ check:
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -bench '^BenchmarkLocalLCPQueryCatalog1000$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
+	$(GO) test -run '^$$' -bench '^BenchmarkKVPutShared$$' -benchtime 1x ./internal/dedup
+	$(GO) test -run '^$$' -bench '^BenchmarkTensorFingerprint$$' -benchtime 1x ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.[A-Za-z]+\(.*\.Error\(\)' internal cmd || \
 		{ echo 'error text passed to strings.*: match errors with errors.Is or an rpc status' >&2; exit 1; }
 	$(GO) run ./cmd/evostore-bench check

@@ -93,8 +93,8 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/placement"
-	"repro/internal/provider"
 	"repro/internal/proto"
+	"repro/internal/provider"
 	"repro/internal/resilient"
 	"repro/internal/rpc"
 )
@@ -277,13 +277,17 @@ func main() {
 	}
 	saveManifest := func(st *placement.State) {}
 	if *data != "" {
+		features := []string{kvstore.FeatureDurableCatalog}
+		if *dedupStore {
+			features = append(features, kvstore.FeatureSHA256Chunks)
+		}
 		saveManifest = func(st *placement.State) {
 			m := &kvstore.Manifest{
 				FormatVersion:  kvstore.ManifestFormatVersion,
 				ProviderID:     uint32(*id),
 				PlacementEpoch: placement.EpochOf(st),
 				Placement:      placement.EncodeState(st),
-				Features:       []string{kvstore.FeatureDurableCatalog},
+				Features:       features,
 			}
 			if err := kvstore.SaveManifest(*data, m); err != nil {
 				log.Printf("provider %d: saving manifest: %v", *id, err)

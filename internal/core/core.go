@@ -366,7 +366,8 @@ type Ancestor struct {
 
 	// prefixFPs records the fingerprints of the transferred tensors at
 	// TransferPrefix time, enabling automatic modified-tensor detection in
-	// StoreDerived.
+	// StoreDerived. They are process-local (see vertexFP) and never leave
+	// this Ancestor.
 	prefixFPs map[graph.VertexID]uint64
 }
 
@@ -425,6 +426,9 @@ func (r *Repository) TransferPrefix(ctx context.Context, f *model.Flat, ws model
 	return nil
 }
 
+// vertexFP combines the fingerprints of vertex v's tensors. Like
+// tensor.Fingerprint it is keyed per process: compare it only with values
+// computed by the same process, and never persist or send it.
 func vertexFP(ws model.WeightSet, v graph.VertexID) uint64 {
 	var fp uint64
 	for _, t := range ws[v] {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,12 +11,25 @@ import (
 	"repro/internal/kvstore"
 )
 
-// recipeMagic opens every recipe. Its first byte, 0xF5, cannot begin a
-// plausible tensor segment: a segment opens with a little-endian u16 name
-// length, so a collision needs a tensor name of 245+256k bytes, which the
-// tensor codec rejects. The recipe is this package's private format: no
-// caller ever sees one.
-var recipeMagic = []byte{0xf5, 'C', 'a', 'S', 'r', 0x01}
+// recipeMagic opens every recipe: the 5-byte recipeTag and a version
+// byte. Its first byte, 0xF5, cannot begin a plausible tensor segment: a
+// segment opens with a little-endian u16 name length, so a collision
+// needs a tensor name of 245+256k bytes, which the tensor codec rejects.
+// The recipe is this package's private format: no caller ever sees one.
+//
+// Version 2 (this binary) follows the magic with u64 logical length |
+// u32 chunk count | per chunk: 16-byte chunkID | u32 chunk length.
+// Version 1 keyed chunks by a 64-bit FNV digest; parseRecipe refuses it,
+// so Recover refuses a directory holding one.
+var recipeMagic = []byte{0xf5, 'C', 'a', 'S', 'r', 0x02}
+
+// recipeTag marks a recipe of any version. A stored value that opens with
+// it is read as a recipe, and parseRecipe refuses every version but
+// this binary's.
+var recipeTag = recipeMagic[:len(recipeMagic)-1]
+
+// recipeEntry is one chunk's bytes in a recipe: its ID and u32 length.
+const recipeEntry = chunkIDSize + 4
 
 // casPrefix namespaces chunk entries inside the wrapped store. Logical
 // keys must not start with it (provider segment keys are "seg/...").
@@ -31,16 +43,16 @@ type Options struct {
 }
 
 // KV content-addresses the values of an underlying kvstore.KV: each
-// distinct chunk is stored once under cas/<digest> with an in-memory
-// refcount, and a value is stored as a recipe of chunk digests. Readers
+// distinct chunk is stored once under cas/<chunk ID> with an in-memory
+// refcount, and a value is stored as a recipe of chunk IDs. Readers
 // see logical bytes; SizeBytes reports what is physically stored — the
 // dedup win.
 type KV struct {
 	kv   kvstore.KV
 	kvB  kvstore.ByteKeyGetter
 	o    Options
-	mu   sync.Mutex     // serializes mutations (chunk refcounts)
-	refs map[uint64]int // live references per chunk digest
+	mu   sync.Mutex      // serializes mutations (chunk refcounts)
+	refs map[chunkID]int // live references per chunk
 	// chunks counts live cas/ entries so Len can report logical keys.
 	chunks int
 
@@ -54,7 +66,7 @@ func Wrap(kv kvstore.KV, o Options) *KV {
 		o.ChunkSize = DefaultChunkSize
 	}
 	kvB, _ := kv.(kvstore.ByteKeyGetter)
-	return &KV{kv: kv, kvB: kvB, o: o, refs: make(map[uint64]int)}
+	return &KV{kv: kv, kvB: kvB, o: o, refs: make(map[chunkID]int)}
 }
 
 // CASStats reports the wrapper's content-addressing effectiveness.
@@ -71,113 +83,90 @@ func (d *KV) Stats() CASStats {
 	return CASStats{Chunks: chunks, DedupHits: d.dedupHits.Load()}
 }
 
-func chunkKey(digest uint64) string {
-	var b [4 + 16]byte
-	copy(b[:4], casPrefix)
-	const hex = "0123456789abcdef"
-	for i := 0; i < 16; i++ {
-		b[4+i] = hex[(digest>>uint(60-4*i))&0xf]
-	}
-	return string(b[:])
-}
-
 // Put implements kvstore.KV: values of at least one chunk are stored as
-// cas recipes; shorter ones pass through inline.
+// cas recipes; shorter ones pass through inline. Chunk IDs and the recipe
+// are computed before taking the lock, which guards only the refcounts
+// and the store mutations that must agree with them.
 func (d *KV) Put(key string, value []byte) error {
 	if strings.HasPrefix(key, casPrefix) {
 		return fmt.Errorf("dedup: key %q collides with the reserved chunk namespace", key)
+	}
+	var ids []chunkID
+	stored := value
+	if len(value) >= d.o.ChunkSize {
+		ids = chunkIDs(value, d.o.ChunkSize)
+		stored = d.recipe(value, ids)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.releaseLocked(key); err != nil {
 		return err
 	}
-	if len(value) < d.o.ChunkSize {
-		return d.kv.Put(key, value)
-	}
-	recipe, err := d.storeChunksLocked(value)
-	if err != nil {
+	if err := d.storeChunksLocked(value, ids); err != nil {
 		return err
 	}
-	if recipe == nil {
-		// Digest collision fallback: store the value inline, undeduped.
-		return d.kv.Put(key, value)
-	}
-	return d.kv.Put(key, recipe)
+	return d.kv.Put(key, stored)
 }
 
-// storeChunksLocked stores value's chunks (reusing existing copies) and
-// returns the recipe. A digest collision — same digest, different bytes —
-// returns (nil, nil) after releasing any references already taken, and
-// the caller stores the value inline.
-func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
-	digests := ChunkDigests(value, d.o.ChunkSize)
-	recipe := make([]byte, 0, len(recipeMagic)+12+12*len(digests))
-	recipe = append(recipe, recipeMagic...)
-	recipe = binary.LittleEndian.AppendUint64(recipe, uint64(len(value)))
-	recipe = binary.LittleEndian.AppendUint32(recipe, uint32(len(digests)))
-	taken := make([]uint64, 0, len(digests))
-	undo := func() {
-		for _, g := range taken {
-			d.unrefChunkLocked(g) //nolint:errcheck // best-effort rollback
-		}
-	}
-	for ci, g := range digests {
-		off := ci * d.o.ChunkSize
-		end := off + d.o.ChunkSize
-		if end > len(value) {
-			end = len(value)
-		}
-		chunk := value[off:end]
-		if d.refs[g] > 0 {
-			stored, err := d.chunkBytes(g)
-			if err != nil {
-				undo()
-				return nil, err
-			}
-			if !bytes.Equal(stored, chunk) {
-				undo()
-				return nil, nil // true collision: fall back to inline
-			}
-			d.refs[g]++
+// storeChunksLocked takes one reference per chunk of value, storing the
+// chunks whose ID is not live yet. A live ID is trusted as the content:
+// the stored copy is never read. On error the references already taken
+// are released.
+func (d *KV) storeChunksLocked(value []byte, ids []chunkID) error {
+	for ci, id := range ids {
+		if d.refs[id] > 0 {
+			d.refs[id]++
 			d.dedupHits.Add(1)
-		} else {
-			if err := d.kv.Put(chunkKey(g), chunk); err != nil {
-				undo()
-				return nil, err
-			}
-			d.refs[g] = 1
-			d.chunks++
+			continue
 		}
-		taken = append(taken, g)
-		recipe = binary.LittleEndian.AppendUint64(recipe, g)
-		recipe = binary.LittleEndian.AppendUint32(recipe, uint32(len(chunk)))
+		off := ci * d.o.ChunkSize
+		if err := d.kv.Put(chunkKey(id), value[off:min(off+d.o.ChunkSize, len(value))]); err != nil {
+			for _, taken := range ids[:ci] {
+				d.unrefChunkLocked(taken) //nolint:errcheck // best-effort rollback
+			}
+			return err
+		}
+		d.refs[id] = 1
+		d.chunks++
 	}
-	return recipe, nil
+	return nil
+}
+
+// recipe encodes value's recipe from its chunk IDs.
+func (d *KV) recipe(value []byte, ids []chunkID) []byte {
+	r := make([]byte, 0, len(recipeMagic)+12+recipeEntry*len(ids))
+	r = append(r, recipeMagic...)
+	r = binary.LittleEndian.AppendUint64(r, uint64(len(value)))
+	r = binary.LittleEndian.AppendUint32(r, uint32(len(ids)))
+	for ci, id := range ids {
+		r = append(r, id[:]...)
+		r = binary.LittleEndian.AppendUint32(r, uint32(min(d.o.ChunkSize, len(value)-ci*d.o.ChunkSize)))
+	}
+	return r
 }
 
 // chunkBytes reads one chunk.
-func (d *KV) chunkBytes(digest uint64) ([]byte, error) {
-	v, ok, err := d.kv.Get(chunkKey(digest))
+func (d *KV) chunkBytes(id chunkID) ([]byte, error) {
+	v, ok, err := d.kv.Get(chunkKey(id))
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("dedup: chunk %016x missing (refcount says live)", digest)
+		return nil, fmt.Errorf("dedup: chunk %x missing (refcount says live)", id)
 	}
 	return v, nil
 }
 
 // unrefChunkLocked drops one reference, deleting the chunk at zero.
-func (d *KV) unrefChunkLocked(digest uint64) error {
-	n := d.refs[digest] - 1
+func (d *KV) unrefChunkLocked(id chunkID) error {
+	n := d.refs[id] - 1
 	if n > 0 {
-		d.refs[digest] = n
+		d.refs[id] = n
 		return nil
 	}
-	delete(d.refs, digest)
+	delete(d.refs, id)
 	d.chunks--
-	return d.kv.Delete(chunkKey(digest))
+	return d.kv.Delete(chunkKey(id))
 }
 
 // releaseLocked undoes the chunk references held by key's current entry,
@@ -187,40 +176,55 @@ func (d *KV) releaseLocked(key string) error {
 	if err != nil || !ok {
 		return err
 	}
-	if !bytes.HasPrefix(v, recipeMagic) {
+	if !bytes.HasPrefix(v, recipeTag) {
 		return nil
 	}
-	_, digests, _, err := parseRecipe(v)
+	_, ids, _, err := parseRecipe(v, d.o.ChunkSize)
 	if err != nil {
-		return err
+		return fmt.Errorf("dedup: recipe at %q: %w", key, err)
 	}
-	for _, g := range digests {
-		if err := d.unrefChunkLocked(g); err != nil {
+	for _, id := range ids {
+		if err := d.unrefChunkLocked(id); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// parseRecipe decodes a recipe into (rawLen, digests, chunkLens).
-func parseRecipe(v []byte) (uint64, []uint64, []uint32, error) {
-	b := v[len(recipeMagic):]
-	if len(b) < 12 {
+// parseRecipe decodes a recipe into (rawLen, ids, chunkLens). It is
+// strict: it refuses another version, trailing bytes, a chunk length of
+// zero or above chunkSize, and chunk lengths that do not sum to rawLen.
+func parseRecipe(v []byte, chunkSize int) (uint64, []chunkID, []uint32, error) {
+	if len(v) < len(recipeMagic)+12 || !bytes.HasPrefix(v, recipeTag) {
 		return 0, nil, nil, fmt.Errorf("dedup: torn recipe (%d bytes)", len(v))
 	}
+	if ver := v[len(recipeTag)]; ver != recipeMagic[len(recipeTag)] {
+		return 0, nil, nil, fmt.Errorf("dedup: recipe version %d, this binary reads only version %d",
+			ver, recipeMagic[len(recipeTag)])
+	}
+	b := v[len(recipeMagic):]
 	rawLen := binary.LittleEndian.Uint64(b)
-	n := int(binary.LittleEndian.Uint32(b[8:]))
+	n := uint64(binary.LittleEndian.Uint32(b[8:]))
 	b = b[12:]
-	if len(b) != 12*n {
+	if uint64(len(b)) != recipeEntry*n {
 		return 0, nil, nil, fmt.Errorf("dedup: recipe wants %d chunk entries, has %d bytes", n, len(b))
 	}
-	digests := make([]uint64, n)
+	ids := make([]chunkID, n)
 	lens := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		digests[i] = binary.LittleEndian.Uint64(b[12*i:])
-		lens[i] = binary.LittleEndian.Uint32(b[12*i+8:])
+	var sum uint64
+	for i := range ids {
+		e := b[recipeEntry*i:]
+		ids[i] = chunkID(e[:chunkIDSize])
+		lens[i] = binary.LittleEndian.Uint32(e[chunkIDSize:])
+		if lens[i] == 0 || int64(lens[i]) > int64(chunkSize) {
+			return 0, nil, nil, fmt.Errorf("dedup: recipe chunk %d is %d bytes, want 1..%d", i, lens[i], chunkSize)
+		}
+		sum += uint64(lens[i])
 	}
-	return rawLen, digests, lens, nil
+	if sum != rawLen {
+		return 0, nil, nil, fmt.Errorf("dedup: recipe chunks sum to %d bytes, header says %d", sum, rawLen)
+	}
+	return rawLen, ids, lens, nil
 }
 
 // Get implements kvstore.KV, reassembling recipes. Pass-through values are
@@ -240,7 +244,7 @@ func (d *KV) GetB(key []byte) ([]byte, bool, error) {
 
 // resolve turns a stored entry into its logical bytes.
 func (d *KV) resolve(v []byte, ok bool, err error) ([]byte, bool, error) {
-	if err != nil || !ok || !bytes.HasPrefix(v, recipeMagic) {
+	if err != nil || !ok || !bytes.HasPrefix(v, recipeTag) {
 		return v, ok, err
 	}
 	out, err := d.reassemble(v)
@@ -249,23 +253,20 @@ func (d *KV) resolve(v []byte, ok bool, err error) ([]byte, bool, error) {
 
 // reassemble concatenates a recipe's chunks into one fresh buffer.
 func (d *KV) reassemble(recipe []byte) ([]byte, error) {
-	rawLen, digests, lens, err := parseRecipe(recipe)
+	rawLen, ids, lens, err := parseRecipe(recipe, d.o.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, rawLen)
-	for i, g := range digests {
-		chunk, err := d.chunkBytes(g)
+	for i, id := range ids {
+		chunk, err := d.chunkBytes(id)
 		if err != nil {
 			return nil, err
 		}
 		if len(chunk) != int(lens[i]) {
-			return nil, fmt.Errorf("dedup: chunk %016x is %d bytes, recipe says %d", g, len(chunk), lens[i])
+			return nil, fmt.Errorf("dedup: chunk %x is %d bytes, recipe says %d", id, len(chunk), lens[i])
 		}
 		out = append(out, chunk...)
-	}
-	if uint64(len(out)) != rawLen {
-		return nil, fmt.Errorf("dedup: reassembled %d bytes, recipe says %d", len(out), rawLen)
 	}
 	return out, nil
 }
@@ -335,39 +336,54 @@ func (d *KV) Sync() error {
 // release could delete chunks other recipes still reference. Chunks no
 // recipe references (for example a crash between the chunk put and its
 // recipe put) are orphans and are deleted. Call before serving traffic.
+//
+// Recover is the wrapper's format gate: it fails, naming the key, on a
+// recipe parseRecipe refuses (torn, or written in another version) and
+// on a cas/ key that is not a chunk ID of this format, rather than
+// freeing a torn recipe's chunks as orphans or leaking the odd key.
 func (d *KV) Recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	refs := make(map[uint64]int)
-	var chunkDigests []uint64
+	refs := make(map[chunkID]int)
+	var stored []chunkID
+	var ferr error
 	err := d.kv.Scan("", func(key string, value []byte) bool {
 		if strings.HasPrefix(key, casPrefix) {
-			if g, err := strconv.ParseUint(key[len(casPrefix):], 16, 64); err == nil {
-				chunkDigests = append(chunkDigests, g)
+			id, ok := parseChunkKey(key)
+			if !ok {
+				ferr = fmt.Errorf("dedup: chunk key %q is not a chunk ID of this format", key)
+				return false
 			}
+			stored = append(stored, id)
 			return true
 		}
-		if bytes.HasPrefix(value, recipeMagic) {
-			if _, digests, _, err := parseRecipe(value); err == nil {
-				for _, g := range digests {
-					refs[g]++
-				}
+		if bytes.HasPrefix(value, recipeTag) {
+			_, ids, _, err := parseRecipe(value, d.o.ChunkSize)
+			if err != nil {
+				ferr = fmt.Errorf("dedup: recipe at %q: %w", key, err)
+				return false
+			}
+			for _, id := range ids {
+				refs[id]++
 			}
 		}
 		return true
 	})
+	if err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return err
 	}
 	d.refs = refs
 	d.chunks = 0
-	for _, g := range chunkDigests {
-		if refs[g] > 0 {
+	for _, id := range stored {
+		if refs[id] > 0 {
 			d.chunks++
 			continue
 		}
-		if err := d.kv.Delete(chunkKey(g)); err != nil {
-			return fmt.Errorf("dedup: deleting orphan chunk %016x: %w", g, err)
+		if err := d.kv.Delete(chunkKey(id)); err != nil {
+			return fmt.Errorf("dedup: deleting orphan chunk %x: %w", id, err)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestRecoverDeletesOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant an orphan chunk directly in the inner store.
-	orphan := chunkKey(0xdeadbeefcafef00d)
+	orphan := chunkKey(chunkID{0xde, 0xad, 0xbe, 0xef})
 	if err := inner.Put(orphan, []byte("unreferenced")); err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +131,36 @@ func TestRecoverAfterLSMReopen(t *testing.T) {
 	})
 	if want := d2.Stats().Chunks; chunks != want {
 		t.Errorf("physical chunks = %d, refcounted chunks = %d: old generation stranded", chunks, want)
+	}
+}
+
+// TestRecoverRefusesForeignFormat: Recover is the on-disk format gate. A
+// version-1 recipe (64-bit FNV chunk digests) and a cas/ key that is not
+// a chunk ID of this format each make it fail, naming the key, instead
+// of freeing the recipe's chunks as orphans or leaking the key.
+func TestRecoverRefusesForeignFormat(t *testing.T) {
+	v1 := []byte{0xf5, 'C', 'a', 'S', 'r', 0x01}
+	v1 = binary.LittleEndian.AppendUint64(v1, 64)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 0xdeadbeefcafef00d)
+	v1 = binary.LittleEndian.AppendUint32(v1, 64)
+	for _, tc := range []struct{ name, key string }{
+		{"v1 recipe", "seg/old"},
+		{"malformed chunk key", "cas/deadbeefcafef00d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := kvstore.NewMemKV(4)
+			d1 := Wrap(inner, Options{ChunkSize: 64})
+			if err := d1.Put("seg/new", bytes.Repeat([]byte("x"), 128)); err != nil {
+				t.Fatal(err)
+			}
+			if err := inner.Put(tc.key, v1); err != nil {
+				t.Fatal(err)
+			}
+			err := Wrap(inner, Options{ChunkSize: 64}).Recover()
+			if err == nil || !strings.Contains(err.Error(), tc.key) {
+				t.Fatalf("Recover = %v, want an error naming %q", err, tc.key)
+			}
+		})
 	}
 }

@@ -58,10 +58,18 @@ const (
 // and replayed at open.
 const FeatureDurableCatalog = "catalog-v1"
 
+// FeatureSHA256Chunks marks a data dir whose content-addressed chunks
+// (internal/dedup) are keyed by SHA-256-128 IDs under version-2 recipes.
+// A binary that keyed chunks by 64-bit FNV does not support it and so
+// refuses the dir; in the other direction dedup.KV.Recover refuses a
+// store written in that older format.
+const FeatureSHA256Chunks = "cas-sha256-128"
+
 // supportedFeatures gates LoadManifest: a feature outside this set was
 // written by a newer binary relying on semantics this one lacks.
 var supportedFeatures = map[string]bool{
 	FeatureDurableCatalog: true,
+	FeatureSHA256Chunks:   true,
 }
 
 // LoadManifest reads and validates dir's manifest. A missing manifest is

@@ -303,21 +303,6 @@ func TestEncodeDecodeVertexRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFingerprintsDetectChange(t *testing.T) {
-	m := Sequential("m", 8, Dense{In: 8, Out: 8}, Dense{In: 8, Out: 8})
-	f := mustFlatten(t, m)
-	ws := Materialize(f, 1)
-	before := ws.Fingerprints()
-	ws.PerturbVertex(2, 5)
-	after := ws.Fingerprints()
-	if before[2] == after[2] {
-		t.Error("fingerprint missed vertex change")
-	}
-	if before[1] != after[1] {
-		t.Error("fingerprint changed for untouched vertex")
-	}
-}
-
 func TestSubmodelInputArityMismatch(t *testing.T) {
 	sub := New("sub")
 	i1 := sub.Input("i1", 4)

@@ -130,17 +130,3 @@ func (ws WeightSet) DecodeVertexInto(f *Flat, v graph.VertexID, seg []byte) erro
 	ws[v] = out
 	return nil
 }
-
-// Fingerprints returns a per-vertex content hash, or 0 for parameter-free
-// vertices. Used for fast modified-tensor detection during diffing.
-func (ws WeightSet) Fingerprints() []uint64 {
-	fps := make([]uint64, len(ws))
-	for v, ts := range ws {
-		var fp uint64
-		for _, t := range ts {
-			fp = fp*0x100000001b3 + t.Fingerprint()
-		}
-		fps[v] = fp
-	}
-	return fps
-}

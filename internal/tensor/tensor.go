@@ -8,9 +8,10 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"math"
 )
 
@@ -155,22 +156,22 @@ func (t *Tensor) SameSpec(o *Tensor) bool {
 
 // Equal reports whether two tensors have identical spec and contents.
 func (t *Tensor) Equal(o *Tensor) bool {
-	if !t.SameSpec(o) || len(t.Data) != len(o.Data) {
-		return false
-	}
-	for i := range t.Data {
-		if t.Data[i] != o.Data[i] {
-			return false
-		}
-	}
-	return true
+	return t.SameSpec(o) && bytes.Equal(t.Data, o.Data)
 }
+
+// fingerprintSeed keys Fingerprint. It is drawn once per process.
+var fingerprintSeed = maphash.MakeSeed()
 
 // Fingerprint returns a 64-bit content hash covering name, dtype, shape and
 // data. It is used for fast modified-tensor detection during diffing.
+//
+// The hash is hash/maphash under a seed drawn once per process: equal
+// tensors fingerprint equally within one process, but the value differs
+// between processes, so a fingerprint must never be persisted or sent.
 func (t *Tensor) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.Name))
+	var h maphash.Hash
+	h.SetSeed(fingerprintSeed)
+	h.WriteString(t.Name)
 	var buf [8]byte
 	buf[0] = byte(t.DType)
 	h.Write(buf[:1])
