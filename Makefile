@@ -12,9 +12,9 @@ test:
 # analysis; the test suite under the race detector, which includes every
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
-# bulk data path, LSM point-read, LSM sustained-write, provider-local LCP
-# query, LCP scanner, chunk-store put and tensor fingerprint benchmarks so
-# they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
+# bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
+# provider-local LCP query, LCP scanner, chunk-store put and tensor
+# fingerprint benchmarks so they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
 # the time Go would otherwise spend shrinking the seed table, which looks
 # like a hang) and 5 s each of the TCP frame readers, the strict
 # control decoders and the chunk-recipe decoder; a guard that no non-test code under internal/ or cmd/
@@ -27,7 +27,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
-	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained)' -benchtime 1x ./internal/kvstore
+	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained|FlushCompact)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -bench '^BenchmarkLocalLCPQueryCatalog1000$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
 	$(GO) test -run '^$$' -bench '^BenchmarkKVPutShared$$' -benchtime 1x ./internal/dedup

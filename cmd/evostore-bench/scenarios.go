@@ -364,7 +364,7 @@ func runRestart(cfg config) error {
 		err = kvstore.SaveManifest(dir(i), &kvstore.Manifest{
 			FormatVersion: kvstore.ManifestFormatVersion,
 			ProviderID:    uint32(i),
-			Features:      []string{kvstore.FeatureDurableCatalog},
+			Features:      []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs},
 		})
 		if err != nil {
 			return fmt.Errorf("writing manifest %d: %w", i, err)

@@ -277,7 +277,7 @@ func main() {
 	}
 	saveManifest := func(st *placement.State) {}
 	if *data != "" {
-		features := []string{kvstore.FeatureDurableCatalog}
+		features := []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs}
 		if *dedupStore {
 			features = append(features, kvstore.FeatureSHA256Chunks)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,12 +179,12 @@ func TestSSTableGetVerifiesWhatItServes(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, _, err := tbl.get("k020"); err == nil {
-		t.Fatalf("damaged value served: found=%v %q", found, v)
+	if e, found, err := tbl.get("k020"); err == nil {
+		t.Fatalf("damaged value served: found=%v %q", found, e.value)
 	}
 	for _, k := range []string{"k019", "k021"} {
-		if v, found, _, err := tbl.get(k); err != nil || !found || string(v) != "value-0"+k[2:] {
-			t.Fatalf("get(%s) beside the damage: %q found=%v err=%v", k, v, found, err)
+		if e, found, err := tbl.get(k); err != nil || !found || string(e.value) != "value-0"+k[2:] {
+			t.Fatalf("get(%s) beside the damage: %q found=%v err=%v", k, e.value, found, err)
 		}
 	}
 }
@@ -494,11 +495,20 @@ func assertState(t *testing.T, kv *LSMKV, ref map[string]string, gone ...string)
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("scan = %v, want %v", got, ref)
+		for k, v := range got {
+			if want, ok := ref[k]; !ok || v != want {
+				t.Errorf("scan yields %s: %.40q (%d bytes), want %.40q (%d bytes, present %v)", k, v, len(v), want, len(want), ok)
+			}
+		}
+		for k := range ref {
+			if _, ok := got[k]; !ok {
+				t.Errorf("scan lacks %s", k)
+			}
+		}
 	}
 	for k, want := range ref {
 		if v, ok, err := kv.Get(k); err != nil || !ok || string(v) != want {
-			t.Errorf("Get(%s) = %q ok=%v err=%v, want %q", k, v, ok, err, want)
+			t.Errorf("Get(%s) = %.40q (%d bytes) ok=%v err=%v, want %.40q (%d bytes)", k, v, len(v), ok, err, want, len(want))
 		}
 	}
 	for _, k := range gone {
@@ -669,8 +679,8 @@ func TestTombstoneSurvivesPartialMerge(t *testing.T) {
 	r := tieredStore(t, dir)
 	r.flush()
 	await(r.kv, func() bool { return len(r.kv.tables) == 2 })
-	if _, found, tomb, err := r.kv.tables[1].get("victim"); err != nil || !found || !tomb {
-		t.Errorf("merged run: victim found=%v tombstone=%v err=%v, want its tombstone kept", found, tomb, err)
+	if e, found, err := r.kv.tables[1].get("victim"); err != nil || !found || !e.tombstone {
+		t.Errorf("merged run: victim found=%v tombstone=%v err=%v, want its tombstone kept", found, e.tombstone, err)
 	}
 	assertState(t, r.kv, r.ref, "victim", "old02")
 	if err := r.kv.Close(); err != nil {
@@ -686,7 +696,7 @@ func TestTombstoneSurvivesPartialMerge(t *testing.T) {
 	if err := kv2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _, _ := kv2.tables[0].get("victim"); found || kv2.TableCount() != 1 {
+	if _, found, _ := kv2.tables[0].get("victim"); found || kv2.TableCount() != 1 {
 		t.Errorf("full merge: victim found=%v in %d tables, want it dropped from one table", found, kv2.TableCount())
 	}
 	assertState(t, kv2, r.ref, "victim", "old02")
@@ -731,5 +741,306 @@ func TestLSMDoubleCloseIsNoop(t *testing.T) {
 	}
 	if err := kv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// --- value logs ---------------------------------------------------------
+
+// bigVal is a value large enough to be kept in its log.
+func bigVal(seed, n int) string { return string(patterned(seed, vlogMin+n)) }
+
+// (e) The crash lands after the table is durable and published, before its
+// log is renamed to a value log: a reopen replays the log and serves the
+// table's pointers from it, and the next flush keeps it as a value log.
+func TestCrashBeforeLogKeepRecovers(t *testing.T) {
+	dir := t.TempDir()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &refStore{t: t, kv: kv, ref: make(map[string]string)}
+	for i := 0; i < 10; i++ {
+		r.put(fmt.Sprintf("big%02d", i), bigVal(i, i*1000))
+		r.put(fmt.Sprintf("small%02d", i), fmt.Sprintf("v%02d", i))
+	}
+	r.put("big03", bigVal(99, 5))
+	r.del("big04")
+	crashBeforeLogKeep = func() error { return crashErr }
+	defer func() { crashBeforeLogKeep = nil }()
+	if err := kv.Flush(); !errors.Is(err, ErrStoreFailed) {
+		t.Fatalf("Flush with crash hook = %v, want ErrStoreFailed", err)
+	}
+	assertSticky(t, kv)
+	kv.Close()
+	crashBeforeLogKeep = nil
+	if logs, tables, vlogs := globCount(dir, "*.wal"), globCount(dir, "*.sst"), globCount(dir, "*.vlog"); logs != 2 || tables != 1 || vlogs != 0 {
+		t.Fatalf("at the crash: %d logs, %d tables, %d value logs on disk; want 2, 1, 0", logs, tables, vlogs)
+	}
+
+	kv2, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	assertState(t, kv2, r.ref, "big04")
+	// The replayed memtable shadows the table; its pointers still resolve.
+	kv2.mu.RLock()
+	for k, want := range r.ref {
+		e, found, err := kv2.tables[0].get(k)
+		if err == nil && found && e.ptr {
+			var v []byte
+			if v, err = kv2.resolveLocked(e); err == nil && string(v) != want {
+				err = fmt.Errorf("read %d bytes that differ from the %d written", len(v), len(want))
+			}
+		}
+		if err != nil || !found || e.ptr != (len(want) >= vlogMin) {
+			t.Errorf("table entry %s: found=%v ptr=%v err=%v", k, found, e.ptr, err)
+		}
+	}
+	kv2.mu.RUnlock()
+	if err := kv2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if logs, vlogs := globCount(dir, "*.wal"), globCount(dir, "*.vlog"); logs != 1 || vlogs != 1 {
+		t.Errorf("after the next flush: %d logs and %d value logs, want 1 and 1", logs, vlogs)
+	}
+	assertState(t, kv2, r.ref, "big04")
+	if err := kv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv3, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv3.Close()
+	assertState(t, kv3, r.ref, "big04")
+}
+
+// churnUntil overwrites and deletes large values on a store small enough to
+// start value-log GC, until a write fails (an armed hook marked the store
+// failed) or the rounds run out. It returns the acknowledged state, and the
+// write that failed, if one did: a write that failed while it waited for a
+// flush may or may not have been applied, so settle takes its outcome from
+// the store.
+func churnUntil(t *testing.T, kv *LSMKV, rounds int) (ref map[string]string, settle func(*LSMKV)) {
+	t.Helper()
+	ref = make(map[string]string)
+	write := func(key string, val string, del bool) bool {
+		var err error
+		if del {
+			err = kv.Delete(key)
+		} else {
+			err = kv.Put(key, []byte(val))
+		}
+		if errors.Is(err, ErrStoreFailed) {
+			settle = func(kv *LSMKV) {
+				if v, ok, _ := kv.Get(key); del && !ok {
+					delete(ref, key)
+				} else if !del && ok && string(v) == val {
+					ref[key] = val
+				}
+			}
+			return false
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if del {
+			delete(ref, key)
+		} else {
+			ref[key] = val
+		}
+		return true
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 16; i++ {
+			if !write(fmt.Sprintf("chunk%02d", i), bigVal(round*16+i, i*97), (round+i)%5 == 4) ||
+				!write(fmt.Sprintf("meta%02d", i), fmt.Sprint(round), false) {
+				return ref, settle
+			}
+		}
+	}
+	return ref, nil
+}
+
+// crashInValueGC arms hook, churns until the value-log GC reaches it and
+// the store fails, and returns the acknowledged state, to be settled against
+// the reopened store, and the value logs on disk when the hook fired.
+func crashInValueGC(t *testing.T, dir string, hook *func() error) (map[string]string, func(*LSMKV), []string) {
+	t.Helper()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atCrash []string
+	*hook = func() error {
+		atCrash, _ = filepath.Glob(filepath.Join(dir, "*.vlog"))
+		return crashErr
+	}
+	defer func() { *hook = nil }()
+	ref, settle := churnUntil(t, kv, 200)
+	if settle == nil {
+		await(kv, func() bool { return false })
+		settle = func(*LSMKV) {}
+	}
+	if atCrash == nil {
+		t.Fatal("the churn never started a value-log GC")
+	}
+	assertSticky(t, kv)
+	kv.Close()
+	return ref, settle, atCrash
+}
+
+// (f) The crash lands mid value-GC, after the live values are appended
+// again and synced, before the old value log is unlinked: a reopen reads
+// the relocated values, beside the old log, and GC carries on from there.
+func TestCrashMidValueGCRecovers(t *testing.T) {
+	dir := t.TempDir()
+	ref, settle, atCrash := crashInValueGC(t, dir, &crashMidValueGC)
+	for _, name := range atCrash {
+		if _, err := os.Stat(name); err != nil {
+			t.Errorf("value log %s was on disk when the GC crashed, now: %v", name, err)
+		}
+	}
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 16 << 10})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer kv.Close()
+	settle(kv)
+	assertState(t, kv, ref)
+	if err := kv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	await(kv, func() bool { return kv.collectableLocked() == nil })
+	assertState(t, kv, ref)
+}
+
+// (g) The crash lands after the old value log is unlinked, before the
+// directory fsync: a reopen reads every value from where GC moved it.
+func TestCrashAfterVlogUnlinkRecovers(t *testing.T) {
+	dir := t.TempDir()
+	ref, settle, _ := crashInValueGC(t, dir, &crashAfterVlogUnlink)
+	kv, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer kv.Close()
+	settle(kv)
+	assertState(t, kv, ref)
+}
+
+// TestTableNeverAheadOfItsValues: when a flushed table becomes durable,
+// every value it points to is durable too. At that moment a copy of the
+// directory is taken that keeps of each log only the prefix known fsynced
+// (a power cut loses the rest); every entry of the copy's tables must
+// still resolve.
+func TestTableNeverAheadOfItsValues(t *testing.T) {
+	dir, snap := t.TempDir(), t.TempDir()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	for i := 0; i < 8; i++ {
+		if err := kv.Put(fmt.Sprintf("big%02d", i), []byte(bigVal(i, 100*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copied := false
+	crashAfterTableSync = func() error {
+		kv.mu.RLock()
+		synced := map[string]int64{}
+		for _, mt := range []*memtable{kv.sealed, kv.mem} {
+			mt.log.mu.Lock()
+			synced[mt.log.path] = mt.log.synced
+			mt.log.mu.Unlock()
+		}
+		kv.mu.RUnlock()
+		names, _ := filepath.Glob(filepath.Join(dir, "*"))
+		for _, name := range names {
+			raw, err := os.ReadFile(name)
+			if err != nil {
+				return err
+			}
+			if n, ok := synced[name]; ok {
+				raw = raw[:min(int64(len(raw)), n)]
+			}
+			if err := os.WriteFile(filepath.Join(snap, filepath.Base(name)), raw, 0o644); err != nil {
+				return err
+			}
+		}
+		copied = true
+		return nil
+	}
+	defer func() { crashAfterTableSync = nil }()
+	if err := kv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	crashAfterTableSync = nil
+	if !copied {
+		t.Fatal("the hook never ran")
+	}
+	kv2, err := OpenLSM(snap, LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv2.Close()
+	if kv2.TableCount() != 1 {
+		t.Fatalf("%d tables in the copy, want 1", kv2.TableCount())
+	}
+	kv2.mu.RLock()
+	defer kv2.mu.RUnlock()
+	n := 0
+	err = kv2.tables[0].iterate(8, func(e ssEntry) bool {
+		if _, err := kv2.resolveLocked(e); err != nil {
+			t.Errorf("%s: %v", e.key, err)
+		}
+		n++
+		return true
+	})
+	if err != nil || n != 8 {
+		t.Errorf("iterated %d entries, err=%v", n, err)
+	}
+}
+
+// TestValueLogReadBounded: a pointer whose length or offset a damaged table
+// made up is refused before anything is sized by it, and bytes whose CRC
+// does not match are never served.
+func TestValueLogReadBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "000001.vlog")
+	val := patterned(1, 8<<10)
+	if err := os.WriteFile(path, append(make([]byte, 100), val...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v, err := openValueLog(1, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.f.Close()
+	good := vptr{log: 1, off: 100, n: uint32(len(val)), crc: crc32.ChecksumIEEE(val)}
+	if got, err := v.read(good); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("good pointer: %d bytes, err=%v", len(got), err)
+	}
+	for name, p := range map[string]vptr{
+		"length 2^32-1":       {log: 1, off: 100, n: 1<<32 - 1, crc: good.crc},
+		"offset past the end": {log: 1, off: 1 << 40, n: 10, crc: good.crc},
+		"offset 2^64-1":       {log: 1, off: 1<<64 - 1, n: 2, crc: good.crc},
+		"one byte too long":   {log: 1, off: 100, n: good.n + 1, crc: good.crc},
+		"wrong crc":           {log: 1, off: 100, n: good.n, crc: good.crc ^ 1},
+		"shifted":             {log: 1, off: 99, n: good.n, crc: good.crc},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := v.read(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: served %d bytes", name, len(got))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+			t.Errorf("%s: refusing allocated %d bytes", name, d)
+		}
 	}
 }

@@ -390,11 +390,11 @@ func TestSSTableReopen(t *testing.T) {
 	if re.count != 3 || re.minKey != "a" || re.maxKey != "c" {
 		t.Errorf("reopened meta: count=%d min=%q max=%q", re.count, re.minKey, re.maxKey)
 	}
-	v, found, tomb, err := re.get("b")
-	if err != nil || !found || !tomb || len(v) != 0 {
-		t.Errorf("tombstone roundtrip: found=%v tomb=%v err=%v", found, tomb, err)
+	e, found, err := re.get("b")
+	if err != nil || !found || !e.tombstone || len(e.value) != 0 {
+		t.Errorf("tombstone roundtrip: found=%v tomb=%v err=%v", found, e.tombstone, err)
 	}
-	if _, found, _, _ := re.get("zz"); found {
+	if _, found, _ := re.get("zz"); found {
 		t.Error("found key beyond maxKey")
 	}
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,16 +30,27 @@ var (
 	// crashAfterSeal fires in flushSealed before anything of the sealed
 	// memtable's table is written: two WALs are on disk, no table.
 	crashAfterSeal func() error
-	// crashAfterTableSync fires in flushSealed after the new SSTable and
-	// its directory entry are durable but before the sealed WAL is removed.
+	// crashAfterTableSync fires in flushSealed after the sealed WAL's
+	// fsync and after the new SSTable and its directory entry are durable,
+	// before the table is published.
 	crashAfterTableSync func() error
+	// crashBeforeLogKeep fires in flushSealed after the table is published
+	// and before the sealed WAL is renamed to a value log (or removed).
+	crashBeforeLogKeep func() error
 	// crashAfterWALRemove fires in flushSealed after the sealed WAL has
-	// been removed and the removal fsynced.
+	// been renamed to a value log or removed, and the directory fsynced.
 	crashAfterWALRemove func() error
 	// crashMidCompaction fires in merge after the merged table and its
 	// commit marker are durable but before the table list is swapped and
 	// the superseded tables are removed.
 	crashMidCompaction func() error
+	// crashMidValueGC fires in collect after the live values are appended
+	// to the log taking writes and synced, before the old value log is
+	// unlinked.
+	crashMidValueGC func() error
+	// crashAfterVlogUnlink fires in collect after the old value log is
+	// unlinked, before the directory fsync.
+	crashAfterVlogUnlink func() error
 )
 
 // errClosing ends a merge that Close interrupted.
@@ -65,8 +77,10 @@ func syncDir(dir string) error {
 // WAL and a fresh pair takes the writes; one background goroutine per store
 // writes the sealed memtable as an immutable SSTable and, when more than
 // CompactAfter tables accumulate, merges a run of the newest ones
-// (size-tiered; see pickRun). No lock a reader or writer needs is held
-// across that disk work: mu covers only map and slice updates.
+// (size-tiered; see pickRun). A value of vlogMin bytes or more stays in the
+// log that took it, which the tables then point into (see vlog.go), so the
+// same goroutine also reclaims value logs. No lock a reader or writer needs
+// is held across that disk work: mu covers only map and slice updates.
 type LSMKV struct {
 	dir  string
 	opts LSMOptions
@@ -78,6 +92,8 @@ type LSMKV struct {
 	tables []*sstable // oldest first
 	closed bool
 	failed error // non-nil after an unrecoverable durability error
+	// vlogs holds a read handle on every log the tables point into, by id.
+	vlogs map[uint32]*valueLog
 	// Compact asks for a full merge by raising fullWanted; a merge that
 	// included the oldest table raises fullDone to the value it started at.
 	fullWanted, fullDone int
@@ -98,7 +114,7 @@ type memtable struct {
 	log  *wal
 	old  []string // logs an earlier process left, replayed into m
 	// flushed is set, under the store's mu, once the table is durable and
-	// the logs are gone: what Flush waits for.
+	// the logs are value logs or gone: what Flush waits for.
 	flushed bool
 }
 
@@ -109,6 +125,11 @@ type memtable struct {
 type memEntry struct {
 	val  []byte
 	tomb bool
+	// log and at locate val in a log: that log's id and the offset the
+	// value starts at. at is -1 where the flush must write the value inline
+	// (a log of the layout before numbered logs).
+	log uint32
+	at  int64
 }
 
 // LSMOptions tunes LSMKV behaviour.
@@ -144,7 +165,7 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	kv := &LSMKV{dir: dir, opts: opts, done: make(chan struct{})}
+	kv := &LSMKV{dir: dir, opts: opts, done: make(chan struct{}), vlogs: make(map[uint32]*valueLog)}
 	kv.wake = sync.NewCond(&kv.mu)
 
 	// A *.tmp file is a table or marker that never got its name.
@@ -204,6 +225,9 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 		if id, err := fileID(name); err == nil && id >= kv.nextID {
 			kv.nextID = id + 1
 		}
+		// A log id is never reused, not even one whose log GC removed, which
+		// shadowed vptrs may still name.
+		kv.nextWAL = max(kv.nextWAL, t.logs)
 	}
 	for _, m := range markers {
 		if err := os.Remove(m); err != nil {
@@ -214,6 +238,20 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 		if err := syncDir(dir); err != nil {
 			return nil, err
 		}
+	}
+
+	vlogs, _ := filepath.Glob(filepath.Join(dir, "*.vlog"))
+	for _, name := range vlogs {
+		id, err := fileID(name)
+		if err != nil {
+			continue
+		}
+		v, err := openValueLog(uint32(id), name)
+		if err != nil {
+			return nil, err
+		}
+		kv.vlogs[v.id] = v
+		kv.nextWAL = max(kv.nextWAL, id+1)
 	}
 
 	// Logs, oldest first: wal.log (the one log of the format before the
@@ -227,22 +265,43 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 		logs = append([]string{filepath.Join(dir, "wal.log")}, logs...)
 	}
 	for _, name := range logs {
-		if id, err := fileID(name); err == nil && id >= kv.nextWAL {
+		id, idErr := fileID(name)
+		if idErr == nil && id >= kv.nextWAL {
 			kv.nextWAL = id + 1
 		}
 		records := 0
-		err := replayWAL(name, func(op byte, key string, value []byte) {
-			kv.mem.apply(key, value, op == walOpDelete)
+		err := replayWAL(name, func(op byte, key string, value []byte, at int64) {
+			if idErr != nil {
+				at = -1
+			}
+			kv.mem.apply(key, value, op == walOpDelete, uint32(id), at)
 			records++
 		})
 		if err != nil {
 			return nil, err
 		}
-		if records > 0 {
-			kv.mem.old = append(kv.mem.old, name)
-		} else if err := os.Remove(name); err != nil { // or restarts without writes pile up empty logs
+		if records == 0 {
+			if err := os.Remove(name); err != nil { // or restarts without writes pile up empty logs
+				return nil, err
+			}
+			continue
+		}
+		kv.mem.old = append(kv.mem.old, name)
+		if idErr != nil {
+			continue
+		}
+		// A crash between a table and its log's rename leaves the table
+		// pointing into this log: serve those pointers from it, and make it
+		// durable before the next table points into it again.
+		v, err := openValueLog(uint32(id), name)
+		if err == nil {
+			err = v.f.Sync()
+		}
+		if err != nil {
 			return nil, err
 		}
+		v.wal = true
+		kv.vlogs[v.id] = v
 	}
 	var err error
 	if kv.mem.log, err = kv.createWAL(); err != nil {
@@ -256,6 +315,7 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 func (kv *LSMKV) createWAL() (*wal, error) {
 	l, err := createWAL(filepath.Join(kv.dir, fmt.Sprintf("%06d.wal", kv.nextWAL)))
 	if err == nil {
+		l.id = uint32(kv.nextWAL)
 		kv.nextWAL++
 	}
 	return l, err
@@ -268,9 +328,10 @@ func (kv *LSMKV) createWAL() (*wal, error) {
 // accumulating tombstones unboundedly.
 const memEntryCost = 32
 
-// apply installs an entry, tracking its accounted size (key + overhead +
-// value; tombstones carry no value).
-func (mt *memtable) apply(key string, value []byte, tomb bool) {
+// apply installs an entry whose value starts at offset at of log id log,
+// tracking its accounted size (key + overhead + value; tombstones carry no
+// value).
+func (mt *memtable) apply(key string, value []byte, tomb bool, log uint32, at int64) {
 	if old, ok := mt.m[key]; ok {
 		mt.size -= int64(len(key)) + memEntryCost + int64(len(old.val))
 	}
@@ -280,7 +341,7 @@ func (mt *memtable) apply(key string, value []byte, tomb bool) {
 		return
 	}
 	cp := append([]byte(nil), value...)
-	mt.m[key] = memEntry{val: cp}
+	mt.m[key] = memEntry{val: cp, log: log, at: at}
 	mt.size += int64(len(key)) + memEntryCost + int64(len(cp))
 }
 
@@ -307,10 +368,11 @@ func (kv *LSMKV) write(op byte, key string, value []byte) error {
 	if err := kv.usableLocked(); err != nil {
 		return err
 	}
-	if err := kv.mem.log.append(op, key, value); err != nil {
+	at, err := kv.mem.log.append(op, key, value)
+	if err != nil {
 		return err
 	}
-	kv.mem.apply(key, value, op == walOpDelete)
+	kv.mem.apply(key, value, op == walOpDelete, kv.mem.log.id, at)
 	return kv.sealLocked(kv.opts.FlushBytes)
 }
 
@@ -326,16 +388,22 @@ func (kv *LSMKV) sealLocked(atLeast int64) error {
 			return err
 		}
 		if kv.sealed == nil {
-			log, err := kv.createWAL()
-			if err != nil {
-				return err
-			}
-			kv.sealed, kv.mem = kv.mem, &memtable{m: make(map[string]memEntry), log: log}
-			kv.wake.Broadcast()
-			return nil
+			return kv.handOffLocked()
 		}
 		kv.wake.Wait()
 	}
+	return nil
+}
+
+// handOffLocked seals the memtable, which the caller has seen to be full
+// with no sealed one waiting, and starts a fresh pair. Caller holds mu.
+func (kv *LSMKV) handOffLocked() error {
+	log, err := kv.createWAL()
+	if err != nil {
+		return err
+	}
+	kv.sealed, kv.mem = kv.mem, &memtable{m: make(map[string]memEntry), log: log}
+	kv.wake.Broadcast()
 	return nil
 }
 
@@ -348,11 +416,19 @@ func (kv *LSMKV) sealLocked(atLeast int64) error {
 // earlier unsynced appends (segment payloads included).
 func (kv *LSMKV) Sync() error {
 	kv.mu.RLock()
-	err, mem, sealed := kv.usableLocked(), kv.mem, kv.sealed
+	err := kv.usableLocked()
 	kv.mu.RUnlock()
 	if err != nil {
 		return err
 	}
+	return kv.syncLogs()
+}
+
+// syncLogs is Sync without the health check.
+func (kv *LSMKV) syncLogs() error {
+	kv.mu.RLock()
+	mem, sealed := kv.mem, kv.sealed
+	kv.mu.RUnlock()
 	if sealed != nil {
 		if err := sealed.log.sync(); err != nil {
 			return err
@@ -362,38 +438,80 @@ func (kv *LSMKV) Sync() error {
 }
 
 // Get implements KV: the memtable, the sealed one, then SSTables
-// newest-first.
+// newest-first; a vptr found there costs one more read, of exactly the
+// value.
 func (kv *LSMKV) Get(key string) ([]byte, bool, error) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	e, ok := kv.mem.m[key]
-	if !ok && kv.sealed != nil {
-		e, ok = kv.sealed.m[key]
+	e, found, err := kv.newestLocked(key)
+	if err != nil || !found || e.tombstone {
+		return nil, false, err
 	}
-	if ok {
-		return e.val, !e.tomb, nil
+	v, err := kv.resolveLocked(e)
+	if err != nil {
+		return nil, false, err
+	}
+	return v, true, nil
+}
+
+// newestLocked returns key's newest entry: from the memtable, the sealed
+// one, or the newest table that holds the key. Caller holds mu.
+func (kv *LSMKV) newestLocked(key string) (ssEntry, bool, error) {
+	for _, mt := range []*memtable{kv.mem, kv.sealed} {
+		if mt == nil {
+			continue
+		}
+		if e, ok := mt.m[key]; ok {
+			return ssEntry{key: key, value: e.val, tombstone: e.tomb}, true, nil
+		}
 	}
 	for i := len(kv.tables) - 1; i >= 0; i-- {
-		v, found, tomb, err := kv.tables[i].get(key)
-		if err != nil {
-			return nil, false, err
-		}
-		if found {
-			if tomb {
-				return nil, false, nil
-			}
-			return v, true, nil
+		if e, found, err := kv.tables[i].get(key); err != nil || found {
+			return e, found, err
 		}
 	}
-	return nil, false, nil
+	return ssEntry{}, false, nil
+}
+
+// resolveLocked returns a live entry's value, reading it from its value log
+// if the entry is a vptr. Caller holds mu, which keeps the log open.
+func (kv *LSMKV) resolveLocked(e ssEntry) ([]byte, error) {
+	if !e.ptr {
+		return e.value, nil
+	}
+	p := decodeVptr(e.value)
+	v := kv.vlogs[p.log]
+	if v == nil {
+		return nil, fmt.Errorf("kvstore: %q points into value log %d, which is gone", e.key, p.log)
+	}
+	return v.read(p)
 }
 
 // Scan implements KV: a merge over all tables and both memtables with
-// newest-wins shadowing.
+// newest-wins shadowing; only the newest version of a key is read from a
+// value log.
 func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	merged := make(map[string]memEntry)
+	var rerr error
+	err := kv.scanLocked(prefix, func(e ssEntry) bool {
+		v, err := kv.resolveLocked(e)
+		if err != nil {
+			rerr = err
+			return false
+		}
+		return fn(e.key, v)
+	})
+	if err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// scanLocked calls fn, in key order, with the newest entry of every live key
+// under prefix; a value-log entry is passed as its pointer. Caller holds mu.
+func (kv *LSMKV) scanLocked(prefix string, fn func(ssEntry) bool) error {
+	merged := make(map[string]ssEntry)
 	// Oldest table first; newer entries overwrite. Keys under a prefix are
 	// contiguous, so each table is entered at the prefix through its index
 	// and left at the first key past it.
@@ -401,7 +519,7 @@ func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) err
 		from, _ := t.seek(prefix)
 		err := t.iterate(from, func(e ssEntry) bool {
 			if strings.HasPrefix(e.key, prefix) {
-				merged[e.key] = memEntry{val: e.value, tomb: e.tombstone}
+				merged[e.key] = e
 				return true
 			}
 			return e.key < prefix
@@ -416,41 +534,47 @@ func (kv *LSMKV) Scan(prefix string, fn func(key string, value []byte) bool) err
 		}
 		for k, e := range mt.m {
 			if strings.HasPrefix(k, prefix) {
-				merged[k] = e
+				merged[k] = ssEntry{key: k, value: e.val, tombstone: e.tomb}
 			}
 		}
 	}
 	keys := make([]string, 0, len(merged))
 	for k, e := range merged {
-		if !e.tomb {
+		if !e.tombstone {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !fn(k, merged[k].val) {
+		if !fn(merged[k]) {
 			break
 		}
 	}
 	return nil
 }
 
-// Len implements KV. It merges live keys, so it is O(total entries).
+// Len implements KV. It merges live keys, so it is O(total entries), and
+// reads no value.
 func (kv *LSMKV) Len() int {
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
 	n := 0
-	kv.Scan("", func(string, []byte) bool { n++; return true })
+	kv.scanLocked("", func(ssEntry) bool { n++; return true })
 	return n
 }
 
-// SizeBytes implements KV (live payload bytes).
+// SizeBytes implements KV (live payload bytes): inline lengths and the
+// lengths vptrs carry, without reading a value.
 func (kv *LSMKV) SizeBytes() int64 {
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
 	var n int64
-	kv.Scan("", func(_ string, v []byte) bool { n += int64(len(v)); return true })
+	kv.scanLocked("", func(e ssEntry) bool { n += e.size(); return true })
 	return n
 }
 
 // Flush forces the memtable to disk as an SSTable and returns when the
-// table is durable and the log that covered it is gone.
+// table is durable and the log that covered it is a value log or gone.
 func (kv *LSMKV) Flush() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -481,14 +605,19 @@ func (kv *LSMKV) Compact() error {
 }
 
 // background is the store's one maintenance goroutine: it turns the sealed
-// memtable into a table and keeps the table count bounded, until Close or
-// the first failure, which it records for the next mutation to report.
+// memtable into a table, keeps the table count bounded and, when there is
+// nothing else to do, reclaims value logs, until Close or the first failure,
+// which it records for the next mutation to report.
 func (kv *LSMKV) background() {
 	defer close(kv.done)
 	for {
 		kv.mu.Lock()
+		var gc *valueLog
 		for kv.failed == nil && !kv.closed && kv.sealed == nil &&
 			kv.fullDone == kv.fullWanted && len(kv.tables) <= kv.opts.CompactAfter {
+			if gc = kv.collectableLocked(); gc != nil {
+				break
+			}
 			kv.wake.Wait()
 		}
 		if kv.failed != nil || kv.closed {
@@ -501,7 +630,7 @@ func (kv *LSMKV) background() {
 		// bound: then a merge does, and lets the memtable out as it starts
 		// (see merge) — or writers that fill memtables back to back would
 		// keep merges from ever running.
-		if sealed == nil || len(kv.tables) > kv.opts.CompactAfter {
+		if gc == nil && (sealed == nil || len(kv.tables) > kv.opts.CompactAfter) {
 			sealed = nil
 			if want == kv.fullDone {
 				lo = pickRun(kv.tables)
@@ -516,9 +645,12 @@ func (kv *LSMKV) background() {
 		kv.mu.Unlock()
 
 		var err error
-		if sealed != nil {
+		switch {
+		case gc != nil:
+			err = kv.collect(gc)
+		case sealed != nil:
 			err = kv.flushSealed(sealed)
-		} else {
+		default:
 			err = kv.merge(lo, run, want)
 		}
 		if err != nil && err != errClosing {
@@ -531,12 +663,18 @@ func (kv *LSMKV) background() {
 }
 
 // flushSealed writes the sealed memtable as a table, publishes it, and
-// removes the logs that covered it. Runs on the background goroutine.
+// keeps each log that covered it as a value log if the table points into
+// it, or removes it. Runs on the background goroutine.
 func (kv *LSMKV) flushSealed(mt *memtable) error {
 	if hook := crashAfterSeal; hook != nil {
 		if err := hook(); err != nil {
 			return err
 		}
+	}
+	// No table may be durable while a value it points to is not. (The logs
+	// an earlier process left were fsynced when they were replayed.)
+	if err := mt.log.sync(); err != nil {
+		return err
 	}
 	keys := make([]string, 0, len(mt.m))
 	for k := range mt.m {
@@ -548,8 +686,16 @@ func (kv *LSMKV) flushSealed(mt *memtable) error {
 		return err
 	}
 	kv.nextID++
+	kept := make(map[uint32]bool) // the logs the table points into
+	var enc [vptrSize]byte
 	for _, k := range keys {
 		e := mt.m[k]
+		if !e.tomb && len(e.val) >= vlogMin && e.at >= 0 {
+			p := vptr{log: e.log, off: uint64(e.at), n: uint32(len(e.val)), crc: crc32.ChecksumIEEE(e.val)}
+			w.add(ssEntry{key: k, value: p.appendTo(enc[:0]), ptr: true})
+			kept[e.log] = true
+			continue
+		}
 		w.add(ssEntry{key: k, value: e.val, tombstone: e.tomb})
 	}
 	t, err := w.finish()
@@ -567,21 +713,36 @@ func (kv *LSMKV) flushSealed(mt *memtable) error {
 			return err
 		}
 	}
+	var vl *valueLog
+	if kept[mt.log.id] {
+		if vl, err = openValueLog(mt.log.id, mt.log.path); err != nil {
+			t.close()
+			return err
+		}
+	}
 	kv.mu.Lock()
 	kv.tables = append(kv.tables, t)
+	if vl != nil {
+		kv.vlogs[vl.id] = vl
+	}
 	kv.sealed = nil
 	kv.wake.Broadcast()
 	kv.mu.Unlock()
 
-	// Writers are on their way again; the logs go after the fact. A Sync
-	// that picked this log up before the swap finds it closed, which counts
-	// as synced: the table is durable.
+	// Writers are on their way again; the logs are renamed or removed
+	// after the fact. A Sync that picked this log up before the swap finds
+	// it closed, which counts as synced: the table is durable.
 	if err := mt.log.close(); err != nil {
 		return fmt.Errorf("closing wal: %w", err)
 	}
+	if hook := crashBeforeLogKeep; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
 	for _, name := range append(mt.old, mt.log.path) {
-		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("removing wal: %w", err)
+		if err := kv.keepOrRemoveLog(name, kept); err != nil {
+			return err
 		}
 	}
 	if err := syncDir(kv.dir); err != nil {
@@ -597,6 +758,150 @@ func (kv *LSMKV) flushSealed(mt *memtable) error {
 	kv.wake.Broadcast()
 	kv.mu.Unlock()
 	return nil
+}
+
+// keepOrRemoveLog renames a log whose memtable is now a table to
+// NNNNNN.vlog if the tables point into it, and removes it otherwise. A
+// removed log may still be the target of vptrs in older tables, but only of
+// shadowed ones: every value it held is in the new table or overwritten
+// there, and reads and collect go newest-first.
+func (kv *LSMKV) keepOrRemoveLog(name string, kept map[uint32]bool) error {
+	id, idErr := fileID(name)
+	if idErr == nil && kept[uint32(id)] {
+		to := strings.TrimSuffix(name, ".wal") + ".vlog"
+		if err := os.Rename(name, to); err != nil {
+			return fmt.Errorf("keeping value log: %w", err)
+		}
+		kv.mu.Lock()
+		kv.vlogs[uint32(id)].path, kv.vlogs[uint32(id)].wal = to, false
+		kv.mu.Unlock()
+		return nil
+	}
+	if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("removing wal: %w", err)
+	}
+	if idErr != nil {
+		return nil
+	}
+	kv.mu.Lock()
+	v := kv.vlogs[uint32(id)]
+	delete(kv.vlogs, uint32(id))
+	kv.mu.Unlock()
+	if v != nil {
+		v.f.Close()
+	}
+	return nil
+}
+
+// collectableLocked is the value-log GC rule: when the value logs hold more
+// than twice the bytes the tables point at, plus gcSlackMemtables
+// memtables, it returns the oldest value log. Caller holds mu.
+func (kv *LSMKV) collectableLocked() *valueLog {
+	var logBytes, refBytes int64
+	var oldest *valueLog
+	for _, v := range kv.vlogs {
+		if v.wal {
+			continue
+		}
+		logBytes += v.size
+		if oldest == nil || v.id < oldest.id {
+			oldest = v
+		}
+	}
+	for _, t := range kv.tables {
+		refBytes += t.refBytes
+	}
+	if logBytes <= 2*refBytes+gcSlackMemtables*kv.opts.FlushBytes {
+		return nil
+	}
+	return oldest
+}
+
+// collect reclaims value log v. Every value in it that is still its key's
+// newest version is appended again to the log taking writes, as a write
+// would be, but without waiting for a flush (this goroutine is the flusher:
+// it writes a sealed memtable itself, between values). Once the log taking
+// writes is durable, v is unlinked. Shadowed vptrs into v stay behind in
+// the tables until merges drop them; nothing reads them, since reads go
+// newest-first and merges never dereference a vptr. Runs on the background
+// goroutine.
+func (kv *LSMKV) collect(v *valueLog) error {
+	err := v.largePuts(func(key string, at int64) error {
+		kv.mu.RLock()
+		sealed, closed := kv.sealed, kv.closed
+		kv.mu.RUnlock()
+		if closed {
+			return errClosing
+		}
+		if sealed != nil {
+			if err := kv.flushSealed(sealed); err != nil {
+				return err
+			}
+		}
+		kv.mu.RLock()
+		e, found, err := kv.newestLocked(key)
+		kv.mu.RUnlock()
+		if err != nil || !found || !e.ptr {
+			return err
+		}
+		p := decodeVptr(e.value)
+		if p.log != v.id || p.off != uint64(at) {
+			return nil
+		}
+		val, err := v.read(p)
+		if err != nil {
+			return err
+		}
+		// Only writers have moved since the check, and only into the
+		// memtables: a key they hold now is newer than this value.
+		kv.mu.Lock()
+		defer kv.mu.Unlock()
+		if _, ok := kv.mem.m[key]; ok {
+			return nil
+		}
+		if kv.sealed != nil {
+			if _, ok := kv.sealed.m[key]; ok {
+				return nil
+			}
+		}
+		if kv.closed {
+			return errClosing
+		}
+		at, err = kv.mem.log.append(walOpPut, key, val)
+		if err != nil {
+			return err
+		}
+		kv.mem.apply(key, val, false, kv.mem.log.id, at)
+		if kv.sealed == nil && kv.mem.size >= kv.opts.FlushBytes {
+			return kv.handOffLocked()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if err := kv.syncLogs(); err != nil {
+		return err
+	}
+	if hook := crashMidValueGC; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
+	kv.mu.Lock()
+	delete(kv.vlogs, v.id)
+	kv.wake.Broadcast()
+	kv.mu.Unlock()
+	v.f.Close()
+	if err := os.Remove(v.path); err != nil {
+		return fmt.Errorf("removing value log: %w", err)
+	}
+	if hook := crashAfterVlogUnlink; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
+	return syncDir(kv.dir)
 }
 
 // pickRun chooses the tables to merge, as the index its run tables[lo:]
@@ -790,6 +1095,12 @@ func (kv *LSMKV) Close() error {
 		}
 	}
 	kv.tables = nil
+	for id, v := range kv.vlogs {
+		if err := v.f.Close(); err != nil && first == nil {
+			first = err
+		}
+		delete(kv.vlogs, id)
+	}
 	return first
 }
 

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -191,11 +193,14 @@ func TestLSMConcurrentMaintenance(t *testing.T) {
 	assertState(t, kv2, ref, gone...)
 }
 
-// TestOpensParentFormatDirectory: a directory as the format before the
-// background hand-off left it — tables, the one wal.log and, after a crash
+// TestOpensParentFormatDirectory: a directory as the formats before value
+// logs left it — inline tables, the one wal.log of the layout before the
+// background hand-off, numbered NNNNNN.wal logs and, after a crash
 // mid-compaction, an empty `.sst.compact` marker meaning "supersedes every
-// older table" — opens and reads the same. (The table and log record
-// formats did not move, so the writers here produce that format's bytes.)
+// older table" — opens and reads the same. At the next flush the large
+// values of the numbered logs become vptrs into them, and the logs value
+// logs. (Inline and tombstone entries and log records did not move, so the
+// writers here produce those formats' bytes.)
 func TestOpensParentFormatDirectory(t *testing.T) {
 	for _, marker := range []bool{false, true} {
 		t.Run(fmt.Sprintf("marker=%v", marker), func(t *testing.T) {
@@ -218,17 +223,28 @@ func TestOpensParentFormatDirectory(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			log, err := createWAL(filepath.Join(dir, "wal.log"))
-			if err != nil {
-				t.Fatal(err)
+			big := func(seed, n int) string { return string(patterned(seed, n)) }
+			ref := map[string]string{"b": "b1", "c": "c-in-wal", "legacy-big": big(1, vlogMin),
+				"big/a": big(2, vlogMin), "big/b": big(3, 64<<10), "small": "s"}
+			writeLog := func(name string, recs ...string) {
+				log, err := createWAL(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range recs {
+					if v, ok := ref[k]; ok {
+						log.append(walOpPut, k, []byte(v))
+					} else {
+						log.append(walOpDelete, k, nil)
+					}
+				}
+				if err := log.close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			log.append(walOpPut, "c", []byte("c-in-wal"))
-			log.append(walOpDelete, "a", nil)
-			if err := log.close(); err != nil {
-				t.Fatal(err)
-			}
-
-			ref := map[string]string{"b": "b1", "c": "c-in-wal"}
+			writeLog("wal.log", "c", "a", "legacy-big")
+			writeLog("000004.wal", "big/a", "small")
+			writeLog("000005.wal", "big/b")
 			kv, err := OpenLSM(dir, LSMOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -249,6 +265,16 @@ func TestOpensParentFormatDirectory(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
 				t.Errorf("wal.log after a flush: %v, want it removed", err)
 			}
+			newest := kv.tables[len(kv.tables)-1]
+			for k, wantPtr := range map[string]bool{"big/a": true, "big/b": true, "legacy-big": false, "small": false} {
+				if e, found, err := newest.get(k); err != nil || !found || e.ptr != wantPtr {
+					t.Errorf("flushed %s: found=%v ptr=%v err=%v, want ptr=%v", k, found, e.ptr, err, wantPtr)
+				}
+			}
+			if logs, vlogs := globCount(dir, "*.wal"), globCount(dir, "*.vlog"); logs != 1 || vlogs != 2 {
+				t.Errorf("after the flush: %d logs and %d value logs, want 1 (taking writes) and 2", logs, vlogs)
+			}
+			assertState(t, kv, ref, "a", "dead")
 			if err := kv.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -259,5 +285,160 @@ func TestOpensParentFormatDirectory(t *testing.T) {
 			defer kv2.Close()
 			assertState(t, kv2, ref, "a", "dead")
 		})
+	}
+}
+
+// TestLSMValueLogGC drives value-log GC with random puts, overwrites and
+// deletes of 100 B–70 KiB values over a small FlushBytes, through Flush,
+// Compact and reopen cycles, while readers check every value they get. A
+// value carries its own length and seed, so a read that lands at the wrong
+// offset or length is caught even while writes race it. Between cycles
+// every read must match the reference map, SizeBytes must equal its payload
+// bytes exactly (so that space_amp cannot drift), and once GC has settled,
+// the value logs may hold at most twice the live bytes plus its slack.
+func TestLSMValueLogGC(t *testing.T) {
+	const keys, cycles, opsPer, flushBytes = 48, 4, 200, 256 << 10
+	goroutines := runtime.NumGoroutine()
+	var collected atomic.Int64
+	crashMidValueGC = func() error { collected.Add(1); return nil }
+	defer func() { crashMidValueGC = nil }()
+	value := func(seed, n int) []byte {
+		v := patterned(seed, n)
+		binary.LittleEndian.PutUint32(v, uint32(seed))
+		binary.LittleEndian.PutUint32(v[4:], uint32(n))
+		return v
+	}
+	wellFormed := func(v []byte) bool {
+		return len(v) >= 8 && int(binary.LittleEndian.Uint32(v[4:])) == len(v) &&
+			bytes.Equal(v, value(int(binary.LittleEndian.Uint32(v)), len(v)))
+	}
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	ref := make(map[string][]byte)
+	payload := func() (n int64) {
+		for _, v := range ref {
+			n += int64(len(v))
+		}
+		return n
+	}
+	opts := LSMOptions{FlushBytes: flushBytes, CompactAfter: 4}
+	for cycle, seed := 0, 0; cycle < cycles; cycle++ {
+		kv, err := OpenLSM(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				rr := rand.New(rand.NewSource(int64(cycle*10 + r)))
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if v, ok, err := kv.Get(fmt.Sprintf("k%02d", rr.Intn(keys))); err != nil || (ok && !wellFormed(v)) {
+						t.Errorf("read %d bytes, well-formed %v, err %v", len(v), wellFormed(v), err)
+						return
+					}
+					if i%64 == 0 {
+						err := kv.Scan("k", func(_ string, v []byte) bool {
+							if !wellFormed(v) {
+								t.Errorf("scan read %d bytes that are not what was written", len(v))
+								return false
+							}
+							return true
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(r)
+		}
+		for i := 0; i < opsPer; i++ {
+			key := fmt.Sprintf("k%02d", rng.Intn(keys))
+			switch op := rng.Intn(10); {
+			case op == 0:
+				if err := kv.Delete(key); err != nil {
+					t.Fatal(err)
+				}
+				delete(ref, key)
+			default:
+				n := 100 + rng.Intn(70<<10-100)
+				if op < 4 {
+					n = 8 + rng.Intn(vlogMin)
+				}
+				seed++
+				v := value(seed, n)
+				if err := kv.Put(key, v); err != nil {
+					t.Fatal(err)
+				}
+				ref[key] = v
+			}
+			if i%100 == 99 {
+				if err := [...]func() error{kv.Flush, kv.Compact, kv.Sync}[cycle%3](); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		close(stop)
+		readers.Wait()
+		want := make(map[string]string, len(ref))
+		for k, v := range ref {
+			want[k] = string(v)
+		}
+		assertState(t, kv, want)
+		if got := kv.SizeBytes(); got != payload() {
+			t.Errorf("cycle %d: SizeBytes = %d, the reference map holds %d", cycle, got, payload())
+		}
+		if got := kv.Len(); got != len(ref) {
+			t.Errorf("cycle %d: Len = %d, want %d", cycle, got, len(ref))
+		}
+		// Settle: flush, merge everything, and let GC run until a round
+		// starts none.
+		for round, before := 0, int64(-1); before != collected.Load(); round++ {
+			if round == 10 {
+				t.Fatalf("cycle %d: value-log GC still running after %d rounds of Flush and Compact", cycle, round)
+			}
+			before = collected.Load()
+			if err := kv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			await(kv, func() bool { return kv.sealed == nil && kv.collectableLocked() == nil })
+		}
+		var logBytes int64
+		names, _ := filepath.Glob(filepath.Join(dir, "*.vlog"))
+		for _, name := range names {
+			st, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBytes += st.Size()
+		}
+		if bound := 2*payload() + gcSlackMemtables*flushBytes; logBytes > bound {
+			t.Errorf("cycle %d: settled value logs hold %d bytes, want ≤ %d (2 × %d live + slack)", cycle, logBytes, bound, payload())
+		}
+		assertState(t, kv, want)
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if collected.Load() < 5 {
+		t.Errorf("%d value logs collected: the test no longer exercises GC", collected.Load())
+	}
+	t.Logf("%d value logs collected", collected.Load())
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the store was opened, %d after Close", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -65,11 +65,18 @@ const FeatureDurableCatalog = "catalog-v1"
 // store written in that older format.
 const FeatureSHA256Chunks = "cas-sha256-128"
 
+// FeatureValueLogs marks a data dir whose LSMKV tables may hold vptr
+// entries: values of 4 KiB or more kept in NNNNNN.vlog value logs. A binary
+// whose tables hold every value inline does not support it and so refuses
+// the dir by name, rather than failing to parse a table.
+const FeatureValueLogs = "lsm-vlog-v1"
+
 // supportedFeatures gates LoadManifest: a feature outside this set was
 // written by a newer binary relying on semantics this one lacks.
 var supportedFeatures = map[string]bool{
 	FeatureDurableCatalog: true,
 	FeatureSHA256Chunks:   true,
+	FeatureValueLogs:      true,
 }
 
 // LoadManifest reads and validates dir's manifest. A missing manifest is

@@ -100,6 +100,24 @@ func TestManifestUnknownFeatureRefused(t *testing.T) {
 	}
 }
 
+// TestManifestValueLogFeatureGate: a dir whose manifest names value logs
+// opens here, and a binary without them in its supported set — as every
+// one before value logs — refuses it by the feature's name.
+func TestManifestValueLogFeatureGate(t *testing.T) {
+	dir := t.TempDir()
+	if err := SaveManifest(dir, &Manifest{Features: []string{FeatureDurableCatalog, FeatureValueLogs}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(dir); err != nil {
+		t.Fatalf("value-log dir refused: %v", err)
+	}
+	delete(supportedFeatures, FeatureValueLogs)
+	defer func() { supportedFeatures[FeatureValueLogs] = true }()
+	if _, err := LoadManifest(dir); err == nil || !strings.Contains(err.Error(), FeatureValueLogs) {
+		t.Errorf("without value-log support: err = %v, want mention of %s", err, FeatureValueLogs)
+	}
+}
+
 func TestManifestNewerFormatRefused(t *testing.T) {
 	dir := t.TempDir()
 	if err := SaveManifest(dir, &Manifest{ProviderID: 0}); err != nil {

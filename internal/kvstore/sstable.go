@@ -16,8 +16,9 @@ import (
 // File layout (little-endian):
 //
 //	header:  u32 magic | u32 entry count
-//	entries: repeated u32 keyLen | u32 valLen(0xffffffff = tombstone) |
-//	         key | value | u32 crc(key+value)
+//	entries: repeated u32 keyLen | u32 valLen | key | value | u32 crc(key+value)
+//	         where valLen 0xffffffff marks a tombstone (no value) and
+//	         0xfffffffe a value-log pointer (value = the 20-byte vptr)
 //	bloom:   u32 bit count | bits
 //	index:   u32 index count | repeated (u32 keyLen | key | u64 offset)
 //	footer:  u64 bloom offset | u64 index offset | u32 magic
@@ -33,6 +34,7 @@ import (
 const (
 	ssMagic       = 0x4c534d31 // "LSM1"
 	tombstoneMark = 0xffffffff
+	vptrMark      = 0xfffffffe
 	ssBlock       = 4 << 10
 	bloomBitsPer  = 10
 )
@@ -52,13 +54,30 @@ type sstable struct {
 	dataEnd uint64
 	minKey  string
 	maxKey  string
-	bytes   int64 // live value payload bytes (excluding tombstones)
+	bytes   int64 // value payload bytes, inline or pointed to (excluding tombstones)
+	// refBytes is the part of bytes that lies in value logs: what the
+	// table's vptrs point at.
+	refBytes int64
+	// logs is one more than the highest value-log id a vptr names.
+	logs int
 }
 
+// ssEntry is one table entry. A vptr entry's value is the encoded pointer,
+// not the bytes it points at.
 type ssEntry struct {
 	key       string
 	value     []byte
 	tombstone bool
+	ptr       bool
+}
+
+// size is the payload the entry stands for: its inline value or the value
+// its pointer locates.
+func (e ssEntry) size() int64 {
+	if e.ptr {
+		return int64(decodeVptr(e.value).n)
+	}
+	return int64(len(e.value))
 }
 
 // writeSSTable writes sorted entries to path and opens the result.
@@ -119,7 +138,7 @@ func (w *ssWriter) u64(v uint64) {
 func (w *ssWriter) add(e ssEntry) {
 	t := w.t
 	if e.tombstone {
-		e.value = nil
+		e.value, e.ptr = nil, false
 	}
 	if size := 8 + len(e.key) + len(e.value) + 4; t.count == 0 || size >= ssBlock || w.off-w.lastIndexed >= ssBlock {
 		t.index = append(t.index, ssIndexEntry{key: e.key, offset: w.off})
@@ -133,11 +152,16 @@ func (w *ssWriter) add(e ssEntry) {
 	h1, _ := bloomHashes(e.key)
 	w.hashes = append(w.hashes, h1)
 	w.u32(uint32(len(e.key)))
-	if e.tombstone {
+	switch {
+	case e.tombstone:
 		w.u32(tombstoneMark)
-	} else {
+	case e.ptr:
+		w.u32(vptrMark)
+	default:
 		w.u32(uint32(len(e.value)))
-		t.bytes += int64(len(e.value))
+	}
+	if !e.tombstone {
+		t.addBytes(e)
 	}
 	w.w.WriteString(e.key)
 	w.w.Write(e.value)
@@ -292,7 +316,7 @@ func openSSTable(path string) (_ *sstable, err error) {
 		n++
 		t.maxKey = e.key
 		if !e.tombstone {
-			t.bytes += int64(len(e.value))
+			t.addBytes(e)
 		}
 		return true
 	})
@@ -306,6 +330,16 @@ func openSSTable(path string) (_ *sstable, err error) {
 }
 
 func (t *sstable) close() error { return t.f.Close() }
+
+// addBytes accounts a live entry's payload.
+func (t *sstable) addBytes(e ssEntry) {
+	n := e.size()
+	t.bytes += n
+	if e.ptr {
+		t.refBytes += n
+		t.logs = max(t.logs, int(decodeVptr(e.value).log)+1)
+	}
+}
 
 // errAt names the file and the data-region offset an error was met at.
 func (t *sstable) errAt(off uint64, err error) error {
@@ -326,12 +360,15 @@ var (
 
 // entryHeader decodes an entry's 8-byte header; size is the whole encoded
 // entry, header and CRC included.
-func entryHeader(b []byte) (kl, vl, size uint64, tomb bool) {
+func entryHeader(b []byte) (kl, vl, size uint64, tomb, ptr bool) {
 	kl, vl = uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[4:]))
-	if tomb = vl == tombstoneMark; tomb {
-		vl = 0
+	switch vl {
+	case tombstoneMark:
+		vl, tomb = 0, true
+	case vptrMark:
+		vl, ptr = vptrSize, true
 	}
-	return kl, vl, 8 + kl + vl + 4, tomb
+	return kl, vl, 8 + kl + vl + 4, tomb, ptr
 }
 
 // seek returns the span [off, end) of the data region that holds key if the
@@ -348,13 +385,14 @@ func (t *sstable) seek(key string) (off, end uint64) {
 	return off, end
 }
 
-// get returns (value, found, tombstone). It preads one ssBlock window at
-// the indexed offset and walks the entry headers in it (reading again only
-// where the span outruns the window), comparing same-length keys in place;
-// on the match it reads exactly the value and its CRC.
-func (t *sstable) get(key string) ([]byte, bool, bool, error) {
+// get returns key's entry and whether the table holds one. It preads one
+// ssBlock window at the indexed offset and walks the entry headers in it
+// (reading again only where the span outruns the window), comparing
+// same-length keys in place; on the match it reads exactly the value and
+// its CRC, which for a vptr entry are in the window already.
+func (t *sstable) get(key string) (ssEntry, bool, error) {
 	if t.count == 0 || key < t.minKey || key > t.maxKey || !bloomMayContain(t.bloom, t.nbits, key) {
-		return nil, false, false, nil
+		return ssEntry{}, false, nil
 	}
 	pos, end := t.seek(key)
 	var win [ssBlock]byte
@@ -367,16 +405,16 @@ func (t *sstable) get(key string) ([]byte, bool, bool, error) {
 		if winEnd := at + uint64(len(have)); pos+need > winEnd && winEnd < t.dataEnd {
 			have, at = win[:min(ssBlock, t.dataEnd-pos)], pos
 			if err := t.readAt(have, pos); err != nil {
-				return nil, false, false, err
+				return ssEntry{}, false, err
 			}
 		}
 		b := have[pos-at:]
 		if len(b) < 8 {
-			return nil, false, false, t.errAt(pos, errShortHeader)
+			return ssEntry{}, false, t.errAt(pos, errShortHeader)
 		}
-		kl, vl, size, tomb := entryHeader(b)
+		kl, vl, size, tomb, ptr := entryHeader(b)
 		if size > end-pos {
-			return nil, false, false, t.errAt(pos, errOverrun)
+			return ssEntry{}, false, t.errAt(pos, errOverrun)
 		}
 		if kl != uint64(len(key)) {
 			pos += size
@@ -388,7 +426,7 @@ func (t *sstable) get(key string) ([]byte, bool, bool, error) {
 		} else {
 			kb = make([]byte, kl)
 			if err := t.readAt(kb, pos+8); err != nil {
-				return nil, false, false, err
+				return ssEntry{}, false, err
 			}
 		}
 		if string(kb) != key {
@@ -403,16 +441,16 @@ func (t *sstable) get(key string) ([]byte, bool, bool, error) {
 			copy(val, b[8+kl:])
 			sum = b[8+kl+vl:]
 		} else if err := t.readAt(val, pos+8+kl); err != nil {
-			return nil, false, false, err
+			return ssEntry{}, false, err
 		} else if err := t.readAt(sum, pos+8+kl+vl); err != nil {
-			return nil, false, false, err
+			return ssEntry{}, false, err
 		}
 		if crc32.Update(crcString(key), crc32.IEEETable, val) != binary.LittleEndian.Uint32(sum) {
-			return nil, false, false, t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", key))
+			return ssEntry{}, false, t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", key))
 		}
-		return val, true, tomb, nil
+		return ssEntry{key: key, value: val, tombstone: tomb, ptr: ptr}, true, nil
 	}
-	return nil, false, false, nil
+	return ssEntry{}, false, nil
 }
 
 // ssCursor walks the data region from an offset in key order, CRC-checking
@@ -447,7 +485,7 @@ func (c *ssCursor) next() (e ssEntry, ok bool, err error) {
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return e, false, t.errAt(pos, err)
 	}
-	kl, vl, size, tomb := entryHeader(hdr[:])
+	kl, vl, size, tomb, ptr := entryHeader(hdr[:])
 	if size > left {
 		return e, false, t.errAt(pos, errOverrun)
 	}
@@ -461,7 +499,7 @@ func (c *ssCursor) next() (e ssEntry, ok bool, err error) {
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return e, false, t.errAt(pos, err)
 	}
-	e = ssEntry{key: string(buf[:kl]), value: buf[kl : kl+vl], tombstone: tomb}
+	e = ssEntry{key: string(buf[:kl]), value: buf[kl : kl+vl], tombstone: tomb, ptr: ptr}
 	if crc32.ChecksumIEEE(buf[:kl+vl]) != binary.LittleEndian.Uint32(buf[kl+vl:]) {
 		return e, false, t.errAt(pos, fmt.Errorf("corrupt: entry %q crc mismatch", e.key))
 	}

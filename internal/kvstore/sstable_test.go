@@ -85,13 +85,13 @@ func writeTable(t testing.TB, entries []ssEntry) *sstable {
 func checkTable(t *testing.T, tbl *sstable, entries []ssEntry) {
 	t.Helper()
 	for _, e := range entries {
-		v, found, tomb, err := tbl.get(e.key)
-		if err != nil || !found || tomb != e.tombstone || !bytes.Equal(v, e.value) || v == nil {
-			t.Fatalf("get(%.40q): found=%v tomb=%v len=%d err=%v; want tomb=%v len=%d", e.key, found, tomb, len(v), err, e.tombstone, len(e.value))
+		g, found, err := tbl.get(e.key)
+		if err != nil || !found || g.tombstone != e.tombstone || g.ptr != e.ptr || !bytes.Equal(g.value, e.value) || g.value == nil {
+			t.Fatalf("get(%.40q): found=%v tomb=%v ptr=%v len=%d err=%v; want tomb=%v ptr=%v len=%d", e.key, found, g.tombstone, g.ptr, len(g.value), err, e.tombstone, e.ptr, len(e.value))
 		}
 	}
 	for _, k := range absentKeys() {
-		if v, found, _, err := tbl.get(k); found || err != nil || v != nil {
+		if g, found, err := tbl.get(k); found || err != nil || g.value != nil {
 			t.Fatalf("get(absent %.40q): found=%v err=%v", k, found, err)
 		}
 	}
@@ -287,7 +287,8 @@ func TestSSTableGetAllocs(t *testing.T) {
 		t.Errorf("out-of-range miss: %v allocs, want 0", n)
 	}
 	for _, key := range []string{"a/0150", "b/00", "b/03", "b/04", "c/0001"} {
-		v, found, _, err := tbl.get(key)
+		e, found, err := tbl.get(key)
+		v := e.value
 		if !found || err != nil {
 			t.Fatalf("get(%q): found=%v err=%v", key, found, err)
 		}
@@ -387,16 +388,110 @@ func TestLSMScanPrefixEquivalence(t *testing.T) {
 	}
 }
 
+// ptrTable writes a value log of three large values and a table of 50
+// records that mixes inline values, tombstones and vptrs into that log,
+// and returns the log open and the table's path and bytes.
+func ptrTable(t testing.TB) (*valueLog, string, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	var logBytes []byte
+	var ptrs []vptr
+	for i := 0; i < 3; i++ {
+		v := patterned(100+i, vlogMin+i*700)
+		logBytes = append(logBytes, make([]byte, 30)...) // a record header and key
+		ptrs = append(ptrs, vptr{log: 7, off: uint64(len(logBytes)), n: uint32(len(v)), crc: crc32.ChecksumIEEE(v)})
+		logBytes = append(logBytes, v...)
+	}
+	logPath := filepath.Join(dir, "000007.vlog")
+	if err := os.WriteFile(logPath, logBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	vl, err := openValueLog(7, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { vl.f.Close() })
+	var entries []ssEntry
+	for i := 0; i < 50; i++ {
+		e := ssEntry{key: fmt.Sprintf("k%03d", i), value: []byte(fmt.Sprintf("value-%03d", i))}
+		switch i % 7 {
+		case 0:
+			e = ssEntry{key: e.key, tombstone: true}
+		case 3:
+			e = ssEntry{key: e.key, value: ptrs[i%3].appendTo(nil), ptr: true}
+		}
+		entries = append(entries, e)
+	}
+	path := filepath.Join(dir, "000000.sst")
+	tbl, err := writeSSTable(path, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vl, path, raw
+}
+
+// TestSSTableMixedEntryKinds: inline, tombstone and vptr entries round-trip
+// through get, iterate and a reopen, and the table counts the bytes its
+// pointers reference.
+func TestSSTableMixedEntryKinds(t *testing.T) {
+	vl, path, _ := ptrTable(t)
+	tbl, err := openSSTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.close()
+	kinds := map[string]int{}
+	var refBytes int64
+	err = tbl.iterate(8, func(e ssEntry) bool {
+		g, found, err := tbl.get(e.key)
+		if err != nil || !found || g.ptr != e.ptr || g.tombstone != e.tombstone || !bytes.Equal(g.value, e.value) {
+			t.Errorf("get(%s) = %+v found=%v err=%v, iterate gave %+v", e.key, g, found, err, e)
+		}
+		switch {
+		case e.ptr:
+			kinds["ptr"]++
+			refBytes += e.size()
+			if v, err := vl.read(decodeVptr(e.value)); err != nil || int64(len(v)) != e.size() {
+				t.Errorf("%s: read %d bytes, err=%v", e.key, len(v), err)
+			}
+		case e.tombstone:
+			kinds["tombstone"]++
+		default:
+			kinds["inline"]++
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kinds["ptr"] == 0 || kinds["tombstone"] == 0 || kinds["inline"] == 0 {
+		t.Fatalf("entry kinds %v: want all three", kinds)
+	}
+	if tbl.refBytes != refBytes || refBytes == 0 {
+		t.Errorf("refBytes = %d, the pointers reference %d", tbl.refBytes, refBytes)
+	}
+}
+
 // FuzzSSTableGet feeds arbitrary bytes to the on-disk reader as a table
-// file: open, a few point reads, a full iterate. Nothing may panic, and
-// nothing may be sized by a length the file claims but does not have —
-// total allocation stays within a small multiple of the file.
+// file, seeded with a table that mixes inline, tombstone and vptr entries:
+// open, a few point reads (a vptr found is read from a value log), a full
+// iterate. Nothing may panic, nothing may be sized by a length the file
+// claims but does not have — total allocation stays within a small
+// multiple of the file and the value log — and a value-log read that
+// succeeds serves bytes matching the pointer's CRC.
 func FuzzSSTableGet(f *testing.F) {
-	_, valid := smallTable(f)
+	vl, _, valid := ptrTable(f)
 	f.Add(valid)
 	for n := len(valid) - 1; n > 0; n -= len(valid) / 9 {
 		f.Add(valid[:n])
 	}
+	_, small := smallTable(f)
+	f.Add(small)
 	path := filepath.Join(f.TempDir(), "fuzz.sst")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -405,14 +500,19 @@ func FuzzSSTableGet(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if tbl, err := openSSTable(path); err == nil {
-			for _, k := range []string{tbl.minKey, tbl.maxKey, "k007", "k020", "k020x", ""} {
-				tbl.get(k)
+			for _, k := range []string{tbl.minKey, tbl.maxKey, "k003", "k007", "k020", "k020x", ""} {
+				if e, found, err := tbl.get(k); err == nil && found && e.ptr {
+					p := decodeVptr(e.value)
+					if v, err := vl.read(p); err == nil && crc32.ChecksumIEEE(v) != p.crc {
+						t.Fatalf("value log served %d bytes whose crc does not match the pointer's", len(v))
+					}
+				}
 			}
 			tbl.iterate(8, func(ssEntry) bool { return true })
 			tbl.close()
 		}
 		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10+32*uint64(len(data)) {
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10+32*uint64(len(data))+7*uint64(vl.size) {
 			t.Fatalf("a %d-byte file made the reader allocate %d bytes", len(data), d)
 		}
 	})

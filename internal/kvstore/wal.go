@@ -12,7 +12,8 @@ import (
 )
 
 // wal is the write-ahead log that makes one memtable's contents durable
-// until that memtable is an SSTable.
+// until that memtable is an SSTable; the tables then point into it for its
+// large values, and it is kept as a value log (see vlog.go).
 //
 // Record layout: u8 op (1=put, 2=delete) | u32 keyLen | u32 valLen |
 // key | value | u32 crc. Torn tails (partial final record or bad crc at
@@ -23,6 +24,7 @@ import (
 // callers that arrive while an fsync is in flight wait for it and share the
 // next one (synced is the watermark they wait on).
 type wal struct {
+	id   uint32 // the number the file is named by
 	path string
 	f    *os.File
 
@@ -39,6 +41,7 @@ type wal struct {
 const (
 	walOpPut    = 1
 	walOpDelete = 2
+	walHeader   = 9 // u8 op | u32 keyLen | u32 valLen
 )
 
 // createWAL creates the log file at path, which must not exist: a log left
@@ -54,8 +57,9 @@ func createWAL(path string) (*wal, error) {
 	return l, nil
 }
 
-func (l *wal) append(op byte, key string, value []byte) error {
-	var hdr [9]byte
+// append writes one record and returns the offset its value starts at.
+func (l *wal) append(op byte, key string, value []byte) (int64, error) {
+	var hdr [walHeader]byte
 	hdr[0] = op
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(value)))
@@ -68,22 +72,23 @@ func (l *wal) append(op byte, key string, value []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
-		return l.err
+		return 0, l.err
 	}
 	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := l.w.WriteString(key); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := l.w.Write(value); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := l.w.Write(crcb[:]); err != nil {
-		return err
+		return 0, err
 	}
-	l.len += int64(9 + len(key) + len(value) + 4)
-	return nil
+	at := l.len + walHeader + int64(len(key))
+	l.len = at + int64(len(value)) + 4
+	return at, nil
 }
 
 // sync returns once every record appended before the call is durable. One
@@ -137,9 +142,10 @@ func (l *wal) close() error {
 	return err
 }
 
-// replayWAL streams records from path. A clean EOF or a torn tail ends
-// replay without error; corruption before the tail is reported.
-func replayWAL(path string, fn func(op byte, key string, value []byte)) error {
+// replayWAL streams records from path, each with the offset its value
+// starts at. A clean EOF or a torn tail ends replay without error;
+// corruption before the tail is reported.
+func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -149,8 +155,8 @@ func replayWAL(path string, fn func(op byte, key string, value []byte)) error {
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
-	for {
-		var hdr [9]byte
+	for pos := int64(0); ; {
+		var hdr [walHeader]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return nil // clean end or torn header: stop replay
 		}
@@ -169,6 +175,7 @@ func replayWAL(path string, fn func(op byte, key string, value []byte)) error {
 		if crc != binary.LittleEndian.Uint32(body[kl+vl:]) {
 			return nil // torn tail (or trailing corruption): stop replay
 		}
-		fn(op, string(body[:kl]), body[kl:kl+vl])
+		fn(op, string(body[:kl]), body[kl:kl+vl], pos+walHeader+int64(kl))
+		pos += walHeader + int64(len(body))
 	}
 }
