@@ -17,7 +17,8 @@ test:
 # fingerprint benchmarks so they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
 # the time Go would otherwise spend shrinking the seed table, which looks
 # like a hang) and 5 s each of the TCP frame readers, the strict
-# control decoders and the chunk-recipe decoder; a guard that no non-test code under internal/ or cmd/
+# control decoders, the chunk-recipe decoder and the provider's durable
+# catalog loader; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
@@ -36,6 +37,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup
+	$(GO) test -run '^$$' -fuzz FuzzLoadCatalog -fuzztime 5s ./internal/provider
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.[A-Za-z]+\(.*\.Error\(\)' internal cmd || \
 		{ echo 'error text passed to strings.*: match errors with errors.Is or an rpc status' >&2; exit 1; }
 	$(GO) run ./cmd/evostore-bench check

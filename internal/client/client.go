@@ -259,7 +259,7 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 		if g.Owner == meta.Model {
 			continue
 		}
-		if err := c.refCall(ctx, proto.RPCIncRef, g.Owner, g.Vertices); err != nil {
+		if _, err := c.refCall(ctx, proto.RPCIncRef, g.Owner, g.Vertices); err != nil {
 			rollback()
 			return fmt.Errorf("client: store %d: pinning inherited tensors of %d: %w", meta.Model, g.Owner, err)
 		}
@@ -305,15 +305,19 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 // allocating 4 GiB.
 var maxSegmentBytes = uint64(1) << 32
 
-func (c *Client) refCall(ctx context.Context, name string, owner ownermap.ModelID, vs []graph.VertexID) error {
+// refCall applies one refcount delta (name is proto.RPCIncRef or
+// proto.RPCDecRef) to owner's replica set and returns the number of
+// segments it freed, as an accepting replica reports it.
+func (c *Client) refCall(ctx context.Context, name string, owner ownermap.ModelID, vs []graph.VertexID) (uint64, error) {
 	req := &proto.RefReq{Owner: owner, Vertices: vs, ReqID: nextReqID()}
-	_, err := c.mutateCall(ctx, name, owner, rpc.Message{Meta: req.Encode()})
-	if err != nil && c.acceptPartial(name, owner, err) {
-		// The refcount delta is journaled on the replicas that accepted;
-		// repair replays it onto the ones that missed it.
-		return nil
+	resp, err := c.mutateCall(ctx, name, owner, rpc.Message{Meta: req.Encode()})
+	// On an accepted partial write the delta is journaled on the replicas
+	// that took it, and resp is one of their replies; repair replays the
+	// delta onto the ones that missed it.
+	if err != nil && !c.acceptPartial(name, owner, err) {
+		return 0, err
 	}
-	return err
+	return proto.DecodeU64(resp.Meta)
 }
 
 // --- load ----------------------------------------------------------------------
@@ -546,13 +550,7 @@ func (c *Client) Retire(ctx context.Context, id ownermap.ModelID) (uint64, error
 		wg.Add(1)
 		go func(gi int, owner ownermap.ModelID, vs []graph.VertexID) {
 			defer wg.Done()
-			req := &proto.RefReq{Owner: owner, Vertices: vs, ReqID: nextReqID()}
-			resp, err := c.mutateCall(ctx, proto.RPCDecRef, owner, rpc.Message{Meta: req.Encode()})
-			if err != nil && !c.acceptPartial(proto.RPCDecRef, owner, err) {
-				errs[gi] = err
-				return
-			}
-			freed[gi], errs[gi] = proto.DecodeU64(resp.Meta)
+			freed[gi], errs[gi] = c.refCall(ctx, proto.RPCDecRef, owner, vs)
 		}(gi, g.Owner, g.Vertices)
 	}
 	wg.Wait()

@@ -15,12 +15,13 @@ package client
 //     anti-entropy machinery (digest comparison, journal union, payload
 //     backfill): new owners receive metadata, refcounts and payloads;
 //     tombstones propagate.
-//  3. Converge. A second pass over the same models closes the window in
+//  3. Converge. A second pass over a fresh listing closes the window in
 //     which a write landed on an old owner after pass 2 pulled its state:
 //     once pass 2 has installed a model on its new owners, later deltas
 //     apply there directly, so any stragglers are deltas journaled on old
-//     owners mid-pass-2 — which pass 3 replays. After pass 3 the epochs
-//     agree on every listed model.
+//     owners mid-pass-2 — which pass 3 replays — and stores routed by the
+//     previous table while phase 1 was arming, which landed after pass
+//     2's listing. After pass 3 the epochs agree on every listed model.
 //  4. Commit. Push the single view {Cur: next} everywhere and install it
 //     locally. Old owners now reject writes with the typed wrong-epoch
 //     error, which makes stale clients self-update and retry; the ReqID
@@ -124,25 +125,28 @@ func (b *Rebalancer) Rebalance(ctx context.Context, next *placement.Table) (*Reb
 	}
 
 	// Phase 2: migrate every model whose replica set changed, across the
-	// union of its old and new sets.
-	ids, err := b.r.listAll(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("client: rebalance: %w", err)
-	}
-	var moves []ownermap.ModelID
-	for _, id := range ids {
-		if !equalInts(old.ReplicaSet(id), next.ReplicaSet(id)) {
-			moves = append(moves, id)
-		}
-	}
+	// union of its old and new sets. Phase 3 is the second pass: it replays
+	// any refcount deltas that were journaled on old owners while the first
+	// pass was copying, and lists again for the models whose store, routed
+	// by the previous table while the dual view was being armed, landed
+	// after the first listing.
+	var ids, moves []ownermap.ModelID
 	for pass := 0; pass < 2; pass++ {
+		var err error
+		if ids, err = b.r.listAll(ctx); err != nil {
+			return nil, fmt.Errorf("client: rebalance: %w", err)
+		}
+		moves = moves[:0]
+		for _, id := range ids {
+			if !equalInts(old.ReplicaSet(id), next.ReplicaSet(id)) {
+				moves = append(moves, id)
+			}
+		}
 		for _, id := range moves {
 			if _, err := b.r.repairSet(ctx, id, dual.WriteSet(id)); err != nil {
 				return nil, fmt.Errorf("client: rebalance: migrating model %d (pass %d): %w", id, pass+1, err)
 			}
 		}
-		// Phase 3 is the second pass: it replays any refcount deltas that
-		// were journaled on old owners while the first pass was copying.
 	}
 
 	// Phase 4: commit the new epoch everywhere.

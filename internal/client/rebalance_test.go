@@ -274,7 +274,7 @@ func TestMutationDeferredDuringMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := ec.cli.refCall(ctx, proto.RPCIncRef, 1, []graph.VertexID{0, 1}); err != nil {
+	if _, err := ec.cli.refCall(ctx, proto.RPCIncRef, 1, []graph.VertexID{0, 1}); err != nil {
 		t.Fatalf("inc_ref during migration: %v", err)
 	}
 	if got := ec.reg.Counter("client.migration_deferred").Load(); got == 0 {

@@ -63,7 +63,7 @@ func TestMutatePartialErrorTyped(t *testing.T) {
 	}
 
 	d.down.Store(true)
-	err := cli.refCall(ctx, proto.RPCIncRef, 2, []graph.VertexID{0})
+	_, err := cli.refCall(ctx, proto.RPCIncRef, 2, []graph.VertexID{0})
 	if err == nil {
 		t.Fatal("partial IncRef succeeded in strict mode")
 	}

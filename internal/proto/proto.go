@@ -497,8 +497,9 @@ func DecodeRetireReq(b []byte) (*RetireReq, error) {
 	return q, nil
 }
 
-// EncodeU64 / DecodeU64 carry small scalar responses: the DecRef freed
-// count, the Evict dropped count, the IncRef and StoreModel acks.
+// EncodeU64 / DecodeU64 carry small scalar responses: the segments an
+// IncRef or DecRef freed (always 0 for an IncRef), the Evict dropped count,
+// the StoreModel ack.
 func EncodeU64(v uint64) []byte {
 	w := wire.NewWriter(8)
 	w.U64(v)

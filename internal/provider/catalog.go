@@ -10,7 +10,10 @@ package provider
 // Keyspace (all under the "cat/" prefix, disjoint from "seg/" payloads
 // and the dedup wrapper's "cas/" chunks):
 //
-//	cat/m/<model16>          catalog entry: encoded ModelMeta + segment table
+//	cat/m/<model16>          catalog entry: bytes32 encoded ModelMeta, then
+//	                         a u32-counted (u32 vertex, u32 size) table that
+//	                         is always written empty; a non-empty one (older
+//	                         records) is bounds-checked and skipped on read
 //	cat/r/<owner16>          live refcounts (proto.EncodeRefCounts)
 //	cat/j/<owner16>/<idx16>  one journal delta (proto.EncodeRefDelta); idx
 //	                         is the delta's monotonic append index
@@ -23,15 +26,17 @@ package provider
 // appending only new deltas — so a steady-state mutation persists O(1)
 // catalog keys, not the whole journal.
 //
-// Durability contract: catalog mutations are persisted under p.mu and
-// made durable with one kvstore.Syncer fsync per request before the
-// request is acknowledged. Segment payloads are written to the same
-// sequential WAL *before* that sync, so an acknowledged store is fully
-// durable; payloads of unacknowledged requests may be lost on kill −9
-// and reconverge via the repairer's NeedPayload backfill. If a catalog
-// write fails mid-request the in-memory state stays applied and the
-// request errors: the divergence is exactly a partial write, which the
-// anti-entropy repairer already converges.
+// Durability contract, kept by Provider.commit alone — every catalog
+// mutation (store, inc_ref/dec_ref, retire, repair apply, evict) is one
+// call of it: the in-memory change and the rewrite of the cat/ records it
+// dirtied happen under p.mu; segment payloads are put and deleted after
+// p.mu is released; one kvstore.Syncer fsync then covers the records and
+// the payloads (sequential WAL) before the request is acknowledged, so an
+// acknowledged mutation is fully durable. Payloads of unacknowledged
+// requests may be lost on kill −9 and reconverge via the repairer's
+// NeedPayload backfill. If a catalog write fails mid-request the in-memory
+// state stays applied and the request errors: the divergence is exactly a
+// partial write, which the anti-entropy repairer already converges.
 
 import (
 	"fmt"
@@ -106,42 +111,162 @@ func catJrnKey(owner ownermap.ModelID, idx uint64) string {
 	return string(b)
 }
 
-// --- write-through persistence ------------------------------------------------
-//
-// All cat*Locked helpers are no-ops on a volatile provider (p.cat == nil)
-// and are called with p.mu held, after the in-memory mutation applied.
+// --- the write path --------------------------------------------------------
+
+// Dirty bits: the cat/ records of one model that a change rewrote in memory.
+const (
+	dirtyModel   uint8 = 1 << iota // cat/m/
+	dirtyRefs                      // cat/r/
+	dirtyJournal                   // cat/j/ and cat/jm/
+	dirtyTomb                      // cat/t/
+	// journalRewritten: the journal's history was replaced rather than
+	// appended to, so its persisted window is dropped before the rewrite
+	// (the incremental reconciler must never keep stale delta keys under
+	// a replaced index range).
+	journalRewritten
+	dirtyAll = dirtyModel | dirtyRefs | dirtyJournal | dirtyTomb
+)
+
+// change is what one mutation did under p.mu: the cat/ records of its model
+// it dirtied, the records of other models the caps evicted, and the segment
+// payloads to delete and put once p.mu is released.
+type change struct {
+	dirty   uint8
+	evicted []evictedRecord
+	dels    []segKey
+	puts    []segKey
+	vals    [][]byte
+}
+
+// evictedRecord names cat/ records whose in-memory state a cap dropped.
+type evictedRecord struct {
+	id    ownermap.ModelID
+	dirty uint8
+}
+
+func (c *change) put(k segKey, v []byte) {
+	c.puts = append(c.puts, k)
+	c.vals = append(c.vals, v)
+}
+
+// commit is the provider's one write path; the durability contract above
+// lives here. guard admits or rejects the write for id (acceptsWrite for
+// every mutation but Evict). apply runs next, also under p.mu: it
+// validates, changes the in-memory state, marks the cat/ records of id it
+// changed dirty and queues payload writes in c. An apply error means
+// nothing was changed.
+func (p *Provider) commit(op string, id ownermap.ModelID, guard func(ownermap.ModelID) error, apply func(c *change) error) error {
+	var c change
+	p.mu.Lock()
+	// The guard runs under p.mu: a placement install that a later listing
+	// of this provider's models follows then also rejects every write the
+	// listing did not see (the rebalancer lists before it evicts).
+	if err := guard(id); err != nil {
+		p.mu.Unlock()
+		return fmt.Errorf("%s: %w", op, err)
+	}
+	journals := len(p.journals)
+	if err := apply(&c); err != nil {
+		p.mu.Unlock()
+		return err
+	}
+	p.capLocked(id, len(p.journals) > journals, &c)
+	durable := p.cat != nil
+	var catErr error
+	if durable {
+		catErr = p.persistLocked(id, c.dirty)
+		for _, e := range c.evicted {
+			if p.persistLocked(e.id, e.dirty) != nil {
+				// Best-effort: a stale tombstone only re-rejects a late store
+				// after recovery, and a stale drained journal is history
+				// repair treats as converged-by-emptiness.
+				p.reg.Counter("provider.catalog_evict_err").Inc()
+			}
+		}
+	}
+	p.mu.Unlock()
+	if catErr != nil {
+		return fmt.Errorf("provider %d: %s %d: catalog: %w", p.id, op, id, catErr)
+	}
+	for _, k := range c.dels {
+		if err := p.kv.Delete(k.String()); err != nil {
+			return fmt.Errorf("provider %d: %s: deleting %s: %w", p.id, op, k, err)
+		}
+	}
+	for i, k := range c.puts {
+		if err := p.kv.Put(k.String(), c.vals[i]); err != nil {
+			return fmt.Errorf("provider %d: %s: persisting %s: %w", p.id, op, k, err)
+		}
+	}
+	if !durable {
+		return nil
+	}
+	if err := p.cat.sync(); err != nil {
+		return fmt.Errorf("provider %d: %s %d: catalog sync: %w", p.id, op, id, err)
+	}
+	return nil
+}
+
+// capLocked enforces the tombstone and journal-owner caps after a change
+// to id, noting every record it evicts in c. Only a change that added a
+// journal pays for the journal scan. Callers hold p.mu.
+func (p *Provider) capLocked(id ownermap.ModelID, newJournal bool, c *change) {
+	for len(p.retiredOrder) > tombstoneCap {
+		// Evict leaves ghost entries in the FIFO; popping one deletes an
+		// already-absent tombstone, which is harmless.
+		old := p.retiredOrder[0]
+		p.retiredOrder = p.retiredOrder[1:]
+		delete(p.retired, old)
+		c.evicted = append(c.evicted, evictedRecord{old, dirtyTomb})
+	}
+	if !newJournal || len(p.journals) <= journalOwnersCap {
+		return
+	}
+	// Drop the journals of drained owners (not cataloged, no live refs):
+	// their replicas are converged-by-emptiness, so losing the history only
+	// forgoes a merge that would have replayed nothing.
+	for owner := range p.journals {
+		if owner != id && p.models[owner] == nil && len(p.refs[owner]) == 0 {
+			delete(p.journals, owner)
+			c.evicted = append(c.evicted, evictedRecord{owner, dirtyJournal})
+			p.reg.Counter("provider.journal_evict").Inc()
+		}
+	}
+}
+
+// persistLocked rewrites the dirty cat/ records of id from the in-memory
+// state, deleting each one whose state is gone. Callers hold p.mu.
+func (p *Provider) persistLocked(id ownermap.ModelID, dirty uint8) error {
+	var err error
+	step := func(bit uint8, write func(ownermap.ModelID) error) {
+		if err == nil && dirty&bit != 0 {
+			err = write(id)
+		}
+	}
+	step(journalRewritten, p.catDropJournalLocked)
+	step(dirtyTomb, p.catPersistTombLocked)
+	step(dirtyModel, p.catPersistModelLocked)
+	step(dirtyRefs, p.catPersistRefsLocked)
+	step(dirtyJournal, p.catPersistJournalLocked)
+	return err
+}
 
 // catPersistModelLocked rewrites id's catalog entry record.
 func (p *Provider) catPersistModelLocked(id ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
 	meta := p.models[id]
 	if meta == nil {
 		return p.cat.kv.Delete(catKey(catModelPrefix, uint64(id)))
 	}
 	enc := meta.entry.Encode()
-	w := wire.NewWriter(8 + len(enc) + 8*len(meta.segments))
+	w := wire.NewWriter(8 + len(enc))
 	w.Bytes32(enc)
-	w.U32(uint32(len(meta.segments)))
-	vs := make([]graph.VertexID, 0, len(meta.segments))
-	for v := range meta.segments {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	for _, v := range vs {
-		w.U32(uint32(v))
-		w.U32(meta.segments[v])
-	}
+	w.U32(0) // the segment table, kept empty for the record layout
 	return p.cat.kv.Put(catKey(catModelPrefix, uint64(id)), w.Bytes())
 }
 
 // catPersistRefsLocked rewrites owner's refcount record (deleting it when
 // no refs remain).
 func (p *Provider) catPersistRefsLocked(owner ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
 	live := p.refs[owner]
 	if len(live) == 0 {
 		return p.cat.kv.Delete(catKey(catRefsPrefix, uint64(owner)))
@@ -156,12 +281,8 @@ func (p *Provider) catPersistRefsLocked(owner ownermap.ModelID) error {
 // catPersistJournalLocked reconciles owner's persisted journal window with
 // the in-memory one: deltas that trimmed out are deleted, new deltas are
 // appended, and the journal-meta record is rewritten. A window that moved
-// backwards (an absolute ReplaceJournal rewrote history) is dropped and
-// re-persisted wholesale.
+// backwards is dropped and re-persisted wholesale.
 func (p *Provider) catPersistJournalLocked(owner ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
 	jl := p.journals[owner]
 	if jl == nil {
 		return p.catDropJournalLocked(owner)
@@ -206,9 +327,6 @@ func (p *Provider) catPersistJournalLocked(owner ownermap.ModelID) error {
 
 // catDropJournalLocked deletes every persisted journal key of owner.
 func (p *Provider) catDropJournalLocked(owner ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
 	span, ok := p.cat.jspans[owner]
 	if ok {
 		for i := span.lo; i < span.hi; i++ {
@@ -221,11 +339,9 @@ func (p *Provider) catDropJournalLocked(owner ownermap.ModelID) error {
 	return p.cat.kv.Delete(catKey(catJMetaPrefix, uint64(owner)))
 }
 
-// catPersistTombLocked writes id's retire tombstone.
+// catPersistTombLocked rewrites id's retire tombstone record (deleting it
+// when id is not retired).
 func (p *Provider) catPersistTombLocked(id ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
 	seq, ok := p.retired[id]
 	if !ok {
 		return p.cat.kv.Delete(catKey(catTombPrefix, uint64(id)))
@@ -233,49 +349,6 @@ func (p *Provider) catPersistTombLocked(id ownermap.ModelID) error {
 	w := wire.NewWriter(8)
 	w.U64(seq)
 	return p.cat.kv.Put(catKey(catTombPrefix, uint64(id)), w.Bytes())
-}
-
-// catDropTombLocked removes an evicted tombstone's record (best-effort
-// callers count failures instead of failing the foreground request: a
-// stale persisted tombstone only re-rejects a late store after recovery).
-func (p *Provider) catDropTombLocked(id ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
-	return p.cat.kv.Delete(catKey(catTombPrefix, uint64(id)))
-}
-
-// catDropModelAllLocked deletes every catalog record of id (eviction).
-func (p *Provider) catDropModelAllLocked(id ownermap.ModelID) error {
-	if p.cat == nil {
-		return nil
-	}
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	keep(p.cat.kv.Delete(catKey(catModelPrefix, uint64(id))))
-	keep(p.cat.kv.Delete(catKey(catRefsPrefix, uint64(id))))
-	keep(p.catDropJournalLocked(id))
-	keep(p.cat.kv.Delete(catKey(catTombPrefix, uint64(id))))
-	return first
-}
-
-// catEvictErr records a failed best-effort catalog cleanup.
-func (p *Provider) catEvictErr() { p.reg.Counter("provider.catalog_evict_err").Inc() }
-
-// catSync makes all catalog (and earlier payload) writes of the current
-// request durable. Call once per mutation, after the persists.
-func (p *Provider) catSync() error {
-	if p.cat == nil {
-		return nil
-	}
-	if err := p.cat.sync(); err != nil {
-		return fmt.Errorf("provider %d: catalog sync: %w", p.id, err)
-	}
-	return nil
 }
 
 // --- recovery ----------------------------------------------------------------
@@ -424,20 +497,13 @@ func (p *Provider) loadModelRecord(hexID string, value []byte) error {
 	if uint64(m.Model) != id {
 		return fmt.Errorf("model record %s holds model %d", hexID, m.Model)
 	}
-	meta := &modelMeta{entry: m}
-	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/8+1 {
-		return wire.ErrTruncated
+	// The (vertex, size) table that follows is written empty; an older
+	// record's entries are skipped, but must fill the record exactly.
+	n := r.U32()
+	if r.Err() != nil || uint64(n)*8 != uint64(r.Remaining()) {
+		return fmt.Errorf("model record %s: segment table of %d entries in %d bytes", hexID, n, r.Remaining())
 	}
-	meta.segments = make(map[graph.VertexID]uint32, n)
-	for i := 0; i < n; i++ {
-		v := graph.VertexID(r.U32())
-		meta.segments[v] = r.U32()
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	p.models[ownermap.ModelID(id)] = meta
+	p.models[ownermap.ModelID(id)] = &modelMeta{entry: m}
 	return nil
 }
 

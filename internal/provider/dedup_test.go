@@ -15,7 +15,7 @@ import (
 // callDecRef drives the RPC handler the way a retrying client would.
 func callDecRef(t *testing.T, p *Provider, req *proto.RefReq) (uint64, error) {
 	t.Helper()
-	resp, err := p.handleDecRef(context.Background(), rpc.Message{Meta: req.Encode()})
+	resp, err := p.handleRef(true)(context.Background(), rpc.Message{Meta: req.Encode()})
 	if err != nil {
 		return 0, err
 	}
@@ -79,7 +79,7 @@ func TestIncRefRetryDedup(t *testing.T) {
 	}
 	inc := &proto.RefReq{Owner: 3, Vertices: []graph.VertexID{1}, ReqID: 9}
 	for i := 0; i < 3; i++ {
-		if _, err := p.handleIncRef(context.Background(), rpc.Message{Meta: inc.Encode()}); err != nil {
+		if _, err := p.handleRef(false)(context.Background(), rpc.Message{Meta: inc.Encode()}); err != nil {
 			t.Fatal(err)
 		}
 	}

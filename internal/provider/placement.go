@@ -50,43 +50,40 @@ func (p *Provider) SetPlacementState(st *placement.State) error {
 // (that state is live, not stale), and is a no-op on a model this provider
 // holds nothing of. Returns the number of segment payload entries dropped.
 func (p *Provider) Evict(id ownermap.ModelID) (uint64, error) {
-	st := p.place.Load()
-	if st == nil {
-		return 0, fmt.Errorf("provider %d: evict %d: no placement table armed", p.id, id)
-	}
-	if st.Contains(p.id, id) {
-		return 0, fmt.Errorf("provider %d: evict %d: model is still placed here in an active epoch", p.id, id)
-	}
-
-	var dels []segKey
-	p.mu.Lock()
-	delete(p.models, id)
-	for v := range p.refs[id] {
-		dels = append(dels, segKey{id, v})
-	}
-	delete(p.refs, id)
-	delete(p.journals, id)
-	// The retiredOrder FIFO keeps a ghost entry; popping a ghost during cap
-	// eviction deletes an already-absent key, which is harmless.
-	delete(p.retired, id)
-	catErr := p.catDropModelAllLocked(id)
-	p.mu.Unlock()
-	if catErr != nil {
-		return 0, fmt.Errorf("provider %d: evict %d: catalog: %w", p.id, id, catErr)
-	}
-
-	for _, k := range dels {
-		if err := p.kv.Delete(k.String()); err != nil {
-			return 0, fmt.Errorf("provider %d: evict %d: deleting %s: %w", p.id, id, k, err)
+	var dropped uint64
+	err := p.commit("evict", id, p.evictable, func(c *change) error {
+		delete(p.models, id)
+		for v := range p.refs[id] {
+			c.dels = append(c.dels, segKey{id, v})
 		}
-	}
-	if err := p.catSync(); err != nil {
+		dropped = uint64(len(c.dels))
+		delete(p.refs, id)
+		delete(p.journals, id)
+		// The retiredOrder FIFO keeps a ghost entry (see capLocked).
+		delete(p.retired, id)
+		c.dirty |= dirtyAll
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if len(dels) > 0 {
+	if dropped > 0 {
 		p.reg.Counter("provider.placement_evict").Inc()
 	}
-	return uint64(len(dels)), nil
+	return dropped, nil
+}
+
+// evictable is Evict's guard, the mirror of acceptsWrite: it admits only a
+// model that no active epoch places on this provider.
+func (p *Provider) evictable(id ownermap.ModelID) error {
+	st := p.place.Load()
+	if st == nil {
+		return fmt.Errorf("provider %d: model %d: no placement table armed", p.id, id)
+	}
+	if st.Contains(p.id, id) {
+		return fmt.Errorf("provider %d: model %d is still placed here in an active epoch", p.id, id)
+	}
+	return nil
 }
 
 // --- handlers ----------------------------------------------------------------

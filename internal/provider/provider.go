@@ -85,8 +85,7 @@ func putHex(dst []byte, v uint64) {
 type modelMeta struct {
 	// entry is the catalog entry exactly as GetMeta and LCP replies carry
 	// it. It is never modified once installed, so it is handed out shared.
-	entry    *proto.ModelMeta
-	segments map[graph.VertexID]uint32 // self-owned stored segments and sizes
+	entry *proto.ModelMeta
 
 	// storing is set while StoreModel is still writing this entry's segment
 	// payloads: the catalog entry is published first (so a crash leaves a
@@ -139,9 +138,10 @@ type Provider struct {
 	// their recorded responses instead of re-executing them.
 	dedup *dedupTable
 
-	// cat, when non-nil, write-through-persists every catalog mutation
-	// into the KV under cat/ keys and recovers them at open — the durable
-	// deployment mode (see catalog.go). Volatile providers leave it nil.
+	// cat, when non-nil, makes commit write every catalog mutation through
+	// to the KV under cat/ keys, which NewDurable recovers at open — the
+	// durable deployment mode (see catalog.go). Volatile providers leave it
+	// nil.
 	cat *catalogStore
 
 	// onPlacement, when set, observes every placement install (SetPlacement
@@ -278,17 +278,30 @@ func (p *Provider) missErr(id ownermap.ModelID) error {
 	return nil
 }
 
-// dedupHit records a retried mutation answered from the dedup table — the
-// signal that a client is retrying lost responses against this provider.
-func (p *Provider) dedupHit() { p.reg.Counter("provider.dedup_hit").Inc() }
+// once runs a non-idempotent request at most once per ReqID: a retry of
+// one that succeeded is answered from the dedup table (counted as
+// provider.dedup_hit, the signal that a client is retrying lost responses
+// against this provider), and a first success records its response there.
+func (p *Provider) once(reqID uint64, run func() ([]byte, error)) (rpc.Message, error) {
+	if meta, done := p.dedup.get(reqID); done {
+		p.reg.Counter("provider.dedup_hit").Inc()
+		return rpc.Message{Meta: meta}, nil
+	}
+	resp, err := run()
+	if err != nil {
+		return rpc.Message{}, err
+	}
+	p.dedup.put(reqID, resp)
+	return rpc.Message{Meta: resp}, nil
+}
 
 // Register installs all EvoStore handlers on srv.
 func (p *Provider) Register(srv *rpc.Server) {
 	srv.Register(proto.RPCStoreModel, p.handleStoreModel)
 	srv.Register(proto.RPCGetMeta, p.handleGetMeta)
 	srv.Register(proto.RPCReadSegments, p.handleReadSegments)
-	srv.Register(proto.RPCIncRef, p.handleIncRef)
-	srv.Register(proto.RPCDecRef, p.handleDecRef)
+	srv.Register(proto.RPCIncRef, p.handleRef(false))
+	srv.Register(proto.RPCDecRef, p.handleRef(true))
 	srv.Register(proto.RPCRetire, p.handleRetire)
 	srv.Register(proto.RPCLCPQuery, p.handleLCPQuery)
 	srv.Register(proto.RPCListModels, p.handleListModels)
@@ -335,20 +348,13 @@ func (p *Provider) handleStoreModel(_ context.Context, req rpc.Message) (rpc.Mes
 	if err != nil {
 		return rpc.Message{}, fmt.Errorf("provider %d: store: %w", p.id, err)
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
-		p.dedupHit()
-		return rpc.Message{Meta: meta}, nil
-	}
-	segs, err := proto.SplitBulkMsg(q.Segments, req)
-	if err != nil {
-		return rpc.Message{}, fmt.Errorf("provider %d: store %d: %w", p.id, q.Model, err)
-	}
-	if err := p.StoreModel(q, segs); err != nil {
-		return rpc.Message{}, err
-	}
-	resp := proto.EncodeU64(uint64(q.Model))
-	p.dedup.put(q.ReqID, resp)
-	return rpc.Message{Meta: resp}, nil
+	return p.once(q.ReqID, func() ([]byte, error) {
+		segs, err := proto.SplitBulkMsg(q.Segments, req)
+		if err != nil {
+			return nil, fmt.Errorf("provider %d: store %d: %w", p.id, q.Model, err)
+		}
+		return proto.EncodeU64(uint64(q.Model)), p.StoreModel(q, segs)
+	})
 }
 
 // StoreModel installs a model: catalog entry plus its self-owned segments.
@@ -356,9 +362,6 @@ func (p *Provider) handleStoreModel(_ context.Context, req rpc.Message) (rpc.Mes
 // itself; refcounts of inherited segments live on their owners' providers
 // and are incremented by the client via IncRef.
 func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
-	if err := p.acceptsWrite(q.Model); err != nil {
-		return fmt.Errorf("store %d: %w", q.Model, err)
-	}
 	if q.OwnerMap.Len() != q.Graph.NumVertices() {
 		return fmt.Errorf("provider %d: store %d: owner map covers %d vertices, graph has %d",
 			p.id, q.Model, q.OwnerMap.Len(), q.Graph.NumVertices())
@@ -378,63 +381,46 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		}
 	}
 
-	p.mu.Lock()
-	if _, dead := p.retired[q.Model]; dead {
-		p.mu.Unlock()
-		return fmt.Errorf("provider %d: store %d: model was retired", p.id, q.Model)
-	}
-	if p.seenLocked(q.Model, q.ReqID) {
-		// The repairer already replayed this store's refcount delta (and
-		// installed its metadata) from a healthy replica's journal.
-		p.mu.Unlock()
-		p.reg.Counter("provider.journal_dup").Inc()
-		return nil
-	}
-	if _, dup := p.models[q.Model]; dup {
-		p.mu.Unlock()
-		return fmt.Errorf("provider %d: model %d already stored", p.id, q.Model)
-	}
-	meta := &modelMeta{
-		entry: &proto.ModelMeta{Model: q.Model, Seq: q.Seq, Quality: q.Quality,
-			Graph: q.Graph, OwnerMap: q.OwnerMap},
-		segments: make(map[graph.VertexID]uint32, len(q.Segments)),
-	}
-	meta.storing.Store(true)
-	defer meta.storing.Store(false)
-	p.models[q.Model] = meta
-	stored := make([]graph.VertexID, 0, len(q.Segments))
-	for _, s := range q.Segments {
-		meta.segments[s.Vertex] = s.Length
-		p.refAddLocked(q.Model, s.Vertex, 1)
-		stored = append(stored, s.Vertex)
-	}
-	p.recordDeltaLocked(q.Model, q.ReqID, false, stored)
-	err := p.catPersistModelLocked(q.Model)
-	if err == nil {
-		err = p.catPersistRefsLocked(q.Model)
-	}
-	if err == nil {
-		err = p.catPersistJournalLocked(q.Model)
-	}
-	p.mu.Unlock()
-	if err != nil {
-		// In-memory state stays applied; the divergence is a partial write
-		// the repairer converges (see catalog.go's durability contract).
-		return fmt.Errorf("provider %d: store %d: catalog: %w", p.id, q.Model, err)
-	}
-
-	// Persist segment payloads outside the lock; the KV is thread-safe.
+	var meta *modelMeta
 	written := 0
-	for i, s := range q.Segments {
-		if err := p.kv.Put(segKey{q.Model, s.Vertex}.String(), segs[i]); err != nil {
-			return fmt.Errorf("provider %d: persisting segment %d/%d: %w", p.id, q.Model, s.Vertex, err)
+	err := p.commit("store", q.Model, p.acceptsWrite, func(c *change) error {
+		if _, dead := p.retired[q.Model]; dead {
+			return fmt.Errorf("provider %d: store %d: model was retired", p.id, q.Model)
 		}
-		written += len(segs[i])
+		if p.seenLocked(q.Model, q.ReqID) {
+			// The repairer already replayed this store's refcount delta (and
+			// installed its metadata) from a healthy replica's journal.
+			p.reg.Counter("provider.journal_dup").Inc()
+			return nil
+		}
+		if _, dup := p.models[q.Model]; dup {
+			return fmt.Errorf("provider %d: model %d already stored", p.id, q.Model)
+		}
+		meta = &modelMeta{entry: &proto.ModelMeta{Model: q.Model, Seq: q.Seq, Quality: q.Quality,
+			Graph: q.Graph, OwnerMap: q.OwnerMap}}
+		meta.storing.Store(true)
+		p.models[q.Model] = meta
+		stored := make([]graph.VertexID, len(q.Segments))
+		for i, s := range q.Segments {
+			p.refAddLocked(q.Model, s.Vertex, 1)
+			stored[i] = s.Vertex
+			c.put(segKey{q.Model, s.Vertex}, segs[i])
+			written += len(segs[i])
+		}
+		p.recordDeltaLocked(q.Model, q.ReqID, false, stored)
+		c.dirty |= dirtyModel | dirtyRefs | dirtyJournal
+		return nil
+	})
+	if meta == nil {
+		return err // nothing installed: rejected, or a journal duplicate
 	}
-	p.heat.ObserveWrite(uint64(q.Model), written)
-	// One fsync covers the catalog records and every payload appended
-	// above (sequential WAL), making the acknowledged store durable.
-	return p.catSync()
+	// The entry was published before its payloads were written; commit has
+	// written them (or failed) by now.
+	meta.storing.Store(false)
+	if err == nil {
+		p.heat.ObserveWrite(uint64(q.Model), written)
+	}
+	return err
 }
 
 // --- metadata reads ------------------------------------------------------------
@@ -595,154 +581,78 @@ func (p *Provider) ReadSegments(owner ownermap.ModelID, vertices []graph.VertexI
 
 // --- reference counting / GC -----------------------------------------------------
 
-func (p *Provider) handleIncRef(_ context.Context, req rpc.Message) (rpc.Message, error) {
-	q, err := proto.DecodeRefReq(req.Meta)
-	if err != nil {
-		return rpc.Message{}, err
+// handleRef serves evostore.inc_ref (neg false) and evostore.dec_ref (neg
+// true); the reply is the number of segments the delta freed.
+func (p *Provider) handleRef(neg bool) rpc.Handler {
+	return func(_ context.Context, req rpc.Message) (rpc.Message, error) {
+		q, err := proto.DecodeRefReq(req.Meta)
+		if err != nil {
+			return rpc.Message{}, err
+		}
+		return p.once(q.ReqID, func() ([]byte, error) {
+			freed, err := p.refDelta(q.Owner, q.Vertices, q.ReqID, neg)
+			return proto.EncodeU64(freed), err
+		})
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
-		p.dedupHit()
-		return rpc.Message{Meta: meta}, nil
-	}
-	if err := p.incRef(q.Owner, q.Vertices, q.ReqID); err != nil {
-		return rpc.Message{}, err
-	}
-	resp := proto.EncodeU64(uint64(len(q.Vertices)))
-	p.dedup.put(q.ReqID, resp)
-	return rpc.Message{Meta: resp}, nil
 }
 
 // IncRef increments the reference counter of each (owner, vertex) segment.
 // Referencing a segment that does not exist is an error: it would mean a
 // client derived from tensors this provider never stored.
 func (p *Provider) IncRef(owner ownermap.ModelID, vertices []graph.VertexID) error {
-	return p.incRef(owner, vertices, 0)
-}
-
-func (p *Provider) incRef(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64) error {
-	if err := p.acceptsWrite(owner); err != nil {
-		return fmt.Errorf("inc_ref: %w", err)
-	}
-	p.mu.Lock()
-	if p.seenLocked(owner, reqID) {
-		// Already applied by a repair replay of this request's delta.
-		p.mu.Unlock()
-		p.reg.Counter("provider.journal_dup").Inc()
-		return nil
-	}
-	// Validate first so the operation is all-or-nothing.
-	for _, v := range vertices {
-		if p.refs[owner][v] == 0 {
-			p.mu.Unlock()
-			if err := p.missErr(owner); err != nil {
-				// A replica catching up on this owner's migration: the delta
-				// is journaled on the previous epoch's owners and replayed
-				// here by the rebalancer's converge pass.
-				return fmt.Errorf("inc_ref %d/%d: %w", owner, v, err)
-			}
-			return fmt.Errorf("provider %d: inc_ref on missing segment %d/%d", p.id, owner, v)
-		}
-	}
-	for _, v := range vertices {
-		p.refAddLocked(owner, v, 1)
-	}
-	p.recordDeltaLocked(owner, reqID, false, vertices)
-	err := p.catPersistRefsLocked(owner)
-	if err == nil {
-		err = p.catPersistJournalLocked(owner)
-	}
-	p.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("provider %d: inc_ref %d: catalog: %w", p.id, owner, err)
-	}
-	// The fsync runs outside the provider-wide lock, as in StoreModel,
-	// decRef and Retire: readers and other writers of this provider do not
-	// wait for the disk.
-	return p.catSync()
-}
-
-func (p *Provider) handleDecRef(_ context.Context, req rpc.Message) (rpc.Message, error) {
-	q, err := proto.DecodeRefReq(req.Meta)
-	if err != nil {
-		return rpc.Message{}, err
-	}
-	if meta, done := p.dedup.get(q.ReqID); done {
-		p.dedupHit()
-		return rpc.Message{Meta: meta}, nil
-	}
-	freed, err := p.decRef(q.Owner, q.Vertices, q.ReqID)
-	if err != nil {
-		return rpc.Message{}, err
-	}
-	resp := proto.EncodeU64(freed)
-	p.dedup.put(q.ReqID, resp)
-	return rpc.Message{Meta: resp}, nil
+	_, err := p.refDelta(owner, vertices, 0, false)
+	return err
 }
 
 // DecRef decrements the reference counter of each (owner, vertex) segment,
 // deleting segments whose counter reaches zero. It returns the number of
 // segments freed. The whole batch is O(k) in the number of leaf layers.
 func (p *Provider) DecRef(owner ownermap.ModelID, vertices []graph.VertexID) (uint64, error) {
-	return p.decRef(owner, vertices, 0)
+	return p.refDelta(owner, vertices, 0, true)
 }
 
-func (p *Provider) decRef(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64) (uint64, error) {
-	if err := p.acceptsWrite(owner); err != nil {
-		return 0, fmt.Errorf("dec_ref: %w", err)
+// refDelta applies one refcount batch: +1 on each (owner, vertex), or −1
+// when neg, as the journal records it. The batch is all-or-nothing — every
+// vertex is validated before any counter changes — and a decrement deletes
+// the segments whose counter reaches zero, returning how many it freed.
+func (p *Provider) refDelta(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64, neg bool) (uint64, error) {
+	op, delta := "inc_ref", 1
+	if neg {
+		op, delta = "dec_ref", -1
 	}
-	var toDelete []segKey
-	p.mu.Lock()
-	if p.seenLocked(owner, reqID) {
-		// Already applied by a repair replay; the freed count is unknown
-		// but only feeds best-effort accounting at the caller.
-		p.mu.Unlock()
-		p.reg.Counter("provider.journal_dup").Inc()
-		return 0, nil
-	}
-	// Validate first so the batch is all-or-nothing, like IncRef.
-	for _, v := range vertices {
-		if _, ok := p.refs[owner][v]; !ok {
-			p.mu.Unlock()
-			if err := p.missErr(owner); err != nil {
-				return 0, fmt.Errorf("dec_ref %d/%d: %w", owner, v, err)
+	var freed uint64
+	err := p.commit(op, owner, p.acceptsWrite, func(c *change) error {
+		if p.seenLocked(owner, reqID) {
+			// Already applied by a repair replay of this request's delta; the
+			// freed count is unknown but only feeds best-effort accounting.
+			p.reg.Counter("provider.journal_dup").Inc()
+			return nil
+		}
+		for _, v := range vertices {
+			if p.refs[owner][v] == 0 {
+				if err := p.missErr(owner); err != nil {
+					// A replica catching up on this owner's migration: the delta
+					// is journaled on the previous epoch's owners and replayed
+					// here by the rebalancer's converge pass.
+					return fmt.Errorf("%s %d/%d: %w", op, owner, v, err)
+				}
+				return fmt.Errorf("provider %d: %s on missing segment %d/%d", p.id, op, owner, v)
 			}
-			return 0, fmt.Errorf("provider %d: dec_ref on missing segment %d/%d", p.id, owner, v)
 		}
-	}
-	for _, v := range vertices {
-		if p.refAddLocked(owner, v, -1) == 0 {
-			toDelete = append(toDelete, segKey{owner, v})
+		for _, v := range vertices {
+			if p.refAddLocked(owner, v, delta) == 0 {
+				c.dels = append(c.dels, segKey{owner, v})
+			}
 		}
-	}
-	// If the owner is still cataloged here, forget its freed segment sizes.
-	meta := p.models[owner]
-	if meta != nil {
-		for _, k := range toDelete {
-			delete(meta.segments, k.vertex)
-		}
-	}
-	p.recordDeltaLocked(owner, reqID, true, vertices)
-	catErr := p.catPersistRefsLocked(owner)
-	if catErr == nil && meta != nil && len(toDelete) > 0 {
-		catErr = p.catPersistModelLocked(owner)
-	}
-	if catErr == nil {
-		catErr = p.catPersistJournalLocked(owner)
-	}
-	p.mu.Unlock()
-	if catErr != nil {
-		return 0, fmt.Errorf("provider %d: dec_ref %d: catalog: %w", p.id, owner, catErr)
-	}
-
-	for _, k := range toDelete {
-		if err := p.kv.Delete(k.String()); err != nil {
-			return 0, fmt.Errorf("provider %d: deleting %s: %w", p.id, k, err)
-		}
-	}
-	if err := p.catSync(); err != nil {
+		freed = uint64(len(c.dels))
+		p.recordDeltaLocked(owner, reqID, neg, vertices)
+		c.dirty |= dirtyRefs | dirtyJournal
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	return uint64(len(toDelete)), nil
+	return freed, nil
 }
 
 // --- retire ------------------------------------------------------------------------
@@ -752,17 +662,13 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
-		p.dedupHit()
-		return rpc.Message{Meta: meta}, nil
-	}
-	om, err := p.Retire(q.Model)
-	if err != nil {
-		return rpc.Message{}, err
-	}
-	resp := om.Encode()
-	p.dedup.put(q.ReqID, resp)
-	return rpc.Message{Meta: resp}, nil
+	return p.once(q.ReqID, func() ([]byte, error) {
+		om, err := p.Retire(q.Model)
+		if err != nil {
+			return nil, err
+		}
+		return om.Encode(), nil
+	})
 }
 
 // Retire removes the model's catalog entry immediately ("the metadata of
@@ -771,36 +677,28 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 // providers. The segments themselves survive until their counters drop to
 // zero.
 func (p *Provider) Retire(id ownermap.ModelID) (*ownermap.Map, error) {
-	if err := p.acceptsWrite(id); err != nil {
-		return nil, fmt.Errorf("retire: %w", err)
-	}
-	p.mu.Lock()
-	meta := p.models[id]
-	if meta == nil {
-		_, dead := p.retired[id]
-		p.mu.Unlock()
-		if dead {
-			return nil, fmt.Errorf("provider %d: retire: model %d already retired", p.id, id)
+	var om *ownermap.Map
+	err := p.commit("retire", id, p.acceptsWrite, func(c *change) error {
+		meta := p.models[id]
+		if meta == nil {
+			if _, dead := p.retired[id]; dead {
+				return fmt.Errorf("provider %d: retire: model %d already retired", p.id, id)
+			}
+			if err := p.missErr(id); err != nil {
+				return fmt.Errorf("retire: %w", err)
+			}
+			return fmt.Errorf("provider %d: retire: model %d not found", p.id, id)
 		}
-		if err := p.missErr(id); err != nil {
-			return nil, fmt.Errorf("retire: %w", err)
-		}
-		return nil, fmt.Errorf("provider %d: retire: model %d not found", p.id, id)
-	}
-	delete(p.models, id)
-	p.tombstoneLocked(id, meta.entry.Seq)
-	err := p.catPersistModelLocked(id)
-	if err == nil {
-		err = p.catPersistTombLocked(id)
-	}
-	p.mu.Unlock()
+		delete(p.models, id)
+		p.tombstoneLocked(id, meta.entry.Seq)
+		c.dirty |= dirtyModel | dirtyTomb
+		om = meta.entry.OwnerMap
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("provider %d: retire %d: catalog: %w", p.id, id, err)
-	}
-	if err := p.catSync(); err != nil {
 		return nil, err
 	}
-	return meta.entry.OwnerMap, nil
+	return om, nil
 }
 
 // --- collective LCP query -------------------------------------------------------------

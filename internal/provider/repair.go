@@ -44,7 +44,8 @@ const (
 	// the journal trimmed (repair falls back to absolute pushes).
 	journalCap = 4096
 	// journalOwnersCap bounds the journals map; overflowing evicts
-	// journals of drained owners (no catalog entry, no live refs).
+	// journals of drained owners (no catalog entry, no live refs; see
+	// capLocked).
 	journalOwnersCap = 1 << 14
 	// tombstoneCap bounds the retire tombstones; the oldest are evicted
 	// FIFO. An evicted tombstone only matters if a replica diverges on
@@ -62,36 +63,15 @@ type refJournal struct {
 	trimmed  bool   // entries were dropped, or an unidentifiable delta applied
 }
 
-// journalLocked returns owner's journal, creating it (and evicting drained
-// owners' journals when over cap) as needed. Callers hold p.mu.
+// journalLocked returns owner's journal, creating it as needed (commit
+// enforces the owners cap afterwards). Callers hold p.mu.
 func (p *Provider) journalLocked(owner ownermap.ModelID) *refJournal {
 	jl := p.journals[owner]
 	if jl == nil {
-		if len(p.journals) >= journalOwnersCap {
-			p.evictJournalsLocked()
-		}
 		jl = &refJournal{seen: make(map[uint64]struct{})}
 		p.journals[owner] = jl
 	}
 	return jl
-}
-
-// evictJournalsLocked drops journals of drained owners (not cataloged, no
-// live refs): their replicas are converged-by-emptiness, so losing the
-// history only forgoes a merge that would have replayed nothing.
-func (p *Provider) evictJournalsLocked() {
-	for id := range p.journals {
-		if p.models[id] == nil && len(p.refs[id]) == 0 {
-			delete(p.journals, id)
-			if p.catDropJournalLocked(id) != nil {
-				// Best-effort: a stale persisted journal resurrects at
-				// recovery as a drained owner's history, which repair
-				// treats as converged-by-emptiness.
-				p.catEvictErr()
-			}
-			p.reg.Counter("provider.journal_evict").Inc()
-		}
-	}
 }
 
 // seenLocked reports whether owner's journal already holds reqID — i.e.
@@ -139,21 +119,14 @@ func (jl *refJournal) append(d proto.RefDelta) {
 	}
 }
 
-// tombstoneLocked records a retire tombstone, evicting the oldest over
-// cap. Callers hold p.mu.
+// tombstoneLocked records a retire tombstone (commit evicts the oldest
+// over cap). Callers hold p.mu.
 func (p *Provider) tombstoneLocked(id ownermap.ModelID, seq uint64) {
 	if _, ok := p.retired[id]; ok {
 		return
 	}
 	p.retired[id] = seq
 	p.retiredOrder = append(p.retiredOrder, id)
-	for len(p.retiredOrder) > tombstoneCap {
-		delete(p.retired, p.retiredOrder[0])
-		if p.catDropTombLocked(p.retiredOrder[0]) != nil {
-			p.catEvictErr() // best-effort: see catDropTombLocked
-		}
-		p.retiredOrder = p.retiredOrder[1:]
-	}
 }
 
 // kvGet reads one segment payload, preferring the byte-key fast path.
@@ -288,9 +261,6 @@ func (p *Provider) RepairPull(q *proto.RepairPullReq) (*proto.RepairPullResp, []
 // proto.RepairApplyReq for the step semantics. The call is convergent:
 // re-applying the same request leaves the provider unchanged.
 func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.RepairApplyResp, error) {
-	if err := p.acceptsWrite(q.Model); err != nil {
-		return nil, fmt.Errorf("repair_apply: %w", err)
-	}
 	if len(segs) != len(q.Segments) {
 		return nil, fmt.Errorf("provider %d: repair_apply %d: %d payloads for %d table entries",
 			p.id, q.Model, len(segs), len(q.Segments))
@@ -307,160 +277,112 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		installMeta = m
 	}
 
-	var puts []segKey
-	var putVals [][]byte
-	var dels []segKey
-
-	p.mu.Lock()
-	// 1. Tombstone: a retire this replica missed.
-	if q.Tombstone {
-		p.tombstoneLocked(q.Model, q.TombstoneSeq)
-		if p.models[q.Model] != nil {
-			delete(p.models, q.Model)
-			p.reg.Counter("provider.repair_tombstone").Inc()
-		}
-	}
-	_, dead := p.retired[q.Model]
-	// 2. Metadata: a store this replica missed. Never resurrects a
-	// tombstoned model; refcounts arrive separately as deltas.
-	if installMeta != nil && !dead && p.models[q.Model] == nil {
-		p.models[q.Model] = &modelMeta{
-			entry:    installMeta,
-			segments: make(map[graph.VertexID]uint32, len(q.Segments)),
-		}
-		p.reg.Counter("provider.repair_meta_install").Inc()
-	}
-	// 3. Refcounts: absolute replacement (trimmed-journal fallback) or
-	// delta merge by ReqID.
-	journalReplaced := false
-	jl := p.journalLocked(q.Model)
-	if q.ReplaceJournal {
-		journalReplaced = true
-		next := make(map[graph.VertexID]int, len(q.SetCounts))
-		for _, c := range q.SetCounts {
-			if c.Count > 0 {
-				next[c.Vertex] = int(c.Count)
+	err := p.commit("repair_apply", q.Model, p.acceptsWrite, func(c *change) error {
+		// 1. Tombstone: a retire this replica missed.
+		if q.Tombstone {
+			p.tombstoneLocked(q.Model, q.TombstoneSeq)
+			c.dirty |= dirtyTomb
+			if p.models[q.Model] != nil {
+				delete(p.models, q.Model)
+				c.dirty |= dirtyModel
+				p.reg.Counter("provider.repair_tombstone").Inc()
 			}
 		}
-		for v := range p.refs[q.Model] {
-			if next[v] == 0 {
-				dels = append(dels, segKey{q.Model, v})
-			}
+		_, dead := p.retired[q.Model]
+		// 2. Metadata: a store this replica missed. Never resurrects a
+		// tombstoned model; refcounts arrive separately as deltas.
+		if installMeta != nil && !dead && p.models[q.Model] == nil {
+			p.models[q.Model] = &modelMeta{entry: installMeta}
+			c.dirty |= dirtyModel
+			p.reg.Counter("provider.repair_meta_install").Inc()
 		}
-		if len(next) > 0 {
-			p.refs[q.Model] = next
-		} else {
-			delete(p.refs, q.Model)
-		}
-		jl.deltas = append([]proto.RefDelta(nil), q.Deltas...)
-		jl.seen = make(map[uint64]struct{}, len(q.Deltas))
-		for _, d := range q.Deltas {
-			if d.ReqID != 0 {
-				jl.seen[d.ReqID] = struct{}{}
+		// 3. Refcounts: absolute replacement (trimmed-journal fallback) or
+		// delta merge by ReqID.
+		if q.ReplaceJournal {
+			next := make(map[graph.VertexID]int, len(q.SetCounts))
+			for _, rc := range q.SetCounts {
+				if rc.Count > 0 {
+					next[rc.Vertex] = int(rc.Count)
+				}
 			}
-		}
-		jl.appended = q.JournalAppended
-		// The push happened because history was incomplete somewhere;
-		// keep this journal out of future delta merges too.
-		jl.trimmed = true
-		p.reg.Counter("provider.repair_absolute").Inc()
-	} else if len(q.Deltas) > 0 {
-		net := make(map[graph.VertexID]int)
-		for i := range q.Deltas {
-			d := &q.Deltas[i]
-			if d.ReqID == 0 {
-				continue
+			for v := range p.refs[q.Model] {
+				if next[v] == 0 {
+					c.dels = append(c.dels, segKey{q.Model, v})
+				}
 			}
-			if _, ok := jl.seen[d.ReqID]; ok {
-				continue
+			if len(next) > 0 {
+				p.refs[q.Model] = next
+			} else {
+				delete(p.refs, q.Model)
 			}
-			jl.append(proto.RefDelta{
-				ReqID:    d.ReqID,
-				Neg:      d.Neg,
-				Vertices: append([]graph.VertexID(nil), d.Vertices...),
-			})
-			p.reg.Counter("provider.repair_deltas").Inc()
-			for _, v := range d.Vertices {
-				if d.Neg {
-					net[v]--
-				} else {
-					net[v]++
+			jl := p.journalLocked(q.Model)
+			jl.deltas = append([]proto.RefDelta(nil), q.Deltas...)
+			jl.seen = make(map[uint64]struct{}, len(q.Deltas))
+			for _, d := range q.Deltas {
+				if d.ReqID != 0 {
+					jl.seen[d.ReqID] = struct{}{}
+				}
+			}
+			jl.appended = q.JournalAppended
+			// The push happened because history was incomplete somewhere;
+			// keep this journal out of future delta merges too.
+			jl.trimmed = true
+			c.dirty |= dirtyRefs | dirtyJournal | journalRewritten
+			p.reg.Counter("provider.repair_absolute").Inc()
+		} else if len(q.Deltas) > 0 {
+			jl := p.journalLocked(q.Model)
+			net := make(map[graph.VertexID]int)
+			for i := range q.Deltas {
+				d := &q.Deltas[i]
+				if d.ReqID == 0 {
+					continue
+				}
+				if _, ok := jl.seen[d.ReqID]; ok {
+					continue
+				}
+				jl.append(proto.RefDelta{
+					ReqID:    d.ReqID,
+					Neg:      d.Neg,
+					Vertices: append([]graph.VertexID(nil), d.Vertices...),
+				})
+				c.dirty |= dirtyRefs | dirtyJournal
+				p.reg.Counter("provider.repair_deltas").Inc()
+				for _, v := range d.Vertices {
+					if d.Neg {
+						net[v]--
+					} else {
+						net[v]++
+					}
+				}
+			}
+			for v, dn := range net {
+				if dn == 0 {
+					continue
+				}
+				before := p.refs[q.Model][v]
+				if before+dn < 0 {
+					// A dec for an inc this replica never saw and whose inc is
+					// not in the batch either; clamp rather than go negative.
+					dn = -before
+					p.reg.Counter("provider.repair_clamped").Inc()
+				}
+				if p.refAddLocked(q.Model, v, dn) == 0 && before > 0 {
+					c.dels = append(c.dels, segKey{q.Model, v})
 				}
 			}
 		}
-		meta := p.models[q.Model]
-		for v, dn := range net {
-			if dn == 0 {
+		// 4. Payloads: install pushed segments that are live after the
+		// refcount step; orphans (no live ref) are skipped.
+		for i, s := range q.Segments {
+			if p.refs[q.Model][s.Vertex] == 0 {
+				p.reg.Counter("provider.repair_orphan_skip").Inc()
 				continue
 			}
-			before := p.refs[q.Model][v]
-			if before+dn < 0 {
-				// A dec for an inc this replica never saw and whose inc is
-				// not in the batch either; clamp rather than go negative.
-				dn = -before
-				p.reg.Counter("provider.repair_clamped").Inc()
-			}
-			if p.refAddLocked(q.Model, v, dn) == 0 && before > 0 {
-				dels = append(dels, segKey{q.Model, v})
-				if meta != nil {
-					delete(meta.segments, v)
-				}
-			}
+			c.put(segKey{q.Model, s.Vertex}, segs[i])
 		}
-	}
-	// 4. Payloads: install pushed segments that are live after the
-	// refcount step; orphans (no live ref) are skipped.
-	meta := p.models[q.Model]
-	for i, s := range q.Segments {
-		if p.refs[q.Model][s.Vertex] == 0 {
-			p.reg.Counter("provider.repair_orphan_skip").Inc()
-			continue
-		}
-		puts = append(puts, segKey{q.Model, s.Vertex})
-		putVals = append(putVals, segs[i])
-		if meta != nil {
-			meta.segments[s.Vertex] = s.Length
-		}
-	}
-	// Write-through the catalog state this apply touched. An absolute
-	// journal replacement rewrote history, so its persisted window is
-	// dropped wholesale first (the incremental reconciler must never keep
-	// stale delta keys under a replaced index range).
-	var catErr error
-	if p.cat != nil {
-		if journalReplaced {
-			catErr = p.catDropJournalLocked(q.Model)
-		}
-		if catErr == nil && q.Tombstone {
-			catErr = p.catPersistTombLocked(q.Model)
-		}
-		if catErr == nil {
-			catErr = p.catPersistModelLocked(q.Model)
-		}
-		if catErr == nil {
-			catErr = p.catPersistRefsLocked(q.Model)
-		}
-		if catErr == nil {
-			catErr = p.catPersistJournalLocked(q.Model)
-		}
-	}
-	p.mu.Unlock()
-	if catErr != nil {
-		return nil, fmt.Errorf("provider %d: repair_apply %d: catalog: %w", p.id, q.Model, catErr)
-	}
-
-	// Persist outside the lock, like the foreground write path.
-	for _, k := range dels {
-		if err := p.kv.Delete(k.String()); err != nil {
-			return nil, fmt.Errorf("provider %d: repair_apply: deleting %s: %w", p.id, k, err)
-		}
-	}
-	for i, k := range puts {
-		if err := p.kv.Put(k.String(), putVals[i]); err != nil {
-			return nil, fmt.Errorf("provider %d: repair_apply: persisting %s: %w", p.id, k, err)
-		}
-	}
-	if err := p.catSync(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

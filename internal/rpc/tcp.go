@@ -29,10 +29,10 @@ import (
 // into one buffer first, so the frame a receiver sees is identical for
 // flat and vectored senders.
 //
-// One connection carries one request at a time; TCPConn serializes with a
-// mutex and DialPool fans parallel calls over several connections, which is
-// how the client achieves the paper's "multiple bulk operations in parallel
-// to the providers".
+// One connection carries one request at a time; tcpConn (from DialTCP)
+// serializes with a mutex and a Pool (NewPool) fans parallel calls over
+// several connections, which is how the client achieves the paper's
+// "multiple bulk operations in parallel to the providers".
 
 // MaxFrame is the sanity bound on any single length field of the wire
 // format. Senders reject oversized frames with ErrFrameTooLarge before
