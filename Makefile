@@ -56,9 +56,9 @@ bench:
 scenarios:
 	$(GO) run ./cmd/evostore-bench check -smoke=false
 
-# Fail if a `pkg.Identifier`, `evostore-bench <subcommand> [-flag]` or
-# `make <target>` code span in the checked documents names something that
-# no longer exists.
+# Fail if a `pkg.Identifier`, `evostore-bench <subcommand> [-flag]`,
+# `evostore-server -flag`, `evostore-ctl -flag` or `make <target>` code
+# span in the checked documents names something that no longer exists.
 docs-check:
 	./scripts/docscheck.sh
 

@@ -35,9 +35,8 @@ type config struct {
 	smoke    bool // the CI size; each scenario has exactly two sizes
 	replicas int  // 0 = the scenario's default
 	// timing also evaluates the wall-clock ratio contracts (storm's hedged
-	// p99 bound, autobalance's p99 bound, dedup's restore slowdown). The
-	// CLI sets it; the test binary does not, so tier-1 asserts only what a
-	// loaded host cannot make flake.
+	// p99 bound, autobalance's p99 bound). The CLI sets it; the test binary
+	// does not, so tier-1 asserts only what a loaded host cannot make flake.
 	timing bool
 	out    io.Writer
 }

@@ -46,7 +46,7 @@ var scenarios = []scenario{
 	{"autobalance", "zipfian heat skew with the heat controller migrating under live reads", runAutobalance},
 	{"storm", "rolling 20x slow nodes, a flapping partition and a kill/restart under zipfian reads, unhedged then hedged", runStorm},
 	{"frontdoor", "zipfian fan-in from several TCP clients, then a noisy tenant against a throttled provider", runFrontdoor},
-	{"dedup", "a fine-tune lineage stored raw and then in content-addressed chunks", runDedup},
+	{"dedup", "a fine-tune lineage stored in content-addressed chunks", runDedup},
 }
 
 // runFaults drives store/load/retire through a fabric that drops requests
@@ -364,7 +364,7 @@ func runRestart(cfg config) error {
 		err = kvstore.SaveManifest(dir(i), &kvstore.Manifest{
 			FormatVersion: kvstore.ManifestFormatVersion,
 			ProviderID:    uint32(i),
-			Features:      []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs},
+			Features:      []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs, kvstore.FeatureSHA256Chunks},
 		})
 		if err != nil {
 			return fmt.Errorf("writing manifest %d: %w", i, err)
@@ -781,10 +781,13 @@ func runStorm(cfg config) error {
 	return nil
 }
 
-// lineageRun is what one dedup lineage deployment measured.
+// lineageRun is what the dedup lineage deployment measured: the models'
+// logical bytes, the tensor bytes each model's owner map says it owns
+// (summed over every replica), the bytes the providers store, and the
+// restore passes.
 type lineageRun struct {
-	logical, stored, restored int64
-	restore                   time.Duration
+	logical, owned, stored, restored int64
+	restore                          time.Duration
 }
 
 // lineage stores one base model and then `steps` sequential fine-tunes
@@ -858,12 +861,22 @@ func lineage(cfg config, opts core.Options) (*lineageRun, error) {
 		return nil, err
 	}
 	res.stored = int64(st.SegmentBytes)
+	for id, ws := range want {
+		meta, err := e.repo.GetMeta(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		owned := make(model.WeightSet, len(ws))
+		for _, v := range meta.OwnerMap.OwnedBy(id) {
+			owned[v] = ws[v]
+		}
+		res.owned += owned.SizeBytes() * int64(e.repo.Replicas())
+	}
 
-	// One untimed warm-up pass: the raw and chunked runs share a process, and
-	// whichever goes first would otherwise absorb the allocator and
-	// page-fault warm-up. Then several timed passes from a freshly
-	// collected heap: one pass takes ~10 ms warm, short enough for a single
-	// GC pause to dominate.
+	// One untimed warm-up pass absorbs the allocator and page-fault
+	// warm-up. Then several timed passes from a freshly collected heap:
+	// one pass takes ~10 ms warm, short enough for a single GC pause to
+	// dominate.
 	if err := e.loadAll("(lineage warm-up)"); err != nil {
 		return nil, err
 	}
@@ -904,12 +917,13 @@ func blockPerturb(data []byte, frac float64, seed uint64) {
 	}
 }
 
-// runDedup stores the same lineage twice — raw (structural dedup only) and
-// with content-addressed chunks (core.Options.Dedup) — on identical
-// logical writes, so the stored-bytes ratio is the capacity chunk sharing
-// adds and the restore ratio its read-path cost. Contract: every restored
-// model bit-identical in both runs; a ratio above 1.1x at smoke size and
-// at least 2x at full size; and (timing) a restore slowdown <= 2x.
+// runDedup stores a fine-tune lineage and compares the bytes the
+// providers store in content-addressed chunks with the tensor bytes the
+// models' owner maps say they own — what structural dedup alone would
+// store, segment headers excluded — so the ratio is the capacity chunk
+// sharing adds. Contract: every restored model bit-identical; a ratio
+// above 1.1x at smoke size and at least 2x at full size. Restore MB/s is
+// printed, not gated.
 //
 // Chunks are shared within one provider's store only, so every provider
 // holds the whole lineage here (Providers = Replicas): the ratio is what
@@ -919,34 +933,23 @@ func blockPerturb(data []byte, frac float64, seed uint64) {
 // changed shares none of that segment's chunks.
 func runDedup(cfg config) error {
 	r := max(cfg.replicas, 1)
-	opts := core.Options{Providers: r, Replicas: r}
-	raw, err := lineage(cfg, opts)
+	run, err := lineage(cfg, core.Options{Providers: r, Replicas: r})
 	if err != nil {
-		return fmt.Errorf("raw lineage run: %w", err)
+		return err
 	}
-	opts.Dedup = true
-	ded, err := lineage(cfg, opts)
-	if err != nil {
-		return fmt.Errorf("chunked lineage run: %w", err)
-	}
-	mbps := func(r *lineageRun) float64 { return float64(r.restored) / 1e6 / r.restore.Seconds() }
-	ratio := float64(raw.stored) / float64(ded.stored)
-	slowdown := mbps(raw) / mbps(ded)
-	tbl := metrics.NewTable("Metric", "raw", "chunks")
-	tbl.Add("stored bytes", raw.stored, ded.stored)
-	tbl.Add("logical/stored", fmt.Sprintf("%.2fx", float64(raw.logical)/float64(raw.stored)),
-		fmt.Sprintf("%.2fx", float64(ded.logical)/float64(ded.stored)))
-	tbl.Add("restore MB/s", fmt.Sprintf("%.0f", mbps(raw)), fmt.Sprintf("%.0f", mbps(ded)))
+	ratio := float64(run.owned) / float64(run.stored)
+	tbl := metrics.NewTable("Metric", "value")
+	tbl.Add("logical bytes", run.logical)
+	tbl.Add("owner-map bytes", run.owned)
+	tbl.Add("stored bytes", run.stored)
+	tbl.Add("restore MB/s", fmt.Sprintf("%.0f", float64(run.restored)/1e6/run.restore.Seconds()))
 	tbl.Render(cfg.out)
-	cfg.logf("dedup ratio %.2fx, restore slowdown %.2fx\n", ratio, slowdown)
+	cfg.logf("dedup ratio %.2fx over the owner-map bytes\n", ratio)
 	switch {
 	case cfg.smoke && ratio <= 1.1:
 		return fmt.Errorf("dedup ratio %.2fx not above the 1.1x smoke target", ratio)
 	case !cfg.smoke && ratio < 2:
 		return fmt.Errorf("dedup ratio %.2fx below the 2x target", ratio)
-	}
-	if cfg.timing && slowdown > 2 {
-		return fmt.Errorf("restore slowdown %.2fx above the 2x target", slowdown)
 	}
 	return nil
 }

@@ -8,7 +8,7 @@
 //
 //	evostore-server -listen :7070 -id 0 [-data /path/to/dir] [-request-timeout 30s]
 //	                [-deploy-size N -replicas R] [-metrics-interval 1m] [-dedup-ttl 2m]
-//	                [-dedup] [-repair-interval 30s -repair-peers a,b]
+//	                [-repair-interval 30s -repair-peers a,b]
 //	                [-throttle-ops N -throttle-bytes N -throttle-window 60s]
 //	                [-autobalance -autobalance-interval 5s -heat-hot 4 -heat-cold 0.25
 //	                 -heat-widen 0 -heat-pack 0 -migration-budget N]
@@ -24,10 +24,11 @@
 // to -repair-peers (adopting the newest placement epoch), and lets the
 // anti-entropy repairer converge only the writes it missed while down.
 //
-// -dedup wraps the backend with content-addressed chunk storage: identical
-// 64 KiB chunks across segments are stored once (see internal/dedup). It is
-// a local storage concern — the wire format and replica digests are
-// unchanged, so a deployment may mix dedup and plain providers.
+// Either backend stores segments in content-addressed chunks: identical
+// 64 KiB chunks across segments are stored once (see internal/dedup), and
+// the chunk refcounts are recovered from the stored recipes on every start.
+// It is a local storage concern — the wire format and replica digests see
+// plain segments.
 //
 // -throttle-ops / -throttle-bytes arm per-tenant read admission control
 // (the front door, see internal/frontdoor): each tenant gets token buckets
@@ -121,8 +122,6 @@ func main() {
 		"start as a spare outside the epoch-0 member list (-id may be >= -deploy-size); reject writes until a placement add joins this provider")
 	drain := flag.Bool("drain", false,
 		"on shutdown, migrate this provider's models to the remaining members before exiting (needs -repair-peers and -deploy-size)")
-	dedupStore := flag.Bool("dedup", false,
-		"wrap the backend with content-addressed chunk storage: identical segment chunks are stored once (internal/dedup)")
 	throttleOps := flag.Float64("throttle-ops", 0,
 		"per-tenant read admission limit in ops/sec (0 = unlimited on this axis; throttling is off when both -throttle-* rates are 0)")
 	throttleBytes := flag.Float64("throttle-bytes", 0,
@@ -220,16 +219,11 @@ func main() {
 		}
 	}
 
-	if *dedupStore {
-		cas := dedup.Wrap(kv, dedup.Options{})
-		kv = cas
-		if *data != "" {
-			if err := cas.Recover(); err != nil {
-				log.Fatalf("recovering chunk refcounts: %v", err)
-			}
-		}
-		log.Printf("provider %d: content-addressed chunk storage on", *id)
+	cas := dedup.Wrap(kv, dedup.Options{})
+	if err := cas.Recover(); err != nil {
+		log.Fatalf("recovering chunk refcounts: %v", err)
 	}
+	kv = cas
 
 	var p *provider.Provider
 	if *data != "" {
@@ -277,17 +271,13 @@ func main() {
 	}
 	saveManifest := func(st *placement.State) {}
 	if *data != "" {
-		features := []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs}
-		if *dedupStore {
-			features = append(features, kvstore.FeatureSHA256Chunks)
-		}
 		saveManifest = func(st *placement.State) {
 			m := &kvstore.Manifest{
 				FormatVersion:  kvstore.ManifestFormatVersion,
 				ProviderID:     uint32(*id),
 				PlacementEpoch: placement.EpochOf(st),
 				Placement:      placement.EncodeState(st),
-				Features:       features,
+				Features:       []string{kvstore.FeatureDurableCatalog, kvstore.FeatureValueLogs, kvstore.FeatureSHA256Chunks},
 			}
 			if err := kvstore.SaveManifest(*data, m); err != nil {
 				log.Printf("provider %d: saving manifest: %v", *id, err)

@@ -72,7 +72,9 @@ type Options struct {
 	// a spare as the join target.
 	SpareProviders int
 	// Backend constructs the KV store of provider i. Default: MemKV, the
-	// analogue of the paper's in-memory synchronized pools.
+	// analogue of the paper's in-memory synchronized pools. Every provider
+	// stores its segments in content-addressed chunks over it
+	// (internal/dedup), so identical 64 KiB chunks are kept once.
 	Backend func(i int) kvstore.KV
 	// Faults, when non-nil, returns the fault-injection config for the
 	// connection to provider i (nil = no faults for that provider). The
@@ -95,12 +97,6 @@ type Options struct {
 	// anti-entropy repair (client.Repairer) instead of the write being
 	// undone. Only meaningful with Replicas > 1 and a running repairer.
 	PartialWrites bool
-	// Dedup wraps every provider backend with content-addressed chunk
-	// storage (internal/dedup): identical 64 KiB chunks across stored
-	// segments are kept once. Invisible above the provider's KV store, so
-	// clients, replicas and repair see the same segments either way; it is
-	// what evostore-server -dedup does.
-	Dedup bool
 	// SegCacheBytes bounds the client's read-through segment cache, the
 	// front door's caching layer (see docs/ARCHITECTURE.md). 0 keeps the
 	// client default (64 MiB); negative disables caching.
@@ -151,7 +147,7 @@ func Open(opts Options) (*Repository, error) {
 	total := opts.Providers + opts.SpareProviders
 	conns := make([]rpc.Conn, total)
 	for i := 0; i < total; i++ {
-		p, _, err := r.buildProvider(i, opts.Backend(i))
+		p, err := r.buildProvider(i, opts.Backend(i))
 		if err != nil {
 			return nil, err
 		}
@@ -210,23 +206,25 @@ func Open(opts Options) (*Repository, error) {
 // configured). Tests and benchmarks use them to flip partitions mid-run.
 func (r *Repository) FaultConns() []*rpc.FaultConn { return r.faults }
 
-// buildProvider wraps kv with chunk storage when Options.Dedup and
-// constructs provider i, durable when Options.DurableCatalog. It returns
-// the wrapper (nil without Dedup) so a restart can recover its refcounts.
-func (r *Repository) buildProvider(i int, kv kvstore.KV) (*provider.Provider, *dedup.KV, error) {
-	var cas *dedup.KV
-	if r.opts.Dedup {
-		cas = dedup.Wrap(kv, dedup.Options{})
-		kv = cas
+// buildProvider constructs provider i over kv wrapped with
+// content-addressed chunk storage (internal/dedup), durable when
+// Options.DurableCatalog. The wrapper's chunk refcounts are recovered from
+// kv's recipes before the provider reads its catalog, so a Backend that
+// returns a reopened store never frees chunks its recipes still use; over
+// a fresh store the recovery is an empty scan.
+func (r *Repository) buildProvider(i int, kv kvstore.KV) (*provider.Provider, error) {
+	cas := dedup.Wrap(kv, dedup.Options{})
+	if err := cas.Recover(); err != nil {
+		return nil, fmt.Errorf("core: provider %d: recovering chunk refcounts: %w", i, err)
 	}
 	if r.opts.DurableCatalog {
-		p, err := provider.NewDurable(i, kv)
+		p, err := provider.NewDurable(i, cas)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: provider %d: %w", i, err)
+			return nil, fmt.Errorf("core: provider %d: %w", i, err)
 		}
-		return p, cas, nil
+		return p, nil
 	}
-	return provider.New(i, kv), cas, nil
+	return provider.New(i, cas), nil
 }
 
 // --- crash / restart -----------------------------------------------------------
@@ -249,8 +247,8 @@ func (r *Repository) KillProvider(i int) error {
 
 // RestartProvider brings a killed provider back on kv — typically the same
 // LSM directory reopened, modeling a process restart on surviving disk
-// state. The dedup wrapper (when configured) is rebuilt and its refcounts
-// recovered from the store, the provider replays its durable catalog
+// state. The chunk wrapper is rebuilt and its refcounts recovered from the
+// store, the provider replays its durable catalog
 // (Options.DurableCatalog), placement is re-armed — st, when non-nil,
 // installs a saved or fetched placement view on top of the epoch-0 default
 // (newest epoch wins) — and the endpoint is rebound so clients reconnect
@@ -260,14 +258,9 @@ func (r *Repository) RestartProvider(i int, kv kvstore.KV, st *placement.State) 
 	if r.owned == nil || i < 0 || i >= len(r.owned) {
 		return fmt.Errorf("core: restart provider %d: not an embedded provider", i)
 	}
-	p, cas, err := r.buildProvider(i, kv)
+	p, err := r.buildProvider(i, kv)
 	if err != nil {
 		return fmt.Errorf("core: restart provider %d: %w", i, err)
-	}
-	if cas != nil {
-		if err := cas.Recover(); err != nil {
-			return fmt.Errorf("core: restart provider %d: dedup recover: %w", i, err)
-		}
 	}
 	p.SetPlacement(r.opts.Providers, r.opts.Replicas)
 	if st != nil {
@@ -623,8 +616,8 @@ func (r *Repository) ListModels(ctx context.Context) ([]ModelID, error) {
 }
 
 // Stats aggregates storage statistics across providers. SegmentBytes is
-// each provider's KV size (kv.SizeBytes): the deduplicated tensor payload
-// actually stored — the quantity Figure 10 compares against full-copy
+// each provider's KV size (kv.SizeBytes): the tensor payload left after
+// owner-map and chunk sharing — the quantity Figure 10 compares against full-copy
 // baselines — plus, with Options.DurableCatalog, the catalog's own cat/
 // records. Those include tombstones and journals, so a durable deployment
 // retired down to 0 models, segments and live refs still reports a few KB.

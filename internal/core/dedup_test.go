@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/kvstore"
 	"repro/internal/model"
 )
 
@@ -66,40 +67,53 @@ func derive(t *testing.T, repo *Repository, f *model.Flat, touch int) (ModelID, 
 // provider's store, so the tests below run a single provider.
 func dedupMLP(t *testing.T) *model.Flat { return mlp(t, 4, 256, 16) }
 
-// A dedup deployment must be invisible to readers: a derived model loads
-// back bit-identical, and the chunks its modified tensors share with the
-// ancestor's are stored once, so the lineage takes fewer bytes than raw.
+// ownedBytes is the tensor bytes model id stores itself: the tensors of
+// ws at the vertices its owner map says it owns. Summed over a lineage it
+// is what owner maps alone would store, segment headers excluded.
+func ownedBytes(t *testing.T, repo *Repository, id ModelID, ws model.WeightSet) int64 {
+	t.Helper()
+	meta, err := repo.GetMeta(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make(model.WeightSet, len(ws))
+	for _, v := range meta.OwnerMap.OwnedBy(id) {
+		owned[v] = ws[v]
+	}
+	return owned.SizeBytes()
+}
+
+// Chunk storage must be invisible to readers: a derived model loads back
+// bit-identical, and the chunks its modified tensors share with the
+// ancestor's are stored once, so the lineage takes fewer bytes than the
+// tensors its owner maps say it owns.
 func TestDedupDerivedLoadRoundtrip(t *testing.T) {
 	ctx := context.Background()
 	f := dedupMLP(t)
 	base := model.Materialize(f, 1)
-
-	run := func(t *testing.T, opts Options) uint64 {
-		repo := openDedupRepo(t, opts)
-		baseID, err := repo.Store(ctx, f, base.Clone(), 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		childID, want := derive(t, repo, f, 2)
-		for id, wantWS := range map[ModelID]model.WeightSet{baseID: base, childID: want} {
-			_, got, err := repo.Load(ctx, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(wantWS) {
-				t.Fatalf("model %d restored with wrong weights", id)
-			}
-		}
-		st, err := repo.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.SegmentBytes
+	repo := openDedupRepo(t, Options{Providers: 1})
+	baseID, err := repo.Store(ctx, f, base.Clone(), 0.8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rawBytes := run(t, Options{Providers: 1})
-	dedupBytes := run(t, Options{Providers: 1, Dedup: true})
-	if dedupBytes >= rawBytes {
-		t.Fatalf("dedup stored %d bytes, raw %d — no chunk was shared", dedupBytes, rawBytes)
+	childID, want := derive(t, repo, f, 2)
+	var owned int64
+	for id, wantWS := range map[ModelID]model.WeightSet{baseID: base, childID: want} {
+		_, got, err := repo.Load(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(wantWS) {
+			t.Fatalf("model %d restored with wrong weights", id)
+		}
+		owned += ownedBytes(t, repo, id, wantWS)
+	}
+	st, err := repo.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(st.SegmentBytes) >= owned {
+		t.Fatalf("stored %d bytes, the owned tensors are %d — no chunk was shared", st.SegmentBytes, owned)
 	}
 }
 
@@ -108,7 +122,7 @@ func TestDedupDerivedLoadRoundtrip(t *testing.T) {
 // them; retiring the child then drains every chunk.
 func TestDedupRetireAncestorFirst(t *testing.T) {
 	ctx := context.Background()
-	repo := openDedupRepo(t, Options{Providers: 1, Dedup: true})
+	repo := openDedupRepo(t, Options{Providers: 1})
 	f := dedupMLP(t)
 	base := model.Materialize(f, 1)
 	baseID, err := repo.Store(ctx, f, base.Clone(), 0.8)
@@ -146,5 +160,48 @@ func TestDedupRetireAncestorFirst(t *testing.T) {
 	}
 	if st.SegmentBytes != 0 {
 		t.Fatalf("%d segment bytes stranded after retiring the whole lineage", st.SegmentBytes)
+	}
+}
+
+// Open over a reopened store recovers the chunk refcounts from its
+// recipes. Without that, a child stored after the reopen would take the
+// only reference to the chunks it shares with its ancestor, and retiring
+// the ancestor would delete chunks the child still uses.
+func TestOpenRecoversChunkRefcounts(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	f := dedupMLP(t)
+	base := model.Materialize(f, 1)
+	open := func() (*Repository, *kvstore.LSMKV) {
+		kv, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo := openDedupRepo(t, Options{Providers: 1, DurableCatalog: true,
+			Backend: func(int) kvstore.KV { return kv }})
+		return repo, kv
+	}
+	repo, kv := open()
+	baseID, err := repo.Store(ctx, f, base.Clone(), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	repo, kv = open()
+	defer kv.Close()
+	repo.nextID.Store(uint64(baseID)) // model IDs come from a per-process counter
+	childID, want := derive(t, repo, f, 2)
+	if _, err := repo.Retire(ctx, baseID); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := repo.Load(ctx, childID)
+	if err != nil {
+		t.Fatalf("child unloadable after its ancestor was retired: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("child restored with wrong weights after its ancestor was retired")
 	}
 }

@@ -33,8 +33,15 @@
 //     kvstore.KV contract (Put copies, Get views are immutable). Its chunk
 //     refcounts are in-memory and rebuilt from the recipes by Recover
 //     after reopening a persistent inner store.
+//   - Every provider stores through this wrapper: core.Open,
+//     core.RestartProvider and evostore-server wrap each backend and run
+//     Recover before the provider reads its catalog.
 //   - Chunk IDs and recipes are an on-disk format. Recover refuses a
 //     store holding another recipe version or a malformed cas/ key, and
-//     evostore-server -dedup names the format in its manifest
+//     evostore-server names the format in its manifest
 //     (kvstore.FeatureSHA256Chunks) so an older binary refuses the dir.
+//     A value stored without the wrapper reads back as itself, so a
+//     store written by a provider that ran without chunks opens as is
+//     (Recover fails naming the key of such a value that opens with the
+//     recipe tag; a tensor segment cannot).
 package dedup

@@ -38,15 +38,16 @@ const casPrefix = "cas/"
 // Options configures a content-addressed KV wrapper.
 type Options struct {
 	// ChunkSize is the content-addressing granularity (default
-	// DefaultChunkSize). Values shorter than one chunk are stored inline.
+	// DefaultChunkSize). Values shorter than one chunk are stored inline
+	// unless they open with the recipe tag.
 	ChunkSize int
 }
 
 // KV content-addresses the values of an underlying kvstore.KV: each
 // distinct chunk is stored once under cas/<chunk ID> with an in-memory
 // refcount, and a value is stored as a recipe of chunk IDs. Readers
-// see logical bytes; SizeBytes reports what is physically stored — the
-// dedup win.
+// see logical bytes; SizeBytes reports the inner store's live bytes after
+// chunk sharing — the dedup win.
 type KV struct {
 	kv   kvstore.KV
 	kvB  kvstore.ByteKeyGetter
@@ -84,16 +85,18 @@ func (d *KV) Stats() CASStats {
 }
 
 // Put implements kvstore.KV: values of at least one chunk are stored as
-// cas recipes; shorter ones pass through inline. Chunk IDs and the recipe
-// are computed before taking the lock, which guards only the refcounts
-// and the store mutations that must agree with them.
+// cas recipes; shorter ones pass through inline, except one that opens
+// with recipeTag, which would read back as a recipe and so is stored as a
+// one-chunk recipe. Chunk IDs and the recipe are computed before taking
+// the lock, which guards only the refcounts and the store mutations that
+// must agree with them.
 func (d *KV) Put(key string, value []byte) error {
 	if strings.HasPrefix(key, casPrefix) {
 		return fmt.Errorf("dedup: key %q collides with the reserved chunk namespace", key)
 	}
 	var ids []chunkID
 	stored := value
-	if len(value) >= d.o.ChunkSize {
+	if len(value) >= d.o.ChunkSize || bytes.HasPrefix(value, recipeTag) {
 		ids = chunkIDs(value, d.o.ChunkSize)
 		stored = d.recipe(value, ids)
 	}
@@ -310,9 +313,10 @@ func (d *KV) Len() int {
 	return d.kv.Len() - chunks
 }
 
-// SizeBytes implements kvstore.KV and reports *physical* bytes — after
-// chunk sharing. This is deliberate: it is the quantity operators and the
-// dedup benchmark care about.
+// SizeBytes implements kvstore.KV and reports the inner store's
+// SizeBytes: the bytes of the live values it holds after chunk sharing
+// (each chunk once, recipes, inline values) — not the logical bytes that
+// were Put, and not the size of its files.
 func (d *KV) SizeBytes() int64 { return d.kv.SizeBytes() }
 
 // Close implements kvstore.KV.

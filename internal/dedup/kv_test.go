@@ -138,6 +138,35 @@ func TestKVSmallValuePassThrough(t *testing.T) {
 	}
 }
 
+// A value shorter than one chunk that opens with the recipe tag would read
+// back as a recipe if it were stored inline. It is stored as a one-chunk
+// recipe instead, and Get, Recover and Delete all see it as a value.
+func TestKVSmallValueWithRecipeTag(t *testing.T) {
+	for _, v := range [][]byte{
+		append(append([]byte(nil), recipeMagic...), "thirteen more"...),
+		append(append([]byte(nil), recipeTag...), 0x01, 'x'),
+	} {
+		d, inner := wrapped(t, Options{ChunkSize: 64})
+		mustPut(t, d, "cat/j/x", v)
+		if got := mustGet(t, d, "cat/j/x"); !bytes.Equal(got, v) {
+			t.Fatalf("read back %x, want %x", got, v)
+		}
+		d2 := Wrap(inner, Options{ChunkSize: 64})
+		if err := d2.Recover(); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if got := mustGet(t, d2, "cat/j/x"); !bytes.Equal(got, v) {
+			t.Fatalf("read back %x after recover, want %x", got, v)
+		}
+		if err := d2.Delete("cat/j/x"); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		if n := inner.Len(); n != 0 {
+			t.Fatalf("inner store holds %d entries after delete, want 0", n)
+		}
+	}
+}
+
 func TestKVRejectsReservedKeys(t *testing.T) {
 	d, _ := wrapped(t, Options{})
 	if err := d.Put("cas/0123", []byte("x")); err == nil {

@@ -768,8 +768,11 @@ func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
 
 // ProviderStats summarizes one provider's storage state.
 type ProviderStats struct {
-	Models       uint64
-	Segments     uint64
+	Models   uint64
+	Segments uint64
+	// SegmentBytes is the provider's KV SizeBytes: the live value bytes
+	// its store holds after chunk sharing, including the durable
+	// catalog's cat/ records. It is not the size of the store's files.
 	SegmentBytes uint64
 	LiveRefs     uint64
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dedup"
 	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/ownermap"
@@ -260,6 +261,90 @@ func TestDurableCatalogNilOnPlainProvider(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("plain provider persisted %d catalog records", n)
+	}
+}
+
+// TestDurableCatalogOpensUnchunkedStore pins what a directory written by
+// a provider that stored without content-addressed chunks does when it is
+// reopened through dedup.Wrap and Recover: it opens, its raw values read
+// back as themselves, and retiring every model drains every segment and
+// chunk.
+func TestDurableCatalogOpensUnchunkedStore(t *testing.T) {
+	dir := t.TempDir()
+	kv, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{FlushBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewDurable(0, kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Model 1 holds a segment of more than one chunk and a short one;
+	// model 2 only short ones.
+	big := bytes.Repeat([]byte("0123456789abcdef"), (dedup.DefaultChunkSize+1000)/16)
+	want := map[ownermap.ModelID][][]byte{}
+	for id, sizes := range map[ownermap.ModelID][]int{1: {len(big), 100}, 2: {40, 60}} {
+		g := chainGraph(1, 2)
+		req, _ := storeReq(id, uint64(id), 0.5, g)
+		segs := make([][]byte, len(sizes))
+		for v, n := range sizes {
+			segs[v] = append([]byte{byte(id), byte(v)}, big[:n-2]...)
+			req.Segments[v].Length = uint32(n)
+		}
+		if err := p.StoreModel(req, segs); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = segs
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv2, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv2.Close()
+	cas := dedup.Wrap(kv2, dedup.Options{})
+	if err := cas.Recover(); err != nil {
+		t.Fatalf("recovering chunk refcounts over an unchunked store: %v", err)
+	}
+	p2, err := NewDurable(0, cas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := []graph.VertexID{0, 1}
+	for id, segs := range want {
+		_, got, err := p2.ReadSegments(id, vs)
+		if err != nil {
+			t.Fatalf("model %d unreadable after reopen: %v", id, err)
+		}
+		for v := range segs {
+			if !bytes.Equal(got[v], segs[v]) {
+				t.Fatalf("model %d vertex %d: read %d bytes, want the %d stored", id, v, len(got[v]), len(segs[v]))
+			}
+		}
+	}
+	for id := range want {
+		if _, err := p2.Retire(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p2.DecRef(id, vs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only the catalog's own records (tombstones, journals) may remain.
+	var left int
+	if err := kv2.Scan("", func(k string, v []byte) bool {
+		if !strings.HasPrefix(k, "cat/") {
+			left += len(v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := p2.Stats(); left != 0 || st.Segments != 0 || st.LiveRefs != 0 {
+		t.Fatalf("after retiring every model: %d segment/chunk bytes left, stats %+v", left, st)
 	}
 }
 
