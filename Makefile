@@ -8,8 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full verification, and what CI runs (.github/workflows/ci.yml): static
-# analysis; the test suite under the race detector, which includes every
+# Full verification, and what CI runs (.github/workflows/ci.yml): a gofmt
+# gate (fails if `gofmt -l .` lists any file); static analysis; the test suite under the race detector, which includes every
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
 # bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
@@ -25,6 +25,8 @@ test:
 # contracts (hedged storm p99 vs healthy, controller-phase p99 vs
 # baseline); and the docs-vs-code check.
 check:
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || \
+		{ echo "gofmt -l lists unformatted files (run gofmt -w on them):" >&2; echo "$$unformatted" >&2; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench

@@ -207,11 +207,12 @@ func ownerGroups(om *ownermap.Map) []ownermap.OwnerGroup { return om.Owners() }
 // ignored and may be nil.
 //
 // The call first pins all inherited segments by incrementing their
-// reference counts on the owners' providers, one owner group after
-// another, then sends one consolidated write to the model's home
-// provider. Pinning first means a concurrent retirement of the ancestor
-// can never free tensors this model now depends on; if pinning fails the
-// store is aborted and already-taken pins are rolled back.
+// reference counts on the owners' providers — one inc_ref message per
+// provider, holding every owner group it replicates (refGroups) — then
+// sends one consolidated write to the model's replicas. Pinning first
+// means a concurrent retirement of an ancestor can never free tensors
+// this model now depends on; if pinning fails the store is aborted and
+// the pins that were taken are rolled back.
 func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]byte) error {
 	n := meta.Graph.NumVertices()
 	if meta.OwnerMap.Len() != n || len(segments) != n {
@@ -247,23 +248,28 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 	// the caller's cancellation (context.WithoutCancel): after a deadline or
 	// cancellation failure the caller's ctx is already dead, and a rollback
 	// DecRef issued on it would silently no-op and leak the pins.
-	groups := ownerGroups(meta.OwnerMap)
-	var pinned []ownermap.OwnerGroup
-	rollback := func() {
-		undoCtx := context.WithoutCancel(ctx)
-		for _, undo := range pinned {
-			c.refCall(undoCtx, proto.RPCDecRef, undo.Owner, undo.Vertices) //nolint:errcheck // best-effort rollback
+	var pinned []proto.RefGroup
+	for _, g := range ownerGroups(meta.OwnerMap) {
+		if g.Owner != meta.Model {
+			pinned = append(pinned, proto.RefGroup{Owner: g.Owner, Vertices: g.Vertices})
 		}
 	}
-	for _, g := range groups {
-		if g.Owner == meta.Model {
-			continue
+	release := func(gs []proto.RefGroup) {
+		c.refGroups(context.WithoutCancel(ctx), proto.RPCDecRef, gs) // best-effort rollback
+	}
+	_, errs := c.refGroups(ctx, proto.RPCIncRef, pinned)
+	var failed []error
+	var taken []proto.RefGroup
+	for gi, err := range errs {
+		if err != nil {
+			failed = append(failed, fmt.Errorf("of %d: %w", pinned[gi].Owner, err))
+		} else {
+			taken = append(taken, pinned[gi])
 		}
-		if _, err := c.refCall(ctx, proto.RPCIncRef, g.Owner, g.Vertices); err != nil {
-			rollback()
-			return fmt.Errorf("client: store %d: pinning inherited tensors of %d: %w", meta.Model, g.Owner, err)
-		}
-		pinned = append(pinned, g)
+	}
+	if len(failed) > 0 {
+		release(taken)
+		return fmt.Errorf("client: store %d: pinning inherited tensors %w", meta.Model, errors.Join(failed...))
 	}
 
 	req := &proto.StoreModelReq{
@@ -288,13 +294,12 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 		// from cancellation) so a failed store leaves nothing behind.
 		// Replicas that never stored the model answer "unknown model", which
 		// is exactly what we want to ignore.
-		undoCtx := context.WithoutCancel(ctx)
 		rreq := &proto.RetireReq{Model: meta.Model, ReqID: nextReqID()}
-		c.mutateCall(undoCtx, proto.RPCRetire, meta.Model, rpc.Message{Meta: rreq.Encode()}) //nolint:errcheck // best-effort rollback
+		c.mutateCall(context.WithoutCancel(ctx), proto.RPCRetire, meta.Model, rpc.Message{Meta: rreq.Encode()}) //nolint:errcheck // best-effort rollback
 		if len(selfVertices) > 0 {
-			c.refCall(undoCtx, proto.RPCDecRef, meta.Model, selfVertices) //nolint:errcheck // best-effort rollback
+			pinned = append(pinned, proto.RefGroup{Owner: meta.Model, Vertices: selfVertices})
 		}
-		rollback()
+		release(pinned)
 		return fmt.Errorf("client: store %d: %w", meta.Model, err)
 	}
 	return nil
@@ -304,21 +309,6 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 // segment table carries u32 lengths). A var so tests can lower it without
 // allocating 4 GiB.
 var maxSegmentBytes = uint64(1) << 32
-
-// refCall applies one refcount delta (name is proto.RPCIncRef or
-// proto.RPCDecRef) to owner's replica set and returns the number of
-// segments it freed, as an accepting replica reports it.
-func (c *Client) refCall(ctx context.Context, name string, owner ownermap.ModelID, vs []graph.VertexID) (uint64, error) {
-	req := &proto.RefReq{Owner: owner, Vertices: vs, ReqID: nextReqID()}
-	resp, err := c.mutateCall(ctx, name, owner, rpc.Message{Meta: req.Encode()})
-	// On an accepted partial write the delta is journaled on the replicas
-	// that took it, and resp is one of their replies; repair replays the
-	// delta onto the ones that missed it.
-	if err != nil && !c.acceptPartial(name, owner, err) {
-		return 0, err
-	}
-	return proto.DecodeU64(resp.Meta)
-}
 
 // --- load ----------------------------------------------------------------------
 
@@ -517,9 +507,10 @@ func (e *PartialRetireError) Unwrap() []error {
 
 // Retire removes a model: its metadata disappears from every replica of
 // its home immediately, then the reference counts of every segment its
-// owner map references are decremented on the owning providers (and their
-// replicas) in parallel. It returns the number of logical segments freed
-// cluster-wide.
+// owner map references are decremented on the owning providers and their
+// replicas — one dec_ref message per provider, holding every owner group
+// it replicates (refGroups). It returns the number of logical segments
+// freed cluster-wide.
 //
 // All DecRef legs run to completion even when some fail: the metadata is
 // already gone, so aborting early would strand the remaining owners'
@@ -543,20 +534,14 @@ func (c *Client) Retire(ctx context.Context, id ownermap.ModelID) (uint64, error
 	}
 
 	groups := ownerGroups(om)
-	freed := make([]uint64, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
+	gs := make([]proto.RefGroup, len(groups))
 	for gi, g := range groups {
-		wg.Add(1)
-		go func(gi int, owner ownermap.ModelID, vs []graph.VertexID) {
-			defer wg.Done()
-			freed[gi], errs[gi] = c.refCall(ctx, proto.RPCDecRef, owner, vs)
-		}(gi, g.Owner, g.Vertices)
+		gs[gi] = proto.RefGroup{Owner: g.Owner, Vertices: g.Vertices}
 	}
-	wg.Wait()
+	freed, errs := c.refGroups(ctx, proto.RPCDecRef, gs)
 	var total uint64
 	var leaked []RetireLeak
-	for gi, g := range groups {
+	for gi, g := range gs {
 		if errs[gi] != nil {
 			leaked = append(leaked, RetireLeak{Owner: g.Owner, Vertices: g.Vertices, Err: errs[gi]})
 			continue

@@ -274,8 +274,8 @@ func TestMutationDeferredDuringMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ec.cli.refCall(ctx, proto.RPCIncRef, 1, []graph.VertexID{0, 1}); err != nil {
-		t.Fatalf("inc_ref during migration: %v", err)
+	if _, errs := ec.cli.refGroups(ctx, proto.RPCIncRef, []proto.RefGroup{{Owner: 1, Vertices: []graph.VertexID{0, 1}}}); errs[0] != nil {
+		t.Fatalf("inc_ref during migration: %v", errs[0])
 	}
 	if got := ec.reg.Counter("client.migration_deferred").Load(); got == 0 {
 		t.Error("no leg deferred — the catching-up replica accepted or failed instead")

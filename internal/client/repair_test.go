@@ -63,7 +63,8 @@ func TestMutatePartialErrorTyped(t *testing.T) {
 	}
 
 	d.down.Store(true)
-	_, err := cli.refCall(ctx, proto.RPCIncRef, 2, []graph.VertexID{0})
+	_, errs := cli.refGroups(ctx, proto.RPCIncRef, []proto.RefGroup{{Owner: 2, Vertices: []graph.VertexID{0}}})
+	err := errs[0]
 	if err == nil {
 		t.Fatal("partial IncRef succeeded in strict mode")
 	}

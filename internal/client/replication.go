@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/placement"
+	"repro/internal/proto"
 	"repro/internal/rpc"
 )
 
@@ -25,13 +27,17 @@ import (
 // Writes (StoreModel, IncRef, DecRef, Retire) fan out to every replica in
 // parallel, all carrying the same ReqID: each replica's dedup table
 // independently absorbs retries, so a retried fan-out leg can never
-// double-apply a refcount change. A write succeeds only when every replica
-// accepted it, which keeps replicas bit-identical and makes any single
-// replica authoritative for reads. Mid-migration the fan-out covers the
-// union of both epochs' sets, and a leg rejected by a replica still
-// catching up on the model counts as deferred, not failed — its delta is
-// journaled on the members that hold the model and replayed by the
-// rebalancer.
+// double-apply a refcount change. Refcount changes are batched per
+// operation (refGroups): Store's pins and Retire's releases reach each
+// provider as one inc_ref/dec_ref message holding every owner group that
+// provider replicates, all messages under one ReqID, and each group is
+// settled from its own legs like a one-model fan-out. A write succeeds
+// only when every replica accepted it, which keeps replicas bit-identical
+// and makes any single replica authoritative for reads. Mid-migration the
+// fan-out covers the union of both epochs' sets, and a leg rejected by a
+// replica still catching up on the model counts as deferred, not failed —
+// its delta is journaled on the members that hold the model and replayed
+// by the rebalancer.
 //
 // Reads (GetMeta, ReadSegments) try one replica at a time, preferring the
 // new epoch's set and falling back to previous-epoch owners mid-migration,
@@ -344,19 +350,7 @@ func (c *Client) mutateCall(ctx context.Context, name string, id ownermap.ModelI
 	}
 }
 
-// mutateOnce runs one fan-out over st's write set. All replicas must
-// accept for a nil error, with one placement-shaped exception: legs
-// rejected by replicas still catching up on this model's migration count
-// as deferred, and if every failed leg was deferred while at least one
-// replica accepted, the mutation succeeds — the delta is journaled on the
-// accepting members and the rebalancer's converge pass replays it onto
-// the stragglers (the model is also queued for in-process repair). A mix
-// of real outcomes returns the first successful response alongside a
-// *PartialMutateError naming both camps (legs are deterministic, so all
-// successful responses agree); deferred legs inside such a mix are marked
-// transient so partial-writes acceptance still applies during a combined
-// outage and migration. A total failure returns every leg's error joined
-// and annotated with its provider.
+// mutateOnce runs one fan-out over st's write set and settles it.
 func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelID, st *placement.State, req rpc.Message) (rpc.Message, error) {
 	set := st.WriteSet(id)
 	if len(set) == 1 {
@@ -373,6 +367,35 @@ func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelI
 		}(i, pi)
 	}
 	wg.Wait()
+	ok, err := c.settle(name, id, set, errs)
+	if ok < 0 {
+		return rpc.Message{}, err
+	}
+	return resps[ok], err
+}
+
+// settle judges one replicated write of id from its legs: replica set[i]
+// answered errs[i]. It returns the index of a leg that accepted (-1 when
+// none did) and the write's error. All replicas must accept for a nil
+// error, with one placement-shaped exception: legs rejected by replicas
+// still catching up on this model's migration count as deferred, and if
+// every failed leg was deferred while at least one replica accepted, the
+// write succeeds — the delta is journaled on the accepting members and the
+// rebalancer's converge pass replays it onto the stragglers (the model is
+// also queued for in-process repair). A mix of real outcomes returns a
+// *PartialMutateError naming both camps beside the accepting leg (legs are
+// deterministic, so all accepting replies agree); deferred legs inside
+// such a mix are marked transient so partial-writes acceptance still
+// applies during a combined outage and migration. A total failure returns
+// every leg's error joined and annotated with its provider; a single
+// replica's error is returned as it came.
+func (c *Client) settle(name string, id ownermap.ModelID, set []int, errs []error) (int, error) {
+	if len(set) == 1 {
+		if errs[0] != nil {
+			return -1, errs[0]
+		}
+		return 0, nil
+	}
 	firstOK := -1
 	var succeeded, failedAt []int
 	var failed []error
@@ -395,17 +418,137 @@ func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelI
 		succeeded = append(succeeded, set[i])
 	}
 	if len(failed) == 0 {
-		return resps[0], nil
+		return 0, nil
 	}
 	if firstOK >= 0 && deferredOnly {
 		c.deferred.Inc()
 		c.queueRepair(name, id)
-		return resps[firstOK], nil
+		return firstOK, nil
 	}
 	if firstOK < 0 {
-		return rpc.Message{}, errors.Join(failed...)
+		return -1, errors.Join(failed...)
 	}
-	return resps[firstOK], &PartialMutateError{
+	return firstOK, &PartialMutateError{
 		Op: name, Model: id, Succeeded: succeeded, Failed: failedAt, Errs: failed,
+	}
+}
+
+// refGroups applies one refcount delta (name is proto.RPCIncRef or
+// proto.RPCDecRef) to every owner group in gs: each provider gets one
+// message holding every group it replicates, and every message carries
+// the operation's one ReqID, so each owner's journal records its group
+// under that ReqID on every replica. Each group is then settled from its
+// own legs exactly as mutateOnce settles one fan-out, and the groups a
+// wrong-epoch rejection left unapplied are re-resolved together, as
+// mutateCall re-resolves one. It returns, per group, the segments it freed
+// (as an accepting replica reports it) and its error; a partial write the
+// repairer converges (acceptPartial) counts as applied.
+func (c *Client) refGroups(ctx context.Context, name string, gs []proto.RefGroup) ([]uint64, []error) {
+	reqID := nextReqID()
+	freed := make([]uint64, len(gs))
+	errs := make([]error, len(gs))
+	todo := make([]int, len(gs))
+	for gi := range todo {
+		todo[gi] = gi
+	}
+	for attempt := 0; ; attempt++ {
+		st := c.place.Load()
+		c.refPass(ctx, name, st, gs, todo, reqID, freed, errs)
+		var stale []int
+		for _, gi := range todo {
+			if errors.Is(errs[gi], placement.ErrWrongEpoch) {
+				stale = append(stale, gi)
+			}
+		}
+		if len(stale) == 0 || attempt >= placementRetries {
+			break
+		}
+		if !c.refreshPlacement(ctx) && c.place.Load() == st {
+			break // nothing newer to learn: the rejections stand
+		}
+		todo = stale
+	}
+	for gi, err := range errs {
+		if err != nil && c.acceptPartial(name, gs[gi].Owner, err) {
+			// The delta is journaled on the replicas that took it; repair
+			// replays it onto the ones that missed it.
+			errs[gi] = nil
+		}
+	}
+	return freed, errs
+}
+
+// refPass is one round of refGroups over st: it sends each provider in the
+// write sets of the groups todo one message, then settles each group. A
+// provider's answer is all-or-nothing, so a message its handler rejected
+// changed nothing there; when it held several groups, each is asked again
+// alone, under the same ReqID, so every group's leg carries its own
+// verdict (a group the provider has already applied under that ReqID is
+// skipped by its journal). freed keeps the largest count any accepting
+// leg reported: a leg that skipped an applied group reports 0.
+func (c *Client) refPass(ctx context.Context, name string, st *placement.State, gs []proto.RefGroup, todo []int, reqID uint64, freed []uint64, errs []error) {
+	sets := make([][]int, len(todo))
+	legErrs := make([][]error, len(todo))
+	legFreed := make([][]uint64, len(todo))
+	var pis []int               // providers, in first-use order
+	msgs := make(map[int][]int) // provider → positions in todo of its groups
+	for t, gi := range todo {
+		sets[t] = st.WriteSet(gs[gi].Owner)
+		legErrs[t] = make([]error, len(sets[t]))
+		legFreed[t] = make([]uint64, len(sets[t]))
+		for _, pi := range sets[t] {
+			if msgs[pi] == nil {
+				pis = append(pis, pi)
+			}
+			msgs[pi] = append(msgs[pi], t)
+		}
+	}
+	var send func(pi int, ts []int)
+	send = func(pi int, ts []int) {
+		q := &proto.RefReq{Groups: make([]proto.RefGroup, len(ts)), ReqID: reqID}
+		for j, t := range ts {
+			q.Groups[j] = gs[todo[t]]
+		}
+		resp, err := c.conns[pi].Call(ctx, name, rpc.Message{Meta: q.Encode()})
+		var fs []uint64
+		if err == nil {
+			if fs, err = proto.DecodeRefResp(resp.Meta); err == nil && len(fs) != len(ts) {
+				err = fmt.Errorf("client: %s: %d freed counts for %d groups", name, len(fs), len(ts))
+			}
+		}
+		if err != nil && len(ts) > 1 && rpc.IsRemote(err) {
+			for _, t := range ts {
+				send(pi, []int{t})
+			}
+			return
+		}
+		for j, t := range ts {
+			k := slices.Index(sets[t], pi)
+			legErrs[t][k] = err
+			if err == nil {
+				legFreed[t][k] = fs[j]
+			}
+		}
+	}
+	if len(pis) == 1 {
+		send(pis[0], msgs[pis[0]])
+	} else {
+		var wg sync.WaitGroup
+		for _, pi := range pis {
+			wg.Add(1)
+			go func(pi int) {
+				defer wg.Done()
+				send(pi, msgs[pi])
+			}(pi)
+		}
+		wg.Wait()
+	}
+	for t, gi := range todo {
+		_, errs[gi] = c.settle(name, gs[gi].Owner, sets[t], legErrs[t])
+		for k, err := range legErrs[t] {
+			if err == nil {
+				freed[gi] = max(freed[gi], legFreed[t][k])
+			}
+		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -310,5 +312,221 @@ func TestUnhedgedReadCallAllocs(t *testing.T) {
 		if got > tc.max {
 			t.Errorf("R=%d: %.0f allocs per unhedged readCall, want at most %.0f", tc.replicas, got, tc.max)
 		}
+	}
+}
+
+// refConn counts one provider's calls by RPC name and sends its dec_ref
+// messages through drop, a FaultConn over the same connection.
+type refConn struct {
+	rpc.Conn
+	drop  *rpc.FaultConn
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (c *refConn) Call(ctx context.Context, name string, req rpc.Message) (rpc.Message, error) {
+	c.mu.Lock()
+	c.calls[name]++
+	c.mu.Unlock()
+	if name == proto.RPCDecRef {
+		return c.drop.Call(ctx, name, req)
+	}
+	return c.Conn.Call(ctx, name, req)
+}
+
+func (c *refConn) take(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.calls[name]
+	clear(c.calls)
+	return n
+}
+
+// refCluster is 4 providers at R=3, each behind a refConn, holding a
+// lineage in which model k inherits vertex j-1 from model j for every
+// j < k: models 1-3 are stored, and store(4) adds the model that pins one
+// vertex of each of them. Model k's replicas are providers k mod 4 and the
+// next two.
+type refCluster struct {
+	provs []*provider.Provider
+	cli   *Client
+	conns []*refConn
+	reg   *metrics.Registry
+	nv    int
+	store func(id int)
+}
+
+func newRefCluster(t *testing.T, opts ...Option) *refCluster {
+	t.Helper()
+	const n, r = 4, 3
+	rc := &refCluster{reg: metrics.NewRegistry(), conns: make([]*refConn, n)}
+	wrap := make(map[int]func(rpc.Conn) rpc.Conn)
+	for i := range rc.conns {
+		wrap[i] = func(c rpc.Conn) rpc.Conn {
+			rc.conns[i] = &refConn{Conn: c, drop: rpc.WithFaults(c, rpc.FaultConfig{Registry: rc.reg}), calls: make(map[string]int)}
+			return rc.conns[i]
+		}
+	}
+	rc.provs, rc.cli = newHookCluster(t, n, wrap, append([]Option{WithReplicas(r), WithRegistry(rc.reg)}, opts...)...)
+	for _, p := range rc.provs {
+		p.SetPlacement(n, r)
+		p.SetMetricsRegistry(rc.reg)
+	}
+	f := flatten(t, 4)
+	rc.nv = f.Graph.NumVertices()
+	if rc.nv < 4 {
+		t.Fatalf("%d vertices, need 4", rc.nv)
+	}
+	maps := []*ownermap.Map{ownermap.New(1, 1, rc.nv)}
+	for id := 2; id <= 4; id++ {
+		inherited := make([]graph.VertexID, id-1)
+		for v := range inherited {
+			inherited[v] = graph.VertexID(v)
+		}
+		om, err := ownermap.Derive(maps[id-2], ownermap.ModelID(id), uint64(id), rc.nv, inherited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps = append(maps, om)
+	}
+	rc.store = func(id int) {
+		t.Helper()
+		meta := &proto.ModelMeta{Model: ownermap.ModelID(id), Seq: uint64(id), Quality: 0.5, Graph: f.Graph, OwnerMap: maps[id-1]}
+		if err := rc.cli.Store(context.Background(), meta, segsFor(f, model.Materialize(f, uint64(id)))); err != nil {
+			t.Fatalf("store %d: %v", id, err)
+		}
+	}
+	for id := 1; id <= 3; id++ {
+		rc.store(id)
+	}
+	for _, c := range rc.conns {
+		c.take("")
+	}
+	return rc
+}
+
+// TestRefcountOneMessagePerProvider pins the refcount conversation of
+// refCluster: storing model 4, which has three inherited owners, sends
+// each provider at most one inc_ref, and retiring it at most one dec_ref,
+// where one message per owner group and replica would be 9 and 12. One
+// replica's dec_ref is dropped: the retire is accepted as a partial write,
+// RepairAll converges every owner with each owner's delta applied exactly
+// once and nothing clamped, and retiring everything drains to zero.
+func TestRefcountOneMessagePerProvider(t *testing.T) {
+	const r, dropped = 3, 0
+	rc := newRefCluster(t, WithPartialWrites())
+	provs, cli, conns, reg, nv := rc.provs, rc.cli, rc.conns, rc.reg, rc.nv
+	ctx := context.Background()
+	perProvider := func(name string) {
+		t.Helper()
+		total := 0
+		for pi, c := range conns {
+			k := c.take(name)
+			if k > 1 {
+				t.Errorf("provider %d got %d %s messages, want at most 1", pi, k, name)
+			}
+			total += k
+		}
+		if total < r {
+			t.Errorf("%d %s messages in all, want at least %d", total, name, r)
+		}
+	}
+
+	rc.store(4)
+	perProvider(proto.RPCIncRef)
+
+	conns[dropped].drop.SetPartitioned(true)
+	if _, err := cli.Retire(ctx, 4); err != nil {
+		t.Fatalf("retire with one replica's dec_ref dropped: %v", err)
+	}
+	conns[dropped].drop.SetPartitioned(false)
+	perProvider(proto.RPCDecRef)
+	if reg.Counter("fault.partition_reject").Load() == 0 {
+		t.Fatal("no dec_ref was dropped")
+	}
+
+	rs, err := NewRepairer(cli).RepairAll(ctx)
+	if err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if rs.Repaired == 0 {
+		t.Error("nothing repaired: the dropped dec_ref left no divergence")
+	}
+	// Owner j's vertex j-1 is pinned by models j..3; its other vertices
+	// only by model j itself. Model 4's own segments are gone.
+	for owner := 1; owner <= 4; owner++ {
+		id := ownermap.ModelID(owner)
+		set := cli.ReplicaSet(id)
+		base := provs[set[0]].Digest(id)
+		for _, pi := range set {
+			if d := provs[pi].Digest(id); !base.Converged(d) {
+				t.Errorf("owner %d diverged after repair: provider %d %+v vs provider %d %+v", owner, set[0], base, pi, d)
+			}
+			for v := 0; v < nv; v++ {
+				want := 0
+				switch {
+				case owner == 4:
+				case v == owner-1:
+					want = 4 - owner
+				case v >= owner-1:
+					want = 1
+				}
+				if got := provs[pi].RefCount(id, graph.VertexID(v)); got != want {
+					t.Errorf("provider %d: owner %d vertex %d refcount %d, want %d", pi, owner, v, got, want)
+				}
+			}
+		}
+	}
+	if n := reg.Counter("provider.repair_clamped").Load(); n != 0 {
+		t.Errorf("repair clamped %d counters", n)
+	}
+
+	for id := ownermap.ModelID(3); id >= 1; id-- {
+		if _, err := cli.Retire(ctx, id); err != nil {
+			t.Fatalf("retire %d: %v", id, err)
+		}
+	}
+	st, err := cli.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Models != 0 || st.Segments != 0 || st.LiveRefs != 0 {
+		t.Errorf("after retiring everything: %+v, want nothing left", st)
+	}
+}
+
+// TestRefMessageRejectedGroupGetsOwnVerdict: a provider rejects a refcount
+// message as a whole, so the client asks it again one group per message,
+// and only the group it really refuses fails. In refCluster, provider 0
+// replicates owners 2, 3 and 4; with owner 3's pinned vertex freed there,
+// a strict Retire of model 4 leaks exactly owner 3, while owners 2 and 4
+// are released on every replica.
+func TestRefMessageRejectedGroupGetsOwnVerdict(t *testing.T) {
+	rc := newRefCluster(t)
+	rc.store(4)
+	for range 2 { // model 3's own reference and model 4's pin
+		if _, err := rc.provs[0].DecRef(3, []graph.VertexID{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := rc.cli.Retire(context.Background(), 4)
+	var pe *PartialRetireError
+	if !errors.As(err, &pe) {
+		t.Fatalf("retire error is %T (%v), want *PartialRetireError", err, err)
+	}
+	if len(pe.Leaked) != 1 || pe.Leaked[0].Owner != 3 {
+		t.Fatalf("leaked %+v, want exactly owner 3", pe.Leaked)
+	}
+	for _, owner := range []ownermap.ModelID{2, 4} {
+		set := rc.cli.ReplicaSet(owner)
+		base := rc.provs[set[0]].Digest(owner)
+		for _, pi := range set[1:] {
+			if d := rc.provs[pi].Digest(owner); !base.Converged(d) {
+				t.Errorf("owner %d diverged: provider %d %+v vs provider %d %+v", owner, set[0], base, pi, d)
+			}
+		}
+	}
+	if got := rc.provs[0].RefCount(2, 1); got != 2 {
+		t.Errorf("provider 0: owner 2 vertex 1 refcount %d, want 2 (models 2 and 3)", got)
 	}
 }

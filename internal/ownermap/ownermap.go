@@ -137,7 +137,7 @@ func (m *Map) Owners() []OwnerGroup {
 	backing := make([]graph.VertexID, len(m.Entries))
 	off := 0
 	for i := range out {
-		out[i].Vertices = backing[off:off : off+counts[i]]
+		out[i].Vertices = backing[off : off : off+counts[i]]
 		off += counts[i]
 	}
 	for v, e := range m.Entries {

@@ -38,7 +38,9 @@ var controlCodecs = []struct {
 		}
 		return q.Encode(), nil
 	}},
-	{"RefReq", (&RefReq{Owner: 4, Vertices: []graph.VertexID{0, 2}, ReqID: 5}).Encode(), func(b []byte) ([]byte, error) {
+	{"RefReq", (&RefReq{Groups: []RefGroup{
+		{Owner: 4, Vertices: []graph.VertexID{0, 2}}, {Owner: 9, Vertices: []graph.VertexID{1}}, {Owner: 2},
+	}, ReqID: 5}).Encode(), func(b []byte) ([]byte, error) {
 		q, err := DecodeRefReq(b)
 		if err != nil {
 			return nil, err
@@ -119,7 +121,7 @@ var controlCodecs = []struct {
 		}
 		return EncodeCountersHeat(snap, heat), nil
 	}},
-	{"FreedCount", EncodeU64(2), func(b []byte) ([]byte, error) {
+	{"U64", EncodeU64(2), func(b []byte) ([]byte, error) {
 		freed, err := DecodeU64(b)
 		if err != nil {
 			return nil, err
@@ -188,6 +190,13 @@ var controlCodecs = []struct {
 			return nil, err
 		}
 		return EncodeHello(h), nil
+	}},
+	{"RefResp", EncodeRefResp([]uint64{2, 0, 5}), func(b []byte) ([]byte, error) {
+		freed, err := DecodeRefResp(b)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeRefResp(freed), nil
 	}},
 	{"HelloResp", (&HelloResp{Hello: Hello{Provider: 1, Format: 1, Epoch: 3}, Placement: []byte{1, 2, 3}}).Encode(), func(b []byte) ([]byte, error) {
 		p, err := DecodeHelloResp(b)

@@ -80,9 +80,11 @@ func Idempotent(name string) bool {
 // Retryable is the retry policy the resilience middleware should use for
 // EvoStore traffic: idempotent operations are always safe; the mutating
 // operations (StoreModel, IncRef, DecRef, Retire) are safe because every
-// request carries a dedup ReqID that lets the provider answer a retry
-// from its dedup table instead of re-executing it. Unknown names are not
-// retried.
+// request carries a dedup ReqID. The provider answers a retry of the same
+// bytes from its dedup table instead of re-executing it, and a refcount
+// message that names a group already applied under its ReqID (a client
+// regrouping after a placement change) skips that group by the owner's
+// journal. Unknown names are not retried.
 func Retryable(name string) bool {
 	if Idempotent(name) {
 		return true
@@ -428,44 +430,101 @@ func DecodeSegTable(b []byte) ([]SegmentRef, error) {
 
 // --- IncRef / DecRef ----------------------------------------------------------
 
-// RefReq adjusts segment reference counters for vertices owned by Owner.
-// Refcount changes are not idempotent, so the request carries a ReqID the
-// provider deduplicates retries with (0 = no dedup).
-type RefReq struct {
+// RefGroup is one owner group of a refcount message: vertices of a model
+// whose segments Owner owns.
+type RefGroup struct {
 	Owner    ownermap.ModelID
 	Vertices []graph.VertexID
-	ReqID    uint64
 }
 
-// Encode serializes the request.
+// RefReq adjusts segment reference counters: +1 (evostore.inc_ref) or −1
+// (evostore.dec_ref) on every vertex of every group, each group's counters
+// on its owner. A provider applies the whole message or none of it, in one
+// catalog commit, and answers with one freed count per group
+// (EncodeRefResp). Refcount changes are not idempotent, so the request
+// carries a ReqID (0 = no dedup): every message of one client operation
+// carries the same one, and each owner's journal records its group's
+// delta under it, so a retry — even one regrouped after a placement
+// change — is recognised group by group.
+type RefReq struct {
+	Groups []RefGroup
+	ReqID  uint64
+}
+
+// Encode serializes the request: ReqID, group count, then each group's
+// owner and counted vertex list.
 func (q *RefReq) Encode() []byte {
-	w := wire.NewWriter(24 + 4*len(q.Vertices))
-	w.U64(uint64(q.Owner))
-	w.U32(uint32(len(q.Vertices)))
-	for _, v := range q.Vertices {
-		w.U32(uint32(v))
+	n := 12
+	for _, g := range q.Groups {
+		n += 12 + 4*len(g.Vertices)
 	}
+	w := wire.NewWriter(n)
 	w.U64(q.ReqID)
+	w.U32(uint32(len(q.Groups)))
+	for _, g := range q.Groups {
+		w.U64(uint64(g.Owner))
+		w.U32(uint32(len(g.Vertices)))
+		for _, v := range g.Vertices {
+			w.U32(uint32(v))
+		}
+	}
 	return w.Bytes()
 }
 
-// DecodeRefReq parses the request.
+// DecodeRefReq parses the request. A message names at least one group.
 func DecodeRefReq(b []byte) (*RefReq, error) {
 	r := wire.NewReader(b)
-	q := &RefReq{Owner: ownermap.ModelID(r.U64())}
+	q := &RefReq{ReqID: r.U64()}
 	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining()/4+1 {
+	if r.Err() != nil || n == 0 || n > r.Remaining()/12 {
 		return nil, wire.ErrTruncated
 	}
-	q.Vertices = make([]graph.VertexID, n)
-	for i := range q.Vertices {
-		q.Vertices[i] = graph.VertexID(r.U32())
+	q.Groups = make([]RefGroup, n)
+	for i := range q.Groups {
+		g := &q.Groups[i]
+		g.Owner = ownermap.ModelID(r.U64())
+		nv := int(r.U32())
+		if r.Err() != nil || nv > r.Remaining()/4 {
+			return nil, wire.ErrTruncated
+		}
+		g.Vertices = make([]graph.VertexID, nv)
+		for j := range g.Vertices {
+			g.Vertices[j] = graph.VertexID(r.U32())
+		}
 	}
-	q.ReqID = r.U64()
-	if r.Err() != nil || r.Remaining() != 0 {
-		return nil, wire.ErrTruncated
+	if err := end(r); err != nil {
+		return nil, err
 	}
 	return q, nil
+}
+
+// EncodeRefResp encodes a refcount reply: the segments each group of the
+// request freed, in request order (always 0 for evostore.inc_ref).
+func EncodeRefResp(freed []uint64) []byte {
+	w := wire.NewWriter(4 + 8*len(freed))
+	w.U32(uint32(len(freed)))
+	for _, f := range freed {
+		w.U64(f)
+	}
+	return w.Bytes()
+}
+
+// DecodeRefResp parses a refcount reply: at least one count, and exactly
+// as many as it says.
+func DecodeRefResp(b []byte) ([]uint64, error) {
+	r := wire.NewReader(b)
+	n := int(r.U32())
+	if r.Err() != nil || n == 0 || n != r.Remaining()/8 {
+		return nil, wire.ErrTruncated
+	}
+	freed := make([]uint64, n)
+	for i := range freed {
+		freed[i] = r.U64()
+	}
+	if err := end(r); err != nil {
+		return nil, err
+	}
+	return freed, nil
 }
 
 // --- Retire -------------------------------------------------------------------
@@ -497,9 +556,8 @@ func DecodeRetireReq(b []byte) (*RetireReq, error) {
 	return q, nil
 }
 
-// EncodeU64 / DecodeU64 carry small scalar responses: the segments an
-// IncRef or DecRef freed (always 0 for an IncRef), the Evict dropped count,
-// the StoreModel ack.
+// EncodeU64 / DecodeU64 carry small scalar responses: the Evict dropped
+// count, the StoreModel ack.
 func EncodeU64(v uint64) []byte {
 	w := wire.NewWriter(8)
 	w.U64(v)

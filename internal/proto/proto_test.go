@@ -243,19 +243,29 @@ func TestReadPathDecodersRejectTrailingBytes(t *testing.T) {
 	}
 }
 
-// The DecRef response is the freed-segment count alone.
+// A refcount reply is one freed-segment count per group of the request.
 func TestFreedRespRoundTrip(t *testing.T) {
-	if freed, err := DecodeU64(EncodeU64(3)); err != nil || freed != 3 {
-		t.Fatalf("round trip: freed=%d err=%v", freed, err)
+	freed, err := DecodeRefResp(EncodeRefResp([]uint64{3, 0, 7}))
+	if err != nil || len(freed) != 3 || freed[0] != 3 || freed[1] != 0 || freed[2] != 7 {
+		t.Fatalf("round trip: freed=%v err=%v", freed, err)
 	}
 }
 
-// A freed count is exactly eight bytes: torn counts, trailing bytes and the
-// older 12-byte form (count plus an empty delta-base list) are all torn.
+// A refcount reply holds exactly the counts it announces: none, a torn
+// count, a missing count, trailing bytes and the older bare eight-byte
+// count are all torn.
 func TestFreedRespRejectsShortForms(t *testing.T) {
-	full := EncodeU64(5)
-	older := append(EncodeU64(5), 0, 0, 0, 0)
-	for _, bad := range [][]byte{nil, full[:7], append(full, 0), older} {
+	full := EncodeRefResp([]uint64{5, 6})
+	for _, bad := range [][]byte{nil, EncodeRefResp(nil), full[:len(full)-1], full[:len(full)-8], append(full, 0), EncodeU64(5)} {
+		if _, err := DecodeRefResp(bad); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("DecodeRefResp(%d bytes) = %v, want wire.ErrTruncated", len(bad), err)
+		}
+	}
+	// The scalar replies (Evict, the StoreModel ack) stay eight bytes.
+	if v, err := DecodeU64(EncodeU64(42)); err != nil || v != 42 {
+		t.Fatalf("DecodeU64 round trip: %d, %v", v, err)
+	}
+	for _, bad := range [][]byte{nil, EncodeU64(5)[:7], append(EncodeU64(5), 0)} {
 		if _, err := DecodeU64(bad); !errors.Is(err, wire.ErrTruncated) {
 			t.Errorf("DecodeU64(%d bytes) = %v, want wire.ErrTruncated", len(bad), err)
 		}
@@ -302,18 +312,28 @@ func vertsEqual(a, b []graph.VertexID) bool {
 }
 
 func TestRefReqRoundtrip(t *testing.T) {
-	q := &RefReq{Owner: 9, Vertices: []graph.VertexID{0, 3, 7}, ReqID: 1234}
+	q := &RefReq{Groups: []RefGroup{
+		{Owner: 9, Vertices: []graph.VertexID{0, 3, 7}},
+		{Owner: 4, Vertices: []graph.VertexID{1}},
+		{Owner: 12},
+	}, ReqID: 1234}
 	got, err := DecodeRefReq(q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Owner != q.Owner || !vertsEqual(got.Vertices, q.Vertices) || got.ReqID != q.ReqID {
-		t.Errorf("roundtrip = %+v, want %+v", got, q)
+	if got.ReqID != q.ReqID || len(got.Groups) != len(q.Groups) {
+		t.Fatalf("roundtrip = %+v, want %+v", got, q)
 	}
-	// The old form without the ReqID, a torn ReqID and a trailing byte are
-	// all rejected.
+	for i, g := range q.Groups {
+		if got.Groups[i].Owner != g.Owner || !vertsEqual(got.Groups[i].Vertices, g.Vertices) {
+			t.Errorf("group %d = %+v, want %+v", i, got.Groups[i], g)
+		}
+	}
+	// A message of no groups, a torn group, a torn vertex list and a
+	// trailing byte are all rejected.
 	enc := q.Encode()
-	for _, b := range [][]byte{enc[:len(enc)-8], enc[:len(enc)-3], append(enc, 0)} {
+	empty := (&RefReq{ReqID: 1}).Encode()
+	for _, b := range [][]byte{empty, enc[:len(enc)-12], enc[:len(enc)-3], append(enc, 0)} {
 		if _, err := DecodeRefReq(b); !errors.Is(err, wire.ErrTruncated) {
 			t.Errorf("DecodeRefReq(%d of %d bytes) = %v, want wire.ErrTruncated", len(b), len(enc), err)
 		}

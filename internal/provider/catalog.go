@@ -27,12 +27,13 @@ package provider
 // catalog keys, not the whole journal.
 //
 // Durability contract, kept by Provider.commit alone — every catalog
-// mutation (store, inc_ref/dec_ref, retire, repair apply, evict) is one
-// call of it: the in-memory change and the rewrite of the cat/ records it
-// dirtied happen under p.mu; segment payloads are put and deleted after
-// p.mu is released; one kvstore.Syncer fsync then covers the records and
-// the payloads (sequential WAL) before the request is acknowledged, so an
-// acknowledged mutation is fully durable. Payloads of unacknowledged
+// mutation (store, an inc_ref/dec_ref message of any number of owner
+// groups, retire, repair apply, evict) is one call of it: the in-memory
+// change and the rewrite of the cat/ records it dirtied happen under p.mu;
+// segment payloads are put and deleted after p.mu is released; one
+// kvstore.Syncer fsync then covers the records and the payloads
+// (sequential WAL) before the request is acknowledged, so an acknowledged
+// mutation is fully durable. Payloads of unacknowledged
 // requests may be lost on kill −9 and reconverge via the repairer's
 // NeedPayload backfill. If a catalog write fails mid-request the in-memory
 // state stays applied and the request errors: the divergence is exactly a
@@ -40,6 +41,7 @@ package provider
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,11 +129,12 @@ const (
 	dirtyAll = dirtyModel | dirtyRefs | dirtyJournal | dirtyTomb
 )
 
-// change is what one mutation did under p.mu: the cat/ records of its model
-// it dirtied, the records of other models the caps evicted, and the segment
-// payloads to delete and put once p.mu is released.
+// change is what one mutation did under p.mu: the cat/ records of its models
+// it dirtied (dirty[i] for the commit's ids[i]), the records of other models
+// the caps evicted, and the segment payloads to delete and put once p.mu is
+// released.
 type change struct {
-	dirty   uint8
+	dirty   []uint8
 	evicted []evictedRecord
 	dels    []segKey
 	puts    []segKey
@@ -150,31 +153,41 @@ func (c *change) put(k segKey, v []byte) {
 }
 
 // commit is the provider's one write path; the durability contract above
-// lives here. guard admits or rejects the write for id (acceptsWrite for
-// every mutation but Evict). apply runs next, also under p.mu: it
-// validates, changes the in-memory state, marks the cat/ records of id it
-// changed dirty and queues payload writes in c. An apply error means
-// nothing was changed.
-func (p *Provider) commit(op string, id ownermap.ModelID, guard func(ownermap.ModelID) error, apply func(c *change) error) error {
-	var c change
+// lives here. ids are the models the mutation writes — one for every
+// mutation but a refcount message, which writes each of its owners. guard
+// admits or rejects the write for each id (acceptsWrite for every mutation
+// but Evict), and one rejection rejects the whole mutation. apply runs
+// next, also under p.mu: it validates, changes the in-memory state, marks
+// the cat/ records of ids[i] it changed in c.dirty[i] and queues payload
+// writes in c. An apply error means nothing was changed. However many ids,
+// the mutation ends in one sync.
+func (p *Provider) commit(op string, ids []ownermap.ModelID, guard func(ownermap.ModelID) error, apply func(c *change) error) error {
+	c := change{dirty: make([]uint8, len(ids))}
 	p.mu.Lock()
 	// The guard runs under p.mu: a placement install that a later listing
 	// of this provider's models follows then also rejects every write the
 	// listing did not see (the rebalancer lists before it evicts).
-	if err := guard(id); err != nil {
-		p.mu.Unlock()
-		return fmt.Errorf("%s: %w", op, err)
+	for _, id := range ids {
+		if err := guard(id); err != nil {
+			p.mu.Unlock()
+			return fmt.Errorf("%s: %w", op, err)
+		}
 	}
 	journals := len(p.journals)
 	if err := apply(&c); err != nil {
 		p.mu.Unlock()
 		return err
 	}
-	p.capLocked(id, len(p.journals) > journals, &c)
+	p.capLocked(ids, len(p.journals) > journals, &c)
 	durable := p.cat != nil
 	var catErr error
 	if durable {
-		catErr = p.persistLocked(id, c.dirty)
+		for i, id := range ids {
+			if err := p.persistLocked(id, c.dirty[i]); err != nil {
+				catErr = fmt.Errorf("%d: %w", id, err)
+				break
+			}
+		}
 		for _, e := range c.evicted {
 			if p.persistLocked(e.id, e.dirty) != nil {
 				// Best-effort: a stale tombstone only re-rejects a late store
@@ -186,7 +199,7 @@ func (p *Provider) commit(op string, id ownermap.ModelID, guard func(ownermap.Mo
 	}
 	p.mu.Unlock()
 	if catErr != nil {
-		return fmt.Errorf("provider %d: %s %d: catalog: %w", p.id, op, id, catErr)
+		return fmt.Errorf("provider %d: %s: catalog: %w", p.id, op, catErr)
 	}
 	for _, k := range c.dels {
 		if err := p.kv.Delete(k.String()); err != nil {
@@ -202,15 +215,15 @@ func (p *Provider) commit(op string, id ownermap.ModelID, guard func(ownermap.Mo
 		return nil
 	}
 	if err := p.cat.sync(); err != nil {
-		return fmt.Errorf("provider %d: %s %d: catalog sync: %w", p.id, op, id, err)
+		return fmt.Errorf("provider %d: %s %v: catalog sync: %w", p.id, op, ids, err)
 	}
 	return nil
 }
 
 // capLocked enforces the tombstone and journal-owner caps after a change
-// to id, noting every record it evicts in c. Only a change that added a
+// to ids, noting every record it evicts in c. Only a change that added a
 // journal pays for the journal scan. Callers hold p.mu.
-func (p *Provider) capLocked(id ownermap.ModelID, newJournal bool, c *change) {
+func (p *Provider) capLocked(ids []ownermap.ModelID, newJournal bool, c *change) {
 	for len(p.retiredOrder) > tombstoneCap {
 		// Evict leaves ghost entries in the FIFO; popping one deletes an
 		// already-absent tombstone, which is harmless.
@@ -226,7 +239,7 @@ func (p *Provider) capLocked(id ownermap.ModelID, newJournal bool, c *change) {
 	// their replicas are converged-by-emptiness, so losing the history only
 	// forgoes a merge that would have replayed nothing.
 	for owner := range p.journals {
-		if owner != id && p.models[owner] == nil && len(p.refs[owner]) == 0 {
+		if !slices.Contains(ids, owner) && p.models[owner] == nil && len(p.refs[owner]) == 0 {
 			delete(p.journals, owner)
 			c.evicted = append(c.evicted, evictedRecord{owner, dirtyJournal})
 			p.reg.Counter("provider.journal_evict").Inc()

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/ownermap"
+	"repro/internal/placement"
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
@@ -46,10 +48,10 @@ func catalogWorkload(t testing.TB, p *Provider) []ownermap.ModelID {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.refDelta(1, []graph.VertexID{0, 1}, 201, false); err != nil {
+	if _, err := p.refDelta(one(1, 0, 1), 201, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.refDelta(2, []graph.VertexID{2}, 202, true); err != nil {
+	if _, err := p.refDelta(one(2, 2), 202, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Retire(3); err != nil {
@@ -103,7 +105,7 @@ func TestDurableCatalogReopenEquivalence(t *testing.T) {
 		t.Error("retire of an already-retired model accepted after reopen: tombstone lost")
 	}
 	// The journaled ReqIDs must still dedup repair replays after reopen.
-	if _, err := p2.refDelta(1, []graph.VertexID{0, 1}, 201, false); err != nil {
+	if _, err := p2.refDelta(one(1, 0, 1), 201, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := p2.RefCount(1, 0); got != 2 {
@@ -204,11 +206,11 @@ func TestDurableCatalogReopenUnderLoad(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					if _, err := p.refDelta(id, []graph.VertexID{0}, uint64(20_000+int(id)), false); err != nil {
+					if _, err := p.refDelta(one(id, 0), uint64(20_000+int(id)), false); err != nil {
 						t.Errorf("incRef %d: %v", id, err)
 					}
 				case 1:
-					if _, err := p.refDelta(id, []graph.VertexID{1}, uint64(30_000+int(id)), true); err != nil {
+					if _, err := p.refDelta(one(id, 1), uint64(30_000+int(id)), true); err != nil {
 						t.Errorf("decRef %d: %v", id, err)
 					}
 				case 2:
@@ -364,7 +366,7 @@ func TestDurableCatalogJournalWindowPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := p.refDelta(1, []graph.VertexID{0}, uint64(1000+i), false); err != nil {
+		if _, err := p.refDelta(one(1, 0), uint64(1000+i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,7 +380,7 @@ func TestDurableCatalogJournalWindowPersists(t *testing.T) {
 	}
 	// Every journaled ReqID must dedup after replay.
 	for i := 0; i < 50; i++ {
-		if _, err := p2.refDelta(1, []graph.VertexID{0}, uint64(1000+i), false); err != nil {
+		if _, err := p2.refDelta(one(1, 0), uint64(1000+i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,8 +401,9 @@ func TestDurableCatalogJournalWindowPersists(t *testing.T) {
 	}
 }
 
-// meteredKV is a durable backend that counts its cat/ Puts and Deletes and
-// its Syncs, and parks the first Sync after park is set until release.
+// meteredKV is a durable backend that counts its cat/ Puts (also by
+// record prefix) and Deletes and its Syncs, and parks the first Sync after
+// park is set until release.
 type meteredKV struct {
 	kvstore.KV
 	park             atomic.Bool
@@ -408,10 +411,12 @@ type meteredKV struct {
 
 	mu                sync.Mutex
 	puts, dels, syncs int
+	prefixPuts        map[string]int // "cat/r/", "cat/j/", ...
 }
 
 func newMeteredKV() *meteredKV {
-	return &meteredKV{KV: kvstore.NewMemKV(4), entered: make(chan struct{}), release: make(chan struct{})}
+	return &meteredKV{KV: kvstore.NewMemKV(4), entered: make(chan struct{}), release: make(chan struct{}),
+		prefixPuts: make(map[string]int)}
 }
 
 func (k *meteredKV) count(key string, n *int) {
@@ -424,6 +429,11 @@ func (k *meteredKV) count(key string, n *int) {
 
 func (k *meteredKV) Put(key string, value []byte) error {
 	k.count(key, &k.puts)
+	if strings.HasPrefix(key, "cat/") {
+		k.mu.Lock()
+		k.prefixPuts[key[:strings.IndexByte(key[4:], '/')+5]]++
+		k.mu.Unlock()
+	}
 	return k.KV.Put(key, value)
 }
 
@@ -446,6 +456,7 @@ func (k *meteredKV) Sync() error {
 func (k *meteredKV) reset() {
 	k.mu.Lock()
 	k.puts, k.dels, k.syncs = 0, 0, 0
+	clear(k.prefixPuts)
 	k.mu.Unlock()
 }
 
@@ -453,7 +464,11 @@ func (k *meteredKV) reset() {
 // mutations on a durable provider and checks what it writes: exactly one
 // Sync per acknowledged mutation, made without the provider lock held (a
 // GetMeta beside the parked Sync returns), and the number of cat/ Puts and
-// Deletes.
+// Deletes. An inc_ref or dec_ref message of three owner groups is one
+// commit too: one Sync, and one cat/r/, one cat/j/ and one cat/jm/ Put per
+// owner. A message with a missing vertex or a wrong-epoch owner in its
+// last group is rejected whole: no counter, journal or record of the
+// groups before it changes, and nothing is synced.
 //
 // The counts are those of the per-handler persistence this write path
 // replaced, but for two rows where a record no longer changes: a dec_ref
@@ -479,29 +494,76 @@ func TestMutationsSyncOutsideProviderLock(t *testing.T) {
 		}, segs)
 		return err
 	}
+	storeMore := func(p *Provider) error {
+		for _, id := range []ownermap.ModelID{2, 3} {
+			if err := store(p, id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	threeOwners := func(vs ...graph.VertexID) []proto.RefGroup {
+		return []proto.RefGroup{{Owner: 1, Vertices: vs}, {Owner: 2, Vertices: vs}, {Owner: 3, Vertices: vs}}
+	}
+	perOwner := map[string]int{"cat/r/": 3, "cat/j/": 3, "cat/jm/": 3}
+	errAny := errors.New("any rejection")
 	for _, tc := range []struct {
 		name       string
 		setup      func(p *Provider) error
 		mutate     func(p *Provider) error
 		puts, dels int
+		prefixPuts map[string]int // checked when set
+		// reject, when set, is the rejection the mutation must return
+		// (errAny: any): then nothing is written or synced, and models 1-3
+		// keep their digests.
+		reject error
 	}{
 		// cat/m/, cat/r/, one cat/j/ delta and cat/jm/.
-		{"store", nil, func(p *Provider) error { return store(p, 2) }, 4, 0},
+		{"store", nil, func(p *Provider) error { return store(p, 2) }, 4, 0, nil, nil},
 		// cat/r/, one delta, cat/jm/.
 		{"inc_ref", nil, func(p *Provider) error {
-			_, err := p.refDelta(1, []graph.VertexID{0, 1}, 201, false)
+			_, err := p.refDelta(one(1, 0, 1), 201, false)
 			return err
-		}, 3, 0},
+		}, 3, 0, nil, nil},
+		// One message pinning vertices of three owners.
+		{"inc_ref 3 owners", storeMore, func(p *Provider) error {
+			_, err := p.refDelta(threeOwners(0, 1), 203, false)
+			return err
+		}, 9, 0, perOwner, nil},
+		// One message freeing vertex 2 of three owners that stay cataloged.
+		{"dec_ref 3 owners", storeMore, func(p *Provider) error {
+			_, err := p.refDelta(threeOwners(2), 204, true)
+			return err
+		}, 9, 0, perOwner, nil},
+		// A missing vertex in the last group rejects the whole message:
+		// the first two owners keep their counts and journals.
+		{"inc_ref 3 owners, last missing a vertex", storeMore, func(p *Provider) error {
+			gs := threeOwners(0)
+			gs[2].Vertices = []graph.VertexID{0, 9}
+			_, err := p.refDelta(gs, 205, false)
+			return err
+		}, 0, 0, nil, errAny},
+		// Model 1's replica set under a 4-member table at R=3 is {1, 2, 3}:
+		// provider 0 holds models 2 and 3 but not 1, the last owner named.
+		{"dec_ref 3 owners, last wrong-epoch", func(p *Provider) error {
+			p.SetPlacement(4, 3)
+			return storeMore(p)
+		}, func(p *Provider) error {
+			gs := threeOwners(2)
+			gs[0], gs[2] = gs[2], gs[0]
+			_, err := p.refDelta(gs, 206, true)
+			return err
+		}, 0, 0, nil, placement.ErrWrongEpoch},
 		// Frees vertex 2 of model 1, which stays cataloged: cat/r/, one
 		// delta, cat/jm/ (cat/m/ used to be rewritten too).
 		{"dec_ref", nil, func(p *Provider) error {
-			_, err := p.refDelta(1, []graph.VertexID{2}, 202, true)
+			_, err := p.refDelta(one(1, 2), 202, true)
 			return err
-		}, 3, 0},
+		}, 3, 0, nil, nil},
 		// cat/t/ written, cat/m/ deleted.
-		{"retire", nil, func(p *Provider) error { _, err := p.Retire(1); return err }, 1, 1},
+		{"retire", nil, func(p *Provider) error { _, err := p.Retire(1); return err }, 1, 1, nil, nil},
 		// A store this replica missed: cat/m/, cat/r/, one delta, cat/jm/.
-		{"repair_apply store", nil, missedStore, 4, 0},
+		{"repair_apply store", nil, missedStore, 4, 0, nil, nil},
 		// An inc this replica missed: cat/r/, one delta, cat/jm/ (cat/m/
 		// used to be rewritten too).
 		{"repair_apply inc", nil, func(p *Provider) error {
@@ -510,11 +572,11 @@ func TestMutationsSyncOutsideProviderLock(t *testing.T) {
 				Deltas: []proto.RefDelta{{ReqID: 301, Vertices: []graph.VertexID{0}}},
 			}, nil)
 			return err
-		}, 3, 0},
+		}, 3, 0, nil, nil},
 		// Model 1's home under a 4-member table is provider 1, so provider 0
 		// may evict it: cat/t/, cat/m/, cat/r/, the one delta and cat/jm/.
 		{"evict", func(p *Provider) error { p.SetPlacement(4, 1); return nil },
-			func(p *Provider) error { _, err := p.Evict(1); return err }, 0, 5},
+			func(p *Provider) error { _, err := p.Evict(1); return err }, 0, 5, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kv := newMeteredKV()
@@ -531,35 +593,54 @@ func TestMutationsSyncOutsideProviderLock(t *testing.T) {
 				}
 			}
 			kv.reset()
-			kv.park.Store(true)
-			done := make(chan error, 1)
-			go func() { done <- tc.mutate(p) }()
-			select {
-			case <-kv.entered: // the mutation is parked in its Sync
-			case err := <-done:
-				t.Fatalf("mutation returned without a Sync: %v", err)
-			}
-			metaDone := make(chan struct{})
-			go func() {
-				p.GetMeta(1) //nolint:errcheck // only whether it returns matters
-				close(metaDone)
-			}()
-			select {
-			case <-metaDone:
-			case <-time.After(5 * time.Second):
-				t.Error("GetMeta waited for a mutation's Sync: the fsync runs under the provider lock")
-			}
-			kv.release <- struct{}{}
-			if err := <-done; err != nil {
-				t.Fatal(err)
+			wantSyncs := 1
+			if tc.reject != nil {
+				wantSyncs = 0
+				digests := func() [3]proto.ModelDigest { return [3]proto.ModelDigest{p.Digest(1), p.Digest(2), p.Digest(3)} }
+				before := digests()
+				err := tc.mutate(p)
+				if err == nil || (tc.reject != errAny && !errors.Is(err, tc.reject)) {
+					t.Fatalf("mutation returned %v, want a rejection (%v)", err, tc.reject)
+				}
+				if after := digests(); after != before {
+					t.Errorf("a rejected mutation changed models 1-3:\n before %+v\n after  %+v", before, after)
+				}
+			} else {
+				kv.park.Store(true)
+				done := make(chan error, 1)
+				go func() { done <- tc.mutate(p) }()
+				select {
+				case <-kv.entered: // the mutation is parked in its Sync
+				case err := <-done:
+					t.Fatalf("mutation returned without a Sync: %v", err)
+				}
+				metaDone := make(chan struct{})
+				go func() {
+					p.GetMeta(1) //nolint:errcheck // only whether it returns matters
+					close(metaDone)
+				}()
+				select {
+				case <-metaDone:
+				case <-time.After(5 * time.Second):
+					t.Error("GetMeta waited for a mutation's Sync: the fsync runs under the provider lock")
+				}
+				kv.release <- struct{}{}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
 			}
 			kv.mu.Lock()
 			defer kv.mu.Unlock()
-			if kv.syncs != 1 {
-				t.Errorf("%d Syncs, want 1", kv.syncs)
+			if kv.syncs != wantSyncs {
+				t.Errorf("%d Syncs, want %d", kv.syncs, wantSyncs)
 			}
 			if kv.puts != tc.puts || kv.dels != tc.dels {
 				t.Errorf("cat/ writes: %d Puts, %d Deletes; want %d, %d", kv.puts, kv.dels, tc.puts, tc.dels)
+			}
+			for prefix, want := range tc.prefixPuts {
+				if got := kv.prefixPuts[prefix]; got != want {
+					t.Errorf("%s Puts = %d, want %d", prefix, got, want)
+				}
 			}
 		})
 	}

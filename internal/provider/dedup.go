@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"hash/maphash"
 	"sync"
 	"time"
 )
@@ -19,11 +20,16 @@ const dedupCap = 1 << 16
 const DefaultDedupTTL = 2 * time.Minute
 
 // dedupTable records the encoded responses of completed non-idempotent
-// requests (StoreModel, IncRef, DecRef, Retire) by client request ID. A
-// retried request whose first execution succeeded — but whose response
-// was lost in the fabric — is answered from this table instead of being
-// re-executed, which is what makes refcount mutations safe to retry:
-// a DecRef can never double-decrement.
+// requests (StoreModel, IncRef, DecRef, Retire) by client request ID and
+// the digest of the request bytes (requestSum). A retried request whose
+// first execution succeeded — but whose response was lost in the fabric —
+// is answered from this table instead of being re-executed, which is what
+// makes refcount mutations safe to retry: a DecRef can never
+// double-decrement. An entry answers only the bytes it was recorded for:
+// a refcount message regrouped under the same ReqID (another group set
+// after a placement change) misses and executes, and the owners' journals
+// skip each group already applied under that ReqID (Provider.refDelta).
+// Its reply then replaces the entry.
 //
 // Entries are evicted two ways: FIFO once cap is exceeded, and by age
 // once they outlive ttl. The TTL is tied to the client retry budget —
@@ -36,12 +42,14 @@ const DefaultDedupTTL = 2 * time.Minute
 // (handlers validate all-or-nothing before mutating), so re-executing a
 // retry is both safe and gives the caller the authoritative error.
 //
-// The client retry loop is sequential per logical request, so a given ID
-// is never concurrently in flight; the table therefore only needs to make
-// completed-then-retried requests idempotent, not to lock in-flight ones.
+// The client retry loop is sequential per logical request and sends one
+// provider one message of a request at a time, so a given ID is never
+// concurrently in flight at one provider; the table therefore only needs
+// to make completed-then-retried requests idempotent, not to lock
+// in-flight ones.
 type dedupTable struct {
 	mu    sync.Mutex
-	resp  map[uint64][]byte
+	resp  map[uint64]dedupEntry
 	order []uint64 // insertion order; parallel to stamps
 	stamp []time.Time
 	dead  int // front entries trimmed off order/stamp since the last compaction
@@ -50,9 +58,21 @@ type dedupTable struct {
 	now   func() time.Time // injectable clock for tests
 }
 
+// dedupEntry is one recorded response and the digest of its request.
+type dedupEntry struct {
+	sum  uint64
+	meta []byte
+}
+
+// dedupSeed keys requestSum; entries never outlive the process.
+var dedupSeed = maphash.MakeSeed()
+
+// requestSum digests a request's bytes for its dedup entry.
+func requestSum(req []byte) uint64 { return maphash.Bytes(dedupSeed, req) }
+
 func newDedupTable(cap int) *dedupTable {
 	return &dedupTable{
-		resp: make(map[uint64][]byte),
+		resp: make(map[uint64]dedupEntry),
 		cap:  cap,
 		ttl:  DefaultDedupTTL,
 		now:  time.Now,
@@ -104,31 +124,36 @@ func (d *dedupTable) compactLocked() {
 	d.dead = 0
 }
 
-// get returns the recorded response for id, if any. id 0 (no dedup) never
-// hits.
-func (d *dedupTable) get(id uint64) ([]byte, bool) {
+// get returns the response recorded for id and request digest sum, if
+// any. id 0 (no dedup) never hits.
+func (d *dedupTable) get(id, sum uint64) ([]byte, bool) {
 	if id == 0 {
 		return nil, false
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked()
-	meta, ok := d.resp[id]
-	return meta, ok
+	e, ok := d.resp[id]
+	if !ok || e.sum != sum {
+		return nil, false
+	}
+	return e.meta, true
 }
 
-// put records the response of a successfully executed request.
-func (d *dedupTable) put(id uint64, meta []byte) {
+// put records the response of a successfully executed request, replacing
+// the one recorded for other bytes under the same id.
+func (d *dedupTable) put(id, sum uint64, meta []byte) {
 	if id == 0 {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked()
-	if _, dup := d.resp[id]; dup {
+	_, dup := d.resp[id]
+	d.resp[id] = dedupEntry{sum, meta}
+	if dup {
 		return
 	}
-	d.resp[id] = meta
 	d.order = append(d.order, id)
 	d.stamp = append(d.stamp, d.now())
 	for len(d.order) > d.cap {

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
+	"repro/internal/ownermap"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 )
@@ -19,11 +21,11 @@ func callDecRef(t *testing.T, p *Provider, req *proto.RefReq) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	freed, err := proto.DecodeU64(resp.Meta)
+	freed, err := proto.DecodeRefResp(resp.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return freed, nil
+	return freed[0], nil
 }
 
 func TestDecRefRetryDedup(t *testing.T) {
@@ -46,7 +48,7 @@ func TestDecRefRetryDedup(t *testing.T) {
 
 	// First execution succeeds but (conceptually) its response is lost;
 	// the client retries the identical request with the same ReqID.
-	dec := &proto.RefReq{Owner: 7, Vertices: []graph.VertexID{0}, ReqID: 42}
+	dec := &proto.RefReq{Groups: one(7, 0), ReqID: 42}
 	freed1, err := callDecRef(t, p, dec)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestDecRefRetryDedup(t *testing.T) {
 		t.Fatalf("refcount after retried DecRef = %d, want 2 (no double decrement)", n)
 	}
 	// A distinct request really decrements.
-	if _, err := callDecRef(t, p, &proto.RefReq{Owner: 7, Vertices: []graph.VertexID{0}, ReqID: 43}); err != nil {
+	if _, err := callDecRef(t, p, &proto.RefReq{Groups: one(7, 0), ReqID: 43}); err != nil {
 		t.Fatal(err)
 	}
 	if n := p.RefCount(7, 0); n != 1 {
@@ -77,7 +79,7 @@ func TestIncRefRetryDedup(t *testing.T) {
 	if err := p.StoreModel(req, segs); err != nil {
 		t.Fatal(err)
 	}
-	inc := &proto.RefReq{Owner: 3, Vertices: []graph.VertexID{1}, ReqID: 9}
+	inc := &proto.RefReq{Groups: one(3, 1), ReqID: 9}
 	for i := 0; i < 3; i++ {
 		if _, err := p.handleRef(false)(context.Background(), rpc.Message{Meta: inc.Encode()}); err != nil {
 			t.Fatal(err)
@@ -85,6 +87,60 @@ func TestIncRefRetryDedup(t *testing.T) {
 	}
 	if n := p.RefCount(3, 1); n != 2 {
 		t.Fatalf("refcount = %d, want 2 (one store + one deduped IncRef)", n)
+	}
+}
+
+// TestRegroupedRetryAppliesNewGroups: a client that re-resolves placement
+// sends a provider the same ReqID with another group set. A dedup entry
+// answers only the bytes it recorded, so the regrouped message executes:
+// its new group applies, and the owner's journal skips the group the first
+// message applied. Keyed by ReqID alone, the regrouped message would be
+// answered from the first one's reply and owner 3 never pinned.
+func TestRegroupedRetryAppliesNewGroups(t *testing.T) {
+	p := New(0, kvstore.NewMemKV(4))
+	reg := metrics.NewRegistry()
+	p.SetMetricsRegistry(reg)
+	for _, id := range []ownermap.ModelID{1, 2, 3} {
+		req, segs := storeReq(id, uint64(id), 0.5, chainGraph(1, 2, 3))
+		req.ReqID = 100 + uint64(id)
+		if err := p.StoreModel(req, segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc := func(gs []proto.RefGroup) []uint64 {
+		t.Helper()
+		resp, err := p.handleRef(false)(context.Background(), rpc.Message{Meta: (&proto.RefReq{Groups: gs, ReqID: 50}).Encode()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed, err := proto.DecodeRefResp(resp.Meta)
+		if err != nil || len(freed) != len(gs) {
+			t.Fatalf("reply %v for %d groups: %v", freed, len(gs), err)
+		}
+		return freed
+	}
+	counts := func() [3]int {
+		return [3]int{p.RefCount(1, 0), p.RefCount(2, 0), p.RefCount(3, 0)}
+	}
+	first := []proto.RefGroup{{Owner: 1, Vertices: []graph.VertexID{0}}, {Owner: 2, Vertices: []graph.VertexID{0}}}
+	regrouped := []proto.RefGroup{{Owner: 2, Vertices: []graph.VertexID{0}}, {Owner: 3, Vertices: []graph.VertexID{0}}}
+	inc(first)
+	inc(regrouped)
+	if got, want := counts(), [3]int{2, 2, 2}; got != want {
+		t.Fatalf("refcounts of owners 1-3 after a regrouped retry = %v, want %v (each group once)", got, want)
+	}
+	if n := reg.Counter("provider.journal_dup").Load(); n != 1 {
+		t.Errorf("journal_dup = %d, want 1 (owner 2 skipped)", n)
+	}
+	// Byte-identical retries of either message change nothing: the last one
+	// is answered from the dedup table, the first by the journals.
+	inc(regrouped)
+	inc(first)
+	if got, want := counts(), [3]int{2, 2, 2}; got != want {
+		t.Fatalf("refcounts after retries = %v, want %v", got, want)
+	}
+	if n := reg.Counter("provider.dedup_hit").Load(); n != 1 {
+		t.Errorf("dedup_hit = %d, want 1", n)
 	}
 }
 
@@ -143,24 +199,24 @@ func TestDedupTableTTL(t *testing.T) {
 	d.now = func() time.Time { return clock }
 	d.setTTL(time.Minute)
 
-	d.put(1, []byte{1})
+	d.put(1, 0, []byte{1})
 	clock = clock.Add(30 * time.Second)
-	d.put(2, []byte{2})
+	d.put(2, 0, []byte{2})
 
 	// Both inside the window.
-	if _, ok := d.get(1); !ok {
+	if _, ok := d.get(1, 0); !ok {
 		t.Fatal("fresh entry 1 missing")
 	}
-	if _, ok := d.get(2); !ok {
+	if _, ok := d.get(2, 0); !ok {
 		t.Fatal("fresh entry 2 missing")
 	}
 
 	// 61s after entry 1's insert: 1 expired, 2 (31s old) still live.
 	clock = clock.Add(31 * time.Second)
-	if _, ok := d.get(1); ok {
+	if _, ok := d.get(1, 0); ok {
 		t.Error("entry 1 outlived its TTL")
 	}
-	if _, ok := d.get(2); !ok {
+	if _, ok := d.get(2, 0); !ok {
 		t.Error("entry 2 expired early")
 	}
 	if d.len() != 1 {
@@ -169,11 +225,11 @@ func TestDedupTableTTL(t *testing.T) {
 
 	// Expiry also runs on put: a stale survivor must not block the path.
 	clock = clock.Add(2 * time.Minute)
-	d.put(3, []byte{3})
+	d.put(3, 0, []byte{3})
 	if d.len() != 1 {
 		t.Errorf("len = %d, want 1 (entry 2 expired on put)", d.len())
 	}
-	if _, ok := d.get(3); !ok {
+	if _, ok := d.get(3, 0); !ok {
 		t.Error("entry 3 missing")
 	}
 }
@@ -184,9 +240,9 @@ func TestDedupTableTTLDisabled(t *testing.T) {
 	d.now = func() time.Time { return clock }
 	d.setTTL(0)
 
-	d.put(1, []byte{1})
+	d.put(1, 0, []byte{1})
 	clock = clock.Add(24 * time.Hour)
-	if _, ok := d.get(1); !ok {
+	if _, ok := d.get(1, 0); !ok {
 		t.Error("TTL 0 must disable age-based expiry")
 	}
 }
@@ -205,7 +261,7 @@ func TestSetDedupTTLOnProvider(t *testing.T) {
 	if err := p.IncRef(7, []graph.VertexID{0}); err != nil {
 		t.Fatal(err)
 	}
-	dec := &proto.RefReq{Owner: 7, Vertices: []graph.VertexID{0}, ReqID: 42}
+	dec := &proto.RefReq{Groups: one(7, 0), ReqID: 42}
 	if _, err := callDecRef(t, p, dec); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +292,7 @@ func TestDedupTableCompaction(t *testing.T) {
 	d.setTTL(time.Minute)
 
 	for id := uint64(1); id <= 8; id++ {
-		d.put(id, []byte{byte(id)})
+		d.put(id, 0, []byte{byte(id)})
 		clock = clock.Add(time.Second)
 	}
 	// Age out the first 5 entries (> cap/2 = 4): expiry must not only
@@ -263,18 +319,18 @@ func TestDedupTableCompaction(t *testing.T) {
 func TestDedupTableBounded(t *testing.T) {
 	d := newDedupTable(4)
 	for id := uint64(1); id <= 10; id++ {
-		d.put(id, []byte{byte(id)})
+		d.put(id, 0, []byte{byte(id)})
 	}
 	if d.len() != 4 {
 		t.Fatalf("table len = %d, want cap 4", d.len())
 	}
-	if _, ok := d.get(1); ok {
+	if _, ok := d.get(1, 0); ok {
 		t.Error("oldest entry not evicted")
 	}
-	if meta, ok := d.get(10); !ok || meta[0] != 10 {
+	if meta, ok := d.get(10, 0); !ok || meta[0] != 10 {
 		t.Error("newest entry missing")
 	}
-	if _, ok := d.get(0); ok {
+	if _, ok := d.get(0, 0); ok {
 		t.Error("id 0 must never hit")
 	}
 }

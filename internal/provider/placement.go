@@ -51,7 +51,7 @@ func (p *Provider) SetPlacementState(st *placement.State) error {
 // holds nothing of. Returns the number of segment payload entries dropped.
 func (p *Provider) Evict(id ownermap.ModelID) (uint64, error) {
 	var dropped uint64
-	err := p.commit("evict", id, p.evictable, func(c *change) error {
+	err := p.commit("evict", []ownermap.ModelID{id}, p.evictable, func(c *change) error {
 		delete(p.models, id)
 		for v := range p.refs[id] {
 			c.dels = append(c.dels, segKey{id, v})
@@ -61,7 +61,7 @@ func (p *Provider) Evict(id ownermap.ModelID) (uint64, error) {
 		delete(p.journals, id)
 		// The retiredOrder FIFO keeps a ghost entry (see capLocked).
 		delete(p.retired, id)
-		c.dirty |= dirtyAll
+		c.dirty[0] |= dirtyAll
 		return nil
 	})
 	if err != nil {

@@ -16,11 +16,13 @@
 //   - Idempotency: reads (GetMeta, ReadSegments, LCPQuery, ListModels,
 //     Stats) are idempotent. The mutating handlers (StoreModel, IncRef,
 //     DecRef, Retire) are not, but deduplicate retried requests by their
-//     proto ReqID: a request whose first execution succeeded is answered
-//     from the dedup table, never re-executed, so retries cannot
-//     double-apply refcount changes.
-//   - Atomicity: IncRef/DecRef validate the whole batch before mutating,
-//     so a failed request leaves no partial side effects.
+//     proto ReqID and bytes: a request whose first execution succeeded is
+//     answered from the dedup table, never re-executed, and a refcount
+//     message regrouped under a known ReqID skips the groups its owners'
+//     journals have seen, so retries cannot double-apply refcount changes.
+//   - Atomicity: an inc_ref/dec_ref message guards every owner and
+//     validates every vertex of every group before mutating, so a failed
+//     request leaves no partial side effects.
 package provider
 
 import (
@@ -278,12 +280,16 @@ func (p *Provider) missErr(id ownermap.ModelID) error {
 	return nil
 }
 
-// once runs a non-idempotent request at most once per ReqID: a retry of
-// one that succeeded is answered from the dedup table (counted as
-// provider.dedup_hit, the signal that a client is retrying lost responses
-// against this provider), and a first success records its response there.
-func (p *Provider) once(reqID uint64, run func() ([]byte, error)) (rpc.Message, error) {
-	if meta, done := p.dedup.get(reqID); done {
+// once runs a non-idempotent request at most once per ReqID and request
+// bytes (req): a retry of one that succeeded is answered from the dedup
+// table (counted as provider.dedup_hit, the signal that a client is
+// retrying lost responses against this provider), and a first success
+// records its response there. Other bytes under the same ReqID — a
+// refcount message regrouped after a placement change — execute, and
+// refDelta skips each group the owner's journal has seen under that ReqID.
+func (p *Provider) once(reqID uint64, req []byte, run func() ([]byte, error)) (rpc.Message, error) {
+	sum := requestSum(req)
+	if meta, done := p.dedup.get(reqID, sum); done {
 		p.reg.Counter("provider.dedup_hit").Inc()
 		return rpc.Message{Meta: meta}, nil
 	}
@@ -291,7 +297,7 @@ func (p *Provider) once(reqID uint64, run func() ([]byte, error)) (rpc.Message, 
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	p.dedup.put(reqID, resp)
+	p.dedup.put(reqID, sum, resp)
 	return rpc.Message{Meta: resp}, nil
 }
 
@@ -348,7 +354,7 @@ func (p *Provider) handleStoreModel(_ context.Context, req rpc.Message) (rpc.Mes
 	if err != nil {
 		return rpc.Message{}, fmt.Errorf("provider %d: store: %w", p.id, err)
 	}
-	return p.once(q.ReqID, func() ([]byte, error) {
+	return p.once(q.ReqID, req.Meta, func() ([]byte, error) {
 		segs, err := proto.SplitBulkMsg(q.Segments, req)
 		if err != nil {
 			return nil, fmt.Errorf("provider %d: store %d: %w", p.id, q.Model, err)
@@ -383,7 +389,7 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 
 	var meta *modelMeta
 	written := 0
-	err := p.commit("store", q.Model, p.acceptsWrite, func(c *change) error {
+	err := p.commit("store", []ownermap.ModelID{q.Model}, p.acceptsWrite, func(c *change) error {
 		if _, dead := p.retired[q.Model]; dead {
 			return fmt.Errorf("provider %d: store %d: model was retired", p.id, q.Model)
 		}
@@ -408,7 +414,7 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 			written += len(segs[i])
 		}
 		p.recordDeltaLocked(q.Model, q.ReqID, false, stored)
-		c.dirty |= dirtyModel | dirtyRefs | dirtyJournal
+		c.dirty[0] |= dirtyModel | dirtyRefs | dirtyJournal
 		return nil
 	})
 	if meta == nil {
@@ -582,16 +588,16 @@ func (p *Provider) ReadSegments(owner ownermap.ModelID, vertices []graph.VertexI
 // --- reference counting / GC -----------------------------------------------------
 
 // handleRef serves evostore.inc_ref (neg false) and evostore.dec_ref (neg
-// true); the reply is the number of segments the delta freed.
+// true); the reply holds the number of segments each group freed.
 func (p *Provider) handleRef(neg bool) rpc.Handler {
 	return func(_ context.Context, req rpc.Message) (rpc.Message, error) {
 		q, err := proto.DecodeRefReq(req.Meta)
 		if err != nil {
 			return rpc.Message{}, err
 		}
-		return p.once(q.ReqID, func() ([]byte, error) {
-			freed, err := p.refDelta(q.Owner, q.Vertices, q.ReqID, neg)
-			return proto.EncodeU64(freed), err
+		return p.once(q.ReqID, req.Meta, func() ([]byte, error) {
+			freed, err := p.refDelta(q.Groups, q.ReqID, neg)
+			return proto.EncodeRefResp(freed), err
 		})
 	}
 }
@@ -600,7 +606,7 @@ func (p *Provider) handleRef(neg bool) rpc.Handler {
 // Referencing a segment that does not exist is an error: it would mean a
 // client derived from tensors this provider never stored.
 func (p *Provider) IncRef(owner ownermap.ModelID, vertices []graph.VertexID) error {
-	_, err := p.refDelta(owner, vertices, 0, false)
+	_, err := p.refDelta([]proto.RefGroup{{Owner: owner, Vertices: vertices}}, 0, false)
 	return err
 }
 
@@ -608,49 +614,77 @@ func (p *Provider) IncRef(owner ownermap.ModelID, vertices []graph.VertexID) err
 // deleting segments whose counter reaches zero. It returns the number of
 // segments freed. The whole batch is O(k) in the number of leaf layers.
 func (p *Provider) DecRef(owner ownermap.ModelID, vertices []graph.VertexID) (uint64, error) {
-	return p.refDelta(owner, vertices, 0, true)
+	freed, err := p.refDelta([]proto.RefGroup{{Owner: owner, Vertices: vertices}}, 0, true)
+	if err != nil {
+		return 0, err
+	}
+	return freed[0], nil
 }
 
-// refDelta applies one refcount batch: +1 on each (owner, vertex), or −1
-// when neg, as the journal records it. The batch is all-or-nothing — every
-// vertex is validated before any counter changes — and a decrement deletes
-// the segments whose counter reaches zero, returning how many it freed.
-func (p *Provider) refDelta(owner ownermap.ModelID, vertices []graph.VertexID, reqID uint64, neg bool) (uint64, error) {
+// refDelta applies one refcount message: +1 on each (owner, vertex) of
+// every group, or −1 when neg, as each owner's journal records it under
+// reqID. The message is one commit and all-or-nothing: every owner is
+// guarded and every vertex validated before any counter changes. A group
+// whose owner's journal has already seen reqID is skipped — a repair
+// replayed it, or an earlier message of the same client operation grouped
+// it differently — so a regrouped retry applies only the groups it adds.
+// A decrement deletes the segments whose counter reaches zero; the result
+// holds how many each group freed.
+func (p *Provider) refDelta(groups []proto.RefGroup, reqID uint64, neg bool) ([]uint64, error) {
 	op, delta := "inc_ref", 1
 	if neg {
 		op, delta = "dec_ref", -1
 	}
-	var freed uint64
-	err := p.commit(op, owner, p.acceptsWrite, func(c *change) error {
-		if p.seenLocked(owner, reqID) {
-			// Already applied by a repair replay of this request's delta; the
-			// freed count is unknown but only feeds best-effort accounting.
-			p.reg.Counter("provider.journal_dup").Inc()
-			return nil
-		}
-		for _, v := range vertices {
-			if p.refs[owner][v] == 0 {
-				if err := p.missErr(owner); err != nil {
-					// A replica catching up on this owner's migration: the delta
-					// is journaled on the previous epoch's owners and replayed
-					// here by the rebalancer's converge pass.
-					return fmt.Errorf("%s %d/%d: %w", op, owner, v, err)
+	owners := make([]ownermap.ModelID, len(groups))
+	for i, g := range groups {
+		owners[i] = g.Owner
+	}
+	freed := make([]uint64, len(groups))
+	err := p.commit(op, owners, p.acceptsWrite, func(c *change) error {
+		skip := make([]bool, len(groups))
+		named := make(map[ownermap.ModelID]bool, len(groups))
+		for i, g := range groups {
+			if named[g.Owner] {
+				return fmt.Errorf("provider %d: %s names owner %d twice", p.id, op, g.Owner)
+			}
+			named[g.Owner] = true
+			if p.seenLocked(g.Owner, reqID) {
+				// The freed count is unknown but only feeds best-effort
+				// accounting.
+				p.reg.Counter("provider.journal_dup").Inc()
+				skip[i] = true
+				continue
+			}
+			for _, v := range g.Vertices {
+				if p.refs[g.Owner][v] == 0 {
+					if err := p.missErr(g.Owner); err != nil {
+						// A replica catching up on this owner's migration: the
+						// delta is journaled on the previous epoch's owners and
+						// replayed here by the rebalancer's converge pass.
+						return fmt.Errorf("%s %d/%d: %w", op, g.Owner, v, err)
+					}
+					return fmt.Errorf("provider %d: %s on missing segment %d/%d", p.id, op, g.Owner, v)
 				}
-				return fmt.Errorf("provider %d: %s on missing segment %d/%d", p.id, op, owner, v)
 			}
 		}
-		for _, v := range vertices {
-			if p.refAddLocked(owner, v, delta) == 0 {
-				c.dels = append(c.dels, segKey{owner, v})
+		for i, g := range groups {
+			if skip[i] {
+				continue
 			}
+			before := len(c.dels)
+			for _, v := range g.Vertices {
+				if p.refAddLocked(g.Owner, v, delta) == 0 {
+					c.dels = append(c.dels, segKey{g.Owner, v})
+				}
+			}
+			freed[i] = uint64(len(c.dels) - before)
+			p.recordDeltaLocked(g.Owner, reqID, neg, g.Vertices)
+			c.dirty[i] |= dirtyRefs | dirtyJournal
 		}
-		freed = uint64(len(c.dels))
-		p.recordDeltaLocked(owner, reqID, neg, vertices)
-		c.dirty |= dirtyRefs | dirtyJournal
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	return freed, nil
 }
@@ -662,7 +696,7 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	return p.once(q.ReqID, func() ([]byte, error) {
+	return p.once(q.ReqID, req.Meta, func() ([]byte, error) {
 		om, err := p.Retire(q.Model)
 		if err != nil {
 			return nil, err
@@ -678,7 +712,7 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 // zero.
 func (p *Provider) Retire(id ownermap.ModelID) (*ownermap.Map, error) {
 	var om *ownermap.Map
-	err := p.commit("retire", id, p.acceptsWrite, func(c *change) error {
+	err := p.commit("retire", []ownermap.ModelID{id}, p.acceptsWrite, func(c *change) error {
 		meta := p.models[id]
 		if meta == nil {
 			if _, dead := p.retired[id]; dead {
@@ -691,7 +725,7 @@ func (p *Provider) Retire(id ownermap.ModelID) (*ownermap.Map, error) {
 		}
 		delete(p.models, id)
 		p.tombstoneLocked(id, meta.entry.Seq)
-		c.dirty |= dirtyModel | dirtyTomb
+		c.dirty[0] |= dirtyModel | dirtyTomb
 		om = meta.entry.OwnerMap
 		return nil
 	})

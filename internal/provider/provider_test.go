@@ -40,6 +40,11 @@ func storeReq(id ownermap.ModelID, seq uint64, q float64, g *graph.Compact) (*pr
 	return req, segs
 }
 
+// one is a refcount message's single owner group.
+func one(owner ownermap.ModelID, vs ...graph.VertexID) []proto.RefGroup {
+	return []proto.RefGroup{{Owner: owner, Vertices: vs}}
+}
+
 func TestStoreGetRead(t *testing.T) {
 	p := New(0, kvstore.NewMemKV(4))
 	g := chainGraph(1, 2, 3)
@@ -185,7 +190,7 @@ func TestDecRefFreesWithoutReadingSegments(t *testing.T) {
 	if _, err := p.Retire(7); err != nil {
 		t.Fatal(err)
 	}
-	freed, err := callDecRef(t, p, &proto.RefReq{Owner: 7, Vertices: []graph.VertexID{0, 1, 2}, ReqID: 101})
+	freed, err := callDecRef(t, p, &proto.RefReq{Groups: one(7, 0, 1, 2), ReqID: 101})
 	if err != nil || freed != 3 {
 		t.Fatalf("DecRef: freed=%d err=%v", freed, err)
 	}

@@ -277,14 +277,14 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		installMeta = m
 	}
 
-	err := p.commit("repair_apply", q.Model, p.acceptsWrite, func(c *change) error {
+	err := p.commit("repair_apply", []ownermap.ModelID{q.Model}, p.acceptsWrite, func(c *change) error {
 		// 1. Tombstone: a retire this replica missed.
 		if q.Tombstone {
 			p.tombstoneLocked(q.Model, q.TombstoneSeq)
-			c.dirty |= dirtyTomb
+			c.dirty[0] |= dirtyTomb
 			if p.models[q.Model] != nil {
 				delete(p.models, q.Model)
-				c.dirty |= dirtyModel
+				c.dirty[0] |= dirtyModel
 				p.reg.Counter("provider.repair_tombstone").Inc()
 			}
 		}
@@ -293,7 +293,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		// tombstoned model; refcounts arrive separately as deltas.
 		if installMeta != nil && !dead && p.models[q.Model] == nil {
 			p.models[q.Model] = &modelMeta{entry: installMeta}
-			c.dirty |= dirtyModel
+			c.dirty[0] |= dirtyModel
 			p.reg.Counter("provider.repair_meta_install").Inc()
 		}
 		// 3. Refcounts: absolute replacement (trimmed-journal fallback) or
@@ -327,7 +327,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 			// The push happened because history was incomplete somewhere;
 			// keep this journal out of future delta merges too.
 			jl.trimmed = true
-			c.dirty |= dirtyRefs | dirtyJournal | journalRewritten
+			c.dirty[0] |= dirtyRefs | dirtyJournal | journalRewritten
 			p.reg.Counter("provider.repair_absolute").Inc()
 		} else if len(q.Deltas) > 0 {
 			jl := p.journalLocked(q.Model)
@@ -345,7 +345,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 					Neg:      d.Neg,
 					Vertices: append([]graph.VertexID(nil), d.Vertices...),
 				})
-				c.dirty |= dirtyRefs | dirtyJournal
+				c.dirty[0] |= dirtyRefs | dirtyJournal
 				p.reg.Counter("provider.repair_deltas").Inc()
 				for _, v := range d.Vertices {
 					if d.Neg {

@@ -39,7 +39,7 @@ func TestDigestMatchesAcrossIdenticalReplicas(t *testing.T) {
 	}
 	// Same mutation (same ReqID) on both keeps them converged...
 	for _, p := range []*Provider{a, b} {
-		if _, err := p.refDelta(7, []graph.VertexID{0}, 101, false); err != nil {
+		if _, err := p.refDelta(one(7, 0), 101, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestDigestMatchesAcrossIdenticalReplicas(t *testing.T) {
 		t.Fatalf("replicas diverged after identical mutation:\n a %+v\n b %+v", da, db)
 	}
 	// ...a mutation applied to one replica only is visible.
-	if _, err := a.refDelta(7, []graph.VertexID{1}, 102, false); err != nil {
+	if _, err := a.refDelta(one(7, 1), 102, false); err != nil {
 		t.Fatal(err)
 	}
 	if da, db = a.Digest(7), b.Digest(7); da.Converged(db) {
@@ -62,10 +62,10 @@ func TestDigestMatchesAcrossIdenticalReplicas(t *testing.T) {
 func TestRepairApplyMergesMissedDeltas(t *testing.T) {
 	a, b, _, _ := storedTwin(t, 7, 100, true)
 	// A sees an inc and a dec that B missed.
-	if _, err := a.refDelta(7, []graph.VertexID{0, 1}, 101, false); err != nil {
+	if _, err := a.refDelta(one(7, 0, 1), 101, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.refDelta(7, []graph.VertexID{1}, 102, true); err != nil {
+	if _, err := a.refDelta(one(7, 1), 102, true); err != nil {
 		t.Fatal(err)
 	}
 	pull, _, err := a.RepairPull(&proto.RepairPullReq{Model: 7})
@@ -99,7 +99,7 @@ func TestRepairApplyMergesMissedDeltas(t *testing.T) {
 		t.Fatalf("re-apply changed state:\n before %+v\n after  %+v", before, after)
 	}
 	// A late retry of the replayed inc is absorbed by the journal guard.
-	if _, err := b.refDelta(7, []graph.VertexID{0, 1}, 101, false); err != nil {
+	if _, err := b.refDelta(one(7, 0, 1), 101, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := b.RefCount(7, 0); n != 2 {
@@ -181,7 +181,7 @@ func TestRepairTombstone(t *testing.T) {
 	if _, err := a.Retire(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.refDelta(7, []graph.VertexID{0, 1, 2}, 101, true); err != nil {
+	if _, err := a.refDelta(one(7, 0, 1, 2), 101, true); err != nil {
 		t.Fatal(err)
 	}
 	da := a.Digest(7)
@@ -259,7 +259,7 @@ func TestRepairApplyAbsoluteFallback(t *testing.T) {
 func TestJournalTrimsFIFO(t *testing.T) {
 	p, _, _, _ := storedTwin(t, 7, 100, false)
 	for i := 0; i < journalCap+8; i++ {
-		if _, err := p.refDelta(7, []graph.VertexID{0}, uint64(1000+i), false); err != nil {
+		if _, err := p.refDelta(one(7, 0), uint64(1000+i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
