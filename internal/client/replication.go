@@ -387,15 +387,9 @@ func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelI
 // deterministic, so all accepting replies agree); deferred legs inside
 // such a mix are marked transient so partial-writes acceptance still
 // applies during a combined outage and migration. A total failure returns
-// every leg's error joined and annotated with its provider; a single
-// replica's error is returned as it came.
+// every leg's error joined and annotated with its provider. A write of
+// one replica is not settled: its leg's error is the write's.
 func (c *Client) settle(name string, id ownermap.ModelID, set []int, errs []error) (int, error) {
-	if len(set) == 1 {
-		if errs[0] != nil {
-			return -1, errs[0]
-		}
-		return 0, nil
-	}
 	firstOK := -1
 	var succeeded, failedAt []int
 	var failed []error
@@ -484,8 +478,10 @@ func (c *Client) refGroups(ctx context.Context, name string, gs []proto.RefGroup
 // changed nothing there; when it held several groups, each is asked again
 // alone, under the same ReqID, so every group's leg carries its own
 // verdict (a group the provider has already applied under that ReqID is
-// skipped by its journal). freed keeps the largest count any accepting
-// leg reported: a leg that skipped an applied group reports 0.
+// skipped by its journal, and its records are rewritten and synced before
+// the ack, in case the message that applied it failed to persist them).
+// freed keeps the largest count any accepting leg reported: a leg that
+// skipped an applied group reports 0.
 func (c *Client) refPass(ctx context.Context, name string, st *placement.State, gs []proto.RefGroup, todo []int, reqID uint64, freed []uint64, errs []error) {
 	sets := make([][]int, len(todo))
 	legErrs := make([][]error, len(todo))
@@ -544,7 +540,11 @@ func (c *Client) refPass(ctx context.Context, name string, st *placement.State, 
 		wg.Wait()
 	}
 	for t, gi := range todo {
-		_, errs[gi] = c.settle(name, gs[gi].Owner, sets[t], legErrs[t])
+		if len(sets[t]) == 1 {
+			errs[gi] = legErrs[t][0]
+		} else {
+			_, errs[gi] = c.settle(name, gs[gi].Owner, sets[t], legErrs[t])
+		}
 		for k, err := range legErrs[t] {
 			if err == nil {
 				freed[gi] = max(freed[gi], legFreed[t][k])

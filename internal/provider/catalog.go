@@ -37,7 +37,10 @@ package provider
 // requests may be lost on kill −9 and reconverge via the repairer's
 // NeedPayload backfill. If a catalog write fails mid-request the in-memory
 // state stays applied and the request errors: the divergence is exactly a
-// partial write, which the anti-entropy repairer already converges.
+// partial write, which the anti-entropy repairer already converges. A
+// refcount message retried under the same ReqID (whole or regrouped)
+// rewrites the records of every owner whose journal skips it, so its ack
+// is durable; a segment delete the failure left undone stays undone.
 
 import (
 	"fmt"

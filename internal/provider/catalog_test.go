@@ -2,6 +2,7 @@ package provider
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ownermap"
 	"repro/internal/placement"
 	"repro/internal/proto"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -402,8 +404,8 @@ func TestDurableCatalogJournalWindowPersists(t *testing.T) {
 }
 
 // meteredKV is a durable backend that counts its cat/ Puts (also by
-// record prefix) and Deletes and its Syncs, and parks the first Sync after
-// park is set until release.
+// record prefix) and Deletes and its Syncs, parks the first Sync after
+// park is set until release, and fails the next Put under failPut.
 type meteredKV struct {
 	kvstore.KV
 	park             atomic.Bool
@@ -412,6 +414,7 @@ type meteredKV struct {
 	mu                sync.Mutex
 	puts, dels, syncs int
 	prefixPuts        map[string]int // "cat/r/", "cat/j/", ...
+	failPut           string         // key prefix; cleared by the Put it fails
 }
 
 func newMeteredKV() *meteredKV {
@@ -429,10 +432,17 @@ func (k *meteredKV) count(key string, n *int) {
 
 func (k *meteredKV) Put(key string, value []byte) error {
 	k.count(key, &k.puts)
+	k.mu.Lock()
 	if strings.HasPrefix(key, "cat/") {
-		k.mu.Lock()
 		k.prefixPuts[key[:strings.IndexByte(key[4:], '/')+5]]++
-		k.mu.Unlock()
+	}
+	fail := k.failPut != "" && strings.HasPrefix(key, k.failPut)
+	if fail {
+		k.failPut = ""
+	}
+	k.mu.Unlock()
+	if fail {
+		return errors.New("meteredKV: injected Put failure")
 	}
 	return k.KV.Put(key, value)
 }
@@ -643,6 +653,64 @@ func TestMutationsSyncOutsideProviderLock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSplitRetryAfterCatalogFailureIsDurable: a two-owner refcount
+// message applies in memory, then its first cat/r/ Put fails, so the
+// provider answers an error with both groups applied and journaled. The
+// client then asks for each group alone under the same ReqID; the
+// journals skip both, and each ack must leave its owner's records
+// persisted: a reopened provider is digest-identical, with every pin (or
+// release) of the failed message in place. Were a skipped group's records
+// not rewritten, owner 1 would reopen without the failed message's delta.
+func TestSplitRetryAfterCatalogFailureIsDurable(t *testing.T) {
+	for _, neg := range []bool{false, true} {
+		kv := newMeteredKV()
+		p, err := NewDurable(0, kv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []ownermap.ModelID{1, 2} {
+			req, segs := storeReq(id, uint64(id), 0.5, chainGraph(1, 2, 3))
+			req.ReqID = 100 + uint64(id)
+			if err := p.StoreModel(req, segs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.refDelta([]proto.RefGroup{{Owner: 1, Vertices: []graph.VertexID{0}}, {Owner: 2, Vertices: []graph.VertexID{0}}}, 50, false); err != nil {
+			t.Fatal(err)
+		}
+		send := func(gs []proto.RefGroup) error {
+			_, err := p.handleRef(neg)(context.Background(), rpc.Message{Meta: (&proto.RefReq{Groups: gs, ReqID: 60}).Encode()})
+			return err
+		}
+		g1, g2 := proto.RefGroup{Owner: 1, Vertices: []graph.VertexID{0}}, proto.RefGroup{Owner: 2, Vertices: []graph.VertexID{0}}
+		kv.mu.Lock()
+		kv.failPut = catRefsPrefix
+		kv.mu.Unlock()
+		if err := send([]proto.RefGroup{g1, g2}); err == nil {
+			t.Fatalf("neg=%v: a message whose cat/r/ Put failed was acknowledged", neg)
+		}
+		for _, g := range []proto.RefGroup{g1, g2} {
+			if err := send([]proto.RefGroup{g}); err != nil {
+				t.Fatalf("neg=%v: retry of owner %d alone: %v", neg, g.Owner, err)
+			}
+		}
+		want := 3
+		if neg {
+			want = 1
+		}
+		p2, err := NewDurable(0, kv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []ownermap.ModelID{1, 2} {
+			if got := p2.RefCount(id, 0); got != want {
+				t.Errorf("neg=%v: owner %d reopened with refcount %d, want %d", neg, id, got, want)
+			}
+			digestsEqual(t, p, p2, id)
+		}
 	}
 }
 

@@ -628,8 +628,11 @@ func (p *Provider) DecRef(owner ownermap.ModelID, vertices []graph.VertexID) (ui
 // whose owner's journal has already seen reqID is skipped — a repair
 // replayed it, or an earlier message of the same client operation grouped
 // it differently — so a regrouped retry applies only the groups it adds.
-// A decrement deletes the segments whose counter reaches zero; the result
-// holds how many each group freed.
+// A skipped group's owner records are still rewritten and synced, so a
+// retry after a message that applied but failed to persist (see the
+// durability contract in catalog.go) is acknowledged only once its
+// counters are durable. A decrement deletes the segments whose counter
+// reaches zero; the result holds how many each group freed.
 func (p *Provider) refDelta(groups []proto.RefGroup, reqID uint64, neg bool) ([]uint64, error) {
 	op, delta := "inc_ref", 1
 	if neg {
@@ -650,9 +653,12 @@ func (p *Provider) refDelta(groups []proto.RefGroup, reqID uint64, neg bool) ([]
 			named[g.Owner] = true
 			if p.seenLocked(g.Owner, reqID) {
 				// The freed count is unknown but only feeds best-effort
-				// accounting.
+				// accounting. The owner's records are rewritten all the
+				// same: the message that applied the group may have failed
+				// to persist them, and this one's ack must be durable.
 				p.reg.Counter("provider.journal_dup").Inc()
 				skip[i] = true
+				c.dirty[i] |= dirtyRefs | dirtyJournal
 				continue
 			}
 			for _, v := range g.Vertices {
