@@ -13,12 +13,13 @@ test:
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
 # bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
-# provider-local LCP query, LCP scanner, chunk-store put and tensor
-# fingerprint benchmarks so they can't rot; 10 s of fuzzing the SSTable reader (-fuzzminimizetime bounds
-# the time Go would otherwise spend shrinking the seed table, which looks
-# like a hang) and 5 s each of the TCP frame readers, the strict
-# control decoders, the chunk-recipe decoder and the provider's durable
-# catalog loader; a guard that no non-test code under internal/ or cmd/
+# provider-local LCP query, LCP scanner, chunk-store put, chunk-store
+# segment read and tensor fingerprint benchmarks so they can't rot; 10 s of
+# fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
+# otherwise spend shrinking the seed table, which looks like a hang) and 5 s
+# each of the value-log reader (bounded the same way), the TCP frame
+# readers, the strict control decoders, the chunk-recipe decoder and the
+# provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
@@ -33,9 +34,10 @@ check:
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained|FlushCompact)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -bench '^BenchmarkLocalLCPQueryCatalog1000$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
-	$(GO) test -run '^$$' -bench '^BenchmarkKVPutShared$$' -benchtime 1x ./internal/dedup
+	$(GO) test -run '^$$' -bench '^BenchmarkKV(PutShared|GetSegment)$$' -benchtime 1x ./internal/dedup
 	$(GO) test -run '^$$' -bench '^BenchmarkTensorFingerprint$$' -benchtime 1x ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz FuzzValueLog -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup

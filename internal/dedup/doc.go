@@ -28,7 +28,9 @@
 //   - The wrapper is invisible above the kvstore.KV interface: Get
 //     returns the logical bytes that were Put, and the recipe format
 //     never leaves this package. Providers, replicas, repair and clients
-//     see plain segments.
+//     see plain segments. Reassembly copies each chunk byte once, into
+//     the value's buffer (GetAlloc lets the caller supply it), straight
+//     from disk when the inner store is a kvstore.IntoGetter.
 //   - The KV wrapper is safe for concurrent use and preserves the
 //     kvstore.KV contract (Put copies, Get views are immutable). Its chunk
 //     refcounts are in-memory and rebuilt from the recipes by Recover

@@ -51,6 +51,7 @@ type Options struct {
 type KV struct {
 	kv   kvstore.KV
 	kvB  kvstore.ByteKeyGetter
+	into kvstore.IntoGetter // chunk reads straight into the value's buffer
 	o    Options
 	mu   sync.Mutex      // serializes mutations (chunk refcounts)
 	refs map[chunkID]int // live references per chunk
@@ -67,7 +68,8 @@ func Wrap(kv kvstore.KV, o Options) *KV {
 		o.ChunkSize = DefaultChunkSize
 	}
 	kvB, _ := kv.(kvstore.ByteKeyGetter)
-	return &KV{kv: kv, kvB: kvB, o: o, refs: make(map[chunkID]int)}
+	into, _ := kv.(kvstore.IntoGetter)
+	return &KV{kv: kv, kvB: kvB, into: into, o: o, refs: make(map[chunkID]int)}
 }
 
 // CASStats reports the wrapper's content-addressing effectiveness.
@@ -148,18 +150,6 @@ func (d *KV) recipe(value []byte, ids []chunkID) []byte {
 	return r
 }
 
-// chunkBytes reads one chunk.
-func (d *KV) chunkBytes(id chunkID) ([]byte, error) {
-	v, ok, err := d.kv.Get(chunkKey(id))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("dedup: chunk %x missing (refcount says live)", id)
-	}
-	return v, nil
-}
-
 // unrefChunkLocked drops one reference, deleting the chunk at zero.
 func (d *KV) unrefChunkLocked(id chunkID) error {
 	n := d.refs[id] - 1
@@ -234,44 +224,91 @@ func parseRecipe(v []byte, chunkSize int) (uint64, []chunkID, []uint32, error) {
 // zero-copy views of the inner store; reassembled values are fresh
 // buffers.
 func (d *KV) Get(key string) ([]byte, bool, error) {
-	return d.resolve(d.kv.Get(key))
+	v, ok, err := d.kv.Get(key)
+	return d.resolve(v, ok, err, nil)
 }
 
 // GetB implements kvstore.ByteKeyGetter when the inner store does.
 func (d *KV) GetB(key []byte) ([]byte, bool, error) {
-	if d.kvB == nil {
-		return d.Get(string(key))
-	}
-	return d.resolve(d.kvB.GetB(key))
+	return d.GetAlloc(key, nil)
 }
 
-// resolve turns a stored entry into its logical bytes.
-func (d *KV) resolve(v []byte, ok bool, err error) ([]byte, bool, error) {
+// GetAlloc is GetB for a caller that recycles buffers: a recipe is
+// reassembled into alloc(n), which must return a buffer of n bytes that
+// the caller owns, and every byte of it is overwritten. A pass-through
+// value is the inner store's own buffer, as from Get, and alloc is not
+// called for it. After an error, a buffer alloc returned is the caller's
+// to reclaim. A nil alloc allocates, as Get does.
+func (d *KV) GetAlloc(key []byte, alloc func(n int) []byte) ([]byte, bool, error) {
+	var v []byte
+	var ok bool
+	var err error
+	if d.kvB == nil {
+		v, ok, err = d.kv.Get(string(key))
+	} else {
+		v, ok, err = d.kvB.GetB(key)
+	}
+	return d.resolve(v, ok, err, alloc)
+}
+
+// resolve turns a stored entry into its logical bytes, reassembling a
+// recipe into a buffer from alloc.
+func (d *KV) resolve(v []byte, ok bool, err error, alloc func(int) []byte) ([]byte, bool, error) {
 	if err != nil || !ok || !bytes.HasPrefix(v, recipeTag) {
 		return v, ok, err
 	}
-	out, err := d.reassemble(v)
+	out, err := d.reassemble(v, alloc)
 	return out, err == nil, err
 }
 
-// reassemble concatenates a recipe's chunks into one fresh buffer.
-func (d *KV) reassemble(recipe []byte) ([]byte, error) {
+// reassemble reads a recipe's chunks into one buffer of the logical
+// length, each chunk at its offset.
+func (d *KV) reassemble(recipe []byte, alloc func(int) []byte) ([]byte, error) {
 	rawLen, ids, lens, err := parseRecipe(recipe, d.o.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, rawLen)
+	var out []byte
+	if alloc != nil {
+		out = alloc(int(rawLen))
+	} else {
+		out = make([]byte, rawLen)
+	}
+	off := 0
 	for i, id := range ids {
-		chunk, err := d.chunkBytes(id)
-		if err != nil {
+		if err := d.fillChunk(id, out[off:off+int(lens[i])]); err != nil {
 			return nil, err
 		}
-		if len(chunk) != int(lens[i]) {
-			return nil, fmt.Errorf("dedup: chunk %x is %d bytes, recipe says %d", id, len(chunk), lens[i])
-		}
-		out = append(out, chunk...)
+		off += int(lens[i])
 	}
 	return out, nil
+}
+
+// fillChunk reads chunk id into dst, which is the length the recipe gives
+// it: straight from disk when the inner store is a kvstore.IntoGetter,
+// through Get and a copy otherwise.
+func (d *KV) fillChunk(id chunkID, dst []byte) error {
+	key := chunkKey(id)
+	var ok bool
+	var err error
+	if d.into != nil {
+		ok, err = d.into.GetInto(key, dst)
+	} else {
+		var chunk []byte
+		if chunk, ok, err = d.kv.Get(key); ok && err == nil {
+			if len(chunk) != len(dst) {
+				return fmt.Errorf("dedup: chunk %x is %d bytes, recipe says %d", id, len(chunk), len(dst))
+			}
+			copy(dst, chunk)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("dedup: chunk %x: %w", id, err)
+	}
+	if !ok {
+		return fmt.Errorf("dedup: chunk %x missing (refcount says live)", id)
+	}
+	return nil
 }
 
 // Delete implements kvstore.KV, releasing the entry's chunk references.
@@ -292,7 +329,7 @@ func (d *KV) Scan(prefix string, fn func(key string, value []byte) bool) error {
 		if strings.HasPrefix(key, casPrefix) {
 			return true
 		}
-		logical, _, err := d.resolve(value, true, nil)
+		logical, _, err := d.resolve(value, true, nil, nil)
 		if err != nil {
 			ferr = err
 			return false

@@ -204,6 +204,39 @@ func TestGroupCoalesces(t *testing.T) {
 	}
 }
 
+// A leader learns whether its result went to anyone else: exclusive only
+// when no waiter joined, and never for a waiter.
+func TestGroupExclusive(t *testing.T) {
+	var g Group[string, int]
+	if _, shared, exclusive, _ := g.DoExclusive("k", func() (int, error) { return 1, nil }); shared || !exclusive {
+		t.Fatalf("lone leader: shared %v exclusive %v, want false true", shared, exclusive)
+	}
+	gate := make(chan struct{})
+	type res struct{ shared, exclusive bool }
+	leader, waiter := make(chan res, 1), make(chan res, 1)
+	go func() {
+		_, s, e, _ := g.DoExclusive("k", func() (int, error) { <-gate; return 2, nil })
+		leader <- res{s, e}
+	}()
+	for g.Pending("k") != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		_, s, e, _ := g.DoExclusive("k", func() (int, error) { return 3, nil })
+		waiter <- res{s, e}
+	}()
+	for g.Pending("k") != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if r := <-leader; r.shared || r.exclusive {
+		t.Fatalf("leader with a waiter: shared %v exclusive %v, want false false", r.shared, r.exclusive)
+	}
+	if r := <-waiter; !r.shared || r.exclusive {
+		t.Fatalf("waiter: shared %v exclusive %v, want true false", r.shared, r.exclusive)
+	}
+}
+
 func TestGroupErrorNotCached(t *testing.T) {
 	var g Group[int, string]
 	boom := errors.New("boom")

@@ -46,6 +46,15 @@ func (g *Group[K, V]) Pending(key K) int {
 // which is acceptable because the key is dropped immediately and the next
 // caller simply retries fresh.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err error) {
+	v, shared, _, err = g.DoExclusive(key, fn)
+	return v, shared, err
+}
+
+// DoExclusive is Do for a caller that may recycle what V references:
+// exclusive also reports whether the result went to this caller alone,
+// that is, it led a flight no waiter joined. The answer is final, because
+// no caller joins a flight once its leader has finished.
+func (g *Group[K, V]) DoExclusive(key K, fn func() (V, error)) (v V, shared, exclusive bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[K]*flight[V])
@@ -54,7 +63,7 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err err
 		f.waiters++
 		g.mu.Unlock()
 		f.wg.Wait()
-		return f.val, true, f.err
+		return f.val, true, false, f.err
 	}
 	f := &flight[V]{}
 	f.wg.Add(1)
@@ -65,7 +74,8 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err err
 
 	g.mu.Lock()
 	delete(g.m, key) // no new waiters can join past this point
+	exclusive = f.waiters == 0
 	g.mu.Unlock()
 	f.wg.Done()
-	return f.val, false, f.err
+	return f.val, false, exclusive, f.err
 }

@@ -50,6 +50,16 @@ type ByteKeyGetter interface {
 	GetB(key []byte) ([]byte, bool, error)
 }
 
+// IntoGetter is an optional interface for stores that can read a value
+// straight into a buffer the caller owns, so a value read from disk is
+// copied once, into its destination. GetInto reports whether key exists;
+// a value whose length is not len(dst) is an error. dst's contents are
+// unspecified after an error. Callers type-assert for it and fall back to
+// KV.Get plus a copy.
+type IntoGetter interface {
+	GetInto(key string, dst []byte) (bool, error)
+}
+
 // memShard is one lock domain of MemKV.
 type memShard struct {
 	mu    sync.RWMutex

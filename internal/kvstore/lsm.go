@@ -473,18 +473,52 @@ func (kv *LSMKV) newestLocked(key string) (ssEntry, bool, error) {
 	return ssEntry{}, false, nil
 }
 
+// GetInto implements IntoGetter: the lookup Get makes, with a value-log
+// value preread straight into dst (pointer bounds and CRC checked as Get
+// checks them) and a memtable or inline table value copied into it.
+func (kv *LSMKV) GetInto(key string, dst []byte) (bool, error) {
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	e, found, err := kv.newestLocked(key)
+	if err != nil || !found || e.tombstone {
+		return false, err
+	}
+	if n := e.size(); n != int64(len(dst)) {
+		return false, fmt.Errorf("kvstore: %q is %d bytes, want %d", key, n, len(dst))
+	}
+	if !e.ptr {
+		copy(dst, e.value)
+		return true, nil
+	}
+	v, p, err := kv.valueLogLocked(e)
+	if err == nil {
+		err = v.readInto(p, dst)
+	}
+	return err == nil, err
+}
+
 // resolveLocked returns a live entry's value, reading it from its value log
 // if the entry is a vptr. Caller holds mu, which keeps the log open.
 func (kv *LSMKV) resolveLocked(e ssEntry) ([]byte, error) {
 	if !e.ptr {
 		return e.value, nil
 	}
+	v, p, err := kv.valueLogLocked(e)
+	if err != nil {
+		return nil, err
+	}
+	return v.read(p)
+}
+
+// valueLogLocked decodes a vptr entry and finds the log it points into.
+// Caller holds mu.
+func (kv *LSMKV) valueLogLocked(e ssEntry) (*valueLog, vptr, error) {
 	p := decodeVptr(e.value)
 	v := kv.vlogs[p.log]
 	if v == nil {
-		return nil, fmt.Errorf("kvstore: %q points into value log %d, which is gone", e.key, p.log)
+		return nil, p, fmt.Errorf("kvstore: %q points into value log %d, which is gone", e.key, p.log)
 	}
-	return v.read(p)
+	return v, p, nil
 }
 
 // Scan implements KV: a merge over all tables and both memtables with
@@ -1111,4 +1145,7 @@ func (kv *LSMKV) TableCount() int {
 	return len(kv.tables)
 }
 
-var _ KV = (*LSMKV)(nil)
+var (
+	_ KV         = (*LSMKV)(nil)
+	_ IntoGetter = (*LSMKV)(nil)
+)

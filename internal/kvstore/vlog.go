@@ -80,17 +80,40 @@ func openValueLog(id uint32, path string) (*valueLog, error) {
 // log's size before anything is allocated, and the value against p's CRC
 // before it is served.
 func (v *valueLog) read(p vptr) ([]byte, error) {
-	if p.off > uint64(v.size) || uint64(p.n) > uint64(v.size)-p.off {
-		return nil, fmt.Errorf("kvstore: value log %s: corrupt pointer: %d bytes at %d outside its %d", v.path, p.n, p.off, v.size)
+	if err := v.check(p); err != nil {
+		return nil, err
 	}
 	val := make([]byte, p.n)
-	if _, err := v.f.ReadAt(val, int64(p.off)); err != nil {
-		return nil, fmt.Errorf("kvstore: value log %s offset %d: %w", v.path, p.off, err)
-	}
-	if crc32.ChecksumIEEE(val) != p.crc {
-		return nil, fmt.Errorf("kvstore: value log %s offset %d: corrupt: value crc mismatch", v.path, p.off)
+	if err := v.readInto(p, val); err != nil {
+		return nil, err
 	}
 	return val, nil
+}
+
+// readInto reads the value p locates into dst, which must be exactly p.n
+// bytes, with read's checks. After an error dst holds unchecked bytes.
+func (v *valueLog) readInto(p vptr, dst []byte) error {
+	if err := v.check(p); err != nil {
+		return err
+	}
+	if uint64(len(dst)) != uint64(p.n) {
+		return fmt.Errorf("kvstore: value log %s offset %d: value is %d bytes, buffer %d", v.path, p.off, p.n, len(dst))
+	}
+	if _, err := v.f.ReadAt(dst, int64(p.off)); err != nil {
+		return fmt.Errorf("kvstore: value log %s offset %d: %w", v.path, p.off, err)
+	}
+	if crc32.ChecksumIEEE(dst) != p.crc {
+		return fmt.Errorf("kvstore: value log %s offset %d: corrupt: value crc mismatch", v.path, p.off)
+	}
+	return nil
+}
+
+// check refuses a pointer that runs outside the log.
+func (v *valueLog) check(p vptr) error {
+	if p.off > uint64(v.size) || uint64(p.n) > uint64(v.size)-p.off {
+		return fmt.Errorf("kvstore: value log %s: corrupt pointer: %d bytes at %d outside its %d", v.path, p.n, p.off, v.size)
+	}
+	return nil
 }
 
 // largePuts calls fn for every put in the log whose value is vlogMin bytes

@@ -105,6 +105,10 @@ type Provider struct {
 	// ReadSegments uses it to look segments up without per-key string
 	// allocations.
 	kvB kvstore.ByteKeyGetter
+	// kvA is kv's optional read into a buffer the provider supplies (nil
+	// when unsupported); read_segments uses it to reassemble segments in
+	// buffers the transport recycles.
+	kvA allocGetter
 
 	// place is the epoch-versioned placement guard (see SetPlacement /
 	// SetPlacementState): writes for models whose replica set under no
@@ -174,10 +178,12 @@ type Provider struct {
 // the paper's in-memory deployment mode).
 func New(id int, kv kvstore.KV) *Provider {
 	kvB, _ := kv.(kvstore.ByteKeyGetter)
+	kvA, _ := kv.(allocGetter)
 	return &Provider{
 		id:       id,
 		kv:       kv,
 		kvB:      kvB,
+		kvA:      kvA,
 		reg:      metrics.Default,
 		models:   make(map[ownermap.ModelID]*modelMeta),
 		refs:     make(map[ownermap.ModelID]map[graph.VertexID]int),
@@ -474,7 +480,7 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %w", p.id, q.Owner, err)
 		}
 	}
-	resp, shared, err := p.readFlights.Do(readFlightKey(q), func() (rpc.Message, error) {
+	resp, shared, exclusive, err := p.readFlights.DoExclusive(readFlightKey(q), func() (rpc.Message, error) {
 		p.reg.Counter("provider.read_exec").Inc()
 		p.reg.Counter("provider.read_segments_exec").Add(uint64(len(q.Vertices)))
 		return p.readSegmentsResp(q)
@@ -484,6 +490,11 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 	}
 	if err != nil {
 		return rpc.Message{}, err
+	}
+	if !exclusive {
+		// Other callers hold the same buffers: none of them may recycle
+		// them, so they fall to the GC.
+		resp.Release = nil
 	}
 	// Bytes are charged after the read (the request doesn't carry its
 	// response size); the bucket absorbs the debt and delays the tenant's
@@ -507,11 +518,24 @@ func readFlightKey(q *proto.ReadSegmentsReq) string {
 	return string(c.Encode())
 }
 
-// readSegmentsResp executes one segment read: the table in meta, one
-// zero-copy bulk slice per segment. Runs at most once per coalesced flight.
+// readSegmentsResp executes one segment read: the table in meta, one bulk
+// slice per segment. Runs at most once per coalesced flight. Segments the
+// store reassembles are read into buffers from rpc's pool, which the
+// response's Release gives back; they are given back here on an error.
 func (p *Provider) readSegmentsResp(q *proto.ReadSegmentsReq) (rpc.Message, error) {
-	table, segs, err := p.ReadSegments(q.Owner, q.Vertices)
+	var pooled [][]byte
+	release := func() {
+		for _, b := range pooled {
+			rpc.PutBuf(b)
+		}
+	}
+	table, segs, err := p.readSegments(q.Owner, q.Vertices, func(n int) []byte {
+		b := rpc.GetBuf(n)
+		pooled = append(pooled, b)
+		return b
+	})
 	if err != nil {
+		release()
 		return rpc.Message{}, err
 	}
 	var total uint64
@@ -522,10 +546,11 @@ func (p *Provider) readSegmentsResp(q *proto.ReadSegmentsReq) (rpc.Message, erro
 		// Typed server-side mirror of the client's segment guard: never
 		// hand the transport a payload whose length field would not fit
 		// the frame (the caller should ask for fewer vertices per read).
+		release()
 		return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte response %w",
 			p.id, q.Owner, total, rpc.ErrFrameTooLarge)
 	}
-	return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs}, nil
+	return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs, Release: release}, nil
 }
 
 // isStoring reports whether id's StoreModel is still writing payloads.
@@ -537,10 +562,23 @@ func (p *Provider) isStoring(id ownermap.ModelID) bool {
 }
 
 // ReadSegments resolves the requested vertices' segments (all owned by
-// owner) into one describing table plus one zero-copy view per segment —
-// the KV's stored buffers, never concatenated. Callers must treat the
-// returned slices as immutable (kvstore contract).
+// owner) into one describing table plus one buffer per segment, never
+// concatenated: a segment the store keeps as chunks is reassembled into a
+// buffer of its own, and a value it keeps whole is its stored buffer.
+// Callers must treat the returned slices as immutable (kvstore contract).
 func (p *Provider) ReadSegments(owner ownermap.ModelID, vertices []graph.VertexID) ([]proto.SegmentRef, [][]byte, error) {
+	return p.readSegments(owner, vertices, nil)
+}
+
+// allocGetter is the read of a store that can reassemble a value into a
+// buffer the reader supplies (dedup.KV.GetAlloc).
+type allocGetter interface {
+	GetAlloc(key []byte, alloc func(n int) []byte) ([]byte, bool, error)
+}
+
+// readSegments is ReadSegments with the buffers of reassembled segments
+// drawn from alloc (nil: allocated) when the store supports it.
+func (p *Provider) readSegments(owner ownermap.ModelID, vertices []graph.VertexID, alloc func(int) []byte) ([]proto.SegmentRef, [][]byte, error) {
 	table := make([]proto.SegmentRef, 0, len(vertices))
 	segs := make([][]byte, 0, len(vertices))
 	var kb [segKeyLen]byte // reused per vertex on the byte-key fast path
@@ -551,9 +589,12 @@ func (p *Provider) ReadSegments(owner ownermap.ModelID, vertices []graph.VertexI
 			ok  bool
 			err error
 		)
-		if p.kvB != nil {
+		switch {
+		case p.kvA != nil:
+			seg, ok, err = p.kvA.GetAlloc(k.appendTo(kb[:0]), alloc)
+		case p.kvB != nil:
 			seg, ok, err = p.kvB.GetB(k.appendTo(kb[:0]))
-		} else {
+		default:
 			seg, ok, err = p.kv.Get(k.String())
 		}
 		if err != nil {

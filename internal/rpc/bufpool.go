@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Size-classed receive-buffer pool for the TCP transport's server side.
+// Size-classed buffer pool for the TCP transport's server side.
 //
 // Every request a server connection reads needs a meta buffer and (often) a
 // bulk buffer; without reuse a provider serving a bulk-heavy workload
@@ -14,6 +14,12 @@ import (
 // request has been fully written — the point after which the buffer-
 // ownership contract (see the package comment) forbids anyone from still
 // aliasing the request.
+//
+// Handlers draw response buffers from the same pool (GetBuf) and give them
+// back through Message.Release, which the TCP server calls at that same
+// point, once the response is written or its connection has failed. The
+// in-process transport never calls Release: its caller keeps the
+// response's buffers by reference, so they fall to the GC instead.
 //
 // Client-side response buffers are never pooled: Call hands the caller an
 // exact-size allocation it may retain indefinitely (tensor.Decode and
@@ -43,9 +49,10 @@ func bufClass(n int) int {
 	return c
 }
 
-// getBuf returns a length-n buffer, drawn from the pool when a size class
-// covers n and freshly allocated otherwise.
-func getBuf(n int) []byte {
+// GetBuf returns a length-n buffer, drawn from the pool when a size class
+// covers n and freshly allocated otherwise. A pooled buffer holds whatever
+// its last user left in it, not zeros.
+func GetBuf(n int) []byte {
 	c := bufClass(n)
 	if c < 0 {
 		return make([]byte, n)
@@ -56,10 +63,11 @@ func getBuf(n int) []byte {
 	return make([]byte, n, 1<<c)
 }
 
-// putBuf recycles a buffer previously returned by getBuf. Buffers whose
-// capacity is not an exact pooled class (e.g. plain allocations) are left
-// to the GC. Callers must guarantee nothing aliases b anymore.
-func putBuf(b []byte) {
+// PutBuf recycles a buffer previously returned by GetBuf. Buffers whose
+// capacity is not an exact pooled class are left to the GC, but a plain
+// allocation whose capacity happens to be one is pooled: pass only what
+// GetBuf returned. Callers must guarantee nothing aliases b anymore.
+func PutBuf(b []byte) {
 	c := bufClass(cap(b))
 	if c < 0 || cap(b) != 1<<c {
 		return

@@ -73,23 +73,23 @@ func TestBufPool(t *testing.T) {
 		{(1 << 20) + 1, 1 << 21},
 	}
 	for _, c := range cases {
-		b := getBuf(c.n)
+		b := GetBuf(c.n)
 		if len(b) != c.n {
-			t.Errorf("getBuf(%d) len = %d", c.n, len(b))
+			t.Errorf("GetBuf(%d) len = %d", c.n, len(b))
 		}
 		if cap(b) != c.wantCap {
-			t.Errorf("getBuf(%d) cap = %d, want %d", c.n, cap(b), c.wantCap)
+			t.Errorf("GetBuf(%d) cap = %d, want %d", c.n, cap(b), c.wantCap)
 		}
-		putBuf(b)
+		PutBuf(b)
 	}
-	// Outside the class range: plain allocation, putBuf ignores it.
-	huge := getBuf((1 << bufPoolMaxClass) + 1)
+	// Outside the class range: plain allocation, PutBuf ignores it.
+	huge := GetBuf((1 << bufPoolMaxClass) + 1)
 	if len(huge) != (1<<bufPoolMaxClass)+1 {
-		t.Errorf("oversize getBuf len = %d", len(huge))
+		t.Errorf("oversize GetBuf len = %d", len(huge))
 	}
-	putBuf(huge)
-	putBuf(nil)
-	putBuf(make([]byte, 100)) // non-power-of-two cap: must be ignored, not pooled
+	PutBuf(huge)
+	PutBuf(nil)
+	PutBuf(make([]byte, 100)) // non-power-of-two cap: must be ignored, not pooled
 }
 
 // TestTCPVectoredBulk round-trips vectored payloads over TCP, below and

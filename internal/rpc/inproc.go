@@ -79,6 +79,9 @@ func (c *inprocConn) Call(ctx context.Context, name string, req Message) (Messag
 		return Message{}, fmt.Errorf("rpc: inproc address %q no longer bound", c.addr)
 	}
 	resp, err := srv.dispatch(ctx, name, req)
+	// The caller holds the response's buffers by reference for as long as
+	// it likes, so there is no point at which they could be recycled.
+	resp.Release = nil
 	if err != nil {
 		// Handler failures cross the (virtual) wire as the remote error
 		// TCP would deliver — same status, same text — so callers see the

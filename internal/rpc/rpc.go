@@ -36,7 +36,10 @@
 //     copy anything it retains after the response has been written —
 //     the TCP transport recycles request frames into a buffer pool at that
 //     point. Response buffers passed back by a handler must stay immutable
-//     until the transport has written them. On the client side, response
+//     until the transport has written them; a handler that set the
+//     response's Release gets them back at that point over TCP (GetBuf and
+//     PutBuf are the pool it may draw them from), and never in-process,
+//     where the caller holds them by reference. On the client side, response
 //     buffers returned by Call are plain allocations owned by the caller,
 //     never pooled or recycled. Request buffers passed to Call must stay
 //     immutable until Call returns but are never retained afterwards by
@@ -62,10 +65,18 @@ import (
 // of the TCP transport always see the payload as one flat Bulk slice;
 // receivers of the in-process transport see whatever shape the sender
 // built.
+//
+// Release, when a handler sets it on a response, hands the response's
+// buffers back to the handler: the TCP server calls it exactly once, after
+// the response is written or its write has failed. The in-process
+// transport never calls it and clears it from the response it returns,
+// because its caller keeps the buffers. Requests and client-side
+// responses never carry one.
 type Message struct {
 	Meta    []byte
 	Bulk    []byte
 	BulkVec [][]byte
+	Release func()
 }
 
 // BulkLen returns the total bulk payload length in bytes (Bulk plus every

@@ -90,9 +90,13 @@ func serveConn(conn net.Conn, srv *Server) {
 			err = w.Flush()
 		}
 		// The response is on the wire (or the connection is dead): nothing
-		// may alias the request frame anymore, so recycle its buffers.
-		putBuf(req.Meta)
-		putBuf(req.Bulk)
+		// may alias the request frame or the response anymore, so recycle
+		// the request's buffers and hand the response's back to its handler.
+		PutBuf(req.Meta)
+		PutBuf(req.Bulk)
+		if resp.Release != nil {
+			resp.Release()
+		}
 		if err != nil {
 			return
 		}
@@ -117,7 +121,7 @@ func readRequest(r io.Reader) (string, Message, error) {
 	}
 	bulk, err := readSized64(r, true)
 	if err != nil {
-		putBuf(meta)
+		PutBuf(meta)
 		return "", Message{}, err
 	}
 	return string(name), Message{Meta: meta, Bulk: bulk}, nil
@@ -267,13 +271,13 @@ func readBody(r io.Reader, n uint64, pooled bool) ([]byte, error) {
 	}
 	var buf []byte
 	if pooled {
-		buf = getBuf(int(n))
+		buf = GetBuf(int(n))
 	} else {
 		buf = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if pooled {
-			putBuf(buf)
+			PutBuf(buf)
 		}
 		return nil, err
 	}
