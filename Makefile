@@ -18,8 +18,8 @@ test:
 # fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
 # otherwise spend shrinking the seed table, which looks like a hang) and 5 s
 # each of the value-log reader (bounded the same way), the TCP frame
-# readers, the strict control decoders, the chunk-recipe decoder and the
-# provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
+# readers, the strict control decoders, the placement-state decoder, the
+# chunk-recipe decoder and the provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
@@ -40,6 +40,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzValueLog -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzLoadCatalog -fuzztime 5s ./internal/provider
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.[A-Za-z]+\(.*\.Error\(\)' internal cmd || \

@@ -281,21 +281,18 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 		Segments: table,
 		ReqID:    nextReqID(),
 	}
-	_, err := c.mutateCall(ctx, proto.RPCStoreModel, meta.Model, rpc.Message{Meta: req.Encode(), BulkVec: bulkVec})
+	// A partial write the repairer converges counts as stored (writeOne):
+	// the model is durable on the replicas that accepted, the repairer
+	// completes the others from them, and the pins taken above stand.
+	_, err := c.writeOne(ctx, proto.RPCStoreModel, meta.Model, rpc.Message{Meta: req.Encode(), BulkVec: bulkVec})
 	if err != nil {
-		if c.acceptPartial(proto.RPCStoreModel, meta.Model, err) {
-			// The model is durable on the replicas that accepted; the
-			// repairer completes the others from them. The pins taken above
-			// stand — the model exists, so its inherited tensors stay pinned.
-			return nil
-		}
 		// A partial fan-out may have landed copies on some replicas; retire
 		// them and release their self-owned segments (best effort, detached
 		// from cancellation) so a failed store leaves nothing behind.
 		// Replicas that never stored the model answer "unknown model", which
 		// is exactly what we want to ignore.
 		rreq := &proto.RetireReq{Model: meta.Model, ReqID: nextReqID()}
-		c.mutateCall(context.WithoutCancel(ctx), proto.RPCRetire, meta.Model, rpc.Message{Meta: rreq.Encode()}) //nolint:errcheck // best-effort rollback
+		c.writeOne(context.WithoutCancel(ctx), proto.RPCRetire, meta.Model, rpc.Message{Meta: rreq.Encode()}) //nolint:errcheck // best-effort rollback
 		if len(selfVertices) > 0 {
 			pinned = append(pinned, proto.RefGroup{Owner: meta.Model, Vertices: selfVertices})
 		}
@@ -518,15 +515,13 @@ func (e *PartialRetireError) Unwrap() []error {
 // as a *PartialRetireError naming every leaked owner group.
 func (c *Client) Retire(ctx context.Context, id ownermap.ModelID) (uint64, error) {
 	rreq := &proto.RetireReq{Model: id, ReqID: nextReqID()}
-	resp, err := c.mutateCall(ctx, proto.RPCRetire, id, rpc.Message{Meta: rreq.Encode()})
+	// On a partial retire the repairer converges, the catalog entry is gone
+	// from the replicas that accepted and writeOne returns their owner-map
+	// response, so the DecRef legs below still run; repair propagates the
+	// tombstone to the replicas that missed it.
+	resp, err := c.writeOne(ctx, proto.RPCRetire, id, rpc.Message{Meta: rreq.Encode()})
 	if err != nil {
-		// On a partial retire the catalog entry is gone from the replicas
-		// that accepted; mutateCall returned their owner-map response, so
-		// the DecRef legs below still run. Repair propagates the tombstone
-		// to the replicas that missed it.
-		if !c.acceptPartial(proto.RPCRetire, id, err) {
-			return 0, fmt.Errorf("client: retire %d: %w", id, err)
-		}
+		return 0, fmt.Errorf("client: retire %d: %w", id, err)
 	}
 	om, _, err := ownermap.Decode(resp.Meta)
 	if err != nil {

@@ -4,9 +4,9 @@ package client
 // the provider's throttle.go for the server half):
 //
 //   - Read coalescing: concurrent reads of the same owner group collapse
-//     into one provider round trip (readGroup → flights). The provider
-//     runs its own collapser for duplicates across distinct clients; this
-//     one stops duplicates before they reach the wire at all.
+//     into one provider round trip (readGroup → flights), before they
+//     reach the wire. It is the read path's only coalescer: the provider
+//     executes every read it admits.
 //   - Read-through segment cache: every segment a group read returns
 //     lands in the client-wide segment cache, so repeat loads of hot
 //     lineage prefixes skip the provider entirely. Safe because stored

@@ -24,20 +24,19 @@ import (
 // surviving member list. Every client and provider of a deployment must
 // agree on R and converge on the same epoch (see placement.go).
 //
-// Writes (StoreModel, IncRef, DecRef, Retire) fan out to every replica in
-// parallel, all carrying the same ReqID: each replica's dedup table
-// independently absorbs retries, so a retried fan-out leg can never
-// double-apply a refcount change. Refcount changes are batched per
-// operation (refGroups): Store's pins and Retire's releases reach each
-// provider as one inc_ref/dec_ref message holding every owner group that
-// provider replicates, all messages under one ReqID, and each group is
-// settled from its own legs like a one-model fan-out. A write succeeds
-// only when every replica accepted it, which keeps replicas bit-identical
-// and makes any single replica authoritative for reads. Mid-migration the
-// fan-out covers the union of both epochs' sets, and a leg rejected by a
-// replica still catching up on the model counts as deferred, not failed —
-// its delta is journaled on the members that hold the model and replayed
-// by the rebalancer.
+// Writes (StoreModel, IncRef, DecRef, Retire) take one fan-out,
+// groupWrite: every replica gets each group in parallel, one message per
+// provider, all under the operation's one ReqID, so each replica's dedup
+// table absorbs retries and a retried leg never double-applies. A
+// store_model or retire is one group (writeOne); Store's pins and Retire's
+// releases reach each provider as one inc_ref/dec_ref message holding
+// every owner group it replicates (refGroups). Each group is settled from
+// its own legs: it succeeds only when every replica accepted, which keeps
+// replicas bit-identical and makes any single replica authoritative for
+// reads. Mid-migration the fan-out covers the union of both epochs' sets,
+// and a leg rejected by a replica still catching up on the model counts as
+// deferred, not failed — its delta is journaled on the members that hold
+// the model and replayed by the rebalancer.
 //
 // Reads (GetMeta, ReadSegments) try one replica at a time, preferring the
 // new epoch's set and falling back to previous-epoch owners mid-migration,
@@ -327,202 +326,148 @@ func (e *PartialMutateError) Transient() bool {
 	return true
 }
 
-// mutateCall fans a mutating request out to every replica of id —
-// mid-migration, to the union of both epochs' replica sets — retrying the
-// whole fan-out after a wrong-epoch rejection taught the client a newer
-// table that changes where the model lives. The request bytes (including
-// the ReqID) are shared, so each replica deduplicates retries
-// independently and a re-fanned leg can never double-apply.
-func (c *Client) mutateCall(ctx context.Context, name string, id ownermap.ModelID, req rpc.Message) (rpc.Message, error) {
-	for attempt := 0; ; attempt++ {
-		st := c.place.Load()
-		resp, err := c.mutateOnce(ctx, name, id, st, req)
-		if err == nil {
-			return resp, nil
-		}
-		if !errors.Is(err, placement.ErrWrongEpoch) || attempt >= placementRetries {
-			return resp, err
-		}
-		if !c.refreshPlacement(ctx) && c.place.Load() == st {
-			// Nothing newer to learn: the rejection stands.
-			return resp, err
-		}
-	}
-}
-
-// mutateOnce runs one fan-out over st's write set and settles it.
-func (c *Client) mutateOnce(ctx context.Context, name string, id ownermap.ModelID, st *placement.State, req rpc.Message) (rpc.Message, error) {
-	set := st.WriteSet(id)
-	if len(set) == 1 {
-		return c.conns[set[0]].Call(ctx, name, req)
-	}
-	resps := make([]rpc.Message, len(set))
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, pi := range set {
-		wg.Add(1)
-		go func(i, pi int) {
-			defer wg.Done()
-			resps[i], errs[i] = c.conns[pi].Call(ctx, name, req)
-		}(i, pi)
-	}
-	wg.Wait()
-	ok, err := c.settle(name, id, set, errs)
-	if ok < 0 {
-		return rpc.Message{}, err
-	}
-	return resps[ok], err
-}
-
 // settle judges one replicated write of id from its legs: replica set[i]
-// answered errs[i]. It returns the index of a leg that accepted (-1 when
-// none did) and the write's error. All replicas must accept for a nil
-// error, with one placement-shaped exception: legs rejected by replicas
-// still catching up on this model's migration count as deferred, and if
-// every failed leg was deferred while at least one replica accepted, the
-// write succeeds — the delta is journaled on the accepting members and the
-// rebalancer's converge pass replays it onto the stragglers (the model is
-// also queued for in-process repair). A mix of real outcomes returns a
-// *PartialMutateError naming both camps beside the accepting leg (legs are
-// deterministic, so all accepting replies agree); deferred legs inside
-// such a mix are marked transient so partial-writes acceptance still
-// applies during a combined outage and migration. A total failure returns
-// every leg's error joined and annotated with its provider. A write of
-// one replica is not settled: its leg's error is the write's.
-func (c *Client) settle(name string, id ownermap.ModelID, set []int, errs []error) (int, error) {
-	firstOK := -1
+// answered errs[i]. All replicas must accept for a nil error, with one
+// placement-shaped exception: legs rejected by replicas still catching up
+// on this model's migration count as deferred, and if every failed leg was
+// deferred while at least one replica accepted, the write succeeds — the
+// delta is journaled on the accepting members and the rebalancer's
+// converge pass replays it onto the stragglers (the model is also queued
+// for in-process repair). A mix of real outcomes returns a
+// *PartialMutateError naming both camps; deferred legs inside such a mix
+// are marked transient so partial-writes acceptance still applies during a
+// combined outage and migration. A total failure returns every leg's error
+// joined and annotated with its provider. A write of one replica is not
+// settled: its leg's error is the write's.
+func (c *Client) settle(name string, id ownermap.ModelID, set []int, errs []error) error {
 	var succeeded, failedAt []int
 	var failed []error
 	deferredOnly := true
 	for i, err := range errs {
-		if err != nil {
-			leg := fmt.Errorf("replica on provider %d: %w", set[i], err)
-			if errors.Is(err, placement.ErrNotMigrated) {
-				leg = rpc.MarkTransient(leg)
-			} else {
-				deferredOnly = false
-			}
-			failedAt = append(failedAt, set[i])
-			failed = append(failed, leg)
+		if err == nil {
+			succeeded = append(succeeded, set[i])
 			continue
 		}
-		if firstOK < 0 {
-			firstOK = i
+		leg := fmt.Errorf("replica on provider %d: %w", set[i], err)
+		if errors.Is(err, placement.ErrNotMigrated) {
+			leg = rpc.MarkTransient(leg)
+		} else {
+			deferredOnly = false
 		}
-		succeeded = append(succeeded, set[i])
+		failedAt = append(failedAt, set[i])
+		failed = append(failed, leg)
 	}
-	if len(failed) == 0 {
-		return 0, nil
-	}
-	if firstOK >= 0 && deferredOnly {
+	switch {
+	case len(failed) == 0:
+		return nil
+	case len(succeeded) == 0:
+		return errors.Join(failed...)
+	case deferredOnly:
 		c.deferred.Inc()
 		c.queueRepair(name, id)
-		return firstOK, nil
+		return nil
 	}
-	if firstOK < 0 {
-		return -1, errors.Join(failed...)
-	}
-	return firstOK, &PartialMutateError{
+	return &PartialMutateError{
 		Op: name, Model: id, Succeeded: succeeded, Failed: failedAt, Errs: failed,
 	}
 }
 
-// refGroups applies one refcount delta (name is proto.RPCIncRef or
-// proto.RPCDecRef) to every owner group in gs: each provider gets one
-// message holding every group it replicates, and every message carries
-// the operation's one ReqID, so each owner's journal records its group
-// under that ReqID on every replica. Each group is then settled from its
-// own legs exactly as mutateOnce settles one fan-out, and the groups a
-// wrong-epoch rejection left unapplied are re-resolved together, as
-// mutateCall re-resolves one. It returns, per group, the segments it freed
-// (as an accepting replica reports it) and its error; a partial write the
-// repairer converges (acceptPartial) counts as applied.
-func (c *Client) refGroups(ctx context.Context, name string, gs []proto.RefGroup) ([]uint64, []error) {
-	reqID := nextReqID()
-	freed := make([]uint64, len(gs))
-	errs := make([]error, len(gs))
-	todo := make([]int, len(gs))
+// groupWrite is the one fan-out of every mutating RPC. Group gi goes to
+// every replica of keys[gi] (mid-migration, both epochs' sets): each
+// provider gets one message, msg(its groups), all stamped with the
+// operation's one ReqID, so each replica's dedup table absorbs retries
+// and a re-sent leg never double-applies. decode turns a provider's reply
+// into one value per group of its message.
+type groupWrite[T any] struct {
+	c      *Client
+	name   string
+	keys   []ownermap.ModelID
+	msg    func(gis []int) rpc.Message
+	decode func(rpc.Message) ([]T, error)
+
+	vals [][]T // per group, every accepting leg's value
+	errs []error
+}
+
+// run settles each group from its own legs, re-sends together the groups
+// a wrong-epoch rejection left unapplied once the client has learned a
+// newer table, and counts a partial write the repairer converges
+// (acceptPartial) as applied. It returns each group's values and error.
+func (w *groupWrite[T]) run(ctx context.Context) ([][]T, []error) {
+	w.vals = make([][]T, len(w.keys))
+	w.errs = make([]error, len(w.keys))
+	todo := make([]int, len(w.keys))
 	for gi := range todo {
 		todo[gi] = gi
 	}
 	for attempt := 0; ; attempt++ {
-		st := c.place.Load()
-		c.refPass(ctx, name, st, gs, todo, reqID, freed, errs)
+		st := w.c.place.Load()
+		w.pass(ctx, st, todo)
 		var stale []int
 		for _, gi := range todo {
-			if errors.Is(errs[gi], placement.ErrWrongEpoch) {
+			if errors.Is(w.errs[gi], placement.ErrWrongEpoch) {
 				stale = append(stale, gi)
 			}
 		}
 		if len(stale) == 0 || attempt >= placementRetries {
 			break
 		}
-		if !c.refreshPlacement(ctx) && c.place.Load() == st {
+		if !w.c.refreshPlacement(ctx) && w.c.place.Load() == st {
 			break // nothing newer to learn: the rejections stand
 		}
 		todo = stale
 	}
-	for gi, err := range errs {
-		if err != nil && c.acceptPartial(name, gs[gi].Owner, err) {
-			// The delta is journaled on the replicas that took it; repair
-			// replays it onto the ones that missed it.
-			errs[gi] = nil
+	for gi, err := range w.errs {
+		if err != nil && w.c.acceptPartial(w.name, w.keys[gi], err) {
+			w.errs[gi] = nil // repair replays it onto the replicas that missed it
 		}
 	}
-	return freed, errs
+	return w.vals, w.errs
 }
 
-// refPass is one round of refGroups over st: it sends each provider in the
-// write sets of the groups todo one message, then settles each group. A
-// provider's answer is all-or-nothing, so a message its handler rejected
-// changed nothing there; when it held several groups, each is asked again
-// alone, under the same ReqID, so every group's leg carries its own
-// verdict (a group the provider has already applied under that ReqID is
-// skipped by its journal, and its records are rewritten and synced before
-// the ack, in case the message that applied it failed to persist them).
-// freed keeps the largest count any accepting leg reported: a leg that
-// skipped an applied group reports 0.
-func (c *Client) refPass(ctx context.Context, name string, st *placement.State, gs []proto.RefGroup, todo []int, reqID uint64, freed []uint64, errs []error) {
-	sets := make([][]int, len(todo))
-	legErrs := make([][]error, len(todo))
-	legFreed := make([][]uint64, len(todo))
+// pass sends each provider in the write sets of the groups todo one
+// message, then settles each group. A provider answers all or nothing, so
+// when its handler rejected a message of several groups, each is asked
+// again alone under the same ReqID and gets its own verdict (a refcount
+// group already applied under that ReqID is skipped by its journal, whose
+// records are rewritten and synced before the ack).
+func (w *groupWrite[T]) pass(ctx context.Context, st *placement.State, todo []int) {
+	sets := make([][]int, len(w.keys))
+	legErrs := make([][]error, len(w.keys))
+	legVals := make([][]T, len(w.keys))
 	var pis []int               // providers, in first-use order
-	msgs := make(map[int][]int) // provider → positions in todo of its groups
-	for t, gi := range todo {
-		sets[t] = st.WriteSet(gs[gi].Owner)
-		legErrs[t] = make([]error, len(sets[t]))
-		legFreed[t] = make([]uint64, len(sets[t]))
-		for _, pi := range sets[t] {
+	msgs := make(map[int][]int) // provider → its groups
+	for _, gi := range todo {
+		sets[gi] = st.WriteSet(w.keys[gi])
+		legErrs[gi] = make([]error, len(sets[gi]))
+		legVals[gi] = make([]T, len(sets[gi]))
+		for _, pi := range sets[gi] {
 			if msgs[pi] == nil {
 				pis = append(pis, pi)
 			}
-			msgs[pi] = append(msgs[pi], t)
+			msgs[pi] = append(msgs[pi], gi)
 		}
 	}
-	var send func(pi int, ts []int)
-	send = func(pi int, ts []int) {
-		q := &proto.RefReq{Groups: make([]proto.RefGroup, len(ts)), ReqID: reqID}
-		for j, t := range ts {
-			q.Groups[j] = gs[todo[t]]
-		}
-		resp, err := c.conns[pi].Call(ctx, name, rpc.Message{Meta: q.Encode()})
-		var fs []uint64
+	var send func(pi int, gis []int)
+	send = func(pi int, gis []int) {
+		resp, err := w.c.conns[pi].Call(ctx, w.name, w.msg(gis))
+		var vs []T
 		if err == nil {
-			if fs, err = proto.DecodeRefResp(resp.Meta); err == nil && len(fs) != len(ts) {
-				err = fmt.Errorf("client: %s: %d freed counts for %d groups", name, len(fs), len(ts))
+			if vs, err = w.decode(resp); err == nil && len(vs) != len(gis) {
+				err = fmt.Errorf("client: %s: %d replies for %d groups", w.name, len(vs), len(gis))
 			}
 		}
-		if err != nil && len(ts) > 1 && rpc.IsRemote(err) {
-			for _, t := range ts {
-				send(pi, []int{t})
+		if err != nil && len(gis) > 1 && rpc.IsRemote(err) {
+			for _, gi := range gis {
+				send(pi, []int{gi})
 			}
 			return
 		}
-		for j, t := range ts {
-			k := slices.Index(sets[t], pi)
-			legErrs[t][k] = err
+		for j, gi := range gis {
+			k := slices.Index(sets[gi], pi)
+			legErrs[gi][k] = err
 			if err == nil {
-				legFreed[t][k] = fs[j]
+				legVals[gi][k] = vs[j]
 			}
 		}
 	}
@@ -539,16 +484,64 @@ func (c *Client) refPass(ctx context.Context, name string, st *placement.State, 
 		}
 		wg.Wait()
 	}
-	for t, gi := range todo {
-		if len(sets[t]) == 1 {
-			errs[gi] = legErrs[t][0]
+	for _, gi := range todo {
+		if len(sets[gi]) == 1 {
+			w.errs[gi] = legErrs[gi][0]
 		} else {
-			_, errs[gi] = c.settle(name, gs[gi].Owner, sets[t], legErrs[t])
+			w.errs[gi] = w.c.settle(w.name, w.keys[gi], sets[gi], legErrs[gi])
 		}
-		for k, err := range legErrs[t] {
+		for k, err := range legErrs[gi] {
 			if err == nil {
-				freed[gi] = max(freed[gi], legFreed[t][k])
+				w.vals[gi] = append(w.vals[gi], legVals[gi][k])
 			}
 		}
 	}
+}
+
+// writeOne sends req to every replica of id as a one-group write and
+// returns an accepting replica's reply (replicas apply writes
+// deterministically, so every accepting reply is the same).
+func (c *Client) writeOne(ctx context.Context, name string, id ownermap.ModelID, req rpc.Message) (rpc.Message, error) {
+	w := &groupWrite[rpc.Message]{
+		c: c, name: name, keys: []ownermap.ModelID{id},
+		msg:    func([]int) rpc.Message { return req },
+		decode: func(resp rpc.Message) ([]rpc.Message, error) { return []rpc.Message{resp}, nil },
+	}
+	vals, errs := w.run(ctx)
+	if errs[0] != nil {
+		return rpc.Message{}, errs[0]
+	}
+	return vals[0][0], nil
+}
+
+// refGroups applies one refcount delta (name is proto.RPCIncRef or
+// proto.RPCDecRef) to every owner group in gs, one message per provider
+// holding every group it replicates. It returns, per group, the segments
+// it freed and its error: the largest count an accepting leg reported, as
+// a leg whose journal skipped an already applied group reports 0.
+func (c *Client) refGroups(ctx context.Context, name string, gs []proto.RefGroup) ([]uint64, []error) {
+	reqID := nextReqID()
+	keys := make([]ownermap.ModelID, len(gs))
+	for gi, g := range gs {
+		keys[gi] = g.Owner
+	}
+	w := &groupWrite[uint64]{
+		c: c, name: name, keys: keys,
+		msg: func(gis []int) rpc.Message {
+			q := &proto.RefReq{Groups: make([]proto.RefGroup, len(gis)), ReqID: reqID}
+			for j, gi := range gis {
+				q.Groups[j] = gs[gi]
+			}
+			return rpc.Message{Meta: q.Encode()}
+		},
+		decode: func(resp rpc.Message) ([]uint64, error) { return proto.DecodeRefResp(resp.Meta) },
+	}
+	vals, errs := w.run(ctx)
+	freed := make([]uint64, len(gs))
+	for gi, vs := range vals {
+		for _, v := range vs {
+			freed[gi] = max(freed[gi], v)
+		}
+	}
+	return freed, errs
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,12 +335,13 @@ func (c *refConn) Call(ctx context.Context, name string, req rpc.Message) (rpc.M
 	return c.Conn.Call(ctx, name, req)
 }
 
-func (c *refConn) take(name string) int {
+// take returns the calls counted since the last take, by RPC name.
+func (c *refConn) take() map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.calls[name]
-	clear(c.calls)
-	return n
+	calls := c.calls
+	c.calls = make(map[string]int)
+	return calls
 }
 
 // refCluster is 4 providers at R=3, each behind a refConn, holding a
@@ -400,15 +402,17 @@ func newRefCluster(t *testing.T, opts ...Option) *refCluster {
 		rc.store(id)
 	}
 	for _, c := range rc.conns {
-		c.take("")
+		c.take()
 	}
 	return rc
 }
 
-// TestRefcountOneMessagePerProvider pins the refcount conversation of
+// TestRefcountOneMessagePerProvider pins the write conversation of
 // refCluster: storing model 4, which has three inherited owners, sends
 // each provider at most one inc_ref, and retiring it at most one dec_ref,
-// where one message per owner group and replica would be 9 and 12. One
+// where one message per owner group and replica would be 9 and 12; the
+// store_model and the retire go to each of model 4's replicas exactly
+// once and to no other provider. One
 // replica's dec_ref is dropped: the retire is accepted as a partial write,
 // RepairAll converges every owner with each owner's delta applied exactly
 // once and nothing clamped, and retiring everything drains to zero.
@@ -417,30 +421,41 @@ func TestRefcountOneMessagePerProvider(t *testing.T) {
 	rc := newRefCluster(t, WithPartialWrites())
 	provs, cli, conns, reg, nv := rc.provs, rc.cli, rc.conns, rc.reg, rc.nv
 	ctx := context.Background()
-	perProvider := func(name string) {
+	// sent checks one operation's messages since the last check: at most
+	// one ref message per provider, and one op message per replica of
+	// model 4.
+	sent := func(ref, op string) {
 		t.Helper()
+		replicas := cli.ReplicaSet(4)
 		total := 0
 		for pi, c := range conns {
-			k := c.take(name)
-			if k > 1 {
-				t.Errorf("provider %d got %d %s messages, want at most 1", pi, k, name)
+			calls := c.take()
+			if k := calls[ref]; k > 1 {
+				t.Errorf("provider %d got %d %s messages, want at most 1", pi, k, ref)
 			}
-			total += k
+			total += calls[ref]
+			want := 0
+			if slices.Contains(replicas, pi) {
+				want = 1
+			}
+			if k := calls[op]; k != want {
+				t.Errorf("provider %d got %d %s messages, want %d (replicas %v)", pi, k, op, want, replicas)
+			}
 		}
 		if total < r {
-			t.Errorf("%d %s messages in all, want at least %d", total, name, r)
+			t.Errorf("%d %s messages in all, want at least %d", total, ref, r)
 		}
 	}
 
 	rc.store(4)
-	perProvider(proto.RPCIncRef)
+	sent(proto.RPCIncRef, proto.RPCStoreModel)
 
 	conns[dropped].drop.SetPartitioned(true)
 	if _, err := cli.Retire(ctx, 4); err != nil {
 		t.Fatalf("retire with one replica's dec_ref dropped: %v", err)
 	}
 	conns[dropped].drop.SetPartitioned(false)
-	perProvider(proto.RPCDecRef)
+	sent(proto.RPCDecRef, proto.RPCRetire)
 	if reg.Counter("fault.partition_reject").Load() == 0 {
 		t.Fatal("no dec_ref was dropped")
 	}

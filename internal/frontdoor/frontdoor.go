@@ -6,8 +6,7 @@
 //   - Singleflight coalescing (Group): concurrent identical reads collapse
 //     into one execution whose result every waiter shares, read-only. The
 //     client uses it to issue one provider round trip per hot owner-group;
-//     the provider uses it to execute one KV read for duplicate requests
-//     arriving from distinct clients.
+//     it is the read path's only coalescer.
 //   - Token-bucket throttling (Bucket, Throttler): per-tenant ops/s and
 //     bytes/s admission buckets following kopia's blob/throttling shape —
 //     capacity is rate × a sliding window (default 60s) and a fresh bucket
@@ -50,7 +49,7 @@ const InitialFill = 0.1
 
 // Bucket is a token bucket: capacity rate×window tokens, refilled
 // continuously at rate tokens/second. Not safe for concurrent use; the
-// Throttler and Waiter wrap it with their own locks.
+// Throttler wraps it with its lock.
 type Bucket struct {
 	rate float64 // tokens per second
 	cap  float64 // rate * window seconds
@@ -260,7 +259,7 @@ func (t *Throttler) bucketsFor(tenant string, now time.Time) *tenantBuckets {
 	return tb
 }
 
-// bytesProbe is the token charge Admit and Wait place against the bytes
+// bytesProbe is the token charge Admit places against the bytes
 // bucket up front: near-zero, so it refuses only while the bucket is in
 // debt (real byte costs are only known after the response is built and
 // are charged by ChargeBytes).
@@ -334,13 +333,11 @@ func (t *Throttler) ChargeBytes(tenant string, n int) {
 
 // --- local pacing ---------------------------------------------------------------
 
-// Waiter is the cooperative form of throttling: it sleeps locally until
-// its own budget admits an operation. Safe for concurrent use.
+// Waiter is the cooperative form of throttling: a one-tenant Throttler
+// whose refusals it sits out locally instead of returning them. Safe for
+// concurrent use.
 type Waiter struct {
-	mu    sync.Mutex
-	ops   *Bucket
-	bytes *Bucket
-	now   func() time.Time
+	t *Throttler
 	// sleep is swappable for tests.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -348,13 +345,12 @@ type Waiter struct {
 // NewWaiter builds a waiter from l; nil when no dimension is
 // limited (a nil *Waiter admits everything immediately).
 func NewWaiter(l Limits) *Waiter {
-	if !l.enabled() {
+	th := NewThrottler(l)
+	if th == nil {
 		return nil
 	}
 	return &Waiter{
-		ops:   NewBucket(l.OpsPerSec, l.Window),
-		bytes: NewBucket(l.BytesPerSec, l.Window),
-		now:   time.Now,
+		t: th,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -369,51 +365,29 @@ func NewWaiter(l Limits) *Waiter {
 }
 
 // Wait blocks until one operation is admitted (both buckets out of debt)
-// or ctx is done. It returns ctx's error on cancellation and the number of
-// sleeps it needed (0 = admitted immediately) otherwise.
+// or ctx is done, sleeping each refusal's retry-after in between. It
+// returns ctx's error on cancellation and the number of sleeps it needed
+// (0 = admitted immediately) otherwise.
 func (w *Waiter) Wait(ctx context.Context) (int, error) {
 	if w == nil {
 		return 0, nil
 	}
-	waits := 0
-	for {
-		w.mu.Lock()
-		now := w.now()
-		opsWait, opsOK := w.ops.Take(now, 1)
-		bytesWait, bytesOK := w.bytes.Take(now, bytesProbe)
-		if opsOK && bytesOK {
-			w.mu.Unlock()
+	for waits := 0; ; waits++ {
+		err := w.t.Admit("")
+		if err == nil {
 			return waits, nil
 		}
-		// Same refund contract as Throttler.Admit: a sleep iteration that
-		// admitted nothing must not burn an op token per lap, or the loop
-		// itself lengthens the wait it is sitting out.
-		if opsOK {
-			w.ops.refund(1)
-		}
-		if bytesOK {
-			w.bytes.refund(bytesProbe)
-		}
-		w.mu.Unlock()
-		d := opsWait
-		if bytesWait > d {
-			d = bytesWait
-		}
-		waits++
-		if err := w.sleep(ctx, d); err != nil {
-			return waits, err
+		if err := w.sleep(ctx, err.(*ThrottledError).RetryAfter); err != nil {
+			return waits + 1, err
 		}
 	}
 }
 
 // ChargeBytes debits n received bytes, possibly into debt.
 func (w *Waiter) ChargeBytes(n int) {
-	if w == nil || n <= 0 {
-		return
+	if w != nil {
+		w.t.ChargeBytes("", n)
 	}
-	w.mu.Lock()
-	w.bytes.Force(w.now(), float64(n))
-	w.mu.Unlock()
 }
 
 // --- typed throttle refusal ----------------------------------------------------

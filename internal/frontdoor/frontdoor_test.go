@@ -204,39 +204,6 @@ func TestGroupCoalesces(t *testing.T) {
 	}
 }
 
-// A leader learns whether its result went to anyone else: exclusive only
-// when no waiter joined, and never for a waiter.
-func TestGroupExclusive(t *testing.T) {
-	var g Group[string, int]
-	if _, shared, exclusive, _ := g.DoExclusive("k", func() (int, error) { return 1, nil }); shared || !exclusive {
-		t.Fatalf("lone leader: shared %v exclusive %v, want false true", shared, exclusive)
-	}
-	gate := make(chan struct{})
-	type res struct{ shared, exclusive bool }
-	leader, waiter := make(chan res, 1), make(chan res, 1)
-	go func() {
-		_, s, e, _ := g.DoExclusive("k", func() (int, error) { <-gate; return 2, nil })
-		leader <- res{s, e}
-	}()
-	for g.Pending("k") != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	go func() {
-		_, s, e, _ := g.DoExclusive("k", func() (int, error) { return 3, nil })
-		waiter <- res{s, e}
-	}()
-	for g.Pending("k") != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	if r := <-leader; r.shared || r.exclusive {
-		t.Fatalf("leader with a waiter: shared %v exclusive %v, want false false", r.shared, r.exclusive)
-	}
-	if r := <-waiter; !r.shared || r.exclusive {
-		t.Fatalf("waiter: shared %v exclusive %v, want true false", r.shared, r.exclusive)
-	}
-}
-
 func TestGroupErrorNotCached(t *testing.T) {
 	var g Group[int, string]
 	boom := errors.New("boom")
@@ -253,13 +220,11 @@ func TestGroupErrorNotCached(t *testing.T) {
 func TestWaiterPacesToRate(t *testing.T) {
 	w := NewWaiter(Limits{OpsPerSec: 100, Window: time.Second})
 	now := time.Unix(0, 0)
-	w.mu.Lock()
-	w.now = func() time.Time { return now }
+	w.t.SetClock(func() time.Time { return now })
 	w.sleep = func(_ context.Context, d time.Duration) error {
 		now = now.Add(d)
 		return nil
 	}
-	w.mu.Unlock()
 	start := now
 	for i := 0; i < 200; i++ {
 		if _, err := w.Wait(context.Background()); err != nil {
@@ -274,10 +239,8 @@ func TestWaiterPacesToRate(t *testing.T) {
 	// Cancellation surfaces.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	w.mu.Lock()
 	w.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-	w.ops.fill = -1000
-	w.mu.Unlock()
+	w.t.tenants[""].ops.fill = -1000
 	if _, err := w.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Wait returned %v", err)
 	}

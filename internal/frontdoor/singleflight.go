@@ -7,7 +7,9 @@ import "sync"
 // result instead of executing fn again. Unlike golang.org/x/sync's
 // singleflight it carries a typed result and reports how many callers are
 // attached to a flight (Pending). Every caller of one flight gets the same
-// V, so a V holding references shares them: treat it as read-only.
+// V, so a V holding references shares them: treat it as read-only, and
+// never recycle what it references, since no caller can tell whether
+// another still holds it.
 //
 // Results are never cached past the flight: the moment the leader
 // finishes, the key is forgotten, so an error is shared only by callers
@@ -46,15 +48,6 @@ func (g *Group[K, V]) Pending(key K) int {
 // which is acceptable because the key is dropped immediately and the next
 // caller simply retries fresh.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err error) {
-	v, shared, _, err = g.DoExclusive(key, fn)
-	return v, shared, err
-}
-
-// DoExclusive is Do for a caller that may recycle what V references:
-// exclusive also reports whether the result went to this caller alone,
-// that is, it led a flight no waiter joined. The answer is final, because
-// no caller joins a flight once its leader has finished.
-func (g *Group[K, V]) DoExclusive(key K, fn func() (V, error)) (v V, shared, exclusive bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[K]*flight[V])
@@ -63,7 +56,7 @@ func (g *Group[K, V]) DoExclusive(key K, fn func() (V, error)) (v V, shared, exc
 		f.waiters++
 		g.mu.Unlock()
 		f.wg.Wait()
-		return f.val, true, false, f.err
+		return f.val, true, f.err
 	}
 	f := &flight[V]{}
 	f.wg.Add(1)
@@ -74,8 +67,7 @@ func (g *Group[K, V]) DoExclusive(key K, fn func() (V, error)) (v V, shared, exc
 
 	g.mu.Lock()
 	delete(g.m, key) // no new waiters can join past this point
-	exclusive = f.waiters == 0
 	g.mu.Unlock()
 	f.wg.Done()
-	return f.val, false, exclusive, f.err
+	return f.val, false, f.err
 }

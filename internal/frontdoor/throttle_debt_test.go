@@ -172,7 +172,7 @@ func TestWaiterRefusalDoesNotBurnOps(t *testing.T) {
 	now := time.Unix(0, 0)
 	var slept time.Duration
 	recharges := 0
-	w.now = func() time.Time { return now }
+	w.t.SetClock(func() time.Time { return now })
 	w.sleep = func(_ context.Context, d time.Duration) error {
 		slept += d
 		now = now.Add(d)

@@ -502,8 +502,8 @@ func EncodeState(s *State) []byte {
 	return w.Bytes()
 }
 
-// DecodeState parses EncodeState's output. A "no table" encoding decodes
-// to nil.
+// DecodeState parses EncodeState's output and nothing more: a trailing
+// byte is an error. A "no table" encoding decodes to nil.
 func DecodeState(b []byte) (*State, error) {
 	r := wire.NewReader(b)
 	flags := r.U8()
@@ -511,6 +511,9 @@ func DecodeState(b []byte) (*State, error) {
 		return nil, r.Err()
 	}
 	if flags&1 == 0 {
+		if r.Remaining() != 0 {
+			return nil, wire.ErrTruncated
+		}
 		return nil, nil
 	}
 	withOv := flags&stateFlagOverrides != 0
@@ -523,6 +526,9 @@ func DecodeState(b []byte) (*State, error) {
 		if s.Prev, err = decodeTable(r, withOv); err != nil {
 			return nil, err
 		}
+	}
+	if r.Remaining() != 0 {
+		return nil, wire.ErrTruncated
 	}
 	return s, nil
 }

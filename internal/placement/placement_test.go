@@ -211,6 +211,47 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeState([]byte{1, 2, 3}); err == nil {
 		t.Error("torn state decoded without error")
 	}
+	for _, st := range []*State{nil, {Cur: New(4, 3)}, {Cur: next, Prev: old}} {
+		b := append(EncodeState(st), 0xde, 0xad)
+		if got, err := DecodeState(b); err == nil {
+			t.Errorf("state %v with two trailing bytes decoded as %v", st, got)
+		}
+	}
+}
+
+// FuzzDecodeState: placement states arrive from peers (set_placement,
+// hello) and from the manifest on disk. Decoding never panics, and a state
+// that decodes re-encodes to bytes that decode to an equal state.
+func FuzzDecodeState(f *testing.F) {
+	old := New(5, 3)
+	next, err := old.WithMember(7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range []*State{
+		nil,
+		{Cur: New(4, 3)},
+		{Cur: next, Prev: old},
+		{Cur: old.NextOverrides(map[ownermap.ModelID]int{7: 3, 11: 1}), Prev: old},
+	} {
+		b := EncodeState(st)
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := DecodeState(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeState(EncodeState(st))
+		if err != nil {
+			t.Fatalf("%x decoded to %v, whose encoding does not decode: %v", b, st, err)
+		}
+		if (st == nil) != (again == nil) || st != nil && (!st.Cur.Equal(again.Cur) || !st.Prev.Equal(again.Prev)) {
+			t.Fatalf("%x decoded to %v, which re-decodes to %v", b, st, again)
+		}
+	})
 }
 
 // TestWrongEpochErrorSurvivesText proves the self-update path works across

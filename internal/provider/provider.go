@@ -106,8 +106,10 @@ type Provider struct {
 	// allocations.
 	kvB kvstore.ByteKeyGetter
 	// kvA is kv's optional read into a buffer the provider supplies (nil
-	// when unsupported); read_segments uses it to reassemble segments in
-	// buffers the transport recycles.
+	// when unsupported); read_segments uses it to reassemble each segment
+	// in a pooled buffer of its own, which the response's Release returns
+	// after the TCP write (every read executes alone, so no other caller
+	// holds it).
 	kvA allocGetter
 
 	// place is the epoch-versioned placement guard (see SetPlacement /
@@ -156,16 +158,10 @@ type Provider struct {
 	onPlacement atomic.Pointer[func(*placement.State)]
 
 	// throttle, when armed via SetThrottle, applies per-tenant token-bucket
-	// admission to segment reads (the front door). nil admits everything.
+	// admission to segment reads (the provider's half of the front door;
+	// the client coalesces). nil admits everything.
 	// An atomic pointer so the read path never takes p.mu for it.
 	throttle atomic.Pointer[frontdoor.Throttler]
-
-	// readFlights collapses concurrent identical segment reads into one
-	// execution (the provider half of front-door coalescing; the client
-	// coalesces its own duplicate reads before they reach the wire, this
-	// catches duplicates across distinct clients). Keyed by the canonical
-	// request encoding with the tenant cleared — see readFlightKey.
-	readFlights frontdoor.Group[string, rpc.Message]
 
 	// heat tracks per-model EWMA read/write byte rates; exported as an
 	// optional trailer on the Metrics RPC so the rebalancing controller
@@ -472,29 +468,17 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 		return rpc.Message{}, err
 	}
 	p.reg.Counter("provider.read_request").Inc()
-	// Admission precedes coalescing: a throttled tenant must not ride
-	// another tenant's in-flight read past its own budget.
 	if th := p.throttle.Load(); th != nil {
 		if err := th.Admit(q.Tenant); err != nil {
 			p.reg.Counter("provider.throttled").Inc()
 			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %w", p.id, q.Owner, err)
 		}
 	}
-	resp, shared, exclusive, err := p.readFlights.DoExclusive(readFlightKey(q), func() (rpc.Message, error) {
-		p.reg.Counter("provider.read_exec").Inc()
-		p.reg.Counter("provider.read_segments_exec").Add(uint64(len(q.Vertices)))
-		return p.readSegmentsResp(q)
-	})
-	if shared {
-		p.reg.Counter("provider.read_coalesced").Inc()
-	}
+	p.reg.Counter("provider.read_exec").Inc()
+	p.reg.Counter("provider.read_segments_exec").Add(uint64(len(q.Vertices)))
+	resp, err := p.readSegmentsResp(q)
 	if err != nil {
 		return rpc.Message{}, err
-	}
-	if !exclusive {
-		// Other callers hold the same buffers: none of them may recycle
-		// them, so they fall to the GC.
-		resp.Release = nil
 	}
 	// Bytes are charged after the read (the request doesn't carry its
 	// response size); the bucket absorbs the debt and delays the tenant's
@@ -506,22 +490,10 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 	return resp, nil
 }
 
-// readFlightKey is the coalescing key: the canonical request encoding with
-// the tenant cleared, so distinct tenants asking for the same bytes share
-// one execution (per-tenant admission has already run by then).
-func readFlightKey(q *proto.ReadSegmentsReq) string {
-	if q.Tenant == "" {
-		return string(q.Encode())
-	}
-	c := *q
-	c.Tenant = ""
-	return string(c.Encode())
-}
-
 // readSegmentsResp executes one segment read: the table in meta, one bulk
-// slice per segment. Runs at most once per coalesced flight. Segments the
-// store reassembles are read into buffers from rpc's pool, which the
-// response's Release gives back; they are given back here on an error.
+// slice per segment. Segments the store reassembles are read into buffers
+// from rpc's pool, which the response's Release gives back; they are given
+// back here on an error.
 func (p *Provider) readSegmentsResp(q *proto.ReadSegmentsReq) (rpc.Message, error) {
 	var pooled [][]byte
 	release := func() {

@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dedup"
 	"repro/internal/graph"
@@ -39,40 +41,35 @@ func storeRandom(t *testing.T, p *Provider, id ownermap.ModelID, rng *rand.Rand,
 	return segs
 }
 
-// casGateKV parks every chunk read until gate closes.
+// casGateKV counts the chunk reads that arrive and parks each until gate
+// closes.
 type casGateKV struct {
 	kvstore.KV
-	gate <-chan struct{}
+	arrived atomic.Int32
+	gate    <-chan struct{}
 }
 
 func (g *casGateKV) Get(key string) ([]byte, bool, error) {
 	if strings.HasPrefix(key, "cas/") {
+		g.arrived.Add(1)
 		<-g.gate
 	}
 	return g.KV.Get(key)
 }
 
-// A read served alone hands its pooled buffers back through Release; a
-// flight several readers joined hands back none, leader included, while
-// the coalescing counters count the waiters only.
-func TestCollapsedReadNeverRecycled(t *testing.T) {
+// Concurrent identical reads each execute and each hand back exactly the
+// buffers they drew: every response carries a Release, and no pooled
+// segment buffer appears in two responses.
+func TestConcurrentReadsRecycleOwnBuffers(t *testing.T) {
 	gate := make(chan struct{})
-	p := New(0, dedup.Wrap(&casGateKV{KV: kvstore.NewMemKV(4), gate: gate}, dedup.Options{}))
+	kv := &casGateKV{KV: kvstore.NewMemKV(4), gate: gate}
+	p := New(0, dedup.Wrap(kv, dedup.Options{}))
 	reg := metrics.NewRegistry()
 	p.SetMetricsRegistry(reg)
-	segs := storeRandom(t, p, 7, rand.New(rand.NewSource(1)), 3*dedup.DefaultChunkSize+5, 100, dedup.DefaultChunkSize)
+	sizes := []int{3*dedup.DefaultChunkSize + 5, 100, dedup.DefaultChunkSize}
+	segs := storeRandom(t, p, 7, rand.New(rand.NewSource(1)), sizes...)
 	want := bytes.Join(segs, nil)
 	q := &proto.ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{0, 1, 2}}
-	read := func() rpc.Message {
-		t.Helper()
-		resp, err := p.handleReadSegments(context.Background(), rpc.Message{Meta: q.Encode()})
-		if err != nil {
-			t.Error(err)
-		} else if !bytes.Equal(resp.BulkFlat(), want) {
-			t.Error("read returned other bytes than were stored")
-		}
-		return resp
-	}
 
 	const k = 8
 	resps := make([]rpc.Message, k)
@@ -81,34 +78,54 @@ func TestCollapsedReadNeverRecycled(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i] = read()
+			resp, err := p.handleReadSegments(context.Background(), rpc.Message{Meta: q.Encode()})
+			if err != nil {
+				t.Error(err)
+			}
+			resps[i] = resp
 		}(i)
 	}
-	for p.readFlights.Pending(readFlightKey(q)) != k {
-		runtime.Gosched()
+	for start := time.Now(); kv.arrived.Load() < k; runtime.Gosched() { // every read parks on its first chunk
+		if time.Since(start) > 5*time.Second {
+			close(gate)
+			wg.Wait()
+			t.Fatalf("%d of %d concurrent reads reached the store", kv.arrived.Load(), k)
+		}
 	}
 	close(gate)
 	wg.Wait()
+	if req, exec := reg.Counter("provider.read_request").Load(), reg.Counter("provider.read_exec").Load(); req != k || exec != k {
+		t.Errorf("read_request %d read_exec %d, want %d each", req, exec, k)
+	}
+	owner := make(map[*byte]int) // pooled buffer → the response holding it
 	for i, r := range resps {
-		if r.Release != nil {
-			t.Errorf("response %d of a flight %d readers shared carries a Release", i, k)
+		if !bytes.Equal(r.BulkFlat(), want) {
+			t.Errorf("response %d holds other bytes than were stored", i)
+		}
+		if r.Release == nil {
+			t.Errorf("response %d carries no Release", i)
+		}
+		for v, seg := range r.BulkVec {
+			if sizes[v] < dedup.DefaultChunkSize {
+				continue // the store's own buffer, never pooled
+			}
+			if j, ok := owner[&seg[0]]; ok {
+				t.Errorf("responses %d and %d hold the same buffer", j, i)
+			}
+			owner[&seg[0]] = i
 		}
 	}
-	if exec, coal := reg.Counter("provider.read_exec").Load(), reg.Counter("provider.read_coalesced").Load(); exec != 1 || coal != k-1 {
-		t.Errorf("read_exec %d read_coalesced %d, want 1 and %d", exec, coal, k-1)
-	}
-
-	if lone := read(); lone.Release == nil {
-		t.Error("a read served alone carries no Release")
-	} else {
-		lone.Release()
+	for _, r := range resps {
+		if r.Release != nil {
+			r.Release()
+		}
 	}
 }
 
 // Recycle safety end to end: many concurrent identical read_segments
-// calls over TCP collapse on the provider, interleaved with reads of other
-// owners whose buffers come from the same pool size classes, and every
-// response is checked byte for byte once all calls have returned.
+// calls over TCP, interleaved with reads of other owners whose buffers
+// come from the same pool size classes, and every response is checked
+// byte for byte once all calls have returned.
 func TestReadSegmentsRecycleOverTCP(t *testing.T) {
 	lsm, err := kvstore.OpenLSM(t.TempDir(), kvstore.LSMOptions{})
 	if err != nil {
@@ -116,8 +133,6 @@ func TestReadSegmentsRecycleOverTCP(t *testing.T) {
 	}
 	defer lsm.Close()
 	p := New(0, dedup.Wrap(lsm, dedup.Options{}))
-	reg := metrics.NewRegistry()
-	p.SetMetricsRegistry(reg)
 	rng := rand.New(rand.NewSource(2))
 	const models = 6
 	want := make(map[ownermap.ModelID][]byte, models)
@@ -187,8 +202,5 @@ func TestReadSegmentsRecycleOverTCP(t *testing.T) {
 		if !bytes.Equal(g.resp.BulkFlat(), want[g.id]) {
 			t.Fatalf("read %d returned bytes other than the model's", g.id)
 		}
-	}
-	if reg.Counter("provider.read_coalesced").Load() == 0 {
-		t.Error("no read joined another's flight: the collapser was not exercised")
 	}
 }

@@ -14,10 +14,6 @@ import "repro/internal/frontdoor"
 // a limit change: swapping in a fresh throttler would forgive every debt
 // (letting a shrink reward exactly the tenants being reined in) and grant
 // each returning tenant a fresh burst allowance.
-//
-// Throttling composes with read coalescing in a fixed order — admit first,
-// coalesce second — so a refused tenant cannot piggyback on another
-// tenant's identical in-flight read.
 func (p *Provider) SetThrottle(l frontdoor.Limits) {
 	if p.throttle.Load().SetLimits(l) {
 		return // resized in place; readers keep the same pointer

@@ -27,71 +27,6 @@ func (g *gateKV) Get(key string) ([]byte, bool, error) {
 	return g.KV.Get(key)
 }
 
-func TestProviderReadCoalescing(t *testing.T) {
-	gate := make(chan struct{})
-	kv := &gateKV{KV: kvstore.NewMemKV(4), gate: gate}
-	p := New(0, kv)
-	reg := metrics.NewRegistry()
-	p.SetMetricsRegistry(reg)
-
-	g := chainGraph(1, 2, 3)
-	req, segs := storeReq(7, 1, 0.5, g)
-	if err := p.StoreModel(req, segs); err != nil {
-		t.Fatal(err)
-	}
-
-	// K identical reads from distinct tenants pile up behind the gated KV:
-	// the tenant is excluded from the flight key, so they all join one
-	// flight and the store is read exactly once.
-	const k = 16
-	var (
-		wg      sync.WaitGroup
-		started sync.WaitGroup
-		mu      sync.Mutex
-		errs    []error
-	)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		started.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rq := &proto.ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{0, 1, 2}, Tenant: string(rune('a' + i%4))}
-			started.Done()
-			resp, err := p.handleReadSegments(context.Background(), rpc.Message{Meta: rq.Encode()})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			if got := resp.BulkLen(); got == 0 {
-				errs = append(errs, errors.New("empty coalesced response"))
-			}
-		}(i)
-	}
-	started.Wait()
-	// Give the stragglers time to reach Do before opening the gate; a
-	// latecomer that misses the flight only costs an extra exec, which the
-	// assertion below bounds rather than pins to exactly one.
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	if len(errs) > 0 {
-		t.Fatal(errs[0])
-	}
-	exec := reg.Counter("provider.read_exec").Load()
-	coal := reg.Counter("provider.read_coalesced").Load()
-	if exec != 1 {
-		t.Errorf("read_exec = %d, want 1 (one flight for %d identical reads)", exec, k)
-	}
-	if exec+coal != k {
-		t.Errorf("exec+coalesced = %d, want %d", exec+coal, k)
-	}
-	if got := reg.Counter("provider.read_request").Load(); got != k {
-		t.Errorf("read_request = %d, want %d", got, k)
-	}
-}
-
 func TestProviderThrottleIsolation(t *testing.T) {
 	p := New(0, kvstore.NewMemKV(4))
 	reg := metrics.NewRegistry()
@@ -146,10 +81,11 @@ func TestProviderThrottleIsolation(t *testing.T) {
 	}
 }
 
-// TestThrottleBeforeCoalesce pins the ordering contract: a tenant refused at
-// the front door must not receive the bytes of another tenant's identical
-// in-flight read.
-func TestThrottleBeforeCoalesce(t *testing.T) {
+// TestThrottleAdmitsBeforeRead pins where admission runs: when a read
+// arrives, before it executes. A tenant's reads parked in the store have
+// already spent its budget, so its next read is refused at the door while
+// they are still in flight, and another tenant's parked read completes.
+func TestThrottleAdmitsBeforeRead(t *testing.T) {
 	gate := make(chan struct{})
 	kv := &gateKV{KV: kvstore.NewMemKV(4), gate: gate}
 	p := New(0, kv)
@@ -175,9 +111,8 @@ func TestThrottleBeforeCoalesce(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 
 	// Tenant B exhausts its bucket: the drain reads park behind the gate
-	// too, but their admission is charged up front, which is all the test
-	// needs. Then B issues the identical read A has in flight — it must be
-	// refused at the door, not coalesced into A's flight.
+	// too, but their admission is charged up front. Then B issues the
+	// read A has in flight — it must be refused at the door.
 	var drain sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		drain.Add(1)
@@ -190,7 +125,7 @@ func TestThrottleBeforeCoalesce(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	_, err := p.handleReadSegments(context.Background(), rq("b"))
 	if err == nil || !errors.Is(err, frontdoor.ErrThrottled) {
-		t.Fatalf("exhausted tenant joined another tenant's flight: err=%v", err)
+		t.Fatalf("exhausted tenant admitted while its reads were in flight: err=%v", err)
 	}
 
 	close(gate)

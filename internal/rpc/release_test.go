@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,5 +160,84 @@ func TestInprocNeverReleases(t *testing.T) {
 	case <-released:
 		t.Fatal("in-process transport called Release")
 	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestDiscardedConnClosesSocket: a call that times out leaves its
+// connection dead, and the pool that discards it closes the socket then,
+// not when the collector finalizes it. So a server writing a 4 MiB
+// response to the departed caller gets its write failed and its Release
+// run, and a server reading the next request sees EOF at once.
+func TestDiscardedConnClosesSocket(t *testing.T) {
+	// The test keeps every dialed connection reachable, so no finalizer
+	// closes a socket the pool left open.
+	var dialed []Conn
+	defer func() { runtime.KeepAlive(dialed) }()
+	call := func(addr, name string, meta byte) {
+		t.Helper()
+		pool := NewPool(addr, 1, func(addr string) (Conn, error) {
+			c, err := DialTCP(addr)
+			dialed = append(dialed, c)
+			return c, err
+		})
+		defer pool.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		if _, err := pool.Call(ctx, name, Message{Meta: []byte{meta}}); err == nil {
+			t.Fatalf("%s answered before the caller's deadline", name)
+		}
+	}
+
+	released := make(chan *atomic.Int32, 1)
+	held, gate := make(chan struct{}, 1), make(chan struct{})
+	lis, addr, err := ListenAndServeTCP("127.0.0.1:0", releaseServer(released, held, gate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	call(addr, "hold", 64) // 4 MiB, written once the caller has given up
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler never received the request")
+	}
+	close(gate)
+	select {
+	case <-released:
+	case <-time.After(2 * time.Second):
+		t.Error("the response to a discarded connection was not released within 2s")
+	}
+
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	served := make(chan net.Conn, 1)
+	go func() {
+		conn, err := raw.Accept()
+		if err != nil {
+			close(served)
+			return
+		}
+		if _, _, err := readRequest(bufio.NewReader(conn)); err != nil {
+			conn.Close()
+			close(served)
+			return
+		}
+		served <- conn // the request is read and never answered
+	}()
+	call(raw.Addr().String(), "get", 1)
+	conn, ok := <-served
+	if !ok {
+		t.Fatal("the raw server did not read the request")
+	}
+	defer conn.Close()
+	const deadline = 500 * time.Millisecond
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(deadline))
+	_, err = conn.Read(make([]byte, 1))
+	if elapsed := time.Since(start); !errors.Is(err, io.EOF) || elapsed > deadline/4 {
+		t.Errorf("server read after the caller gave up: %v after %v, want EOF well inside %v", err, elapsed, deadline)
 	}
 }

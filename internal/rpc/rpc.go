@@ -68,10 +68,12 @@ import (
 //
 // Release, when a handler sets it on a response, hands the response's
 // buffers back to the handler: the TCP server calls it exactly once, after
-// the response is written or its write has failed. The in-process
-// transport never calls it and clears it from the response it returns,
-// because its caller keeps the buffers. Requests and client-side
-// responses never carry one.
+// the response is written or its write has failed (a caller that gave up
+// closes its socket, so that write fails at once). A handler sets it only
+// on a response it gave no one else, since what it releases may be reused
+// at once. The in-process transport never calls it and clears it from the
+// response it returns, because its caller keeps the buffers. Requests and
+// client-side responses never carry one.
 type Message struct {
 	Meta    []byte
 	Bulk    []byte

@@ -335,25 +335,37 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		deadline = noDeadline
 	}
 	if err := c.conn.SetDeadline(deadline); err != nil {
-		c.dead = true
+		c.kill()
 		return Message{}, fmt.Errorf("rpc: setting deadline on %s: %w", c.addr, err)
 	}
 	if err := writeRequest(c.w, c.conn, &c.vec, name, req); err != nil {
-		c.dead = true
+		c.kill()
 		return Message{}, err
 	}
 	if err := c.w.Flush(); err != nil {
-		c.dead = true
+		c.kill()
 		return Message{}, err
 	}
 	resp, err := readResponse(c.r)
 	if err != nil {
 		if _, remote := err.(*remoteError); !remote {
-			c.dead = true
+			c.kill()
 		}
 		return Message{}, err
 	}
 	return resp, nil
+}
+
+// kill marks the connection dead and closes its socket at once, so the
+// server sees the hang-up now, not when the collector finalizes the
+// socket: a response it is writing fails and is released, and its next
+// read ends. The caller holds c.mu.
+func (c *tcpConn) kill() error {
+	if c.dead {
+		return nil
+	}
+	c.dead = true
+	return c.conn.Close()
 }
 
 // noDeadline clears a previously set deadline.
@@ -364,11 +376,7 @@ func (c *tcpConn) Addr() string { return c.addr }
 func (c *tcpConn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dead {
-		return nil
-	}
-	c.dead = true
-	return c.conn.Close()
+	return c.kill()
 }
 
 // Pool multiplexes concurrent calls over up to size physical connections to
@@ -380,7 +388,6 @@ type Pool struct {
 
 	mu    sync.Mutex
 	idle  []Conn
-	total int
 	size  int
 	dead  bool
 	avail chan struct{}
@@ -426,9 +433,6 @@ func (p *Pool) Call(ctx context.Context, name string, req Message) (Message, err
 		if err != nil {
 			return Message{}, err
 		}
-		p.mu.Lock()
-		p.total++
-		p.mu.Unlock()
 	}
 	resp, err := c.Call(ctx, name, req)
 	if err != nil && !IsRemote(err) && !IsFrameTooLarge(err) {
@@ -436,9 +440,6 @@ func (p *Pool) Call(ctx context.Context, name string, req Message) (Message, err
 		// rejected before any byte hits the wire, so it leaves the
 		// connection healthy.)
 		c.Close()
-		p.mu.Lock()
-		p.total--
-		p.mu.Unlock()
 		return resp, err
 	}
 	p.mu.Lock()
