@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file implements Algorithm 1 of the paper: finding the longest common
 // directed-graph prefix (LCP) between a query graph G and a candidate
 // ancestor graph A.
@@ -26,23 +28,36 @@ func LCPSize(g, a *Compact) int { return len(LCP(g, a)) }
 
 // LCPScanner runs many LCP computations of one query graph against a
 // catalog of ancestors, reusing scratch buffers between calls. Providers
-// hold one scanner per query while iterating their local metadata.
+// hold one scanner per query while iterating their local metadata, and
+// Reset lets them reuse it for the next query.
 type LCPScanner struct {
 	g        *Compact
+	sigs     []uint64 // g's ConfigSigs by vertex ID, for Bound
 	visits   []uint32
 	inPrefix []bool
 	frontier []VertexID // the matched vertices, in the order the walk found them
+	bounds   []int32    // ByBound's per-entry bounds
+	ranked   []Ranked   // ByBound's result
 }
 
 // NewLCPScanner prepares a scanner for query graph g.
 func NewLCPScanner(g *Compact) *LCPScanner {
+	s := new(LCPScanner)
+	s.Reset(g)
+	return s
+}
+
+// Reset points the scanner at query graph g, keeping its buffers.
+func (s *LCPScanner) Reset(g *Compact) {
 	n := g.NumVertices()
-	return &LCPScanner{
-		g:        g,
-		visits:   make([]uint32, n),
-		inPrefix: make([]bool, n),
-		frontier: make([]VertexID, 0, n),
+	s.g = g
+	s.sigs = s.sigs[:0]
+	for v := range g.Vertices {
+		s.sigs = append(s.sigs, g.Vertices[v].ConfigSig)
 	}
+	s.visits = slices.Grow(s.visits[:0], n)[:n]
+	s.inPrefix = slices.Grow(s.inPrefix[:0], n)[:n]
+	s.frontier = slices.Grow(s.frontier[:0], n)
 }
 
 // Against computes the LCP of the scanner's query graph with ancestor a
@@ -99,6 +114,97 @@ func (s *LCPScanner) SizeAgainst(a *Compact) int {
 		}
 	}
 	return len(s.frontier)
+}
+
+// SigArena holds the ConfigSig sequences of a catalog's graphs in one flat
+// slice, entry after entry, so that Bound can rank every entry in one
+// sequential pass without touching the graphs. Its zero value is empty and
+// ready to use.
+type SigArena struct {
+	sigs []uint64
+	ends []int // entry i is sigs[ends[i-1]:ends[i]], with ends[-1] = 0
+}
+
+// Add appends g's ConfigSigs, in vertex-ID order, as the next entry.
+func (a *SigArena) Add(g *Compact) {
+	for v := range g.Vertices {
+		a.sigs = append(a.sigs, g.Vertices[v].ConfigSig)
+	}
+	a.ends = append(a.ends, len(a.sigs))
+}
+
+// Len returns the number of entries.
+func (a *SigArena) Len() int { return len(a.ends) }
+
+// Bound returns an upper bound on SizeAgainst of the arena's entry i: the
+// number of vertex IDs v below both graphs' vertex counts whose ConfigSig
+// is equal in both. It is sound because SizeAgainst admits a vertex to the
+// prefix at most once, and only after checking exactly these two things
+// (v exists in the ancestor, and its ConfigSig matches the query's).
+func (s *LCPScanner) Bound(a *SigArena, i int) int {
+	lo := 0
+	if i > 0 {
+		lo = a.ends[i-1]
+	}
+	return int(s.bound(a.sigs[lo:a.ends[i]]))
+}
+
+// bound is Bound of one entry's ConfigSigs e.
+func (s *LCPScanner) bound(e []uint64) int32 {
+	q := s.sigs
+	if len(e) < len(q) {
+		q = q[:len(e)]
+	}
+	e = e[:len(q)]
+	n := int32(0)
+	for v, sig := range q {
+		if e[v] == sig {
+			n++
+		}
+	}
+	return n
+}
+
+// Ranked is one arena entry and its Bound.
+type Ranked struct {
+	Entry, Bound int32
+}
+
+// ByBound bounds every entry of a that skip (nil: none) does not reject and
+// returns those whose bound is above zero, highest bound first and, within
+// one bound, in arena order. A caller scanning in this order may stop at
+// the first entry whose bound is below the best exact size it has found:
+// no later entry can reach that size. Bounds never exceed the query's
+// vertex count, so the order is a counting sort. The result is valid until
+// the scanner's next ByBound or Reset.
+func (s *LCPScanner) ByBound(a *SigArena, skip func(i int) bool) []Ranked {
+	n := len(s.sigs)
+	bounds := slices.Grow(s.bounds[:0], a.Len())[:a.Len()]
+	at := make([]int32, n+1) // entries per bound, then each bound's first slot
+	lo := 0
+	for i, hi := range a.ends {
+		e := a.sigs[lo:hi]
+		lo = hi
+		b := int32(0)
+		if skip == nil || !skip(i) {
+			b = s.bound(e)
+		}
+		bounds[i] = b
+		at[b]++
+	}
+	total := int32(0)
+	for b := n; b > 0; b-- {
+		total, at[b] = total+at[b], total
+	}
+	out := slices.Grow(s.ranked[:0], int(total))[:total]
+	for i, b := range bounds {
+		if b > 0 {
+			out[at[b]] = Ranked{Entry: int32(i), Bound: b}
+			at[b]++
+		}
+	}
+	s.bounds, s.ranked = bounds, out
+	return out
 }
 
 // PrefixParamBytes sums the parameter bytes of the given prefix vertices of

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,7 +18,8 @@ import (
 //
 // Record layout: u8 op (1=put, 2=delete) | u32 keyLen | u32 valLen |
 // key | value | u32 crc. Torn tails (partial final record or bad crc at
-// the end) are tolerated during replay, matching standard LSM recovery.
+// the end) are tolerated during replay, matching standard LSM recovery;
+// a bad crc before a valid record is not (see replayWAL).
 //
 // The log has its own mutex, so that making it durable never needs the
 // store's lock: sync flushes the buffer under mu and fsyncs outside it, and
@@ -143,8 +145,13 @@ func (l *wal) close() error {
 }
 
 // replayWAL streams records from path, each with the offset its value
-// starts at. A clean EOF or a torn tail ends replay without error;
-// corruption before the tail is reported.
+// starts at. A clean EOF or a torn tail ends replay without error: the file
+// ending inside a record (one that announces more bytes than the file has
+// left is never allocated), or a record that fails its checksum with no
+// complete, valid record after it. A checksum failure that a valid record
+// follows is damage to the synced log and is reported, as is a bad op byte.
+// A damaged length field moves the next record's start, so such damage
+// reads as a torn tail.
 func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -154,28 +161,60 @@ func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := st.Size()
+	r := bufio.NewReaderSize(f, int(min(size, 1<<20)))
 	for pos := int64(0); ; {
-		var hdr [walHeader]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil // clean end or torn header: stop replay
-		}
-		op := hdr[0]
-		if op != walOpPut && op != walOpDelete {
-			return fmt.Errorf("kvstore: wal %s: bad op byte %d", path, op)
+		hdr, body, err := readWALRecord(r, size-pos)
+		switch {
+		case err == errWALTorn:
+			return nil
+		case err == errWALChecksum:
+			next := pos + walHeader + int64(len(body))
+			if _, _, err := readWALRecord(io.NewSectionReader(f, next, size-next), size-next); err == nil {
+				return fmt.Errorf("kvstore: wal %s: the record at offset %d fails its checksum, and a valid record follows it", path, pos)
+			}
+			return nil
+		case err != nil:
+			return fmt.Errorf("kvstore: wal %s: offset %d: %w", path, pos, err)
 		}
 		kl := int(binary.LittleEndian.Uint32(hdr[1:]))
-		vl := int(binary.LittleEndian.Uint32(hdr[5:]))
-		body := make([]byte, kl+vl+4)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil // torn tail
-		}
-		crc := crc32.ChecksumIEEE(hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:kl+vl])
-		if crc != binary.LittleEndian.Uint32(body[kl+vl:]) {
-			return nil // torn tail (or trailing corruption): stop replay
-		}
-		fn(op, string(body[:kl]), body[kl:kl+vl], pos+walHeader+int64(kl))
+		fn(hdr[0], string(body[:kl]), body[kl:len(body)-4], pos+walHeader+int64(kl))
 		pos += walHeader + int64(len(body))
 	}
+}
+
+var (
+	errWALTorn     = errors.New("the file ends inside the record")
+	errWALChecksum = errors.New("checksum mismatch")
+)
+
+// readWALRecord reads the record at r, which has left bytes of the file
+// before its end, returning its header and body (key | value | crc). The
+// body is allocated only once the header shows it fits in the file.
+func readWALRecord(r io.Reader, left int64) (hdr [walHeader]byte, body []byte, err error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return hdr, nil, errWALTorn // clean end or torn header
+	}
+	if op := hdr[0]; op != walOpPut && op != walOpDelete {
+		return hdr, nil, fmt.Errorf("bad op byte %d", op)
+	}
+	kl := int64(binary.LittleEndian.Uint32(hdr[1:]))
+	vl := int64(binary.LittleEndian.Uint32(hdr[5:]))
+	if kl+vl+4 > left-walHeader {
+		return hdr, nil, errWALTorn
+	}
+	body = make([]byte, kl+vl+4)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return hdr, nil, errWALTorn
+	}
+	crc := crc32.ChecksumIEEE(hdr[:])
+	crc = crc32.Update(crc, crc32.IEEETable, body[:kl+vl])
+	if crc != binary.LittleEndian.Uint32(body[kl+vl:]) {
+		return hdr, body, errWALChecksum
+	}
+	return hdr, body, nil
 }

@@ -493,6 +493,7 @@ func (p *Provider) loadCatalog() error {
 		p.retired[t.id] = t.seq
 		p.retiredOrder = append(p.retiredOrder, t.id)
 	}
+	p.lcpGen.Add(1) // the loaded models leave generation 0, the empty catalog
 	return nil
 }
 

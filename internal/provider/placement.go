@@ -53,6 +53,7 @@ func (p *Provider) Evict(id ownermap.ModelID) (uint64, error) {
 	var dropped uint64
 	err := p.commit("evict", []ownermap.ModelID{id}, p.evictable, func(c *change) error {
 		delete(p.models, id)
+		p.lcpGen.Add(1)
 		for v := range p.refs[id] {
 			c.dels = append(c.dels, segKey{id, v})
 		}

@@ -28,6 +28,7 @@ package provider
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -167,6 +168,15 @@ type Provider struct {
 	// optional trailer on the Metrics RPC so the rebalancing controller
 	// can see which models are hot without a new wire surface.
 	heat *metrics.HeatMap
+
+	// lcpGen counts changes to the models an LCP query may answer with. It
+	// is bumped under mu wherever models gains or loses an entry, and once
+	// more after a store clears storing; see shareFor.
+	lcpGen atomic.Uint64
+	// share holds the LCP share snapshots last built (never nil): [0] of
+	// every model held, [1] of a home share. Two slots, so the fallback
+	// round's full scans and named queries do not rebuild each other's.
+	share [2]atomic.Pointer[shareSnap]
 }
 
 // New creates a provider with the given index backed by kv (segments are
@@ -175,7 +185,7 @@ type Provider struct {
 func New(id int, kv kvstore.KV) *Provider {
 	kvB, _ := kv.(kvstore.ByteKeyGetter)
 	kvA, _ := kv.(allocGetter)
-	return &Provider{
+	p := &Provider{
 		id:       id,
 		kv:       kv,
 		kvB:      kvB,
@@ -188,6 +198,10 @@ func New(id int, kv kvstore.KV) *Provider {
 		dedup:    newDedupTable(dedupCap),
 		heat:     metrics.NewHeatMap(metrics.DefaultHeatHalfLife),
 	}
+	// Generation 0 is the empty catalog, so loading one must bump lcpGen.
+	p.share[0].Store(&shareSnap{})
+	p.share[1].Store(&shareSnap{})
+	return p
 }
 
 // ID returns the provider index.
@@ -423,8 +437,11 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		return err // nothing installed: rejected, or a journal duplicate
 	}
 	// The entry was published before its payloads were written; commit has
-	// written them (or failed) by now.
+	// written them (or failed) by now. LCP snapshots leave a storing entry
+	// out, so this is where the store changes what a query can answer
+	// with, and the one place it bumps lcpGen.
 	meta.storing.Store(false)
+	p.lcpGen.Add(1)
 	if err == nil {
 		p.heat.ObserveWrite(uint64(q.Model), written)
 	}
@@ -743,6 +760,7 @@ func (p *Provider) Retire(id ownermap.ModelID) (*ownermap.Map, error) {
 			return fmt.Errorf("provider %d: retire: model %d not found", p.id, id)
 		}
 		delete(p.models, id)
+		p.lcpGen.Add(1)
 		p.tombstoneLocked(id, meta.entry.Seq)
 		c.dirty[0] |= dirtyModel | dirtyTomb
 		om = meta.entry.OwnerMap
@@ -770,47 +788,105 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 // longest common prefix, ties broken by quality or recency (paper §2, §6).
 // This is the provider-side "map" step of the collective query; the result
 // carries the winner's catalog entry so the client needs no second round.
+//
+// The scan holds no lock: it reads the share's snapshot (shareFor), ranks
+// its entries by graph.LCPScanner.Bound and computes exact prefixes in that
+// order only while an entry's bound can still reach the best size found.
+// proto.LCPBeats is a total order, so the winner does not depend on the
+// order of the scan.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
-	var excluded map[ownermap.ModelID]bool
+	share := p.shareFor(p.homeTable(q))
+	scanner, _ := lcpScanners.Get().(*graph.LCPScanner)
+	if scanner == nil {
+		scanner = new(graph.LCPScanner)
+	}
+	scanner.Reset(q.Graph)
+	defer lcpScanners.Put(scanner)
+	var skip func(int) bool
+	skipped := 0
 	if len(q.Exclude) > 0 {
-		excluded = make(map[ownermap.ModelID]bool, len(q.Exclude))
+		excluded := make(map[ownermap.ModelID]bool, len(q.Exclude))
 		for _, id := range q.Exclude {
 			excluded[id] = true
 		}
-	}
-	homes := p.homeTable(q)
-
-	// Snapshot the share so the scan runs without blocking writers. It
-	// stays in map order: proto.LCPBeats is a total order, so the winner
-	// does not depend on the order of the scan.
-	p.mu.RLock()
-	n := len(p.models)
-	if homes != nil && homes.R() > 1 {
-		n /= homes.R() // the provider is home for about one in R of its models
-	}
-	cands := make([]*proto.ModelMeta, 0, n)
-	for id, m := range p.models {
-		if !excluded[id] && !m.storing.Load() && (homes == nil || homes.Home(id) == p.id) {
-			cands = append(cands, m.entry)
+		skip = func(i int) bool {
+			if excluded[share.metas[i].Model] {
+				skipped++
+				return true
+			}
+			return false
 		}
 	}
-	p.mu.RUnlock()
-	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(cands)))
+	ranked := scanner.ByBound(&share.sigs, skip)
+	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(share.metas) - skipped))
 
-	scanner := graph.NewLCPScanner(q.Graph)
 	var best *proto.ModelMeta
-	bestSize := 0
-	for _, c := range cands {
+	bestSize, exact := 0, 0
+	for _, r := range ranked {
+		if int(r.Bound) < bestSize {
+			break // neither this entry nor any after it can reach bestSize
+		}
+		c := share.metas[r.Entry]
 		size := scanner.SizeAgainst(c.Graph)
+		exact++
 		if size > 0 && (best == nil || proto.LCPBeats(size, c, bestSize, best, q.PreferRecent)) {
 			best, bestSize = c, size
 		}
 	}
+	p.reg.Counter("provider.lcp_exact").Add(uint64(exact))
 	if best == nil {
 		return &proto.LCPResult{}
 	}
-	// The scanner is this call's own, so its prefix slice can be handed out.
-	return &proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
+	return &proto.LCPResult{Meta: best, Prefix: slices.Clone(scanner.Against(best.Graph))}
+}
+
+// lcpScanners holds LCPQuery's scanners between queries, so a query's
+// scratch buffers are the last one's.
+var lcpScanners sync.Pool
+
+// shareSnap is an immutable copy of the entries an LCP query scans under
+// one home table: the cataloged models that are not storing and, when
+// table is set, whose home this provider is under it (nil: every model).
+// sigs holds metas[i].Graph's ConfigSigs as entry i.
+type shareSnap struct {
+	gen   uint64
+	table *placement.Table
+	metas []*proto.ModelMeta
+	sigs  graph.SigArena
+}
+
+// shareFor returns the snapshot of the share homes selects, building it
+// when lcpGen or the table moved since the last one. Only queries build
+// snapshots, so a write pays one counter bump. The generation is read under
+// the read lock before the models are: a store that clears storing after
+// that read bumps past it, so the next query rebuilds.
+func (p *Provider) shareFor(homes *placement.Table) *shareSnap {
+	slot := &p.share[0]
+	if homes != nil {
+		slot = &p.share[1]
+	}
+	if s := slot.Load(); s.gen == p.lcpGen.Load() && s.table == homes {
+		return s
+	}
+	s := &shareSnap{table: homes}
+	p.mu.RLock()
+	s.gen = p.lcpGen.Load()
+	n := len(p.models)
+	if homes != nil && homes.R() > 1 {
+		n /= homes.R() // the provider is home for about one in R of its models
+	}
+	s.metas = make([]*proto.ModelMeta, 0, n)
+	for id, m := range p.models {
+		if !m.storing.Load() && (homes == nil || homes.Home(id) == p.id) {
+			s.metas = append(s.metas, m.entry)
+		}
+	}
+	p.mu.RUnlock()
+	for _, m := range s.metas {
+		s.sigs.Add(m.Graph)
+	}
+	slot.Store(s)
+	return s
 }
 
 // homeTable is the table whose homes split q's scan, or nil when this

@@ -388,25 +388,6 @@ func TestConcurrentStoreAndQuery(t *testing.T) {
 	}
 }
 
-func BenchmarkLocalLCPQueryCatalog1000(b *testing.B) {
-	p := New(0, kvstore.NewMemKV(4))
-	for i := 0; i < 1000; i++ {
-		sigs := make([]uint64, 20)
-		for j := range sigs {
-			sigs[j] = uint64(1 + (i*31+j*17)%5)
-		}
-		req, segs := storeReq(ownermap.ModelID(i+1), uint64(i+1), 0.5, chainGraph(sigs...))
-		if err := p.StoreModel(req, segs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	g := chainGraph(1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.LCPQuery(&proto.LCPQueryReq{Graph: g})
-	}
-}
-
 func TestDecRefAtomicOnPartialBatch(t *testing.T) {
 	p := New(0, kvstore.NewMemKV(4))
 	g := chainGraph(1, 2)

@@ -284,6 +284,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 			c.dirty[0] |= dirtyTomb
 			if p.models[q.Model] != nil {
 				delete(p.models, q.Model)
+				p.lcpGen.Add(1)
 				c.dirty[0] |= dirtyModel
 				p.reg.Counter("provider.repair_tombstone").Inc()
 			}
@@ -293,6 +294,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		// tombstoned model; refcounts arrive separately as deltas.
 		if installMeta != nil && !dead && p.models[q.Model] == nil {
 			p.models[q.Model] = &modelMeta{entry: installMeta}
+			p.lcpGen.Add(1)
 			c.dirty[0] |= dirtyModel
 			p.reg.Counter("provider.repair_meta_install").Inc()
 		}
