@@ -211,6 +211,9 @@ func main() {
 		defer l.Close()
 		lsm = l
 		kv = l
+		for _, d := range l.WALDamage() {
+			log.Printf("provider %d: WARNING: write-ahead log damaged, records lost: %s", *id, d)
+		}
 		if m != nil {
 			log.Printf("provider %d: LSM backend at %s (manifest format %d, placement epoch %d)",
 				*id, *data, m.FormatVersion, m.PlacementEpoch)

@@ -8,8 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Property: on archgen catalogs, the architectures a provider stores, every
-// entry's Bound is at least its exact LCP size with every query.
+// Property: on archgen catalogs, the architectures a provider stores, the
+// bound ByBound gives every entry is at least its exact LCP size with every
+// query, and an entry it leaves out (bound zero) has no common prefix.
 func TestQuickBoundCoversLCPOnCatalogs(t *testing.T) {
 	f := func(seed int64) bool {
 		catalog, err := archgen.Catalog(seed, 60, archgen.SpaceOptions{})
@@ -22,8 +23,12 @@ func TestQuickBoundCoversLCPOnCatalogs(t *testing.T) {
 		}
 		for _, q := range catalog[:10] {
 			s := graph.NewLCPScanner(q.Graph)
+			bounds := make([]int, len(catalog))
+			for _, r := range s.ByBound(&arena, nil) {
+				bounds[r.Entry] = int(r.Bound)
+			}
 			for i, a := range catalog {
-				if s.Bound(&arena, i) < s.SizeAgainst(a.Graph) {
+				if bounds[i] < s.SizeAgainst(a.Graph) {
 					return false
 				}
 			}

@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // This file implements Algorithm 1 of the paper: finding the longest common
 // directed-graph prefix (LCP) between a query graph G and a candidate
 // ancestor graph A.
@@ -28,36 +26,29 @@ func LCPSize(g, a *Compact) int { return len(LCP(g, a)) }
 
 // LCPScanner runs many LCP computations of one query graph against a
 // catalog of ancestors, reusing scratch buffers between calls. Providers
-// hold one scanner per query while iterating their local metadata, and
-// Reset lets them reuse it for the next query.
+// hold one scanner per query while iterating their local metadata.
 type LCPScanner struct {
 	g        *Compact
-	sigs     []uint64 // g's ConfigSigs by vertex ID, for Bound
+	sigs     []uint64 // g's ConfigSigs by vertex ID, for bound
 	visits   []uint32
 	inPrefix []bool
 	frontier []VertexID // the matched vertices, in the order the walk found them
-	bounds   []int32    // ByBound's per-entry bounds
-	ranked   []Ranked   // ByBound's result
 }
 
 // NewLCPScanner prepares a scanner for query graph g.
 func NewLCPScanner(g *Compact) *LCPScanner {
-	s := new(LCPScanner)
-	s.Reset(g)
-	return s
-}
-
-// Reset points the scanner at query graph g, keeping its buffers.
-func (s *LCPScanner) Reset(g *Compact) {
 	n := g.NumVertices()
-	s.g = g
-	s.sigs = s.sigs[:0]
-	for v := range g.Vertices {
-		s.sigs = append(s.sigs, g.Vertices[v].ConfigSig)
+	s := &LCPScanner{
+		g:        g,
+		sigs:     make([]uint64, n),
+		visits:   make([]uint32, n),
+		inPrefix: make([]bool, n),
+		frontier: make([]VertexID, 0, n),
 	}
-	s.visits = slices.Grow(s.visits[:0], n)[:n]
-	s.inPrefix = slices.Grow(s.inPrefix[:0], n)[:n]
-	s.frontier = slices.Grow(s.frontier[:0], n)
+	for v := range g.Vertices {
+		s.sigs[v] = g.Vertices[v].ConfigSig
+	}
+	return s
 }
 
 // Against computes the LCP of the scanner's query graph with ancestor a
@@ -117,7 +108,7 @@ func (s *LCPScanner) SizeAgainst(a *Compact) int {
 }
 
 // SigArena holds the ConfigSig sequences of a catalog's graphs in one flat
-// slice, entry after entry, so that Bound can rank every entry in one
+// slice, entry after entry, so that ByBound can rank every entry in one
 // sequential pass without touching the graphs. Its zero value is empty and
 // ready to use.
 type SigArena struct {
@@ -133,23 +124,12 @@ func (a *SigArena) Add(g *Compact) {
 	a.ends = append(a.ends, len(a.sigs))
 }
 
-// Len returns the number of entries.
-func (a *SigArena) Len() int { return len(a.ends) }
-
-// Bound returns an upper bound on SizeAgainst of the arena's entry i: the
-// number of vertex IDs v below both graphs' vertex counts whose ConfigSig
-// is equal in both. It is sound because SizeAgainst admits a vertex to the
-// prefix at most once, and only after checking exactly these two things
-// (v exists in the ancestor, and its ConfigSig matches the query's).
-func (s *LCPScanner) Bound(a *SigArena, i int) int {
-	lo := 0
-	if i > 0 {
-		lo = a.ends[i-1]
-	}
-	return int(s.bound(a.sigs[lo:a.ends[i]]))
-}
-
-// bound is Bound of one entry's ConfigSigs e.
+// bound is an upper bound on SizeAgainst of an ancestor whose ConfigSigs,
+// by vertex ID, are e: the number of vertex IDs v below both graphs' vertex
+// counts whose ConfigSig is equal in both. It is sound because SizeAgainst
+// admits a vertex to the prefix at most once, and only after checking
+// exactly these two things (v exists in the ancestor, and its ConfigSig
+// matches the query's).
 func (s *LCPScanner) bound(e []uint64) int32 {
 	q := s.sigs
 	if len(e) < len(q) {
@@ -165,7 +145,7 @@ func (s *LCPScanner) bound(e []uint64) int32 {
 	return n
 }
 
-// Ranked is one arena entry and its Bound.
+// Ranked is one arena entry and its bound.
 type Ranked struct {
 	Entry, Bound int32
 }
@@ -175,11 +155,10 @@ type Ranked struct {
 // one bound, in arena order. A caller scanning in this order may stop at
 // the first entry whose bound is below the best exact size it has found:
 // no later entry can reach that size. Bounds never exceed the query's
-// vertex count, so the order is a counting sort. The result is valid until
-// the scanner's next ByBound or Reset.
+// vertex count, so the order is a counting sort.
 func (s *LCPScanner) ByBound(a *SigArena, skip func(i int) bool) []Ranked {
 	n := len(s.sigs)
-	bounds := slices.Grow(s.bounds[:0], a.Len())[:a.Len()]
+	bounds := make([]int32, len(a.ends))
 	at := make([]int32, n+1) // entries per bound, then each bound's first slot
 	lo := 0
 	for i, hi := range a.ends {
@@ -196,14 +175,13 @@ func (s *LCPScanner) ByBound(a *SigArena, skip func(i int) bool) []Ranked {
 	for b := n; b > 0; b-- {
 		total, at[b] = total+at[b], total
 	}
-	out := slices.Grow(s.ranked[:0], int(total))[:total]
+	out := make([]Ranked, total)
 	for i, b := range bounds {
 		if b > 0 {
 			out[at[b]] = Ranked{Entry: int32(i), Bound: b}
 			at[b]++
 		}
 	}
-	s.bounds, s.ranked = bounds, out
 	return out
 }
 

@@ -104,6 +104,8 @@ type LSMKV struct {
 	// it starts, so that file-id order is age order when a reopen sorts them.
 	nextID  int
 	nextWAL int // names the next WAL file; guarded by mu
+	// walDamage is what WALDamage returns; set by OpenLSM only.
+	walDamage []string
 }
 
 // memtable is one generation of writes: the map, its accounted size and the
@@ -270,7 +272,7 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 			kv.nextWAL = id + 1
 		}
 		records := 0
-		err := replayWAL(name, func(op byte, key string, value []byte, at int64) {
+		damaged, err := replayWAL(name, func(op byte, key string, value []byte, at int64) {
 			if idErr != nil {
 				at = -1
 			}
@@ -279,6 +281,9 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		if damaged >= 0 {
+			kv.walDamage = append(kv.walDamage, fmt.Sprintf("%s: replay stopped at offset %d after %d records: the record there fails its checksum and a valid record follows it", name, damaged, records))
 		}
 		if records == 0 {
 			if err := os.Remove(name); err != nil { // or restarts without writes pile up empty logs
@@ -1093,6 +1098,14 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	return syncDir(filepath.Dir(path))
 }
+
+// WALDamage describes each log whose replay, when the store was opened,
+// stopped at a record that fails its checksum while a complete, valid record
+// follows it. The store keeps what precedes that record, as for any torn
+// tail, and the records after it are lost. The log holds no durable
+// watermark, so it cannot tell a crash that lost unsynced pages out of
+// order from damage to synced data; the caller should report the loss.
+func (kv *LSMKV) WALDamage() []string { return kv.walDamage }
 
 // Close waits for the background goroutine, makes the logs durable and
 // releases all resources. A sealed memtable that is not a table yet stays

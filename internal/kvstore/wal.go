@@ -17,9 +17,9 @@ import (
 // large values, and it is kept as a value log (see vlog.go).
 //
 // Record layout: u8 op (1=put, 2=delete) | u32 keyLen | u32 valLen |
-// key | value | u32 crc. Torn tails (partial final record or bad crc at
-// the end) are tolerated during replay, matching standard LSM recovery;
-// a bad crc before a valid record is not (see replayWAL).
+// key | value | u32 crc. Torn tails (partial final record or bad crc) are
+// tolerated during replay, matching standard LSM recovery; a bad crc before
+// a valid record is reported (see replayWAL).
 //
 // The log has its own mutex, so that making it durable never needs the
 // store's lock: sync flushes the buffer under mu and fsyncs outside it, and
@@ -147,23 +147,31 @@ func (l *wal) close() error {
 // replayWAL streams records from path, each with the offset its value
 // starts at. A clean EOF or a torn tail ends replay without error: the file
 // ending inside a record (one that announces more bytes than the file has
-// left is never allocated), or a record that fails its checksum with no
-// complete, valid record after it. A checksum failure that a valid record
-// follows is damage to the synced log and is reported, as is a bad op byte.
-// A damaged length field moves the next record's start, so such damage
-// reads as a torn tail.
-func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)) error {
+// left is never allocated), or a record that fails its checksum. A bad op
+// byte is reported as an error.
+//
+// A record that fails its checksum while a complete, valid record follows it
+// also ends replay, and damaged is its offset (-1 otherwise). It is either
+// synced data damaged on disk, whose loss must be reported, or unsynced data
+// torn by a crash: the buffered writer hands a sync's records to the kernel
+// in several writes, whose pages may reach the disk in any order, so a crash
+// can keep a later record's page and lose an earlier one's. The log records
+// no durable watermark to tell the two apart, so replay keeps what precedes
+// the damage, as for any torn tail, and leaves the reporting to the caller.
+// A damaged length field moves the next record's start, so such damage reads
+// as a plain torn tail.
+func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)) (damaged int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil
+		return -1, nil
 	}
 	if err != nil {
-		return err
+		return -1, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return -1, err
 	}
 	size := st.Size()
 	r := bufio.NewReaderSize(f, int(min(size, 1<<20)))
@@ -171,15 +179,15 @@ func replayWAL(path string, fn func(op byte, key string, value []byte, at int64)
 		hdr, body, err := readWALRecord(r, size-pos)
 		switch {
 		case err == errWALTorn:
-			return nil
+			return -1, nil
 		case err == errWALChecksum:
 			next := pos + walHeader + int64(len(body))
 			if _, _, err := readWALRecord(io.NewSectionReader(f, next, size-next), size-next); err == nil {
-				return fmt.Errorf("kvstore: wal %s: the record at offset %d fails its checksum, and a valid record follows it", path, pos)
+				return pos, nil
 			}
-			return nil
+			return -1, nil
 		case err != nil:
-			return fmt.Errorf("kvstore: wal %s: offset %d: %w", path, pos, err)
+			return -1, fmt.Errorf("kvstore: wal %s: offset %d: %w", path, pos, err)
 		}
 		kl := int(binary.LittleEndian.Uint32(hdr[1:]))
 		fn(hdr[0], string(body[:kl]), body[kl:len(body)-4], pos+walHeader+int64(kl))

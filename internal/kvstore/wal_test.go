@@ -7,13 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// A byte flipped inside the first of five synced records is damage, not a
-// torn tail: a valid record follows it, so opening the store fails instead
-// of silently dropping the four records after it.
-func TestWALCorruptRecordBeforeSyncedTail(t *testing.T) {
+// A byte flipped inside the first of five synced records, with valid
+// records after it, ends replay there like a torn tail, and the store opens
+// but lists the log in WALDamage instead of dropping the four records
+// silently.
+func TestWALDamageBeforeValidRecordReported(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30}) // WAL-only
 	if err != nil {
@@ -43,9 +45,93 @@ func TestWALCorruptRecordBeforeSyncedTail(t *testing.T) {
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if kv2, err := OpenLSM(dir, LSMOptions{}); err == nil {
-		kv2.Close()
-		t.Fatal("opened a log whose first record is damaged and four valid records follow")
+	kv2, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer kv2.Close()
+	if d := kv2.WALDamage(); len(d) != 1 || !strings.Contains(d[0], "offset 0 ") {
+		t.Errorf("WALDamage = %q, want the log, damaged at offset 0", d)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok, _ := kv2.Get(fmt.Sprintf("k%d", i)); ok {
+			t.Errorf("k%d replayed from behind the damaged record", i)
+		}
+	}
+}
+
+// A crash can persist a later page of the log and lose an earlier one: the
+// buffered writer hands one sync's records to the kernel in several writes,
+// and dirty pages reach the disk in any order. Here the middle page of an
+// unsynced 12 KiB value reads as zeros while the small record after it
+// survived. The store must open with what preceded the torn record (this
+// looks like damage to synced data, and is listed in WALDamage), accept
+// writes, and reopen again.
+func TestWALTornMiddlePageBehindUnsyncedRecord(t *testing.T) {
+	const page = 4096
+	dir := t.TempDir()
+	kv, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30}) // WAL-only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("synced", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("big", bytes.Repeat([]byte{0xab}, 3*page)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("after", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := onlyWAL(t, dir)
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 3*page {
+		t.Fatalf("log is %d bytes, want the big value to span pages", len(raw))
+	}
+	clear(raw[page : 2*page])
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	kv2, err := OpenLSM(dir, LSMOptions{FlushBytes: 1 << 30})
+	if err != nil {
+		t.Fatalf("reopen after a torn middle page: %v", err)
+	}
+	if v, ok, err := kv2.Get("synced"); err != nil || !ok || string(v) != "before" {
+		t.Errorf("synced record: %q ok=%v err=%v", v, ok, err)
+	}
+	for _, k := range []string{"big", "after"} {
+		if _, ok, _ := kv2.Get(k); ok {
+			t.Errorf("%s replayed across the torn page", k)
+		}
+	}
+	if d := kv2.WALDamage(); len(d) != 1 {
+		t.Errorf("WALDamage = %q, want the torn log", d)
+	}
+	if err := kv2.Put("later", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv3, err := OpenLSM(dir, LSMOptions{})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer kv3.Close()
+	for k, want := range map[string]string{"synced": "before", "later": "x"} {
+		if v, ok, err := kv3.Get(k); err != nil || !ok || string(v) != want {
+			t.Errorf("%s after the second reopen: %q ok=%v err=%v", k, v, ok, err)
+		}
 	}
 }
 
@@ -62,10 +148,10 @@ func TestWALReplayHugeHeaderAllocatesNothing(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := replayWAL(path, func(byte, string, []byte, int64) { t.Error("replayed a record") })
+	damaged, err := replayWAL(path, func(byte, string, []byte, int64) { t.Error("replayed a record") })
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || damaged >= 0 {
+		t.Fatal(damaged, err)
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
 		t.Errorf("replaying a %d-byte log allocated %d bytes", len(rec), d)
@@ -84,7 +170,7 @@ type walRec struct {
 // small multiple of the file size, and must replay a prefix of the records
 // appended. An unflipped log replays, without error, every record the cut
 // left whole; a flipped key, value or checksum byte with a whole record
-// after it is reported.
+// after it ends replay at its record, which is reported as damaged.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte("\x01\x02\x03k1abc\x02\x02\x00k2\x01\x01\x05kvalue"), uint16(0), uint16(0), byte(0), false)
 	f.Add([]byte("\x01\x02\x03k1abc\x02\x02\x00k2\x01\x01\x05kvalue"), uint16(3), uint16(0), byte(0), false)
@@ -142,7 +228,7 @@ func FuzzWALReplay(f *testing.F) {
 		var got []walRec
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := replayWAL(path, func(op byte, key string, value []byte, at int64) {
+		damaged, err := replayWAL(path, func(op byte, key string, value []byte, at int64) {
 			got = append(got, walRec{op, key, string(value)})
 		})
 		runtime.ReadMemStats(&after)
@@ -165,8 +251,8 @@ func FuzzWALReplay(f *testing.F) {
 			whole++
 		}
 		if flipped < 0 {
-			if err != nil || len(got) != whole {
-				t.Fatalf("an unflipped log cut to %d bytes replayed %d of its %d whole records, err %v", len(log), len(got), whole, err)
+			if err != nil || damaged >= 0 || len(got) != whole {
+				t.Fatalf("an unflipped log cut to %d bytes replayed %d of its %d whole records, damaged %d, err %v", len(log), len(got), whole, damaged, err)
 			}
 			return
 		}
@@ -177,8 +263,8 @@ func FuzzWALReplay(f *testing.F) {
 			start = ends[rec]
 			rec++
 		}
-		if rec+1 < whole && flipped >= start+walHeader && err == nil {
-			t.Fatalf("flipped byte %d in the body of record %d of %d whole records, replay reported nothing", flipped, rec, whole)
+		if rec+1 < whole && flipped >= start+walHeader && (err != nil || damaged != int64(start) || len(got) != rec) {
+			t.Fatalf("flipped byte %d in the body of record %d (offset %d) of %d whole records: replayed %d, damaged %d, err %v", flipped, rec, start, whole, len(got), damaged, err)
 		}
 	})
 }

@@ -188,10 +188,14 @@ func TestLCPShareSnapshotInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each check asks every model under one table name before the next,
+	// starting with the name the last check ended with: a snapshot a
+	// mutation failed to invalidate is then served for every model, not
+	// replaced as soon as another table is asked for.
 	check := func(step string) {
 		t.Helper()
-		for k := ownermap.ModelID(1); k <= 12; k++ {
-			for _, table := range []uint64{0, proto.TableName(0), proto.TableName(1)} {
+		for _, table := range []uint64{proto.TableName(1), 0, proto.TableName(0), proto.TableName(1)} {
+			for k := ownermap.ModelID(1); k <= 12; k++ {
 				q := &proto.LCPQueryReq{Graph: modelGraph(k), Table: table}
 				if diff := agree(p, q); diff != "" {
 					t.Fatalf("after %s, query for model %d naming table %d: %s", step, k, table, diff)
@@ -305,7 +309,40 @@ func TestLCPShareSnapshotInvalidation(t *testing.T) {
 // lcp-query deployment (four providers, R=3: a share of n/4 models), with
 // archgen.Catalog(2, 512) queries. It reports the entries whose exact
 // prefix was computed per query (exact/op) beside the share (scanned/op).
+// The chains1k-full case is the bound order's worst case: a full scan (no
+// table, as in the client's fallback round) of 1,000 near-identical
+// 20-vertex chains over five ConfigSigs, where most entries' bounds reach
+// the best size.
 func BenchmarkLCPQueryCatalog(b *testing.B) {
+	report := func(b *testing.B, p *Provider, query func(i int)) {
+		query(0) // builds the snapshot
+		scanned0 := p.reg.Counter("provider.lcp_scanned").Load()
+		exact0 := p.reg.Counter("provider.lcp_exact").Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query(i)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(p.reg.Counter("provider.lcp_scanned").Load()-scanned0)/float64(b.N), "scanned/op")
+		b.ReportMetric(float64(p.reg.Counter("provider.lcp_exact").Load()-exact0)/float64(b.N), "exact/op")
+	}
+	b.Run("chains1k-full", func(b *testing.B) {
+		p := New(0, kvstore.NewMemKV(4))
+		for i := 0; i < 1000; i++ {
+			sigs := make([]uint64, 20)
+			for j := range sigs {
+				sigs[j] = uint64(1 + (i*31+j*17)%5)
+			}
+			req, segs := storeReq(ownermap.ModelID(i+1), uint64(i+1), 0.5, chainGraph(sigs...))
+			if err := p.StoreModel(req, segs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		g := chainGraph(1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
+		report(b, p, func(int) { p.LCPQuery(&proto.LCPQueryReq{Graph: g}) })
+	})
+
 	queries := catalogGraphs(b, 2, 512)
 	for _, n := range []int{2000, 20000, 60000} {
 		var p *Provider // built by the first run of the sub-benchmark
@@ -313,17 +350,9 @@ func BenchmarkLCPQueryCatalog(b *testing.B) {
 			if p == nil {
 				p = shareProvider(b, catalogGraphs(b, 1, n), 1)
 			}
-			p.LCPQuery(&proto.LCPQueryReq{Graph: queries[0], Table: proto.TableName(0)}) // builds the snapshot
-			scanned0 := p.reg.Counter("provider.lcp_scanned").Load()
-			exact0 := p.reg.Counter("provider.lcp_exact").Load()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			report(b, p, func(i int) {
 				p.LCPQuery(&proto.LCPQueryReq{Graph: queries[i%len(queries)], Table: proto.TableName(0)})
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(p.reg.Counter("provider.lcp_scanned").Load()-scanned0)/float64(b.N), "scanned/op")
-			b.ReportMetric(float64(p.reg.Counter("provider.lcp_exact").Load()-exact0)/float64(b.N), "exact/op")
+			})
 		})
 	}
 }

@@ -28,7 +28,6 @@ package provider
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,10 +172,8 @@ type Provider struct {
 	// is bumped under mu wherever models gains or loses an entry, and once
 	// more after a store clears storing; see shareFor.
 	lcpGen atomic.Uint64
-	// share holds the LCP share snapshots last built (never nil): [0] of
-	// every model held, [1] of a home share. Two slots, so the fallback
-	// round's full scans and named queries do not rebuild each other's.
-	share [2]atomic.Pointer[shareSnap]
+	// share holds the LCP share snapshot last built (never nil).
+	share atomic.Pointer[shareSnap]
 }
 
 // New creates a provider with the given index backed by kv (segments are
@@ -199,8 +196,7 @@ func New(id int, kv kvstore.KV) *Provider {
 		heat:     metrics.NewHeatMap(metrics.DefaultHeatHalfLife),
 	}
 	// Generation 0 is the empty catalog, so loading one must bump lcpGen.
-	p.share[0].Store(&shareSnap{})
-	p.share[1].Store(&shareSnap{})
+	p.share.Store(&shareSnap{})
 	return p
 }
 
@@ -790,18 +786,13 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 // carries the winner's catalog entry so the client needs no second round.
 //
 // The scan holds no lock: it reads the share's snapshot (shareFor), ranks
-// its entries by graph.LCPScanner.Bound and computes exact prefixes in that
+// its entries by bound (graph.LCPScanner.ByBound) and computes exact prefixes in that
 // order only while an entry's bound can still reach the best size found.
 // proto.LCPBeats is a total order, so the winner does not depend on the
 // order of the scan.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	share := p.shareFor(p.homeTable(q))
-	scanner, _ := lcpScanners.Get().(*graph.LCPScanner)
-	if scanner == nil {
-		scanner = new(graph.LCPScanner)
-	}
-	scanner.Reset(q.Graph)
-	defer lcpScanners.Put(scanner)
+	scanner := graph.NewLCPScanner(q.Graph)
 	var skip func(int) bool
 	skipped := 0
 	if len(q.Exclude) > 0 {
@@ -837,12 +828,9 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	if best == nil {
 		return &proto.LCPResult{}
 	}
-	return &proto.LCPResult{Meta: best, Prefix: slices.Clone(scanner.Against(best.Graph))}
+	// The scanner is this call's own, so its prefix slice can be handed out.
+	return &proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
 }
-
-// lcpScanners holds LCPQuery's scanners between queries, so a query's
-// scratch buffers are the last one's.
-var lcpScanners sync.Pool
 
 // shareSnap is an immutable copy of the entries an LCP query scans under
 // one home table: the cataloged models that are not storing and, when
@@ -861,11 +849,7 @@ type shareSnap struct {
 // the read lock before the models are: a store that clears storing after
 // that read bumps past it, so the next query rebuilds.
 func (p *Provider) shareFor(homes *placement.Table) *shareSnap {
-	slot := &p.share[0]
-	if homes != nil {
-		slot = &p.share[1]
-	}
-	if s := slot.Load(); s.gen == p.lcpGen.Load() && s.table == homes {
+	if s := p.share.Load(); s.gen == p.lcpGen.Load() && s.table == homes {
 		return s
 	}
 	s := &shareSnap{table: homes}
@@ -885,7 +869,7 @@ func (p *Provider) shareFor(homes *placement.Table) *shareSnap {
 	for _, m := range s.metas {
 		s.sigs.Add(m.Graph)
 	}
-	slot.Store(s)
+	p.share.Store(s)
 	return s
 }
 
