@@ -18,15 +18,14 @@ test:
 # segment read and tensor fingerprint benchmarks so they can't rot; 10 s of
 # fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
 # otherwise spend shrinking the seed table, which looks like a hang) and 5 s
-# each of the value-log reader and the WAL replay (both bounded the same
-# way), the TCP frame
+# each of the value-log reader, the WAL replay, the manifest and the
+# `.sst.compact` marker (all four bounded the same way), the TCP frame
 # readers, the strict control decoders, the placement-state decoder, the
 # chunk-recipe decoder and the provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
-# contracts (hedged storm p99 vs healthy, controller-phase p99 vs
-# baseline); and the docs-vs-code check.
+# contract (hedged storm p99 vs healthy); and the docs-vs-code check.
 check:
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || \
 		{ echo "gofmt -l lists unformatted files (run gofmt -w on them):" >&2; echo "$$unformatted" >&2; exit 1; }
@@ -41,6 +40,8 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzValueLog -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz FuzzCompactMarker -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s ./internal/placement
@@ -58,7 +59,7 @@ bench:
 	$(GO) test -run '^$$' -bench Bulk -benchmem ./internal/bulkbench
 
 # Every failure scenario at full size (faults, repair, rebalance, restart,
-# autobalance, storm, frontdoor, dedup): each asserts its own contract and
+# storm, frontdoor, dedup): each asserts its own contract and
 # ends in the shared invariant check. `evostore-bench <name> -seed N`
 # replays one.
 scenarios:

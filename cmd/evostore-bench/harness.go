@@ -34,8 +34,8 @@ type config struct {
 	seed     int64
 	smoke    bool // the CI size; each scenario has exactly two sizes
 	replicas int  // 0 = the scenario's default
-	// timing also evaluates the wall-clock ratio contracts (storm's hedged
-	// p99 bound, autobalance's p99 bound). The CLI sets it; the test binary
+	// timing also evaluates the wall-clock ratio contract (storm's hedged
+	// p99 bound). The CLI sets it; the test binary
 	// does not, so tier-1 asserts only what a loaded host cannot make flake.
 	timing bool
 	out    io.Writer
@@ -74,7 +74,7 @@ func (c config) size(full, smoke int) int {
 func (c config) rng() *rand.Rand { return rand.New(rand.NewSource(c.seed)) }
 
 // clientCounters is where core.Open's client counts: Open builds it without
-// client.WithRegistry, so unlike faults, resilience and heat the client.*
+// client.WithRegistry, so unlike faults and resilience the client.*
 // counters of an embedded deployment cannot be pointed at env.reg. count
 // reads them as growth since open, which is exact as long as deployments
 // do not overlap in time — scenarios, `check` and the tests run them one
@@ -86,7 +86,7 @@ type env struct {
 	cfg  config
 	opts core.Options
 	repo *core.Repository
-	reg  *metrics.Registry // fault, resilience and heat counters of this deployment only
+	reg  *metrics.Registry // fault and resilience counters of this deployment only
 	base map[string]uint64 // clientCounters at open
 	flat *model.Flat       // what seed stores
 
@@ -329,8 +329,9 @@ func (e *env) awaitHealed() error {
 //
 //   - no replica set is diverged (the repairer's own audit);
 //   - independently of the repairer's digest RPCs, the digests read
-//     straight off the provider structs are equal across every replica set
-//     of every cataloged model;
+//     straight off the provider structs have converged across every
+//     replica set of every cataloged model: they hash the catalog entry,
+//     the refcounts and each stored segment's length, not its bytes;
 //   - after retiring everything the deployment holds 0 models, 0 segments
 //     and 0 live refs — one lost or doubled IncRef/DecRef delta, one leaked
 //     retire leg, leaves something behind — and, unless the catalog is
@@ -372,7 +373,7 @@ func (e *env) check() error {
 	if st.Models != 0 || st.Segments != 0 || st.LiveRefs != 0 || (!e.opts.DurableCatalog && st.SegmentBytes != 0) {
 		return fmt.Errorf("check: refcount drift: repository did not drain: %+v", *st)
 	}
-	e.logf("check: %d models bit-identical across their replica sets, retired, drained to zero\n", len(all))
+	e.logf("check: %d models with converged replica digests (catalog entry, refcounts, segment lengths), retired, drained to zero\n", len(all))
 	e.reg.Render(e.cfg.out)
 	return nil
 }

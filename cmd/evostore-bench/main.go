@@ -9,7 +9,7 @@
 //	evostore-bench fig6|fig7|fig8|fig9|fig10 [-budget N] [-workers N]
 //	evostore-bench ablations
 //	evostore-bench all
-//	evostore-bench faults|repair|rebalance|restart|autobalance|storm|frontdoor|dedup [-smoke] [-seed N] [-replicas R]
+//	evostore-bench faults|repair|rebalance|restart|storm|frontdoor|dedup [-smoke] [-seed N] [-replicas R]
 //	evostore-bench check [-smoke=false] [-seed N] [-replicas R]
 //
 // Scaled-down figure defaults finish in seconds; pass the paper's

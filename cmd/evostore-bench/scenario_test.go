@@ -38,7 +38,7 @@ func TestScenarios(t *testing.T) {
 // table (which `check` walks), findScenario and the usage text name the
 // same ones.
 func TestScenarioNamesAgree(t *testing.T) {
-	want := []string{"faults", "repair", "rebalance", "restart", "autobalance", "storm", "frontdoor", "dedup"}
+	want := []string{"faults", "repair", "rebalance", "restart", "storm", "frontdoor", "dedup"}
 	var got []string
 	for _, sc := range scenarios {
 		got = append(got, sc.name)

@@ -18,9 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dedup"
-	"repro/internal/frontdoor"
 	"repro/internal/graph"
-	"repro/internal/heat"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -43,7 +41,6 @@ var scenarios = []scenario{
 	{"repair", "one replica partitioned away mid-workload under partial writes, healed, one repair pass", runRepair},
 	{"rebalance", "one provider drained and a spare joined under live reads and writes", runRebalance},
 	{"restart", "kill -9 of one provider on a real LSM directory mid-workload, restart on the same directory", runRestart},
-	{"autobalance", "zipfian heat skew with the heat controller migrating under live reads", runAutobalance},
 	{"storm", "rolling 20x slow nodes, a flapping partition and a kill/restart under zipfian reads, unhedged then hedged", runStorm},
 	{"frontdoor", "zipfian fan-in from several TCP clients, then a noisy tenant against a throttled provider", runFrontdoor},
 	{"dedup", "a fine-tune lineage stored in content-addressed chunks", runDedup},
@@ -154,7 +151,7 @@ func runFaults(cfg config) error {
 // runRepair is the anti-entropy convergence scenario: one replica is
 // partitioned away mid-workload while partial writes keep every store,
 // retire and load succeeding; the partition heals and ONE repair pass must
-// leave check nothing to find — every replica set bit-identical, and a
+// leave check nothing to find — every replica set's digests converged, and a
 // full drain, so no refcount delta was lost in the outage.
 func runRepair(cfg config) error {
 	r := max(cfg.replicas, 2)
@@ -519,115 +516,6 @@ func runRestart(cfg config) error {
 		}
 	}
 	return nil
-}
-
-// runAutobalance is the heat-driven rebalancing scenario: a zipfian read
-// workload concentrates heat on a few models, and the internal/heat
-// controller must react — widening the hot models' replica sets and
-// packing the cold ones — while the workload keeps running. Contract:
-//
-//   - the controller bumps the epoch at least once, with at least one model
-//     widened above the base R (the hottest among them) and one packed;
-//   - zero failed requests throughout — reads ride the dual-epoch union
-//     while the controller's migration moves data;
-//   - migration payload bytes stay within the token bucket's hard bound
-//     (rate × elapsed plus one burst window);
-//   - (timing) the controller phase's p99 stays within 20% of the
-//     no-migration baseline, plus a 2ms floor for timer noise.
-func runAutobalance(cfg config) error {
-	const workers, budget = 2, 8e6 // migration payload budget, bytes/sec
-	r := max(cfg.replicas, 2)
-	// The client segment cache would absorb the repeat reads that make a
-	// model hot; disable it so heat reaches the providers.
-	e, err := open(cfg, core.Options{Providers: max(4, r+1), Replicas: r, SegCacheBytes: -1})
-	if err != nil {
-		return err
-	}
-	defer e.close()
-	ctx := context.Background()
-	if err := e.seed(cfg.size(32, 16), false); err != nil {
-		return err
-	}
-	perWorker := cfg.size(2000, 600) / workers
-
-	// Both phases read the same zipfian pattern, so the latency comparison
-	// is like for like; the baseline also skews the EWMA heat, so the
-	// controller has signal from its first cycle.
-	base := e.readers(workers, true, untilCount(perWorker))
-	e.logf("baseline: %d reads, p50 %.2fms p99 %.2fms, %d fails\n", len(base.lats), base.p(0.5), base.p(0.99), base.fails)
-
-	ctl := heat.New(e.repo.Client(), heat.Config{PackTo: 1, BudgetBytesPerSec: budget}, e.reg)
-	start := time.Now()
-	stop := make(chan struct{})
-	var ctlErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ctlErr == nil {
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-				ctlErr = ctl.Step(ctx)
-			}
-		}
-	}()
-	with := e.readers(workers, true, untilCount(perWorker))
-	close(stop)
-	wg.Wait()
-	if ctlErr == nil && e.repo.PlacementTable().Epoch == 0 {
-		// A smoke-size read phase can finish before the first controller
-		// tick; the EWMA heat survives the phase, so one explicit step still
-		// exercises the full plan → rebalance → migrate path.
-		ctlErr = ctl.Step(ctx)
-	}
-	if ctlErr != nil {
-		return fmt.Errorf("controller step: %w", ctlErr)
-	}
-	elapsed := time.Since(start)
-	moved := e.count("client.repair_payload_bytes")
-
-	tbl := e.repo.PlacementTable()
-	widened, packed := 0, 0
-	for _, n := range tbl.Overrides {
-		if n > tbl.R() {
-			widened++
-		} else if n < tbl.R() {
-			packed++
-		}
-	}
-	e.logf("controller: %d reads, p50 %.2fms p99 %.2fms, %d fails; %s, %d widened, %d packed, %s migrated (heat.rebalances=%d lost_race=%d)\n",
-		len(with.lats), with.p(0.5), with.p(0.99), with.fails, tbl, widened, packed, metrics.HumanBytes(int64(moved)),
-		e.count("heat.rebalances"), e.count("heat.lost_race"))
-
-	if base.fails != 0 || with.fails != 0 {
-		return fmt.Errorf("%d baseline + %d controller-phase reads failed (want 0); first: %v %v", base.fails, with.fails, base.err, with.err)
-	}
-	if tbl.Epoch < 1 {
-		return fmt.Errorf("controller never rebalanced: still at %s", tbl)
-	}
-	if widened < 1 {
-		return fmt.Errorf("no model widened above R=%d under a zipfian workload: %s", tbl.R(), tbl)
-	}
-	if packed < 1 {
-		return fmt.Errorf("no cold model packed with PackTo=1: %s", tbl)
-	}
-	if hot := e.live()[0]; len(tbl.ReplicaSet(hot)) <= r {
-		return fmt.Errorf("hottest model %d still has %d replicas (want > %d)", hot, len(tbl.ReplicaSet(hot)), r)
-	}
-	if limit := base.p(0.99)*1.2 + 2.0; cfg.timing && with.p(0.99) > limit {
-		return fmt.Errorf("controller-phase p99 %.2fms exceeds %.2fms (baseline %.2fms + 20%% + 2ms)", with.p(0.99), limit, base.p(0.99))
-	}
-	// The bucket's capacity is rate × frontdoor.Window.
-	if bound := budget * (elapsed.Seconds() + frontdoor.Window.Seconds()); float64(moved) > bound {
-		return fmt.Errorf("migration moved %d payload bytes, over the budget bound %.0f (%g B/s for %.2fs + one window)",
-			moved, bound, budget, elapsed.Seconds())
-	}
-	if err := e.loadAll("under the rebalanced table"); err != nil {
-		return err
-	}
-	return e.check()
 }
 
 // stormHedgeBudget caps the hedged storm run's hedge launches per second.

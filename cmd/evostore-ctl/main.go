@@ -12,8 +12,6 @@
 //	evostore-ctl -providers ... arch <modelID>        # Graphviz DOT to stdout
 //	evostore-ctl -providers ... metrics               # per-provider counters
 //	evostore-ctl -providers ... health                # per-provider health scores and latency quantiles
-//	evostore-ctl -providers ... heat                  # per-model read/write heat
-//	evostore-ctl -providers ... autobalance [flags]   # heat-driven rebalance cycles
 //	evostore-ctl -providers ... replicas <modelID>    # replica placement
 //	evostore-ctl -providers ... digest <modelID>      # per-replica repair digests
 //	evostore-ctl -providers ... check                 # list diverged replica sets
@@ -42,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/heat"
 	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/placement"
@@ -64,7 +61,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: evostore-ctl -providers a,b,c {list|stats|lineage|owners|mrca|retire|load|arch|metrics|health|heat|autobalance|replicas|digest|check|repair|placement} [args]")
+		fmt.Fprintln(os.Stderr, "usage: evostore-ctl -providers a,b,c {list|stats|lineage|owners|mrca|retire|load|arch|metrics|health|replicas|digest|check|repair|placement} [args]")
 		os.Exit(2)
 	}
 
@@ -263,7 +260,7 @@ func run(ctx context.Context, cli *client.Client, conns []rpc.Conn, args []strin
 		return meta.Graph.WriteDOT(os.Stdout, fmt.Sprintf("model_%d", uint64(id)), nil)
 
 	case "metrics":
-		snaps, _, errs := cli.Metrics(ctx)
+		snaps, errs := cli.Metrics(ctx)
 		tbl := metrics.NewTable("Provider", "Counter", "Value")
 		for i, snap := range snaps {
 			if errs[i] != nil {
@@ -376,89 +373,10 @@ func run(ctx context.Context, cli *client.Client, conns []rpc.Conn, args []strin
 			stats.Checked, stats.Repaired, stats.Skipped)
 		return nil
 
-	case "heat":
-		_, heats, errs := cli.Metrics(ctx)
-		tbl := metrics.NewTable("Provider", "Model", "Read B/s", "Write B/s")
-		for pi, samples := range heats {
-			if errs[pi] != nil {
-				fmt.Fprintf(os.Stderr, "provider %d: %v\n", pi, errs[pi])
-				continue
-			}
-			for _, h := range samples {
-				tbl.Add(pi, uint64(h.Model), fmt.Sprintf("%.1f", h.ReadBps), fmt.Sprintf("%.1f", h.WriteBps))
-			}
-		}
-		tbl.Render(os.Stdout)
-		agg := heat.Aggregate(heats)
-		ids := make([]ownermap.ModelID, 0, len(agg))
-		for id := range agg {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return agg[ids[i]] > agg[ids[j]] })
-		for _, id := range ids {
-			fmt.Printf("model %d: %.1f B/s total (replicas %v)\n", uint64(id), agg[id], cli.ReplicaSet(id))
-		}
-		return nil
-
-	case "autobalance":
-		return autobalanceCmd(ctx, cli, args[1:])
-
 	case "placement":
 		return placementCmd(ctx, cli, conns, args[1:])
 	}
 	return fmt.Errorf("unknown subcommand %q", args[0])
-}
-
-// autobalanceCmd runs heat-driven rebalance cycles from the operator's
-// seat: each cycle snapshots the deployment's per-model heat, plans the
-// override set and — when it differs from the live table — drives one
-// epoch bump. With -cycles 1 (the default) it is a one-shot "rebalance by
-// heat now"; larger counts loop like the in-server controller.
-func autobalanceCmd(ctx context.Context, cli *client.Client, args []string) error {
-	fs := flag.NewFlagSet("autobalance", flag.ContinueOnError)
-	hot := fs.Float64("hot", 0, "widen threshold as a multiple of mean heat (0 = 4)")
-	cold := fs.Float64("cold", 0, "pack threshold as a multiple of mean heat (0 = 0.25)")
-	widen := fs.Int("widen", 0, "replica count for hot models (0 = base R + 1)")
-	pack := fs.Int("pack", 0, "replica count for cold models (0 = packing off)")
-	budget := fs.Float64("budget", 0, "migration payload budget in bytes/sec (0 = unpaced)")
-	maxChanges := fs.Int("max-changes", 0, "max override changes per cycle (0 = 32)")
-	cycles := fs.Int("cycles", 1, "controller cycles to run")
-	interval := fs.Duration("interval", 5*time.Second, "pause between cycles when -cycles > 1")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	reg := metrics.NewRegistry()
-	ctl := heat.New(cli, heat.Config{
-		HotFactor:         *hot,
-		ColdFactor:        *cold,
-		WidenTo:           *widen,
-		PackTo:            *pack,
-		MaxChanges:        *maxChanges,
-		BudgetBytesPerSec: *budget,
-	}, reg)
-	for i := 0; i < *cycles; i++ {
-		if i > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(*interval):
-			}
-		}
-		before := cli.PlacementTable().Epoch
-		if err := ctl.Step(ctx); err != nil {
-			return err
-		}
-		tbl := cli.PlacementTable()
-		if tbl.Epoch == before {
-			fmt.Printf("cycle %d: placement already matches the heat plan (%s)\n", i+1, tbl)
-		} else {
-			fmt.Printf("cycle %d: rebalanced to %s\n", i+1, tbl)
-		}
-	}
-	if n := reg.Counter("heat.lost_race").Load(); n > 0 {
-		fmt.Printf("lost %d epoch race(s) to a concurrent rebalance; re-synced and re-planned\n", n)
-	}
-	return nil
 }
 
 // placementCmd inspects and drives the epoch-versioned placement table:

@@ -10,8 +10,6 @@
 //	                [-deploy-size N -replicas R] [-metrics-interval 1m] [-dedup-ttl 2m]
 //	                [-repair-interval 30s -repair-peers a,b]
 //	                [-throttle-ops N -throttle-bytes N -throttle-window 60s]
-//	                [-autobalance -autobalance-interval 5s -heat-hot 4 -heat-cold 0.25
-//	                 -heat-widen 0 -heat-pack 0 -migration-budget N]
 //	                [-hedged-reads -hedge-budget N]
 //
 // Without -data the provider uses the in-memory backend (the paper's
@@ -38,18 +36,8 @@
 // tenant via client.WithTenant (evostore-ctl -tenant); untagged clients
 // share the anonymous tenant's budget.
 //
-// -autobalance runs the heat-driven placement controller (internal/heat)
-// in this process: every -autobalance-interval it aggregates the per-model
-// read/write heat all providers export on their metrics RPC, widens models
-// hotter than -heat-hot times the mean to -heat-widen replicas, packs
-// models colder than -heat-cold times the mean to -heat-pack replicas, and
-// drives the resulting epoch bump through the rebalancer with migration
-// payload bytes paced to -migration-budget. Run it on exactly one provider
-// (it needs -repair-peers); a second controller or a concurrent manual
-// rebalance safely loses the epoch race and re-plans.
-//
 // -hedged-reads arms tail-latency hedging on the in-server deployment
-// client (the one -repair-interval / -autobalance run over): a replicated
+// client (the one -repair-interval runs over): a replicated
 // read that is slow on its preferred replica launches a second attempt
 // against the next-best replica after a health-score-scaled delay, first
 // success wins, and -hedge-budget caps hedge volume in hedges/sec.
@@ -90,7 +78,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/dedup"
 	"repro/internal/frontdoor"
-	"repro/internal/heat"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/placement"
@@ -128,24 +115,10 @@ func main() {
 		"per-tenant read admission limit in bytes/sec (0 = unlimited on this axis)")
 	throttleWindow := flag.Duration("throttle-window", 0,
 		"burst window of the admission buckets: capacity = rate * window (0 = 60s default)")
-	autoBalance := flag.Bool("autobalance", false,
-		"run the heat-driven placement controller in this process (needs -repair-peers; run it on exactly one provider)")
-	autoBalanceEvery := flag.Duration("autobalance-interval", 0,
-		"controller cycle interval (0 = 5s default)")
-	heatHot := flag.Float64("heat-hot", 0,
-		"widen a model when its heat exceeds this multiple of the mean (0 = 4)")
-	heatCold := flag.Float64("heat-cold", 0,
-		"pack a model when its heat falls below this multiple of the mean (0 = 0.25)")
-	heatWiden := flag.Int("heat-widen", 0,
-		"replica count for hot models (0 = base R + 1)")
-	heatPack := flag.Int("heat-pack", 0,
-		"replica count for cold models (0 = packing off, widening only)")
 	hedgedReads := flag.Bool("hedged-reads", false,
 		"hedge slow replicated reads on the in-server deployment client: after a health-scaled delay, race the next-best replica (needs -repair-peers)")
 	hedgeBudget := flag.Float64("hedge-budget", 0,
 		"hedged-read volume cap in hedges/sec (0 = client default; needs -hedged-reads)")
-	migrationBudget := flag.Float64("migration-budget", 0,
-		"migration payload bandwidth bound in bytes/sec for controller-driven rebalances (0 = unpaced)")
 	flag.Parse()
 
 	// Fail fast on inconsistent deployment flags instead of silently
@@ -181,9 +154,6 @@ func main() {
 	}
 	if *drain && (*repairPeers == "" || *deploySize == 0) {
 		log.Fatalf("-drain needs -repair-peers and -deploy-size to run the self-drain migration on shutdown")
-	}
-	if *autoBalance && *repairPeers == "" {
-		log.Fatalf("-autobalance needs -repair-peers (the full deployment address list) to read heat and drive migrations")
 	}
 
 	var kv kvstore.KV
@@ -311,14 +281,12 @@ func main() {
 	if *metricsEvery > 0 {
 		go logMetrics(*id, *metricsEvery, stopMetrics)
 	}
-	// Optional in-server deployment loops: anti-entropy repair and the
-	// heat-driven placement controller both run over a client dialed on the
-	// full peer list. One provider (usually provider 0) should run them;
-	// concurrent repairers are wasteful but safe, and a second controller
-	// loses its epoch races and re-plans.
+	// Optional in-server anti-entropy repair, over a client dialed on the
+	// full peer list. One provider (usually provider 0) should run it;
+	// concurrent repairers are wasteful but safe.
 	repairCtx, stopRepair := context.WithCancel(context.Background())
 	defer stopRepair()
-	if *repairEvery > 0 || *autoBalance {
+	if *repairEvery > 0 {
 		if *repairPeers == "" {
 			log.Fatalf("-repair-interval needs -repair-peers (the full deployment address list)")
 		}
@@ -346,29 +314,10 @@ func main() {
 			if _, err := cli.SyncPlacement(repairCtx); err != nil {
 				log.Printf("provider %d: placement sync: %v", *id, err)
 			}
-			if *repairEvery > 0 {
-				go client.NewRepairer(cli).Run(repairCtx, *repairEvery)
-			}
-			if *autoBalance {
-				ctl := heat.New(cli, heat.Config{
-					Interval:          *autoBalanceEvery,
-					HotFactor:         *heatHot,
-					ColdFactor:        *heatCold,
-					WidenTo:           *heatWiden,
-					PackTo:            *heatPack,
-					BudgetBytesPerSec: *migrationBudget,
-				}, nil)
-				go ctl.Run(repairCtx)
-			}
+			client.NewRepairer(cli).Run(repairCtx, *repairEvery)
 		}()
-		if *repairEvery > 0 {
-			log.Printf("provider %d: anti-entropy repairer running every %s over %d peers",
-				*id, *repairEvery, len(conns))
-		}
-		if *autoBalance {
-			log.Printf("provider %d: heat controller running over %d peers (budget %g B/s)",
-				*id, len(conns), *migrationBudget)
-		}
+		log.Printf("provider %d: anti-entropy repairer running every %s over %d peers",
+			*id, *repairEvery, len(conns))
 	}
 
 	sig := make(chan os.Signal, 1)

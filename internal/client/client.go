@@ -85,10 +85,9 @@ type Client struct {
 
 	partialWrites bool // accept outage-shaped partial mutations (see repair.go)
 	// rebalanceMu serializes placement transitions driven through this
-	// client: concurrent Rebalancer.Rebalance calls (controller cycle vs
-	// manual operator push) run one at a time, so exactly one epoch bump
-	// wins and the loser observes the new epoch instead of corrupting the
-	// migration.
+	// client: concurrent Rebalancer.Rebalance calls run one at a time, so
+	// exactly one epoch bump wins and the loser observes the new epoch
+	// instead of corrupting the migration.
 	rebalanceMu sync.Mutex
 	repairMu    sync.Mutex
 	repairQ     []RepairTarget
@@ -605,24 +604,21 @@ func (c *Client) ListModels(ctx context.Context) ([]ownermap.ModelID, error) {
 	return all, nil
 }
 
-// Metrics fetches each provider's server-side metrics: its counters
-// (retries, breaker transitions, replica activity) and its per-model heat
-// samples, which ride the same response. All three results are indexed by
-// provider; an unreachable provider yields nil entries and an error in
-// errs.
-func (c *Client) Metrics(ctx context.Context) (snaps []map[string]uint64, heats [][]proto.ModelHeat, errs []error) {
+// Metrics fetches each provider's server-side counters (retries, breaker
+// transitions, replica activity). Both results are indexed by provider;
+// an unreachable provider yields a nil entry and an error in errs.
+func (c *Client) Metrics(ctx context.Context) (snaps []map[string]uint64, errs []error) {
 	results := rpc.Broadcast(ctx, c.conns, proto.RPCMetrics, rpc.Message{})
 	snaps = make([]map[string]uint64, len(results))
-	heats = make([][]proto.ModelHeat, len(results))
 	errs = make([]error, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			errs[i] = fmt.Errorf("client: metrics on provider %d: %w", i, r.Err)
 			continue
 		}
-		snaps[i], heats[i], errs[i] = proto.DecodeCountersHeat(r.Resp.Meta)
+		snaps[i], errs[i] = proto.DecodeCounters(r.Resp.Meta)
 	}
-	return snaps, heats, errs
+	return snaps, errs
 }
 
 // Stats aggregates storage statistics across all providers. With

@@ -57,15 +57,6 @@ func NewRebalancer(c *Client) *Rebalancer {
 	return &Rebalancer{c: c, r: NewRepairer(c)}
 }
 
-// SetPayloadBudget bounds the migration's payload bandwidth to bytesPerSec
-// (0 removes the bound): phase 2/3 data movement is paced against a token
-// bucket so a rebalance cannot saturate the fabric foreground reads run
-// on. Placement pushes, listings and digests are not budgeted — only
-// payload bytes, which dominate.
-func (b *Rebalancer) SetPayloadBudget(bytesPerSec float64) {
-	b.r.SetPayloadBudget(bytesPerSec)
-}
-
 // RebalanceStats summarizes one completed migration.
 type RebalanceStats struct {
 	Epoch    uint64        // the epoch migrated to
@@ -90,9 +81,9 @@ var ErrLostRace = errors.New("lost the epoch race")
 // WithoutMember or Next); re-running a migration that previously failed
 // partway — the client is still dual on the same target — resumes it.
 func (b *Rebalancer) Rebalance(ctx context.Context, next *placement.Table) (*RebalanceStats, error) {
-	// One migration at a time per client: a controller cycle racing a
-	// manual push serializes here, and the loser fails the successor-epoch
-	// check below instead of double-arming the deployment.
+	// One migration at a time per client: two pushes racing on one client
+	// serialize here, and the loser fails the successor-epoch check below
+	// instead of double-arming the deployment.
 	b.c.rebalanceMu.Lock()
 	defer b.c.rebalanceMu.Unlock()
 

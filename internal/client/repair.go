@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/frontdoor"
 	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/proto"
@@ -134,12 +132,6 @@ type Repairer struct {
 	absolute  *metrics.Counter // repairs that used the absolute fallback
 	failures  *metrics.Counter // repair passes that errored
 	moved     *metrics.Counter // payload bytes shipped between replicas by repair
-
-	// budget, when set, paces payload movement: every batch of repair
-	// bytes is charged against it and the repairer sleeps until the
-	// budget's bucket admits more, bounding the background migration
-	// bandwidth a rebalance steals from foreground traffic.
-	budget atomic.Pointer[frontdoor.Waiter]
 }
 
 // NewRepairer returns a Repairer over c's providers and metrics registry.
@@ -154,31 +146,6 @@ func NewRepairer(c *Client) *Repairer {
 		failures:  c.reg.Counter("client.repair_error"),
 		moved:     c.reg.Counter("client.repair_payload_bytes"),
 	}
-}
-
-// SetPayloadBudget bounds the repairer's payload bandwidth to bytesPerSec
-// (0 removes the bound). Charging happens after each pulled batch — the
-// bytes have already moved — so the pacing follows frontdoor's charge-
-// into-debt model: an oversized batch puts the bucket in debt and the
-// next batch waits the debt out.
-func (r *Repairer) SetPayloadBudget(bytesPerSec float64) {
-	if bytesPerSec <= 0 {
-		r.budget.Store(nil)
-		return
-	}
-	r.budget.Store(frontdoor.NewWaiter(frontdoor.Limits{BytesPerSec: bytesPerSec}))
-}
-
-// pacePayload charges n moved bytes against the budget and blocks until
-// the budget re-admits. A nil budget admits immediately.
-func (r *Repairer) pacePayload(ctx context.Context, n uint64) error {
-	w := r.budget.Load()
-	if w == nil || n == 0 {
-		return nil
-	}
-	w.ChargeBytes(int(n))
-	_, err := w.Wait(ctx)
-	return err
 }
 
 // RepairStats summarizes one RepairAll sweep.
@@ -456,9 +423,6 @@ func (r *Repairer) fillPayloads(ctx context.Context, id ownermap.ModelID, set []
 			moved += uint64(len(p))
 		}
 		r.moved.Add(moved)
-		if err := r.pacePayload(ctx, moved); err != nil {
-			return nil, fmt.Errorf("payload budget: %w", err)
-		}
 		resp, err := r.apply(ctx, set[i], &proto.RepairApplyReq{Model: id, Segments: pull.Segments}, payloads)
 		if err != nil {
 			return nil, err

@@ -67,7 +67,7 @@ func WithReplicas(r int) Option {
 // WithPlacement pins the client's initial placement table instead of the
 // epoch-0 table over all connections — for deployments whose member list
 // is sparse (spare providers awaiting a join) or already past epoch 0.
-// Overrides WithReplicas. Member indices must address connections.
+// Takes precedence over WithReplicas. Member indices must address connections.
 func WithPlacement(t *placement.Table) Option {
 	return func(c *Client) { c.explicit = t }
 }

@@ -297,8 +297,8 @@ func (r *Repository) Close() error {
 }
 
 // Client exposes the underlying deployment client, for callers that need
-// layers the Repository facade does not re-export (heat snapshots, custom
-// rebalancing controllers).
+// layers the Repository facade does not re-export (metrics snapshots,
+// rebalancing, repair).
 func (r *Repository) Client() *client.Client { return r.cli }
 
 // Replicas returns the deployment's replication factor.

@@ -1,5 +1,5 @@
 // Package frontdoor is the multi-tenant admission layer in front of the
-// EvoStore data path. It supplies the three mechanisms that keep a
+// EvoStore data path. It supplies the two mechanisms that keep a
 // model-hub access pattern — many clients pulling the same hot lineages —
 // from melting a provider:
 //
@@ -16,9 +16,6 @@
 //     rpc.StatusThrottled (RetryAfterFromError reads it on either side),
 //     so the resilience middleware can pace retries without tripping its
 //     circuit breaker: a throttled provider is healthy, just busy.
-//   - Local pacing (Waiter): the same buckets used cooperatively — a caller
-//     that knows its budget charges it and sleeps until it is out of debt.
-//     The repairer paces migration payload with one.
 //
 // Beyond the standard library the package imports only rpc, for the
 // status its refusals cross the wire with, so every layer above rpc
@@ -26,7 +23,6 @@
 package frontdoor
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -329,65 +325,6 @@ func (t *Throttler) ChargeBytes(tenant string, n int) {
 	defer t.mu.Unlock()
 	now := t.now()
 	t.bucketsFor(tenant, now).bytes.Force(now, float64(n))
-}
-
-// --- local pacing ---------------------------------------------------------------
-
-// Waiter is the cooperative form of throttling: a one-tenant Throttler
-// whose refusals it sits out locally instead of returning them. Safe for
-// concurrent use.
-type Waiter struct {
-	t *Throttler
-	// sleep is swappable for tests.
-	sleep func(ctx context.Context, d time.Duration) error
-}
-
-// NewWaiter builds a waiter from l; nil when no dimension is
-// limited (a nil *Waiter admits everything immediately).
-func NewWaiter(l Limits) *Waiter {
-	th := NewThrottler(l)
-	if th == nil {
-		return nil
-	}
-	return &Waiter{
-		t: th,
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		},
-	}
-}
-
-// Wait blocks until one operation is admitted (both buckets out of debt)
-// or ctx is done, sleeping each refusal's retry-after in between. It
-// returns ctx's error on cancellation and the number of sleeps it needed
-// (0 = admitted immediately) otherwise.
-func (w *Waiter) Wait(ctx context.Context) (int, error) {
-	if w == nil {
-		return 0, nil
-	}
-	for waits := 0; ; waits++ {
-		err := w.t.Admit("")
-		if err == nil {
-			return waits, nil
-		}
-		if err := w.sleep(ctx, err.(*ThrottledError).RetryAfter); err != nil {
-			return waits + 1, err
-		}
-	}
-}
-
-// ChargeBytes debits n received bytes, possibly into debt.
-func (w *Waiter) ChargeBytes(n int) {
-	if w != nil {
-		w.t.ChargeBytes("", n)
-	}
 }
 
 // --- typed throttle refusal ----------------------------------------------------

@@ -216,32 +216,3 @@ func TestGroupErrorNotCached(t *testing.T) {
 		t.Fatalf("second Do: %v %v %v", v, shared, err)
 	}
 }
-
-func TestWaiterPacesToRate(t *testing.T) {
-	w := NewWaiter(Limits{OpsPerSec: 100, Window: time.Second})
-	now := time.Unix(0, 0)
-	w.t.SetClock(func() time.Time { return now })
-	w.sleep = func(_ context.Context, d time.Duration) error {
-		now = now.Add(d)
-		return nil
-	}
-	start := now
-	for i := 0; i < 200; i++ {
-		if _, err := w.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := now.Sub(start)
-	// 200 ops at 100/s with 10% initial fill: ~1.9s of simulated waiting.
-	if elapsed < 1500*time.Millisecond || elapsed > 2500*time.Millisecond {
-		t.Fatalf("200 ops took %v simulated, want ~1.9s", elapsed)
-	}
-	// Cancellation surfaces.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	w.sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-	w.t.tenants[""].ops.fill = -1000
-	if _, err := w.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Wait returned %v", err)
-	}
-}

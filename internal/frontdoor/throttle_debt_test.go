@@ -1,7 +1,6 @@
 package frontdoor
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -159,45 +158,5 @@ func TestAdmitRefusalDoesNotBurnOps(t *testing.T) {
 	now = now.Add(2 * time.Millisecond)
 	if err := th.Admit("a"); err != nil {
 		t.Fatalf("refused after debt cleared — refusals burned the op budget: %v", err)
-	}
-}
-
-// TestWaiterRefusalDoesNotBurnOps pins the same refund on the client-side
-// Waiter: a lap that sits out a byte debt must not consume an op token.
-// The burn shows when concurrent receivers keep re-debting the bytes
-// bucket between laps — each refused lap would eat the single op token and
-// the waiter would then wait out a whole op period (1s) it never spent.
-func TestWaiterRefusalDoesNotBurnOps(t *testing.T) {
-	w := NewWaiter(Limits{OpsPerSec: 1, BytesPerSec: 1000, Window: time.Second})
-	now := time.Unix(0, 0)
-	var slept time.Duration
-	recharges := 0
-	w.t.SetClock(func() time.Time { return now })
-	w.sleep = func(_ context.Context, d time.Duration) error {
-		slept += d
-		now = now.Add(d)
-		// A concurrent reader lands another response mid-sleep for the
-		// first few laps, re-debting the bytes bucket.
-		if recharges < 3 {
-			recharges++
-			w.ChargeBytes(50)
-		}
-		return nil
-	}
-
-	if _, err := w.Wait(context.Background()); err != nil {
-		t.Fatalf("fresh waiter refused: %v", err)
-	}
-	now = now.Add(time.Second) // refill the op spent above
-	w.ChargeBytes(150)         // 50ms of byte debt at 1000 B/s
-
-	if _, err := w.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// With the refund the waiter pays only the byte debts: ~4 × 50ms. If
-	// refused laps burned the op token, the second lap would find the ops
-	// bucket nearly empty and sleep out most of a 1s op period.
-	if slept > 500*time.Millisecond {
-		t.Fatalf("waiter slept %v for ~200ms of byte debt — op tokens burned while waiting", slept)
 	}
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -160,6 +161,35 @@ func fileID(path string) (int, error) {
 	return strconv.Atoi(base[:strings.IndexByte(base, '.')])
 }
 
+// compactMarker is the body of a `<id>.sst.compact` marker: the ids of the
+// tables that table <id> supersedes, one decimal per line.
+func compactMarker(ids []int) []byte {
+	var b []byte
+	for _, id := range ids {
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// parseCompactMarker reads compactMarker's output. An empty marker, written
+// by the format before partial merges, supersedes every older table, which
+// all reports. A field that is not a table id is an error: skipping it would
+// leave a superseded table to be read, and resurrect the keys it deleted.
+func parseCompactMarker(raw []byte) (ids []int, all bool, err error) {
+	if len(raw) == 0 {
+		return nil, true, nil
+	}
+	for _, f := range bytes.Fields(raw) {
+		id, err := strconv.Atoi(string(f))
+		if err != nil || f[0] < '0' || f[0] > '9' {
+			return nil, false, fmt.Errorf("compact marker field %q is not a table id", f[:min(len(f), 32)])
+		}
+		ids = append(ids, id)
+	}
+	return ids, false, nil
+}
+
 // OpenLSM opens (or creates) a store rooted at dir, finishing any merge and
 // replaying any WAL a previous process left.
 func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
@@ -201,13 +231,15 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMKV, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range strings.Fields(string(raw)) {
-			if id, err := strconv.Atoi(f); err == nil {
-				superseded[kv.tablePath(id)] = true
-			}
+		ids, all, err := parseCompactMarker(raw)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: %s: %w", m, err)
+		}
+		for _, id := range ids {
+			superseded[kv.tablePath(id)] = true
 		}
 		for _, name := range names {
-			if id, err := fileID(name); len(raw) == 0 && err == nil && id < out {
+			if id, err := fileID(name); all && err == nil && id < out {
 				superseded[name] = true
 			}
 		}
@@ -1037,13 +1069,12 @@ func (kv *LSMKV) merge(lo int, run []*sstable, want int) error {
 	// are removed but others remain would resurrect deleted keys on replay.
 	// The durable `<id>.sst.compact` marker tells OpenLSM which tables this
 	// one supersedes; it is removed only after all of them are.
-	var ids strings.Builder
-	for _, in := range run {
-		id, _ := fileID(in.path)
-		fmt.Fprintln(&ids, id)
+	ids := make([]int, len(run))
+	for i, in := range run {
+		ids[i], _ = fileID(in.path)
 	}
 	marker := path + ".compact"
-	if err := writeFileAtomic(marker, []byte(ids.String())); err != nil {
+	if err := writeFileAtomic(marker, compactMarker(ids)); err != nil {
 		return err
 	}
 	if hook := crashMidCompaction; hook != nil {

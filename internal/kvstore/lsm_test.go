@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -441,4 +442,29 @@ func TestLSMValueLogGC(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// FuzzCompactMarker: OpenLSM reads every `<id>.sst.compact` marker a crash
+// left. Parsing never panics and allocates within a bound of its input,
+// and the ids it accepts write back as a marker that parses to them.
+func FuzzCompactMarker(f *testing.F) {
+	for _, seed := range [][]byte{nil, compactMarker([]int{3}), compactMarker([]int{0, 1, 17}), []byte("4 5\t6"), []byte("-1\n"), []byte("x\n")} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ids, all, err := parseCompactMarker(raw)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10+8*uint64(len(raw)) {
+			t.Fatalf("parsing a %d-byte marker allocated %d bytes", len(raw), d)
+		}
+		if err != nil || all {
+			return
+		}
+		again, all, err := parseCompactMarker(compactMarker(ids))
+		if err != nil || all != (len(ids) == 0) || !slices.Equal(again, ids) {
+			t.Fatalf("%q parsed to %v, which writes back as a marker that parses to %v, %v, %v", raw, ids, again, all, err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -90,16 +91,27 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := parseManifest(raw)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: manifest in %s: %w", dir, err)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates a manifest file's bytes: the
+// checksum, the magic, the layout with nothing after the features, the
+// format version and every feature.
+func parseManifest(raw []byte) (*Manifest, error) {
 	if len(raw) < 4 {
-		return nil, fmt.Errorf("kvstore: manifest in %s: truncated", dir)
+		return nil, errors.New("truncated")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.ChecksumIEEE(body) != wire.NewReader(tail).U32() {
-		return nil, fmt.Errorf("kvstore: manifest in %s: checksum mismatch", dir)
+		return nil, errors.New("checksum mismatch")
 	}
 	r := wire.NewReader(body)
 	if r.U32() != manifestMagic {
-		return nil, fmt.Errorf("kvstore: manifest in %s: bad magic", dir)
+		return nil, errors.New("bad magic")
 	}
 	m := &Manifest{
 		FormatVersion:  r.U32(),
@@ -112,11 +124,13 @@ func LoadManifest(dir string) (*Manifest, error) {
 		m.Features = append(m.Features, r.Str())
 	}
 	if r.Err() != nil {
-		return nil, fmt.Errorf("kvstore: manifest in %s: %w", dir, r.Err())
+		return nil, r.Err()
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%d bytes after the features", r.Remaining())
 	}
 	if m.FormatVersion > ManifestFormatVersion {
-		return nil, fmt.Errorf("kvstore: manifest in %s: format version %d newer than supported %d",
-			dir, m.FormatVersion, ManifestFormatVersion)
+		return nil, fmt.Errorf("format version %d newer than supported %d", m.FormatVersion, ManifestFormatVersion)
 	}
 	var unknown []string
 	for _, f := range m.Features {
@@ -125,16 +139,21 @@ func LoadManifest(dir string) (*Manifest, error) {
 		}
 	}
 	if len(unknown) > 0 {
-		return nil, fmt.Errorf("kvstore: manifest in %s requires unsupported features %s",
-			dir, strings.Join(unknown, ","))
+		return nil, fmt.Errorf("requires unsupported features %s", strings.Join(unknown, ","))
 	}
 	return m, nil
 }
 
 // SaveManifest atomically writes m as dir's manifest (writeFileAtomic: a
-// crash leaves either the old or the new manifest, never a torn one). The stored format version is always
-// ManifestFormatVersion.
+// crash leaves either the old or the new manifest, never a torn one). The
+// stored format version is always ManifestFormatVersion.
 func SaveManifest(dir string, m *Manifest) error {
+	return writeFileAtomic(filepath.Join(dir, ManifestName), encodeManifest(m))
+}
+
+// encodeManifest is the file parseManifest reads: m's fields at
+// ManifestFormatVersion, then the checksum of everything before it.
+func encodeManifest(m *Manifest) []byte {
 	w := wire.NewWriter(64 + len(m.Placement))
 	w.U32(manifestMagic)
 	w.U32(ManifestFormatVersion)
@@ -145,11 +164,6 @@ func SaveManifest(dir string, m *Manifest) error {
 	for _, f := range m.Features {
 		w.String(f)
 	}
-	body := w.Bytes()
-	var crcb [4]byte
-	cw := wire.NewWriter(4)
-	cw.U32(crc32.ChecksumIEEE(body))
-	copy(crcb[:], cw.Bytes())
-
-	return writeFileAtomic(filepath.Join(dir, ManifestName), append(body, crcb[:]...))
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
+	return w.Bytes()
 }

@@ -1,9 +1,13 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,4 +169,54 @@ func TestManifestAtomicSave(t *testing.T) {
 	if err != nil || m == nil || m.PlacementEpoch != 2 {
 		t.Errorf("final manifest = %+v, %v; want epoch 2", m, err)
 	}
+}
+
+// FuzzManifest: a manifest is read from disk at every server start.
+// Parsing never panics and allocates within a bound of its input, and a
+// manifest it accepts saves back to the same bytes (to bytes that parse
+// the same, for an older format version, since saving writes the newest).
+// reseal appends a valid checksum, so the fuzzer reaches the fields.
+func FuzzManifest(f *testing.F) {
+	for _, m := range []*Manifest{
+		{},
+		{ProviderID: 3, PlacementEpoch: 42, Placement: []byte{1, 2, 3, 4}, Features: []string{FeatureDurableCatalog}},
+		{ProviderID: 1, Features: []string{FeatureDurableCatalog, FeatureSHA256Chunks, FeatureValueLogs}},
+	} {
+		b := encodeManifest(m)
+		body := b[:len(b)-4]
+		f.Add(b, false)
+		f.Add(body, true)
+		f.Add(body[:len(body)-1], true)
+		f.Add(append(append([]byte(nil), body...), 0), true)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, reseal bool) {
+		if reseal {
+			raw = binary.LittleEndian.AppendUint32(append([]byte(nil), raw...), crc32.ChecksumIEEE(raw))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := parseManifest(raw)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10+8*uint64(len(raw)) {
+			t.Fatalf("parsing a %d-byte manifest allocated %d bytes", len(raw), d)
+		}
+		if err != nil {
+			return
+		}
+		again := encodeManifest(m)
+		if m.FormatVersion == ManifestFormatVersion {
+			if !bytes.Equal(again, raw) {
+				t.Fatalf("accepted % x, which saves as % x", raw, again)
+			}
+			return
+		}
+		m2, err := parseManifest(again)
+		if err != nil {
+			t.Fatalf("%+v saves as bytes that do not parse: %v", m, err)
+		}
+		m.FormatVersion = ManifestFormatVersion
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("%+v saves as bytes that parse to %+v", m, m2)
+		}
+	})
 }

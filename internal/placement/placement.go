@@ -15,21 +15,11 @@ import (
 // Table is one epoch's placement view: an ordered member list and the
 // replication factor applied over it. Members are provider indices into
 // the deployment's canonical address list — membership can shrink or grow,
-// the address list only grows.
-//
-// Overrides carries per-model replica counts for models whose heat
-// justifies deviating from the base factor: the heat-driven rebalancing
-// controller widens a hot model's set beyond R and packs a cold one below
-// it (floor 1). A model absent from Overrides replicates at R, so a table
-// without overrides behaves (and encodes, and renders) exactly as before.
+// the address list only grows. Every model replicates at the same factor.
 type Table struct {
 	Epoch    uint64
 	Members  []int // sorted ascending, unique, non-negative
 	Replicas int   // requested R; effective R is min(Replicas, len(Members))
-	// Overrides maps model ID → replica count for that model (normalized:
-	// clamped to [1, len(Members)], entries equal to the effective R are
-	// dropped). nil means every model uses the base factor.
-	Overrides map[ownermap.ModelID]int
 }
 
 // New returns the epoch-0 table of a fresh deployment: providers 0..n-1,
@@ -77,63 +67,6 @@ func (t *Table) R() int {
 	return t.Replicas
 }
 
-// ReplicasFor returns the effective replica count of one model: its
-// override when present (clamped to the member count), else R().
-func (t *Table) ReplicasFor(id ownermap.ModelID) int {
-	if r, ok := t.Overrides[id]; ok {
-		if r < 1 {
-			r = 1
-		}
-		if r > len(t.Members) {
-			r = len(t.Members)
-		}
-		return r
-	}
-	return t.R()
-}
-
-// normalizeOverrides clamps ov's counts to [1, n] members and drops
-// entries equal to base (the table's effective R) — a no-op override and
-// an absent one must compare, render and encode identically. Returns nil
-// when nothing survives.
-func normalizeOverrides(ov map[ownermap.ModelID]int, n, base int) map[ownermap.ModelID]int {
-	var out map[ownermap.ModelID]int
-	for id, r := range ov {
-		if r < 1 {
-			r = 1
-		}
-		if r > n {
-			r = n
-		}
-		if r == base {
-			continue
-		}
-		if out == nil {
-			out = make(map[ownermap.ModelID]int, len(ov))
-		}
-		out[id] = r
-	}
-	return out
-}
-
-// WithOverrides returns a copy of t (same epoch) carrying the normalized
-// override map. NextOverrides is the epoch-bumping form the heat
-// controller uses.
-func (t *Table) WithOverrides(ov map[ownermap.ModelID]int) *Table {
-	c := *t
-	c.Overrides = normalizeOverrides(ov, len(t.Members), t.R())
-	return &c
-}
-
-// NextOverrides returns the epoch+1 table with the same members and base
-// factor but the given per-model overrides — the successor table a
-// heat-driven rebalance migrates to.
-func (t *Table) NextOverrides(ov map[ownermap.ModelID]int) *Table {
-	n := t.WithOverrides(ov)
-	n.Epoch = t.Epoch + 1
-	return n
-}
-
 // dense reports whether Members is exactly [0..n-1] — the legacy layout
 // whose placement must stay bit-identical to the static modulo hash. As
 // Members is sorted, unique and non-negative, its last entry decides.
@@ -143,8 +76,7 @@ func (t *Table) dense() bool {
 }
 
 // Home returns the first member of id's replica set — ReplicaSet(id)[0] —
-// without building the set. Overrides never move it: every replica count
-// is at least one, so the top-ranked member always stays.
+// without building the set.
 func (t *Table) Home(id ownermap.ModelID) int {
 	n := len(t.Members)
 	if t.dense() {
@@ -167,8 +99,7 @@ func (t *Table) Home(id ownermap.ModelID) int {
 // hash so a membership change moves only the models it must.
 func (t *Table) ReplicaSet(id ownermap.ModelID) []int {
 	n := len(t.Members)
-	r := t.ReplicasFor(id)
-	set := make([]int, r)
+	set := make([]int, t.R())
 	if t.dense() {
 		home := int(uint64(id) % uint64(n))
 		for i := range set {
@@ -233,8 +164,7 @@ func (t *Table) Member(provider int) bool {
 }
 
 // WithMember returns the next-epoch table with provider added. Adding a
-// present member is an error (an epoch bump must change placement). Heat
-// overrides carry forward (re-normalized against the new member count).
+// present member is an error (an epoch bump must change placement).
 func (t *Table) WithMember(provider int) (*Table, error) {
 	if provider < 0 {
 		return nil, fmt.Errorf("placement: negative member %d", provider)
@@ -263,18 +193,11 @@ func (t *Table) WithoutMember(provider int) (*Table, error) {
 }
 
 // Next returns the epoch+1 table over an arbitrary member list (same R).
-// Heat overrides carry forward, re-normalized against the new list.
 func (t *Table) Next(members []int) (*Table, error) {
-	n, err := Make(t.Epoch+1, members, t.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	n.Overrides = normalizeOverrides(t.Overrides, len(n.Members), n.R())
-	return n, nil
+	return Make(t.Epoch+1, members, t.Replicas)
 }
 
-// Equal reports whether two tables are identical (epoch, members, R and
-// per-model overrides).
+// Equal reports whether two tables are identical (epoch, members and R).
 func (t *Table) Equal(o *Table) bool {
 	if t == nil || o == nil {
 		return t == o
@@ -287,20 +210,11 @@ func (t *Table) Equal(o *Table) bool {
 			return false
 		}
 	}
-	if len(t.Overrides) != len(o.Overrides) {
-		return false
-	}
-	for id, r := range t.Overrides {
-		if o.Overrides[id] != r {
-			return false
-		}
-	}
 	return true
 }
 
 // String renders the table as "table{epoch=E r=R members=a,b,c}" for logs
-// and operators. Per-model overrides append an " ov=id:r,id:r" section
-// (sorted by model ID).
+// and operators.
 func (t *Table) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "table{epoch=%d r=%d members=", t.Epoch, t.Replicas)
@@ -309,20 +223,6 @@ func (t *Table) String() string {
 			sb.WriteByte(',')
 		}
 		sb.WriteString(strconv.Itoa(m))
-	}
-	if len(t.Overrides) > 0 {
-		sb.WriteString(" ov=")
-		ids := make([]ownermap.ModelID, 0, len(t.Overrides))
-		for id := range t.Overrides {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for i, id := range ids {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d:%d", id, t.Overrides[id])
-		}
 	}
 	sb.WriteByte('}')
 	return sb.String()
@@ -411,36 +311,27 @@ func EpochOf(s *State) uint64 {
 
 // --- wire codec ---------------------------------------------------------------
 
-// stateFlagOverrides marks a state encoding whose tables carry per-model
-// override sections. Writers set it only when some table actually has
-// overrides, so override-free states encode bit-identically to the
-// pre-override format — old persisted manifests keep decoding, and old
-// encodings keep comparing equal byte for byte.
-const stateFlagOverrides = 4
+// State encoding flag bits: a leading byte names the tables that follow.
+const (
+	stateFlagCur  = 1 // a current table follows
+	stateFlagPrev = 2 // a previous table follows the current one
+	// stateFlagPerModel marked per-model replica counts after each table,
+	// written by binaries that had a heat-driven placement controller. This
+	// one refuses such a state: placing those models at the base factor
+	// would send a packed model's reads to replicas that never held it.
+	stateFlagPerModel = 4
+)
 
-func (t *Table) encodeTo(w *wire.Writer, withOverrides bool) {
+func (t *Table) encodeTo(w *wire.Writer) {
 	w.U64(t.Epoch)
 	w.U32(uint32(t.Replicas))
 	w.U32(uint32(len(t.Members)))
 	for _, m := range t.Members {
 		w.U32(uint32(m))
 	}
-	if !withOverrides {
-		return
-	}
-	ids := make([]ownermap.ModelID, 0, len(t.Overrides))
-	for id := range t.Overrides {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.U64(uint64(id))
-		w.U32(uint32(t.Overrides[id]))
-	}
 }
 
-func decodeTable(r *wire.Reader, withOverrides bool) (*Table, error) {
+func decodeTable(r *wire.Reader) (*Table, error) {
 	epoch := r.U64()
 	replicas := int(r.U32())
 	n := int(r.U32())
@@ -454,27 +345,7 @@ func decodeTable(r *wire.Reader, withOverrides bool) (*Table, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	t, err := Make(epoch, members, replicas)
-	if err != nil {
-		return nil, err
-	}
-	if !withOverrides {
-		return t, nil
-	}
-	k := int(r.U32())
-	if r.Err() != nil || k > r.Remaining()/12+1 {
-		return nil, wire.ErrTruncated
-	}
-	ov := make(map[ownermap.ModelID]int, k)
-	for i := 0; i < k; i++ {
-		id := ownermap.ModelID(r.U64())
-		ov[id] = int(r.U32())
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	t.Overrides = normalizeOverrides(ov, len(t.Members), t.R())
-	return t, nil
+	return Make(epoch, members, replicas)
 }
 
 // EncodeState serializes a placement state (nil allowed: an unguarded
@@ -483,47 +354,49 @@ func EncodeState(s *State) []byte {
 	w := wire.NewWriter(64)
 	var flags uint8
 	if s != nil && s.Cur != nil {
-		flags |= 1
+		flags |= stateFlagCur
 	}
 	if s != nil && s.Prev != nil {
-		flags |= 2
-	}
-	if s != nil && (s.Cur != nil && len(s.Cur.Overrides) > 0 || s.Prev != nil && len(s.Prev.Overrides) > 0) {
-		flags |= stateFlagOverrides
+		flags |= stateFlagPrev
 	}
 	w.U8(flags)
-	withOv := flags&stateFlagOverrides != 0
-	if flags&1 != 0 {
-		s.Cur.encodeTo(w, withOv)
+	if flags&stateFlagCur != 0 {
+		s.Cur.encodeTo(w)
 	}
-	if flags&2 != 0 {
-		s.Prev.encodeTo(w, withOv)
+	if flags&stateFlagPrev != 0 {
+		s.Prev.encodeTo(w)
 	}
 	return w.Bytes()
 }
 
 // DecodeState parses EncodeState's output and nothing more: a trailing
-// byte is an error. A "no table" encoding decodes to nil.
+// byte is an error, and so is a flag bit other than stateFlagCur and
+// stateFlagPrev, named in the error. A "no table" encoding decodes to nil.
 func DecodeState(b []byte) (*State, error) {
 	r := wire.NewReader(b)
 	flags := r.U8()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if flags&1 == 0 {
+	if flags&stateFlagPerModel != 0 {
+		return nil, fmt.Errorf("placement: state flag bit %d: the state carries per-model replica overrides, which this binary no longer supports", stateFlagPerModel)
+	}
+	if unknown := flags &^ (stateFlagCur | stateFlagPrev); unknown != 0 {
+		return nil, fmt.Errorf("placement: unknown state flag bit %d", unknown&-unknown)
+	}
+	if flags&stateFlagCur == 0 {
 		if r.Remaining() != 0 {
 			return nil, wire.ErrTruncated
 		}
 		return nil, nil
 	}
-	withOv := flags&stateFlagOverrides != 0
 	s := &State{}
 	var err error
-	if s.Cur, err = decodeTable(r, withOv); err != nil {
+	if s.Cur, err = decodeTable(r); err != nil {
 		return nil, err
 	}
-	if flags&2 != 0 {
-		if s.Prev, err = decodeTable(r, withOv); err != nil {
+	if flags&stateFlagPrev != 0 {
+		if s.Prev, err = decodeTable(r); err != nil {
 			return nil, err
 		}
 	}

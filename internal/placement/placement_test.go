@@ -2,9 +2,11 @@ package placement
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ownermap"
@@ -219,6 +221,48 @@ func TestStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// parentOverrideStateHex is a state as binaries with a heat-driven
+// placement controller wrote it: flags 1|4, then the epoch-1 table over
+// members 0..3 at R=2, then its override section, two (model u64, replica
+// count u32) pairs: model 1 widened to 3, model 2 packed to 1.
+const parentOverrideStateHex = "05" +
+	"0100000000000000" + "02000000" + "04000000" + "00000000" + "01000000" + "02000000" + "03000000" +
+	"02000000" + "0100000000000000" + "03000000" + "0200000000000000" + "01000000"
+
+func parentOverrideState(t testing.TB) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(parentOverrideStateHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeStateRefusesUnknownFlags: a state with per-model overrides is
+// refused by name rather than read at the base factor (which would send a
+// packed model's reads to replicas that never held it), and so is every
+// other flag bit this binary does not write.
+func TestDecodeStateRefusesUnknownFlags(t *testing.T) {
+	_, err := DecodeState(parentOverrideState(t))
+	if err == nil || !strings.Contains(err.Error(), "bit 4") || !strings.Contains(err.Error(), "overrides") {
+		t.Errorf("override-carrying state: err = %v, want a refusal naming bit 4 and its overrides", err)
+	}
+	for _, st := range []*State{nil, {Cur: New(4, 2)}} {
+		b := EncodeState(st)
+		for bit := 8; bit <= 128; bit <<= 1 {
+			b[0] |= byte(bit)
+			_, err := DecodeState(b)
+			if want := fmt.Sprintf("unknown state flag bit %d", bit); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("state %v with flag bit %d: err = %v, want %q", st, bit, err, want)
+			}
+			b[0] &^= byte(bit)
+		}
+		if _, err := DecodeState(b); err != nil {
+			t.Errorf("state %v with its own flags refused: %v", st, err)
+		}
+	}
+}
+
 // FuzzDecodeState: placement states arrive from peers (set_placement,
 // hello) and from the manifest on disk. Decoding never panics, and a state
 // that decodes re-encodes to bytes that decode to an equal state.
@@ -232,13 +276,16 @@ func FuzzDecodeState(f *testing.F) {
 		nil,
 		{Cur: New(4, 3)},
 		{Cur: next, Prev: old},
-		{Cur: old.NextOverrides(map[ownermap.ModelID]int{7: 3, 11: 1}), Prev: old},
 	} {
 		b := EncodeState(st)
 		f.Add(b)
 		f.Add(b[:len(b)-1])
 		f.Add(append(b, 0))
 	}
+	ov := parentOverrideState(f)
+	f.Add(ov)
+	f.Add(ov[:len(ov)-1])
+	f.Add(append(ov, 0))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := DecodeState(b)
 		if err != nil {
@@ -302,9 +349,9 @@ func TestWrongEpochErrorSurvivesText(t *testing.T) {
 }
 
 // TestHomeIsFirstReplica pins Table.Home to ReplicaSet(id)[0] on dense
-// tables, on sparse ones reached by WithMember/WithoutMember, and under
-// per-model overrides that widen or pack a set — and checks that Home
-// allocates nothing, as the LCP scan calls it once per catalog entry.
+// tables and on sparse ones reached by WithMember/WithoutMember, and
+// checks that Home allocates nothing, as the LCP scan calls it once per
+// catalog entry.
 func TestHomeIsFirstReplica(t *testing.T) {
 	grown, err := New(4, 3).WithMember(6)
 	if err != nil {
@@ -318,21 +365,14 @@ func TestHomeIsFirstReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov := map[ownermap.ModelID]int{}
-	for id := ownermap.ModelID(0); id < 64; id++ {
-		ov[id] = 1 + int(id)%5
-	}
 	tables := map[string]*Table{
-		"dense 1x1":            New(1, 1),
-		"dense 4x3":            New(4, 3),
-		"dense 7x2":            New(7, 2),
-		"sparse +6":            grown,
-		"sparse -0":            shrunk,
-		"regrown":              regrown,
-		"dense overrides":      New(5, 2).WithOverrides(ov),
-		"sparse overrides":     grown.WithOverrides(ov),
-		"carried overrides":    mustNext(t, New(4, 2).WithOverrides(ov), 9),
-		"overrides next epoch": New(4, 3).NextOverrides(ov),
+		"dense 1x1": New(1, 1),
+		"dense 4x3": New(4, 3),
+		"dense 7x2": New(7, 2),
+		"sparse +6": grown,
+		"sparse -0": shrunk,
+		"regrown":   regrown,
+		"sparse +9": mustNext(t, New(4, 2), 9),
 	}
 	for name, tbl := range tables {
 		for id := ownermap.ModelID(0); id < 2048; id++ {

@@ -114,12 +114,12 @@ var controlCodecs = []struct {
 		}
 		return s.Encode(), nil
 	}},
-	{"CountersHeat", EncodeCountersHeat(map[string]uint64{"a": 1, "b": 2}, []ModelHeat{{Model: 1, ReadBps: 2.5}}), func(b []byte) ([]byte, error) {
-		snap, heat, err := DecodeCountersHeat(b)
+	{"Counters", EncodeCounters(map[string]uint64{"client.reads": 7, "provider.throttled": 2}), func(b []byte) ([]byte, error) {
+		snap, err := DecodeCounters(b)
 		if err != nil {
 			return nil, err
 		}
-		return EncodeCountersHeat(snap, heat), nil
+		return EncodeCounters(snap), nil
 	}},
 	{"U64", EncodeU64(2), func(b []byte) ([]byte, error) {
 		freed, err := DecodeU64(b)

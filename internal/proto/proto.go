@@ -757,71 +757,45 @@ func DecodeModelList(b []byte) ([]ownermap.ModelID, error) {
 	return ids, end(r)
 }
 
-// ModelHeat reports one model's EWMA access rates as measured by a
-// provider: bytes per second served to readers and ingested by writers.
-type ModelHeat struct {
-	Model    ownermap.ModelID
-	ReadBps  float64
-	WriteBps float64
-}
-
-// EncodeCountersHeat serializes the Metrics RPC's response: a metrics
+// EncodeCounters serializes the Metrics RPC's response: a metrics
 // snapshot (counter name → value, sorted by name so equal snapshots encode
-// identically), then the per-model heat list.
-func EncodeCountersHeat(snap map[string]uint64, heat []ModelHeat) []byte {
+// identically).
+func EncodeCounters(snap map[string]uint64) []byte {
 	names := make([]string, 0, len(snap))
 	for name := range snap {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	w := wire.NewWriter(8 + 16*len(names) + 24*len(heat))
+	w := wire.NewWriter(4 + 16*len(names))
 	w.U32(uint32(len(names)))
 	for _, name := range names {
 		w.String(name)
 		w.U64(snap[name])
 	}
-	w.U32(uint32(len(heat)))
-	for _, h := range heat {
-		w.U64(uint64(h.Model))
-		w.F64(h.ReadBps)
-		w.F64(h.WriteBps)
-	}
 	return w.Bytes()
 }
 
-// DecodeCountersHeat parses EncodeCountersHeat's output: counters in
-// strictly ascending name order, then the heat list.
-func DecodeCountersHeat(b []byte) (map[string]uint64, []ModelHeat, error) {
+// DecodeCounters parses EncodeCounters' output: counters in strictly
+// ascending name order and nothing after them.
+func DecodeCounters(b []byte) (map[string]uint64, error) {
 	r := wire.NewReader(b)
 	n := int(r.U32())
 	if r.Err() != nil || n > r.Remaining()/12+1 {
-		return nil, nil, wire.ErrTruncated
+		return nil, wire.ErrTruncated
 	}
 	snap := make(map[string]uint64, n)
 	prev := ""
 	for i := 0; i < n; i++ {
 		name := r.Str()
 		if r.Err() == nil && i > 0 && name <= prev {
-			return nil, nil, fmt.Errorf("proto: counter %q out of order", name)
+			return nil, fmt.Errorf("proto: counter %q out of order", name)
 		}
 		snap[name], prev = r.U64(), name
 	}
-	hn := int(r.U32())
-	if r.Err() != nil || hn > r.Remaining()/24+1 {
-		return nil, nil, wire.ErrTruncated
-	}
-	heat := make([]ModelHeat, hn)
-	for i := range heat {
-		heat[i] = ModelHeat{
-			Model:    ownermap.ModelID(r.U64()),
-			ReadBps:  r.F64(),
-			WriteBps: r.F64(),
-		}
-	}
 	if r.Err() != nil || r.Remaining() != 0 {
-		return nil, nil, wire.ErrTruncated
+		return nil, wire.ErrTruncated
 	}
-	return snap, heat, nil
+	return snap, nil
 }
 
 // ProviderStats summarizes one provider's storage state.

@@ -392,7 +392,7 @@ func TestCountersRoundtrip(t *testing.T) {
 		"breaker.open":         0,
 		"fault.request_drop":   1,
 	}
-	got, _, err := DecodeCountersHeat(EncodeCountersHeat(snap, nil))
+	got, err := DecodeCounters(EncodeCounters(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,23 +405,37 @@ func TestCountersRoundtrip(t *testing.T) {
 		}
 	}
 
-	if m, _, err := DecodeCountersHeat(EncodeCountersHeat(nil, nil)); err != nil || len(m) != 0 {
+	if m, err := DecodeCounters(EncodeCounters(nil)); err != nil || len(m) != 0 {
 		t.Errorf("empty snapshot roundtrip: %v %v", m, err)
 	}
 }
 
 func TestCountersDecodeTruncated(t *testing.T) {
-	b := EncodeCountersHeat(map[string]uint64{"some.counter": 42}, nil)
+	b := EncodeCounters(map[string]uint64{"some.counter": 42})
 	for cut := 1; cut < len(b); cut++ {
-		if _, _, err := DecodeCountersHeat(b[:cut]); err == nil {
+		if _, err := DecodeCounters(b[:cut]); err == nil {
 			t.Errorf("decoding %d/%d bytes succeeded", cut, len(b))
 		}
+	}
+	if _, err := DecodeCounters(append(b, 0)); !errors.Is(err, wire.ErrTruncated) {
+		t.Errorf("trailing byte = %v, want wire.ErrTruncated", err)
 	}
 	// A count field claiming more entries than the payload can hold must be
 	// rejected up front, not trusted as an allocation size.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := DecodeCountersHeat(huge); err == nil {
+	if _, err := DecodeCounters(huge); err == nil {
 		t.Error("absurd counter count accepted")
+	}
+
+	// Two names swapped: the same bytes with the encoder's order broken.
+	w := wire.NewWriter(64)
+	w.U32(2)
+	for _, name := range []string{"store.segments", "rpc.retry"} {
+		w.String(name)
+		w.U64(1)
+	}
+	if _, err := DecodeCounters(w.Bytes()); err == nil {
+		t.Error("counters out of name order accepted")
 	}
 }
 
@@ -550,53 +564,5 @@ func TestSplitBulkMsg(t *testing.T) {
 	// Length mismatch is rejected.
 	if _, err := SplitBulkMsg(segs, rpc.Message{BulkVec: [][]byte{payload[:4]}}); err == nil {
 		t.Error("short payload accepted")
-	}
-}
-
-// TestCountersHeatTrailer pins the heat list's contract: it round-trips,
-// it is mandatory (the old bare-counters form is rejected), and so is the
-// encoder's name order.
-func TestCountersHeatTrailer(t *testing.T) {
-	snap := map[string]uint64{"store.segments": 9, "rpc.retry": 2}
-	heat := []ModelHeat{
-		{Model: 3, ReadBps: 1024.5, WriteBps: 0},
-		{Model: 17, ReadBps: 0, WriteBps: 4096},
-	}
-	b := EncodeCountersHeat(snap, heat)
-	gotSnap, gotHeat, err := DecodeCountersHeat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSnap["rpc.retry"] != 2 {
-		t.Errorf("snapshot = %v", gotSnap)
-	}
-	if !reflect.DeepEqual(gotHeat, heat) {
-		t.Errorf("heat = %+v, want %+v", gotHeat, heat)
-	}
-
-	empty := EncodeCountersHeat(snap, nil)
-	if _, h, err := DecodeCountersHeat(empty); err != nil || len(h) != 0 {
-		t.Errorf("empty heat list decode = %v %v", h, err)
-	}
-	bare := empty[:len(empty)-4]
-	if _, _, err := DecodeCountersHeat(bare); !errors.Is(err, wire.ErrTruncated) {
-		t.Errorf("bare counters = %v, want wire.ErrTruncated", err)
-	}
-	for cut := len(bare) + 1; cut < len(b); cut++ {
-		if _, _, err := DecodeCountersHeat(b[:cut]); !errors.Is(err, wire.ErrTruncated) {
-			t.Errorf("decoding %d/%d bytes = %v, want wire.ErrTruncated", cut, len(b), err)
-		}
-	}
-
-	// Swap the two names: same bytes, encoder order broken.
-	w := wire.NewWriter(64)
-	w.U32(2)
-	for _, name := range []string{"store.segments", "rpc.retry"} {
-		w.String(name)
-		w.U64(snap[name])
-	}
-	w.U32(0)
-	if _, _, err := DecodeCountersHeat(w.Bytes()); err == nil {
-		t.Error("counters out of name order accepted")
 	}
 }

@@ -181,6 +181,9 @@ func (p *Provider) commit(op string, ids []ownermap.ModelID, guard func(ownermap
 		p.mu.Unlock()
 		return err
 	}
+	for _, id := range ids {
+		p.noteDrainedLocked(id)
+	}
 	p.capLocked(ids, len(p.journals) > journals, &c)
 	durable := p.cat != nil
 	var catErr error
@@ -223,9 +226,20 @@ func (p *Provider) commit(op string, ids []ownermap.ModelID, guard func(ownermap
 	return nil
 }
 
+// noteDrainedLocked records in p.drained whether owner's journal outlives
+// its catalog entry and live refs. Callers hold p.mu.
+func (p *Provider) noteDrainedLocked(owner ownermap.ModelID) {
+	if p.journals[owner] != nil && p.models[owner] == nil && len(p.refs[owner]) == 0 {
+		p.drained[owner] = struct{}{}
+	} else {
+		delete(p.drained, owner)
+	}
+}
+
 // capLocked enforces the tombstone and journal-owner caps after a change
 // to ids, noting every record it evicts in c. Only a change that added a
-// journal pays for the journal scan. Callers hold p.mu.
+// journal past the cap visits the drained owners, and it evicts every one
+// of them but ids. Callers hold p.mu.
 func (p *Provider) capLocked(ids []ownermap.ModelID, newJournal bool, c *change) {
 	for len(p.retiredOrder) > tombstoneCap {
 		// Evict leaves ghost entries in the FIFO; popping one deletes an
@@ -240,14 +254,20 @@ func (p *Provider) capLocked(ids []ownermap.ModelID, newJournal bool, c *change)
 	}
 	// Drop the journals of drained owners (not cataloged, no live refs):
 	// their replicas are converged-by-emptiness, so losing the history only
-	// forgoes a merge that would have replayed nothing.
-	for owner := range p.journals {
-		if !slices.Contains(ids, owner) && p.models[owner] == nil && len(p.refs[owner]) == 0 {
-			delete(p.journals, owner)
-			c.evicted = append(c.evicted, evictedRecord{owner, dirtyJournal})
-			p.reg.Counter("provider.journal_evict").Inc()
+	// forgoes a merge that would have replayed nothing. The set starts
+	// afresh, since ranging over a map costs its peak size.
+	p.reg.Counter("provider.journal_cap_visit").Add(uint64(len(p.drained)))
+	kept := make(map[ownermap.ModelID]struct{})
+	for owner := range p.drained {
+		if slices.Contains(ids, owner) {
+			kept[owner] = struct{}{}
+			continue
 		}
+		delete(p.journals, owner)
+		c.evicted = append(c.evicted, evictedRecord{owner, dirtyJournal})
+		p.reg.Counter("provider.journal_evict").Inc()
 	}
+	p.drained = kept
 }
 
 // persistLocked rewrites the dirty cat/ records of id from the in-memory
@@ -479,6 +499,7 @@ func (p *Provider) loadCatalog() error {
 		p.journals[owner] = jl
 		lo := hi - uint64(len(ja.deltas))
 		p.cat.jspans[owner] = jspan{lo: lo, hi: hi}
+		p.noteDrainedLocked(owner)
 	}
 
 	// Tombstone FIFO order is not persisted; seq order is the best

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dedup"
 	"repro/internal/graph"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/internal/ownermap"
 	"repro/internal/placement"
 	"repro/internal/proto"
@@ -913,5 +914,59 @@ func TestCatalogCapsEvictRecords(t *testing.T) {
 	}
 	for _, id := range []ownermap.ModelID{1, 2, tombstoneCap + 1, 1_000_001, 1_000_000 + journalOwnersCap + 1} {
 		digestsEqual(t, p, p2, id)
+	}
+}
+
+// TestJournalCapVisitsOnlyWhatItEvicts: past the journal-owners cap, every
+// store adds a journal, and the cap visits only the drained owners commit
+// recorded. So a store's walk is bounded by what it evicts, plus the one
+// model it writes, not by the catalog.
+func TestJournalCapVisitsOnlyWhatItEvicts(t *testing.T) {
+	p := New(0, kvstore.NewMemKV(4))
+	reg := metrics.NewRegistry()
+	p.SetMetricsRegistry(reg)
+	visits, evicts := reg.Counter("provider.journal_cap_visit"), reg.Counter("provider.journal_evict")
+	g := chainGraph(1, 2)
+	last := ownermap.ModelID(0)
+	store := func() {
+		t.Helper()
+		last++
+		if err := storeMeta(p, last, uint64(last), 0.5, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retire := func(id ownermap.ModelID) {
+		t.Helper()
+		if _, err := p.Retire(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for int(last) < journalOwnersCap {
+		store()
+	}
+	// A metadata-only model owns no segments, so its retire drains it.
+	drained := 0
+	for id := ownermap.ModelID(4); id <= last; id += 4 {
+		retire(id)
+		drained++
+	}
+	if v := visits.Load(); v != 0 {
+		t.Fatalf("%d journal visits below the cap", v)
+	}
+	for i := 0; i < 6000; i++ {
+		v0, e0 := visits.Load(), evicts.Load()
+		store()
+		if dv, de := visits.Load()-v0, evicts.Load()-e0; dv > de+1 {
+			t.Fatalf("store %d visited %d journals and evicted %d", last, dv, de)
+		}
+		if i%10 == 0 {
+			retire(last) // a live model past the cap, drained from now on
+			drained++
+		}
+	}
+	// Every drained owner was evicted or is still recorded for the next
+	// overflow; each visit evicted one.
+	if v, e := visits.Load(), evicts.Load(); e < journalOwnersCap/4 || v != e || int(e)+len(p.drained) != drained {
+		t.Errorf("visited %d journals and evicted %d, with %d still recorded, of %d drained", v, e, len(p.drained), drained)
 	}
 }

@@ -136,6 +136,10 @@ type Provider struct {
 	// replicas to replay exactly the deltas a stale replica missed. See
 	// repair.go.
 	journals map[ownermap.ModelID]*refJournal
+	// drained holds the owners whose journal outlives their catalog entry
+	// and live refs: the journals the owners cap may evict. commit keeps it
+	// exact, as only the models a mutation writes change state.
+	drained map[ownermap.ModelID]struct{}
 	// retired are retire tombstones (model → seq at retire): they
 	// disambiguate "never stored" from "retired" so repair never
 	// resurrects a retired model, and they reject late stores of one.
@@ -163,11 +167,6 @@ type Provider struct {
 	// An atomic pointer so the read path never takes p.mu for it.
 	throttle atomic.Pointer[frontdoor.Throttler]
 
-	// heat tracks per-model EWMA read/write byte rates; exported as an
-	// optional trailer on the Metrics RPC so the rebalancing controller
-	// can see which models are hot without a new wire surface.
-	heat *metrics.HeatMap
-
 	// lcpGen counts changes to the models an LCP query may answer with. It
 	// is bumped under mu wherever models gains or loses an entry, and once
 	// more after a store clears storing; see shareFor.
@@ -191,9 +190,9 @@ func New(id int, kv kvstore.KV) *Provider {
 		models:   make(map[ownermap.ModelID]*modelMeta),
 		refs:     make(map[ownermap.ModelID]map[graph.VertexID]int),
 		journals: make(map[ownermap.ModelID]*refJournal),
+		drained:  make(map[ownermap.ModelID]struct{}),
 		retired:  make(map[ownermap.ModelID]uint64),
 		dedup:    newDedupTable(dedupCap),
-		heat:     metrics.NewHeatMap(metrics.DefaultHeatHalfLife),
 	}
 	// Generation 0 is the empty catalog, so loading one must bump lcpGen.
 	p.share.Store(&shareSnap{})
@@ -400,7 +399,6 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 	}
 
 	var meta *modelMeta
-	written := 0
 	err := p.commit("store", []ownermap.ModelID{q.Model}, p.acceptsWrite, func(c *change) error {
 		if _, dead := p.retired[q.Model]; dead {
 			return fmt.Errorf("provider %d: store %d: model was retired", p.id, q.Model)
@@ -423,7 +421,6 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 			p.refAddLocked(q.Model, s.Vertex, 1)
 			stored[i] = s.Vertex
 			c.put(segKey{q.Model, s.Vertex}, segs[i])
-			written += len(segs[i])
 		}
 		p.recordDeltaLocked(q.Model, q.ReqID, false, stored)
 		c.dirty[0] |= dirtyModel | dirtyRefs | dirtyJournal
@@ -438,9 +435,6 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 	// with, and the one place it bumps lcpGen.
 	meta.storing.Store(false)
 	p.lcpGen.Add(1)
-	if err == nil {
-		p.heat.ObserveWrite(uint64(q.Model), written)
-	}
 	return err
 }
 
@@ -499,7 +493,6 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 	if th := p.throttle.Load(); th != nil {
 		th.ChargeBytes(q.Tenant, resp.BulkLen())
 	}
-	p.heat.ObserveRead(uint64(q.Owner), resp.BulkLen())
 	return resp, nil
 }
 
@@ -915,25 +908,7 @@ func (p *Provider) handleStats(_ context.Context, _ rpc.Message) (rpc.Message, e
 // can see retries, breaker transitions and replica traffic per provider,
 // not just per client (the server-side half of the stats story).
 func (p *Provider) handleMetrics(_ context.Context, _ rpc.Message) (rpc.Message, error) {
-	return rpc.Message{Meta: proto.EncodeCountersHeat(p.reg.Snapshot(), p.HeatSnapshot())}, nil
-}
-
-// HeatSnapshot returns the provider's current per-model heat, hottest
-// models included only while their EWMA rate stays above the noise floor.
-func (p *Provider) HeatSnapshot() []proto.ModelHeat {
-	samples := p.heat.Snapshot()
-	if len(samples) == 0 {
-		return nil
-	}
-	out := make([]proto.ModelHeat, len(samples))
-	for i, s := range samples {
-		out[i] = proto.ModelHeat{
-			Model:    ownermap.ModelID(s.ID),
-			ReadBps:  s.ReadBps,
-			WriteBps: s.WriteBps,
-		}
-	}
-	return out
+	return rpc.Message{Meta: proto.EncodeCounters(p.reg.Snapshot())}, nil
 }
 
 // Stats summarizes the provider's storage state.
