@@ -439,6 +439,32 @@ func TestCountersDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestCountersHeatTrailer pins that the metrics reply no longer carries a
+// per-model heat list: a reply in the older form — the counters followed
+// by a u32 heat count and (model u64, read f64, write f64) entries — is
+// refused whole rather than read as its counters with the rest ignored.
+func TestCountersHeatTrailer(t *testing.T) {
+	snap := map[string]uint64{"rpc.retry": 2, "store.segments": 9}
+	counters := EncodeCounters(snap)
+	for _, entries := range []int{0, 2} {
+		w := wire.NewWriter(64)
+		w.U32(uint32(entries))
+		for i := 0; i < entries; i++ {
+			w.U64(uint64(3 + 14*i))
+			w.F64(1024.5)
+			w.F64(0)
+		}
+		old := append(append([]byte(nil), counters...), w.Bytes()...)
+		if _, err := DecodeCounters(old); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("counters with a %d-entry heat list = %v, want wire.ErrTruncated", entries, err)
+		}
+	}
+	got, err := DecodeCounters(counters)
+	if err != nil || !reflect.DeepEqual(got, snap) {
+		t.Errorf("counters without a heat list = %v, %v; want %v", got, err, snap)
+	}
+}
+
 // readSegmentsGolden pins the two encodings of a ReadSegmentsReq byte for
 // byte: owner u64, vertex count u32, vertices u32 each (all little
 // endian), then — only when a tenant is set — its length u32 and bytes.
