@@ -13,9 +13,10 @@ test:
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
 # bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
-# provider-local LCP query (the 2k-model catalog, and a full scan of 1k
-# near-identical chains), LCP scanner, chunk-store put, chunk-store
-# segment read and tensor fingerprint benchmarks so they can't rot; 10 s of
+# provider-local LCP query (the 2k-model catalog, 2k aged-evolution NAS
+# candidates, and a full scan of 1k near-identical chains), LCP scanner,
+# chunk-store put, chunk-store segment read and tensor fingerprint
+# benchmarks so they can't rot; 10 s of
 # fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
 # otherwise spend shrinking the seed table, which looks like a hang) and 5 s
 # each of the value-log reader, the WAL replay, the manifest and the
@@ -33,7 +34,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained|FlushCompact)' -benchtime 1x ./internal/kvstore
-	$(GO) test -run '^$$' -bench '^BenchmarkLCPQueryCatalog$$/^(2k|chains1k-full)$$' -benchtime 1x ./internal/provider
+	$(GO) test -run '^$$' -bench '^BenchmarkLCPQueryCatalog$$/^(2k|evolution2k|chains1k-full)$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
 	$(GO) test -run '^$$' -bench '^BenchmarkKV(PutShared|GetSegment)$$' -benchtime 1x ./internal/dedup
 	$(GO) test -run '^$$' -bench '^BenchmarkTensorFingerprint$$' -benchtime 1x ./internal/tensor

@@ -9,29 +9,22 @@ import (
 )
 
 // Property: on archgen catalogs, the architectures a provider stores, the
-// bound ByBound gives every entry is at least its exact LCP size with every
-// query, and an entry it leaves out (bound zero) has no common prefix.
+// index ranks every entry by exactly the reference bound, which is at
+// least its exact LCP size with every query (graph.CheckByBound).
 func TestQuickBoundCoversLCPOnCatalogs(t *testing.T) {
+	s := &graph.LCPScanner{}
 	f := func(seed int64) bool {
 		catalog, err := archgen.Catalog(seed, 60, archgen.SpaceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var arena graph.SigArena
-		for _, a := range catalog {
-			arena.Add(a.Graph)
+		gs := make([]*graph.Compact, len(catalog))
+		for i, a := range catalog {
+			gs[i] = a.Graph
 		}
-		for _, q := range catalog[:10] {
-			s := graph.NewLCPScanner(q.Graph)
-			bounds := make([]int, len(catalog))
-			for _, r := range s.ByBound(&arena, nil) {
-				bounds[r.Entry] = int(r.Bound)
-			}
-			for i, a := range catalog {
-				if bounds[i] < s.SizeAgainst(a.Graph) {
-					return false
-				}
-			}
+		if err := graph.CheckByBound(s, gs, gs[:10]); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}

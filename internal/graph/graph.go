@@ -64,12 +64,15 @@ func (g *Compact) TotalParamBytes() int64 {
 // InDegree returns the number of predecessors of v.
 func (g *Compact) InDegree(v VertexID) int { return len(g.In[v]) }
 
-// HasEdge reports whether the edge u→v exists. Out lists are sorted, so the
-// check is a binary search.
+// HasEdge reports whether the edge u→v exists. Out lists are short and
+// sorted, so the check scans up to the first successor not below v.
 func (g *Compact) HasEdge(u, v VertexID) bool {
-	out := g.Out[u]
-	i := sort.Search(len(out), func(i int) bool { return out[i] >= v })
-	return i < len(out) && out[i] == v
+	for _, w := range g.Out[u] {
+		if w >= v {
+			return w == v
+		}
+	}
+	return false
 }
 
 // Builder incrementally constructs a Compact graph. Vertices must be added

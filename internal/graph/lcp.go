@@ -26,29 +26,39 @@ func LCPSize(g, a *Compact) int { return len(LCP(g, a)) }
 
 // LCPScanner runs many LCP computations of one query graph against a
 // catalog of ancestors, reusing scratch buffers between calls. Providers
-// hold one scanner per query while iterating their local metadata.
+// keep scanners across queries and point one at each query with Reset.
+// A scanner is not safe for concurrent use.
 type LCPScanner struct {
 	g        *Compact
-	sigs     []uint64 // g's ConfigSigs by vertex ID, for bound
 	visits   []uint32
 	inPrefix []bool
 	frontier []VertexID // the matched vertices, in the order the walk found them
+
+	// ByBound's scratch: counts is zero between calls.
+	counts  []int32 // bound so far, by index entry
+	touched []int32 // the entries counts moved off zero, in that order
+	at      []int32 // entries per bound, then each bound's first slot
+	ranked  []Ranked
 }
 
 // NewLCPScanner prepares a scanner for query graph g.
 func NewLCPScanner(g *Compact) *LCPScanner {
-	n := g.NumVertices()
-	s := &LCPScanner{
-		g:        g,
-		sigs:     make([]uint64, n),
-		visits:   make([]uint32, n),
-		inPrefix: make([]bool, n),
-		frontier: make([]VertexID, 0, n),
-	}
-	for v := range g.Vertices {
-		s.sigs[v] = g.Vertices[v].ConfigSig
-	}
+	s := &LCPScanner{}
+	s.Reset(g)
 	return s
+}
+
+// Reset points the scanner at query graph g, keeping its buffers.
+func (s *LCPScanner) Reset(g *Compact) {
+	n := g.NumVertices()
+	s.g = g
+	if cap(s.visits) < n {
+		s.visits = make([]uint32, n)
+		s.inPrefix = make([]bool, n)
+		s.frontier = make([]VertexID, 0, n)
+	}
+	s.visits = s.visits[:n]
+	s.inPrefix = s.inPrefix[:n]
 }
 
 // Against computes the LCP of the scanner's query graph with ancestor a
@@ -107,81 +117,121 @@ func (s *LCPScanner) SizeAgainst(a *Compact) int {
 	return len(s.frontier)
 }
 
-// SigArena holds the ConfigSig sequences of a catalog's graphs in one flat
-// slice, entry after entry, so that ByBound can rank every entry in one
-// sequential pass without touching the graphs. Its zero value is empty and
-// ready to use.
-type SigArena struct {
-	sigs []uint64
-	ends []int // entry i is sigs[ends[i-1]:ends[i]], with ends[-1] = 0
+// SigIndex is an inverted index over a catalog of graphs, its entries
+// numbered from 0: for each (vertex ID, ConfigSig) pair, the ascending list
+// of entries whose graph has that ConfigSig at that vertex ID. It is
+// immutable once built and may be read by any number of scanners at once.
+type SigIndex struct {
+	entries int
+	keys    map[sigKey]int32 // each pair's list number
+	starts  []int32          // list k is posts[starts[k]:starts[k+1]]
+	posts   []int32
 }
 
-// Add appends g's ConfigSigs, in vertex-ID order, as the next entry.
-func (a *SigArena) Add(g *Compact) {
-	for v := range g.Vertices {
-		a.sigs = append(a.sigs, g.Vertices[v].ConfigSig)
-	}
-	a.ends = append(a.ends, len(a.sigs))
-}
+type sigKey struct{ v, sig uint64 }
 
-// bound is an upper bound on SizeAgainst of an ancestor whose ConfigSigs,
-// by vertex ID, are e: the number of vertex IDs v below both graphs' vertex
-// counts whose ConfigSig is equal in both. It is sound because SizeAgainst
-// admits a vertex to the prefix at most once, and only after checking
-// exactly these two things (v exists in the ancestor, and its ConfigSig
-// matches the query's).
-func (s *LCPScanner) bound(e []uint64) int32 {
-	q := s.sigs
-	if len(e) < len(q) {
-		q = q[:len(e)]
-	}
-	e = e[:len(q)]
-	n := int32(0)
-	for v, sig := range q {
-		if e[v] == sig {
-			n++
+// NewSigIndex indexes n entries, entry i being graph(i).
+func NewSigIndex(n int, graph func(i int) *Compact) *SigIndex {
+	x := &SigIndex{entries: n, keys: make(map[sigKey]int32)}
+	var list []int32 // the list number of each (entry, vertex), in order
+	var lens []int32
+	for i := 0; i < n; i++ {
+		for v, vx := range graph(i).Vertices {
+			k := sigKey{uint64(v), vx.ConfigSig}
+			id, ok := x.keys[k]
+			if !ok {
+				id = int32(len(lens))
+				x.keys[k] = id
+				lens = append(lens, 0)
+			}
+			lens[id]++
+			list = append(list, id)
 		}
 	}
-	return n
+	x.starts = make([]int32, len(lens)+1)
+	for k, l := range lens {
+		x.starts[k+1] = x.starts[k] + l
+		lens[k] = x.starts[k] // now each list's next free slot
+	}
+	x.posts = make([]int32, len(list))
+	t := 0
+	for i := 0; i < n; i++ {
+		for range graph(i).Vertices {
+			id := list[t]
+			x.posts[lens[id]] = int32(i)
+			lens[id]++
+			t++
+		}
+	}
+	return x
 }
 
-// Ranked is one arena entry and its bound.
+// Ranked is one index entry and its bound.
 type Ranked struct {
 	Entry, Bound int32
 }
 
-// ByBound bounds every entry of a that skip (nil: none) does not reject and
-// returns those whose bound is above zero, highest bound first and, within
-// one bound, in arena order. A caller scanning in this order may stop at
-// the first entry whose bound is below the best exact size it has found:
-// no later entry can reach that size. Bounds never exceed the query's
-// vertex count, so the order is a counting sort.
-func (s *LCPScanner) ByBound(a *SigArena, skip func(i int) bool) []Ranked {
-	n := len(s.sigs)
-	bounds := make([]int32, len(a.ends))
-	at := make([]int32, n+1) // entries per bound, then each bound's first slot
-	lo := 0
-	for i, hi := range a.ends {
-		e := a.sigs[lo:hi]
-		lo = hi
-		b := int32(0)
-		if skip == nil || !skip(i) {
-			b = s.bound(e)
+// ByBound bounds every entry of x and returns those whose bound is above
+// zero, highest bound first; skip lists entries (in any order, repeats
+// allowed) whose bound is taken as zero. An entry's bound is the number of
+// vertex IDs below both its and the query's vertex counts whose ConfigSig
+// is equal in both graphs: the number of the query's (vertex ID, ConfigSig)
+// pairs whose list holds it. It is an upper bound on SizeAgainst because
+// SizeAgainst admits a vertex to the prefix at most once, and only after
+// checking exactly these two things (v exists in the ancestor, and its
+// ConfigSig matches the query's). A caller scanning in this order may stop
+// at the first entry whose bound is below the best exact size it has
+// found: no later entry can reach that size. Which entries it walks before
+// stopping does not depend on the order within one bound, as no entry of
+// a bound can raise the best size above that bound. The result is valid
+// until the next call.
+func (s *LCPScanner) ByBound(x *SigIndex, skip []int32) []Ranked {
+	if len(s.counts) < x.entries {
+		s.counts = make([]int32, x.entries)
+	}
+	counts, touched := s.counts, s.touched[:0]
+	for v := range s.g.Vertices {
+		k, ok := x.keys[sigKey{uint64(v), s.g.Vertices[v].ConfigSig}]
+		if !ok {
+			continue
 		}
-		bounds[i] = b
-		at[b]++
+		for _, e := range x.posts[x.starts[k]:x.starts[k+1]] {
+			if counts[e] == 0 {
+				touched = append(touched, e)
+			}
+			counts[e]++
+		}
+	}
+	for _, e := range skip {
+		counts[e] = 0
+	}
+	// Bounds never exceed the query's vertex count, so the order is a
+	// counting sort.
+	n := len(s.g.Vertices)
+	if cap(s.at) < n+1 {
+		s.at = make([]int32, n+1)
+	}
+	at := s.at[:n+1]
+	clear(at)
+	for _, e := range touched {
+		at[counts[e]]++
 	}
 	total := int32(0)
 	for b := n; b > 0; b-- {
 		total, at[b] = total+at[b], total
 	}
-	out := make([]Ranked, total)
-	for i, b := range bounds {
-		if b > 0 {
-			out[at[b]] = Ranked{Entry: int32(i), Bound: b}
+	if cap(s.ranked) < int(total) {
+		s.ranked = make([]Ranked, total)
+	}
+	out := s.ranked[:total]
+	for _, e := range touched {
+		if b := counts[e]; b > 0 {
+			out[at[b]] = Ranked{Entry: e, Bound: b}
 			at[b]++
+			counts[e] = 0
 		}
 	}
+	s.touched = touched
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/archgen"
@@ -304,55 +305,72 @@ func TestLCPShareSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// BenchmarkLCPQueryCatalog runs one provider-local LCP query over the home
-// share of a provider holding archgen.Catalog(1, n) as in the tracked
-// lcp-query deployment (four providers, R=3: a share of n/4 models), with
-// archgen.Catalog(2, 512) queries. It reports the entries whose exact
-// prefix was computed per query (exact/op) beside the share (scanned/op).
-// The chains1k-full case is the bound order's worst case: a full scan (no
-// table, as in the client's fallback round) of 1,000 near-identical
-// 20-vertex chains over five ConfigSigs, where most entries' bounds reach
-// the best size.
-func BenchmarkLCPQueryCatalog(b *testing.B) {
-	report := func(b *testing.B, p *Provider, query func(i int)) {
-		query(0) // builds the snapshot
-		scanned0 := p.reg.Counter("provider.lcp_scanned").Load()
-		exact0 := p.reg.Counter("provider.lcp_exact").Load()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			query(i)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(p.reg.Counter("provider.lcp_scanned").Load()-scanned0)/float64(b.N), "scanned/op")
-		b.ReportMetric(float64(p.reg.Counter("provider.lcp_exact").Load()-exact0)/float64(b.N), "exact/op")
+// Queries from several goroutines at once, under both tie rules, with and
+// without exclusions and naming tables that select different snapshots,
+// each agree with an exhaustive scan: the pooled scanners and the shared
+// snapshots keep no state between concurrent queries.
+func TestLCPQueryConcurrent(t *testing.T) {
+	p := shareProvider(t, catalogGraphs(t, 1, 400), 1)
+	queries := catalogGraphs(t, 101, 40)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 120; i++ {
+				q := &proto.LCPQueryReq{Graph: queries[r.Intn(len(queries))], PreferRecent: r.Intn(2) == 0}
+				if r.Intn(2) == 0 {
+					q.Table = proto.TableName(0)
+				}
+				if r.Intn(2) == 0 {
+					q.Exclude = []ownermap.ModelID{ownermap.ModelID(1 + r.Intn(400)), ownermap.ModelID(1 + r.Intn(400))}
+				}
+				if diff := agree(p, q); diff != "" {
+					errs <- fmt.Sprintf("goroutine %d query %d: %s", w, i, diff)
+					return
+				}
+			}
+		}(w)
 	}
-	b.Run("chains1k-full", func(b *testing.B) {
-		p := New(0, kvstore.NewMemKV(4))
-		for i := 0; i < 1000; i++ {
-			sigs := make([]uint64, 20)
-			for j := range sigs {
-				sigs[j] = uint64(1 + (i*31+j*17)%5)
-			}
-			req, segs := storeReq(ownermap.ModelID(i+1), uint64(i+1), 0.5, chainGraph(sigs...))
-			if err := p.StoreModel(req, segs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		g := chainGraph(1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5)
-		report(b, p, func(int) { p.LCPQuery(&proto.LCPQueryReq{Graph: g}) })
-	})
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
 
-	queries := catalogGraphs(b, 2, 512)
-	for _, n := range []int{2000, 20000, 60000} {
-		var p *Provider // built by the first run of the sub-benchmark
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
-			if p == nil {
-				p = shareProvider(b, catalogGraphs(b, 1, n), 1)
-			}
-			report(b, p, func(i int) {
-				p.LCPQuery(&proto.LCPQueryReq{Graph: queries[i%len(queries)], Table: proto.TableName(0)})
-			})
-		})
+// A returned prefix is the caller's own: later queries, which reuse the
+// scanner that computed it, leave it as it was. Model 9's graph has two
+// roots, and a query that misses the first finds the prefix [1 2], which
+// differs from model 1's in every slot they share.
+func TestLCPQueryPrefixOwned(t *testing.T) {
+	twoRoots := func(first uint64) *graph.Compact {
+		b := graph.NewBuilder(3)
+		for _, sig := range []uint64{first, 51, 52} {
+			b.AddVertex(graph.Vertex{ConfigSig: sig, ParamBytes: 8})
+		}
+		b.AddEdge(1, 2)
+		return b.Build()
+	}
+	p := New(0, kvstore.NewMemKV(4))
+	if err := storeMeta(p, 1, 1, 0.5, chainGraph(1, 2, 3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := storeMeta(p, 9, 9, 0.5, twoRoots(50)); err != nil {
+		t.Fatal(err)
+	}
+	res := p.LCPQuery(&proto.LCPQueryReq{Graph: chainGraph(1, 2, 3, 4)})
+	want := []graph.VertexID{0, 1, 2, 3}
+	if !res.Found() || res.Meta.Model != 1 || !slices.Equal(res.Prefix, want) {
+		t.Fatalf("query for model 1's graph found %+v", res)
+	}
+	later := p.LCPQuery(&proto.LCPQueryReq{Graph: twoRoots(99)})
+	if !later.Found() || later.Meta.Model != 9 || !slices.Equal(later.Prefix, []graph.VertexID{1, 2}) {
+		t.Fatalf("query missing model 9's first root found %+v", later)
+	}
+	if !slices.Equal(res.Prefix, want) {
+		t.Errorf("the prefix changed to %v after a later query, want %v", res.Prefix, want)
 	}
 }

@@ -26,8 +26,10 @@
 package provider
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -195,7 +197,7 @@ func New(id int, kv kvstore.KV) *Provider {
 		dedup:    newDedupTable(dedupCap),
 	}
 	// Generation 0 is the empty catalog, so loading one must bump lcpGen.
-	p.share.Store(&shareSnap{})
+	p.share.Store(&shareSnap{index: graph.NewSigIndex(0, nil)})
 	return p
 }
 
@@ -779,30 +781,25 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 // carries the winner's catalog entry so the client needs no second round.
 //
 // The scan holds no lock: it reads the share's snapshot (shareFor), ranks
-// its entries by bound (graph.LCPScanner.ByBound) and computes exact prefixes in that
-// order only while an entry's bound can still reach the best size found.
+// its entries by bound through the snapshot's index
+// (graph.LCPScanner.ByBound) and computes exact prefixes in that order only
+// while an entry's bound can still reach the best size found.
 // proto.LCPBeats is a total order, so the winner does not depend on the
 // order of the scan.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	share := p.shareFor(p.homeTable(q))
-	scanner := graph.NewLCPScanner(q.Graph)
-	var skip func(int) bool
-	skipped := 0
-	if len(q.Exclude) > 0 {
-		excluded := make(map[ownermap.ModelID]bool, len(q.Exclude))
-		for _, id := range q.Exclude {
-			excluded[id] = true
-		}
-		skip = func(i int) bool {
-			if excluded[share.metas[i].Model] {
-				skipped++
-				return true
-			}
-			return false
+	sc := lcpScratches.Get().(*lcpScratch)
+	defer lcpScratches.Put(sc)
+	scanner := &sc.scanner
+	scanner.Reset(q.Graph)
+	sc.skip = sc.skip[:0]
+	for _, id := range q.Exclude {
+		if e, ok := share.entry(id); ok && !slices.Contains(sc.skip, e) {
+			sc.skip = append(sc.skip, e)
 		}
 	}
-	ranked := scanner.ByBound(&share.sigs, skip)
-	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(share.metas) - skipped))
+	ranked := scanner.ByBound(share.index, sc.skip)
+	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(share.metas) - len(sc.skip)))
 
 	var best *proto.ModelMeta
 	bestSize, exact := 0, 0
@@ -821,19 +818,37 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 	if best == nil {
 		return &proto.LCPResult{}
 	}
-	// The scanner is this call's own, so its prefix slice can be handed out.
-	return &proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
+	// The scanner goes back to the pool, so its prefix slice is copied.
+	return &proto.LCPResult{Meta: best, Prefix: slices.Clone(scanner.Against(best.Graph))}
 }
+
+// lcpScratch is what one LCP query reuses from the last: the scanner's
+// buffers and the share entries of the excluded models.
+type lcpScratch struct {
+	scanner graph.LCPScanner
+	skip    []int32
+}
+
+var lcpScratches = sync.Pool{New: func() any { return new(lcpScratch) }}
 
 // shareSnap is an immutable copy of the entries an LCP query scans under
 // one home table: the cataloged models that are not storing and, when
 // table is set, whose home this provider is under it (nil: every model).
-// sigs holds metas[i].Graph's ConfigSigs as entry i.
+// metas is in ascending model order, and entry i of index is
+// metas[i].Graph.
 type shareSnap struct {
 	gen   uint64
 	table *placement.Table
 	metas []*proto.ModelMeta
-	sigs  graph.SigArena
+	index *graph.SigIndex
+}
+
+// entry returns the entry number of model id, if the share holds it.
+func (s *shareSnap) entry(id ownermap.ModelID) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(s.metas, id, func(m *proto.ModelMeta, id ownermap.ModelID) int {
+		return cmp.Compare(m.Model, id)
+	})
+	return int32(i), ok
 }
 
 // shareFor returns the snapshot of the share homes selects, building it
@@ -859,9 +874,8 @@ func (p *Provider) shareFor(homes *placement.Table) *shareSnap {
 		}
 	}
 	p.mu.RUnlock()
-	for _, m := range s.metas {
-		s.sigs.Add(m.Graph)
-	}
+	slices.SortFunc(s.metas, func(a, b *proto.ModelMeta) int { return cmp.Compare(a.Model, b.Model) })
+	s.index = graph.NewSigIndex(len(s.metas), func(i int) *graph.Compact { return s.metas[i].Graph })
 	p.share.Store(s)
 	return s
 }

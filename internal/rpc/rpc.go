@@ -214,17 +214,27 @@ var ErrClosed = errors.New("rpc: closed")
 // returns the responses in connection order. Each slot carries either a
 // response or an error; Broadcast itself only fails on ctx cancellation.
 // This is the client side of the paper's provider-side collective queries.
+// The last leg runs on the calling goroutine, whose stack has already grown
+// down the call path, and every other leg on a goroutine of its own.
 func Broadcast(ctx context.Context, conns []Conn, name string, req Message) []Result {
 	results := make([]Result, len(conns))
-	var wg sync.WaitGroup
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c Conn) {
-			defer wg.Done()
-			resp, err := c.Call(ctx, name, req)
-			results[i] = Result{Resp: resp, Err: err}
-		}(i, c)
+	if len(conns) == 0 {
+		return results
 	}
+	call := func(i int) {
+		resp, err := conns[i].Call(ctx, name, req)
+		results[i] = Result{Resp: resp, Err: err}
+	}
+	var wg sync.WaitGroup
+	last := len(conns) - 1
+	wg.Add(last)
+	for i := range last {
+		go func() {
+			defer wg.Done()
+			call(i)
+		}()
+	}
+	call(last)
 	wg.Wait()
 	return results
 }

@@ -275,6 +275,46 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// Every leg of a Broadcast is in flight at once, the one run on the
+// calling goroutine included: each handler waits until all have arrived.
+func TestBroadcastLegsOverlap(t *testing.T) {
+	const n = 4
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	net := NewInprocNet()
+	srv := NewServer()
+	srv.Register("q", func(ctx context.Context, _ Message) (Message, error) {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return Message{Meta: []byte{1}}, nil
+		case <-ctx.Done():
+			return Message{}, ctx.Err()
+		}
+	})
+	net.Listen("p", srv)
+	conns := make([]Conn, n)
+	for i := range conns {
+		c, err := net.Dial("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, r := range Broadcast(ctx, conns, "q", Message{}) {
+		if r.Err != nil {
+			t.Errorf("slot %d: %v", i, r.Err)
+		}
+	}
+	if got := Broadcast(ctx, nil, "q", Message{}); len(got) != 0 {
+		t.Errorf("a broadcast to no connection returned %d slots", len(got))
+	}
+}
+
 func TestBroadcastPartialFailure(t *testing.T) {
 	net := NewInprocNet()
 	good := NewServer()
