@@ -15,13 +15,15 @@ test:
 # bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
 # provider-local LCP query (the 2k-model catalog, 2k aged-evolution NAS
 # candidates, and a full scan of 1k near-identical chains), LCP scanner,
-# chunk-store put, chunk-store segment read and tensor fingerprint
+# collective LCP round trip (four TCP-loopback providers, 2k-model
+# catalog), chunk-store put, chunk-store segment read and tensor fingerprint
 # benchmarks so they can't rot; 10 s of
 # fuzzing the SSTable reader (-fuzzminimizetime bounds the time Go would
 # otherwise spend shrinking the seed table, which looks like a hang) and 5 s
 # each of the value-log reader, the WAL replay, the manifest and the
 # `.sst.compact` marker (all four bounded the same way), the TCP frame
-# readers, the strict control decoders, the placement-state decoder, the
+# readers, the strict control decoders, the LCP reply header decoder, the
+# placement-state decoder, the
 # chunk-recipe decoder and the provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
@@ -36,6 +38,7 @@ check:
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained|FlushCompact)' -benchtime 1x ./internal/kvstore
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPQueryCatalog$$/^(2k|evolution2k|chains1k-full)$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
+	$(GO) test -run '^$$' -bench '^BenchmarkLCPRoundTrip$$' -benchtime 1x ./internal/client
 	$(GO) test -run '^$$' -bench '^BenchmarkKV(PutShared|GetSegment)$$' -benchtime 1x ./internal/dedup
 	$(GO) test -run '^$$' -bench '^BenchmarkTensorFingerprint$$' -benchtime 1x ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzSSTableGet -fuzztime 10s -fuzzminimizetime 200x ./internal/kvstore
@@ -45,6 +48,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzCompactMarker -fuzztime 5s -fuzzminimizetime 200x ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime 5s ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzDecodeLCPHeader -fuzztime 5s ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzLoadCatalog -fuzztime 5s ./internal/provider

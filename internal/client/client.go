@@ -425,27 +425,55 @@ func (c *Client) QueryLCP(ctx context.Context, g *graph.Compact, exclude []owner
 // answered that round. Duplicate answers are harmless: the reduce is
 // proto.LCPBeats, a total order. The query fails when no provider answers
 // the last round it ran.
+//
+// The reduce reads each reply's header (proto.DecodeLCPHeader) and
+// decodes in full only the catalog entry of a round's winner, when it
+// beats the best so far; a winner whose entry does not decode counts as a
+// failed leg, and the round's next best is tried.
 func (c *Client) QueryLCPReq(ctx context.Context, req *proto.LCPQueryReq) (*proto.LCPResult, bool, error) {
 	q := *req
 	q.Table = proto.TableName(c.place.Load().Complete().Epoch)
 
-	best := &proto.LCPResult{}
+	var best proto.LCPHeader
+	bestRes := &proto.LCPResult{}
 	round := func(conns []rpc.Conn) (answered []rpc.Conn, firstErr error) {
-		for i, r := range rpc.Broadcast(ctx, conns, proto.RPCLCPQuery, rpc.Message{Meta: q.Encode()}) {
-			var res *proto.LCPResult
-			err := r.Err
-			if err == nil {
-				res, err = proto.DecodeLCPResult(r.Resp.Meta)
+		results := rpc.Broadcast(ctx, conns, proto.RPCLCPQuery, rpc.Message{Meta: q.Encode()})
+		hdrs := make([]proto.LCPHeader, len(results))
+		fail := func(i int, err error) {
+			results[i].Err = err
+			if firstErr == nil {
+				firstErr = err
 			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
+		}
+		for i := range results {
+			if results[i].Err == nil {
+				hdrs[i], results[i].Err = proto.DecodeLCPHeader(results[i].Resp.Meta)
+			}
+			if err := results[i].Err; err != nil {
+				fail(i, err)
+			}
+		}
+		for {
+			w := -1
+			for i := range hdrs {
+				if results[i].Err == nil && hdrs[i].Beats(&best, req.PreferRecent) && (w < 0 || hdrs[i].Beats(&hdrs[w], req.PreferRecent)) {
+					w = i
 				}
-				continue
 			}
-			answered = append(answered, conns[i])
-			if res.Better(best, req.PreferRecent) {
-				best = res
+			if w < 0 {
+				break
+			}
+			res, err := proto.DecodeLCPResult(results[w].Resp.Meta)
+			if err == nil {
+				best, bestRes = hdrs[w], res
+				break
+			}
+			fail(w, err)
+		}
+		answered = make([]rpc.Conn, 0, len(conns))
+		for i := range results {
+			if results[i].Err == nil {
+				answered = append(answered, conns[i])
 			}
 		}
 		return answered, firstErr
@@ -458,7 +486,7 @@ func (c *Client) QueryLCPReq(ctx context.Context, req *proto.LCPQueryReq) (*prot
 	if err != nil && len(answered) == 0 {
 		return nil, false, fmt.Errorf("client: lcp query: %w", err)
 	}
-	return best, best.Found(), nil
+	return bestRes, bestRes.Found(), nil
 }
 
 // --- retire --------------------------------------------------------------------------

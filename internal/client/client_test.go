@@ -281,3 +281,50 @@ func TestProviderDownSurfacesError(t *testing.T) {
 		t.Errorf("degraded query: res=%+v found=%v err=%v", res, found, err)
 	}
 }
+
+// TestQueryLCPDecodesOnlyWinner: the reduce decodes one catalog entry per
+// query, the winner's, however many providers reply with a match. Over
+// four in-process providers that each hold a match, a query allocates as
+// much as over four of which only one does, where decoding every reply
+// would cost three more entries' decodes.
+func TestQueryLCPDecodesOnlyWinner(t *testing.T) {
+	f := flatten(t, 4)
+	other := flatten(t, 9) // shares no prefix with f once its root differs
+	other.Graph.Vertices[0].ConfigSig ^= 1
+	deploy := func(matches int) *Client {
+		provs, cli := newHookCluster(t, 4, nil)
+		for i, p := range provs {
+			g := other.Graph
+			if i < matches {
+				g = f.Graph
+			}
+			id := ownermap.ModelID(i + 1)
+			meta := &proto.ModelMeta{Model: id, Seq: 1, Quality: float64(i) / 10, Graph: g, OwnerMap: ownermap.New(id, 1, g.NumVertices())}
+			req := &proto.StoreModelReq{Model: id, Seq: 1, Quality: meta.Quality, Graph: g, OwnerMap: meta.OwnerMap}
+			if err := p.StoreModel(req, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cli
+	}
+	ctx := context.Background()
+	var allocs [2]float64
+	for i, matches := range []int{1, 4} {
+		cli := deploy(matches)
+		res, found, err := cli.QueryLCP(ctx, f.Graph, nil)
+		// The highest quality wins the tie on prefix length.
+		if err != nil || !found || res.Meta.Model != ownermap.ModelID(matches) || len(res.Prefix) != f.Graph.NumVertices() {
+			t.Fatalf("%d matching providers: found %v, %+v, %v", matches, found, res, err)
+		}
+		allocs[i] = testing.AllocsPerRun(50, func() { cli.QueryLCP(ctx, f.Graph, nil) })
+	}
+	winner := (&proto.LCPResult{Meta: metaFor(f, 1, 1, 0.5), Prefix: []graph.VertexID{0}}).Encode()
+	entry := testing.AllocsPerRun(50, func() { proto.DecodeLCPResult(winner) })
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scanners at random: allocations not checked")
+	}
+	if allocs[1] > allocs[0]+entry/2 {
+		t.Fatalf("a query allocates %v times when one provider matches and %v when four do; decoding an entry takes %v",
+			allocs[0], allocs[1], entry)
+	}
+}

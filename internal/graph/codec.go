@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Binary layout of an encoded Compact graph:
@@ -47,18 +48,33 @@ func (g *Compact) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
+// EncodedSize returns the length of g's encoding, so a caller can size the
+// buffer it encodes into exactly.
+func (g *Compact) EncodedSize() int {
+	n := 12 + 18*len(g.Vertices)
+	for i := range g.Vertices {
+		n += len(g.Vertices[i].Name)
+	}
+	for u := range g.Out {
+		n += 8 * len(g.Out[u])
+	}
+	return n
+}
+
 // Encode returns the binary encoding of g.
-func (g *Compact) Encode() []byte { return g.AppendEncode(nil) }
+func (g *Compact) Encode() []byte { return g.AppendEncode(make([]byte, 0, g.EncodedSize())) }
 
 // Decode parses an encoded graph and returns it with the number of bytes
 // consumed.
 //
-// Decode builds the adjacency directly rather than replaying the edges
-// through a Builder: all per-vertex lists are carved out of two shared
-// backing arrays, and because AppendEncode emits edges in sorted (src, dst)
-// order the lists come out sorted without any per-list sort. Graph decoding
-// sits on the metadata read path of every Load, so its allocation count
-// matters (see the allocs/op of `go test -bench Bulk ./internal/bulkbench`).
+// Decode allocates a fixed number of times, whatever the vertex count: the
+// graph, its vertices, one array of adjacency list headers (Out and In),
+// one string holding every vertex name (each Name is a substring of it),
+// the degree counts, one backing array for every adjacency list, and
+// Roots. Because AppendEncode emits edges in sorted (src, dst) order the
+// lists come out sorted without any per-list sort. Graph decoding sits on
+// the metadata read path of every Load and on both ends of every LCP query,
+// so its allocation count matters (TestDecodeAllocsFixed pins it).
 // Encodings with unsorted or duplicate edges (not produced by AppendEncode,
 // but legal) are normalized after the fill.
 func Decode(b []byte) (*Compact, int, error) {
@@ -72,54 +88,64 @@ func Decode(b []byte) (*Compact, int, error) {
 	if n > (len(b)-8)/18 { // every vertex takes at least 18 bytes
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	off := 8
-	g := &Compact{
-		Vertices: make([]Vertex, n),
-		Out:      make([][]VertexID, n),
-		In:       make([][]VertexID, n),
-	}
+	// Pass 1 over the vertices: bounds-check and total the name bytes.
+	off, names := 8, 0
 	for i := 0; i < n; i++ {
 		if len(b) < off+18 {
 			return nil, 0, io.ErrUnexpectedEOF
 		}
-		v := &g.Vertices[i]
-		v.ConfigSig = binary.LittleEndian.Uint64(b[off:])
-		v.ParamBytes = int64(binary.LittleEndian.Uint64(b[off+8:]))
 		nameLen := int(binary.LittleEndian.Uint16(b[off+16:]))
-		off += 18
-		if len(b) < off+nameLen {
-			return nil, 0, io.ErrUnexpectedEOF
-		}
-		v.Name = string(b[off : off+nameLen])
-		off += nameLen
+		off += 18 + nameLen
+		names += nameLen
 	}
 	if len(b) < off+4 {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
+	eoff := off + 4
 	edges := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if len(b) < off+8*edges {
+	if (len(b)-eoff)/8 < edges {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	// Pass 1: bounds-check and count degrees.
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
+	// Pass 2: copy every name into one string, then give each vertex its
+	// substring.
+	var sb strings.Builder
+	sb.Grow(names)
+	for i, off := 0, 8; i < n; i++ {
+		nameLen := int(binary.LittleEndian.Uint16(b[off+16:]))
+		sb.Write(b[off+18 : off+18+nameLen])
+		off += 18 + nameLen
+	}
+	all := sb.String()
+	lists := make([][]VertexID, 2*n)
+	g := &Compact{Vertices: make([]Vertex, n), Out: lists[:n:n], In: lists[n:]}
+	for i, off, at := 0, 8, 0; i < n; i++ {
+		v := &g.Vertices[i]
+		v.ConfigSig = binary.LittleEndian.Uint64(b[off:])
+		v.ParamBytes = int64(binary.LittleEndian.Uint64(b[off+8:]))
+		nameLen := int(binary.LittleEndian.Uint16(b[off+16:]))
+		v.Name = all[at : at+nameLen]
+		off += 18 + nameLen
+		at += nameLen
+	}
+	// Pass 1 over the edges: bounds-check and count degrees.
+	deg := make([]int32, 2*n)
+	outDeg, inDeg := deg[:n], deg[n:]
 	for i := 0; i < edges; i++ {
-		u := binary.LittleEndian.Uint32(b[off+8*i:])
-		v := binary.LittleEndian.Uint32(b[off+8*i+4:])
+		u := binary.LittleEndian.Uint32(b[eoff+8*i:])
+		v := binary.LittleEndian.Uint32(b[eoff+8*i+4:])
 		if int(u) >= n || int(v) >= n {
 			return nil, 0, fmt.Errorf("graph: edge (%d,%d) out of range in encoding", u, v)
 		}
 		outDeg[u]++
 		inDeg[v]++
 	}
-	// Carve zero-length per-vertex lists out of shared backing arrays.
-	outBack := make([]VertexID, edges)
-	inBack := make([]VertexID, edges)
-	o, in := 0, 0
+	// Carve zero-length per-vertex lists out of one shared backing array:
+	// the Out lists fill its first half, the In lists its second.
+	back := make([]VertexID, 2*edges)
+	o, in := 0, edges
 	for v := 0; v < n; v++ {
-		g.Out[v] = outBack[o : o : o+int(outDeg[v])]
-		g.In[v] = inBack[in : in : in+int(inDeg[v])]
+		g.Out[v] = back[o : o : o+int(outDeg[v])]
+		g.In[v] = back[in : in : in+int(inDeg[v])]
 		o += int(outDeg[v])
 		in += int(inDeg[v])
 	}
@@ -127,8 +153,8 @@ func Decode(b []byte) (*Compact, int, error) {
 	// ascending order and each In list sees its sources ascending too.
 	sorted := true
 	for i := 0; i < edges; i++ {
-		u := binary.LittleEndian.Uint32(b[off+8*i:])
-		v := binary.LittleEndian.Uint32(b[off+8*i+4:])
+		u := binary.LittleEndian.Uint32(b[eoff+8*i:])
+		v := binary.LittleEndian.Uint32(b[eoff+8*i+4:])
 		if l := g.Out[u]; len(l) > 0 && l[len(l)-1] >= VertexID(v) {
 			sorted = false
 		}
@@ -138,16 +164,24 @@ func Decode(b []byte) (*Compact, int, error) {
 		g.Out[u] = append(g.Out[u], VertexID(v))
 		g.In[v] = append(g.In[v], VertexID(u))
 	}
-	off += 8 * edges
 	if !sorted {
 		g.normalizeAdjacency()
 	}
+	roots := 0
 	for v := 0; v < n; v++ {
 		if len(g.In[v]) == 0 {
-			g.Roots = append(g.Roots, VertexID(v))
+			roots++
 		}
 	}
-	return g, off, nil
+	if roots > 0 {
+		g.Roots = make([]VertexID, 0, roots)
+		for v := 0; v < n; v++ {
+			if len(g.In[v]) == 0 {
+				g.Roots = append(g.Roots, VertexID(v))
+			}
+		}
+	}
+	return g, eoff + 8*edges, nil
 }
 
 // normalizeAdjacency sorts every adjacency list and drops duplicate edges,

@@ -429,3 +429,39 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("unescaped quote in DOT label")
 	}
 }
+
+// namedDAG is randomDAG with a name on every vertex.
+func namedDAG(seed int64, n int) *Compact {
+	g := randomDAG(rand.New(rand.NewSource(seed)), n, 10)
+	for i := range g.Vertices {
+		g.Vertices[i].Name = strings.Repeat("layer/", 1+i%3) + string(rune('a'+i%26))
+	}
+	return g
+}
+
+// TestDecodeAllocsFixed pins Decode's allocation count: the same at 10 and
+// at 200 vertices, names included, and the decoded graph re-encodes to
+// the bytes it came from, EncodedSize of them.
+func TestDecodeAllocsFixed(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{10, 200} {
+		g := namedDAG(int64(n), n)
+		enc := g.Encode()
+		if g.EncodedSize() != len(enc) {
+			t.Fatalf("%d vertices: EncodedSize %d, encoding %d bytes", n, g.EncodedSize(), len(enc))
+		}
+		back, used, err := Decode(enc)
+		if err != nil || used != len(enc) || string(back.Encode()) != string(enc) {
+			t.Fatalf("%d vertices: roundtrip failed (%v, %d of %d bytes)", n, err, used, len(enc))
+		}
+		for i := range g.Vertices {
+			if back.Vertices[i] != g.Vertices[i] {
+				t.Fatalf("%d vertices: vertex %d decoded as %+v, want %+v", n, i, back.Vertices[i], g.Vertices[i])
+			}
+		}
+		counts = append(counts, testing.AllocsPerRun(50, func() { Decode(enc) }))
+	}
+	if counts[0] != counts[1] || counts[0] > 7 {
+		t.Fatalf("Decode allocates %v times at 10 vertices and %v at 200; want the same, at most 7", counts[0], counts[1])
+	}
+}

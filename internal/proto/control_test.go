@@ -2,7 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -243,6 +245,44 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 		if !bytes.Equal(re, b) {
 			t.Fatalf("%s: accepted % x but re-encodes to % x", c.name, b, re)
+		}
+	})
+}
+
+// FuzzDecodeLCPHeader: whatever DecodeLCPResult accepts, the header decoder
+// the client's reduce runs on every reply accepts too, with the same model,
+// sequence, quality and prefix. (The header decoder may accept more: it
+// frames a losing reply's graph and owner map without decoding them.)
+func FuzzDecodeLCPHeader(f *testing.F) {
+	for _, c := range controlCodecs {
+		if c.name == "LCPResult" || c.name == "LCPResultMiss" {
+			for cut := 0; cut <= len(c.seed); cut++ {
+				f.Add(c.seed[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		res, err := DecodeLCPResult(b)
+		if err != nil {
+			return
+		}
+		h, err := DecodeLCPHeader(b)
+		if err != nil {
+			t.Fatalf("DecodeLCPResult accepts % x, DecodeLCPHeader refuses it: %v", b, err)
+		}
+		if h.Found != res.Found() || h.PrefixLen() != len(res.Prefix) {
+			t.Fatalf("header %+v disagrees with result %+v", h, res)
+		}
+		if !res.Found() {
+			return
+		}
+		if h.Model != res.Meta.Model || h.Seq != res.Meta.Seq || math.Float64bits(h.Quality) != math.Float64bits(res.Meta.Quality) {
+			t.Fatalf("header %+v disagrees with result meta %+v", h, res.Meta)
+		}
+		for i, v := range res.Prefix {
+			if got := graph.VertexID(binary.LittleEndian.Uint32(h.prefix[4*i:])); got != v {
+				t.Fatalf("header prefix[%d] = %d, result prefix[%d] = %d", i, got, i, v)
+			}
 		}
 	})
 }

@@ -251,8 +251,8 @@ type StoreModelReq struct {
 
 // Encode serializes the request meta.
 func (q *StoreModelReq) Encode() []byte {
-	w := wire.NewWriter(64 + q.OwnerMap.SizeBytes())
 	m := ModelMeta{Model: q.Model, Seq: q.Seq, Quality: q.Quality, Graph: q.Graph, OwnerMap: q.OwnerMap}
+	w := wire.NewWriter(m.encodedSize() + 4 + 8*len(q.Segments) + 8)
 	m.appendTo(w)
 	appendSegTable(w, q.Segments)
 	w.U64(q.ReqID)
@@ -304,19 +304,22 @@ func DecodeModelID(b []byte) (ownermap.ModelID, error) {
 
 // Encode serializes model metadata.
 func (m *ModelMeta) Encode() []byte {
-	w := wire.NewWriter(64 + m.OwnerMap.SizeBytes())
+	w := wire.NewWriter(m.encodedSize())
 	m.appendTo(w)
 	return w.Bytes()
 }
 
+// encodedSize is the number of bytes appendTo writes.
+func (m *ModelMeta) encodedSize() int { return 32 + m.Graph.EncodedSize() + m.OwnerMap.SizeBytes() }
+
 // appendTo writes m's fields; StoreModelReq and LCPResult start with the
-// same five.
+// same five. The graph and the owner map encode straight into w.
 func (m *ModelMeta) appendTo(w *wire.Writer) {
 	w.U64(uint64(m.Model))
 	w.U64(m.Seq)
 	w.F64(m.Quality)
-	w.Bytes32(m.Graph.Encode())
-	w.Bytes32(m.OwnerMap.Encode())
+	w.AppendBytes32(m.Graph.AppendEncode)
+	w.AppendBytes32(m.OwnerMap.AppendEncode)
 }
 
 // DecodeModelMeta parses exactly one Encode output.
@@ -601,8 +604,8 @@ func TableName(epoch uint64) uint64 { return epoch + 1 }
 
 // Encode serializes the query.
 func (q *LCPQueryReq) Encode() []byte {
-	w := wire.NewWriter(64)
-	w.Bytes32(q.Graph.Encode())
+	w := wire.NewWriter(4 + q.Graph.EncodedSize() + 4 + 8*len(q.Exclude) + 1 + 8)
+	w.AppendBytes32(q.Graph.AppendEncode)
 	w.U32(uint32(len(q.Exclude)))
 	for _, id := range q.Exclude {
 		w.U64(uint64(id))
@@ -667,7 +670,7 @@ func (res *LCPResult) Encode() []byte {
 	if res.Meta == nil {
 		return []byte{0}
 	}
-	w := wire.NewWriter(72 + res.Meta.OwnerMap.SizeBytes() + 4*len(res.Prefix))
+	w := wire.NewWriter(1 + res.Meta.encodedSize() + 4 + 4*len(res.Prefix))
 	w.U8(1)
 	res.Meta.appendTo(w)
 	w.U32(uint32(len(res.Prefix)))
@@ -722,13 +725,57 @@ func LCPBeats(size int, m *ModelMeta, curSize int, cur *ModelMeta, preferRecent 
 	return m.Model < cur.Model
 }
 
-// Better reports whether res should replace cur as the reduced best match:
-// any match beats none, and LCPBeats orders two matches.
-func (res *LCPResult) Better(cur *LCPResult, preferRecent bool) bool {
-	if !res.Found() || !cur.Found() {
-		return res.Found() && !cur.Found()
+// LCPHeader is what the client's reduce reads of one encoded LCPResult:
+// whether it names a match, the winner's model, sequence and quality, and
+// the prefix. The first four precede the graph on the wire; the graph and
+// the owner map are length-framed, so DecodeLCPHeader steps over them to
+// the prefix without decoding them.
+type LCPHeader struct {
+	Found   bool
+	Model   ownermap.ModelID
+	Seq     uint64
+	Quality float64
+	prefix  []byte // the encoded prefix, aliasing the reply
+}
+
+// PrefixLen returns the number of vertices in the prefix.
+func (h *LCPHeader) PrefixLen() int { return len(h.prefix) / 4 }
+
+// DecodeLCPHeader parses the header of an LCPResult encoding. It accepts
+// everything DecodeLCPResult accepts, with the same model, sequence,
+// quality and prefix, and checks the same framing; it does not look inside
+// the graph or the owner map.
+func DecodeLCPHeader(b []byte) (LCPHeader, error) {
+	r := wire.NewReader(b)
+	var h LCPHeader
+	switch found := r.U8(); {
+	case r.Err() != nil || found > 1:
+		return LCPHeader{}, wire.ErrTruncated
+	case found == 0:
+		return h, end(r)
 	}
-	return LCPBeats(len(res.Prefix), res.Meta, len(cur.Prefix), cur.Meta, preferRecent)
+	h.Found = true
+	h.Model = ownermap.ModelID(r.U64())
+	h.Seq = r.U64()
+	h.Quality = r.F64()
+	r.Bytes32() // graph
+	r.Bytes32() // owner map
+	n := int(r.U32())
+	if r.Err() != nil || n != r.Remaining()/4 || r.Remaining()%4 != 0 {
+		return LCPHeader{}, wire.ErrTruncated
+	}
+	h.prefix = b[len(b)-r.Remaining():]
+	return h, nil
+}
+
+// Beats reports whether h should replace cur as the reduced best match:
+// any match beats none, and LCPBeats orders two matches.
+func (h *LCPHeader) Beats(cur *LCPHeader, preferRecent bool) bool {
+	if !h.Found || !cur.Found {
+		return h.Found && !cur.Found
+	}
+	return LCPBeats(h.PrefixLen(), &ModelMeta{Model: h.Model, Seq: h.Seq, Quality: h.Quality},
+		cur.PrefixLen(), &ModelMeta{Model: cur.Model, Seq: cur.Seq, Quality: cur.Quality}, preferRecent)
 }
 
 // --- ListModels / Stats --------------------------------------------------------

@@ -159,39 +159,40 @@ func TestLCPResultRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLCPResultBetter pins the reduce's order on reply headers.
 func TestLCPResultBetter(t *testing.T) {
-	match := func(id ownermap.ModelID, seq uint64, q float64, size int) *LCPResult {
-		return &LCPResult{Meta: &ModelMeta{Model: id, Seq: seq, Quality: q}, Prefix: make([]graph.VertexID, size)}
+	match := func(id ownermap.ModelID, seq uint64, q float64, size int) *LCPHeader {
+		return &LCPHeader{Found: true, Model: id, Seq: seq, Quality: q, prefix: make([]byte, 4*size)}
 	}
 	short := match(1, 5, 0.9, 1)
 	long := match(2, 1, 0.1, 2)
 	for _, recent := range []bool{false, true} {
-		if !long.Better(short, recent) || short.Better(long, recent) {
+		if !long.Beats(short, recent) || short.Beats(long, recent) {
 			t.Errorf("recent=%v: prefix length must dominate", recent)
 		}
 	}
 	// Equal length: quality decides, or under PreferRecent the sequence.
 	older := match(3, 4, 0.95, 1)
-	if !older.Better(short, false) || short.Better(older, false) {
+	if !older.Beats(short, false) || short.Beats(older, false) {
 		t.Error("quality tie-break inverted")
 	}
-	if older.Better(short, true) || !short.Better(older, true) {
+	if older.Beats(short, true) || !short.Beats(older, true) {
 		t.Error("recency tie-break inverted")
 	}
 	// Equal sequence under PreferRecent: quality decides.
-	if sameSeq := match(4, 5, 0.95, 1); !sameSeq.Better(short, true) {
+	if sameSeq := match(4, 5, 0.95, 1); !sameSeq.Beats(short, true) {
 		t.Error("PreferRecent must fall back to quality")
 	}
 	// Tied on everything else: lower ID, either way.
 	twin := match(0, 5, 0.9, 1)
 	for _, recent := range []bool{false, true} {
-		if !twin.Better(short, recent) || short.Better(twin, recent) {
+		if !twin.Beats(short, recent) || short.Beats(twin, recent) {
 			t.Errorf("recent=%v: ID tie-break failed", recent)
 		}
 	}
 	// Not-found never wins; anything beats not-found.
-	none := &LCPResult{}
-	if none.Better(short, false) || !short.Better(none, false) || none.Better(none, false) {
+	none := &LCPHeader{}
+	if none.Beats(short, false) || !short.Beats(none, false) || none.Beats(none, false) {
 		t.Error("found/not-found ordering wrong")
 	}
 }

@@ -199,7 +199,7 @@ func (p *Provider) commit(op string, ids []ownermap.ModelID, guard func(ownermap
 				// Best-effort: a stale tombstone only re-rejects a late store
 				// after recovery, and a stale drained journal is history
 				// repair treats as converged-by-emptiness.
-				p.reg.Counter("provider.catalog_evict_err").Inc()
+				p.ctr.catalogEvictErr.Inc()
 			}
 		}
 	}
@@ -256,7 +256,7 @@ func (p *Provider) capLocked(ids []ownermap.ModelID, newJournal bool, c *change)
 	// their replicas are converged-by-emptiness, so losing the history only
 	// forgoes a merge that would have replayed nothing. The set starts
 	// afresh, since ranging over a map costs its peak size.
-	p.reg.Counter("provider.journal_cap_visit").Add(uint64(len(p.drained)))
+	p.ctr.journalCapVisit.Add(uint64(len(p.drained)))
 	kept := make(map[ownermap.ModelID]struct{})
 	for owner := range p.drained {
 		if slices.Contains(ids, owner) {
@@ -265,7 +265,7 @@ func (p *Provider) capLocked(ids []ownermap.ModelID, newJournal bool, c *change)
 		}
 		delete(p.journals, owner)
 		c.evicted = append(c.evicted, evictedRecord{owner, dirtyJournal})
-		p.reg.Counter("provider.journal_evict").Inc()
+		p.ctr.journalEvict.Inc()
 	}
 	p.drained = kept
 }

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ownermap"
 	"repro/internal/placement"
 	"repro/internal/proto"
+	"repro/internal/rpc"
 )
 
 // storeMeta stores a metadata-only model: its owner map names the model
@@ -372,5 +374,44 @@ func TestLCPQueryPrefixOwned(t *testing.T) {
 	}
 	if !slices.Equal(res.Prefix, want) {
 		t.Errorf("the prefix changed to %v after a later query, want %v", res.Prefix, want)
+	}
+}
+
+// TestHandleLCPQueryAllocsBounded pins what the lcp_query handler allocates
+// in process (decode the query, scan the share, encode the reply): the
+// same few allocations whatever the share's size, so none of them is per
+// scanned entry. The reply carries what LCPQuery returns.
+func TestHandleLCPQueryAllocsBounded(t *testing.T) {
+	const bound = 10 // the query graph's fixed decode, the request, the reply
+	queries := catalogGraphs(t, 7, 8)
+	var most []float64
+	for _, n := range []int{200, 2000} {
+		p := shareProvider(t, catalogGraphs(t, 1, n), 1)
+		worst := 0.0
+		for qi, g := range queries {
+			q := &proto.LCPQueryReq{Graph: g, Table: proto.TableName(0)}
+			req := rpc.Message{Meta: q.Encode()}
+			resp, err := p.handleLCPQuery(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := proto.DecodeLCPResult(resp.Meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := p.LCPQuery(q)
+			if got.Found() != want.Found() || got.Found() && (got.Meta.Model != want.Meta.Model || !slices.Equal(got.Prefix, want.Prefix)) {
+				t.Fatalf("share %d query %d: reply %+v, LCPQuery %+v", n, qi, got, want)
+			}
+			worst = max(worst, testing.AllocsPerRun(20, func() { p.handleLCPQuery(context.Background(), req) }))
+		}
+		most = append(most, worst)
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scanners at random: allocations not checked")
+	}
+	if most[1] > most[0] || most[1] > bound {
+		t.Fatalf("handleLCPQuery allocates up to %v times over a 200-model catalog's share and %v over a 2000-model one; want no more for the larger, at most %d",
+			most[0], most[1], bound)
 	}
 }

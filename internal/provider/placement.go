@@ -37,7 +37,7 @@ func (p *Provider) SetPlacementState(st *placement.State) error {
 			return nil // stale push; the installed view is newer
 		}
 		if p.place.CompareAndSwap(old, st) {
-			p.reg.Counter("provider.placement_epoch_install").Inc()
+			p.ctr.placementEpochInstall.Inc()
 			p.notifyPlacement(st)
 			return nil
 		}
@@ -69,7 +69,7 @@ func (p *Provider) Evict(id ownermap.ModelID) (uint64, error) {
 		return 0, err
 	}
 	if dropped > 0 {
-		p.reg.Counter("provider.placement_evict").Inc()
+		p.ctr.placementEvict.Inc()
 	}
 	return dropped, nil
 }

@@ -125,6 +125,8 @@ type Provider struct {
 	// reg is the registry the Metrics RPC snapshots (default
 	// metrics.Default, which the resilience middleware also writes to).
 	reg *metrics.Registry
+	// ctr holds the provider's counters, bound to their names in reg.
+	ctr counters
 
 	mu     sync.RWMutex
 	models map[ownermap.ModelID]*modelMeta
@@ -196,9 +198,61 @@ func New(id int, kv kvstore.KV) *Provider {
 		retired:  make(map[ownermap.ModelID]uint64),
 		dedup:    newDedupTable(dedupCap),
 	}
+	p.registerCounters()
 	// Generation 0 is the empty catalog, so loading one must bump lcpGen.
 	p.share.Store(&shareSnap{index: graph.NewSigIndex(0, nil)})
 	return p
+}
+
+// counters are the provider's event counters, each bound once to its
+// name so a hot path never looks one up under the registry's lock.
+type counters struct {
+	readRequest, readExec, readSegmentsExec, throttled *metrics.Counter
+
+	lcpScanned, lcpExact *metrics.Counter
+
+	hello, dedupHit, journalDup, placementReject *metrics.Counter
+
+	placementEpochInstall, placementEvict *metrics.Counter
+
+	catalogEvictErr, journalCapVisit, journalEvict *metrics.Counter
+
+	journalUnmergeable, repairTombstone, repairMetaInstall *metrics.Counter
+
+	repairAbsolute, repairDeltas, repairClamped, repairOrphanSkip *metrics.Counter
+}
+
+// registerCounters binds every counter field to its name in p.reg.
+func (p *Provider) registerCounters() {
+	for _, e := range []struct {
+		name  string
+		field **metrics.Counter
+	}{
+		{"provider.read_request", &p.ctr.readRequest},
+		{"provider.read_exec", &p.ctr.readExec},
+		{"provider.read_segments_exec", &p.ctr.readSegmentsExec},
+		{"provider.throttled", &p.ctr.throttled},
+		{"provider.lcp_scanned", &p.ctr.lcpScanned},
+		{"provider.lcp_exact", &p.ctr.lcpExact},
+		{"provider.hello", &p.ctr.hello},
+		{"provider.dedup_hit", &p.ctr.dedupHit},
+		{"provider.journal_dup", &p.ctr.journalDup},
+		{"provider.placement_reject", &p.ctr.placementReject},
+		{"provider.placement_epoch_install", &p.ctr.placementEpochInstall},
+		{"provider.placement_evict", &p.ctr.placementEvict},
+		{"provider.catalog_evict_err", &p.ctr.catalogEvictErr},
+		{"provider.journal_cap_visit", &p.ctr.journalCapVisit},
+		{"provider.journal_evict", &p.ctr.journalEvict},
+		{"provider.journal_unmergeable", &p.ctr.journalUnmergeable},
+		{"provider.repair_tombstone", &p.ctr.repairTombstone},
+		{"provider.repair_meta_install", &p.ctr.repairMetaInstall},
+		{"provider.repair_absolute", &p.ctr.repairAbsolute},
+		{"provider.repair_deltas", &p.ctr.repairDeltas},
+		{"provider.repair_clamped", &p.ctr.repairClamped},
+		{"provider.repair_orphan_skip", &p.ctr.repairOrphanSkip},
+	} {
+		*e.field = p.reg.Counter(e.name)
+	}
 }
 
 // ID returns the provider index.
@@ -242,11 +296,12 @@ func (p *Provider) notifyPlacement(st *placement.State) {
 	}
 }
 
-// SetMetricsRegistry points the Metrics RPC at reg (default
-// metrics.Default).
+// SetMetricsRegistry points the Metrics RPC and the provider's counters at
+// reg (default metrics.Default). Call it before serving.
 func (p *Provider) SetMetricsRegistry(reg *metrics.Registry) {
 	if reg != nil {
 		p.reg = reg
+		p.registerCounters()
 	}
 }
 
@@ -267,7 +322,7 @@ func (p *Provider) acceptsWrite(id ownermap.ModelID) error {
 	if st == nil || st.Contains(p.id, id) {
 		return nil
 	}
-	p.reg.Counter("provider.placement_reject").Inc()
+	p.ctr.placementReject.Inc()
 	return fmt.Errorf("provider %d: not a replica of model %d in any active epoch: %w",
 		p.id, id, placement.ErrWrongEpoch)
 }
@@ -303,7 +358,7 @@ func (p *Provider) missErr(id ownermap.ModelID) error {
 func (p *Provider) once(reqID uint64, req []byte, run func() ([]byte, error)) (rpc.Message, error) {
 	sum := requestSum(req)
 	if meta, done := p.dedup.get(reqID, sum); done {
-		p.reg.Counter("provider.dedup_hit").Inc()
+		p.ctr.dedupHit.Inc()
 		return rpc.Message{Meta: meta}, nil
 	}
 	resp, err := run()
@@ -343,7 +398,7 @@ func (p *Provider) handleHello(_ context.Context, req rpc.Message) (rpc.Message,
 	if _, err := proto.DecodeHello(req.Meta); err != nil {
 		return rpc.Message{}, fmt.Errorf("provider %d: hello: %w", p.id, err)
 	}
-	p.reg.Counter("provider.hello").Inc()
+	p.ctr.hello.Inc()
 	st := p.place.Load()
 	p.mu.RLock()
 	models := uint64(len(p.models))
@@ -408,7 +463,7 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		if p.seenLocked(q.Model, q.ReqID) {
 			// The repairer already replayed this store's refcount delta (and
 			// installed its metadata) from a healthy replica's journal.
-			p.reg.Counter("provider.journal_dup").Inc()
+			p.ctr.journalDup.Inc()
 			return nil
 		}
 		if _, dup := p.models[q.Model]; dup {
@@ -476,15 +531,15 @@ func (p *Provider) handleReadSegments(_ context.Context, req rpc.Message) (rpc.M
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	p.reg.Counter("provider.read_request").Inc()
+	p.ctr.readRequest.Inc()
 	if th := p.throttle.Load(); th != nil {
 		if err := th.Admit(q.Tenant); err != nil {
-			p.reg.Counter("provider.throttled").Inc()
+			p.ctr.throttled.Inc()
 			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %w", p.id, q.Owner, err)
 		}
 	}
-	p.reg.Counter("provider.read_exec").Inc()
-	p.reg.Counter("provider.read_segments_exec").Add(uint64(len(q.Vertices)))
+	p.ctr.readExec.Inc()
+	p.ctr.readSegmentsExec.Add(uint64(len(q.Vertices)))
 	resp, err := p.readSegmentsResp(q)
 	if err != nil {
 		return rpc.Message{}, err
@@ -677,7 +732,7 @@ func (p *Provider) refDelta(groups []proto.RefGroup, reqID uint64, neg bool) ([]
 				// accounting. The owner's records are rewritten all the
 				// same: the message that applied the group may have failed
 				// to persist them, and this one's ack must be durable.
-				p.reg.Counter("provider.journal_dup").Inc()
+				p.ctr.journalDup.Inc()
 				skip[i] = true
 				c.dirty[i] |= dirtyRefs | dirtyJournal
 				continue
@@ -765,12 +820,16 @@ func (p *Provider) Retire(id ownermap.ModelID) (*ownermap.Map, error) {
 
 // --- collective LCP query -------------------------------------------------------------
 
+// handleLCPQuery encodes the winner's prefix straight from the pooled
+// scanner, before the scanner goes back to the pool.
 func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Message, error) {
 	q, err := proto.DecodeLCPQueryReq(req.Meta)
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	res := p.LCPQuery(q)
+	sc := lcpScratches.Get().(*lcpScratch)
+	defer lcpScratches.Put(sc)
+	res := p.lcpQuery(q, sc)
 	return rpc.Message{Meta: res.Encode()}, nil
 }
 
@@ -787,9 +846,18 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 // proto.LCPBeats is a total order, so the winner does not depend on the
 // order of the scan.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
-	share := p.shareFor(p.homeTable(q))
 	sc := lcpScratches.Get().(*lcpScratch)
 	defer lcpScratches.Put(sc)
+	res := p.lcpQuery(q, sc)
+	// The scanner goes back to the pool, so its prefix slice is copied.
+	res.Prefix = slices.Clone(res.Prefix)
+	return &res
+}
+
+// lcpQuery is LCPQuery over the caller's scratch: the result's Prefix
+// aliases the scanner and is valid until sc is reused.
+func (p *Provider) lcpQuery(q *proto.LCPQueryReq, sc *lcpScratch) proto.LCPResult {
+	share := p.shareFor(p.homeTable(q))
 	scanner := &sc.scanner
 	scanner.Reset(q.Graph)
 	sc.skip = sc.skip[:0]
@@ -799,7 +867,7 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 		}
 	}
 	ranked := scanner.ByBound(share.index, sc.skip)
-	p.reg.Counter("provider.lcp_scanned").Add(uint64(len(share.metas) - len(sc.skip)))
+	p.ctr.lcpScanned.Add(uint64(len(share.metas) - len(sc.skip)))
 
 	var best *proto.ModelMeta
 	bestSize, exact := 0, 0
@@ -814,12 +882,11 @@ func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
 			best, bestSize = c, size
 		}
 	}
-	p.reg.Counter("provider.lcp_exact").Add(uint64(exact))
+	p.ctr.lcpExact.Add(uint64(exact))
 	if best == nil {
-		return &proto.LCPResult{}
+		return proto.LCPResult{}
 	}
-	// The scanner goes back to the pool, so its prefix slice is copied.
-	return &proto.LCPResult{Meta: best, Prefix: slices.Clone(scanner.Against(best.Graph))}
+	return proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
 }
 
 // lcpScratch is what one LCP query reuses from the last: the scanner's

@@ -97,7 +97,7 @@ func (p *Provider) recordDeltaLocked(owner ownermap.ModelID, reqID uint64, neg b
 	jl := p.journalLocked(owner)
 	if reqID == 0 {
 		jl.trimmed = true
-		p.reg.Counter("provider.journal_unmergeable").Inc()
+		p.ctr.journalUnmergeable.Inc()
 		return
 	}
 	jl.append(proto.RefDelta{
@@ -286,7 +286,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 				delete(p.models, q.Model)
 				p.lcpGen.Add(1)
 				c.dirty[0] |= dirtyModel
-				p.reg.Counter("provider.repair_tombstone").Inc()
+				p.ctr.repairTombstone.Inc()
 			}
 		}
 		_, dead := p.retired[q.Model]
@@ -296,7 +296,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 			p.models[q.Model] = &modelMeta{entry: installMeta}
 			p.lcpGen.Add(1)
 			c.dirty[0] |= dirtyModel
-			p.reg.Counter("provider.repair_meta_install").Inc()
+			p.ctr.repairMetaInstall.Inc()
 		}
 		// 3. Refcounts: absolute replacement (trimmed-journal fallback) or
 		// delta merge by ReqID.
@@ -330,7 +330,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 			// keep this journal out of future delta merges too.
 			jl.trimmed = true
 			c.dirty[0] |= dirtyRefs | dirtyJournal | journalRewritten
-			p.reg.Counter("provider.repair_absolute").Inc()
+			p.ctr.repairAbsolute.Inc()
 		} else if len(q.Deltas) > 0 {
 			jl := p.journalLocked(q.Model)
 			net := make(map[graph.VertexID]int)
@@ -348,7 +348,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 					Vertices: append([]graph.VertexID(nil), d.Vertices...),
 				})
 				c.dirty[0] |= dirtyRefs | dirtyJournal
-				p.reg.Counter("provider.repair_deltas").Inc()
+				p.ctr.repairDeltas.Inc()
 				for _, v := range d.Vertices {
 					if d.Neg {
 						net[v]--
@@ -366,7 +366,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 					// A dec for an inc this replica never saw and whose inc is
 					// not in the batch either; clamp rather than go negative.
 					dn = -before
-					p.reg.Counter("provider.repair_clamped").Inc()
+					p.ctr.repairClamped.Inc()
 				}
 				if p.refAddLocked(q.Model, v, dn) == 0 && before > 0 {
 					c.dels = append(c.dels, segKey{q.Model, v})
@@ -377,7 +377,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		// refcount step; orphans (no live ref) are skipped.
 		for i, s := range q.Segments {
 			if p.refs[q.Model][s.Vertex] == 0 {
-				p.reg.Counter("provider.repair_orphan_skip").Inc()
+				p.ctr.repairOrphanSkip.Inc()
 				continue
 			}
 			c.put(segKey{q.Model, s.Vertex}, segs[i])

@@ -331,18 +331,19 @@ func clampRetryAfter(d time.Duration) time.Duration {
 	return d
 }
 
-// attempt runs one try under the per-attempt deadline (DefaultTimeout when
-// the caller's context has none) and feeds its outcome into the
-// connection's health observations: every attempt updates the error EWMA,
-// completed round trips (success or authoritative answer) update the
-// latency window. Caller-cancelled attempts record nothing — they carry
-// no information about the provider.
+// attempt runs one try under the per-attempt deadline (DefaultTimeout, as
+// an rpc.Deadline, when the caller's context has none) and feeds its
+// outcome into the connection's health observations: every attempt
+// updates the error EWMA, completed round trips (success or authoritative
+// answer) update the latency window. Caller-cancelled attempts record
+// nothing — they carry no information about the provider.
 func (c *Conn) attempt(ctx context.Context, name string, req rpc.Message) (rpc.Message, error) {
 	if _, has := ctx.Deadline(); !has {
 		if d := c.opts.DefaultTimeout; d > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+			// Lazily armed: the TCP transport reads only the deadline.
+			dl := rpc.WithTimeout(ctx, d)
+			defer dl.Release()
+			ctx = dl
 		}
 	}
 	start := c.opts.Clock.Now()

@@ -3,6 +3,7 @@ package rpc
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Size-classed buffer pool for the TCP transport's server side.
@@ -34,6 +35,9 @@ const (
 	bufPoolMaxClass = 26 // 1<<26 = 64 MiB
 )
 
+// bufPools holds, per size class, pointers to the first byte of free
+// buffers of exactly that class's capacity. A *byte fits in an interface
+// without an allocation, where a *[]byte would need one per PutBuf.
 var bufPools [bufPoolMaxClass + 1]sync.Pool
 
 // bufClass returns the size-class exponent for a buffer of n bytes, or -1
@@ -58,7 +62,7 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufPools[c].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		return unsafe.Slice(v.(*byte), 1<<c)[:n]
 	}
 	return make([]byte, n, 1<<c)
 }
@@ -72,6 +76,5 @@ func PutBuf(b []byte) {
 	if c < 0 || cap(b) != 1<<c {
 		return
 	}
-	b = b[:0]
-	bufPools[c].Put(&b)
+	bufPools[c].Put(unsafe.SliceData(b))
 }

@@ -52,22 +52,21 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{byte(numStatus), 0, 0, 0, 0}) // a status this binary does not know
 
-	// A mutated length field must not make the readers allocate gigabytes.
-	defer func(l uint64) { recvLimit = l }(recvLimit)
-	recvLimit = 1 << 16
-
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A mutated length field must not make the readers allocate
+		// gigabytes.
+		const limit = 1 << 16
 		src := bytes.NewReader(data)
-		if name, m, err := readRequest(src); err == nil {
+		if name, m, err := (&frameReader{r: src, limit: limit}).readRequest(); err == nil {
 			re, werr := encodeFrame(func(w *bufio.Writer, vec *net.Buffers) error {
-				return writeRequest(w, nil, vec, name, m)
+				return writeRequest(w, nil, vec, string(name), m)
 			})
 			if n := len(data) - src.Len(); werr != nil || !bytes.Equal(re, data[:n]) {
 				t.Fatalf("request % x re-encodes to % x (%v)", data[:n], re, werr)
 			}
 		}
 		src = bytes.NewReader(data)
-		m, err := readResponse(src)
+		m, err := (&frameReader{r: src, limit: limit}).readResponse()
 		var remote *remoteError
 		if err != nil && !errors.As(err, &remote) {
 			return
@@ -99,7 +98,7 @@ func TestUnknownStatusDropsConn(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := readRequest(bufio.NewReader(conn)); err == nil {
+		if _, _, err := newFrameReader(bufio.NewReader(conn)).readRequest(); err == nil {
 			conn.Write([]byte{byte(numStatus), 0, 0, 0, 0})
 		}
 	}()

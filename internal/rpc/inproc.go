@@ -78,7 +78,7 @@ func (c *inprocConn) Call(ctx context.Context, name string, req Message) (Messag
 	if srv == nil {
 		return Message{}, fmt.Errorf("rpc: inproc address %q no longer bound", c.addr)
 	}
-	resp, err := srv.dispatch(ctx, name, req)
+	resp, err := srv.dispatch(ctx, []byte(name), req)
 	// The caller holds the response's buffers by reference for as long as
 	// it likes, so there is no point at which they could be recycled.
 	resp.Release = nil

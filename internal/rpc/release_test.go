@@ -220,7 +220,7 @@ func TestDiscardedConnClosesSocket(t *testing.T) {
 			close(served)
 			return
 		}
-		if _, _, err := readRequest(bufio.NewReader(conn)); err != nil {
+		if _, _, err := newFrameReader(bufio.NewReader(conn)).readRequest(); err != nil {
 			conn.Close()
 			close(served)
 			return

@@ -156,19 +156,22 @@ func (s *Server) Register(name string, h Handler) {
 	s.mu.Unlock()
 }
 
-// dispatch looks up and invokes the handler.
-func (s *Server) dispatch(ctx context.Context, name string, req Message) (Message, error) {
+// dispatch looks up and invokes the handler. The lookup converts name
+// inside the map index, which does not copy it. A request timeout, when
+// set and ctx has no deadline, bounds the handler; its timer is armed only
+// if the handler waits on its context's Done (see Deadline).
+func (s *Server) dispatch(ctx context.Context, name []byte, req Message) (Message, error) {
 	s.mu.RLock()
-	h := s.handlers[name]
+	h := s.handlers[string(name)]
 	s.mu.RUnlock()
 	if h == nil {
-		return Message{}, fmt.Errorf("rpc: no handler %q", name)
+		return Message{}, fmt.Errorf("rpc: no handler %q", string(name))
 	}
 	if d := time.Duration(s.reqTimeout.Load()); d > 0 {
 		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+			dl := WithTimeout(ctx, d)
+			defer dl.Release()
+			ctx = dl
 		}
 	}
 	atomic.AddUint64(&s.stats.Calls, 1)
@@ -215,28 +218,77 @@ var ErrClosed = errors.New("rpc: closed")
 // response or an error; Broadcast itself only fails on ctx cancellation.
 // This is the client side of the paper's provider-side collective queries.
 // The last leg runs on the calling goroutine, whose stack has already grown
-// down the call path, and every other leg on a goroutine of its own.
+// down the call path, and every other leg on an idle leg goroutine (see
+// runLeg), whose stack grew the same way on the legs it ran before.
 func Broadcast(ctx context.Context, conns []Conn, name string, req Message) []Result {
 	results := make([]Result, len(conns))
 	if len(conns) == 0 {
 		return results
 	}
-	call := func(i int) {
-		resp, err := conns[i].Call(ctx, name, req)
-		results[i] = Result{Resp: resp, Err: err}
-	}
 	var wg sync.WaitGroup
 	last := len(conns) - 1
 	wg.Add(last)
 	for i := range last {
-		go func() {
-			defer wg.Done()
-			call(i)
-		}()
+		runLeg(leg{ctx: ctx, conn: conns[i], name: name, req: req, out: &results[i], wg: &wg})
 	}
-	call(last)
+	l := leg{ctx: ctx, conn: conns[last], name: name, req: req, out: &results[last]}
+	l.run()
 	wg.Wait()
 	return results
+}
+
+// leg is one call of a Broadcast: it stores its outcome in out and, when
+// wg is set, marks it done.
+type leg struct {
+	ctx  context.Context
+	conn Conn
+	name string
+	req  Message
+	out  *Result
+	wg   *sync.WaitGroup
+}
+
+func (l *leg) run() {
+	resp, err := l.conn.Call(l.ctx, l.name, l.req)
+	*l.out = Result{Resp: resp, Err: err}
+	if l.wg != nil {
+		l.wg.Done()
+	}
+}
+
+// legIdle is how long a leg goroutine waits for its next leg before it
+// exits.
+const legIdle = time.Second
+
+// idleLegs hands a leg to a leg goroutine that is waiting for one. It is
+// unbuffered, so a send succeeds only while some goroutine is idle.
+var idleLegs = make(chan leg)
+
+// runLeg runs l on an idle leg goroutine, or on a new one when none is
+// idle, so legs stay concurrent. A leg goroutine serves legs until it has
+// waited legIdle for one; a fresh goroutine's small stack would otherwise
+// regrow down resilient, pool, connection and netpoll on every broadcast.
+func runLeg(l leg) {
+	select {
+	case idleLegs <- l:
+	default:
+		go legLoop(l)
+	}
+}
+
+func legLoop(l leg) {
+	idle := time.NewTimer(legIdle)
+	defer idle.Stop()
+	for {
+		l.run()
+		l = leg{} // drop the finished leg's references while idle
+		idle.Reset(legIdle)
+		select {
+		case l = <-idleLegs:
+		case <-idle.C:
+			return
+		}
+	}
 }
 
 // Result is one slot of a Broadcast reply.

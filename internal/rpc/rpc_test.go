@@ -264,15 +264,29 @@ func TestBroadcast(t *testing.T) {
 		}
 		conns = append(conns, c)
 	}
-	results := Broadcast(context.Background(), conns, "val", Message{})
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
+	// Broadcasts from several goroutines at once, back to back, so leg
+	// goroutines are handed legs of different broadcasts while idle.
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				results := Broadcast(context.Background(), conns, "val", Message{})
+				if len(results) != 4 {
+					t.Errorf("results = %d", len(results))
+					return
+				}
+				for i, r := range results {
+					if r.Err != nil || len(r.Resp.Meta) != 1 || r.Resp.Meta[0] != byte(i+1) {
+						t.Errorf("slot %d = %v %v, want value %d in connection order", i, r.Resp.Meta, r.Err, i+1)
+						return
+					}
+				}
+			}
+		}()
 	}
-	for i, r := range results {
-		if r.Err != nil || len(r.Resp.Meta) != 1 || r.Resp.Meta[0] != byte(i+1) {
-			t.Errorf("slot %d = %v %v, want value %d in connection order", i, r.Resp.Meta, r.Err, i+1)
-		}
-	}
+	wg.Wait()
 }
 
 // Every leg of a Broadcast is in flight at once, the one run on the

@@ -39,11 +39,6 @@ import (
 // writing a byte; receivers drop the connection when a peer announces one.
 const MaxFrame = 1 << 31
 
-// recvLimit is the largest length field the frame readers accept:
-// MaxFrame, lowered by FuzzReadFrame so a mutated length cannot make a
-// reader allocate gigabytes.
-var recvLimit uint64 = MaxFrame
-
 // vecFlushThreshold is the bulk size above which a vectored payload is
 // written with writev directly to the socket instead of being copied
 // through the connection's bufio.Writer. Below it, the copy into the
@@ -76,11 +71,11 @@ func ListenAndServeTCP(addr string, srv *Server) (net.Listener, string, error) {
 
 func serveConn(conn net.Conn, srv *Server) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 256<<10)
+	r := newFrameReader(bufio.NewReaderSize(conn, 256<<10))
 	w := bufio.NewWriterSize(conn, 256<<10)
 	var vec net.Buffers // per-connection writev scratch, reused across requests
 	for {
-		name, req, err := readRequest(r)
+		name, req, err := r.readRequest()
 		if err != nil {
 			return // client went away or sent garbage; drop the connection
 		}
@@ -103,28 +98,53 @@ func serveConn(conn net.Conn, srv *Server) {
 	}
 }
 
-// readRequest reads one request frame. Meta and bulk buffers are drawn
-// from the receive pool; serveConn recycles them once the response has
-// been written.
-func readRequest(r io.Reader) (string, Message, error) {
-	var nl [2]byte
-	if _, err := io.ReadFull(r, nl[:]); err != nil {
-		return "", Message{}, err
-	}
-	name := make([]byte, binary.LittleEndian.Uint16(nl[:]))
-	if _, err := io.ReadFull(r, name); err != nil {
-		return "", Message{}, err
-	}
-	meta, err := readSized32(r, true)
+// frameReader reads the frames of one connection. Its scratch outlives
+// each read: the length fields land in hdr (a local array read through an
+// io.Reader would escape to the heap on every frame) and a request's
+// handler name in name. limit is the largest length field it accepts,
+// MaxFrame unless a test lowers it so a mutated length cannot make a
+// reader allocate gigabytes.
+type frameReader struct {
+	r     io.Reader
+	limit uint64
+	hdr   [8]byte
+	name  []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r, limit: MaxFrame} }
+
+// readN reads the next n (at most 8) bytes into f.hdr.
+func (f *frameReader) readN(n int) ([]byte, error) {
+	_, err := io.ReadFull(f.r, f.hdr[:n])
+	return f.hdr[:n], err
+}
+
+// readRequest reads one request frame. The name aliases f's scratch until
+// the next read. Meta and bulk buffers are drawn from the receive pool;
+// serveConn recycles them once the response has been written.
+func (f *frameReader) readRequest() ([]byte, Message, error) {
+	nl, err := f.readN(2)
 	if err != nil {
-		return "", Message{}, err
+		return nil, Message{}, err
 	}
-	bulk, err := readSized64(r, true)
+	n := int(binary.LittleEndian.Uint16(nl))
+	if cap(f.name) < n {
+		f.name = make([]byte, n)
+	}
+	name := f.name[:n]
+	if _, err := io.ReadFull(f.r, name); err != nil {
+		return nil, Message{}, err
+	}
+	meta, err := f.readSized(4, true)
+	if err != nil {
+		return nil, Message{}, err
+	}
+	bulk, err := f.readSized(8, true)
 	if err != nil {
 		PutBuf(meta)
-		return "", Message{}, err
+		return nil, Message{}, err
 	}
-	return string(name), Message{Meta: meta, Bulk: bulk}, nil
+	return name, Message{Meta: meta, Bulk: bulk}, nil
 }
 
 // writeRequest frames one request; the caller flushes w.
@@ -207,21 +227,21 @@ func writeError(w *bufio.Writer, e *remoteError) error {
 // readResponse reads one response frame: the message of a StatusOK frame,
 // or the *remoteError an error frame carries. Any other error means the
 // stream is unusable.
-func readResponse(r io.Reader) (Message, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (f *frameReader) readResponse() (Message, error) {
+	b, err := f.readN(1)
+	if err != nil {
 		return Message{}, err
 	}
-	status := Status(hdr[0])
+	status := Status(b[0])
 	if status >= numStatus {
 		return Message{}, fmt.Errorf("rpc: bad status byte %d", status)
 	}
-	body, err := readBody(r, uint64(binary.LittleEndian.Uint32(hdr[1:])), false)
+	body, err := f.readSized(4, false)
 	if err != nil {
 		return Message{}, err
 	}
 	if status == StatusOK {
-		bulk, err := readSized64(r, false)
+		bulk, err := f.readSized(8, false)
 		if err != nil {
 			return Message{}, err
 		}
@@ -229,38 +249,32 @@ func readResponse(r io.Reader) (Message, error) {
 	}
 	re := &remoteError{msg: string(body), status: status}
 	if status == StatusThrottled {
-		var a [8]byte
-		if _, err := io.ReadFull(r, a[:]); err != nil {
+		a, err := f.readN(8)
+		if err != nil {
 			return Message{}, err
 		}
-		re.arg = binary.LittleEndian.Uint64(a[:])
+		re.arg = binary.LittleEndian.Uint64(a)
 	}
 	return Message{}, re
 }
 
-// readSized32 / readSized64 read one length-prefixed field. With pooled
-// set, the buffer comes from the receive pool (server side, recycled after
-// the response is written); without it, the buffer is freshly allocated
-// and owned by the caller (client side, where responses may be retained
-// indefinitely).
-func readSized32(r io.Reader, pooled bool) ([]byte, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
+// readSized reads one field with a width-byte (4 or 8) length prefix.
+// With pooled set, the buffer comes from the receive pool (server side,
+// recycled after the response is written); without it, the buffer is
+// freshly allocated and owned by the caller (client side, where responses
+// may be retained indefinitely).
+func (f *frameReader) readSized(width int, pooled bool) ([]byte, error) {
+	l, err := f.readN(width)
+	if err != nil {
 		return nil, err
 	}
-	return readBody(r, uint64(binary.LittleEndian.Uint32(l[:])), pooled)
-}
-
-func readSized64(r io.Reader, pooled bool) ([]byte, error) {
-	var l [8]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return nil, err
+	var n uint64
+	if width == 4 {
+		n = uint64(binary.LittleEndian.Uint32(l))
+	} else {
+		n = binary.LittleEndian.Uint64(l)
 	}
-	return readBody(r, binary.LittleEndian.Uint64(l[:]), pooled)
-}
-
-func readBody(r io.Reader, n uint64, pooled bool) ([]byte, error) {
-	if n > recvLimit {
+	if n > f.limit {
 		// Untyped on purpose: peers guard their own sends, so an announced
 		// oversize means stream corruption — a transport failure, not a
 		// payload-too-large verdict the caller could act on.
@@ -275,7 +289,7 @@ func readBody(r io.Reader, n uint64, pooled bool) ([]byte, error) {
 	} else {
 		buf = make([]byte, n)
 	}
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(f.r, buf); err != nil {
 		if pooled {
 			PutBuf(buf)
 		}
@@ -289,7 +303,7 @@ type tcpConn struct {
 	addr string
 	mu   sync.Mutex
 	conn net.Conn
-	r    *bufio.Reader
+	r    frameReader
 	w    *bufio.Writer
 	vec  net.Buffers // writev scratch, reused across calls
 	dead bool
@@ -304,7 +318,7 @@ func DialTCP(addr string) (Conn, error) {
 	return &tcpConn{
 		addr: addr,
 		conn: c,
-		r:    bufio.NewReaderSize(c, 256<<10),
+		r:    frameReader{r: bufio.NewReaderSize(c, 256<<10), limit: MaxFrame},
 		w:    bufio.NewWriterSize(c, 256<<10),
 	}, nil
 }
@@ -346,7 +360,7 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		c.kill()
 		return Message{}, err
 	}
-	resp, err := readResponse(c.r)
+	resp, err := c.r.readResponse()
 	if err != nil {
 		if _, remote := err.(*remoteError); !remote {
 			c.kill()
@@ -408,10 +422,16 @@ func NewPool(addr string, size int, dial func(addr string) (Conn, error)) *Pool 
 // Call implements Conn: it borrows a connection (dialing if below the cap)
 // and returns it after the call.
 func (p *Pool) Call(ctx context.Context, name string, req Message) (Message, error) {
+	// Try for a free connection before waiting on ctx: Done may arm a
+	// timer (see Deadline), and most calls find one free.
 	select {
 	case <-p.avail:
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
+	default:
+		select {
+		case <-p.avail:
+		case <-ctx.Done():
+			return Message{}, ctx.Err()
+		}
 	}
 	defer func() { p.avail <- struct{}{} }()
 

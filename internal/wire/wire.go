@@ -50,6 +50,17 @@ func (w *Writer) Bytes32(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// AppendBytes32 appends a length-prefixed byte slice that appendFn writes
+// straight into the payload: the u32 length is reserved first and
+// backpatched once appendFn returns, so an encoder (graph.Compact's or
+// ownermap.Map's AppendEncode) needs no intermediate slice.
+func (w *Writer) AppendBytes32(appendFn func(dst []byte) []byte) {
+	at := len(w.buf)
+	w.U32(0)
+	w.buf = appendFn(w.buf)
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+}
+
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))

@@ -91,3 +91,19 @@ func TestQuickRoundtrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendBytes32MatchesBytes32: the backpatched form frames exactly what
+// Bytes32 frames, for empty and non-empty fields alike.
+func TestAppendBytes32MatchesBytes32(t *testing.T) {
+	for _, b := range [][]byte{nil, {9}, []byte("a longer field")} {
+		want := NewWriter(0)
+		want.U8(1)
+		want.Bytes32(b)
+		got := NewWriter(0)
+		got.U8(1)
+		got.AppendBytes32(func(dst []byte) []byte { return append(dst, b...) })
+		if string(got.Bytes()) != string(want.Bytes()) {
+			t.Fatalf("AppendBytes32(%q) = % x, Bytes32 = % x", b, got.Bytes(), want.Bytes())
+		}
+	}
+}
