@@ -13,8 +13,9 @@ test:
 # evostore-bench scenario at smoke size with its invariant contracts
 # (cmd/evostore-bench/scenario_test.go); a 1-iteration smoke run of the
 # bulk data path, LSM point-read, LSM sustained-write, LSM flush-and-compact,
-# provider-local LCP query (the 2k-model catalog, 2k aged-evolution NAS
-# candidates, and a full scan of 1k near-identical chains), LCP scanner,
+# provider-local LCP query (the 2k-, 20k- and 60k-model catalogs, 2k
+# aged-evolution NAS candidates, and a full scan of 1k near-identical
+# chains), LCP scanner,
 # collective LCP round trip (four TCP-loopback providers, 2k-model
 # catalog), chunk-store put, chunk-store segment read and tensor fingerprint
 # benchmarks so they can't rot; 10 s of
@@ -24,7 +25,8 @@ test:
 # `.sst.compact` marker (all four bounded the same way), the TCP frame
 # readers, the strict control decoders, the LCP reply header decoder, the
 # placement-state decoder, the
-# chunk-recipe decoder and the provider's durable catalog loader; a guard that no non-test code under internal/ or cmd/
+# chunk-recipe decoder, the provider's durable catalog loader and the LCP
+# index's prefix-signature bounds; a guard that no non-test code under internal/ or cmd/
 # hands an error's text to a strings. function (failures are matched by
 # type and status, never by text); the
 # same scenarios from the CLI, which also evaluates their wall-clock ratio
@@ -36,7 +38,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench
 	$(GO) test -run '^$$' -bench 'LSM(Get|PutSustained|FlushCompact)' -benchtime 1x ./internal/kvstore
-	$(GO) test -run '^$$' -bench '^BenchmarkLCPQueryCatalog$$/^(2k|evolution2k|chains1k-full)$$' -benchtime 1x ./internal/provider
+	$(GO) test -run '^$$' -bench '^BenchmarkLCPQueryCatalog$$/^(2k|20k|60k|evolution2k|chains1k-full)$$' -benchtime 1x ./internal/provider
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPScannerCatalog$$' -benchtime 1x ./internal/graph
 	$(GO) test -run '^$$' -bench '^BenchmarkLCPRoundTrip$$' -benchtime 1x ./internal/client
 	$(GO) test -run '^$$' -bench '^BenchmarkKV(PutShared|GetSegment)$$' -benchtime 1x ./internal/dedup
@@ -52,6 +54,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 5s ./internal/placement
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime 5s ./internal/dedup
 	$(GO) test -run '^$$' -fuzz FuzzLoadCatalog -fuzztime 5s ./internal/provider
+	$(GO) test -run '^$$' -fuzz FuzzPrefixBound -fuzztime 5s -fuzzminimizetime 200x ./internal/graph
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'strings\.[A-Za-z]+\(.*\.Error\(\)' internal cmd || \
 		{ echo 'error text passed to strings.*: match errors with errors.Is or an rpc status' >&2; exit 1; }
 	$(GO) run ./cmd/evostore-bench check

@@ -9,8 +9,8 @@ import (
 )
 
 // Property: on archgen catalogs, the architectures a provider stores, the
-// index ranks every entry by exactly the reference bound, which is at
-// least its exact LCP size with every query (graph.CheckByBound).
+// index bounds every entry by exactly its LCP size with every query
+// (graph.CheckByBound).
 func TestQuickBoundCoversLCPOnCatalogs(t *testing.T) {
 	s := &graph.LCPScanner{}
 	f := func(seed int64) bool {

@@ -34,10 +34,17 @@ type LCPScanner struct {
 	inPrefix []bool
 	frontier []VertexID // the matched vertices, in the order the walk found them
 
-	// ByBound's scratch: counts is zero between calls.
-	counts  []int32 // bound so far, by index entry
-	touched []int32 // the entries counts moved off zero, in that order
-	at      []int32 // entries per bound, then each bound's first slot
+	// ByBound's scratch: the query's prefix signatures (computed by the
+	// first ByBound after Reset, in Kahn order through queue) and, by
+	// index entry, the count of the last call: above zero for a listed
+	// entry, -1 for a skipped one, 0 for a plain one. touched lists the
+	// entries the last call moved off zero, which the next call clears.
+	sigs    []uint64
+	sigsOK  bool
+	queue   []VertexID
+	counts  []int32
+	touched []int32
+	at      []int32 // entries per count, then each count's first slot
 	ranked  []Ranked
 }
 
@@ -52,6 +59,7 @@ func NewLCPScanner(g *Compact) *LCPScanner {
 func (s *LCPScanner) Reset(g *Compact) {
 	n := g.NumVertices()
 	s.g = g
+	s.sigsOK = false
 	if cap(s.visits) < n {
 		s.visits = make([]uint32, n)
 		s.inPrefix = make([]bool, n)
@@ -66,6 +74,14 @@ func (s *LCPScanner) Reset(g *Compact) {
 // is valid until the next call; callers that retain it must copy.
 func (s *LCPScanner) Against(a *Compact) []VertexID {
 	s.SizeAgainst(a)
+	return s.Prefix()
+}
+
+// Prefix returns the prefix the last SizeAgainst or Against found, in
+// ascending order, as Against would return it: a caller that walked the
+// winner last needs no second walk. Valid until the next SizeAgainst or
+// Against.
+func (s *LCPScanner) Prefix() []VertexID {
 	sortIDs(s.frontier)
 	return s.frontier
 }
@@ -117,10 +133,82 @@ func (s *LCPScanner) SizeAgainst(a *Compact) int {
 	return len(s.frontier)
 }
 
+// A vertex's prefix signature hashes its ConfigSig, its in-degree, and
+// each predecessor's ID and prefix signature in ascending ID order: a
+// 64-bit digest of the vertex's whole ancestry. SizeAgainst admits v only
+// when its visit count reaches the larger of its two in-degrees, which
+// forces the same ConfigSig and the same predecessor IDs in both graphs,
+// every predecessor already admitted. By induction from the roots every
+// vertex of an LCP has equal prefix signatures in both graphs, and, unless
+// two different ancestries collide in 64 bits, every vertex with equal
+// signatures is in the LCP. A vertex that no topological order reaches (on
+// or after a cycle) has no signature, noSig; SizeAgainst never admits one.
+//
+// The mixer is applied once per input, so the digest depends on the order
+// of its inputs: a vertex and its predecessor with swapped ConfigSigs
+// digest differently.
+const noSig = 0
+
+// sigMask narrows every prefix signature. It is all ones; tests narrow it
+// to a few bits to make collisions common.
+var sigMask = ^uint64(0)
+
+// sigMix folds x into h through the splitmix64 finalizer, a bijection.
+func sigMix(h, x uint64) uint64 {
+	h ^= x
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// PrefixSigs returns the prefix signature of every vertex of g, noSig for
+// the vertices no topological order reaches. Signatures live in memory
+// only: they are recomputed from the graph wherever it is loaded.
+func PrefixSigs(g *Compact) []uint64 {
+	n := len(g.Vertices)
+	sigs := make([]uint64, n)
+	prefixSigs(g, sigs, make([]uint32, n), make([]VertexID, 0, n))
+	return sigs
+}
+
+// prefixSigs fills sigs (one per vertex of g) in Kahn order, with deg (one
+// per vertex) and queue as scratch, and returns queue.
+func prefixSigs(g *Compact, sigs []uint64, deg []uint32, queue []VertexID) []VertexID {
+	queue = queue[:0]
+	for v := range g.Vertices {
+		sigs[v] = noSig
+		deg[v] = uint32(len(g.In[v]))
+		if deg[v] == 0 {
+			queue = append(queue, VertexID(v))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		h := sigMix(sigMix(0x9e3779b97f4a7c15, g.Vertices[v].ConfigSig), uint64(len(g.In[v])))
+		for _, u := range g.In[v] {
+			h = sigMix(sigMix(h, uint64(u)), sigs[u])
+		}
+		if h &= sigMask; h == noSig {
+			h = 1
+		}
+		sigs[v] = h
+		for _, w := range g.Out[v] {
+			if deg[w]--; deg[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue
+}
+
 // SigIndex is an inverted index over a catalog of graphs, its entries
-// numbered from 0: for each (vertex ID, ConfigSig) pair, the ascending list
-// of entries whose graph has that ConfigSig at that vertex ID. It is
-// immutable once built and may be read by any number of scanners at once.
+// numbered from 0: for each (vertex ID, prefix signature) pair, the
+// ascending list of entries whose graph has that prefix signature at that
+// vertex ID. It is immutable once built and may be read by any number of
+// scanners at once.
 type SigIndex struct {
 	entries int
 	keys    map[sigKey]int32 // each pair's list number
@@ -130,14 +218,18 @@ type SigIndex struct {
 
 type sigKey struct{ v, sig uint64 }
 
-// NewSigIndex indexes n entries, entry i being graph(i).
-func NewSigIndex(n int, graph func(i int) *Compact) *SigIndex {
+// NewSigIndex indexes n entries, sigs(i) being the prefix signatures of
+// entry i's graph (PrefixSigs).
+func NewSigIndex(n int, sigs func(i int) []uint64) *SigIndex {
 	x := &SigIndex{entries: n, keys: make(map[sigKey]int32)}
-	var list []int32 // the list number of each (entry, vertex), in order
+	var list []int32 // the list number of each (entry, signed vertex), in order
 	var lens []int32
 	for i := 0; i < n; i++ {
-		for v, vx := range graph(i).Vertices {
-			k := sigKey{uint64(v), vx.ConfigSig}
+		for v, sig := range sigs(i) {
+			if sig == noSig {
+				continue
+			}
+			k := sigKey{uint64(v), sig}
 			id, ok := x.keys[k]
 			if !ok {
 				id = int32(len(lens))
@@ -156,7 +248,10 @@ func NewSigIndex(n int, graph func(i int) *Compact) *SigIndex {
 	x.posts = make([]int32, len(list))
 	t := 0
 	for i := 0; i < n; i++ {
-		for range graph(i).Vertices {
+		for _, sig := range sigs(i) {
+			if sig == noSig {
+				continue
+			}
 			id := list[t]
 			x.posts[lens[id]] = int32(i)
 			lens[id]++
@@ -171,31 +266,53 @@ type Ranked struct {
 	Entry, Bound int32
 }
 
-// ByBound bounds every entry of x and returns those whose bound is above
-// zero, highest bound first; skip lists entries (in any order, repeats
-// allowed) whose bound is taken as zero. An entry's bound is the number of
-// vertex IDs below both its and the query's vertex counts whose ConfigSig
-// is equal in both graphs: the number of the query's (vertex ID, ConfigSig)
-// pairs whose list holds it. It is an upper bound on SizeAgainst because
-// SizeAgainst admits a vertex to the prefix at most once, and only after
-// checking exactly these two things (v exists in the ancestor, and its
-// ConfigSig matches the query's). A caller scanning in this order may stop
-// at the first entry whose bound is below the best exact size it has
-// found: no later entry can reach that size. Which entries it walks before
-// stopping does not depend on the order within one bound, as no entry of
-// a bound can raise the best size above that bound. The result is valid
-// until the next call.
-func (s *LCPScanner) ByBound(x *SigIndex, skip []int32) []Ranked {
-	if len(s.counts) < x.entries {
-		s.counts = make([]int32, x.entries)
+// ByBound bounds every entry of x against the query. An entry's bound is
+// the number of the query's vertices whose (vertex ID, prefix signature)
+// pair the entry's graph shares: exactly its SizeAgainst, unless two
+// ancestries collide in 64 bits, which only raises a bound (see noSig).
+// skip lists entries (in any order, repeats allowed) left out.
+//
+// A list that holds every entry adds to base instead of to each entry's
+// count. ByBound returns the entries whose bound is above base, highest
+// bound first, and base, which is the bound of every entry neither listed
+// nor skipped (Plain reports those). A caller confirming in this order may
+// stop at the first entry whose bound is below the best exact size it has
+// found. The result, and Plain, are valid until the next call.
+func (s *LCPScanner) ByBound(x *SigIndex, skip []int32) (ranked []Ranked, base int32) {
+	g := s.g
+	n := len(g.Vertices)
+	if !s.sigsOK {
+		if cap(s.sigs) < n {
+			s.sigs = make([]uint64, n)
+			s.queue = make([]VertexID, 0, n)
+		}
+		s.sigs = s.sigs[:n]
+		s.queue = prefixSigs(g, s.sigs, s.visits, s.queue)
+		s.sigsOK = true
 	}
-	counts, touched := s.counts, s.touched[:0]
-	for v := range s.g.Vertices {
-		k, ok := x.keys[sigKey{uint64(v), s.g.Vertices[v].ConfigSig}]
+	counts := s.counts
+	for _, e := range s.touched {
+		counts[e] = 0
+	}
+	if len(counts) < x.entries {
+		counts = make([]int32, x.entries)
+		s.counts = counts
+	}
+	touched := s.touched[:0]
+	for v, sig := range s.sigs {
+		if sig == noSig {
+			continue
+		}
+		k, ok := x.keys[sigKey{uint64(v), sig}]
 		if !ok {
 			continue
 		}
-		for _, e := range x.posts[x.starts[k]:x.starts[k+1]] {
+		list := x.posts[x.starts[k]:x.starts[k+1]]
+		if len(list) == x.entries {
+			base++
+			continue
+		}
+		for _, e := range list {
 			if counts[e] == 0 {
 				touched = append(touched, e)
 			}
@@ -203,37 +320,44 @@ func (s *LCPScanner) ByBound(x *SigIndex, skip []int32) []Ranked {
 		}
 	}
 	for _, e := range skip {
-		counts[e] = 0
+		if counts[e] == 0 {
+			touched = append(touched, e)
+		}
+		counts[e] = -1
 	}
-	// Bounds never exceed the query's vertex count, so the order is a
+	s.touched = touched
+	// Counts never exceed the query's vertex count, so the order is a
 	// counting sort.
-	n := len(s.g.Vertices)
 	if cap(s.at) < n+1 {
 		s.at = make([]int32, n+1)
 	}
 	at := s.at[:n+1]
 	clear(at)
 	for _, e := range touched {
-		at[counts[e]]++
+		if c := counts[e]; c > 0 {
+			at[c]++
+		}
 	}
 	total := int32(0)
-	for b := n; b > 0; b-- {
-		total, at[b] = total+at[b], total
+	for c := n; c > 0; c-- {
+		total, at[c] = total+at[c], total
 	}
 	if cap(s.ranked) < int(total) {
 		s.ranked = make([]Ranked, total)
 	}
 	out := s.ranked[:total]
 	for _, e := range touched {
-		if b := counts[e]; b > 0 {
-			out[at[b]] = Ranked{Entry: e, Bound: b}
-			at[b]++
-			counts[e] = 0
+		if c := counts[e]; c > 0 {
+			out[at[c]] = Ranked{Entry: e, Bound: base + c}
+			at[c]++
 		}
 	}
-	s.touched = touched
-	return out
+	return out, base
 }
+
+// Plain reports whether the last ByBound neither listed nor skipped entry
+// e, whose bound is then that call's base.
+func (s *LCPScanner) Plain(e int32) bool { return s.counts[e] == 0 }
 
 // PrefixParamBytes sums the parameter bytes of the given prefix vertices of
 // g; used to size the tensors transferred for transfer learning.

@@ -541,7 +541,7 @@ func (p *Provider) loadModelRecord(hexID string, value []byte) error {
 	if r.Err() != nil || uint64(n)*8 != uint64(r.Remaining()) {
 		return fmt.Errorf("model record %s: segment table of %d entries in %d bytes", hexID, n, r.Remaining())
 	}
-	p.models[ownermap.ModelID(id)] = &modelMeta{entry: m}
+	p.models[ownermap.ModelID(id)] = newModelMeta(m)
 	return nil
 }
 

@@ -135,11 +135,12 @@ func TestLCPQueryMatchesExhaustiveScan(t *testing.T) {
 	}
 }
 
-// On the tracked lcp-query catalog, the bound order computes an exact
-// prefix for at most a quarter of the share it considers.
+// On the tracked lcp-query catalog, the exact bounds leave about one
+// exact walk per query: at most 1.05 on average.
 func TestLCPBoundOrderPrunes(t *testing.T) {
+	const queries = 512
 	p := shareProvider(t, catalogGraphs(t, 1, 2000), 1)
-	for _, g := range catalogGraphs(t, 2, 512) {
+	for _, g := range catalogGraphs(t, 2, queries) {
 		p.LCPQuery(&proto.LCPQueryReq{Graph: g, Table: proto.TableName(0)})
 	}
 	scanned := p.reg.Counter("provider.lcp_scanned").Load()
@@ -150,14 +151,13 @@ func TestLCPBoundOrderPrunes(t *testing.T) {
 			share++
 		}
 	}
-	if share < 400 || scanned != 512*share {
-		t.Fatalf("scanned %d entries over a %d-model share, want 512 queries of the ~500-model share", scanned, share)
+	if share < 400 || scanned != queries*share {
+		t.Fatalf("scanned %d entries over a %d-model share, want %d queries of the ~500-model share", scanned, share, queries)
 	}
-	if exact*4 > scanned {
-		t.Errorf("%d exact prefixes for %d scanned entries (%.1f%%), want at most 25%%",
-			exact, scanned, 100*float64(exact)/float64(scanned))
+	if perQuery := float64(exact) / queries; perQuery > 1.05 {
+		t.Errorf("%d exact walks for %d queries (%.3f per query), want at most 1.05", exact, queries, perQuery)
 	}
-	t.Logf("%d exact prefixes for %d scanned entries (%.1f%%)", exact, scanned, 100*float64(exact)/float64(scanned))
+	t.Logf("%d exact walks for %d queries over %d scanned entries", exact, queries, scanned)
 }
 
 // hookKV runs put, when set, before every Put and fails it with put's error.

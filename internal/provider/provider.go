@@ -90,6 +90,10 @@ type modelMeta struct {
 	// entry is the catalog entry exactly as GetMeta and LCP replies carry
 	// it. It is never modified once installed, so it is handed out shared.
 	entry *proto.ModelMeta
+	// sigs are the prefix signatures of entry.Graph (graph.PrefixSigs),
+	// computed once as the entry enters the catalog: every share snapshot
+	// that holds the entry indexes them.
+	sigs []uint64
 
 	// storing is set while StoreModel is still writing this entry's segment
 	// payloads: the catalog entry is published first (so a crash leaves a
@@ -97,6 +101,11 @@ type modelMeta struct {
 	// is readable. LCPQuery does not hand such a model out, and a segment
 	// miss on it sends the reader to a sibling replica that has finished.
 	storing atomic.Bool
+}
+
+// newModelMeta prepares entry m for the catalog.
+func newModelMeta(m *proto.ModelMeta) *modelMeta {
+	return &modelMeta{entry: m, sigs: graph.PrefixSigs(m.Graph)}
 }
 
 // Provider is one EvoStore storage provider.
@@ -455,7 +464,10 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		}
 	}
 
-	var meta *modelMeta
+	// Signed outside the provider lock; a rejected store drops it.
+	meta := newModelMeta(&proto.ModelMeta{Model: q.Model, Seq: q.Seq, Quality: q.Quality,
+		Graph: q.Graph, OwnerMap: q.OwnerMap})
+	installed := false
 	err := p.commit("store", []ownermap.ModelID{q.Model}, p.acceptsWrite, func(c *change) error {
 		if _, dead := p.retired[q.Model]; dead {
 			return fmt.Errorf("provider %d: store %d: model was retired", p.id, q.Model)
@@ -469,10 +481,9 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		if _, dup := p.models[q.Model]; dup {
 			return fmt.Errorf("provider %d: model %d already stored", p.id, q.Model)
 		}
-		meta = &modelMeta{entry: &proto.ModelMeta{Model: q.Model, Seq: q.Seq, Quality: q.Quality,
-			Graph: q.Graph, OwnerMap: q.OwnerMap}}
 		meta.storing.Store(true)
 		p.models[q.Model] = meta
+		installed = true
 		stored := make([]graph.VertexID, len(q.Segments))
 		for i, s := range q.Segments {
 			p.refAddLocked(q.Model, s.Vertex, 1)
@@ -483,7 +494,7 @@ func (p *Provider) StoreModel(q *proto.StoreModelReq, segs [][]byte) error {
 		c.dirty[0] |= dirtyModel | dirtyRefs | dirtyJournal
 		return nil
 	})
-	if meta == nil {
+	if !installed {
 		return err // nothing installed: rejected, or a journal duplicate
 	}
 	// The entry was published before its payloads were written; commit has
@@ -839,10 +850,11 @@ func (p *Provider) handleLCPQuery(_ context.Context, req rpc.Message) (rpc.Messa
 // This is the provider-side "map" step of the collective query; the result
 // carries the winner's catalog entry so the client needs no second round.
 //
-// The scan holds no lock: it reads the share's snapshot (shareFor), ranks
-// its entries by bound through the snapshot's index
-// (graph.LCPScanner.ByBound) and computes exact prefixes in that order only
-// while an entry's bound can still reach the best size found.
+// The scan holds no lock: it reads the share's snapshot (shareFor), bounds
+// its entries through the snapshot's prefix-signature index
+// (graph.LCPScanner.ByBound), and confirms them with exact walks in
+// (bound, tiebreak) order until no entry left can win. The bounds are
+// exact unless signatures collide, so a query usually walks one graph.
 // proto.LCPBeats is a total order, so the winner does not depend on the
 // order of the scan.
 func (p *Provider) LCPQuery(q *proto.LCPQueryReq) *proto.LCPResult {
@@ -866,27 +878,72 @@ func (p *Provider) lcpQuery(q *proto.LCPQueryReq, sc *lcpScratch) proto.LCPResul
 			sc.skip = append(sc.skip, e)
 		}
 	}
-	ranked := scanner.ByBound(share.index, sc.skip)
+	ranked, base := scanner.ByBound(share.index, sc.skip)
 	p.ctr.lcpScanned.Add(uint64(len(share.metas) - len(sc.skip)))
 
-	var best *proto.ModelMeta
-	bestSize, exact := 0, 0
-	for _, r := range ranked {
-		if int(r.Bound) < bestSize {
-			break // neither this entry nor any after it can reach bestSize
+	// rank orders entries as proto.LCPBeats does at equal size: within one
+	// bound, the entry of lowest rank is confirmed first.
+	tie := 0
+	if q.PreferRecent {
+		tie = 1
+	}
+	rank := share.rank[tie]
+	best, bestSize, last, exact := int32(-1), int32(0), int32(-1), 0
+	// confirm walks entry e of bound b and reports whether the scan is
+	// over: when e cannot beat the best at its bound, or when its walk
+	// reaches its bound, as every entry left has a lower bound or, at b,
+	// a higher rank.
+	confirm := func(e, b int32) bool {
+		if b < bestSize || b == bestSize && best >= 0 && rank[e] > rank[best] {
+			return true
 		}
-		c := share.metas[r.Entry]
-		size := scanner.SizeAgainst(c.Graph)
+		size := int32(scanner.SizeAgainst(share.metas[e].Graph))
+		last = e
 		exact++
-		if size > 0 && (best == nil || proto.LCPBeats(size, c, bestSize, best, q.PreferRecent)) {
-			best, bestSize = c, size
+		if size > 0 && (size > bestSize || size == bestSize && rank[e] < rank[best]) {
+			best, bestSize = e, size
 		}
+		return size == b
+	}
+	done := false
+	for i := 0; i < len(ranked) && !done; {
+		b := ranked[i].Bound
+		j := i + 1
+		for j < len(ranked) && ranked[j].Bound == b {
+			j++
+		}
+		// Confirm the group of bound b by rank, selecting the lowest left:
+		// a group usually ends at its first walk.
+		for group := ranked[i:j]; len(group) > 0 && !done; group = group[1:] {
+			m := 0
+			for k := 1; k < len(group); k++ {
+				if rank[group[k].Entry] < rank[group[m].Entry] {
+					m = k
+				}
+			}
+			group[0], group[m] = group[m], group[0]
+			done = confirm(group[0].Entry, b)
+		}
+		i = j
+	}
+	// The plain entries, each of bound base, in rank order.
+	for _, e := range share.order[tie] {
+		if done || base == 0 {
+			break
+		}
+		done = scanner.Plain(e) && confirm(e, base)
 	}
 	p.ctr.lcpExact.Add(uint64(exact))
-	if best == nil {
+	if best < 0 {
 		return proto.LCPResult{}
 	}
-	return proto.LCPResult{Meta: best, Prefix: scanner.Against(best.Graph)}
+	res := proto.LCPResult{Meta: share.metas[best]}
+	if best == last {
+		res.Prefix = scanner.Prefix() // the confirming walk found it
+	} else {
+		res.Prefix = scanner.Against(res.Meta.Graph)
+	}
+	return res
 }
 
 // lcpScratch is what one LCP query reuses from the last: the scanner's
@@ -901,13 +958,16 @@ var lcpScratches = sync.Pool{New: func() any { return new(lcpScratch) }}
 // shareSnap is an immutable copy of the entries an LCP query scans under
 // one home table: the cataloged models that are not storing and, when
 // table is set, whose home this provider is under it (nil: every model).
-// metas is in ascending model order, and entry i of index is
-// metas[i].Graph.
+// metas is in ascending model order, and entry i of index is metas[i].
+// order[0] lists the entries as proto.LCPBeats ranks them at equal size
+// by quality, order[1] by recency; rank[k][e] is e's place in order[k].
 type shareSnap struct {
 	gen   uint64
 	table *placement.Table
 	metas []*proto.ModelMeta
 	index *graph.SigIndex
+	order [2][]int32
+	rank  [2][]int32
 }
 
 // entry returns the entry number of model id, if the share holds it.
@@ -934,15 +994,38 @@ func (p *Provider) shareFor(homes *placement.Table) *shareSnap {
 	if homes != nil && homes.R() > 1 {
 		n /= homes.R() // the provider is home for about one in R of its models
 	}
-	s.metas = make([]*proto.ModelMeta, 0, n)
+	ms := make([]*modelMeta, 0, n)
 	for id, m := range p.models {
 		if !m.storing.Load() && (homes == nil || homes.Home(id) == p.id) {
-			s.metas = append(s.metas, m.entry)
+			ms = append(ms, m)
 		}
 	}
 	p.mu.RUnlock()
-	slices.SortFunc(s.metas, func(a, b *proto.ModelMeta) int { return cmp.Compare(a.Model, b.Model) })
-	s.index = graph.NewSigIndex(len(s.metas), func(i int) *graph.Compact { return s.metas[i].Graph })
+	slices.SortFunc(ms, func(a, b *modelMeta) int { return cmp.Compare(a.entry.Model, b.entry.Model) })
+	s.metas = make([]*proto.ModelMeta, len(ms))
+	for i, m := range ms {
+		s.metas[i] = m.entry
+	}
+	s.index = graph.NewSigIndex(len(ms), func(i int) []uint64 { return ms[i].sigs })
+	for k, recent := range []bool{false, true} {
+		order, rank := make([]int32, len(ms)), make([]int32, len(ms))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			switch {
+			case a == b:
+				return 0
+			case proto.LCPBeats(1, s.metas[a], 1, s.metas[b], recent):
+				return -1
+			}
+			return 1
+		})
+		for i, e := range order {
+			rank[e] = int32(i)
+		}
+		s.order[k], s.rank[k] = order, rank
+	}
 	p.share.Store(s)
 	return s
 }

@@ -265,7 +265,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		return nil, fmt.Errorf("provider %d: repair_apply %d: %d payloads for %d table entries",
 			p.id, q.Model, len(segs), len(q.Segments))
 	}
-	var installMeta *proto.ModelMeta
+	var installMeta *modelMeta
 	if q.Meta != nil {
 		m, err := proto.DecodeModelMeta(q.Meta)
 		if err == nil && m.Model != q.Model {
@@ -274,7 +274,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		if err != nil {
 			return nil, fmt.Errorf("provider %d: repair_apply %d: meta: %w", p.id, q.Model, err)
 		}
-		installMeta = m
+		installMeta = newModelMeta(m) // signed outside the provider lock
 	}
 
 	err := p.commit("repair_apply", []ownermap.ModelID{q.Model}, p.acceptsWrite, func(c *change) error {
@@ -293,7 +293,7 @@ func (p *Provider) RepairApply(q *proto.RepairApplyReq, segs [][]byte) (*proto.R
 		// 2. Metadata: a store this replica missed. Never resurrects a
 		// tombstoned model; refcounts arrive separately as deltas.
 		if installMeta != nil && !dead && p.models[q.Model] == nil {
-			p.models[q.Model] = &modelMeta{entry: installMeta}
+			p.models[q.Model] = installMeta
 			p.lcpGen.Add(1)
 			c.dirty[0] |= dirtyModel
 			p.ctr.repairMetaInstall.Inc()
