@@ -3,7 +3,7 @@
 // scenarios measure the two layers the zero-copy path optimizes: raw TCP
 // echo calls (flat and vectored payloads, 64 KiB to 64 MiB) and the
 // end-to-end client read path (Load over a TCP provider, with the segment
-// cache warm and with it off).
+// cache warm, with it off, and cold under a scan larger than it).
 package bulkbench
 
 import (
@@ -36,9 +36,10 @@ func Scenarios() []Scenario {
 		{"TCPCallVec64M", benchTCPCall(64<<20, true)},
 		{"ReadPath1M", benchReadPath(16, 64<<10)},
 		{"ReadPath64M", benchReadPath(16, 4<<20)},
-		// Cache off: every Load crosses the wire into pooled receive
-		// frames, which Release recycles for the next iteration.
+		// Cache off: every Load crosses the wire into a receive frame
+		// allocated for it, which becomes the caller's segments.
 		{"ReadPathNoCache1M", benchReadPath(16, 64<<10, client.WithSegCacheBytes(0))},
+		{"ReadPathCold", benchReadPathCold(8, 16, 64<<10, 4<<20)},
 	}
 }
 
@@ -118,19 +119,26 @@ func ChainModel(id ownermap.ModelID, nseg, segBytes int) (*proto.ModelMeta, [][]
 	return meta, segs
 }
 
+// serveProvider starts one MemKV provider on a TCP loopback listener and
+// returns its address; stop closes the listener.
+func serveProvider(b *testing.B) (addr string, stop func()) {
+	p := provider.New(0, kvstore.NewMemKV(8))
+	srv := rpc.NewServer()
+	p.Register(srv)
+	lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return addr, func() { lis.Close() }
+}
+
 // benchReadPath measures a full client Load (metadata + consolidated
 // segment read) of an nseg×segBytes model from one TCP provider, via an
 // rpc.Pool of 4 connections — the deployment shape of evostore-server.
 func benchReadPath(nseg, segBytes int, opts ...client.Option) func(b *testing.B) {
 	return func(b *testing.B) {
-		p := provider.New(0, kvstore.NewMemKV(8))
-		srv := rpc.NewServer()
-		p.Register(srv)
-		lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer lis.Close()
+		addr, stop := serveProvider(b)
+		defer stop()
 		pool := rpc.NewPool(addr, 4, rpc.DialTCP)
 		defer pool.Close()
 		cli := client.New([]rpc.Conn{pool}, opts...)
@@ -145,6 +153,47 @@ func benchReadPath(nseg, segBytes int, opts ...client.Option) func(b *testing.B)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			data, err := cli.Load(ctx, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(data.Segments) != nseg {
+				b.Fatal("short load")
+			}
+		}
+	}
+}
+
+// benchReadPathCold measures Loads that miss the segment cache: models of
+// nseg×segBytes, stored through a second client, are read in a cycle over
+// more bytes than the reader's cacheBytes-bounded cache holds. Each read
+// is its segments' first touch, so none is admitted and each response
+// frame is handed to the caller without a copy.
+func benchReadPathCold(models, nseg, segBytes int, cacheBytes int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		if int64(models*nseg*segBytes) <= cacheBytes {
+			b.Fatalf("%d models of %d bytes fit the %d-byte cache", models, nseg*segBytes, cacheBytes)
+		}
+		addr, stop := serveProvider(b)
+		defer stop()
+		writerPool := rpc.NewPool(addr, 1, rpc.DialTCP)
+		defer writerPool.Close()
+		pool := rpc.NewPool(addr, 4, rpc.DialTCP)
+		defer pool.Close()
+		writer := client.New([]rpc.Conn{writerPool})
+		cli := client.New([]rpc.Conn{pool}, client.WithSegCacheBytes(cacheBytes))
+
+		ctx := context.Background()
+		for id := 1; id <= models; id++ {
+			meta, segs := ChainModel(ownermap.ModelID(id), nseg, segBytes)
+			if err := writer.Store(ctx, meta, segs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(nseg) * int64(segBytes))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data, err := cli.Load(ctx, ownermap.ModelID(1+i%models))
 			if err != nil {
 				b.Fatal(err)
 			}

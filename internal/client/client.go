@@ -36,6 +36,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -187,9 +188,11 @@ func (c *Client) HomeProvider(id ownermap.ModelID) int {
 }
 
 // ModelData is a fully resolved model: metadata plus one consolidated
-// tensor segment per vertex (empty for parameter-free leaves). Segments
-// are views the client's segment cache and concurrent loads may share:
-// treat them as read-only.
+// tensor segment per vertex (empty for parameter-free leaves). Every
+// segment is the caller's to keep or write: nothing else in the client,
+// its cache or another load holds it. Segments may be views into one
+// buffer, each capped at its own length, so an append to one reallocates
+// instead of overwriting its neighbour.
 type ModelData struct {
 	Meta     *proto.ModelMeta
 	Segments [][]byte
@@ -298,6 +301,11 @@ func (c *Client) Store(ctx context.Context, meta *proto.ModelMeta, segments [][]
 		release(pinned)
 		return fmt.Errorf("client: store %d: %w", meta.Model, err)
 	}
+	// A store is its segments' first touch, so a model derived from soon
+	// after is cached from its first read.
+	for _, ref := range table {
+		c.cache.touch(segRef{meta.Model, ref.Vertex}, int64(ref.Length))
+	}
 	return nil
 }
 
@@ -336,7 +344,8 @@ func (c *Client) Load(ctx context.Context, id ownermap.ModelID) (*ModelData, err
 // LoadVertices reads only the given vertices of a model (the partial-read
 // primitive behind transfer learning): tensors are fetched from their
 // owners' providers in parallel. The result is indexed by vertex ID, with
-// nil entries for vertices that were not requested.
+// nil entries for vertices that were not requested; every segment is the
+// caller's, as ModelData's are.
 func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertices []graph.VertexID) ([][]byte, error) {
 	want := make(map[graph.VertexID]bool, len(vertices))
 	for _, v := range vertices {
@@ -350,7 +359,8 @@ func (c *Client) LoadVertices(ctx context.Context, meta *proto.ModelMeta, vertic
 
 // readByOwner groups vertices by owner and issues the per-provider bulk
 // reads concurrently; want==nil selects every vertex. It returns each
-// vertex's segment, indexed by vertex ID.
+// vertex's segment, indexed by vertex ID, each the caller's own: a cache
+// hit is copied, and readGroup copies whatever it does not hand over.
 func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[graph.VertexID]bool) ([][]byte, error) {
 	segs := make([][]byte, om.Len())
 	groups := ownerGroups(om)
@@ -367,7 +377,7 @@ func (c *Client) readByOwner(ctx context.Context, om *ownermap.Map, want map[gra
 			// stored segments are immutable and model IDs never reused —
 			// so a cache hit skips the provider round trip entirely.
 			if b, ok := c.cache.get(segRef{g.Owner, v}); ok {
-				segs[v] = b
+				segs[v] = bytes.Clone(b) // the caller's to write; the cache's is shared
 				continue
 			}
 			vs = append(vs, v)

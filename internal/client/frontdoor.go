@@ -7,12 +7,15 @@ package client
 //     into one provider round trip (readGroup → flights), before they
 //     reach the wire. It is the read path's only coalescer: the provider
 //     executes every read it admits.
-//   - Read-through segment cache: every segment a group read returns
-//     lands in the client-wide segment cache, so repeat loads of hot
-//     lineage prefixes skip the provider entirely. Safe because stored
-//     segments are immutable and model IDs are never reused.
+//   - Read-through segment cache: repeat loads of hot lineage prefixes
+//     skip the provider entirely. A segment is admitted on its second
+//     touch (a read miss, or this client's Store of it), so a scan of
+//     segments read once each leaves the cache as it was. Safe because
+//     stored segments are immutable and model IDs are never reused.
 
 import (
+	"bytes"
+	"container/list"
 	"context"
 	"encoding/binary"
 	"sort"
@@ -46,9 +49,12 @@ func WithTenant(t string) Option {
 }
 
 // groupRead is one owner-group fetch shared across a coalesced flight.
+// fresh reports that parts are views into a response read off the wire
+// for this flight alone (rpc.Message.Fresh).
 type groupRead struct {
 	table []proto.SegmentRef
 	parts [][]byte
+	fresh bool
 }
 
 // flightKey canonicalizes an owner-group read for coalescing: owner plus
@@ -81,19 +87,25 @@ type segRef struct {
 }
 
 // segCache is the client-wide read-through segment cache: the bytes of
-// every fetched segment, shared across loads. Safe because stored
+// segments read more than once, shared across loads. Safe because stored
 // segments are immutable: an (owner, vertex) pair is written once and
 // model IDs are never reused, so an entry can go stale only by pointing at
-// a freed segment — wasted memory, never wrong bytes. Bounded by total
-// payload size with FIFO eviction; lineage sweeps touch entries
+// a freed segment — wasted memory, never wrong bytes.
+//
+// Admission is on the second touch. A touch is a read miss (put) or a
+// successful Store of the segment by this client (touch). A first touch
+// only records the ref in the doorkeeper, a FIFO of keys and lengths
+// bounded by the cache's own byte bound; a touch that finds the ref there
+// admits it. So a cyclic scan larger than the cache admits nothing and
+// evicts no resident, a model this client stored is cached from its first
+// read, and everything else from its second. Residents are bounded by
+// total payload size with FIFO eviction; lineage sweeps touch entries
 // oldest-first, so FIFO approximates LRU here without per-hit bookkeeping.
 //
 // One deliberate accounting simplification: an entry is a view into its
 // group read's response buffer, so it pins that whole buffer, which is
 // larger than the entry when sibling segments came in the same read.
-// Sizing still counts len(b) — the over-pinning window is bounded by the
-// eviction of the sibling entries, which arrived together and leave
-// together under FIFO.
+// Sizing still counts len(b).
 type segCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -101,9 +113,21 @@ type segCache struct {
 	entries map[segRef][]byte
 	order   []segRef
 
+	// door is the doorkeeper: refs touched once, oldest at the front of
+	// doorFIFO (values are doorRefs), doorSize their summed lengths.
+	door     map[segRef]*list.Element
+	doorFIFO list.List
+	doorSize int64
+
 	// hits/misses are the client.segcache_* counters; nil (bare tests)
 	// disables counting.
 	hits, misses *metrics.Counter
+}
+
+// doorRef is one doorkeeper entry.
+type doorRef struct {
+	ref segRef
+	n   int64
 }
 
 // defaultSegCacheBytes bounds the segment cache. Sized to hold the working
@@ -112,11 +136,11 @@ type segCache struct {
 const defaultSegCacheBytes = 64 << 20
 
 func newSegCache(max int64) *segCache {
-	return &segCache{max: max, entries: make(map[segRef][]byte)}
+	return &segCache{max: max, entries: make(map[segRef][]byte), door: make(map[segRef]*list.Element)}
 }
 
 // get returns ref's bytes. They are shared with every other reader and
-// stay valid after eviction.
+// stay valid after eviction: never write them.
 func (sc *segCache) get(ref segRef) ([]byte, bool) {
 	sc.mu.Lock()
 	b, ok := sc.entries[ref]
@@ -130,17 +154,47 @@ func (sc *segCache) get(ref segRef) ([]byte, bool) {
 	return b, ok
 }
 
-// put inserts ref unless present. An entry that cannot fit even an empty
-// cache is rejected outright.
-func (sc *segCache) put(ref segRef, b []byte) {
+// touch records a touch of ref, n bytes long, and reports whether it is
+// the second: then the doorkeeper forgets ref and the caller admits it.
+// A resident, or an entry that cannot fit even an empty cache, is not
+// recorded.
+func (sc *segCache) touch(ref segRef, n int64) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.touchLocked(ref, n)
+}
+
+func (sc *segCache) touchLocked(ref segRef, n int64) bool {
+	if n > sc.max || sc.max <= 0 {
+		return false
+	}
+	if _, ok := sc.entries[ref]; ok {
+		return false
+	}
+	if e, ok := sc.door[ref]; ok {
+		sc.doorSize -= sc.doorFIFO.Remove(e).(doorRef).n
+		delete(sc.door, ref)
+		return true
+	}
+	for sc.doorSize+n > sc.max {
+		old := sc.doorFIFO.Remove(sc.doorFIFO.Front()).(doorRef)
+		delete(sc.door, old.ref)
+		sc.doorSize -= old.n
+	}
+	sc.door[ref] = sc.doorFIFO.PushBack(doorRef{ref, n})
+	sc.doorSize += n
+	return false
+}
+
+// put touches ref for a read miss that fetched b, and admits b if that
+// was its second touch, evicting residents FIFO. It reports whether b was
+// admitted: b is then shared with the cache and must never be written.
+func (sc *segCache) put(ref segRef, b []byte) bool {
 	n := int64(len(b))
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if n > sc.max || sc.max <= 0 {
-		return
-	}
-	if _, ok := sc.entries[ref]; ok {
-		return
+	if !sc.touchLocked(ref, n) {
+		return false
 	}
 	for sc.size+n > sc.max && len(sc.order) > 0 {
 		old := sc.order[0]
@@ -151,15 +205,20 @@ func (sc *segCache) put(ref segRef, b []byte) {
 	sc.entries[ref] = b
 	sc.order = append(sc.order, ref)
 	sc.size += n
+	return true
 }
 
 // readGroup fetches one owner group's segments: concurrent identical
 // reads share one flight, and the flight's leader issues the one
-// consolidated ReadSegments through readCall's replica pass. The parts are
-// views into one plain response buffer that every returner and the cache
-// share; nobody mutates it. Every part is cached read-through.
+// consolidated ReadSegments through readCall's replica pass and offers
+// every part to the cache. The parts it returns are the caller's: a part
+// read off the wire by a flight nobody joined, that the cache did not
+// admit, is handed over as is; every other part is a copy, since the
+// flight's other callers or the cache share the original.
 func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID) ([]proto.SegmentRef, [][]byte, error) {
+	led := false
 	g, shared, err := c.flights.Do(flightKey(owner, vs), func() (groupRead, error) {
+		led = true
 		return c.readGroupWire(ctx, owner, vs)
 	})
 	if err != nil {
@@ -170,16 +229,25 @@ func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []gra
 		}
 		return nil, nil, err
 	}
-	if shared {
+	if !led {
 		c.coalesced.Inc()
-	} else {
-		// Read-through cache fill, leader only (waiters would only re-take
-		// the same locks to find every entry present).
-		for i, ref := range g.table {
-			c.cache.put(segRef{owner, ref.Vertex}, g.parts[i])
-		}
 	}
-	return g.table, g.parts, nil
+	parts := g.parts
+	if shared {
+		parts = make([][]byte, len(g.parts)) // g.parts is every caller's
+	}
+	for i, ref := range g.table {
+		b := g.parts[i]
+		// Read-through cache fill, leader only: a waiter's read is no
+		// second touch, and it would only re-take the lock to find every
+		// entry present.
+		admitted := led && c.cache.put(segRef{owner, ref.Vertex}, b)
+		if admitted || shared || !g.fresh {
+			b = bytes.Clone(b)
+		}
+		parts[i] = b
+	}
+	return g.table, parts, nil
 }
 
 // readGroupWire is the wire read behind readGroup.
@@ -197,5 +265,5 @@ func (c *Client) readGroupWire(ctx context.Context, owner ownermap.ModelID, vs [
 	if err != nil {
 		return groupRead{}, err
 	}
-	return groupRead{table: table, parts: parts}, nil
+	return groupRead{table: table, parts: parts, fresh: resp.Fresh}, nil
 }

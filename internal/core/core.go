@@ -490,7 +490,10 @@ func (r *Repository) StoreDerived(ctx context.Context, f *model.Flat, ws model.W
 
 // Load reconstructs a model: metadata plus all tensors, decoded per
 // vertex. The read path touches one provider for metadata and one bulk
-// read per contributing owner, independent of lineage depth.
+// read per contributing owner, independent of lineage depth. The tensors
+// are the caller's to keep or train in place: they are decoded onto
+// segments the client handed over (client.ModelData), uncopied when they
+// came off the wire for this load alone.
 func (r *Repository) Load(ctx context.Context, id ModelID) (*proto.ModelMeta, model.WeightSet, error) {
 	data, err := r.cli.Load(ctx, id)
 	if err != nil {
@@ -501,9 +504,6 @@ func (r *Repository) Load(ctx context.Context, id ModelID) (*proto.ModelMeta, mo
 		ts, err := tensor.DecodeSet(seg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: load %d: vertex %d: %w", id, v, err)
-		}
-		for i, t := range ts {
-			ts[i] = t.Clone() // detach from the client's segment cache, which shares these bytes
 		}
 		ws[v] = ts
 	}

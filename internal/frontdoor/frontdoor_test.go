@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,14 +194,49 @@ func TestGroupCoalesces(t *testing.T) {
 			t.Fatalf("result[%d] = %d", i, v)
 		}
 	}
-	// Every caller but the leader joined as a waiter.
-	if n := sharedCount.Load(); n != K-1 {
-		t.Fatalf("%d callers shared the flight, want %d", n, K-1)
+	// Every caller shared the result: the leader with the K-1 waiters.
+	if n := sharedCount.Load(); n != K {
+		t.Fatalf("%d callers shared the flight, want %d", n, K)
 	}
 	// A later call must execute fresh (no caching).
 	_, shared, _ := g.Do("k", func() (int, error) { execs.Add(1); return 7, nil })
 	if shared || execs.Load() != 2 {
 		t.Fatal("flight result cached past completion")
+	}
+}
+
+// The leader learns whether anyone joined its flight: a flight held open
+// by a gated fn until a waiter is attached reports shared to both, one
+// nobody joined reports it to no one.
+func TestGroupTellsLeaderWhetherJoined(t *testing.T) {
+	var g Group[string, int]
+	if _, shared, _ := g.Do("k", func() (int, error) { return 1, nil }); shared {
+		t.Fatal("a leader nobody joined was told its result is shared")
+	}
+
+	gate := make(chan struct{})
+	leader := make(chan bool)
+	go func() {
+		_, shared, _ := g.Do("k", func() (int, error) { <-gate; return 2, nil })
+		leader <- shared
+	}()
+	for g.Pending("k") != 1 {
+		runtime.Gosched()
+	}
+	waiter := make(chan bool)
+	go func() {
+		_, shared, _ := g.Do("k", func() (int, error) { return 3, nil })
+		waiter <- shared
+	}()
+	for g.Pending("k") != 2 {
+		runtime.Gosched()
+	}
+	close(gate)
+	if !<-leader {
+		t.Error("the leader was not told that a waiter joined")
+	}
+	if !<-waiter {
+		t.Error("the waiter was not told that it shared the flight")
 	}
 }
 

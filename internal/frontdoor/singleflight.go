@@ -9,7 +9,8 @@ import "sync"
 // attached to a flight (Pending). Every caller of one flight gets the same
 // V, so a V holding references shares them: treat it as read-only, and
 // never recycle what it references, since no caller can tell whether
-// another still holds it.
+// another still holds it. Only a leader whose flight nobody joined holds
+// V alone, and Do tells it so.
 //
 // Results are never cached past the flight: the moment the leader
 // finishes, the key is forgotten, so an error is shared only by callers
@@ -42,11 +43,12 @@ func (g *Group[K, V]) Pending(key K) int {
 }
 
 // Do executes fn for key, or waits for an in-flight execution of the same
-// key and shares its result. shared reports whether this caller was a
-// waiter. The flight runs on the leader's goroutine (and therefore under
-// the leader's context): a leader that gives up fails its waiters too,
-// which is acceptable because the key is dropped immediately and the next
-// caller simply retries fresh.
+// key and shares its result. shared reports whether v went to more than
+// one caller: always for a waiter, and for the leader when any waiter
+// joined its flight. The flight runs on the leader's goroutine (and
+// therefore under the leader's context): a leader that gives up fails its
+// waiters too, which is acceptable because the key is dropped immediately
+// and the next caller simply retries fresh.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -67,7 +69,8 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err err
 
 	g.mu.Lock()
 	delete(g.m, key) // no new waiters can join past this point
+	joined := f.waiters > 0
 	g.mu.Unlock()
 	f.wg.Done()
-	return f.val, false, f.err
+	return f.val, joined, f.err
 }

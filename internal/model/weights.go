@@ -109,8 +109,10 @@ func (ws WeightSet) EncodeVertex(v graph.VertexID) []byte {
 }
 
 // DecodeVertexInto decodes a consolidated segment into vertex v's slot,
-// validating against the leaf's specs. The decoded tensors are deep copies
-// (they do not alias seg).
+// validating against the leaf's specs. The decoded tensors alias seg, so
+// the caller hands seg over: it must be the caller's to give (a segment
+// client.LoadVertices returned is), and nothing may write it afterwards
+// but the weight set.
 func (ws WeightSet) DecodeVertexInto(f *Flat, v graph.VertexID, seg []byte) error {
 	ts, err := tensor.DecodeSet(seg)
 	if err != nil {
@@ -120,13 +122,11 @@ func (ws WeightSet) DecodeVertexInto(f *Flat, v graph.VertexID, seg []byte) erro
 	if len(ts) != len(specs) {
 		return fmt.Errorf("model: vertex %d: segment has %d tensors, specs want %d", v, len(ts), len(specs))
 	}
-	out := make([]*tensor.Tensor, len(ts))
 	for i, t := range ts {
 		if t.DType != specs[i].DType || t.NumElements() != tensor.NumElements(specs[i].Shape) {
 			return fmt.Errorf("model: vertex %d tensor %d: got %s, spec %s", v, i, t, specs[i])
 		}
-		out[i] = t.Clone()
 	}
-	ws[v] = out
+	ws[v] = ts
 	return nil
 }

@@ -143,7 +143,8 @@ func end(r *wire.Reader) error {
 }
 
 // SplitBulk slices a bulk payload into per-segment views according to the
-// table. The returned slices alias bulk.
+// table. The returned slices alias bulk, each capped at its own length, so
+// an append to one reallocates instead of overwriting the next.
 func SplitBulk(segs []SegmentRef, bulk []byte) ([][]byte, error) {
 	out := make([][]byte, len(segs))
 	off := 0
@@ -152,7 +153,7 @@ func SplitBulk(segs []SegmentRef, bulk []byte) ([][]byte, error) {
 		if end > len(bulk) {
 			return nil, fmt.Errorf("proto: segment table overruns bulk (%d > %d)", end, len(bulk))
 		}
-		out[i] = bulk[off:end]
+		out[i] = bulk[off:end:end]
 		off = end
 	}
 	if off != len(bulk) {
@@ -167,7 +168,8 @@ func SplitBulk(segs []SegmentRef, bulk []byte) ([][]byte, error) {
 // per table entry, lengths matching) returns the sender's slices directly;
 // a flat payload falls back to SplitBulk views; a mismatched vector is
 // re-sliced across its chunk boundaries, copying only the segments that
-// straddle one. The returned slices alias msg's buffers.
+// straddle one. The returned slices alias msg's buffers; the ones cut
+// from a flat payload or across chunks are capped as SplitBulk's are.
 func SplitBulkMsg(segs []SegmentRef, msg rpc.Message) ([][]byte, error) {
 	if len(msg.Bulk) == 0 && len(msg.BulkVec) == len(segs) {
 		aligned := true
@@ -207,7 +209,7 @@ func SplitBulkMsg(segs []SegmentRef, msg rpc.Message) ([][]byte, error) {
 			continue
 		}
 		if rem := len(chunks[ci]) - coff; n <= rem {
-			out[i] = chunks[ci][coff : coff+n]
+			out[i] = chunks[ci][coff : coff+n : coff+n]
 			coff += n
 			continue
 		}

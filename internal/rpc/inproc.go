@@ -80,8 +80,10 @@ func (c *inprocConn) Call(ctx context.Context, name string, req Message) (Messag
 	}
 	resp, err := srv.dispatch(ctx, []byte(name), req)
 	// The caller holds the response's buffers by reference for as long as
-	// it likes, so there is no point at which they could be recycled.
+	// it likes, so there is no point at which they could be recycled; and
+	// they are the handler's, so they are not the caller's to write.
 	resp.Release = nil
+	resp.Fresh = false
 	if err != nil {
 		// Handler failures cross the (virtual) wire as the remote error
 		// TCP would deliver — same status, same text — so callers see the

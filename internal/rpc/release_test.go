@@ -163,6 +163,44 @@ func TestInprocNeverReleases(t *testing.T) {
 	}
 }
 
+// TestFreshOnlyOverTCP: a TCP call's response is Fresh, read into buffers
+// of its own; an in-process response never is, even when the handler
+// relays a Fresh one, since its buffers are then the handler's.
+func TestFreshOnlyOverTCP(t *testing.T) {
+	srv := NewServer()
+	srv.Register("echo", func(_ context.Context, req Message) (Message, error) {
+		return Message{Meta: req.Meta, Bulk: req.Meta}, nil
+	})
+	lis, addr, err := ListenAndServeTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	tcp := NewPool(addr, 1, DialTCP)
+	defer tcp.Close()
+	ctx := context.Background()
+	resp, err := tcp.Call(ctx, "echo", Message{Meta: []byte{1}})
+	if err != nil || !resp.Fresh {
+		t.Fatalf("TCP response: err %v, Fresh %v; want a Fresh response", err, resp.Fresh)
+	}
+
+	relay := NewServer()
+	relay.Register("echo", func(ctx context.Context, req Message) (Message, error) {
+		return tcp.Call(ctx, "echo", req)
+	})
+	net := NewInprocNet()
+	if err := net.Listen("relay", relay); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = c.Call(ctx, "echo", Message{Meta: []byte{1}}); err != nil || resp.Fresh {
+		t.Fatalf("in-process response: err %v, Fresh %v; want one not Fresh", err, resp.Fresh)
+	}
+}
+
 // TestDiscardedConnClosesSocket: a call that times out leaves its
 // connection dead, and the pool that discards it closes the socket then,
 // not when the collector finalizes it. So a server writing a 4 MiB

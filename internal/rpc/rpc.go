@@ -40,8 +40,10 @@
 //     response's Release gets them back at that point over TCP (GetBuf and
 //     PutBuf are the pool it may draw them from), and never in-process,
 //     where the caller holds them by reference. On the client side, response
-//     buffers returned by Call are plain allocations owned by the caller,
-//     never pooled or recycled. Request buffers passed to Call must stay
+//     buffers returned by the TCP Call are plain allocations owned by the
+//     caller, never pooled or recycled, and marked Fresh; in-process
+//     responses are the handler's buffers, to be read only.
+//     Request buffers passed to Call must stay
 //     immutable until Call returns but are never retained afterwards by
 //     the TCP transport.
 //     The in-process transport passes references end to end, so both sides
@@ -74,11 +76,18 @@ import (
 // at once. The in-process transport never calls it and clears it from the
 // response it returns, because its caller keeps the buffers. Requests and
 // client-side responses never carry one.
+//
+// Fresh, on a response a Conn returns, reports that its buffers were read
+// off the wire by this call into allocations nothing else references: the
+// caller may write them or hand them on. Only the TCP client sets it; the
+// in-process transport clears it, since its caller sees the handler's own
+// buffers (a store's memory, say), and servers ignore it.
 type Message struct {
 	Meta    []byte
 	Bulk    []byte
 	BulkVec [][]byte
 	Release func()
+	Fresh   bool
 }
 
 // BulkLen returns the total bulk payload length in bytes (Bulk plus every

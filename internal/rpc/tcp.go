@@ -367,6 +367,7 @@ func (c *tcpConn) Call(ctx context.Context, name string, req Message) (Message, 
 		}
 		return Message{}, err
 	}
+	resp.Fresh = true // readSized allocated its buffers for this call alone
 	return resp, nil
 }
 

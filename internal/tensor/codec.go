@@ -48,8 +48,10 @@ func (t *Tensor) Encode() []byte {
 }
 
 // Decode parses one encoded tensor from the front of b, returning the tensor
-// and the number of bytes consumed. The returned tensor's Data aliases b;
-// callers that need an independent copy must Clone it.
+// and the number of bytes consumed. The returned tensor's Data aliases b,
+// capped at its own length: writing it writes b, and an append to it
+// reallocates instead of overwriting what follows it in b. Callers that
+// need an independent copy must Clone it.
 func Decode(b []byte) (*Tensor, int, error) {
 	if len(b) < 2 {
 		return nil, 0, io.ErrUnexpectedEOF
@@ -80,8 +82,9 @@ func Decode(b []byte) (*Tensor, int, error) {
 	if uint64(len(b)-off) < dataLen {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	t := &Tensor{Name: name, DType: dt, Shape: shape, Data: b[off : off+int(dataLen)]}
-	off += int(dataLen)
+	end := off + int(dataLen)
+	t := &Tensor{Name: name, DType: dt, Shape: shape, Data: b[off:end:end]}
+	off = end
 	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}

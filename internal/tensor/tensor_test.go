@@ -257,6 +257,27 @@ func TestEncodeDecodeSet(t *testing.T) {
 	}
 }
 
+// A decoded tensor's Data is capped at its own length: an append to it
+// reallocates instead of overwriting the encoding that follows it.
+func TestDecodeCapsData(t *testing.T) {
+	a, b := New("a", Float32, 4), New("b", Float32, 4)
+	a.FillSeeded(1)
+	b.FillSeeded(2)
+	seg := EncodeSet([]*Tensor{a, b})
+	ts, err := DecodeSet(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(ts[0].Data) != len(ts[0].Data) {
+		t.Fatalf("Data len %d cap %d, want a capped view", len(ts[0].Data), cap(ts[0].Data))
+	}
+	_ = append(ts[0].Data, 0xff, 0xff, 0xff, 0xff)
+	again, err := DecodeSet(seg)
+	if err != nil || !again[1].Equal(b) {
+		t.Fatalf("an append to the first tensor's Data changed the second's encoding: %v", err)
+	}
+}
+
 func TestDecodeSetEmpty(t *testing.T) {
 	out, err := DecodeSet(nil)
 	if err != nil || len(out) != 0 {
